@@ -7,10 +7,14 @@ parallel phases versus the 5 sequential unique sets of the UNIQUE scheme.
 
 from repro.analysis.experiments import run_example2_partition
 from repro.baselines import unique_sets_schedule
-from repro.core import recurrence_chain_partition
+from repro.core import PlanConfig, plan
 from repro.workloads import example2_loop
 
 from conftest import emit, run_once
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 def test_example2_partition_n12(benchmark, report):
@@ -23,7 +27,7 @@ def test_example2_partition_n12(benchmark, report):
 
 def test_example2_rec_fewer_phases_than_unique(report):
     prog = example2_loop(30)
-    rec = recurrence_chain_partition(prog)
+    rec = plan(prog, config=ALGORITHM1, cache=False)
     unique = unique_sets_schedule(prog, {})
     report(
         "Example 2 (N=30): phase counts",

@@ -3,24 +3,29 @@
 Not a paper artifact: this benchmark guards the performance contract of the
 array-backed path, at two levels.
 
+Every "set" timing is the brute-force tuple oracle of ``tests/oracle.py``
+(the per-point set algebra the array engine replaced), and every gate first
+checks that the array engine's result is bit-identical to it.
+
 * ``test_scale_partition_speedup`` — the original core sweep: three-set
   partition (eq. 5) + dataflow wavefront peeling over a **synthetic relation**
-  (:func:`repro.workloads.synthetic.scale_partition_case`), set vs vector
+  (:func:`repro.workloads.synthetic.scale_partition_case`), oracle vs array
   engine, 10³–10⁵ points (10⁶ with ``REPRO_SCALE_XL=1``).  Contract: ≥5×
   at 10⁵ points, bit-identical partitions and wavefronts.
 
 * ``test_end_to_end_pipeline_speedup`` — the full **program → exact Rd →
-  schedule** pipeline on a real program (:func:`large_uniform_loop`), old
-  path (hash-join analyser, frozenset unions, set-engine partitioners, tuple
-  ``Schedule``) vs array-native path (sort/merge join, array concatenation,
-  vector engines, :class:`~repro.core.schedule.ArrayPhase` schedule).
-  Contract: ≥10× end-to-end wall-clock at 10⁵ points, bit-identical
-  P1/P2/P3/W sets and wavefronts.
+  schedule** pipeline on a real program (:func:`large_uniform_loop`), oracle
+  (dict join on address tuples, frozenset unions, set-algebra partitions,
+  literal dataflow while-loop) vs the planned array pipeline (sort/merge
+  join, array concatenation, CSR peeling,
+  :class:`~repro.core.schedule.ArrayPhase` schedule).  Contract: ≥10×
+  end-to-end wall-clock at 10⁵ points, bit-identical P1/P2/P3/W sets and
+  wavefronts.
 
 * ``test_triangular_end_to_end`` — the same pipeline over the non-rectangular
   :func:`large_triangular_loop` (bounding-box + filter enumeration feeding
-  the sort join): path equivalence at 10⁴ points, array-path wall-clock
-  recorded at 10⁵.
+  the sort join): equivalence with the oracle at 10⁴ points, array-path
+  wall-clock recorded at 10⁵.
 
 * ``test_plan_facade_overhead`` — the planning facade's contract on the
   10⁵-point sweep: a cold ``plan()`` costs <5% over the bare pipeline it
@@ -40,14 +45,12 @@ array-backed path, at two levels.
 * ``test_statement_level_speedup`` — the §3.3 statement-level pipeline on the
   multi-statement triangular imperfect nest
   (:func:`repro.workloads.synthetic.large_cholesky_nest`): full
-  program → statement-level Rd → wavefront schedule, tuple path
-  (``engine="set"``: per-instance unify loop, Python set of unified pairs,
-  set peeling, per-point block units) vs array path (``engine="vector"``:
-  one ``unify_array`` interleave per statement, ``PointCodec`` orientation,
-  CSR peeling over unified rows,
-  :class:`~repro.core.schedule.UnifiedArrayPhase` schedule).  Contract: ≥5×
-  at 10⁵ statement instances, bit-identical phase names and instance
-  sequences.
+  program → statement-level Rd → wavefront schedule, oracle (per-instance
+  unify loop, Python set of unified pairs, set peeling) vs array path (one
+  ``unify_array`` interleave per statement, ``PointCodec`` orientation, CSR
+  peeling over unified rows, :class:`~repro.core.schedule.UnifiedArrayPhase`
+  schedule).  Contract: ≥5× at 10⁵ statement instances, bit-identical phase
+  names and instance sequences.
 
 Every sweep's rows are recorded in ``BENCH_scale.json`` at the repository
 root — the perf-trajectory file.  Rows **accumulate across sessions**: each
@@ -61,11 +64,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.pipelines import (
-    pipeline_mismatches,
-    run_array_pipeline,
-    run_set_pipeline,
-)
+import oracle
 from repro.core.dataflow import dataflow_partition, dataflow_schedule
 from repro.core.partition import three_set_partition
 from repro.core.strategy import PlanCache, PlanConfig, plan
@@ -75,7 +74,10 @@ from conftest import RUN_ID, emit, run_once, stamp_rows
 
 #: (n1, n2) sweep: 10³, 10⁴ and 10⁵ iteration points.
 SIZES = [(40, 25), (125, 80), (500, 200)]
-XL_SIZE = (1250, 800)  # 10⁶ points, vector engine only
+XL_SIZE = (1250, 800)  # 10⁶ points, array engine only
+
+#: The pinned dataflow strategy every pipeline sweep plans with.
+DATAFLOW = PlanConfig(strategies=("dataflow",))
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_scale.json"
 
@@ -103,11 +105,46 @@ def record_bench(section, rows):
     BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def hot_path(space, rd, engine):
+def hot_path(space, rd):
     """The measured core hot path: eq. 5 partition + dataflow peeling."""
-    partition = three_set_partition(space, rd, engine=engine)
-    waves = dataflow_partition(space, rd, engine=engine)
-    return partition, waves
+    return three_set_partition(space, rd), dataflow_partition(space, rd)
+
+
+def oracle_hot_path(space, rd):
+    """The same two results from the oracle's per-point set algebra."""
+    points = [tuple(p) for p in space.tolist()]
+    return oracle.three_sets(points, rd), oracle.wavefronts(points, rd)
+
+
+def array_pipeline(prog):
+    """program → exact Rd → dataflow schedule, planned; plus the eq. 5 partition."""
+    p = plan(prog, config=DATAFLOW, cache=False)
+    rd = p.analysis.iteration_dependences
+    return rd, three_set_partition(p.analysis.iteration_space_array, rd), p.schedule
+
+
+def oracle_pipeline(prog):
+    """The same three results from the brute-force oracle."""
+    rd = oracle.iteration_dependences(prog)
+    points = oracle.space_points(prog)
+    label = prog.statement_contexts()[0].statement.label
+    phases = [
+        (f"wavefront-{k}", [(label, p) for p in sorted(wave)])
+        for k, wave in enumerate(oracle.wavefronts(points, rd))
+    ]
+    return rd, oracle.three_sets(points, rd), phases
+
+
+def pipeline_mismatches(expected, got):
+    """Differences between an oracle and an array pipeline run (empty == identical)."""
+    (rd_o, sets, phases), (rd_a, partition, schedule) = expected, got
+    problems = [] if rd_a == rd_o else ["combined dependence relation differs"]
+    for name in ("p1", "p2", "p3", "w"):
+        if getattr(partition, name) != getattr(sets, name):
+            problems.append(f"three-set component {name.upper()} differs")
+    if oracle.schedule_phases(schedule) != phases:
+        problems.append("schedule phases differ")
+    return problems
 
 
 def test_scale_partition_speedup(benchmark, report):
@@ -117,17 +154,17 @@ def test_scale_partition_speedup(benchmark, report):
     for n1, n2 in SIZES:
         space, rd = scale_partition_case(n1, n2)
         t0 = time.perf_counter()
-        set_partition, set_waves = hot_path(space, rd, "set")
+        set_partition, set_waves = oracle_hot_path(space, rd)
         t_set = time.perf_counter() - t0
         t0 = time.perf_counter()
-        vec_partition, vec_waves = hot_path(space, rd, "vector")
+        vec_partition, vec_waves = hot_path(space, rd)
         t_vector = time.perf_counter() - t0
-        # The two engines must agree exactly before their timings mean anything.
+        # Engine and oracle must agree exactly before their timings mean anything.
         assert vec_partition.p1 == set_partition.p1
         assert vec_partition.p2 == set_partition.p2
         assert vec_partition.p3 == set_partition.p3
         assert vec_partition.w == set_partition.w
-        assert vec_waves.wavefronts == set_waves.wavefronts
+        assert vec_waves.wavefronts == set_waves
         rows.append(
             {
                 "points": n1 * n2,
@@ -142,7 +179,7 @@ def test_scale_partition_speedup(benchmark, report):
         n1, n2 = XL_SIZE
         space, rd = scale_partition_case(n1, n2)
         t0 = time.perf_counter()
-        _, waves = hot_path(space, rd, "vector")
+        _, waves = hot_path(space, rd)
         t_vector = time.perf_counter() - t0
         rows.append(
             {
@@ -160,19 +197,18 @@ def test_scale_partition_speedup(benchmark, report):
     big = rows[len(SIZES) - 1]
     assert big["points"] >= 10**5
     assert big["speedup"] >= 5.0, (
-        f"vectorized engine only {big['speedup']}x faster at {big['points']} points"
+        f"array engine only {big['speedup']}x faster than the oracle at "
+        f"{big['points']} points"
     )
 
-    # Record the vectorized hot path at the largest swept size under
+    # Record the array hot path at the largest swept size under
     # pytest-benchmark as well.
     space, rd = scale_partition_case(*SIZES[-1])
-    run_once(benchmark, hot_path, space, rd, "vector")
+    run_once(benchmark, hot_path, space, rd)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end pipeline: program -> exact Rd -> partition -> schedule
-# (drivers shared with tests/core/test_array_pipeline.py via
-#  repro.analysis.pipelines, so the bench measures exactly what is verified)
 # ---------------------------------------------------------------------------
 
 
@@ -183,17 +219,18 @@ def test_end_to_end_pipeline_speedup(report):
     for n1, n2 in SIZES:
         prog = large_uniform_loop(n1, n2)
         t0 = time.perf_counter()
-        set_run = run_set_pipeline(prog)
+        set_run = oracle_pipeline(prog)
         t_set = time.perf_counter() - t0
         t0 = time.perf_counter()
-        array_run = run_array_pipeline(prog)
+        array_run = array_pipeline(prog)
         t_array = time.perf_counter() - t0
         assert not pipeline_mismatches(set_run, array_run)
+        rd, _, schedule = array_run
         rows.append(
             {
                 "points": n1 * n2,
-                "pairs": len(array_run.rd),
-                "wavefronts": array_run.schedule.num_phases,
+                "pairs": len(rd),
+                "wavefronts": schedule.num_phases,
                 "t_set_s": round(t_set, 4),
                 "t_array_s": round(t_array, 4),
                 "speedup": round(t_set / t_array, 2),
@@ -214,8 +251,8 @@ def test_plan_facade_overhead(report):
     """Facade contract: cold plan() <5% over the bare pipeline; cached ≥10×.
 
     The bare pipeline is exactly what the pinned dataflow strategy runs for a
-    single-statement perfect nest — analysis on the vector engine, then the
-    CSR wavefront schedule off the iteration arrays — so the delta measures
+    single-statement perfect nest — the analysis, then the CSR wavefront
+    schedule off the iteration arrays — so the delta measures
     only the facade itself (fingerprinting, registry walk, Plan assembly).
     The two sides are measured *interleaved*, best-of-5, and the assertion
     carries a 10 ms absolute slack: on a quiet machine the measured overhead
@@ -226,17 +263,16 @@ def test_plan_facade_overhead(report):
     from repro.workloads.synthetic import large_uniform_loop
 
     n1, n2 = SIZES[-1]
-    config = PlanConfig(engine="vector", strategies=("dataflow",))
+    config = DATAFLOW
 
     def bare():
         prog = large_uniform_loop(n1, n2)
-        analysis = DependenceAnalysis(prog, {}, engine="vector")
+        analysis = DependenceAnalysis(prog, {})
         return dataflow_schedule(
             f"{prog.name}-REC-dataflow",
             analysis.iteration_space_array,
             analysis.iteration_dependences,
             label="s",
-            engine="vector",
         )
 
     def cold():
@@ -321,8 +357,7 @@ def test_process_backend_speedup(report):
     rows = []
     for n1, n2 in SIZES[1:]:  # 10⁴ warm-up row, 10⁵ gated row
         prog = large_uniform_loop(n1, n2, semantics=compute_heavy_semantics)
-        config = PlanConfig(engine="vector", strategies=("dataflow",))
-        p = plan(prog, config=config, cache=False)
+        p = plan(prog, config=DATAFLOW, cache=False)
 
         t0 = time.perf_counter()
         serial = execute(prog, p.schedule, {}, backend="serial", seed=None)
@@ -373,30 +408,23 @@ def test_process_backend_speedup(report):
 
 
 def test_statement_level_speedup(report):
-    """§3.3 contract: the array-native statement level is ≥5× the tuple path
-    at 10⁵ statement instances, with bit-identical schedules."""
+    """§3.3 contract: the array-native statement level is ≥5× the oracle's
+    per-instance path at 10⁵ statement instances, with bit-identical
+    schedules."""
     from repro.workloads.synthetic import large_cholesky_nest
-
-    set_config = PlanConfig(engine="set", strategies=("dataflow",))
-    vec_config = PlanConfig(engine="vector", strategies=("dataflow",))
 
     rows = []
     #: n sweep of the triangular nest: ~10³, ~10⁴ and ~10⁵ statement instances.
     for n in (45, 141, 447):
         t0 = time.perf_counter()
-        vec_plan = plan(large_cholesky_nest(n), config=vec_config, cache=False)
+        vec_plan = plan(large_cholesky_nest(n), config=DATAFLOW, cache=False)
         t_vector = time.perf_counter() - t0
         t0 = time.perf_counter()
-        set_plan = plan(large_cholesky_nest(n), config=set_config, cache=False)
+        expected = oracle.dataflow_phases(large_cholesky_nest(n))
         t_set = time.perf_counter() - t0
-        # The two engines must agree exactly before their timings mean anything:
-        # same unified space, same Rd, same wavefronts, same instance order.
-        assert set_plan.statement_space.unified == vec_plan.statement_space.unified
-        assert set_plan.statement_space.rd == vec_plan.statement_space.rd
-        assert set_plan.schedule.num_phases == vec_plan.schedule.num_phases
-        for ps, pv in zip(set_plan.schedule.phases, vec_plan.schedule.phases):
-            assert ps.name == pv.name
-            assert ps.instances() == pv.instances()
+        # Engine and oracle must agree exactly before their timings mean
+        # anything: same wavefronts, same instance order.
+        assert oracle.schedule_phases(vec_plan.schedule) == expected
         rows.append(
             {
                 "instances": len(vec_plan.statement_space),
@@ -421,25 +449,25 @@ def test_statement_level_speedup(report):
 def test_triangular_end_to_end(report):
     from repro.workloads.synthetic import large_triangular_loop
 
-    # Equivalence of the two paths through the non-rectangular join at 10⁴.
+    # Equivalence with the oracle through the non-rectangular join at 10⁴.
     prog = large_triangular_loop(141)
-    assert not pipeline_mismatches(run_set_pipeline(prog), run_array_pipeline(prog))
+    assert not pipeline_mismatches(oracle_pipeline(prog), array_pipeline(prog))
 
-    # Array-path wall-clock at 10⁵ points (the set path would take minutes:
+    # Array-path wall-clock at 10⁵ points (the oracle would take minutes:
     # its dataflow peeling alone is O(steps · |Rd|) over Python sets).
     rows = []
     for n in (141, 447):
         prog = large_triangular_loop(n)
         t0 = time.perf_counter()
-        array_run = run_array_pipeline(prog)
+        rd, _, schedule = array_pipeline(prog)
         t_array = time.perf_counter() - t0
-        assert array_run.schedule.num_phases == n  # one wavefront per diagonal row
+        assert schedule.num_phases == n  # one wavefront per diagonal row
         rows.append(
             {
                 "n": n,
                 "points": n * (n + 1) // 2,
-                "pairs": len(array_run.rd),
-                "wavefronts": array_run.schedule.num_phases,
+                "pairs": len(rd),
+                "wavefronts": schedule.num_phases,
                 "t_array_s": round(t_array, 4),
             }
         )

@@ -15,9 +15,14 @@ empty) are size-stable, and EXPERIMENTS.md records the parameters used.
 import json
 import os
 import platform
+import sys
 import uuid
 
 import pytest
+
+# The brute-force oracle the scaling gates compare against lives with the
+# tests (``tests/oracle.py``).
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
 
 #: One id per bench session, stamped onto every recorded row so rows written
 #: by different runs (and different hosts) stay distinguishable in the

@@ -13,9 +13,13 @@ schedule against the paper's PDM code (a DOALL over the L dimension).
 import argparse
 
 from repro.analysis.experiments import _cholesky_pdm_schedule
-from repro.core import recurrence_chain_partition
+from repro.core import PlanConfig, plan
 from repro.runtime import compare_schemes, validate_schedule
 from repro.workloads import cholesky_loop
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 def main() -> None:
@@ -30,7 +34,7 @@ def main() -> None:
     print(f"Cholesky kernel: NMAT={args.nmat}, M={args.m}, N={args.n}, NRHS={args.nrhs}")
     print(f"statements: {[s.label for s in program.statements()]}")
 
-    result = recurrence_chain_partition(program)
+    result = plan(program, config=ALGORITHM1)
     print(f"\nscheme               : {result.scheme}")
     print(f"partitioning steps   : {result.schedule.num_phases}  (paper: 238 at full size)")
     print(f"statement instances  : {result.schedule.total_work}")

@@ -16,11 +16,15 @@ from repro.codegen import (
     generate_schedule_runner,
     rec_partition_listing,
 )
-from repro.core import AffineRecurrence, recurrence_chain_partition, symbolic_three_set_partition
+from repro.core import AffineRecurrence, PlanConfig, plan, symbolic_three_set_partition
 from repro.dependence import DependenceAnalysis, symbolic_dependence_relation
 from repro.ir.semantics import DEFAULT_SEMANTICS
 from repro.runtime import execute_sequential, make_store
 from repro.workloads import figure1_loop
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 def main() -> None:
@@ -33,7 +37,7 @@ def main() -> None:
     print(rec_partition_listing(partition, recurrence, "s(I1,I2)", order=["I1", "I2"]))
 
     # 2. executable generated Python: the chain walker and the schedule runner
-    result = recurrence_chain_partition(figure1_loop(20, 30))
+    result = plan(figure1_loop(20, 30), config=ALGORITHM1)
     chain_src = generate_chain_function(result.recurrence, 2)
     print("\n=== generated chain walker (Python) ===")
     print(chain_src)
@@ -43,7 +47,7 @@ def main() -> None:
     print(f"walked {len(chains)} chains, longest {max((len(c) for c in chains), default=0)}")
 
     program = figure1_loop(8, 9)
-    result = recurrence_chain_partition(program)
+    result = plan(program, config=ALGORITHM1)
     runner_src = generate_schedule_runner(program, result.schedule)
     runner = compile_function(runner_src, "run_schedule")
     store = make_store(program)

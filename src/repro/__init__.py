@@ -62,7 +62,7 @@ program's feature bucket up in the corpus-calibrated win table
 ``Plan.explain()`` shows the features and the selection scores:
 
 >>> print(p.explain())  # doctest: +ELLIPSIS
-plan for 'figure1' (params {}, engine 'auto'):
+plan for 'figure1' (params {}):
   selector 'table' (calibrated workload table)
   features: depth=2 statements=1 (perfect, rect), 100 points, 18 dependences...
   bucket: perfect|1cp|coupled|nonuniform|rect|d2|dep
@@ -71,8 +71,8 @@ plan for 'figure1' (params {}, engine 'auto'):
 ...
 
 :class:`~repro.core.strategy.PlanConfig` centralises every knob — the
-set/vector engine, the bulk-threshold override, the selector, the pinned
-strategy order:
+selector, the pinned strategy order, the shuffle seed and the default
+execution config:
 
 >>> forced = repro.plan(prog, config=repro.PlanConfig(strategies=("pdm",)))
 >>> forced.scheme
@@ -122,8 +122,8 @@ True
 
 Plans execute (``p.execute(threads=4)`` for the GIL-bound thread pool) and
 generate source (``p.codegen(target="python")``); the historical entry
-points — ``repro.core.recurrence_chain_partition``, the per-scheme
-``*_schedule`` functions, ``repro.runtime.execute_schedule`` and
+points — the per-scheme ``*_schedule`` functions,
+``repro.runtime.execute_schedule`` and
 ``repro.runtime.execute_schedule_threaded`` — remain as thin shims over the
 same machinery.
 """

@@ -7,8 +7,6 @@
   non-uniform) and corpus aggregation for the §1 statistics;
 * :mod:`repro.analysis.experiments` — one ``run_*`` function per paper
   table/figure, shared by the benchmarks, the examples and EXPERIMENTS.md;
-* :mod:`repro.analysis.pipelines` — shared set-path vs array-path pipeline
-  drivers used by both the equivalence tests and the scaling benchmark;
 * :mod:`repro.analysis.report` — plain-text table formatting.
 """
 
@@ -31,12 +29,6 @@ from .experiments import (
     run_figure3_experiment,
     run_intro_statistics,
     run_theorem1_check,
-)
-from .pipelines import (
-    PipelineRun,
-    pipeline_mismatches,
-    run_array_pipeline,
-    run_set_pipeline,
 )
 from .report import format_dict, format_speedups, format_table
 from .stats import CorpusStatistics, LoopClassification, classify_loop, corpus_statistics
@@ -65,8 +57,4 @@ __all__ = [
     "format_table",
     "format_speedups",
     "format_dict",
-    "PipelineRun",
-    "run_set_pipeline",
-    "run_array_pipeline",
-    "pipeline_mismatches",
 ]

@@ -142,7 +142,7 @@ def run_example3_partition(n: int = 40) -> Dict[str, object]:
     stmt_space = result.statement_space
     report = result.validate(seeds=(0,))
     # The three-set view of the unified space (empty intermediate set expected).
-    partition = three_set_partition(sorted(stmt_space.points), stmt_space.rd)
+    partition = three_set_partition(stmt_space.space_array, stmt_space.rd)
     return {
         "params": {"N": n},
         "phases": result.schedule.num_phases,

@@ -195,14 +195,14 @@ def _wavefront_estimate(
         return 1, float(n_points), False
     space = analysis.iteration_space_array
     if n_points <= sample_cap:
-        levels = dataflow_partition(space, rel, engine="auto").num_steps
+        levels = dataflow_partition(space, rel).num_steps
         return levels, n_points / max(1, levels), False
     prefix = space[:sample_cap]
     bound = space[sample_cap - 1]
     src, dst = rel.as_arrays()
     mask = _lex_le(src, bound) & _lex_le(dst, bound)
     sub = FiniteRelation.from_arrays(src[mask], dst[mask])
-    sampled_levels = dataflow_partition(prefix, sub, engine="auto").num_steps
+    sampled_levels = dataflow_partition(prefix, sub).num_steps
     scale = (n_points / sample_cap) ** (1.0 / max(1, depth))
     levels = max(1, int(round(sampled_levels * scale)))
     return levels, n_points / levels, True

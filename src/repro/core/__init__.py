@@ -41,7 +41,6 @@ from .partitioner import (
     RecurrencePartitionResult,
     dataflow_branch,
     recurrence_branch,
-    recurrence_chain_partition,
     three_phase_schedule,
 )
 from .recurrence import (
@@ -102,7 +101,6 @@ __all__ = [
     "UnifiedIndexMap",
     "build_statement_space",
     "statement_dataflow_schedule",
-    "recurrence_chain_partition",
     "recurrence_branch",
     "dataflow_branch",
     "RecurrencePartitionResult",

@@ -30,13 +30,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..isl.lexorder import lex_lt
-from ..isl.relations import (
-    BULK_SIZE_THRESHOLD,
-    FiniteRelation,
-    PointCodec,
-    SuccessorIndex,
-    in_sorted,
-)
+from ..isl.relations import FiniteRelation, PointCodec, SuccessorIndex, in_sorted
 from .partition import ThreeSetPartition
 from .recurrence import AffineRecurrence
 
@@ -107,12 +101,10 @@ def _p2_successor_lookup(
     Builds a :class:`~repro.isl.relations.SuccessorIndex` over the relation's
     edges restricted to P2 (sorted-array binary search instead of
     dict-of-point probing) and finds the heads — P2 points with no predecessor
-    inside P2 — with one bulk membership pass.
+    inside P2 — with one array membership pass.  P2 must be non-empty.
     """
     src, dst = partition.rd.as_arrays()
-    p2_arr = np.array(sorted(partition.p2), dtype=np.int64).reshape(
-        len(partition.p2), partition.rd.dim_in
-    )
+    p2_arr = partition.p2_array()
     codec = PointCodec.for_arrays(src, dst, p2_arr)
     p2_keys = np.unique(codec.encode(p2_arr))
     if len(src):
@@ -140,27 +132,13 @@ def chains_from_relation(
     paths; otherwise (multiple coupled pairs) iterations may appear in more
     than one chain and the caller must fall back to dataflow partitioning.
 
-    The successor lookup switches to sorted-array binary search
-    (:func:`_p2_successor_lookup`) when P2 or the relation reaches
-    :data:`~repro.isl.relations.BULK_SIZE_THRESHOLD`; the chain walk itself is
-    identical for both lookups.
+    Successors are looked up by sorted-array binary search
+    (:func:`_p2_successor_lookup`).
     """
-    p2 = set(partition.p2)
-    succ_of: Optional[Callable[[Point], List[Point]]] = None
-    if p2 and (
-        len(p2) >= BULK_SIZE_THRESHOLD or len(partition.rd) >= BULK_SIZE_THRESHOLD
-    ):
-        try:
-            succ_of, heads = _p2_successor_lookup(partition)
-        except ValueError:
-            succ_of = None  # box too large for int64 keys: dict path below
-    if succ_of is None:
-        internal = partition.rd.restrict(domain=p2, rng=p2)
-        succ = internal.successor_map()
-        pred = internal.predecessor_map()
-        succ_of = lambda p: succ.get(p, [])
-        # Chain heads: P2 iterations with no predecessor inside P2.
-        heads = sorted(p for p in p2 if not pred.get(p))
+    if not len(partition.p2_array()):
+        return []
+    p2 = partition.p2
+    succ_of, heads = _p2_successor_lookup(partition)
 
     chains: List[MonotonicChain] = []
     covered: Set[Point] = set()

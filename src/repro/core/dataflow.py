@@ -18,32 +18,23 @@ longest dependence chain — i.e. this is list scheduling by levels of the
 dependence DAG, which achieves the maximum (dataflow) parallelism attainable
 with barrier-only synchronization.
 
-Two engines implement the while loop.  The set-based one executes it
-literally (rebuilding ``ran Rd`` and restricting the relation every step —
-O(steps · |Rd|) Python-level work).  The vectorised one recognises the loop as
-Kahn level scheduling: points become compact indices via lexicographic key
-encoding, the relation becomes a CSR adjacency with an in-degree array, and
-every wavefront is peeled with a handful of numpy operations — one pass over
-the edges in total.  ``engine="auto"`` (default) vectorises at
-:data:`~repro.isl.relations.BULK_SIZE_THRESHOLD` points/pairs; both engines
-emit identical wavefronts and raise the same :class:`RuntimeError` on cyclic
-(stalling) relations.
+The implementation recognises the loop as Kahn level scheduling: points
+become compact indices via lexicographic key encoding, the relation becomes a
+CSR adjacency with an in-degree array, and every wavefront is peeled with a
+handful of numpy operations — one pass over the edges in total, instead of
+the literal loop's O(steps · |Rd|) rebuilds of ``ran Rd``.  A cyclic
+(stalling) relation raises :class:`RuntimeError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..isl.relations import (
-    FiniteRelation,
-    PointCodec,
-    in_sorted,
-    readonly_view,
-    resolve_bulk_engine,
-)
-from .schedule import ExecutionUnit, Instance, ParallelPhase, Schedule, validate_csr
+from ..isl.relations import FiniteRelation, PointCodec, in_sorted
+from .partition import space_rows
+from .schedule import Schedule, validate_csr
 
 __all__ = ["DataflowPartition", "dataflow_partition", "dataflow_schedule"]
 
@@ -53,45 +44,25 @@ Point = Tuple[int, ...]
 class DataflowPartition:
     """The result of iterative dataflow partitioning: an ordered list of wavefronts.
 
-    Dual representation, mirroring :class:`~repro.isl.relations.FiniteRelation`:
-    the set engine builds the partition as a tuple of frozensets, the vector
-    engine as CSR-style arrays — ``point_rows`` holding every iteration point
+    Held as CSR-style arrays — ``point_rows`` holding every iteration point
     (``(total, dim)`` int64, level-major, lexicographic inside a level) and
-    ``level_offsets`` the ``(levels + 1,)`` prefix sums.  Whichever form is
-    missing is derived lazily and cached: :attr:`wavefronts` materialises the
-    frozensets of an array-built partition only when a set-path consumer (the
-    validators, the equivalence tests) asks, while :meth:`level_arrays` gives
-    the executors and schedule builders the array form of either.
+    ``level_offsets`` the ``(levels + 1,)`` prefix sums.  :attr:`wavefronts`
+    derives the frozenset view lazily, only when a validator or a test asks;
+    :meth:`level_arrays` gives the executors and schedule builders the arrays.
     """
 
-    __slots__ = ("rd", "_wavefronts", "_level_offsets", "_point_rows", "_array_backed")
+    __slots__ = ("rd", "_wavefronts", "_level_offsets", "_point_rows")
 
     def __init__(
-        self, wavefronts: Tuple[FrozenSet[Point], ...], rd: FiniteRelation
+        self, level_offsets: np.ndarray, point_rows: np.ndarray, rd: FiniteRelation
     ):
-        self._wavefronts: Optional[Tuple[FrozenSet[Point], ...]] = tuple(wavefronts)
-        self._level_offsets: Optional[np.ndarray] = None
-        self._point_rows: Optional[np.ndarray] = None
-        self._array_backed = False
+        self._level_offsets, self._point_rows = validate_csr(level_offsets, point_rows)
+        self._wavefronts: Optional[Tuple[FrozenSet[Point], ...]] = None
         self.rd = rd
-
-    @staticmethod
-    def from_arrays(
-        level_offsets: np.ndarray, point_rows: np.ndarray, rd: FiniteRelation
-    ) -> "DataflowPartition":
-        """An array-backed partition; the frozenset view stays unbuilt until used."""
-        offsets, rows = validate_csr(level_offsets, point_rows)
-        part = DataflowPartition.__new__(DataflowPartition)
-        part._wavefronts = None
-        part._level_offsets = offsets
-        part._point_rows = rows
-        part._array_backed = True
-        part.rd = rd
-        return part
 
     @property
     def wavefronts(self) -> Tuple[FrozenSet[Point], ...]:
-        """The wavefronts as frozensets — lazily derived for array-built partitions."""
+        """The wavefronts as frozensets, derived on first access."""
         if self._wavefronts is None:
             offsets, rows = self._level_offsets, self._point_rows
             self._wavefronts = tuple(
@@ -103,69 +74,32 @@ class DataflowPartition:
         return self._wavefronts
 
     def level_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The partition as ``(level_offsets, point_rows)`` CSR arrays.
-
-        Array-built partitions return their backing arrays; set-built ones
-        derive them once (points sorted lexicographically inside each level,
-        matching the vector engine's emission order) and cache the result.
-        """
-        if self._level_offsets is None:
-            waves = self._wavefronts
-            # The dimension comes from the first point of any non-empty wave
-            # (a constructor-built partition may legally hold empty waves),
-            # falling back to the relation's dimension for all-empty input.
-            dim = next((len(p) for wave in waves for p in wave), self.rd.dim_in)
-            sizes = [len(w) for w in waves]
-            offsets = np.zeros(len(waves) + 1, dtype=np.int64)
-            np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
-            rows = np.zeros((int(offsets[-1]), dim), dtype=np.int64)
-            for k, wave in enumerate(waves):
-                chunk = sorted(wave)
-                rows[int(offsets[k]) : int(offsets[k + 1])] = np.asarray(
-                    chunk, dtype=np.int64
-                ).reshape(len(chunk), dim)
-            self._level_offsets = readonly_view(offsets)
-            self._point_rows = readonly_view(rows)
+        """The partition as ``(level_offsets, point_rows)`` CSR arrays."""
         return self._level_offsets, self._point_rows
-
-    @property
-    def array_backed(self) -> bool:
-        """True when the partition was built on the array path — a fixed fact
-        of construction, not of which lazy views have been materialised since."""
-        return self._array_backed
 
     @property
     def num_steps(self) -> int:
         """Number of partitioning steps (the paper reports 238 for Example 4)."""
-        if self._wavefronts is None:
-            return len(self._level_offsets) - 1
-        return len(self._wavefronts)
+        return len(self._level_offsets) - 1
 
     @property
     def total_points(self) -> int:
-        if self._wavefronts is None:
-            return len(self._point_rows)
-        return sum(len(w) for w in self._wavefronts)
+        return len(self._point_rows)
 
     def level_sizes(self) -> List[int]:
-        """Points per wavefront, representation-independent."""
-        if self._wavefronts is None:
-            return np.diff(self._level_offsets).tolist()
-        return [len(w) for w in self._wavefronts]
+        """Points per wavefront."""
+        return np.diff(self._level_offsets).tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataflowPartition):
             return NotImplemented
         if self.rd != other.rd:
             return False
-        if self._level_offsets is not None and other._level_offsets is not None:
-            # Both array-backed: identical CSR arrays prove identical
-            # wavefronts without boxing a single tuple; differing arrays may
-            # still hold the same sets in another row order, so fall through.
-            if np.array_equal(
-                self._level_offsets, other._level_offsets
-            ) and np.array_equal(self._point_rows, other._point_rows):
-                return True
+        if np.array_equal(self._level_offsets, other._level_offsets) and np.array_equal(
+            self._point_rows, other._point_rows
+        ):
+            return True
+        # The same sets may sit in another row order inside a level.
         return self.wavefronts == other.wavefronts
 
     def __hash__(self) -> int:
@@ -207,13 +141,25 @@ class DataflowPartition:
         return True
 
 
-def _dataflow_partition_vector(
-    space_arr: np.ndarray,
+def dataflow_partition(
+    space: Union[np.ndarray, Iterable[Point]],
     rd: FiniteRelation,
-    max_steps: Optional[int],
-    codec: PointCodec,
+    max_steps: Optional[int] = None,
 ) -> DataflowPartition:
-    """Kahn level scheduling over compact indices: one pass over the edges."""
+    """Run the while-loop of Algorithm 1's dataflow branch on concrete sets.
+
+    ``rd`` must be oriented forward (earlier ≺ later); only pairs with both
+    ends inside ``space`` constrain the partitioning.  ``max_steps`` guards
+    against runaway loops in pathological inputs (a cycle in ``rd`` would
+    otherwise never drain — cycles cannot arise from a legal sequential loop).
+    ``space`` is an ``(n, dim)`` int array or an iterable of point tuples; the
+    peel is Kahn level scheduling over compact indices, one pass over the
+    edges.
+    """
+    space_arr = space_rows(space, rd.dim_in)
+    if len(space_arr) == 0:
+        return DataflowPartition(np.zeros(1, dtype=np.int64), space_arr, rd)
+    codec = PointCodec.for_arrays(space_arr, *rd.as_arrays())
     phi_keys = np.unique(codec.encode(space_arr))
     n = len(phi_keys)
     src, dst = rd.as_arrays()
@@ -274,52 +220,7 @@ def _dataflow_partition_vector(
         np.concatenate(level_keys) if level_keys else np.zeros(0, dtype=np.int64)
     )
     point_rows = codec.decode(all_keys)
-    return DataflowPartition.from_arrays(level_offsets, point_rows, rd)
-
-
-def dataflow_partition(
-    space: Union[np.ndarray, Iterable[Point]],
-    rd: FiniteRelation,
-    max_steps: Optional[int] = None,
-    engine: str = "auto",
-) -> DataflowPartition:
-    """Run the while-loop of Algorithm 1's dataflow branch on concrete sets.
-
-    ``rd`` must be oriented forward (earlier ≺ later); only pairs with both
-    ends inside ``space`` constrain the partitioning.  ``max_steps`` guards
-    against runaway loops in pathological inputs (a cycle in ``rd`` would
-    otherwise never drain — cycles cannot arise from a legal sequential loop).
-    ``space`` may be an iterable of tuples or an ``(n, dim)`` int array;
-    ``engine`` selects the set-based or the vectorised peeling
-    (``"auto"``/``"set"``/``"vector"``, see the module docstring).
-    """
-    space_arr, points, codec = resolve_bulk_engine(space, rd, engine)
-    if codec is not None:
-        return _dataflow_partition_vector(space_arr, rd, max_steps, codec)
-    remaining: Set[Point] = (
-        set(points) if points is not None else set(map(tuple, space_arr.tolist()))
-    )
-    relation = rd.restrict(domain=remaining, rng=remaining)
-    wavefronts: List[FrozenSet[Point]] = []
-    steps = 0
-    while remaining:
-        if max_steps is not None and steps >= max_steps:
-            raise RuntimeError(
-                f"dataflow partitioning did not terminate within {max_steps} steps; "
-                f"{len(remaining)} iterations remain (is the dependence relation cyclic?)"
-            )
-        ran = {dst for src, dst in relation.pairs}
-        p1 = frozenset(p for p in remaining if p not in ran)
-        if not p1:
-            raise RuntimeError(
-                "dataflow partitioning stalled: every remaining iteration has a "
-                "pending predecessor (cyclic dependence relation)"
-            )
-        wavefronts.append(p1)
-        remaining -= p1
-        relation = relation.restrict(domain=remaining, rng=remaining)
-        steps += 1
-    return DataflowPartition(tuple(wavefronts), rd)
+    return DataflowPartition(level_offsets, point_rows, rd)
 
 
 def dataflow_schedule(
@@ -327,46 +228,22 @@ def dataflow_schedule(
     space: Union[np.ndarray, Iterable[Point]],
     rd: FiniteRelation,
     label: str = "s",
-    instances_of: Optional[Mapping[Point, Sequence[Instance]]] = None,
-    engine: str = "auto",
 ) -> Schedule:
     """Wrap a dataflow partition into a :class:`Schedule` (one phase per wavefront).
 
-    ``instances_of`` optionally maps an iteration point to the statement
-    instances it stands for (used at statement level, where a point is a
-    unified statement index vector); by default each point becomes the single
-    instance ``(label, point)``.
-
-    A partition built on the vector engine (and not remapped through
-    ``instances_of``) becomes an **array-backed schedule**: one
-    :class:`~repro.core.schedule.ArrayPhase` per wavefront over the CSR
-    arrays, no per-point unit objects.  Both forms execute and validate
-    identically (the unit order inside a phase — lexicographic — matches the
-    tuple path's ``sorted(wave)``).
+    Each point becomes the single instance ``(label, point)`` and the
+    schedule is **array-backed**: one :class:`~repro.core.schedule.ArrayPhase`
+    per wavefront over the CSR arrays, no per-point unit objects.  Points
+    that stand for statement instances (§3.3) are scheduled by
+    :func:`repro.core.statement.statement_dataflow_schedule` instead.
     """
-    partition = dataflow_partition(space, rd, engine=engine)
-    if instances_of is None and partition.array_backed:
-        level_offsets, point_rows = partition.level_arrays()
-        return Schedule.from_arrays(
-            name,
-            label,
-            level_offsets,
-            point_rows,
-            scheme="dataflow",
-            num_steps=partition.num_steps,
-        )
-    phases = []
-    for level, wave in enumerate(partition.wavefronts):
-        units = []
-        for p in sorted(wave):
-            if instances_of is not None:
-                units.append(ExecutionUnit.block(list(instances_of[p])))
-            else:
-                units.append(ExecutionUnit.single(label, p))
-        phases.append(ParallelPhase(f"wavefront-{level}", tuple(units)))
-    return Schedule.from_phases(
+    partition = dataflow_partition(space, rd)
+    level_offsets, point_rows = partition.level_arrays()
+    return Schedule.from_arrays(
         name,
-        phases,
+        label,
+        level_offsets,
+        point_rows,
         scheme="dataflow",
         num_steps=partition.num_steps,
     )

@@ -24,14 +24,10 @@ variant are provided; the symbolic variant feeds the DOALL code generator and
 may be a rational approximation (see :class:`SymbolicThreeSetPartition`), the
 concrete variant is exact and feeds the executors and validators.
 
-The concrete partitioner has two engines producing identical results: the
-original set-based one (per-point Python set algebra) and a vectorised one
-that encodes points as int64 lexicographic keys and computes every membership
-test with sorted-array numpy operations (see
-:mod:`repro.isl.relations`).  ``engine="auto"`` (the default) picks the
-vectorised engine when the space or the relation reaches
-:data:`~repro.isl.relations.BULK_SIZE_THRESHOLD`, which keeps 10⁵–10⁶-point
-spaces tractable; ``engine="set"``/``engine="vector"`` force a specific one.
+The concrete partitioner encodes points as int64 lexicographic keys
+(:class:`~repro.isl.relations.PointCodec`) and computes every membership test
+with sorted-array numpy operations, which keeps 10⁵–10⁶-point spaces
+tractable and costs a few milliseconds on the paper's small examples.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from ..isl.relations import (
     UnionRelation,
     in_sorted,
     readonly_view,
-    resolve_bulk_engine,
 )
 from ..isl.sets import UnionSet
 from ..isl.convex import ConvexSet
@@ -61,76 +56,38 @@ Point = Tuple[int, ...]
 class ThreeSetPartition:
     """The concrete three-set partition of an iteration space.
 
-    Dual representation: the set engine constructs the partition from
-    frozensets; the vector engine hands over ``(n, dim)`` int64 row arrays
-    (:meth:`from_arrays`) and the frozenset views are derived lazily — a
-    10⁵-point partition whose consumer only builds an array schedule never
-    boxes a point into a tuple.  :meth:`p1_array`/:meth:`p3_array` expose the
-    DOALL sets in lexicographic row order for the array schedule builders.
+    Held as ``(n, dim)`` int64 row arrays, unique and lexicographically
+    sorted per set; the frozenset views (:attr:`p1`, ...) are derived lazily
+    for validators and tests — a 10⁵-point partition whose consumer only
+    builds an array schedule never boxes a point into a tuple.
+    :meth:`p1_array`/:meth:`p3_array` expose the DOALL sets in lexicographic
+    row order for the schedule builders.
     """
 
     _SETS = ("space", "p1", "p2", "p3", "w")
 
     def __init__(
         self,
-        space: FrozenSet[Point],
-        rd: FiniteRelation,
-        p1: FrozenSet[Point],
-        p2: FrozenSet[Point],
-        p3: FrozenSet[Point],
-        w: FrozenSet[Point],
-    ):
-        self.rd = rd
-        self._sets: Dict[str, FrozenSet[Point]] = {
-            "space": frozenset(space),
-            "p1": frozenset(p1),
-            "p2": frozenset(p2),
-            "p3": frozenset(p3),
-            "w": frozenset(w),
-        }
-        self._rows: Dict[str, np.ndarray] = {}
-        self._array_backed = False
-
-    @staticmethod
-    def from_arrays(
         space: np.ndarray,
         rd: FiniteRelation,
         p1: np.ndarray,
         p2: np.ndarray,
         p3: np.ndarray,
         w: np.ndarray,
-    ) -> "ThreeSetPartition":
-        """An array-backed partition: rows must be unique and lexicographically
-        sorted per set; the frozenset views stay unbuilt until asked for."""
-        part = ThreeSetPartition.__new__(ThreeSetPartition)
-        part.rd = rd
-        part._sets = {}
+    ):
+        self.rd = rd
         # Read-only: the frozenset views are lazily cached off these arrays,
         # so an in-place edit through an alias must raise, not desync.
-        part._rows = {
-            "space": readonly_view(np.asarray(space, dtype=np.int64)),
-            "p1": readonly_view(np.asarray(p1, dtype=np.int64)),
-            "p2": readonly_view(np.asarray(p2, dtype=np.int64)),
-            "p3": readonly_view(np.asarray(p3, dtype=np.int64)),
-            "w": readonly_view(np.asarray(w, dtype=np.int64)),
+        self._rows: Dict[str, np.ndarray] = {
+            name: readonly_view(np.asarray(rows, dtype=np.int64))
+            for name, rows in zip(self._SETS, (space, p1, p2, p3, w))
         }
-        part._array_backed = True
-        return part
+        self._sets: Dict[str, FrozenSet[Point]] = {}
 
     def _set_view(self, name: str) -> FrozenSet[Point]:
         got = self._sets.get(name)
         if got is None:
-            got = self._sets[name] = _frozen_rows(self._rows[name])
-        return got
-
-    def _row_view(self, name: str) -> np.ndarray:
-        got = self._rows.get(name)
-        if got is None:
-            pts = sorted(self._sets[name])
-            dim = len(pts[0]) if pts else (self.rd.dim_in or 0)
-            got = self._rows[name] = readonly_view(
-                np.asarray(pts, dtype=np.int64).reshape(len(pts), dim)
-            )
+            got = self._sets[name] = frozenset(map(tuple, self._rows[name].tolist()))
         return got
 
     @property
@@ -155,43 +112,28 @@ class ThreeSetPartition:
 
     def p1_array(self) -> np.ndarray:
         """P1 as lexicographically sorted ``(n, dim)`` rows (DOALL emission order)."""
-        return self._row_view("p1")
+        return self._rows["p1"]
+
+    def p2_array(self) -> np.ndarray:
+        """P2 as lexicographically sorted ``(n, dim)`` rows."""
+        return self._rows["p2"]
 
     def p3_array(self) -> np.ndarray:
         """P3 as lexicographically sorted ``(n, dim)`` rows (DOALL emission order)."""
-        return self._row_view("p3")
+        return self._rows["p3"]
 
     def space_array(self) -> np.ndarray:
-        """Φ as lexicographically sorted ``(n, dim)`` rows.
-
-        Array-backed partitions return their backing directly, so geometric
-        queries (e.g. the Theorem 1 diameter) never box the space into
-        tuples; set-built partitions derive and cache the rows once.
-        """
-        return self._row_view("space")
-
-    @property
-    def array_backed(self) -> bool:
-        """True when built by the vector engine — a fixed fact of construction,
-        not of which lazy views have been materialised since."""
-        return self._array_backed
+        """Φ as lexicographically sorted ``(n, dim)`` rows, so geometric
+        queries (e.g. the Theorem 1 diameter) never box the space into tuples."""
+        return self._rows["space"]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThreeSetPartition):
             return NotImplemented
-        if self.rd != other.rd:
-            return False
-        for name in self._SETS:
-            mine, theirs = self._rows.get(name), other._rows.get(name)
-            if mine is not None and theirs is not None:
-                # Both array-backed (canonical rows): equal arrays prove equal
-                # sets without boxing; unequal arrays still need the set view
-                # (constructor-supplied rows may legally differ in order).
-                if np.array_equal(mine, theirs):
-                    continue
-            if self._set_view(name) != other._set_view(name):
-                return False
-        return True
+        # Canonical rows: equal arrays are equal sets.
+        return self.rd == other.rd and all(
+            np.array_equal(self._rows[name], other._rows[name]) for name in self._SETS
+        )
 
     def __hash__(self) -> int:
         return hash((self.rd,) + tuple(self._set_view(name) for name in self._SETS))
@@ -202,10 +144,7 @@ class ThreeSetPartition:
         ) + ")"
 
     def _size(self, name: str) -> int:
-        rows = self._rows.get(name)
-        if rows is not None:
-            return len(rows)
-        return len(self._sets[name])
+        return len(self._rows[name])
 
     # -- classification views ----------------------------------------------------
 
@@ -278,15 +217,38 @@ class ThreeSetPartition:
         }
 
 
-def _frozen_rows(arr: np.ndarray) -> FrozenSet[Point]:
-    """An ``(n, dim)`` int array as a frozenset of point tuples."""
-    return frozenset(map(tuple, arr.tolist()))
+def space_rows(space: Union[np.ndarray, Iterable[Point]], dim: int) -> np.ndarray:
+    """An iteration space as ``(n, dim)`` int64 rows (``dim`` for empty input)."""
+    if isinstance(space, np.ndarray):
+        rows = np.asarray(space, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ValueError("an array iteration space must be (n, dim)")
+        return rows
+    points = [tuple(p) for p in space]
+    width = len(points[0]) if points else dim
+    return np.array(points, dtype=np.int64).reshape(len(points), width)
 
 
-def _three_set_partition_vector(
-    space_arr: np.ndarray, rd: FiniteRelation, codec: PointCodec
+def three_set_partition(
+    space: Union[np.ndarray, Iterable[Point]],
+    rd: FiniteRelation,
 ) -> ThreeSetPartition:
-    """The bulk engine: eq. 5 with sorted-key membership instead of set algebra."""
+    """Compute eq. 5 from the enumerated iteration space and the exact Rd.
+
+    ``rd`` must already be oriented forward (earlier ≺ later); iterations of
+    ``rd`` that are outside ``space`` are ignored (they cannot occur when the
+    relation was computed from the same bounds).  ``space`` is an ``(n, dim)``
+    int array or an iterable of point tuples.  Every set is a sorted-key
+    membership computation instead of per-point set algebra.
+    """
+    space_arr = space_rows(space, rd.dim_in)
+    if len(space_arr) == 0:
+        empty = space_arr[:0]
+        return ThreeSetPartition(
+            empty, FiniteRelation(frozenset(), rd.dim_in, rd.dim_out),
+            empty, empty, empty, empty,
+        )
+    codec = PointCodec.for_arrays(space_arr, *rd.as_arrays())
     src, dst = rd.as_arrays()
     phi_keys = codec.encode(space_arr)
     phi_sorted = np.unique(phi_keys)
@@ -305,14 +267,14 @@ def _three_set_partition_vector(
     in_dom = in_sorted(phi_keys, dom_sorted)
     p1_mask = ~in_ran
     p1_keys = np.unique(phi_keys[p1_mask])
-    # W: targets of an edge whose source has no predecessor (is in P1).  Edge
-    # targets are in ran by construction, so "dst ∈ P2" reduces to "dst ∈ dom".
+    # W: the intermediate iterations that directly depend on an initial-set
+    # iteration — the start points of the WHILE loops (§3.2).  Edge targets
+    # are in ran by construction, so "dst ∈ P2" reduces to "dst ∈ dom".
     w_edges = in_sorted(src_keys, p1_keys) & in_sorted(dst_keys, dom_sorted)
     # Every set is emitted as sorted unique keys decoded back to rows: key
     # order equals lexicographic row order, so the arrays are canonical and
-    # the frozenset views can stay unbuilt (ThreeSetPartition derives them
-    # lazily only for set-path consumers).
-    return ThreeSetPartition.from_arrays(
+    # the frozenset views stay unbuilt until a validator asks.
+    return ThreeSetPartition(
         space=codec.decode(phi_sorted),
         rd=relation,
         p1=codec.decode(p1_keys),
@@ -320,41 +282,6 @@ def _three_set_partition_vector(
         p3=codec.decode(np.unique(phi_keys[in_ran & ~in_dom])),
         w=codec.decode(np.unique(dst_keys[w_edges])),
     )
-
-
-def three_set_partition(
-    space: Union[np.ndarray, Iterable[Point]],
-    rd: FiniteRelation,
-    engine: str = "auto",
-) -> ThreeSetPartition:
-    """Compute eq. 5 from the enumerated iteration space and the exact Rd.
-
-    ``rd`` must already be oriented forward (earlier ≺ later); iterations of
-    ``rd`` that are outside ``space`` are ignored (they cannot occur when the
-    relation was computed from the same bounds).  ``space`` may be an iterable
-    of point tuples or an ``(n, dim)`` int array (the natural input of the
-    vectorised engine).  ``engine`` is ``"auto"`` (vectorise at
-    :data:`~repro.isl.relations.BULK_SIZE_THRESHOLD`), ``"set"`` or
-    ``"vector"``; both engines produce identical partitions.
-    """
-    space_arr, points, codec = resolve_bulk_engine(space, rd, engine)
-    if codec is not None:
-        return _three_set_partition_vector(space_arr, rd, codec)
-    if points is None:
-        points = map(tuple, space_arr.tolist())
-    phi = frozenset(points)
-    relation = rd.restrict(domain=set(phi), rng=set(phi))
-    dom = relation.domain()
-    ran = relation.range()
-    p1 = frozenset(p for p in phi if p not in ran)
-    p2 = frozenset(ran & dom)
-    p3 = frozenset(ran - dom)
-    # W: the intermediate iterations that directly depend on an initial-set
-    # iteration — the start points of the WHILE loops (§3.2).
-    w = frozenset(
-        dst for src, dst in relation.pairs if src in p1 and dst in p2
-    )
-    return ThreeSetPartition(space=phi, rd=relation, p1=p1, p2=p2, p3=p3, w=w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Algorithm 1 — the recurrence partitioning scheme, end to end.
 
-:func:`recurrence_chain_partition` implements the paper's Algorithm 1 for
-concrete parameter values and produces a :class:`~repro.core.schedule.Schedule`:
+The two branches of the paper's Algorithm 1 for concrete parameter values,
+each producing a :class:`~repro.core.schedule.Schedule`:
 
 1. Build the unified iteration space Φ and the exact dependence relation Rd
    (iteration-level for perfect single-statement nests, statement-level via
@@ -17,11 +17,9 @@ concrete parameter values and produces a :class:`~repro.core.schedule.Schedule`:
    **iterative dataflow partitioning**: peel P1 = Φ \\ ran Rd until Φ is empty,
    one DOALL phase per step.
 
-Both branches hand the concrete sets to partitioners with a dual set/array
-engine; spaces or relations at or beyond
-:data:`~repro.isl.relations.BULK_SIZE_THRESHOLD` points/pairs are processed on
-the vectorised int64-key path (identical results, see
-:mod:`repro.core.partition` and :mod:`repro.core.dataflow`).
+Both branches hand the concrete sets to the array partitioners of
+:mod:`repro.core.partition` and :mod:`repro.core.dataflow` (int64-key
+membership and CSR peeling at every size).
 4. Otherwise Algorithm 1 does not apply and the caller should fall back to the
    PDM scheme (``repro.baselines.pdm``); :func:`recurrence_branch` raises
    :class:`PartitioningNotApplicable` so the fallback is an explicit decision.
@@ -30,10 +28,8 @@ The two branches are exposed separately — :func:`recurrence_branch` (the
 Lemma 1 single-pair case) and :func:`dataflow_branch` (iterative dataflow
 partitioning) — because the strategy registry of :mod:`repro.core.strategy`
 registers them as two independent strategies of the unified ``plan()``
-facade.  :func:`recurrence_chain_partition` remains as a **thin shim** tying
-them together with the historical try/chains-else-dataflow dispatch; new code
-should call :func:`repro.plan` instead, which walks an explicit fallback
-chain over every registered scheme and records why strategies were skipped.
+facade, which walks a fallback chain over every registered scheme and
+records why strategies were skipped.
 
 The returned schedule always satisfies (and the tests verify):
 ``schedule.covers(all statement instances)`` and
@@ -43,7 +39,7 @@ The returned schedule always satisfies (and the tests verify):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
@@ -54,10 +50,10 @@ from .chains import (
     chains_respect_relation,
     verify_disjoint_chains,
 )
-from .dataflow import dataflow_partition, dataflow_schedule
+from .dataflow import dataflow_schedule
 from .partition import ThreeSetPartition, three_set_partition
 from .recurrence import AffineRecurrence, iteration_space_diameter, theorem1_bound
-from .schedule import ArrayPhase, ExecutionUnit, Instance, ParallelPhase, Schedule
+from .schedule import ArrayPhase, ExecutionUnit, ParallelPhase, Schedule
 from .statement import (
     StatementLevelSpace,
     build_statement_space,
@@ -69,7 +65,6 @@ __all__ = [
     "RecurrencePartitionResult",
     "recurrence_branch",
     "dataflow_branch",
-    "recurrence_chain_partition",
     "three_phase_schedule",
 ]
 
@@ -101,9 +96,8 @@ class RecurrencePartitionResult:
     def chain_length_bound(self) -> Optional[int]:
         """The Theorem 1 bound for this problem instance (None when α ≤ 1).
 
-        The diameter comes from the partition's array backing (per-axis
-        min/max over the ``(n, dim)`` rows) — on an array-backed partition
-        this never boxes the space into point tuples.
+        The diameter comes from the partition's ``(n, dim)`` rows (per-axis
+        min/max), so the space is never boxed into point tuples.
         """
         if self.recurrence is None or self.partition is None:
             return None
@@ -145,29 +139,20 @@ def three_phase_schedule(
 ) -> Schedule:
     """Build the P1 → chains → P3 schedule of the single-pair branch.
 
-    The fully parallel DOALL phases (P1, P3) of an array-backed partition
-    become :class:`~repro.core.schedule.ArrayPhase` views over the sorted row
-    arrays — same instances in the same order, no per-point unit boxing; the
+    The fully parallel DOALL phases (P1, P3) are
+    :class:`~repro.core.schedule.ArrayPhase` views over the partition's sorted
+    row arrays — lexicographic instance order, no per-point unit boxing; the
     chain phase keeps explicit multi-instance units (a WHILE chain is
     inherently sequential and tuple-shaped).
     """
-    phases: List[ParallelPhase] = []
-    if partition.array_backed:
-        phases.append(
-            ArrayPhase("P1 (independent + initial)", label, partition.p1_array())
-        )
-    else:
-        p1_units = tuple(ExecutionUnit.single(label, p) for p in sorted(partition.p1))
-        phases.append(ParallelPhase("P1 (independent + initial)", p1_units))
     chain_units = tuple(
         ExecutionUnit.chain(label, list(chain.points)) for chain in chains
     )
-    phases.append(ParallelPhase("P2 (recurrence chains)", chain_units))
-    if partition.array_backed:
-        phases.append(ArrayPhase("P3 (final)", label, partition.p3_array()))
-    else:
-        p3_units = tuple(ExecutionUnit.single(label, p) for p in sorted(partition.p3))
-        phases.append(ParallelPhase("P3 (final)", p3_units))
+    phases = [
+        ArrayPhase("P1 (independent + initial)", label, partition.p1_array()),
+        ParallelPhase("P2 (recurrence chains)", chain_units),
+        ArrayPhase("P3 (final)", label, partition.p3_array()),
+    ]
     return Schedule.from_phases(name, phases, scheme="recurrence-chains")
 
 
@@ -214,17 +199,15 @@ def recurrence_branch(
     program: LoopProgram,
     params: Optional[Mapping[str, int]] = None,
     analysis: Optional[DependenceAnalysis] = None,
-    engine: str = "auto",
 ) -> RecurrencePartitionResult:
     """The single-pair branch of Algorithm 1 (Lemma 1 recurrence chains).
 
     Raises :class:`PartitioningNotApplicable` when the program does not have
     exactly one square, full-rank coupled reference pair over one iteration
-    space.  ``engine`` selects the partitioning engine
-    (``"auto"``/``"set"``/``"vector"``, see :mod:`repro.core.partition`).
+    space.
     """
     params = dict(params or {})
-    analysis = analysis or DependenceAnalysis(program, params, engine=engine)
+    analysis = analysis or DependenceAnalysis(program, params)
     reason = recurrence_not_applicable_reason(analysis)
     if reason is not None:
         raise PartitioningNotApplicable(
@@ -232,16 +215,9 @@ def recurrence_branch(
         )
     single_pair = analysis.single_coupled_pair()
     label = single_pair.source_ctx.statement.label
-    # The array form feeds the vectorised engine directly for large spaces
-    # (three_set_partition switches engines on its own threshold); forcing
-    # engine="set" keeps the whole branch on the original tuple path.
-    space_points = (
-        analysis.iteration_space_points
-        if engine == "set"
-        else analysis.iteration_space_array
+    partition = three_set_partition(
+        analysis.iteration_space_array, analysis.iteration_dependences
     )
-    rd = analysis.iteration_dependences
-    partition = three_set_partition(space_points, rd, engine=engine)
     recurrence = AffineRecurrence.from_pair(single_pair)
     chains = chains_from_recurrence(partition, recurrence)
     if not verify_disjoint_chains(chains, partition.p2) or not chains_respect_relation(
@@ -281,7 +257,6 @@ def dataflow_branch(
     program: LoopProgram,
     params: Optional[Mapping[str, int]] = None,
     analysis: Optional[DependenceAnalysis] = None,
-    engine: str = "auto",
 ) -> RecurrencePartitionResult:
     """The iterative dataflow branch of Algorithm 1.
 
@@ -292,25 +267,17 @@ def dataflow_branch(
     nests go through the statement-level unified space of §3.3, which is
     itself array-native — the peeling consumes the unified ``(n, width)`` rows
     and the schedule stays in :class:`~repro.core.schedule.UnifiedArrayPhase`
-    form — so the branch is array-native end to end either way (``engine="set"``
-    forces the historical tuple path everywhere).
+    form — so the branch is array-native end to end either way.
     """
     params = dict(params or {})
-    analysis = analysis or DependenceAnalysis(program, params, engine=engine)
+    analysis = analysis or DependenceAnalysis(program, params)
     contexts = program.statement_contexts()
     if len(contexts) == 1:
-        label = contexts[0].statement.label
-        space = (
-            analysis.iteration_space_points
-            if engine == "set"
-            else analysis.iteration_space_array
-        )
         schedule = dataflow_schedule(
             f"{program.name}-REC-dataflow",
-            space,
+            analysis.iteration_space_array,
             analysis.iteration_dependences,
-            label=label,
-            engine=engine,
+            label=contexts[0].statement.label,
         )
         return RecurrencePartitionResult(
             program=program,
@@ -323,24 +290,8 @@ def dataflow_branch(
             statement_space=None,
             analysis=analysis,
         )
-    stmt_space = build_statement_space(program, params, analysis, engine=engine)
-    if engine == "set":
-        # The original tuple path: frozenset of unified points, per-point
-        # block units — kept as the measurable baseline.
-        schedule = dataflow_schedule(
-            f"{program.name}-REC-dataflow",
-            stmt_space.points,
-            stmt_space.rd,
-            instances_of=stmt_space.instance_of(),
-            engine="set",
-        )
-    else:
-        # Array-native statement level: the partitioner consumes the unified
-        # (n, width) rows directly and the schedule stays in array form
-        # (UnifiedArrayPhase) — no frozenset materialisation at scale.
-        schedule = statement_dataflow_schedule(
-            f"{program.name}-REC-dataflow", stmt_space, engine=engine
-        )
+    stmt_space = build_statement_space(program, params, analysis)
+    schedule = statement_dataflow_schedule(f"{program.name}-REC-dataflow", stmt_space)
     return RecurrencePartitionResult(
         program=program,
         params=params,
@@ -353,29 +304,3 @@ def dataflow_branch(
         analysis=analysis,
     )
 
-
-def recurrence_chain_partition(
-    program: LoopProgram,
-    params: Optional[Mapping[str, int]] = None,
-    force_dataflow: bool = False,
-) -> RecurrencePartitionResult:
-    """Run Algorithm 1 on a program at concrete parameter values.
-
-    ``force_dataflow=True`` skips the single-pair branch even when it applies
-    (useful for comparing the two strategies on the same loop).
-
-    .. deprecated::
-        This is now a thin shim over :func:`recurrence_branch` /
-        :func:`dataflow_branch`, kept for callers written against the
-        original API.  New code should use :func:`repro.plan`, which walks
-        the full strategy fallback chain (recurrence-chains → dataflow →
-        PDM → …), records why strategies were skipped, and caches re-plans.
-    """
-    params = dict(params or {})
-    analysis = DependenceAnalysis(program, params)
-    if not force_dataflow:
-        try:
-            return recurrence_branch(program, params, analysis)
-        except PartitioningNotApplicable:
-            pass
-    return dataflow_branch(program, params, analysis)

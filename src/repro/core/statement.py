@@ -19,29 +19,25 @@ operate on unified vectors instead of iteration vectors.
 The mapping itself lives in :class:`UnifiedIndexMap` (a pure function of the
 program's syntax, usable without building any space);
 :class:`StatementLevelSpace` is the concrete unified space of a program at
-given bounds, held — like every hot-path container since the array-native
-refactor — in **dual representation**:
+given bounds, held as arrays:
 
-* the array form: one ``(n, width)`` int64 row per instance in unified
-  (== sequential) order, with a parallel ``stmt_ids`` vector naming the
-  statement of each row, and ``rd`` as an array-backed
+* one ``(n, width)`` int64 row per instance in unified (== sequential)
+  order, with a parallel ``stmt_ids`` vector naming the statement of each
+  row, and ``rd`` as an array-backed
   :class:`~repro.isl.relations.FiniteRelation` over unified rows;
-* the tuple form: :attr:`StatementLevelSpace.instances`,
+* the tuple views :attr:`StatementLevelSpace.instances`,
   :attr:`~StatementLevelSpace.unified` and
   :attr:`~StatementLevelSpace.points`, derived lazily on first access.
 
-:func:`build_statement_space` builds the space on either engine:
-``engine="set"`` reproduces the original per-instance tuple path (the
-measurable baseline of the differential tests and the scaling benchmark);
-``"auto"``/``"vector"`` run one :meth:`UnifiedIndexMap.unify_array`
-gather/interleave per statement, lex-merge the per-statement blocks, and map
-the exact analyser's pair relations into unified space with the
+:func:`build_statement_space` runs one :meth:`UnifiedIndexMap.unify_array`
+gather/interleave per statement, lex-merges the per-statement blocks, and
+maps the exact analyser's pair relations into unified space with the
 :class:`~repro.isl.relations.PointCodec` sort/merge machinery of
 ``FiniteRelation.oriented_forward`` — no per-instance Python tuples anywhere.
-Both engines produce bit-identical spaces (pinned by
-``tests/core/test_statement_differential.py`` on Hypothesis-generated
-programs); the array path assumes a unit-stride (normalized) program, exactly
-like the rest of the analysis layer.
+``tests/core/test_statement_differential.py`` pins it bit-identical to a
+brute-force per-instance oracle on Hypothesis-generated programs; the array
+path assumes a unit-stride (normalized) program, exactly like the rest of
+the analysis layer.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from ..ir.program import LoopProgram
 from ..isl.lexorder import lex_lt
 from ..isl.relations import FiniteRelation, PointCodec, lexsort_rows, readonly_view
 from .dataflow import dataflow_partition
-from .schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
+from .schedule import Instance, Schedule
 
 __all__ = [
     "UnifiedIndexMap",
@@ -214,8 +210,8 @@ class StatementLevelSpace:
 
     @property
     def space_array(self) -> np.ndarray:
-        """The unified space as ``(n, width)`` rows — the vectorised
-        partitioners' natural input (lexicographic row order)."""
+        """The unified space as ``(n, width)`` rows — the partitioners'
+        natural input (lexicographic row order)."""
         return self.unified_array
 
     def _keys(self) -> Tuple[PointCodec, np.ndarray]:
@@ -231,11 +227,13 @@ class StatementLevelSpace:
 
         Vectorised membership by codec key + ``searchsorted`` (the space rows
         are lexicographically sorted, so their keys are ascending).  Raises
-        :class:`KeyError` when some row is not an instance of this space, and
-        :class:`ValueError` when the unified box overflows int64 keys (callers
-        fall back to the tuple path).
+        :class:`KeyError` when some row is not an instance of this space.
         """
         rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows):
+            return np.zeros(0, dtype=np.int64)
+        if not len(self):
+            raise KeyError("an empty statement space has no instances")
         codec, space_keys = self._keys()
         keys = codec.encode(rows)
         idx = np.searchsorted(space_keys, keys).clip(max=len(space_keys) - 1)
@@ -311,7 +309,6 @@ def build_statement_space(
     program: LoopProgram,
     params: Mapping[str, int],
     analysis: Optional[DependenceAnalysis] = None,
-    engine: str = "auto",
 ) -> StatementLevelSpace:
     """Build the unified statement-instance space and its dependence relation.
 
@@ -320,26 +317,18 @@ def build_statement_space(
     so the lexicographically earlier instance is the source, dropping
     self-pairs — the statement-level analogue of eq. 4 / eq. 7.
 
-    ``engine="auto"``/``"vector"`` build everything on arrays: per-statement
-    domains come from the analysis' cached enumeration, one
-    :meth:`UnifiedIndexMap.unify_array` interleave maps each statement's block,
-    a lexicographic merge puts the blocks in sequential order, and the pair
-    relations are concatenated and oriented on the
-    :class:`~repro.isl.relations.PointCodec` path
+    Everything is built on arrays: per-statement domains come from the
+    analysis' cached enumeration, one :meth:`UnifiedIndexMap.unify_array`
+    interleave maps each statement's block, a lexicographic merge puts the
+    blocks in sequential order, and the pair relations are concatenated and
+    oriented on the :class:`~repro.isl.relations.PointCodec` path
     (:meth:`~repro.isl.relations.FiniteRelation.oriented_forward`), yielding an
-    array-backed ``rd`` whose tuple pairs stay unbuilt until a set-path
-    consumer asks.  ``engine="set"`` is the original per-instance tuple path,
-    kept as the measurable baseline; both produce bit-identical spaces.
+    array-backed ``rd`` whose tuple pairs stay unbuilt until a validator asks.
     """
-    if engine not in ("auto", "set", "vector"):
-        raise ValueError(f"unknown engine {engine!r}; use 'auto', 'set' or 'vector'")
-    analysis = analysis or DependenceAnalysis(program, params, engine=engine)
+    analysis = analysis or DependenceAnalysis(program, params)
     index_map = UnifiedIndexMap.from_program(program)
     contexts = program.statement_contexts()
     stmt_labels = tuple(ctx.statement.label for ctx in contexts)
-
-    if engine == "set":
-        return _build_set(program, params, analysis, index_map, stmt_labels)
 
     blocks: List[np.ndarray] = []
     ids: List[np.ndarray] = []
@@ -382,100 +371,26 @@ def build_statement_space(
     )
 
 
-def _build_set(
-    program: LoopProgram,
-    params: Mapping[str, int],
-    analysis: DependenceAnalysis,
-    index_map: UnifiedIndexMap,
-    stmt_labels: Tuple[str, ...],
-) -> StatementLevelSpace:
-    """The original per-instance tuple path (the differential baseline)."""
-    label_ids = {label: sid for sid, label in enumerate(stmt_labels)}
-    instances: List[Instance] = [
-        (label, tuple(iteration))
-        for label, iteration in program.sequential_iterations(params)
-    ]
-    unified = tuple(index_map.unify(label, iteration) for label, iteration in instances)
-
-    pairs: set = set()
-    for dep in analysis.pair_dependences:
-        if dep.is_empty():
-            continue
-        src_label = dep.source_label
-        dst_label = dep.target_label
-        for src_iter, dst_iter in dep.relation.pairs:
-            a = index_map.unify(src_label, src_iter)
-            b = index_map.unify(dst_label, dst_iter)
-            if a == b:
-                continue
-            pairs.add((a, b) if lex_lt(a, b) else (b, a))
-    rd = FiniteRelation(frozenset(pairs), index_map.width, index_map.width)
-
-    unified_array = np.asarray(unified, dtype=np.int64).reshape(
-        len(unified), index_map.width
-    )
-    stmt_ids = np.asarray([label_ids[l] for l, _ in instances], dtype=np.int64)
-    space = StatementLevelSpace(
-        program_name=program.name,
-        index_map=index_map,
-        stmt_labels=stmt_labels,
-        stmt_ids=stmt_ids,
-        unified_array=unified_array,
-        rd=rd,
-    )
-    # Pre-seed the tuple views: on this engine they are the primary form.
-    space._instances = tuple(instances)
-    space._unified = unified
-    return space
-
-
-def statement_dataflow_schedule(
-    name: str,
-    space: StatementLevelSpace,
-    engine: str = "auto",
-) -> Schedule:
+def statement_dataflow_schedule(name: str, space: StatementLevelSpace) -> Schedule:
     """Dataflow-partition a statement-level space into a wavefront schedule.
 
-    On the vector engine the wavefronts stay in array form end to end: the
-    partition's CSR rows are unified vectors, the statement of each row is
-    recovered with one vectorised :meth:`StatementLevelSpace.stmt_ids_of`
-    lookup, and the result is a
-    :class:`~repro.core.schedule.UnifiedArrayPhase` schedule — no frozenset of
-    unified points, no per-instance :class:`~repro.core.schedule.ExecutionUnit`
-    boxing.  When the partition ran on the set engine (small spaces under
-    ``engine="auto"``, or an int64-key overflow fallback) the historical
-    ``instances_of`` path is used instead; both forms execute and validate
-    identically and enumerate instances in the same order (lexicographic
-    within each wavefront).
+    The wavefronts stay in array form end to end: the partition's CSR rows
+    are unified vectors, the statement of each row is recovered with one
+    vectorised :meth:`StatementLevelSpace.stmt_ids_of` lookup, and the result
+    is a :class:`~repro.core.schedule.UnifiedArrayPhase` schedule — no
+    frozenset of unified points, no per-instance
+    :class:`~repro.core.schedule.ExecutionUnit` boxing.  Instances run in
+    lexicographic order within each wavefront.
     """
-    partition = dataflow_partition(space.space_array, space.rd, engine=engine)
-    if partition.array_backed:
-        level_offsets, point_rows = partition.level_arrays()
-        try:
-            stmt_ids = space.stmt_ids_of(point_rows)
-        except ValueError:
-            stmt_ids = None  # unified box overflows int64 keys: tuple path below
-        if stmt_ids is not None:
-            return Schedule.from_unified_arrays(
-                name,
-                level_offsets,
-                point_rows,
-                stmt_ids,
-                space.stmt_labels,
-                space.stmt_depths,
-                scheme="dataflow",
-                num_steps=partition.num_steps,
-            )
-    # Tuple fallback, reusing the partition already computed above (the
-    # wavefronts are identical on either engine): one block unit per unified
-    # point, in lexicographic order — the same phases dataflow_schedule builds.
-    instances_of = space.instance_of()
-    phases = []
-    for level, wave in enumerate(partition.wavefronts):
-        units = tuple(
-            ExecutionUnit.block(list(instances_of[p])) for p in sorted(wave)
-        )
-        phases.append(ParallelPhase(f"wavefront-{level}", units))
-    return Schedule.from_phases(
-        name, phases, scheme="dataflow", num_steps=partition.num_steps
+    partition = dataflow_partition(space.space_array, space.rd)
+    level_offsets, point_rows = partition.level_arrays()
+    return Schedule.from_unified_arrays(
+        name,
+        level_offsets,
+        point_rows,
+        space.stmt_ids_of(point_rows),
+        space.stmt_labels,
+        space.stmt_depths,
+        scheme="dataflow",
+        num_steps=partition.num_steps,
     )

@@ -26,10 +26,8 @@ This module puts one compiler-style facade in front of all of them:
   fallback idiom.  An explicit ``PlanConfig(strategies=...)`` order is
   honoured literally (no re-ranking);
 * :class:`PlanConfig` centralises the knobs that used to be scattered as
-  keyword arguments and module constants: the set/vector ``engine``, a
-  :data:`~repro.isl.relations.BULK_SIZE_THRESHOLD` override,
-  ``force_dataflow``, the strategy preference order and the executor's
-  shuffle seed;
+  keyword arguments: the strategy preference order, the selector, the
+  executor's shuffle seed and its default execution config;
 * :class:`Plan` is the single result object — schedule, partition/chain/
   statement-space diagnostics, chosen strategy, per-strategy timings — with
   ``.execute(threads=…)``, ``.validate()`` and ``.codegen(target=…)``
@@ -56,7 +54,6 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -108,8 +105,6 @@ __all__ = [
     "DEFAULT_SELECTOR",
 ]
 
-_ENGINES = ("auto", "set", "vector")
-
 #: The selector registry (populated at the bottom of this module); declared
 #: here so ``PlanConfig.__post_init__`` can validate against it.
 _SELECTORS: "OrderedDict[str, StrategySelector]" = OrderedDict()
@@ -127,23 +122,12 @@ DEFAULT_SELECTOR = "table"
 class PlanConfig:
     """Every knob of the planning pipeline, in one hashable object.
 
-    ``engine``
-        Representation engine for the dependence analysis and the
-        partitioners: ``"auto"`` (switch to the vectorised path at the bulk
-        threshold), ``"set"`` (original tuple/frozenset path) or
-        ``"vector"`` (force the array path).
-    ``bulk_size_threshold``
-        When not ``None``, overrides
-        :data:`repro.isl.relations.BULK_SIZE_THRESHOLD` for the duration of
-        the planning call (the module constant is restored afterwards).
-    ``force_dataflow``
-        Skip the recurrence-chains strategy even when it applies — the old
-        ``recurrence_chain_partition(force_dataflow=True)`` knob.
     ``strategies``
         Explicit strategy preference order (names from the registry); the
         first applicable one wins and **no selector re-ranking happens** — a
-        pinned order is honoured literally.  ``None`` means the registry's
-        chain, ranked by the configured selector.
+        pinned order is honoured literally (``("dataflow",)`` forces the
+        dataflow branch).  ``None`` means the registry's chain, ranked by the
+        configured selector.
     ``selector``
         How the registry chain is ordered when ``strategies`` is ``None``:
         ``"table"`` (default — the calibrated workload table, falling back
@@ -163,52 +147,21 @@ class PlanConfig:
         the historical behaviour (bare store / :class:`ThreadedRun`).
     """
 
-    engine: str = "auto"
-    bulk_size_threshold: Optional[int] = None
-    force_dataflow: bool = False
     strategies: Optional[Tuple[str, ...]] = None
     selector: str = DEFAULT_SELECTOR
     rng_seed: Optional[int] = 0
     exec_config: Optional[ExecConfig] = None
 
     def __post_init__(self):
-        if self.engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; use one of {_ENGINES}"
-            )
         if _SELECTORS and self.selector not in _SELECTORS:
             raise ValueError(
                 f"unknown selector {self.selector!r}; registered: "
                 f"{', '.join(_SELECTORS)}"
             )
-        if self.bulk_size_threshold is not None and self.bulk_size_threshold < 1:
-            raise ValueError("bulk_size_threshold must be a positive integer")
         if self.strategies is not None:
             object.__setattr__(self, "strategies", tuple(self.strategies))
         if self.exec_config is not None and not isinstance(self.exec_config, ExecConfig):
             raise TypeError("exec_config must be an ExecConfig (or None)")
-
-
-@contextmanager
-def _bulk_threshold(value: Optional[int]):
-    """Temporarily override the global bulk-engine switch point.
-
-    The constant lives in :mod:`repro.isl.relations` and is read at call
-    time by every dual-engine primitive, so patching it there reaches the
-    whole pipeline.  Not thread-safe — planning calls with an override
-    should not run concurrently with other planning calls.
-    """
-    from ..isl import relations
-
-    if value is None:
-        yield
-        return
-    previous = relations.BULK_SIZE_THRESHOLD
-    relations.BULK_SIZE_THRESHOLD = int(value)
-    try:
-        yield
-    finally:
-        relations.BULK_SIZE_THRESHOLD = previous
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +173,8 @@ def _bulk_threshold(value: Optional[int]):
 class PlanningContext:
     """Everything a strategy may consult: program, params, config, analysis.
 
-    One :class:`~repro.dependence.analysis.DependenceAnalysis` (built with
-    the config's engine) is shared across the whole fallback chain, so a
+    One :class:`~repro.dependence.analysis.DependenceAnalysis` is shared
+    across the whole fallback chain, so a
     skipped strategy's applicability probe never re-runs the exact analyser
     for the next candidate.
     """
@@ -333,15 +286,11 @@ def strategy_table() -> List[Dict[str, str]]:
 
 
 def _rec_applicability(ctx: PlanningContext) -> Optional[str]:
-    if ctx.config.force_dataflow:
-        return "disabled by PlanConfig(force_dataflow=True)"
     return recurrence_not_applicable_reason(ctx.analysis)
 
 
 def _rec_builder(ctx: PlanningContext) -> StrategyBuild:
-    result = recurrence_branch(
-        ctx.program, ctx.params, ctx.analysis, engine=ctx.config.engine
-    )
+    result = recurrence_branch(ctx.program, ctx.params, ctx.analysis)
     return StrategyBuild(
         schedule=result.schedule,
         partition=result.partition,
@@ -353,9 +302,7 @@ def _rec_builder(ctx: PlanningContext) -> StrategyBuild:
 
 
 def _dataflow_builder(ctx: PlanningContext) -> StrategyBuild:
-    result = dataflow_branch(
-        ctx.program, ctx.params, ctx.analysis, engine=ctx.config.engine
-    )
+    result = dataflow_branch(ctx.program, ctx.params, ctx.analysis)
     return StrategyBuild(
         schedule=result.schedule,
         statement_space=result.statement_space,
@@ -855,10 +802,7 @@ class Plan:
         """Why this strategy was chosen, which were skipped and why, and the
         per-strategy planning times — the replacement for hand-rolled
         try/except dispatch around :class:`PartitioningNotApplicable`."""
-        lines = [
-            f"plan for {self.program.name!r} (params {self.params or '{}'}, "
-            f"engine {self.config.engine!r}):"
-        ]
+        lines = [f"plan for {self.program.name!r} (params {self.params or '{}'}):"]
         if self.selection is not None and self.selection.scores:
             lines.append(
                 f"  selector {self.selection.selector!r} "
@@ -1187,58 +1131,50 @@ def plan(
     skipped: List[Tuple[str, str]] = []
     timings: Dict[str, float] = {}
     t_start = time.perf_counter()
-    with _bulk_threshold(config.bulk_size_threshold):
-        ctx = PlanningContext(
-            program=program,
-            params=params,
-            config=config,
-            analysis=DependenceAnalysis(program, params, engine=config.engine),
-            fingerprint=fingerprint,
+    ctx = PlanningContext(
+        program=program,
+        params=params,
+        config=config,
+        analysis=DependenceAnalysis(program, params),
+        fingerprint=fingerprint,
+    )
+    # How the chain is ordered: an explicit PlanConfig.strategies tuple is
+    # honoured literally (no feature extraction, no re-ranking), as is a
+    # single-name chain.  Otherwise the configured selector ranks the registry.
+    if config.strategies is not None:
+        selection = SelectionReport(
+            selector=config.selector,
+            order=tuple(order),
+            source="pinned order (PlanConfig.strategies)",
         )
-        # How the chain is ordered: an explicit PlanConfig.strategies tuple is
-        # honoured literally (no feature extraction, no re-ranking), as is a
-        # single-name chain; force_dataflow keeps the historical fixed walk so
-        # "skip chains, take the dataflow branch" stays deterministic.
-        # Otherwise the configured selector ranks the registry.
-        if config.strategies is not None:
-            selection = SelectionReport(
-                selector=config.selector,
-                order=tuple(order),
-                source="pinned order (PlanConfig.strategies)",
-            )
-        elif len(order) <= 1:
-            selection = SelectionReport(
-                selector=config.selector,
-                order=tuple(order),
-                source="single-strategy chain",
-            )
-        else:
-            name = "fixed" if config.force_dataflow else config.selector
-            order, selection = get_selector(name).rank(ctx, tuple(order))
-            if config.force_dataflow and config.selector != "fixed":
-                selection = replace(
-                    selection, source="fixed chain (force_dataflow)"
-                )
-        chosen: Optional[PartitionStrategy] = None
-        build: Optional[StrategyBuild] = None
-        for name in order:
-            strategy = get_strategy(name)
-            reason = strategy.applicability(ctx)
-            if reason is not None:
-                skipped.append((name, reason))
-                continue
-            t0 = time.perf_counter()
-            try:
-                build = strategy.builder(ctx)
-            except (PartitioningNotApplicable, ImperfectNestError) as err:
-                # A ranked walk can probe a builder the fixed chain's hard
-                # gates used to shield; a build-time refusal is just a skip.
-                timings[name] = time.perf_counter() - t0
-                skipped.append((name, f"builder raised: {err}"))
-                continue
+    elif len(order) <= 1:
+        selection = SelectionReport(
+            selector=config.selector,
+            order=tuple(order),
+            source="single-strategy chain",
+        )
+    else:
+        order, selection = get_selector(config.selector).rank(ctx, tuple(order))
+    chosen: Optional[PartitionStrategy] = None
+    build: Optional[StrategyBuild] = None
+    for name in order:
+        strategy = get_strategy(name)
+        reason = strategy.applicability(ctx)
+        if reason is not None:
+            skipped.append((name, reason))
+            continue
+        t0 = time.perf_counter()
+        try:
+            build = strategy.builder(ctx)
+        except (PartitioningNotApplicable, ImperfectNestError) as err:
+            # A ranked walk can probe a builder the fixed chain's hard
+            # gates used to shield; a build-time refusal is just a skip.
             timings[name] = time.perf_counter() - t0
-            chosen = strategy
-            break
+            skipped.append((name, f"builder raised: {err}"))
+            continue
+        timings[name] = time.perf_counter() - t0
+        chosen = strategy
+        break
     timings["total"] = time.perf_counter() - t_start
 
     if chosen is None or build is None:

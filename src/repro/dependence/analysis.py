@@ -23,9 +23,7 @@ relations (:mod:`repro.dependence.exact`),
 as an ``(n, depth)`` int64 array (no per-point tuple boxing), the combined
 relation of :attr:`DependenceAnalysis.iteration_dependences` is built by
 array concatenation + ``np.unique`` instead of repeated frozenset unions, and
-the uniformity check runs on the array form.  ``engine="set"`` forces the
-original per-point set path everywhere (the two are equivalent and the tests
-compare them); ``engine="vector"`` refuses the hash-join fallback.
+the uniformity check runs on the array form.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from ..isl.relations import FiniteRelation, UnionRelation, readonly_view
 from .exact import enumerate_domain, exact_pair_dependences
 from .pair import ReferencePair
 from .symbolic import symbolic_dependence_relation
-from .distance import classify_pair, is_uniform_relation
+from .distance import classify_pair, is_uniform_relation_arrays
 
 __all__ = ["DependenceAnalysis", "StatementPairDependence", "ImperfectNestError"]
 
@@ -78,32 +76,20 @@ class StatementPairDependence:
 class DependenceAnalysis:
     """Exact dependence analysis of a loop program at concrete parameter values.
 
-    ``engine`` selects the representation strategy: ``"auto"`` (default) and
-    ``"vector"`` run the sort/merge address join and combine relations on the
-    array form; ``"set"`` reproduces the original per-point path (dict hash
-    join, frozenset unions) — both produce identical relations.
+    The address joins run on sorted int64 keys and every relation is combined
+    on its array form.
     """
 
     program: LoopProgram
     params: Mapping[str, int] = field(default_factory=dict)
-    engine: str = "auto"
 
     def __post_init__(self):
-        if self.engine not in ("auto", "set", "vector"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; use 'auto', 'set' or 'vector'"
-            )
         missing = [p for p in self.program.parameters if p not in self.params]
         if missing:
             raise ValueError(
                 f"program {self.program.name!r} has unbound parameters {missing}; "
                 f"pass concrete values in params"
             )
-
-    @property
-    def _join_engine(self) -> str:
-        """The exact-analyser join engine implied by :attr:`engine`."""
-        return {"auto": "auto", "set": "hash", "vector": "sort"}[self.engine]
 
     # -- reference pairs --------------------------------------------------------
 
@@ -148,7 +134,6 @@ class DependenceAnalysis:
                 pair,
                 self.params,
                 self.program.parameters,
-                engine=self._join_engine,
                 domains=self._domain_cache,
             )
             out.append(StatementPairDependence(pair, rel))
@@ -190,10 +175,10 @@ class DependenceAnalysis:
         Only valid when all statements share the same loop-index space; raises
         :class:`ImperfectNestError` otherwise.
 
-        On the array path the per-pair relations are combined by concatenating
-        their ``(src, dst)`` arrays and deduplicating with ``np.unique`` — one
-        vectorised pass instead of one frozenset union per reference pair —
-        and the result stays array-backed through ``oriented_forward``.
+        The per-pair relations are combined by concatenating their
+        ``(src, dst)`` arrays and deduplicating on codec keys — one vectorised
+        pass instead of one frozenset union per reference pair — and the
+        result stays array-backed through ``oriented_forward``.
         """
         contexts = self.program.statement_contexts()
         index_names = contexts[0].index_names if contexts else ()
@@ -203,30 +188,26 @@ class DependenceAnalysis:
                     "iteration_dependences requires a perfect nest; use the "
                     "statement-level extension (repro.core.statement) instead"
                 )
-        nonempty = [
-            dep.relation for dep in self.pair_dependences if not dep.relation.is_empty()
+        arrays = [
+            dep.relation.as_arrays()
+            for dep in self.pair_dependences
+            if not dep.relation.is_empty()
         ]
-        if self.engine != "set" and nonempty:
-            arrays = [rel.as_arrays() for rel in nonempty]
-            combined = FiniteRelation.from_arrays(
-                np.concatenate([src for src, _ in arrays]),
-                np.concatenate([dst for _, dst in arrays]),
-            )
-            return combined.oriented_forward()
-        # Set path (engine="set", or nothing to combine): the original
-        # frozenset-union fold, kept as the measurable baseline.
-        combined = FiniteRelation(frozenset(), len(index_names), len(index_names))
-        for dep in self.pair_dependences:
-            combined = FiniteRelation.from_pairs(combined.pairs | dep.relation.pairs)
+        if not arrays:
+            return FiniteRelation(frozenset(), len(index_names), len(index_names))
+        combined = FiniteRelation.from_arrays(
+            np.concatenate([src for src, _ in arrays]),
+            np.concatenate([dst for _, dst in arrays]),
+        )
         return combined.oriented_forward()
 
     @cached_property
     def iteration_space_array(self) -> np.ndarray:
         """All iteration points of the (perfect) nest as an ``(n, depth)`` array.
 
-        Lexicographic row order.  This is the natural input of the vectorised
-        partitioning engine — :func:`repro.core.partition.three_set_partition`
-        and :func:`repro.core.dataflow.dataflow_partition` accept it directly,
+        Lexicographic row order.  This is the natural input of the
+        partitioners — :func:`repro.core.partition.three_set_partition` and
+        :func:`repro.core.dataflow.dataflow_partition` accept it directly,
         skipping the per-point tuple materialisation of
         :attr:`iteration_space_points`.
         """
@@ -270,16 +251,11 @@ class DependenceAnalysis:
         return None
 
     def is_uniform(self) -> bool:
-        """Exhaustive uniformity check of the combined relation (perfect nests).
-
-        Runs on the array form (:func:`~repro.dependence.distance.is_uniform_relation_arrays`)
-        unless ``engine="set"`` forces the original per-point check.
-        """
-        if self.engine == "set":
-            return is_uniform_relation(
-                self.iteration_dependences, self.iteration_space_points
-            )
-        return is_uniform_relation(self.iteration_dependences, self.iteration_space_array)
+        """Exhaustive uniformity check of the combined relation (perfect nests),
+        on the array form (:func:`~repro.dependence.distance.is_uniform_relation_arrays`)."""
+        return is_uniform_relation_arrays(
+            self.iteration_dependences, self.iteration_space_array
+        )
 
     def has_dependences(self) -> bool:
         return any(not d.is_empty() for d in self.pair_dependences)

@@ -60,23 +60,15 @@ def is_uniform_relation(
     relation, every point ``p`` with ``p+d`` in the space must satisfy
     ``(p, p+d) ∈ relation``.
 
-    ``space_points`` may be an ``(n, dim)`` int array, in which case the check
-    runs on the vectorised array form (:func:`is_uniform_relation_arrays`).
+    ``space_points`` is an ``(n, dim)`` int array or an iterable of point
+    tuples; the check runs on the array form (:func:`is_uniform_relation_arrays`).
     """
-    if isinstance(space_points, np.ndarray):
-        try:
-            return is_uniform_relation_arrays(relation, space_points)
-        except ValueError:
-            # Key overflow or heterogeneous dims: per-point fallback below.
-            space_points = [tuple(p) for p in space_points.tolist()]
-    points = set(tuple(p) for p in space_points)
-    pair_set = set(relation.pairs)
-    for d in relation.distances():
-        for p in points:
-            q = tuple(x + y for x, y in zip(p, d))
-            if q in points and (p, q) not in pair_set:
-                return False
-    return True
+    if not isinstance(space_points, np.ndarray):
+        points = [tuple(p) for p in space_points]
+        space_points = np.array(points, dtype=np.int64).reshape(
+            len(points), relation.dim_in
+        )
+    return is_uniform_relation_arrays(relation, space_points)
 
 
 def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> bool:
@@ -88,8 +80,8 @@ def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> b
     dependences are uniform iff for every distance appearing in the relation
     the two cardinalities agree.  Pairs with an endpoint outside ``space``
     contribute their distance but not their count — exactly matching the
-    per-point definition check.  Raises :class:`ValueError` when the point box
-    overflows int64 lexicographic keys.
+    per-point definition check.  Raises :class:`ValueError` for a
+    heterogeneous relation.
     """
     space = np.asarray(space, dtype=np.int64)
     if relation.is_empty():
@@ -101,7 +93,7 @@ def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> b
         return True
     if len(space):
         # The space is a *set* of points: duplicate rows must not inflate the
-        # valid-placement counts (the tuple path dedups via set()).
+        # valid-placement counts (the definition treats Φ as a set).
         space = np.unique(space, axis=0)
     src, dst = relation.as_arrays()
     codec = PointCodec.for_arrays(space, src, dst)

@@ -19,22 +19,17 @@ This is mathematically identical to enumerating the integer solutions of
 ``i·A + a = j·B + b`` inside Φ (eq. 2/3) and costs O(|Φ|) time and memory,
 which comfortably covers the paper's problem sizes (3·10⁵ iterations).
 
-Two join engines implement step 3.  The original **hash join** builds a
-Python dict keyed by address tuples — O(|Φ|) per-point tuple boxing and
-hashing, the dominant end-to-end cost at ≥10⁵ points.  The **sort/merge
-join** encodes each address vector into a scalar int64 key with
-:class:`~repro.isl.relations.PointCodec` and joins with ``np.argsort`` +
-``np.searchsorted`` — the same sorted-key idiom as the vectorised
-partitioners — and hands the matched rows to
-:meth:`~repro.isl.relations.FiniteRelation.from_arrays` without ever forming
-a Python tuple pair.  ``engine="auto"`` (default) uses the sort join and
-falls back to the hash join only when the address box would overflow int64
-keys; both engines produce identical relations (covered by tests).
+Step 3 is a **sort/merge join**: each address vector is encoded into a
+scalar int64 key with :class:`~repro.isl.relations.PointCodec` (which covers
+address boxes of any width) and the tables are joined with ``np.argsort`` +
+``np.searchsorted`` — the same sorted-key idiom as the partitioners — and the
+matched rows go to :meth:`~repro.isl.relations.FiniteRelation.from_arrays`
+without ever forming a Python tuple pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,25 +96,6 @@ def reference_addresses(
     return points @ A_np + a_np
 
 
-def _hash_join(
-    src_points: np.ndarray, src_addr: np.ndarray, dst_points: np.ndarray, dst_addr: np.ndarray
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Join source and target iterations on equal address vectors (dict-based).
-
-    The original per-point engine: kept as the reference implementation (the
-    sort join is tested against it) and as the fallback when the address box
-    overflows int64 lexicographic keys.
-    """
-    table: Dict[Tuple[int, ...], List[int]] = {}
-    for idx, addr in enumerate(map(tuple, src_addr.tolist())):
-        table.setdefault(addr, []).append(idx)
-    pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    for jdx, addr in enumerate(map(tuple, dst_addr.tolist())):
-        for idx in table.get(addr, ()):  # pragma: no branch
-            pairs.append((tuple(src_points[idx].tolist()), tuple(dst_points[jdx].tolist())))
-    return pairs
-
-
 def _sort_join(
     src_addr: np.ndarray, dst_addr: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,9 +104,7 @@ def _sort_join(
     Encodes both address tables into scalar int64 keys with a shared
     :class:`PointCodec`, sorts the source keys once, and expands the
     ``searchsorted`` hit ranges of every target key into explicit index pairs
-    — a sort/merge equi-join with no per-point Python objects.  Raises
-    :class:`ValueError` when the address box overflows int64 keys (callers
-    fall back to :func:`_hash_join`).
+    — a sort/merge equi-join with no per-point Python objects.
     """
     codec = PointCodec.for_arrays(src_addr, dst_addr)
     src_keys = codec.encode(src_addr)
@@ -158,7 +132,6 @@ def exact_pair_dependences(
     params: Mapping[str, int],
     parameters: Sequence[str] = (),
     include_self: bool = False,
-    engine: str = "auto",
     domains: Optional[Mapping[str, np.ndarray]] = None,
 ) -> FiniteRelation:
     """Exact direct dependences of one reference pair for concrete bounds.
@@ -167,11 +140,7 @@ def exact_pair_dependences(
     *target* statement (the orientation of eq. 2; lexicographic orientation is
     applied later by the partitioners).  Pairs where both iterations are the
     same instance of the same statement are excluded unless ``include_self``.
-
-    ``engine`` selects the join: ``"sort"`` (vectorised sort/merge join,
-    array-backed result), ``"hash"`` (the original dict join, eager tuple
-    pairs) or ``"auto"`` (sort join, hash fallback on int64 key overflow).
-    Both produce identical relations.
+    The result is array-backed.
 
     ``domains`` optionally maps statement labels to pre-enumerated
     ``(n, depth)`` domain arrays (lexicographic row order, as
@@ -180,8 +149,6 @@ def exact_pair_dependences(
     :class:`~repro.dependence.analysis.DependenceAnalysis` passes its
     per-statement cache so every domain is enumerated exactly once.
     """
-    if engine not in ("auto", "sort", "hash"):
-        raise ValueError(f"unknown join engine {engine!r}; use 'auto', 'sort' or 'hash'")
 
     def domain_of(ctx) -> np.ndarray:
         label = ctx.statement.label
@@ -196,29 +163,14 @@ def exact_pair_dependences(
     src_addr = reference_addresses(pair.source_ref, pair.source_indices, src_points)
     dst_addr = reference_addresses(pair.target_ref, pair.target_indices, dst_points)
     same_statement = pair.source_ctx.statement.label == pair.target_ctx.statement.label
-    drop_self = not include_self and same_statement
-
-    if engine != "hash":
-        try:
-            src_idx, dst_idx = _sort_join(src_addr, dst_addr)
-        except ValueError:
-            if engine == "sort":
-                raise
-        else:
-            src_rows = src_points[src_idx]
-            dst_rows = dst_points[dst_idx]
-            if drop_self and src_rows.shape[1] == dst_rows.shape[1]:
-                keep = (src_rows != dst_rows).any(axis=1)
-                src_rows, dst_rows = src_rows[keep], dst_rows[keep]
-            elif drop_self:
-                # Same statement implies equal depth; a rank mismatch here
-                # would mean inconsistent contexts, so keep the guard explicit.
-                raise ValueError("self-pair filtering requires equal point ranks")
-            return FiniteRelation.from_arrays(src_rows, dst_rows)
-
-    pairs = _hash_join(src_points, src_addr, dst_points, dst_addr)
-    if drop_self:
-        pairs = [(a, b) for a, b in pairs if a != b]
-    return FiniteRelation(
-        frozenset(pairs), src_points.shape[1], dst_points.shape[1]
-    )
+    src_idx, dst_idx = _sort_join(src_addr, dst_addr)
+    src_rows = src_points[src_idx]
+    dst_rows = dst_points[dst_idx]
+    if not include_self and same_statement:
+        if src_rows.shape[1] != dst_rows.shape[1]:
+            # Same statement implies equal depth; a rank mismatch here
+            # would mean inconsistent contexts, so keep the guard explicit.
+            raise ValueError("self-pair filtering requires equal point ranks")
+        keep = (src_rows != dst_rows).any(axis=1)
+        src_rows, dst_rows = src_rows[keep], dst_rows[keep]
+    return FiniteRelation.from_arrays(src_rows, dst_rows)

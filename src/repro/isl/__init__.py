@@ -51,7 +51,6 @@ from .linalg import (
     solve_diophantine,
 )
 from .relations import (
-    BULK_SIZE_THRESHOLD,
     ConvexRelation,
     FiniteRelation,
     PointCodec,
@@ -76,7 +75,6 @@ __all__ = [
     "PointCodec",
     "SuccessorIndex",
     "in_sorted",
-    "BULK_SIZE_THRESHOLD",
     "EnumerationTruncated",
     "RationalMatrix",
     "DiophantineSolution",

@@ -14,33 +14,28 @@ provided, mirroring the two ways the package reasons about dependences:
   executors, the validators and the chain extractor.  All partition-safety
   invariants are ultimately checked against this exact object.
 
-Besides the pure-Python set representation, :class:`FiniteRelation` exposes an
-**array-backed bulk path** for large relations: :meth:`FiniteRelation.as_arrays`
-materialises the pairs as ``(n, dim)`` int64 numpy arrays, and
-:class:`PointCodec` maps each integer point to a scalar int64 key by
-lexicographic (mixed-radix) row encoding, so that ``dom``/``ran``/``restrict``
-and membership become sorted-array operations (``np.unique``,
-``np.searchsorted``) instead of per-point Python set algebra.
-:class:`SuccessorIndex` provides successor lookup by binary search on the same
-keys.  The vectorised partitioners in :mod:`repro.core` switch to this path
-when the iteration space or the relation exceeds
-:data:`BULK_SIZE_THRESHOLD` points/pairs; both paths are exact and produce
-identical results (the equivalence is covered by tests).
+The planner works on the **array form** of :class:`FiniteRelation`:
+:meth:`FiniteRelation.as_arrays` holds the pairs as canonical ``(n, dim)``
+int64 arrays, and :class:`PointCodec` maps each integer point to a scalar
+int64 key whose order is lexicographic point order, so that
+``dom``/``ran``/``restrict`` and membership become sorted-array operations
+(``np.unique``, ``np.searchsorted``).  The codec encodes rows of any
+magnitude (raw mixed-radix keys when the bounding box fits int64,
+rank-compressed keys otherwise).  :class:`SuccessorIndex` provides successor
+lookup by binary search on the same keys.
 
-The two representations are **lazily dual**: a relation built with
-:meth:`FiniteRelation.from_arrays` (the exact analyser's sort-join output,
-the bulk partitioners' restrictions) keeps only its canonical row arrays and
-derives the frozenset of tuple pairs the first time a set-path consumer
-touches :attr:`FiniteRelation.pairs`; a set-built relation conversely derives
-its arrays on the first bulk access.  See ARCHITECTURE.md for the
-pipeline-wide picture.
+The frozenset of tuple pairs (:attr:`FiniteRelation.pairs`) is a lazy
+*view* for validators and tests: a relation built with
+:meth:`FiniteRelation.from_arrays` derives it only when first touched, and a
+relation built from pairs derives its arrays on the first array access.
+See ARCHITECTURE.md for the pipeline-wide picture.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,17 +53,10 @@ __all__ = [
     "in_sorted",
     "lexsort_rows",
     "readonly_view",
-    "resolve_bulk_engine",
-    "BULK_SIZE_THRESHOLD",
 ]
 
 Point = Tuple[int, ...]
 Pair = Tuple[Point, Point]
-
-#: Spaces/relations at or above this many points/pairs take the array-backed
-#: bulk path; below it the plain set algebra is faster (no numpy conversion).
-BULK_SIZE_THRESHOLD = 4096
-
 
 # ---------------------------------------------------------------------------
 # lexicographic row encoding
@@ -92,9 +80,8 @@ def readonly_view(arr: np.ndarray) -> np.ndarray:
 def lexsort_rows(rows: np.ndarray) -> np.ndarray:
     """Permutation putting the rows of an ``(n, dim)`` array in lexicographic order.
 
-    Unlike :meth:`PointCodec.encode`-based sorting this never overflows: it is
-    a plain ``np.lexsort`` over the columns (last key = first column), so it
-    works for arbitrarily wide boxes.  Rank-0 rows are already "sorted".
+    A plain ``np.lexsort`` over the columns (last key = first column), with
+    no codec to build.  Rank-0 rows are already "sorted".
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2:
@@ -109,7 +96,7 @@ def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 
     ``sorted_keys`` must be sorted (duplicates allowed); returns a boolean mask
     parallel to ``keys``.  This is the searchsorted-based membership primitive
-    of the bulk path (O(n log m) instead of per-element hashing).
+    of the array path (O(n log m) instead of per-element hashing).
     """
     keys = np.asarray(keys, dtype=np.int64)
     sorted_keys = np.asarray(sorted_keys, dtype=np.int64)
@@ -119,29 +106,47 @@ def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCodec:
-    """Lexicographic row encoding of integer points into scalar int64 keys.
+    """Lexicographic encoding of integer points into scalar int64 keys.
 
-    The codec covers a fixed bounding box; each point inside the box maps to
-    ``sum((x_d - lo_d) * stride_d)`` with mixed-radix strides, so **key order
-    equals lexicographic point order** and distinct in-box points get distinct
-    keys.  Points outside the box alias arbitrarily — callers must only encode
-    points inside the box the codec was built for (build it with
-    :meth:`for_arrays` over every array involved).
+    The codec is built over the rows it must encode (:meth:`for_arrays`) and
+    maps each of them to a key such that **key order equals lexicographic
+    point order** and distinct points get distinct keys.  Two layouts share
+    that contract:
+
+    * the **raw box** — ``sum((x_d - lo_d) * stride_d)`` with mixed-radix
+      strides over the bounding box, used whenever the box has fewer than
+      2**63 cells (every realistic iteration space);
+    * the **rank-compressed** layout for wider boxes — each coordinate is
+      replaced by its rank among the distinct values of its column
+      (``values[d]``), so a column's radix is its count of distinct values;
+      when even the product of those radices would overflow, the partial key
+      of the leading columns is re-ranked among its own distinct values
+      (``prefixes[d]``) before column ``d`` is appended.
+
+    :meth:`contains` tells which rows the codec encodes exactly: points in the
+    raw box or, when rank-compressed, points whose every coordinate (and every
+    re-ranked prefix) occurs in the rows the codec was built from.  Any other
+    row aliases arbitrarily, so callers mask foreign points with
+    :meth:`contains` before encoding them.
     """
 
     lo: np.ndarray
     extents: np.ndarray
     strides: np.ndarray
+    #: rank-compressed layout only: the sorted distinct values of each column
+    values: Optional[Tuple[np.ndarray, ...]] = None
+    #: rank-compressed layout only: per column, the sorted distinct partial
+    #: keys re-ranked before that column is appended (``None``: no re-rank)
+    prefixes: Optional[Tuple[Optional[np.ndarray], ...]] = None
 
     @staticmethod
     def for_arrays(*arrays: Optional[np.ndarray]) -> "PointCodec":
-        """A codec whose box covers every row of every given ``(n, dim)`` array.
+        """A codec covering every row of every given ``(n, dim)`` array.
 
-        Raises :class:`ValueError` when no non-empty array is given, when the
-        dimensions disagree, or when the box has more than 2**63 cells (the
-        keys would overflow int64).
+        Raises :class:`ValueError` when no non-empty array is given or when
+        the dimensions disagree; rows of any int64 magnitude are encodable.
         """
         stacked = [
             np.asarray(a, dtype=np.int64)
@@ -159,29 +164,70 @@ class PointCodec:
             return PointCodec(zero, zero.copy(), zero.copy())
         lo = np.min([a.min(axis=0) for a in stacked], axis=0)
         hi = np.max([a.max(axis=0) for a in stacked], axis=0)
-        extents = (hi - lo + 1).astype(np.int64)
         cells = 1
-        for e in extents.tolist():  # python ints: no silent overflow
-            cells *= int(e)
+        for low, high in zip(lo.tolist(), hi.tolist()):  # python ints: no overflow
+            cells *= high - low + 1
         if cells >= 2**63:
-            raise ValueError(
-                f"point box of {cells} cells is too large for int64 lexicographic keys"
-            )
+            return PointCodec._rank_compressed(np.concatenate(stacked))
+        extents = (hi - lo + 1).astype(np.int64)
         strides = np.ones(dim, dtype=np.int64)
         for d in range(dim - 2, -1, -1):
             strides[d] = strides[d + 1] * extents[d + 1]
         return PointCodec(lo, extents, strides)
 
+    @staticmethod
+    def _rank_compressed(rows: np.ndarray) -> "PointCodec":
+        """The layout for boxes too wide for raw mixed-radix keys."""
+        dim = rows.shape[1]
+        values: List[np.ndarray] = []
+        prefixes: List[Optional[np.ndarray]] = []
+        radices = np.zeros(dim, dtype=np.int64)
+        key = np.zeros(len(rows), dtype=np.int64)
+        bound = 1  # every partial key lies in [0, bound)
+        for d in range(dim):
+            column, digits = np.unique(rows[:, d], return_inverse=True)
+            table = None
+            if bound * len(column) >= 2**63:
+                table, key = np.unique(key, return_inverse=True)
+                key = key.reshape(-1)
+                bound = len(table)
+            key = key * len(column) + digits.reshape(-1)
+            bound *= len(column)
+            values.append(column)
+            prefixes.append(table)
+            radices[d] = len(column)
+        zero = np.zeros(dim, dtype=np.int64)
+        return PointCodec(zero, radices, zero.copy(), tuple(values), tuple(prefixes))
+
     @property
     def dim(self) -> int:
         return len(self.lo)
 
+    def _ranked(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rank-compressed keys of ``pts`` and the mask of rows they are exact for."""
+        exact = np.ones(len(pts), dtype=bool)
+        key = np.zeros(len(pts), dtype=np.int64)
+        for d in range(self.dim):
+            table = self.prefixes[d]
+            if table is not None:
+                pos = np.searchsorted(table, key)
+                exact &= table[pos.clip(max=len(table) - 1)] == key
+                key = pos
+            column = self.values[d]
+            digits = np.searchsorted(column, pts[:, d])
+            exact &= column[digits.clip(max=len(column) - 1)] == pts[:, d]
+            key = key * self.extents[d] + digits
+        return key, exact
+
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of rows that lie inside the codec's box."""
+        """Boolean mask of the rows this codec encodes exactly."""
         pts = np.asarray(points, dtype=np.int64)
         if self.dim == 0:
             return np.ones(len(pts), dtype=bool)
-        return ((pts >= self.lo) & (pts < self.lo + self.extents)).all(axis=1)
+        if self.values is None:
+            hi = self.lo + (self.extents - 1)  # no overflow: hi is a real row value
+            return ((pts >= self.lo) & (pts <= hi)).all(axis=1)
+        return self._ranked(pts)[1]
 
     def encode(self, points: np.ndarray) -> np.ndarray:
         """Scalar int64 key of every row of an ``(n, dim)`` array."""
@@ -190,65 +236,72 @@ class PointCodec:
             raise ValueError(f"points must be (n, {self.dim}) for this codec")
         if self.dim == 0:
             return np.zeros(len(pts), dtype=np.int64)
-        return (pts - self.lo) @ self.strides
+        if self.values is None:
+            return (pts - self.lo) @ self.strides
+        return self._ranked(pts)[0]
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`encode`: the ``(n, dim)`` points of in-box keys."""
+        """Inverse of :meth:`encode`: the ``(n, dim)`` points of exact keys."""
         keys = np.asarray(keys, dtype=np.int64)
         out = np.empty((len(keys), self.dim), dtype=np.int64)
+        if self.values is None:
+            rem = keys
+            for d in range(self.dim):
+                digit = rem // self.strides[d]
+                rem = rem - digit * self.strides[d]
+                out[:, d] = digit + self.lo[d]
+            return out
         rem = keys
-        for d in range(self.dim):
-            digit = rem // self.strides[d]
-            rem = rem - digit * self.strides[d]
-            out[:, d] = digit + self.lo[d]
+        for d in range(self.dim - 1, -1, -1):
+            rem, digit = np.divmod(rem, self.extents[d])
+            out[:, d] = self.values[d][digit]
+            if self.prefixes[d] is not None:
+                rem = self.prefixes[d][rem]
         return out
 
+    def scalar_encoder(self) -> Callable[[Sequence[int]], Optional[int]]:
+        """A pure-Python ``point -> key`` function (``None`` for inexact points).
 
-def resolve_bulk_engine(
-    space, rd: "FiniteRelation", engine: str
-) -> Tuple[Optional[np.ndarray], Optional[List[Point]], Optional[PointCodec]]:
-    """Shared engine dispatch of the dual set/vector partitioners.
+        For per-point lookups in sequential walks, which must not pay numpy's
+        per-call overhead: the codec state is converted to lists and dicts
+        once, so each call costs a few integer operations.
+        """
+        if self.values is None:
+            box = list(zip(self.lo.tolist(), self.extents.tolist(), self.strides.tolist()))
 
-    Normalises ``space`` (an ``(n, dim)`` int array or an iterable of point
-    tuples) and decides whether the vector engine runs:
+            def key_of(point: Sequence[int]) -> Optional[int]:
+                key = 0
+                for x, (lo, extent, stride) in zip(point, box):
+                    digit = x - lo
+                    if digit < 0 or digit >= extent:
+                        return None
+                    key += digit * stride
+                return key
 
-    * returns ``(space_arr, points, codec)``; a non-``None`` ``codec`` means
-      "run the vector engine on ``space_arr``",
-    * ``codec is None`` means "run the set engine" — on ``points`` when the
-      input was an iterable, else on ``space_arr``'s rows,
-    * ``engine="auto"`` picks the vector engine at
-      :data:`BULK_SIZE_THRESHOLD` points/pairs but falls back to the set
-      engine when the point box overflows int64 keys; ``engine="vector"``
-      re-raises that overflow instead of silently degrading.
-    """
-    if engine not in ("auto", "set", "vector"):
-        raise ValueError(f"unknown engine {engine!r}; use 'auto', 'set' or 'vector'")
-    if isinstance(space, np.ndarray):
-        space_arr: Optional[np.ndarray] = np.asarray(space, dtype=np.int64)
-        if space_arr.ndim != 2:
-            raise ValueError("an array iteration space must be (n, dim)")
-        points: Optional[List[Point]] = None
-        n = len(space_arr)
-    else:
-        points = [tuple(p) for p in space]
-        space_arr = None
-        n = len(points)
-    want_vector = engine == "vector" or (
-        engine == "auto" and max(n, len(rd)) >= BULK_SIZE_THRESHOLD
-    )
-    codec = None
-    if want_vector and n and rd.dim_in == rd.dim_out:
-        if space_arr is None:
-            space_arr = np.array(sorted(set(points)), dtype=np.int64).reshape(
-                -1, len(points[0])
+            return key_of
+        columns = [
+            (
+                None if table is None else {k: r for r, k in enumerate(table.tolist())},
+                {v: r for r, v in enumerate(column.tolist())},
+                len(column),
             )
-        try:
-            codec = PointCodec.for_arrays(space_arr, *rd.as_arrays())
-        except ValueError:
-            if engine == "vector":
-                raise
-            codec = None  # auto: box too large for int64 keys → set engine
-    return space_arr, points, codec
+            for table, column in zip(self.prefixes, self.values)
+        ]
+
+        def ranked_key_of(point: Sequence[int]) -> Optional[int]:
+            key = 0
+            for x, (prefix_rank, rank, radix) in zip(point, columns):
+                if prefix_rank is not None:
+                    key = prefix_rank.get(key)
+                    if key is None:
+                        return None
+                digit = rank.get(x)
+                if digit is None:
+                    return None
+                key = key * radix + digit
+            return key
+
+        return ranked_key_of
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +470,18 @@ class FiniteRelation:
 
     The relation is immutable and has **two interchangeable representations**:
 
-    * a frozenset of ``(src_tuple, dst_tuple)`` pairs (:attr:`pairs`) — the
-      set path used by the small-problem engines and the validators,
     * a pair of canonical ``(n, dim)`` int64 arrays (:meth:`as_arrays`) —
-      lexicographically row-sorted and duplicate-free — the bulk path used by
-      the vectorised engines.
+      lexicographically row-sorted and duplicate-free — which the planner
+      works on,
+    * a frozenset of ``(src_tuple, dst_tuple)`` pairs (:attr:`pairs`), the
+      view the validators and the small per-pair queries read.
 
     Either representation is derived lazily from the other the first time it
     is asked for and then cached: relations built with :meth:`from_arrays`
-    never box their points into Python tuples unless a set-path consumer
-    actually touches :attr:`pairs`, and set-built relations only materialise
-    arrays when a bulk consumer calls :meth:`as_arrays`.  Equality, iteration
-    order, hashing and every query are representation-independent.
+    never box their points into Python tuples unless a consumer actually
+    touches :attr:`pairs`, and pair-built relations only materialise arrays
+    when :meth:`as_arrays` is called.  Equality, iteration order, hashing and
+    every query are representation-independent.
     """
 
     __slots__ = ("_pairs", "_arrays", "dim_in", "dim_out")
@@ -470,8 +523,9 @@ class FiniteRelation:
         """Build a relation from parallel ``(n, dim_in)``/``(n, dim_out)`` arrays.
 
         The arrays are canonicalised (row-sorted by ``(src, dst)``,
-        duplicates merged) with numpy; the tuple-pair view stays unbuilt until
-        a set-path consumer asks for :attr:`pairs`.
+        duplicates merged) on :class:`PointCodec` keys of the combined rows;
+        the tuple-pair view stays unbuilt until a consumer asks for
+        :attr:`pairs`.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -484,18 +538,12 @@ class FiniteRelation:
             # Rank-0 on both sides: the only possible pair is () -> ().
             return FiniteRelation(frozenset({((), ())}), 0, 0)
         combined = np.concatenate([src, dst], axis=1)
-        # Canonicalise (sort rows by (src, dst), merge duplicates) on scalar
-        # int64 keys when the pair box fits — key order equals lexicographic
-        # row order, and a scalar-key np.unique is an order of magnitude
-        # faster than the void-dtype row sort of np.unique(axis=0), which
-        # remains as the overflow fallback.
-        try:
-            codec = PointCodec.for_arrays(combined)
-        except ValueError:
-            combined = np.unique(combined, axis=0)
-        else:
-            _, first = np.unique(codec.encode(combined), return_index=True)
-            combined = combined[first]
+        # Key order equals lexicographic row order, so one scalar-key
+        # np.unique sorts the rows by (src, dst) and merges duplicates.
+        _, first = np.unique(
+            PointCodec.for_arrays(combined).encode(combined), return_index=True
+        )
+        combined = combined[first]
         return FiniteRelation._from_canonical_arrays(
             np.ascontiguousarray(combined[:, :dim_in]),
             np.ascontiguousarray(combined[:, dim_in:]),
@@ -534,13 +582,13 @@ class FiniteRelation:
             f"dim_out={self.dim_out})"
         )
 
-    # -- array-backed bulk path ----------------------------------------------
+    # -- array form ----------------------------------------------------------
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The pairs as ``(src, dst)`` int64 arrays, sorted by (src, dst).
 
         The arrays are computed once and cached on the instance (the relation
-        is immutable); they are the entry point of the vectorised bulk path.
+        is immutable); they are what the planner's array engine reads.
         """
         if self._arrays is None:
             pairs = sorted(self.pairs)
@@ -557,7 +605,7 @@ class FiniteRelation:
         """A :class:`PointCodec` covering dom ∪ ran plus any extra point arrays.
 
         Requires ``dim_in == dim_out`` (dependence relations always satisfy
-        this); raises :class:`ValueError` for empty inputs or oversized boxes.
+        this); raises :class:`ValueError` when there is no point at all.
         """
         if self.dim_in != self.dim_out:
             raise ValueError("codec requires a homogeneous relation (dim_in == dim_out)")
@@ -565,11 +613,11 @@ class FiniteRelation:
         return PointCodec.for_arrays(src, dst, *extra)
 
     def bulk_dom(self, codec: PointCodec) -> np.ndarray:
-        """Sorted unique keys of the domain (bulk analogue of :meth:`domain`)."""
+        """Sorted unique keys of the domain (array analogue of :meth:`domain`)."""
         return np.unique(codec.encode(self.as_arrays()[0]))
 
     def bulk_ran(self, codec: PointCodec) -> np.ndarray:
-        """Sorted unique keys of the range (bulk analogue of :meth:`range`)."""
+        """Sorted unique keys of the range (array analogue of :meth:`range`)."""
         return np.unique(codec.encode(self.as_arrays()[1]))
 
     def bulk_restrict(
@@ -578,7 +626,7 @@ class FiniteRelation:
         domain_keys: Optional[np.ndarray] = None,
         rng_keys: Optional[np.ndarray] = None,
     ) -> "FiniteRelation":
-        """Bulk analogue of :meth:`restrict` over sorted key arrays.
+        """Array analogue of :meth:`restrict` over sorted key arrays.
 
         ``domain_keys``/``rng_keys`` are ascending-sorted key arrays produced
         with the same ``codec`` (e.g. by :meth:`bulk_dom` or
@@ -629,24 +677,20 @@ class FiniteRelation:
         )
 
     def union(self, other: "FiniteRelation") -> "FiniteRelation":
+        """Concatenate both array forms and re-canonicalise (no tuple boxing)."""
         if self.is_empty() and other.is_empty():
             return FiniteRelation.from_pairs(frozenset())
         if self.is_empty():
             return other
         if other.is_empty():
             return self
-        if (self.dim_in, self.dim_out) == (other.dim_in, other.dim_out) and (
-            self._pairs is None
-            or other._pairs is None
-            or max(len(self), len(other)) >= BULK_SIZE_THRESHOLD
-        ):
-            # Array path: concatenate and re-canonicalise without tuple boxing.
-            s1, d1 = self.as_arrays()
-            s2, d2 = other.as_arrays()
-            return FiniteRelation.from_arrays(
-                np.concatenate([s1, s2]), np.concatenate([d1, d2])
-            )
-        return FiniteRelation.from_pairs(self.pairs | other.pairs)
+        if (self.dim_in, self.dim_out) != (other.dim_in, other.dim_out):
+            raise ValueError("cannot union relations of different dimensions")
+        s1, d1 = self.as_arrays()
+        s2, d2 = other.as_arrays()
+        return FiniteRelation.from_arrays(
+            np.concatenate([s1, s2]), np.concatenate([d1, d2])
+        )
 
     def restrict(self, domain: Optional[Set[Point]] = None, rng: Optional[Set[Point]] = None) -> "FiniteRelation":
         """Keep only pairs whose source is in ``domain`` and target in ``rng``."""
@@ -729,34 +773,24 @@ class FiniteRelation:
         """Re-orient every pair so the source lexicographically precedes the target.
 
         Self-pairs (``a == b``) are dropped: a dependence of an iteration on
-        itself does not constrain the parallel schedule.  Array-backed
-        relations and relations with at least :data:`BULK_SIZE_THRESHOLD`
-        pairs are re-oriented on the array path: key order equals
+        itself does not constrain the parallel schedule.  Key order equals
         lexicographic order, so the comparison and the swap are a handful of
-        vectorised operations (and the result stays array-backed).
+        vectorised operations (and the result stays array-backed).  Requires
+        a homogeneous relation (``dim_in == dim_out``).
         """
-        if (
-            self._pairs is None or len(self) >= BULK_SIZE_THRESHOLD
-        ) and self.dim_in == self.dim_out:
-            src, dst = self.as_arrays()
-            try:
-                codec = PointCodec.for_arrays(src, dst)
-            except ValueError:
-                codec = None  # box overflows int64 keys: scalar path below
-            if codec is not None:
-                src_keys = codec.encode(src)
-                dst_keys = codec.encode(dst)
-                keep = src_keys != dst_keys
-                swap = src_keys > dst_keys
-                fwd_src = np.where(swap[:, None], dst, src)[keep]
-                fwd_dst = np.where(swap[:, None], src, dst)[keep]
-                return FiniteRelation.from_arrays(fwd_src, fwd_dst)
-        pairs = set()
-        for a, b in self.pairs:
-            if a == b:
-                continue
-            pairs.add((a, b) if lex_lt(a, b) else (b, a))
-        return FiniteRelation(frozenset(pairs), self.dim_in, self.dim_out)
+        if self.dim_in != self.dim_out:
+            raise ValueError("oriented_forward requires dim_in == dim_out")
+        if self.is_empty():
+            return self
+        src, dst = self.as_arrays()
+        codec = PointCodec.for_arrays(src, dst)
+        src_keys = codec.encode(src)
+        dst_keys = codec.encode(dst)
+        keep = src_keys != dst_keys
+        swap = src_keys > dst_keys
+        fwd_src = np.where(swap[:, None], dst, src)[keep]
+        fwd_dst = np.where(swap[:, None], src, dst)[keep]
+        return FiniteRelation.from_arrays(fwd_src, fwd_dst)
 
     def distances(self) -> Set[Point]:
         """The set of distance vectors ``target - source``."""
@@ -773,11 +807,12 @@ class FiniteRelation:
 class SuccessorIndex:
     """Successor lookup by binary search on sorted lexicographic keys.
 
-    Replaces dict-of-point probing (:meth:`FiniteRelation.successor_map`) for
-    large relations: construction is a vectorised argsort over the encoded
-    edges (no per-pair tuple hashing), while the lookup state is converted to
-    plain Python lists once so each probe costs a few integer operations and a
-    ``bisect`` — sequential chain walks must not pay numpy per-call overhead.
+    Replaces dict-of-point probing (:meth:`FiniteRelation.successor_map`):
+    construction is a vectorised argsort over the encoded edges (no per-pair
+    tuple hashing), while the lookup state is converted to plain Python lists
+    once and each probe encodes its point with
+    :meth:`PointCodec.scalar_encoder` and does a ``bisect`` — sequential
+    chain walks must not pay numpy per-call overhead.
     Successor lists come back lexicographically sorted, exactly like the
     dict-based maps.
     """
@@ -790,9 +825,7 @@ class SuccessorIndex:
         order = np.lexsort((dst_keys, src_keys))
         self._keys: List[int] = src_keys[order].tolist()
         self._dsts: List[Point] = [tuple(r) for r in dst[order].tolist()]
-        self._lo: List[int] = codec.lo.tolist()
-        self._extents: List[int] = codec.extents.tolist()
-        self._strides: List[int] = codec.strides.tolist()
+        self._key_of = codec.scalar_encoder()
 
     @staticmethod
     def from_relation(
@@ -808,13 +841,9 @@ class SuccessorIndex:
 
     def successors(self, point: Sequence[int]) -> List[Point]:
         """Sorted successors of one point (empty for points with no out-edges)."""
-        key = 0
-        for x, lo, extent, stride in zip(point, self._lo, self._extents, self._strides):
-            digit = x - lo
-            if digit < 0 or digit >= extent:
-                # Outside the codec's box ⇒ cannot be a source of the relation.
-                return []
-            key += digit * stride
+        key = self._key_of(point)
+        if key is None:
+            return []  # not encodable by the codec ⇒ not a source of the relation
         start = bisect.bisect_left(self._keys, key)
         stop = bisect.bisect_right(self._keys, key, start)
         return self._dsts[start:stop]

@@ -19,6 +19,11 @@ structured back-pressure (it retries with backoff, see
 :class:`~repro.serving.transport.client.TransportClient`) rather than pin a
 reader thread against a full queue.
 
+A connection whose reader and writer have both exited (the client hung up
+and every response went out, or the peer vanished) closes its own socket and
+leaves the server's connection table, so a long-running server holds one fd
+per *live* client, not one per client it ever served.
+
 Shutdown ordering (``close()``): stop accepting; half-close every
 connection's read side so no new requests are admitted; wait for in-flight
 tickets to finish streaming out (bounded by ``timeout``); close the sockets
@@ -62,6 +67,7 @@ class _Connection:
         self._inflight = 0
         self._reader_done = False
         self._dead = False
+        self._running = 2  # reader + writer; the last one to exit reaps
         self.reader = threading.Thread(
             target=self._read_loop, name=f"{name}-reader", daemon=True
         )
@@ -99,6 +105,7 @@ class _Connection:
             with self._lock:
                 self._reader_done = True
                 self._has_work.notify_all()
+            self._thread_exited()
 
     def _handle_request(self, header: Dict[str, Any], payloads: List[bytes]) -> None:
         request_id = header.get("request_id")
@@ -136,6 +143,12 @@ class _Connection:
         )
 
     def _write_loop(self) -> None:
+        try:
+            self._drain()
+        finally:
+            self._thread_exited()
+
+    def _drain(self) -> None:
         while True:
             with self._lock:
                 while not self._out and not self._dead and not (
@@ -160,6 +173,7 @@ class _Connection:
                             self._inflight -= 1
                     self._out.clear()
                     self._has_work.notify_all()
+                self._shutdown()  # wake a reader parked in recv
                 return
 
     def _write_item(self, item: _QueueItem) -> None:
@@ -187,6 +201,28 @@ class _Connection:
 
     # -- shutdown ---------------------------------------------------------------
 
+    def _thread_exited(self) -> None:
+        """Reap the connection once both its reader and writer have exited."""
+        with self._lock:
+            self._running -= 1
+            last = self._running == 0
+        if last:
+            self._close_files()
+            self.transport._reap(self)
+
+    def _shutdown(self) -> None:
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def _close_files(self) -> None:
+        for closer in (self.wfile.close, self.rfile.close, self.sock.close):
+            try:
+                closer()
+            except (OSError, ValueError):
+                pass
+
     def begin_close(self) -> None:
         """Half-close: stop reading new requests, keep streaming responses."""
         try:
@@ -201,20 +237,13 @@ class _Connection:
     def force_close(self) -> None:
         # shutdown() first: it unblocks a reader parked in recv, which a
         # cross-thread close() of the buffered makefile would deadlock on.
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        self._shutdown()
         with self._lock:
             self._dead = True
             self._has_work.notify_all()
         self.reader.join(1.0)
         self.writer.join(1.0)
-        for closer in (self.wfile.close, self.rfile.close, self.sock.close):
-            try:
-                closer()
-            except (OSError, ValueError):
-                pass
+        self._close_files()
 
 
 class TransportServer:
@@ -308,6 +337,11 @@ class TransportServer:
                 )
                 self._connections.append(conn)
             conn.start()
+
+    def _reap(self, conn: _Connection) -> None:
+        with self._conn_lock:
+            if conn in self._connections:
+                self._connections.remove(conn)
 
     def close(self, timeout: Optional[float] = 30.0) -> None:
         """Drain and shut down; see the module docstring for the ordering."""

@@ -12,7 +12,11 @@ loop-nest IR, plan/exec configs — plus an ``arrays`` list of payload specs
 (``name`` / ``dtype`` / ``shape`` / ``nbytes``).  The payloads are the raw
 ``ndarray.tobytes()`` bodies, concatenated in spec order, so array data never
 passes through JSON and round-trips bit-identically (dtype and shape are
-pinned by the spec, C order enforced on send).
+pinned by the spec, C order enforced on send).  :func:`read_frame` checks the
+header's framing schema — a JSON object whose ``arrays`` specs declare
+non-negative integer ``nbytes`` summing to at most
+:data:`MAX_PAYLOAD_BYTES` — before it reads a single payload byte, so a
+malformed header is a :class:`WireError`, never an allocation.
 
 Frame kinds: ``REQUEST`` and ``RESPONSE`` carry the serving payloads;
 ``BUSY`` is the structured back-pressure answer
@@ -69,8 +73,9 @@ __all__ = [
 #: First bytes of every frame — a cheap "is this even our protocol" check.
 MAGIC = b"RPLN"
 
-#: Bumped on any incompatible change to the frame layout or header schema.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible change to the frame layout or header schema
+#: (2: the plan config lost its three engine-selection knobs).
+PROTOCOL_VERSION = 2
 
 #: magic, version, kind, header length.
 _PRELUDE = struct.Struct(">4sHBI")
@@ -78,6 +83,10 @@ _PRELUDE = struct.Struct(">4sHBI")
 #: Refuse absurd headers before allocating for them (a stray HTTP request
 #: hitting the port must not look like a 1 GiB header).
 _MAX_HEADER_BYTES = 64 * 1024 * 1024
+
+#: Refuse frames whose payload specs declare more than this many bytes in
+#: total, before reading (or allocating for) any of them.
+MAX_PAYLOAD_BYTES = 1024 * 1024 * 1024
 
 
 class WireError(RuntimeError):
@@ -134,11 +143,16 @@ def write_frame(
     stream.flush()
 
 
+#: Largest single read: memory grows with the bytes that actually arrive, not
+#: with what a header declares.
+_READ_CHUNK = 1024 * 1024
+
+
 def _read_exactly(stream: IO[bytes], n: int) -> bytes:
     chunks: List[bytes] = []
     remaining = n
     while remaining:
-        chunk = stream.read(remaining)
+        chunk = stream.read(min(remaining, _READ_CHUNK))
         if not chunk:
             raise EOFError(f"peer closed mid-frame ({remaining} bytes short)")
         chunks.append(chunk)
@@ -172,11 +186,31 @@ def read_frame(stream: IO[bytes]) -> Tuple[FrameKind, Dict[str, Any], List[bytes
         header = json.loads(_read_exactly(stream, header_len).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireError(f"undecodable frame header: {exc}") from None
-    payloads = [
-        _read_exactly(stream, int(spec["nbytes"]))
-        for spec in header.get("arrays", [])
-    ]
-    return kind, header, payloads
+    sizes = _payload_sizes(header)
+    return kind, header, [_read_exactly(stream, n) for n in sizes]
+
+
+def _payload_sizes(header: Any) -> List[int]:
+    """The declared payload sizes, after checking the header's framing schema."""
+    if not isinstance(header, dict):
+        raise WireError(f"frame header must be a JSON object, got {type(header).__name__}")
+    specs = header.get("arrays", [])
+    if not isinstance(specs, list):
+        raise WireError("frame header 'arrays' must be a list of payload specs")
+    sizes: List[int] = []
+    for spec in specs:
+        nbytes = spec.get("nbytes") if isinstance(spec, dict) else None
+        if type(nbytes) is not int or nbytes < 0:
+            raise WireError(
+                f"payload spec {spec!r} needs a non-negative integer 'nbytes'"
+            )
+        sizes.append(nbytes)
+    if sum(sizes) > MAX_PAYLOAD_BYTES:
+        raise WireError(
+            f"frame declares {sum(sizes)} payload bytes, over the "
+            f"{MAX_PAYLOAD_BYTES}-byte bound"
+        )
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +409,6 @@ def plan_config_to_dict(cfg: Optional[PlanConfig]) -> Optional[Dict[str, Any]]:
     if cfg is None:
         return None
     return {
-        "engine": cfg.engine,
-        "bulk_size_threshold": cfg.bulk_size_threshold,
-        "force_dataflow": cfg.force_dataflow,
         "strategies": list(cfg.strategies) if cfg.strategies is not None else None,
         "selector": cfg.selector,
         "rng_seed": cfg.rng_seed,
@@ -389,9 +420,6 @@ def plan_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[PlanConfig]:
     if d is None:
         return None
     return PlanConfig(
-        engine=d["engine"],
-        bulk_size_threshold=d["bulk_size_threshold"],
-        force_dataflow=bool(d["force_dataflow"]),
         strategies=tuple(d["strategies"]) if d["strategies"] is not None else None,
         selector=d["selector"],
         rng_seed=d["rng_seed"],

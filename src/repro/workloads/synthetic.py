@@ -166,8 +166,8 @@ def large_uniform_loop(
 
     The single flow dependence is ``(i1, i2) -> (i1+1, i2+1)``, so the exact
     relation is known in closed form (see :func:`scale_partition_case`) and the
-    program scales to the 10⁵–10⁶-iteration spaces the vectorised partitioning
-    engine targets without paying the exact analyser's pair enumeration.
+    program scales to the 10⁵–10⁶-iteration spaces the array partitioners
+    target without paying the exact analyser's pair enumeration.
 
     ``semantics`` overrides the statement's executable meaning (e.g.
     :func:`repro.ir.semantics.compute_heavy_semantics` for the

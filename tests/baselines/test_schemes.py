@@ -19,7 +19,7 @@ from repro.baselines import (
     unique_sets_partition,
     unique_sets_schedule,
 )
-from repro.core import recurrence_chain_partition
+from repro.core import PlanConfig, plan
 from repro.core.statement import build_statement_space
 from repro.dependence import DependenceAnalysis
 from repro.runtime import validate_schedule
@@ -30,6 +30,10 @@ from repro.workloads.examples import (
     figure1_loop,
     figure2_loop,
 )
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 def check(prog, schedule, deps):
@@ -64,7 +68,7 @@ class TestPDM:
     def test_pdm_serializes_more_than_rec(self):
         """PDM's artificial dependences give longer sequential units than REC chains."""
         prog = figure1_loop(20, 30)
-        rec = recurrence_chain_partition(prog)
+        rec = plan(prog, config=ALGORITHM1, cache=False)
         pdm = pdm_schedule(prog, {}, rec.analysis)
         assert pdm.span >= rec.schedule.span
 
@@ -101,7 +105,7 @@ class TestUniqueSets:
         prog = example2_loop(30)
         analysis = DependenceAnalysis(prog, {})
         uniq = unique_sets_schedule(prog, {}, analysis)
-        rec = recurrence_chain_partition(prog)
+        rec = plan(prog, config=ALGORITHM1, cache=False)
         assert uniq.num_phases >= rec.schedule.num_phases
 
     def test_partition_structure(self):
@@ -139,7 +143,7 @@ class TestDoacross:
         prog = example3_loop(40)
         analysis = DependenceAnalysis(prog, {})
         doa = doacross_schedule(prog, {}, analysis)
-        rec = recurrence_chain_partition(prog)
+        rec = plan(prog, config=ALGORITHM1, cache=False)
         assert doa.num_phases >= rec.schedule.num_phases
 
 

@@ -13,11 +13,7 @@ from repro.codegen import (
     rec_partition_listing,
     render_affine,
 )
-from repro.core import (
-    AffineRecurrence,
-    recurrence_chain_partition,
-    symbolic_three_set_partition,
-)
+from repro.core import AffineRecurrence, PlanConfig, plan, symbolic_three_set_partition
 from repro.dependence import DependenceAnalysis, symbolic_dependence_relation
 from repro.ir.semantics import DEFAULT_SEMANTICS
 from repro.isl.affine import var
@@ -25,6 +21,10 @@ from repro.isl.convex import Constraint, ConvexSet
 from repro.isl.enumerate_points import enumerate_convex
 from repro.runtime import execute_sequential, make_store
 from repro.workloads.examples import figure1_loop, figure2_loop
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 class TestBounds:
@@ -110,7 +110,7 @@ class TestListings:
 
 class TestGeneratedPython:
     def test_chain_function_matches_library(self):
-        result = recurrence_chain_partition(figure1_loop(30, 40))
+        result = plan(figure1_loop(30, 40), config=ALGORITHM1, cache=False)
         source = generate_chain_function(result.recurrence, 2)
         fn = compile_function(source, "follow_chain")
         p2 = set(result.partition.p2)
@@ -119,7 +119,7 @@ class TestGeneratedPython:
             assert tuple(tuple(p) for p in walked) == chain.points
 
     def test_chain_function_1d(self):
-        result = recurrence_chain_partition(figure2_loop(20))
+        result = plan(figure2_loop(20), config=ALGORITHM1, cache=False)
         source = generate_chain_function(result.recurrence, 1)
         fn = compile_function(source, "follow_chain")
         # empty intermediate set: every walk stops immediately
@@ -131,7 +131,7 @@ class TestGeneratedPython:
 
     def test_schedule_runner_reproduces_sequential_result(self):
         prog = figure1_loop(8, 9)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         source = generate_schedule_runner(prog, result.schedule)
         runner = compile_function(source, "run_schedule")
         store = make_store(prog)
@@ -142,6 +142,6 @@ class TestGeneratedPython:
 
     def test_schedule_runner_mentions_barriers(self):
         prog = figure2_loop(10)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         source = generate_schedule_runner(prog, result.schedule)
         assert source.count("barrier") == result.schedule.num_phases

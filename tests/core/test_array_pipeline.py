@@ -1,25 +1,22 @@
-"""End-to-end equivalence of the array-native pipeline with the set pipeline.
+"""End-to-end equivalence of the array-native pipeline with the oracle.
 
-PR 1 proved the partitioning *engines* equivalent (test_bulk_equivalence);
-this module proves the whole pipeline equivalent: program → exact Rd
-(hash join vs sort join) → three-set / dataflow partition → schedule
-(tuple phases vs :class:`ArrayPhase`) → execution.  For every example
-workload both paths must produce bit-identical P1/P2/P3/W sets, wavefronts,
-per-phase instances and :func:`validate_schedule` results.
+``test_bulk_equivalence`` pins the partitioners; this module pins the whole
+pipeline: program → exact Rd (sort/merge join) → three-set / dataflow
+partition → :class:`ArrayPhase` schedule → execution.  For every example
+workload the planned pipeline must produce the same Rd, P1/P2/P3/W sets,
+wavefronts, per-phase instances and :func:`validate_schedule` results as the
+brute-force tuple oracle of ``tests/oracle.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.pipelines import (
-    pipeline_mismatches,
-    run_array_pipeline,
-    run_set_pipeline,
-)
+import oracle
 from repro.core.dataflow import DataflowPartition, dataflow_partition, dataflow_schedule
 from repro.core.partition import three_set_partition
-from repro.core.partitioner import recurrence_chain_partition
+from repro.core.partitioner import recurrence_branch
 from repro.core.schedule import ArrayPhase, ParallelPhase, Schedule
+from repro.core.strategy import PlanConfig, plan
 from repro.dependence.analysis import DependenceAnalysis
 from repro.isl.relations import FiniteRelation
 from repro.runtime.executor import execute_schedule, execute_sequential, validate_schedule
@@ -36,35 +33,40 @@ PROGRAMS = [
 ]
 PROGRAM_IDS = [p.name for p in PROGRAMS]
 
+DATAFLOW = PlanConfig(strategies=("dataflow",))
+
+
+def run_pipeline(prog):
+    """The planned dataflow pipeline plus the eq. 5 partition of its Rd."""
+    p = plan(prog, config=DATAFLOW, cache=False)
+    rd = p.analysis.iteration_dependences
+    return p, rd, three_set_partition(p.analysis.iteration_space_array, rd)
+
 
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_pipelines_bit_identical(self, prog):
-        set_run = run_set_pipeline(prog)
-        array_run = run_array_pipeline(prog)
-        assert pipeline_mismatches(set_run, array_run) == []
-        assert array_run.partition == set_run.partition
-        assert array_run.partition.counts() == set_run.partition.counts()
-        assert array_run.partition.is_complete()
-        assert array_run.partition.respects_phase_order()
-        for pa, ps in zip(array_run.schedule.phases, set_run.schedule.phases):
-            assert (len(pa), pa.work, pa.span) == (len(ps), ps.work, ps.span)
+        p, rd, partition = run_pipeline(prog)
+        assert rd == oracle.iteration_dependences(prog)
+        expected = oracle.three_sets(oracle.space_points(prog), rd)
+        for name in ("space", "p1", "p2", "p3", "w"):
+            assert getattr(partition, name) == getattr(expected, name), name
+        assert partition.is_complete()
+        assert partition.respects_phase_order()
+        assert oracle.schedule_phases(p.schedule) == oracle.dataflow_phases(prog)
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_wavefronts_identical(self, prog):
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        waves_s = dataflow_partition(analysis.iteration_space_points, rd, engine="set")
-        waves_a = dataflow_partition(analysis.iteration_space_array, rd, engine="vector")
-        assert waves_a.wavefronts == waves_s.wavefronts
-        assert waves_a == waves_s
+        waves = dataflow_partition(analysis.iteration_space_array, rd)
+        assert waves.wavefronts == oracle.wavefronts(oracle.space_points(prog), rd)
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_validation_results_identical(self, prog):
-        set_run = run_set_pipeline(prog)
-        array_run = run_array_pipeline(prog)
-        rep_s = validate_schedule(prog, set_run.schedule, {}, dependences=set_run.rd)
-        rep_a = validate_schedule(prog, array_run.schedule, {}, dependences=array_run.rd)
+        p, rd, _ = run_pipeline(prog)
+        rep_s = validate_schedule(prog, oracle.unit_schedule(prog), {}, dependences=rd)
+        rep_a = validate_schedule(prog, p.schedule, {}, dependences=rd)
         assert rep_a.ok and rep_s.ok
         assert (
             rep_a.covers_all_instances,
@@ -80,7 +82,7 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_threaded_execution_matches_sequential(self, prog):
-        sched_a = run_array_pipeline(prog).schedule
+        sched_a = run_pipeline(prog)[0].schedule
         assert any(isinstance(p, ArrayPhase) for p in sched_a.phases)
         run = execute_schedule_threaded(prog, sched_a, n_threads=3)
         reference = execute_sequential(prog, {})
@@ -92,13 +94,11 @@ class TestPipelineEquivalence:
 class TestArrayBackedPartitionViews:
     def test_vector_partition_stays_lazy_for_array_consumers(self):
         prog = large_uniform_loop(20, 15)
-        analysis = DependenceAnalysis(prog, {}, engine="vector")
+        analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        part = three_set_partition(analysis.iteration_space_array, rd, engine="vector")
-        assert part.array_backed
+        part = three_set_partition(analysis.iteration_space_array, rd)
         assert part._sets == {}  # nothing materialised yet
-        sched = dataflow_partition(analysis.iteration_space_array, rd, engine="vector")
-        assert sched.array_backed
+        sched = dataflow_partition(analysis.iteration_space_array, rd)
         assert sched._wavefronts is None
         # Touching a set view materialises only that view.
         _ = part.p1
@@ -108,26 +108,27 @@ class TestArrayBackedPartitionViews:
         prog = large_triangular_loop(12)
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        set_part = dataflow_partition(analysis.iteration_space_points, rd, engine="set")
-        vec_part = dataflow_partition(analysis.iteration_space_array, rd, engine="vector")
-        off_s, rows_s = set_part.level_arrays()
-        off_v, rows_v = vec_part.level_arrays()
-        assert np.array_equal(off_s, off_v)
-        assert np.array_equal(rows_s, rows_v)
-        assert set_part.level_sizes() == vec_part.level_sizes()
-        rebuilt = DataflowPartition.from_arrays(off_v, rows_v, rd)
-        assert rebuilt.wavefronts == set_part.wavefronts
-        assert rebuilt == set_part
+        part = dataflow_partition(analysis.iteration_space_array, rd)
+        offsets, rows = part.level_arrays()
+        expected = oracle.wavefronts(oracle.space_points(prog), rd)
+        assert part.level_sizes() == [len(w) for w in expected]
+        for k, wave in enumerate(expected):
+            level = rows[offsets[k] : offsets[k + 1]].tolist()
+            assert [tuple(r) for r in level] == sorted(wave)  # lex inside a level
+        rebuilt = DataflowPartition(offsets, rows, rd)
+        assert rebuilt.wavefronts == expected
+        assert rebuilt == part
 
     def test_level_arrays_with_empty_leading_wavefront(self):
-        # A constructor-built partition may hold empty waves; the dimension
-        # must come from the first non-empty one (or the relation).
+        # CSR offsets may describe empty levels; the frozenset view keeps them.
         rd = FiniteRelation(frozenset(), 2, 2)
-        part = DataflowPartition((frozenset(), frozenset({(1, 2)})), rd)
-        offsets, rows = part.level_arrays()
-        assert offsets.tolist() == [0, 0, 1]
-        assert rows.tolist() == [[1, 2]]
-        all_empty = DataflowPartition((frozenset(),), rd)
+        part = DataflowPartition(
+            np.array([0, 0, 1]), np.array([[1, 2]], dtype=np.int64), rd
+        )
+        assert part.wavefronts == (frozenset(), frozenset({(1, 2)}))
+        assert part.level_sizes() == [0, 1]
+        all_empty = DataflowPartition(np.array([0, 0]), np.zeros((0, 2), dtype=np.int64), rd)
+        assert all_empty.wavefronts == (frozenset(),)
         offsets, rows = all_empty.level_arrays()
         assert offsets.tolist() == [0, 0] and rows.shape == (0, 2)
 
@@ -135,15 +136,15 @@ class TestArrayBackedPartitionViews:
         rd = DependenceAnalysis(figure2_loop(6), {}).iteration_dependences
         rows = np.array([[1], [2], [3]], dtype=np.int64)
         with pytest.raises(ValueError):
-            DataflowPartition.from_arrays(np.array([0, 2]), rows, rd)
+            DataflowPartition(np.array([0, 2]), rows, rd)
         with pytest.raises(ValueError):
-            DataflowPartition.from_arrays(np.array([1, 3]), rows, rd)
+            DataflowPartition(np.array([1, 3]), rows, rd)
 
 
 class TestRecurrenceChainArrayPhases:
     def test_large_single_pair_program_gets_array_doall_phases(self):
-        prog = large_uniform_loop(80, 80)  # 6400 points: above the threshold
-        result = recurrence_chain_partition(prog)
+        prog = large_uniform_loop(80, 80)
+        result = recurrence_branch(prog)
         assert result.scheme == "recurrence-chains"
         kinds = [type(p) for p in result.schedule.phases]
         assert ArrayPhase in kinds  # P1/P3 emitted as array views
@@ -155,10 +156,15 @@ class TestRecurrenceChainArrayPhases:
         )
         assert report.ok and report.respects_dependences
 
-    def test_small_program_keeps_tuple_phases_and_matches(self):
+    def test_small_program_gets_array_doall_phases_and_matches(self):
         prog = figure1_loop(10, 10)
-        result = recurrence_chain_partition(prog)
-        assert all(isinstance(p, ParallelPhase) for p in result.schedule.phases)
+        result = recurrence_branch(prog)
+        kinds = [type(p) for p in result.schedule.phases]
+        assert kinds == [ArrayPhase, ParallelPhase, ArrayPhase]  # P1, chains, P3
+        expected = oracle.three_sets(oracle.space_points(prog), result.partition.rd)
+        p1, _, p3 = result.schedule.phases
+        assert [pt for _, pt in p1.instances()] == sorted(expected.p1)
+        assert [pt for _, pt in p3.instances()] == sorted(expected.p3)
         report = validate_schedule(
             prog,
             result.schedule,
@@ -216,12 +222,8 @@ class TestScheduleFromArrays:
         prog = figure2_loop(20)
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        arr_sched = dataflow_schedule(
-            prog.name, analysis.iteration_space_array, rd, engine="vector"
-        )
-        tup_sched = dataflow_schedule(
-            prog.name, analysis.iteration_space_points, rd, engine="set"
-        )
+        arr_sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
+        tup_sched = oracle.unit_schedule(prog)
         mixed = Schedule(
             "mixed", (arr_sched.phases[0],) + tup_sched.phases[1:], {}
         )
@@ -232,27 +234,14 @@ class TestScheduleFromArrays:
 
 
 class TestArrayBackedIsConstructionFact:
-    def test_accessors_do_not_flip_array_backed(self):
-        prog = figure2_loop(20)
-        analysis = DependenceAnalysis(prog, {})
-        rd = analysis.iteration_dependences
-        part = three_set_partition(analysis.iteration_space_points, rd, engine="set")
-        assert not part.array_backed
-        part.p1_array(), part.p3_array()  # inspection must not change behavior
-        assert not part.array_backed
-        waves = dataflow_partition(analysis.iteration_space_points, rd, engine="set")
-        assert not waves.array_backed
-        waves.level_arrays()
-        assert not waves.array_backed
-
     def test_uniformity_ignores_duplicate_space_rows(self):
         from repro.dependence.distance import is_uniform_relation
 
         rel = FiniteRelation.from_pairs([((0, 0), (1, 1))])
         points = [(0, 0), (0, 0), (1, 1)]
-        assert is_uniform_relation(rel, points) == is_uniform_relation(
-            rel, np.array(points, dtype=np.int64)
-        )
+        expected = oracle.is_uniform(rel, points)
+        assert is_uniform_relation(rel, points) == expected
+        assert is_uniform_relation(rel, np.array(points, dtype=np.int64)) == expected
 
     def test_stored_arrays_are_read_only(self):
         # The lazy tuple views cache data derived from the stored arrays; an
@@ -260,16 +249,12 @@ class TestArrayBackedIsConstructionFact:
         prog = figure2_loop(20)
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        sched = dataflow_schedule(
-            prog.name, analysis.iteration_space_array, rd, engine="vector"
-        )
+        sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
         phase = sched.phases[0]
         _ = phase.units  # materialise the tuple view
         with pytest.raises(ValueError):
             phase.points[0, 0] = 999
-        part = three_set_partition(
-            analysis.iteration_space_array, rd, engine="vector"
-        )
+        part = three_set_partition(analysis.iteration_space_array, rd)
         with pytest.raises(ValueError):
             part.p1_array()[0, 0] = 999
         src, dst = rd.as_arrays()

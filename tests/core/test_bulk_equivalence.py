@@ -1,15 +1,16 @@
-"""Equivalence of the vectorized partitioning engine with the set-based one.
+"""Equivalence of the array partitioners with the brute-force oracle.
 
-The array-backed engine (lexicographic int64 keys, sorted-array membership,
-Kahn peeling) must produce bit-identical partitions and wavefronts on every
-example workload of the paper — perfect nests at iteration level and
-imperfect nests at statement level — plus the synthetic scaling case.
+The array engine (lexicographic int64 keys, sorted-array membership, Kahn
+peeling) must produce the same partitions and wavefronts as the per-point
+set algebra of ``tests/oracle.py`` on every example workload of the paper —
+perfect nests at iteration level and imperfect nests at statement level —
+plus the synthetic scaling case and point boxes too wide for raw int64 keys.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.chains as chains_module
+import oracle
 from repro.core.chains import chains_from_relation
 from repro.core.dataflow import dataflow_partition
 from repro.core.partition import three_set_partition
@@ -49,61 +50,61 @@ CASES = list(_cases())
 CASE_IDS = [name for name, _, _ in CASES]
 
 
+def assert_matches_oracle(partition, space, rd):
+    expected = oracle.three_sets(space, rd)
+    assert partition.space == expected.space
+    assert partition.p1 == expected.p1
+    assert partition.p2 == expected.p2
+    assert partition.p3 == expected.p3
+    assert partition.w == expected.w
+    assert partition.rd == expected.rd
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("name,space,rd", CASES, ids=CASE_IDS)
     def test_three_set_partition_identical(self, name, space, rd):
-        set_result = three_set_partition(space, rd, engine="set")
-        vec_result = three_set_partition(space, rd, engine="vector")
-        assert vec_result.space == set_result.space
-        assert vec_result.p1 == set_result.p1
-        assert vec_result.p2 == set_result.p2
-        assert vec_result.p3 == set_result.p3
-        assert vec_result.w == set_result.w
-        assert vec_result.rd == set_result.rd
-        assert vec_result.is_complete() and vec_result.respects_phase_order()
+        result = three_set_partition(space, rd)
+        assert_matches_oracle(result, space, rd)
+        assert result.is_complete() and result.respects_phase_order()
 
     @pytest.mark.parametrize("name,space,rd", CASES, ids=CASE_IDS)
     def test_dataflow_wavefronts_identical(self, name, space, rd):
-        set_result = dataflow_partition(space, rd, engine="set")
-        vec_result = dataflow_partition(space, rd, engine="vector")
-        assert vec_result.wavefronts == set_result.wavefronts
-        assert vec_result.is_complete(space)
-        assert vec_result.respects_dependences()
+        result = dataflow_partition(space, rd)
+        assert result.wavefronts == oracle.wavefronts(space, rd)
+        assert result.is_complete(space)
+        assert result.respects_dependences()
 
     def test_array_space_input_equals_tuple_input(self):
         space, rd = scale_partition_case(15, 12)
         tuples = [tuple(p) for p in space.tolist()]
-        for engine in ("set", "vector"):
-            from_array = three_set_partition(space, rd, engine=engine)
-            from_tuples = three_set_partition(tuples, rd, engine=engine)
-            assert from_array == from_tuples
-            assert (
-                dataflow_partition(space, rd, engine=engine).wavefronts
-                == dataflow_partition(tuples, rd, engine=engine).wavefronts
-            )
+        assert three_set_partition(space, rd) == three_set_partition(tuples, rd)
+        assert (
+            dataflow_partition(space, rd).wavefronts
+            == dataflow_partition(tuples, rd).wavefronts
+        )
 
     def test_unknown_engine_rejected(self):
+        # There is one engine: an ``engine`` argument fails loudly instead of
+        # being silently ignored.
         space, rd = scale_partition_case(4, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             three_set_partition(space, rd, engine="simd")
-        with pytest.raises(ValueError):
-            dataflow_partition(space, rd, engine="simd")
+        with pytest.raises(TypeError):
+            dataflow_partition(space, rd, engine="set")
 
-    def test_auto_falls_back_when_keys_overflow(self, monkeypatch):
-        """Coordinates too large for int64 keys: auto uses the set engine —
-        for every space input form — while forced vector raises."""
-        import repro.isl.relations as relations_module
-
-        monkeypatch.setattr(relations_module, "BULK_SIZE_THRESHOLD", 1)
+    def test_overflowing_box_runs_on_array_path(self):
+        """Coordinates too wide for raw int64 keys: the codec rank-compresses
+        them and both partitioners still produce the exact sets, for every
+        space input form."""
         space = [(0, 0), (2**40, 2**40), (1, 1)]
         rd = FiniteRelation.from_pairs([((0, 0), (2**40, 2**40))])
         for space_input in (space, np.array(space, dtype=np.int64)):
             partition = three_set_partition(space_input, rd)
             assert partition.p1 == {(0, 0), (1, 1)}
+            assert_matches_oracle(partition, space, rd)
             flow = dataflow_partition(space_input, rd)
             assert flow.num_steps == 2
-        with pytest.raises(ValueError, match="too large"):
-            three_set_partition(space, rd, engine="vector")
+            assert flow.wavefronts == oracle.wavefronts(space, rd)
 
 
 class TestVectorStallPaths:
@@ -111,7 +112,7 @@ class TestVectorStallPaths:
         space = [(1,), (2,)]
         rd = FiniteRelation.from_pairs([((1,), (2,)), ((2,), (1,))])
         with pytest.raises(RuntimeError, match="stalled"):
-            dataflow_partition(space, rd, engine="vector")
+            dataflow_partition(space, rd)
 
     def test_partial_cycle_detected_after_progress(self):
         # an acyclic prefix drains, then the cycle stalls the peeling
@@ -120,29 +121,27 @@ class TestVectorStallPaths:
             [((1,), (2,)), ((2,), (3,)), ((3,), (2,))]
         )
         with pytest.raises(RuntimeError, match="stalled"):
-            dataflow_partition(space, rd, engine="vector")
+            dataflow_partition(space, rd)
 
     def test_max_steps_guard(self):
         space = [(i,) for i in range(1, 50)]
         rd = FiniteRelation.from_pairs([((i,), (i + 1,)) for i in range(1, 49)])
         with pytest.raises(RuntimeError, match="did not terminate"):
-            dataflow_partition(space, rd, max_steps=5, engine="vector")
+            dataflow_partition(space, rd, max_steps=5)
 
     def test_self_loop_stalls(self):
         space = [(1,), (2,)]
         rd = FiniteRelation.from_pairs([((2,), (2,))])
         with pytest.raises(RuntimeError, match="stalled"):
-            dataflow_partition(space, rd, engine="vector")
+            dataflow_partition(space, rd)
 
 
 class TestChainsBulkLookup:
-    def test_sorted_array_lookup_matches_dict_lookup(self, monkeypatch):
+    def test_sorted_array_lookup_matches_dict_lookup(self):
         prog = figure1_loop(25, 25)
         analysis = DependenceAnalysis(prog, {})
         partition = three_set_partition(
             analysis.iteration_space_points, analysis.iteration_dependences
         )
-        baseline = chains_from_relation(partition)
-        monkeypatch.setattr(chains_module, "BULK_SIZE_THRESHOLD", 1)
-        bulk = chains_from_relation(partition)
-        assert [c.points for c in bulk] == [c.points for c in baseline]
+        chains = chains_from_relation(partition)
+        assert [c.points for c in chains] == oracle.chains_by_dict_walk(partition)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.dataflow import dataflow_partition, dataflow_schedule
-from repro.core.statement import build_statement_space
+from repro.core.statement import build_statement_space, statement_dataflow_schedule
 from repro.dependence import DependenceAnalysis
 from repro.isl.relations import FiniteRelation
 from repro.workloads.examples import cholesky_loop, figure1_loop
@@ -78,12 +78,13 @@ class TestDataflowSchedule:
         assert schedule.meta["num_steps"] == 4
 
     def test_schedule_with_instance_mapping(self):
-        space = [(1,), (2,)]
-        mapping = {(1,): [("a", (1,)), ("b", (1,))], (2,): [("a", (2,))]}
-        schedule = dataflow_schedule(
-            "test", space, FiniteRelation(frozenset(), 1, 1), instances_of=mapping
-        )
-        assert schedule.total_work == 3
+        # At statement level each unified point stands for one statement
+        # instance, and the schedule runs exactly the program's instances.
+        prog = cholesky_loop(nmat=1, m=2, n=4, nrhs=1)
+        space = build_statement_space(prog, {})
+        schedule = statement_dataflow_schedule("test", space)
+        assert schedule.total_work == len(space)
+        assert sorted(schedule.instances()) == sorted(prog.sequential_iterations({}))
 
     def test_cholesky_statement_level_dataflow(self):
         prog = cholesky_loop(nmat=2, m=2, n=6, nrhs=1)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import recurrence_chain_partition
 from repro.core.strategy import PlanConfig, plan
 from repro.ir.builder import aref, assign, loop, program
 from repro.runtime import execute_sequential, validate_schedule
@@ -21,25 +20,30 @@ from repro.workloads.examples import (
 )
 from repro.workloads.synthetic import random_coupled_loop
 
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
+
 
 class TestSchemeSelection:
     def test_single_pair_full_rank_uses_chains(self):
-        assert recurrence_chain_partition(figure1_loop(10, 10)).scheme == "recurrence-chains"
-        assert recurrence_chain_partition(figure2_loop(20)).scheme == "recurrence-chains"
-        assert recurrence_chain_partition(example2_loop(12)).scheme == "recurrence-chains"
+        assert plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False).scheme == "recurrence-chains"
+        assert plan(figure2_loop(20), config=ALGORITHM1, cache=False).scheme == "recurrence-chains"
+        assert plan(example2_loop(12), config=ALGORITHM1, cache=False).scheme == "recurrence-chains"
 
     def test_imperfect_nest_uses_dataflow(self):
-        assert recurrence_chain_partition(example3_loop(20)).scheme == "dataflow"
+        assert plan(example3_loop(20), config=ALGORITHM1, cache=False).scheme == "dataflow"
         assert (
-            recurrence_chain_partition(cholesky_loop(nmat=1, m=2, n=4, nrhs=1)).scheme
+            plan(cholesky_loop(nmat=1, m=2, n=4, nrhs=1), config=ALGORITHM1, cache=False).scheme
             == "dataflow"
         )
 
     def test_force_dataflow(self):
-        result = recurrence_chain_partition(figure1_loop(10, 10), force_dataflow=True)
+        result = plan(
+            figure1_loop(10, 10), config=PlanConfig(strategies=("dataflow",)), cache=False
+        )
         assert result.scheme == "dataflow"
         # dataflow and chain schedules execute the same instances
-        chain_result = recurrence_chain_partition(figure1_loop(10, 10))
+        chain_result = plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False)
         assert set(result.schedule.instances()) == set(chain_result.schedule.instances())
 
 
@@ -56,7 +60,7 @@ class TestScheduleSafety:
         ids=["fig1", "fig2", "ex2-small", "ex2-larger", "ex3"],
     )
     def test_schedule_is_semantically_correct(self, prog):
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         deps = (
             result.statement_space.rd
             if result.statement_space is not None
@@ -67,18 +71,18 @@ class TestScheduleSafety:
         assert report.respects_dependences
 
     def test_three_phases_for_chain_scheme(self):
-        result = recurrence_chain_partition(figure1_loop(20, 30))
+        result = plan(figure1_loop(20, 30), config=ALGORITHM1, cache=False)
         assert result.schedule.num_phases == 3
         names = [p.name for p in result.schedule.phases]
         assert "P1" in names[0] and "P2" in names[1] and "P3" in names[2]
 
     def test_figure2_has_two_phases(self):
         # empty intermediate set: P2 phase is dropped entirely
-        result = recurrence_chain_partition(figure2_loop(20))
+        result = plan(figure2_loop(20), config=ALGORITHM1, cache=False)
         assert result.schedule.num_phases == 2
 
     def test_summary_contains_partition_counts(self):
-        result = recurrence_chain_partition(figure1_loop(10, 10))
+        result = plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False)
         s = result.summary()
         assert s["P1"] == 82 and s["P2"] == 2 and s["P3"] == 16
         assert s["scheme"] == "recurrence-chains"
@@ -89,7 +93,7 @@ class TestScheduleSafety:
     def test_random_single_pair_loops(self, seed):
         rng = random.Random(seed)
         spec = random_coupled_loop(rng, n1=6, n2=6, force_full_rank=True)
-        result = recurrence_chain_partition(spec.program)
+        result = plan(spec.program, config=ALGORITHM1, cache=False)
         # Single-statement dataflow results stay at iteration level (the §3.3
         # statement space is only built for multi-statement programs).
         deps = (
@@ -107,13 +111,13 @@ class TestExample4:
         partitioning steps does not change with NMAT (allows scaled-down runs)."""
         steps = []
         for nmat in (1, 2):
-            result = recurrence_chain_partition(cholesky_loop(nmat=nmat, m=2, n=6, nrhs=1))
+            result = plan(cholesky_loop(nmat=nmat, m=2, n=6, nrhs=1), config=ALGORITHM1, cache=False)
             steps.append(result.schedule.num_phases)
         assert steps[0] == steps[1]
 
     def test_cholesky_schedule_valid(self):
         prog = cholesky_loop(nmat=1, m=2, n=5, nrhs=1)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         report = validate_schedule(
             prog, result.schedule, {}, dependences=result.statement_space.rd, seeds=(0,)
         )
@@ -198,9 +202,3 @@ class TestMultiStatementSoundness:
                     f"{prog.name}: array {name!r} diverges from sequential "
                     f"execution under shuffle seed {seed} (strategy {p.strategy})"
                 )
-
-    def test_old_shim_takes_dataflow(self):
-        # The deprecated dispatch must make the same call: chains raise
-        # PartitioningNotApplicable internally, dataflow handles the program.
-        result = recurrence_chain_partition(self._constant_cell_prog())
-        assert result.scheme == "dataflow"

@@ -100,10 +100,10 @@ class TestTheorem1:
             rec.expansion_factor()
 
     def test_measured_chains_respect_bound(self):
-        from repro.core import recurrence_chain_partition
+        from repro.core import recurrence_branch
 
         for n1, n2 in [(10, 10), (25, 35), (40, 60)]:
-            result = recurrence_chain_partition(figure1_loop(n1, n2))
+            result = recurrence_branch(figure1_loop(n1, n2))
             bound = result.chain_length_bound()
             assert bound is not None
             assert result.longest_chain() <= bound

@@ -4,7 +4,7 @@
 ``table``) ranking the registered chain; these tests pin the registry
 surface, the :class:`SelectionReport` attached to every plan, the calibrated
 table's loading/fallback behavior, and the bypass rules (pinned orders,
-single-strategy chains, ``force_dataflow``).  The bit-identity of
+single-strategy chains).  The bit-identity of
 ``selector="fixed"`` with the historical chain is pinned separately in
 ``test_strategy.py``.
 """
@@ -115,15 +115,6 @@ class TestSelectionReports:
         assert sel.source == "pinned order (PlanConfig.strategies)"
         assert sel.order == ("dataflow", "doacross")
         assert sel.scores == () and sel.features is None
-
-    def test_force_dataflow_uses_the_fixed_rank(self):
-        p = plan(
-            figure1_loop(8, 8),
-            config=PlanConfig(force_dataflow=True), cache=False,
-        )
-        assert p.strategy == "dataflow"
-        assert p.selection.source == "fixed chain (force_dataflow)"
-        assert p.selection.scores == ()
 
     def test_explain_shows_scores_for_ranked_plans_only(self):
         ranked = plan(figure1_loop(10, 10), cache=False).explain()

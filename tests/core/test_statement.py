@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import oracle
 from repro.core.statement import UnifiedIndexMap, build_statement_space
 from repro.dependence import DependenceAnalysis
 from repro.isl.lexorder import lex_lt
@@ -73,12 +74,8 @@ class TestUnifiedIndexMap:
         monkeypatch.setattr(
             statement_mod.StatementLevelSpace, "__init__", counting
         )
-        for engine in ("vector", "set"):
-            constructed.clear()
-            statement_mod.build_statement_space(
-                example3_loop(6), {}, engine=engine
-            )
-            assert len(constructed) == 1, engine
+        statement_mod.build_statement_space(example3_loop(6), {})
+        assert len(constructed) == 1
 
     def test_unify_array_interleaves_like_unify(self):
         prog = cholesky_loop(nmat=1, m=2, n=4, nrhs=1)
@@ -96,23 +93,22 @@ class TestUnifiedIndexMap:
 class TestArrayPath:
     def test_engines_build_identical_spaces(self):
         for prog in (example3_loop(10), cholesky_loop(nmat=1, m=2, n=4, nrhs=1)):
-            set_space = build_statement_space(prog, {}, engine="set")
-            vec_space = build_statement_space(prog, {}, engine="vector")
-            assert set_space.instances == vec_space.instances
-            assert set_space.unified == vec_space.unified
-            assert np.array_equal(set_space.unified_array, vec_space.unified_array)
-            assert np.array_equal(set_space.stmt_ids, vec_space.stmt_ids)
-            assert set_space.rd == vec_space.rd
+            expected = oracle.statement_space(prog)
+            space = build_statement_space(prog, {})
+            assert space.instances == expected.instances
+            assert space.unified == expected.unified
+            assert space.stmt_ids.tolist() == list(expected.stmt_ids)
+            assert space.rd == expected.rd
 
     def test_space_array_rows_are_lex_sorted(self):
-        space = build_statement_space(example3_loop(8), {}, engine="vector")
+        space = build_statement_space(example3_loop(8), {})
         rows = list(map(tuple, space.space_array.tolist()))
         assert rows == sorted(rows)
 
     def test_stmt_ids_of_roundtrip_and_rejects_foreign_rows(self):
         import pytest
 
-        space = build_statement_space(example3_loop(8), {}, engine="vector")
+        space = build_statement_space(example3_loop(8), {})
         ids = space.stmt_ids_of(space.unified_array[::-1])
         assert np.array_equal(ids, space.stmt_ids[::-1])
         foreign = space.unified_array[:1] + 1000

@@ -1,13 +1,12 @@
 """Property-based differential tests for the §3.3 statement level.
 
-With three engines coexisting (set, vectorised iteration-level, array-native
-statement-level) hand-pinned equivalence tests cover only the handful of
-paper examples; this module pins the **tuple path and the array path of
-`StatementLevelSpace` bit-identical on Hypothesis-generated programs** —
-unified vectors, the statement-level Rd, the instance↔point maps, and the
-dataflow schedules built from them — plus the §3.3 mapping invariant
-(program order == lexicographic unified order) as a property of every
-generated program.
+Hand-pinned equivalence tests cover only the handful of paper examples; this
+module pins the **array-built `StatementLevelSpace` bit-identical to the
+per-instance oracle of ``tests/oracle.py`` on Hypothesis-generated
+programs** — unified vectors, the statement-level Rd, the instance↔point
+maps, and the dataflow schedules built from them — plus the §3.3 mapping
+invariant (program order == lexicographic unified order) as a property of
+every generated program.
 
 The generated programs (see ``tests/strategies.py``) span 1–3 statements,
 depth ≤ 3, imperfect placement, triangular/rectangular bounds and affine
@@ -18,6 +17,7 @@ for the derandomized fixed-budget profile CI uses.
 import numpy as np
 from hypothesis import given
 
+import oracle
 from repro.core.partitioner import dataflow_branch
 from repro.core.statement import (
     UnifiedIndexMap,
@@ -29,19 +29,13 @@ from strategies import loop_programs
 
 
 def spaces_for(prog):
-    """The same program through the tuple path and the array path."""
-    return (
-        build_statement_space(prog, {}, engine="set"),
-        build_statement_space(prog, {}, engine="vector"),
-    )
+    """The same program through the oracle and the array path."""
+    return oracle.statement_space(prog), build_statement_space(prog, {})
 
 
-def assert_schedules_identical(a, b):
+def assert_schedule_matches_oracle(schedule, prog):
     """Phase names and exact instance sequences must match."""
-    assert a.num_phases == b.num_phases
-    for pa, pb in zip(a.phases, b.phases):
-        assert pa.name == pb.name
-        assert pa.instances() == pb.instances()
+    assert oracle.schedule_phases(schedule) == oracle.dataflow_phases(prog)
 
 
 class TestSpaceDifferential:
@@ -49,10 +43,8 @@ class TestSpaceDifferential:
     def test_unified_vectors_bit_identical(self, prog):
         set_space, vec_space = spaces_for(prog)
         assert set_space.unified == vec_space.unified
-        assert np.array_equal(set_space.unified_array, vec_space.unified_array)
-        assert np.array_equal(set_space.stmt_ids, vec_space.stmt_ids)
-        assert set_space.width == vec_space.width
-        assert set_space.positions == vec_space.positions
+        assert vec_space.unified_array.tolist() == [list(u) for u in set_space.unified]
+        assert vec_space.stmt_ids.tolist() == list(set_space.stmt_ids)
 
     @given(prog=loop_programs())
     def test_instances_bit_identical_and_sequential(self, prog):
@@ -67,7 +59,7 @@ class TestSpaceDifferential:
     def test_rd_bit_identical(self, prog):
         set_space, vec_space = spaces_for(prog)
         # FiniteRelation equality is representation-independent, so this
-        # compares the array-built relation against the tuple-built one.
+        # compares the array-built relation against the oracle's tuple pairs.
         assert set_space.rd == vec_space.rd
 
     @given(prog=loop_programs())
@@ -101,17 +93,16 @@ class TestSpaceDifferential:
 class TestScheduleDifferential:
     @given(prog=loop_programs())
     def test_dataflow_branch_engines_bit_identical(self, prog):
-        set_result = dataflow_branch(prog, {}, engine="set")
-        vec_result = dataflow_branch(prog, {}, engine="vector")
-        assert set_result.scheme == vec_result.scheme == "dataflow"
-        assert_schedules_identical(set_result.schedule, vec_result.schedule)
+        result = dataflow_branch(prog, {})
+        assert result.scheme == "dataflow"
+        assert_schedule_matches_oracle(result.schedule, prog)
 
     @given(prog=loop_programs(min_statements=2))
     def test_statement_schedule_validates(self, prog):
         """Array-path statement schedules execute to the sequential result."""
         from repro.runtime.executor import validate_schedule
 
-        result = dataflow_branch(prog, {}, engine="vector")
+        result = dataflow_branch(prog, {})
         space = result.statement_space
         if space is not None:
             assert result.schedule.covers(space.instances)
@@ -136,22 +127,20 @@ class TestPinnedExamples:
         assert set_space.unified == vec_space.unified
         assert set_space.instances == vec_space.instances
         assert set_space.rd == vec_space.rd
-        set_result = dataflow_branch(prog, {}, engine="set")
-        vec_result = dataflow_branch(prog, {}, engine="vector")
-        assert_schedules_identical(set_result.schedule, vec_result.schedule)
+        assert_schedule_matches_oracle(dataflow_branch(prog, {}).schedule, prog)
 
     def test_vector_path_is_array_backed_at_scale(self):
-        """Above the bulk threshold the whole statement level stays in array
-        form: array-backed rd, UnifiedArrayPhase schedule."""
+        """The whole statement level stays in array form: array-backed rd,
+        UnifiedArrayPhase schedule."""
         from repro.core.schedule import UnifiedArrayPhase
         from repro.workloads.synthetic import large_cholesky_nest
 
-        prog = large_cholesky_nest(120)  # 7380 instances > BULK_SIZE_THRESHOLD
-        space = build_statement_space(prog, {}, engine="vector")
+        prog = large_cholesky_nest(120)  # 7380 instances
+        space = build_statement_space(prog, {})
         assert space.rd._pairs is None  # tuple pairs never built
-        schedule = statement_dataflow_schedule("stmt", space, engine="vector")
+        schedule = statement_dataflow_schedule("stmt", space)
         assert all(isinstance(p, UnifiedArrayPhase) for p in schedule.phases)
-        # and the lazy tuple views still agree with the set path
-        set_space = build_statement_space(prog, {}, engine="set")
-        assert set_space.rd == space.rd
-        assert set_space.instances == space.instances
+        # and the lazy tuple views still agree with the oracle
+        expected = oracle.statement_space(prog)
+        assert expected.rd == space.rd
+        assert expected.instances == space.instances

@@ -3,8 +3,8 @@
 Covers the acceptance contract of the facade:
 
 * every paper workload plans successfully through ``plan()`` with the
-  default config, and the chosen strategy matches the historical
-  hand-rolled dispatch (``recurrence_chain_partition``'s two branches);
+  default config, and the chosen strategy matches Algorithm 1's historical
+  dispatch (the recurrence-chain branch where it applies, else dataflow);
 * ``plan()`` output is bit-identical (phase names + instance sequences) to
   the pre-facade entry points, for Algorithm 1 and for all six baselines;
 * cached re-plans return the *identical* ``Plan`` object;
@@ -15,6 +15,7 @@ Covers the acceptance contract of the facade:
 
 import pytest
 
+import oracle
 from repro.baselines import (
     PLPartition,
     doacross_schedule,
@@ -24,8 +25,7 @@ from repro.baselines import (
     tiling_schedule,
     unique_sets_schedule,
 )
-from repro.core import recurrence_chain_partition
-from repro.core.partitioner import PartitioningNotApplicable
+from repro.core.partitioner import PartitioningNotApplicable, dataflow_branch
 from repro.core.strategy import (
     PlanCache,
     PlanConfig,
@@ -42,6 +42,10 @@ from repro.workloads.examples import (
     figure1_loop,
     figure2_loop,
 )
+
+#: Algorithm 1's historical dispatch: recurrence chains where Lemma 1
+#: applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 #: Every paper workload (small sizes) with the strategy the old dispatch chose.
 WORKLOADS = [
@@ -84,7 +88,7 @@ class TestFallbackChain:
         prog = factory()
         p = plan(prog, cache=False)
         assert p.strategy == expected
-        old = recurrence_chain_partition(factory())
+        old = plan(factory(), config=ALGORITHM1, cache=False)
         assert p.scheme == old.scheme
         assert schedule_mismatches(p.schedule, old.schedule) == []
         assert p.validate(seeds=(0,)).ok
@@ -117,7 +121,7 @@ class TestFallbackChain:
         for _, factory, expected in WORKLOADS:
             p = plan(factory(), config=PlanConfig(selector="fixed"), cache=False)
             assert p.strategy == expected
-            old = recurrence_chain_partition(factory())
+            old = plan(factory(), config=ALGORITHM1, cache=False)
             assert schedule_mismatches(p.schedule, old.schedule) == []
             assert p.selection is not None
             assert p.selection.selector == "fixed"
@@ -127,14 +131,11 @@ class TestFallbackChain:
     def test_force_dataflow_skips_chains(self):
         p = plan(
             figure1_loop(10, 10),
-            config=PlanConfig(force_dataflow=True),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
-        assert p.strategy == "dataflow"
-        assert dict(p.skipped)["recurrence-chains"] == (
-            "disabled by PlanConfig(force_dataflow=True)"
-        )
-        old = recurrence_chain_partition(figure1_loop(10, 10), force_dataflow=True)
+        assert p.strategy == "dataflow" and p.skipped == ()
+        old = dataflow_branch(figure1_loop(10, 10))
         assert schedule_mismatches(p.schedule, old.schedule) == []
 
     def test_no_applicable_strategy_raises_with_reasons(self):
@@ -191,33 +192,20 @@ class TestBaselineStrategies:
 
 class TestPlanConfig:
     def test_engine_validation(self):
-        with pytest.raises(ValueError):
-            PlanConfig(engine="banana")
-        with pytest.raises(ValueError):
-            PlanConfig(bulk_size_threshold=0)
+        """Four knobs; the retired engine switches are rejected, not ignored."""
+        from dataclasses import fields
+
+        assert [f.name for f in fields(PlanConfig)] == [
+            "strategies", "selector", "rng_seed", "exec_config",
+        ]
+        for retired in ("engine", "bulk_size_threshold", "force_dataflow"):
+            with pytest.raises(TypeError):
+                PlanConfig(**{retired: None})
 
     def test_engines_produce_identical_schedules(self):
-        set_plan = plan(
-            figure1_loop(10, 10), config=PlanConfig(engine="set"), cache=False
-        )
-        vec_plan = plan(
-            figure1_loop(10, 10), config=PlanConfig(engine="vector"), cache=False
-        )
-        assert schedule_mismatches(set_plan.schedule, vec_plan.schedule) == []
-
-    def test_bulk_threshold_override_is_scoped(self):
-        from repro.isl import relations
-
-        before = relations.BULK_SIZE_THRESHOLD
-        p = plan(
-            figure1_loop(10, 10),
-            config=PlanConfig(bulk_size_threshold=1),
-            cache=False,
-        )
-        # threshold=1 forces the vector engine even on this 100-point space …
-        assert p.partition.array_backed
-        # … and the global constant is restored afterwards.
-        assert relations.BULK_SIZE_THRESHOLD == before
+        prog = figure1_loop(10, 10)
+        p = plan(prog, config=PlanConfig(strategies=("dataflow",)), cache=False)
+        assert oracle.schedule_phases(p.schedule) == oracle.dataflow_phases(prog)
 
     def test_strategy_order_is_honoured(self):
         p = plan(
@@ -341,14 +329,6 @@ class TestPlanExplain:
         ][0]
         assert " in " not in selected
 
-    def test_force_dataflow_reason_appears_in_explain(self):
-        p = plan(
-            figure1_loop(8, 8),
-            config=PlanConfig(force_dataflow=True),
-            cache=False,
-        )
-        assert "disabled by PlanConfig(force_dataflow=True)" in p.explain()
-
 
 class TestPlanCacheLRUBoundaries:
     def test_maxsize_validation(self):
@@ -420,7 +400,7 @@ class TestPlanObject:
     def test_summary_superset_of_old_summary(self):
         prog = figure1_loop(10, 10)
         p = plan(prog, cache=False)
-        old = recurrence_chain_partition(figure1_loop(10, 10)).summary()
+        old = plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False).summary()
         new = p.summary()
         for key, value in old.items():
             assert new[key] == value

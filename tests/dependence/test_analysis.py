@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracle
 from repro.dependence.analysis import DependenceAnalysis, ImperfectNestError
 from repro.workloads.examples import (
     cholesky_loop,
@@ -91,12 +92,13 @@ class TestSummaryErrorHandling:
             analysis.summary()
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            DependenceAnalysis(figure1_loop(6, 6), {}, engine="gpu")
+        # The analysis has one engine; the retired keyword fails loudly.
+        with pytest.raises(TypeError):
+            DependenceAnalysis(figure1_loop(6, 6), {}, engine="set")
 
 
 class TestEngineEquivalence:
-    """engine='set' and engine='vector' must produce identical analyses."""
+    """The array analysis must agree with the brute-force oracle."""
 
     @pytest.mark.parametrize(
         "prog",
@@ -104,17 +106,19 @@ class TestEngineEquivalence:
         ids=lambda p: p.name,
     )
     def test_summaries_identical(self, prog):
-        set_an = DependenceAnalysis(prog, {}, engine="set")
-        vec_an = DependenceAnalysis(prog, {}, engine="vector")
-        assert set_an.summary() == vec_an.summary()
-        assert set_an.iteration_dependences == vec_an.iteration_dependences
-        assert set_an.is_uniform() == vec_an.is_uniform()
+        analysis = DependenceAnalysis(prog, {})
+        rd = oracle.iteration_dependences(prog)
+        uniform = oracle.is_uniform(rd, oracle.space_points(prog))
+        assert analysis.iteration_dependences == rd
+        assert analysis.is_uniform() == uniform
+        summary = analysis.summary()
+        assert summary["n_direct_dependences"] == len(rd)
+        assert summary["uniform"] == uniform
 
     def test_uniform_program_agrees(self):
         from repro.workloads.synthetic import large_uniform_loop
 
         prog = large_uniform_loop(12, 9)
-        set_an = DependenceAnalysis(prog, {}, engine="set")
-        vec_an = DependenceAnalysis(prog, {}, engine="vector")
-        assert set_an.is_uniform() is True
-        assert vec_an.is_uniform() is True
+        rd = oracle.iteration_dependences(prog)
+        assert oracle.is_uniform(rd, oracle.space_points(prog)) is True
+        assert DependenceAnalysis(prog, {}).is_uniform() is True

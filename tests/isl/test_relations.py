@@ -9,19 +9,42 @@ from repro.isl.affine import AffineExpr, var
 from repro.isl.convex import Constraint, ConvexSet
 from repro.isl.lexorder import lex_lt
 from repro.isl.relations import (
-    BULK_SIZE_THRESHOLD,
     ConvexRelation,
     FiniteRelation,
     PointCodec,
     SuccessorIndex,
     UnionRelation,
     in_sorted,
+    lexsort_rows,
 )
 from repro.isl.sets import UnionSet
 
 
 def rel(pairs):
     return FiniteRelation.from_pairs(pairs)
+
+
+#: Coordinates near 0, near ±2**40 (boxes that overflow raw int64 keys) and
+#: anywhere in int64.
+COORDS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**40 - 3, 2**40 + 3),
+    st.integers(-(2**40) - 3, -(2**40) + 3),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@st.composite
+def row_sets(draw):
+    """Random ``(n, dim)`` int64 row sets, a third of them diagonal (every
+    column equal), which makes the raw box of a depth-5 set overflow."""
+    dim = draw(st.integers(1, 5))
+    if draw(st.integers(0, 2)) == 0:
+        rows = [[v] * dim for v in draw(st.lists(COORDS, min_size=1, max_size=20))]
+    else:
+        row = st.lists(COORDS, min_size=dim, max_size=dim)
+        rows = draw(st.lists(row, min_size=1, max_size=30))
+    return np.array(rows, dtype=np.int64)
 
 
 class TestFiniteRelationBasics:
@@ -123,10 +146,44 @@ class TestPointCodec:
         mask = codec.contains(np.array([[1, 1], [4, 0], [-1, 2]], dtype=np.int64))
         assert mask.tolist() == [True, False, False]
 
-    def test_overflow_raises(self):
+    def test_overflowing_box_rank_compresses(self):
+        # A box of 2**80 cells cannot take raw mixed-radix keys; the codec
+        # rank-compresses the columns and stays exact and order-preserving.
         huge = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
-        with pytest.raises(ValueError):
-            PointCodec.for_arrays(huge)
+        codec = PointCodec.for_arrays(huge)
+        assert codec.values is not None
+        keys = codec.encode(huge)
+        assert keys.tolist() == sorted(set(keys.tolist()))
+        assert np.array_equal(codec.decode(keys), huge)
+        probe = np.array([[0, 2**40], [1, 1], [2**40, 0]], dtype=np.int64)
+        assert codec.contains(probe).tolist() == [True, False, True]
+
+    def test_prefix_is_reranked_when_ranks_overflow(self):
+        # A depth-5 diagonal set with 7000 distinct values per column: even
+        # the product of the per-column ranks (7000**5) overflows int64, so
+        # the partial key is re-ranked before the last column.
+        values = np.arange(7000, dtype=np.int64) * 2**27 - 2**39
+        rows = np.repeat(values[::-1, None], 5, axis=1)
+        codec = PointCodec.for_arrays(rows)
+        assert any(table is not None for table in codec.prefixes)
+        keys = codec.encode(rows)
+        assert np.array_equal(np.argsort(keys), lexsort_rows(rows))
+        assert np.array_equal(codec.decode(keys), rows)
+        encoder = codec.scalar_encoder()
+        assert [encoder(r) for r in rows[:50].tolist()] == keys[:50].tolist()
+        assert encoder((values[0], values[1], 0, 0, 0)) is None
+        assert not codec.contains(np.array([[values[0], values[1], 0, 0, 0]])).any()
+
+    @given(row_sets())
+    @settings(max_examples=80)
+    def test_codec_is_an_exact_lexicographic_encoding(self, rows):
+        codec = PointCodec.for_arrays(rows)
+        keys = codec.encode(rows)
+        distinct = np.unique(rows, axis=0)
+        assert len(np.unique(codec.encode(distinct))) == len(distinct)  # injective
+        assert np.array_equal(np.argsort(keys, kind="stable"), lexsort_rows(rows))
+        assert np.array_equal(codec.decode(keys), rows)
+        assert codec.contains(rows).all()
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -195,13 +252,11 @@ class TestArrayBackedRelation:
         assert index.successors((100, 100)) == []
 
     def test_oriented_forward_bulk_matches_scalar(self):
-        n = BULK_SIZE_THRESHOLD + 500
         raw = [
             ((k % 67, (k * 13) % 71), ((k * 7) % 67, (k * 3) % 71))
-            for k in range(n)
+            for k in range(4596)
         ]
         r = rel(raw)
-        assert len(r) >= BULK_SIZE_THRESHOLD  # the bulk branch actually runs
         expected = set()
         for a, b in r.pairs:
             if a == b:
@@ -224,7 +279,7 @@ class TestLazyRelation:
         assert len(r) == 4  # length known without materialising (deduplicated)
         assert not r.is_empty()
         assert r._pairs is None
-        assert ((1, 1), (2, 3)) in r  # set-path access materialises
+        assert ((1, 1), (2, 3)) in r  # a pair query materialises the view
         assert r._pairs is not None
 
     def test_equal_to_set_built_relation(self):

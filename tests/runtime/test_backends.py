@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import recurrence_chain_partition
 from repro.core.strategy import PlanConfig, plan
 from repro.runtime import (
     BackendUnavailable,
@@ -39,6 +38,10 @@ from repro.workloads.examples import (
 )
 from repro.workloads.synthetic import large_cholesky_nest, large_uniform_loop
 
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
+
 EXECUTING_BACKENDS = ("serial", "threaded", "process")
 
 #: (program, PlanConfig) pairs covering unit phases (recurrence chains),
@@ -48,8 +51,8 @@ WORKLOADS = [
     (figure2_loop(16), None),
     (example2_loop(10), None),
     (example3_loop(8), None),
-    (large_uniform_loop(12, 9), PlanConfig(engine="vector", strategies=("dataflow",))),
-    (large_cholesky_nest(14), PlanConfig(engine="vector", strategies=("dataflow",))),
+    (large_uniform_loop(12, 9), PlanConfig(strategies=("dataflow",))),
+    (large_cholesky_nest(14), PlanConfig(strategies=("dataflow",))),
 ]
 
 
@@ -94,7 +97,7 @@ class TestRegistry:
         register_backend(probe)
         try:
             prog = figure1_loop(4, 4)
-            result = recurrence_chain_partition(prog)
+            result = plan(prog, config=ALGORITHM1, cache=False)
             with pytest.raises(BackendUnavailable, match="not on this machine"):
                 execute(prog, result.schedule, {}, backend="always-broken")
         finally:

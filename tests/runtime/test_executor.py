@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ExecutionUnit, ParallelPhase, Schedule, recurrence_chain_partition
+from repro.core import ExecutionUnit, ParallelPhase, PlanConfig, Schedule, plan
 from repro.runtime.executor import (
     execute_schedule,
     execute_sequential,
@@ -11,6 +11,10 @@ from repro.runtime.executor import (
     validate_schedule,
 )
 from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 class TestStore:
@@ -75,7 +79,7 @@ class TestSequentialExecution:
 class TestScheduleExecution:
     def test_valid_schedule_matches_sequential(self):
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
         for seed in (0, 1, 2, 99):
             out = execute_schedule(prog, result.schedule, {}, seed=seed)
@@ -84,7 +88,7 @@ class TestScheduleExecution:
     def test_wrong_order_schedule_detected(self):
         """Executing the phases in reverse order must change the result."""
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         reversed_schedule = Schedule.from_phases(
             "reversed", list(reversed(result.schedule.phases))
         )
@@ -94,7 +98,7 @@ class TestScheduleExecution:
 
     def test_missing_instances_detected_by_validator(self):
         prog = figure2_loop(20)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         truncated = Schedule.from_phases("truncated", result.schedule.phases[:1])
         report = validate_schedule(prog, truncated, {})
         assert not report.covers_all_instances
@@ -102,7 +106,7 @@ class TestScheduleExecution:
 
     def test_validator_passes_correct_schedule(self):
         prog = figure2_loop(20)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         report = validate_schedule(
             prog, result.schedule, {}, dependences=result.analysis.iteration_dependences
         )
@@ -114,7 +118,7 @@ class TestScheduleExecution:
         """A schedule that runs everything in one fully parallel phase violates
         the dependences and (with enough seeds) the semantics check."""
         prog = figure1_loop(10, 12)
-        analysis_result = recurrence_chain_partition(prog)
+        analysis_result = plan(prog, config=ALGORITHM1, cache=False)
         flat = Schedule.from_phases(
             "flat",
             [
@@ -161,7 +165,7 @@ class TestScheduleExecution:
         """End to end: with zero semantic shuffle seeds (arrays vacuously
         match), a dependence-violating schedule still fails validation."""
         prog = figure1_loop(8, 8)
-        analysis_result = recurrence_chain_partition(prog)
+        analysis_result = plan(prog, config=ALGORITHM1, cache=False)
         flat = Schedule.from_phases(
             "flat",
             [
@@ -190,7 +194,7 @@ class TestShuffleRng:
         import random
 
         prog = figure1_loop(8, 8)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         a = execute_schedule(prog, result.schedule, {}, rng=random.Random(42))
         b = execute_schedule(prog, result.schedule, {}, rng=random.Random(42))
         for name in a:
@@ -200,7 +204,7 @@ class TestShuffleRng:
         import random
 
         prog = figure1_loop(8, 8)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         random.seed(1234)
         before = random.getstate()
         execute_schedule(prog, result.schedule, {}, seed=7)
@@ -211,7 +215,7 @@ class TestShuffleRng:
         import random
 
         prog = figure2_loop(16)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         reference = execute_sequential(prog, {})
         for kwargs in ({"seed": 5}, {"rng": random.Random(5)}, {"seed": None}):
             out = execute_schedule(prog, result.schedule, {}, **kwargs)

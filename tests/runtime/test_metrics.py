@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import pdm_schedule, pl_schedule
-from repro.core import recurrence_chain_partition
+from repro.core import PlanConfig, plan
 from repro.dependence import DependenceAnalysis
 from repro.runtime.metrics import (
     SpeedupTable,
@@ -15,9 +15,13 @@ from repro.runtime.simulator import CostModel
 from repro.workloads.examples import figure1_loop
 
 
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
+
+
 class TestScheduleParallelism:
     def test_figure1(self):
-        result = recurrence_chain_partition(figure1_loop(10, 10))
+        result = plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False)
         metrics = schedule_parallelism(result.schedule)
         assert metrics["work"] == 100.0
         assert metrics["phases"] == 3.0
@@ -37,7 +41,7 @@ class TestCompareSchemes:
         prog = figure1_loop(20, 30)
         analysis = DependenceAnalysis(prog, {})
         schedules = {
-            "REC": recurrence_chain_partition(prog).schedule,
+            "REC": plan(prog, config=ALGORITHM1, cache=False).schedule,
             "PDM": pdm_schedule(prog, {}, analysis),
             "PL": pl_schedule(prog, {}, analysis),
         }
@@ -72,7 +76,7 @@ class TestCompareSchemes:
 
     def test_per_scheme_cost_models(self):
         prog = figure1_loop(20, 30)
-        rec = recurrence_chain_partition(prog).schedule
+        rec = plan(prog, config=ALGORITHM1, cache=False).schedule
         cheap = CostModel(instance_cost_factor=0.5)
         table = compare_schemes({"REC": rec}, (1, 2), {"REC": cheap})
         assert table.series["REC"][1] > 1.5  # super-linear due to cost factor

@@ -98,11 +98,11 @@ class TestProcessPool:
             (figure1_loop(8, 8), None),  # unit phases (P1/chains/P3)
             (  # ArrayPhase wavefronts
                 large_uniform_loop(8, 6),
-                PlanConfig(engine="vector", strategies=("dataflow",)),
+                PlanConfig(strategies=("dataflow",)),
             ),
             (  # statement-level UnifiedArrayPhase wavefronts
                 large_cholesky_nest(10),
-                PlanConfig(engine="vector", strategies=("dataflow",)),
+                PlanConfig(strategies=("dataflow",)),
             ),
         ]
         for prog, config in cases:
@@ -162,7 +162,7 @@ class TestProcessBackendStats:
         prog = large_uniform_loop(10, 8)
         p = plan(
             prog,
-            config=PlanConfig(engine="vector", strategies=("dataflow",)),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
         result = execute(prog, p.schedule, {}, backend="process", workers=WORKERS)

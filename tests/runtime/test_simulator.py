@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExecutionUnit, ParallelPhase, Schedule, recurrence_chain_partition
+from repro.core import ExecutionUnit, ParallelPhase, PlanConfig, Schedule, plan
 from repro.runtime.simulator import CostModel, simulate_schedule, speedup_curve
 from repro.workloads.examples import figure1_loop
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 def uniform_schedule(units, work_per_unit=1, phases=1):
@@ -50,7 +54,7 @@ class TestSimulation:
         assert res.speedup <= 3.0 + 1e-9
 
     def test_monotone_in_processors(self):
-        result = recurrence_chain_partition(figure1_loop(20, 40))
+        result = plan(figure1_loop(20, 40), config=ALGORITHM1, cache=False)
         times = [
             simulate_schedule(result.schedule, p).parallel_time for p in (1, 2, 3, 4, 8)
         ]
@@ -101,7 +105,7 @@ class TestSimulation:
 
 class TestSpeedupCurve:
     def test_curve_keys(self):
-        result = recurrence_chain_partition(figure1_loop(15, 20))
+        result = plan(figure1_loop(15, 20), config=ALGORITHM1, cache=False)
         curve = speedup_curve(result.schedule, (1, 2, 4))
         assert set(curve) == {1, 2, 4}
         assert curve[4] >= curve[1]

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import recurrence_chain_partition
+from repro.core import PlanConfig, plan
 from repro.runtime.executor import execute_sequential
 from repro.runtime.threaded import execute_schedule_threaded
 from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
+
+
+#: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 class TestThreadedExecution:
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_matches_sequential(self, n_threads):
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
         run = execute_schedule_threaded(prog, result.schedule, {}, n_threads=n_threads)
         assert np.array_equal(ref["a"], run.store["a"])
@@ -23,7 +27,7 @@ class TestThreadedExecution:
 
     def test_other_examples(self):
         for prog in (figure2_loop(20), example2_loop(12)):
-            result = recurrence_chain_partition(prog)
+            result = plan(prog, config=ALGORITHM1, cache=False)
             ref = execute_sequential(prog, {})
             run = execute_schedule_threaded(prog, result.schedule, {}, n_threads=3)
             for name in ref:
@@ -31,7 +35,7 @@ class TestThreadedExecution:
 
     def test_invalid_thread_count(self):
         prog = figure2_loop(10)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         with pytest.raises(ValueError):
             execute_schedule_threaded(prog, result.schedule, {}, n_threads=0)
 
@@ -41,7 +45,7 @@ class TestThreadedExecution:
         import random
 
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
         for kwargs in ({"seed": 7}, {"rng": random.Random(123)}):
             run = execute_schedule_threaded(
@@ -58,7 +62,7 @@ class TestThreadedExecution:
         prog = large_uniform_loop(12, 9)
         p = plan(
             prog,
-            config=PlanConfig(engine="vector", strategies=("dataflow",)),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
         assert any(isinstance(ph, ArrayPhase) for ph in p.schedule.phases)
@@ -70,7 +74,7 @@ class TestThreadedExecution:
     def test_locked_execution_matches_sequential(self, n_threads):
         """lock_free=False serializes per-array but must not change results."""
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
         run = execute_schedule_threaded(
             prog, result.schedule, {}, n_threads=n_threads, lock_free=False
@@ -93,7 +97,7 @@ class TestLockedPhaseKinds:
         prog = large_uniform_loop(10, 8)
         p = plan(
             prog,
-            config=PlanConfig(engine="vector", strategies=("dataflow",)),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
         assert all(isinstance(ph, ArrayPhase) for ph in p.schedule.phases)
@@ -115,7 +119,7 @@ class TestLockedPhaseKinds:
         prog = large_cholesky_nest(12)
         p = plan(
             prog,
-            config=PlanConfig(engine="vector", strategies=("dataflow",)),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
         assert all(isinstance(ph, UnifiedArrayPhase) for ph in p.schedule.phases)
@@ -132,10 +136,10 @@ class TestLockedPhaseKinds:
         (locks acquired in sorted name order, no deadlock)."""
         from repro.workloads.examples import example3_loop
 
-        prog = example3_loop(10)
-        from repro.core.partitioner import dataflow_branch
+        import oracle
 
-        schedule = dataflow_branch(prog, {}, engine="set").schedule
+        prog = example3_loop(10)
+        schedule = oracle.unit_schedule(prog)
         ref = execute_sequential(prog, {})
         run = execute_schedule_threaded(
             prog, schedule, {}, n_threads=4, lock_free=False, seed=5

@@ -30,7 +30,7 @@ needs_process = pytest.mark.skipif(
 #: generated programs by the statement-level differential suite — the same
 #: footing ``tests/runtime/test_backend_differential.py`` stands on, so the
 #: property under test here is the *serving transport*, not the planner.
-DATAFLOW = PlanConfig(engine="vector", strategies=("dataflow",))
+DATAFLOW = PlanConfig(strategies=("dataflow",))
 
 
 def _served_matches_direct(srv, prog, backend, workers=2, params=None):

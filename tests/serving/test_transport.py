@@ -11,6 +11,8 @@ segments even while clients hold open sockets.
 """
 
 import glob
+import os
+import socket
 import threading
 import time
 
@@ -27,7 +29,9 @@ from repro.serving.transport import (
     RemoteServingError,
     TransportClient,
     TransportServer,
+    wire,
 )
+from repro.serving.transport.wire import FrameKind
 from repro.workloads.examples import (
     cholesky_loop,
     example2_loop,
@@ -44,7 +48,7 @@ needs_process = pytest.mark.skipif(
 #: Same footing as tests/serving/test_serving_differential.py: the dataflow
 #: strategy is pinned valid on generated programs, so what is under test
 #: here is the *wire*, not the planner.
-DATAFLOW = PlanConfig(engine="vector", strategies=("dataflow",))
+DATAFLOW = PlanConfig(strategies=("dataflow",))
 
 
 def _dev_shm():
@@ -328,3 +332,71 @@ class TestShutdown:
         ts.close()
         ts.close()  # idempotent
         assert ts.stats()["connections_total"] == 1
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.time() + timeout
+    while not predicate() and time.time() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [1, 2, 3],
+            {"request_id": "r", "arrays": [{"name": "x"}]},
+            {"request_id": "r", "arrays": [{"name": "x", "nbytes": 2**40}]},
+            {"request_id": "r", "arrays": [{"name": "x", "nbytes": -1}]},
+        ],
+        ids=["list-header", "missing-nbytes", "one-tebibyte", "negative-nbytes"],
+    )
+    def test_malformed_header_gets_error_frame_and_others_are_served(self, header):
+        prog = figure1_loop(6, 6)
+        with TransportServer() as ts:
+            host, port = ts.address
+            with TransportClient(host, port) as bystander:
+                with socket.create_connection((host, port), timeout=10) as raw:
+                    out, inp = raw.makefile("wb"), raw.makefile("rb")
+                    wire.write_frame(out, FrameKind.REQUEST, header)
+                    kind, reply, _ = wire.read_frame(inp)
+                    assert kind == FrameKind.ERROR
+                    assert reply["error_type"] == "WireError"
+                    with pytest.raises(EOFError):
+                        wire.read_frame(inp)  # the server hung up
+                    out.close(), inp.close()
+                served = bystander.request(prog, config=DATAFLOW, timeout=60)
+                ref = execute_sequential(prog, {})
+                for name in ref:
+                    assert np.array_equal(ref[name], served.result.store[name])
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count fds"
+)
+class TestConnectionReaping:
+    def test_short_lived_clients_leave_fds_and_connections_flat(self):
+        """200 sequential clients, each sending one request and hanging up:
+        every finished connection is reaped, not held until close()."""
+        prog = figure1_loop(4, 4)
+        with TransportServer() as ts:
+            host, port = ts.address
+            with TransportClient(host, port) as warm:  # first-use imports, caches
+                warm.request(prog, config=DATAFLOW, timeout=60)
+            assert _wait_until(lambda: not ts._connections)
+            fds = _open_fds()
+            for _ in range(200):
+                with TransportClient(host, port) as client:
+                    client.request(prog, config=DATAFLOW, timeout=60)
+            assert _wait_until(lambda: not ts._connections), (
+                f"{len(ts._connections)} finished connections were not reaped"
+            )
+            assert _wait_until(lambda: _open_fds() <= fds), (
+                f"open fds grew from {fds} to {_open_fds()}"
+            )
+            assert ts.stats()["connections_total"] == 201

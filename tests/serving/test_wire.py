@@ -83,6 +83,66 @@ class TestFraming:
         with pytest.raises(WireError, match="payload is"):
             wire.arrays_from_payloads(specs, [b"\x00" * 8])
 
+    def test_protocol_version_two_rejects_version_one_frames(self):
+        assert wire.PROTOCOL_VERSION == 2
+        buf = io.BytesIO()
+        wire.write_frame(buf, FrameKind.REQUEST, {"arrays": []})
+        raw = bytearray(buf.getvalue())
+        struct.pack_into(">H", raw, 4, 1)
+        with pytest.raises(ProtocolVersionMismatch):
+            wire.read_frame(io.BytesIO(bytes(raw)))
+
+
+class _NoRead(io.BytesIO):
+    """A stream that fails the test if a payload read is attempted."""
+
+    def __init__(self, frame: bytes):
+        super().__init__(frame)
+        self.header_end = len(frame)
+
+    def read(self, n=-1):
+        if self.tell() >= self.header_end:
+            raise AssertionError("read_frame read past the header")
+        return super().read(n)
+
+
+class TestHeaderValidation:
+    """read_frame checks the framing schema before reading any payload."""
+
+    def _frame(self, header) -> bytes:
+        buf = io.BytesIO()
+        wire.write_frame(buf, FrameKind.REQUEST, header)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            ([1, 2, 3], "JSON object"),
+            ("request", "JSON object"),
+            ({"arrays": {"x": 8}}, "must be a list"),
+            ({"arrays": ["x"]}, "nbytes"),
+            ({"arrays": [{"name": "x", "dtype": "<f8", "shape": [1]}]}, "nbytes"),
+            ({"arrays": [{"name": "x", "nbytes": -8}]}, "nbytes"),
+            ({"arrays": [{"name": "x", "nbytes": 1.5}]}, "nbytes"),
+            ({"arrays": [{"name": "x", "nbytes": "8"}]}, "nbytes"),
+            ({"arrays": [{"name": "x", "nbytes": True}]}, "nbytes"),
+            ({"arrays": [{"name": "x", "nbytes": 2**40}]}, "bound"),
+            ({"arrays": [{"nbytes": wire.MAX_PAYLOAD_BYTES}, {"nbytes": 1}]}, "bound"),
+        ],
+        ids=[
+            "list-header", "string-header", "arrays-not-list", "spec-not-object",
+            "missing-nbytes", "negative-nbytes", "float-nbytes", "string-nbytes",
+            "bool-nbytes", "one-tebibyte", "total-over-bound",
+        ],
+    )
+    def test_malformed_header_is_a_wire_error(self, header, match):
+        with pytest.raises(WireError, match=match):
+            wire.read_frame(_NoRead(self._frame(header)))
+
+    def test_header_without_arrays_has_no_payloads(self):
+        kind, header, payloads = _roundtrip(FrameKind.ERROR, {"request_id": "r"})
+        assert (kind, header, payloads) == (FrameKind.ERROR, {"request_id": "r"}, [])
+
 
 class TestArrayRoundTrip:
     @pytest.mark.parametrize(
@@ -175,7 +235,6 @@ class TestConfigMarshalling:
             None,
             PlanConfig(),
             PlanConfig(
-                engine="vector",
                 strategies=("dataflow",),
                 selector="fixed",
                 rng_seed=None,
@@ -186,6 +245,11 @@ class TestConfigMarshalling:
     )
     def test_plan_config_roundtrip(self, cfg):
         assert wire.plan_config_from_dict(wire.plan_config_to_dict(cfg)) == cfg
+
+    def test_plan_config_carries_only_the_four_knobs(self):
+        assert sorted(wire.plan_config_to_dict(PlanConfig())) == [
+            "exec_config", "rng_seed", "selector", "strategies",
+        ]
 
     @pytest.mark.parametrize(
         "cfg",

@@ -4,7 +4,7 @@ The differential test modules need a stream of loop programs covering the
 shapes the statement-level extension (§3.3) must handle — 1–3 statements,
 nesting depth ≤ 3, statements at any level (imperfect nests), rectangular
 *and* triangular bounds, affine subscripts with negative coefficients — while
-staying small enough that the exact analyser and both partitioning engines
+staying small enough that the exact analyser, the partitioners and the oracle
 run in milliseconds per example.
 
 Design constraints baked into the generator:
