@@ -120,12 +120,7 @@ report the warm paths they rode:
 >>> all((warm.result.store[a] == serial.store[a]).all() for a in warm.result.store)
 True
 
-Plans execute (``p.execute(threads=4)`` for the GIL-bound thread pool) and
-generate source (``p.codegen(target="python")``); the historical entry
-points — the per-scheme ``*_schedule`` functions,
-``repro.runtime.execute_schedule`` and
-``repro.runtime.execute_schedule_threaded`` — remain as thin shims over the
-same machinery.
+Plans also generate source (``p.codegen(target="python")``).
 """
 
 from . import (

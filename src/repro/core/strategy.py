@@ -30,7 +30,7 @@ This module puts one compiler-style facade in front of all of them:
   executor's shuffle seed and its default execution config;
 * :class:`Plan` is the single result object — schedule, partition/chain/
   statement-space diagnostics, chosen strategy, per-strategy timings — with
-  ``.execute(threads=…)``, ``.validate()`` and ``.codegen(target=…)``
+  ``.execute(backend=…)``, ``.validate()`` and ``.codegen(target=…)``
   delegating to :mod:`repro.runtime` / :mod:`repro.codegen`;
 * an LRU :class:`PlanCache` keyed by ``(program fingerprint, params,
   config)`` makes repeated requests for the same loop nest (the serving
@@ -142,9 +142,8 @@ class PlanConfig:
         Default :class:`~repro.runtime.backends.ExecConfig` for
         :meth:`Plan.execute`: when set, a bare ``plan.execute()`` runs
         through the execution-backend registry (``serial`` / ``threaded`` /
-        ``process`` / ``simulated``) with these knobs and returns the
-        unified :class:`~repro.runtime.backends.RunResult`.  ``None`` keeps
-        the historical behaviour (bare store / :class:`ThreadedRun`).
+        ``process`` / ``simulated``) with these knobs.  ``None`` means the
+        serial backend shuffled by ``rng_seed``.
     """
 
     strategies: Optional[Tuple[str, ...]] = None
@@ -835,7 +834,6 @@ class Plan:
 
     def execute(
         self,
-        threads: Optional[int] = None,
         store=None,
         seed=_UNSET,
         rng=None,
@@ -843,69 +841,34 @@ class Plan:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
     ):
-        """Run the plan's schedule over concrete arrays.
+        """Run the plan's schedule over concrete arrays through the
+        execution-backend registry (:mod:`repro.runtime.backends`); returns
+        the unified :class:`~repro.runtime.backends.RunResult`.
 
-        Three entry styles, newest first:
-
-        * ``backend="serial" | "threaded" | "process" | "simulated"`` (plus
-          ``workers=k``) runs through the execution-backend registry
-          (:mod:`repro.runtime.backends`) and returns the unified
-          :class:`~repro.runtime.backends.RunResult` —
-          ``plan(...).execute(backend="process", workers=4)`` is the
-          multi-core path;
-        * a :class:`PlanConfig` carrying ``exec_config`` makes a bare
-          ``execute()`` take the same registry path with those defaults
-          (``backend=`` / ``workers=`` still override per call);
-        * historically, ``threads=None`` uses the shuffled single-thread
-          executor and returns the bare array store, while ``threads=k``
-          uses the thread pool and returns a
-          :class:`~repro.runtime.threaded.ThreadedRun` — both preserved
-          verbatim for existing callers.
-
-        ``seed`` defaults to ``config.rng_seed`` (or the ``exec_config``'s
-        seed when one is set); pass ``seed=None`` (and no ``rng``) to
-        disable intra-phase shuffling.
+        The defaults come from ``config.exec_config`` — or, when that is
+        ``None``, the ``serial`` backend shuffled by ``config.rng_seed``.
+        ``backend=`` / ``workers=`` / ``seed=`` / ``lock_free=False``
+        override them per call: ``plan(...).execute(backend="process",
+        workers=4)`` is the multi-core path.  Pass ``seed=None`` (and no
+        ``rng``) to disable intra-phase shuffling.
         """
-        if backend is not None or (
-            self.config.exec_config is not None and threads is None
-        ):
-            from dataclasses import replace
+        from ..runtime.backends import execute
 
-            from ..runtime.backends import execute
-
-            base = self.config.exec_config
-            if base is None:
-                base = ExecConfig(seed=self.config.rng_seed)
-            overrides = {}
-            if backend is not None:
-                overrides["backend"] = backend
-            if workers is not None:
-                overrides["workers"] = workers
-            elif threads is not None:
-                overrides["workers"] = threads
-            if seed is not Plan._UNSET:
-                overrides["seed"] = seed
-            if not lock_free:
-                overrides["lock_free"] = False
-            cfg = replace(base, **overrides) if overrides else base
-            return execute(
-                self.program, self.schedule, self.params, store=store,
-                config=cfg, rng=rng,
-            )
-
-        from ..runtime.executor import execute_schedule
-        from ..runtime.threaded import execute_schedule_threaded
-
-        if seed is Plan._UNSET:
-            seed = self.config.rng_seed
-        if threads is None:
-            return execute_schedule(
-                self.program, self.schedule, self.params, store=store,
-                seed=seed, rng=rng,
-            )
-        return execute_schedule_threaded(
-            self.program, self.schedule, self.params, n_threads=threads,
-            store=store, lock_free=lock_free, seed=seed, rng=rng,
+        base = self.config.exec_config
+        if base is None:
+            base = ExecConfig(seed=self.config.rng_seed)
+        overrides = {}
+        if backend is not None:
+            overrides["backend"] = backend
+        if workers is not None:
+            overrides["workers"] = workers
+        if seed is not Plan._UNSET:
+            overrides["seed"] = seed
+        if not lock_free:
+            overrides["lock_free"] = False
+        return execute(
+            self.program, self.schedule, self.params, store=store,
+            config=base, rng=rng, **overrides,
         )
 
     def validate(self, seeds: Sequence[int] = (0, 1, 2)):

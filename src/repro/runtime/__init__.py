@@ -2,12 +2,12 @@
 
 * :mod:`repro.runtime.backends` — the **execution-backend registry**: one
   :func:`~repro.runtime.backends.execute` entry point over the registered
-  ``serial`` / ``threaded`` / ``process`` / ``simulated`` backends, all
-  returning a unified :class:`~repro.runtime.backends.RunResult`;
+  ``serial`` / ``threaded`` / ``process`` / ``simulated`` / ``compiled``
+  backends, all returning a unified
+  :class:`~repro.runtime.backends.RunResult`;
 * :mod:`repro.runtime.executor` — sequential reference execution, exact
-  semantic validation, and the historical ``execute_schedule`` shim;
-* :mod:`repro.runtime.threaded` — the thread-pool backend (correctness under
-  true concurrency) and the historical ``execute_schedule_threaded`` shim;
+  semantic validation, and the one phase lowering and interpreter loop that
+  ``serial`` (inline), ``threaded`` (a thread pool) and ``process`` share;
 * :mod:`repro.runtime.process` / :mod:`repro.runtime.shm` — the
   shared-memory process pool: arrays in one ``multiprocessing.shared_memory``
   segment, attach-once workers, phase barriers — wall-clock speedups on
@@ -34,7 +34,6 @@ from .backends import (
 from .executor import (
     ArrayStore,
     ValidationReport,
-    execute_schedule,
     execute_sequential,
     make_store,
     validate_schedule,
@@ -48,13 +47,11 @@ from .metrics import (
     schedule_parallelism,
 )
 from .simulator import CostModel, SimulationResult, simulate_schedule, speedup_curve
-from .threaded import ThreadedRun, execute_schedule_threaded
 
 __all__ = [
     "ArrayStore",
     "make_store",
     "execute_sequential",
-    "execute_schedule",
     "validate_schedule",
     "ValidationReport",
     "execute",
@@ -67,8 +64,6 @@ __all__ = [
     "get_backend",
     "backend_names",
     "backend_table",
-    "execute_schedule_threaded",
-    "ThreadedRun",
     "CostModel",
     "SimulationResult",
     "simulate_schedule",

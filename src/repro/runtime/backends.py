@@ -1,30 +1,25 @@
 """The execution-backend registry: one entry point for running schedules.
 
 Symmetric to the planning side's :class:`~repro.core.strategy.PartitionStrategy`
-registry: where ``plan()`` put one facade in front of eight partitioning
+registry: where ``plan()`` puts one facade in front of the partitioning
 schemes, this module puts one facade in front of the runtime's executors.
-Historically execution was three divergent entry points with inconsistent
-signatures — ``execute_sequential`` / ``execute_schedule`` (returning a bare
-store, shuffle seed defaulting to ``0``) / ``execute_schedule_threaded``
-(returning a :class:`~repro.runtime.threaded.ThreadedRun`, seed defaulting to
-``None``) — plus the cost-model simulator off to the side.  Now every way of
-running a schedule is an :class:`ExecutionBackend` in a registry, takes the
-same ``(program, schedule, params, store, ExecConfig)`` inputs and returns
-the same :class:`RunResult` (final store + per-phase instance/worker/timing
-counters):
+Every way of running a schedule is an :class:`ExecutionBackend` in a
+registry, takes the same ``(program, schedule, params, store, ExecConfig)``
+inputs and returns the same :class:`RunResult` (final store + per-phase
+instance/worker/timing counters):
 
 ``serial``
-    the shuffled single-process reference executor (the old
-    ``execute_schedule`` loop);
+    the shuffled single-process reference executor;
 ``threaded``
-    the real thread pool with phase barriers — correctness under true
-    concurrency, GIL-bound for speed;
+    a real thread pool with phase barriers — correctness under true
+    concurrency, GIL-bound for speed; ``lock_free=False`` adds per-array
+    locks for schedules of unvalidated provenance;
 ``process``
     the ``multiprocessing.shared_memory`` worker pool
     (:mod:`repro.runtime.process`): arrays live in one shared segment,
-    workers attach once and receive strided row slices, phases end in real
-    barriers — the backend that turns partition schedules into wall-clock
-    speedups on multi-core hosts;
+    workers attach once and receive their slices of each phase, phases end
+    in real barriers — the backend that turns partition schedules into
+    wall-clock speedups on multi-core hosts;
 ``simulated``
     the deterministic SMP cost model (no arrays are touched;
     ``RunResult.store`` is ``None`` and the speedup lands in ``meta``);
@@ -35,7 +30,12 @@ counters):
     plan fingerprint — schedules without a kernel fall back to ``serial``
     with the reason recorded in ``RunResult.meta``.
 
-The historical entry points live on as thin shims over the registry, and
+``serial``, ``threaded`` and ``process`` differ only in transport: each
+phase is lowered once (:func:`~repro.runtime.executor.lower_phase`), its
+units shuffled and dealt round-robin
+(:func:`~repro.runtime.executor.split_phase`), and every slice runs through
+the one interpreter loop (:func:`~repro.runtime.executor.run_instances`) —
+inline, on a ``ThreadPoolExecutor``, or in the shared-memory workers.
 :meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
 the same registry through the planning facade.  Third-party executors (a GPU
 runner, a free-threaded pool) plug in via :func:`register_backend` without
@@ -45,15 +45,17 @@ touching any call site.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..core.schedule import ArrayPhase, Schedule, UnifiedArrayPhase
-from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
+from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
-from .executor import ArrayStore, _execute_instance, make_store
+from .executor import ArrayStore, lower_phase, make_store, run_instances, split_phase
 from .simulator import CostModel, simulate_schedule
 
 __all__ = [
@@ -91,10 +93,8 @@ class ExecConfig:
         Thread/process/processor count for the parallel backends; the serial
         backend ignores it.
     ``seed``
-        Intra-phase shuffle seed (``None`` disables shuffling).  One default
-        (``0``) for every backend — the historical executors disagreed
-        (``execute_schedule`` shuffled by default, the threaded entry point
-        did not); the shims preserve their old defaults.
+        Intra-phase shuffle seed (``None`` disables shuffling); one default
+        (``0``) for every backend.
     ``lock_free``
         Threaded backend only: ``False`` adds per-array locks around each
         instance.  The process backend rejects ``False`` (cross-process
@@ -118,8 +118,12 @@ class ExecConfig:
     def __post_init__(self):
         if not isinstance(self.backend, str) or not self.backend:
             raise ValueError("backend must be a non-empty registry name")
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
+            raise TypeError(f"workers must be an int, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed is not None and not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an int or None, got {self.seed!r}")
         if self.mp_context not in _MP_CONTEXTS:
             raise ValueError(
                 f"unknown mp_context {self.mp_context!r}; use one of {_MP_CONTEXTS}"
@@ -141,8 +145,8 @@ class PhaseStats:
 class RunResult:
     """The unified result of executing a schedule through any backend.
 
-    Supersedes :class:`~repro.runtime.threaded.ThreadedRun`: the final store
-    plus per-phase instance/worker/timing counters, the same shape whether
+    The final store plus per-phase instance/worker/timing counters, the
+    same shape whether
     the run was serial, threaded, multi-process or simulated (a simulated
     run's ``store`` is ``None`` — nothing was executed).  Feed it to
     :func:`repro.runtime.metrics.run_metrics` /
@@ -269,7 +273,7 @@ def execute(
     are applied on top via :func:`dataclasses.replace`, so one-off calls
     don't need to build a config — ``execute(prog, sched, backend="process",
     workers=4)``.  ``rng`` supplies a caller-owned shuffle generator
-    (overrides ``seed``), mirroring the historical executors.
+    (overrides ``seed``).
 
     ``pool`` injects a live :class:`~repro.runtime.process.ProcessPool`
     (``backend="process"`` only): the run attaches a fresh shared store to
@@ -317,6 +321,35 @@ def _resolve_rng(
 # ---------------------------------------------------------------------------
 
 
+def _phase_stats(schedule: Schedule, run_phase) -> Tuple[PhaseStats, ...]:
+    """Run the phases in order; ``run_phase(phase) -> (instances, tasks)``
+    returns only once every task of the phase finished — the barrier."""
+    stats = []
+    for phase in schedule.phases:
+        t0 = time.perf_counter()
+        executed, tasks = run_phase(phase)
+        stats.append(
+            PhaseStats(phase.name, executed, len(phase), tasks, time.perf_counter() - t0)
+        )
+    return tuple(stats)
+
+
+def _run_local(program, schedule, store, rng, workers, map_tasks, locks=None):
+    """Phase stats for an in-process transport: ``map_tasks`` is ``map``
+    (inline) or a thread pool's ``map``."""
+    contexts = program.statement_contexts()
+    label_ids = {ctx.statement.label: i for i, ctx in enumerate(contexts)}
+
+    def run_task(task) -> int:
+        return run_instances(contexts, task[0], task[1], store, locks)
+
+    def run_phase(phase):
+        tasks = split_phase(lower_phase(phase, label_ids), workers, rng)
+        return sum(map_tasks(run_task, tasks)), len(tasks)
+
+    return _phase_stats(schedule, run_phase)
+
+
 def _serial_runner(
     program: LoopProgram,
     schedule: Schedule,
@@ -327,81 +360,13 @@ def _serial_runner(
 ) -> RunResult:
     """The reference executor: one process, phases in order, units shuffled."""
     store = store if store is not None else make_store(program)
-    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
-    rng = _resolve_rng(config, rng)
-    stats: List[PhaseStats] = []
     t_run = time.perf_counter()
-    for phase in schedule.phases:
-        t0 = time.perf_counter()
-        if isinstance(phase, ArrayPhase):
-            ctx = contexts[phase.label]
-            rows = phase.points.tolist()
-            if rng is not None:
-                rng.shuffle(rows)
-            stmt, index_names = ctx.statement, ctx.index_names
-            for row in rows:
-                _execute_instance(stmt, row, index_names, store)
-            executed = len(rows)
-        elif isinstance(phase, UnifiedArrayPhase):
-            # Statement-level array phases: rows are unified index vectors;
-            # the iteration vector is the odd columns up to the statement's
-            # depth — executed directly, no unit objects.
-            stmts = [contexts[label] for label in phase.labels]
-            depths = phase.depths
-            entries = list(zip(phase.stmt_ids.tolist(), phase.rows.tolist()))
-            if rng is not None:
-                rng.shuffle(entries)
-            for sid, row in entries:
-                ctx = stmts[sid]
-                _execute_instance(
-                    ctx.statement, row[1 : 2 * depths[sid] : 2],
-                    ctx.index_names, store,
-                )
-            executed = len(entries)
-        elif isinstance(phase, SymbolicDoallPhase):
-            # Symbolic box phases: enumerate the boxes directly instead of
-            # building one ExecutionUnit per point.
-            ctx = contexts[phase.label]
-            rows = phase.points_array().tolist()
-            if rng is not None:
-                rng.shuffle(rows)
-            stmt, index_names = ctx.statement, ctx.index_names
-            for row in rows:
-                _execute_instance(stmt, row, index_names, store)
-            executed = len(rows)
-        elif isinstance(phase, CosetChainPhase):
-            ctx = contexts[phase.label]
-            stmt, index_names = ctx.statement, ctx.index_names
-            starts, lens = phase.chains()
-            chains = list(zip(starts.tolist(), lens.tolist()))
-            if rng is not None:
-                rng.shuffle(chains)
-            step = phase.step
-            executed = 0
-            for start, length in chains:
-                point = list(start)
-                for _ in range(length):
-                    _execute_instance(stmt, point, index_names, store)
-                    point = [c + s for c, s in zip(point, step)]
-                executed += length
-        else:
-            units = list(phase.units)
-            if rng is not None:
-                rng.shuffle(units)
-            executed = 0
-            for unit in units:
-                for label, iteration in unit.instances:
-                    ctx = contexts[label]
-                    _execute_instance(ctx.statement, iteration, ctx.index_names, store)
-                    executed += 1
-        stats.append(
-            PhaseStats(phase.name, executed, len(phase), 1, time.perf_counter() - t0)
-        )
+    stats = _run_local(program, schedule, store, _resolve_rng(config, rng), 1, map)
     return RunResult(
         store=store,
         backend="serial",
         workers=1,
-        phase_stats=tuple(stats),
+        phase_stats=stats,
         elapsed_s=time.perf_counter() - t_run,
     )
 
@@ -414,9 +379,31 @@ def _threaded_runner(
     config: ExecConfig,
     rng: Optional[random.Random],
 ) -> RunResult:
-    from .threaded import _run_schedule_threaded
-
-    return _run_schedule_threaded(program, schedule, params, store, config, rng)
+    """A real thread pool: each phase's units round-robin over the threads,
+    a barrier between phases.  With ``lock_free=False`` every instance holds
+    the locks of the arrays it touches."""
+    store = store if store is not None else make_store(program)
+    locks = None
+    if not config.lock_free:
+        by_array = {name: threading.Lock() for name in store}
+        locks = [
+            tuple(by_array[a] for a in sorted({r.array for r in ctx.statement.references()}))
+            for ctx in program.statement_contexts()
+        ]
+    t_run = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        stats = _run_local(
+            program, schedule, store, _resolve_rng(config, rng), config.workers,
+            pool.map, locks,
+        )
+    return RunResult(
+        store=store,
+        backend="threaded",
+        workers=config.workers,
+        phase_stats=stats,
+        elapsed_s=time.perf_counter() - t_run,
+        meta={"lock_free": config.lock_free},
+    )
 
 
 def _process_runner(
@@ -438,59 +425,30 @@ def _process_runner(
         )
     store = store if store is not None else make_store(program)
     rng = _resolve_rng(config, rng)
-    stats: List[PhaseStats] = []
+    meta = {} if pool is None else {"pool": "injected"}
     t_run = time.perf_counter()
-
-    if pool is not None:
-        # Warm path: the caller owns a running pool; this run only ships a
-        # fresh descriptor table and the phase slices.  detach_store() in the
-        # finally destroys the per-request segment even on a worker crash.
-        pool.attach_store(store)
-        try:
-            for phase in schedule.phases:
-                t0 = time.perf_counter()
-                executed, tasks = pool.run_phase(phase, rng)
-                stats.append(
-                    PhaseStats(
-                        phase.name, executed, len(phase), tasks,
-                        time.perf_counter() - t0,
-                    )
-                )
-            pool.copy_out(store)
-        finally:
-            pool.detach_store()
-        return RunResult(
-            store=store,
-            backend="process",
-            workers=pool.workers,
-            phase_stats=tuple(stats),
-            elapsed_s=time.perf_counter() - t_run,
-            meta={"start_method": pool.start_method, "pool": "injected"},
-        )
-
+    # An injected pool is the serving daemon's warm path: the caller owns
+    # the running workers and this run only ships a fresh descriptor table
+    # and the phase slices.  detach_store() in the finally destroys the
+    # per-run segment even on a worker crash.
     with ProcessPool(
-        program, store, workers=config.workers, mp_context=config.mp_context
-    ) as owned:
-        start_method = owned.start_method
-        for phase in schedule.phases:
-            t0 = time.perf_counter()
-            executed, tasks = owned.run_phase(phase, rng)
-            stats.append(
-                PhaseStats(
-                    phase.name, executed, len(phase), tasks,
-                    time.perf_counter() - t0,
-                )
-            )
-        # The shared segment is authoritative; fill the caller's store so the
-        # mutate-in-place contract matches every other backend.
-        owned.copy_out(store)
+        program, workers=config.workers, mp_context=config.mp_context
+    ) if pool is None else nullcontext(pool) as live:
+        live.attach_store(store)
+        try:
+            stats = _phase_stats(schedule, lambda phase: live.run_phase(phase, rng))
+            # The shared segment is authoritative; fill the caller's store so
+            # the mutate-in-place contract matches every other backend.
+            live.copy_out(store)
+        finally:
+            live.detach_store()
     return RunResult(
         store=store,
         backend="process",
-        workers=config.workers,
-        phase_stats=tuple(stats),
+        workers=live.workers,
+        phase_stats=stats,
         elapsed_s=time.perf_counter() - t_run,
-        meta={"start_method": start_method},
+        meta={"start_method": live.start_method, **meta},
     )
 
 

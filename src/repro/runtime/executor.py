@@ -1,18 +1,16 @@
 """Executing loop programs and schedules over concrete numpy arrays.
 
-Two executors are provided:
-
 * :func:`execute_sequential` — runs the program in original sequential order;
   this is the semantic ground truth.
-* :func:`execute_schedule` — runs a partitioned :class:`~repro.core.schedule.Schedule`,
-  phase by phase.  Units inside a phase are executed in an arbitrary
-  (deliberately shuffled) order to emulate concurrent execution: if the
-  schedule is only correct under some lucky intra-phase ordering, shuffling
-  exposes the bug.  Instances inside a unit keep their order (a WHILE chain is
-  sequential by construction).  Since the backend registry landed this is a
-  shim over the registered ``serial`` backend (see
-  :mod:`repro.runtime.backends`); the threaded, process-pool and simulated
-  executors live behind the same registry.
+* :func:`lower_phase` / :func:`split_phase` / :func:`run_instances` — the one
+  way a schedule phase is executed, shared by the ``serial``, ``threaded``
+  and ``process`` backends of :mod:`repro.runtime.backends`.  Every phase
+  kind lowers once into flat ``(stmt_ids, iters, unit_offsets)`` arrays; its
+  units are shuffled (to emulate an arbitrary interleaving: a schedule that
+  is only correct under some lucky intra-phase order is exposed) and dealt
+  round-robin to the workers; each worker's slice runs through one
+  interpreter loop.  Instances inside a unit keep their order (a WHILE chain
+  is sequential by construction).
 
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so
@@ -23,12 +21,14 @@ by :func:`validate_schedule`.
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.schedule import Schedule
+from ..core.schedule import ArrayPhase, Schedule, UnifiedArrayPhase
+from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
 from ..ir.nodes import Statement
 from ..ir.program import LoopProgram
 from ..ir.semantics import DEFAULT_SEMANTICS
@@ -37,7 +37,9 @@ __all__ = [
     "ArrayStore",
     "make_store",
     "execute_sequential",
-    "execute_schedule",
+    "lower_phase",
+    "split_phase",
+    "run_instances",
     "validate_schedule",
     "ValidationReport",
 ]
@@ -81,9 +83,10 @@ def _execute_instance_env(stmt: Statement, env: Mapping[str, int], store: ArrayS
     """Run one statement instance against a prebuilt environment: gather
     reads, compute, store through writes.
 
-    The single definition of statement dispatch — the serial, threaded and
-    process backends all execute through this body (the differential harness
-    pins them bit-identical, which only holds while they share it).
+    The single definition of statement dispatch: :func:`execute_sequential`
+    and :func:`run_instances` (hence every executing backend) run this body
+    (the differential harness pins them bit-identical, which only holds
+    while they share it).
     """
     read_values = []
     for ref in stmt.reads:
@@ -96,16 +99,6 @@ def _execute_instance_env(stmt: Statement, env: Mapping[str, int], store: ArrayS
         store[ref.array][idx] = int(value)
 
 
-def _execute_instance(
-    stmt: Statement,
-    iteration: Sequence[int],
-    index_names: Sequence[str],
-    store: ArrayStore,
-) -> None:
-    """Run one statement instance from its iteration vector."""
-    _execute_instance_env(stmt, dict(zip(index_names, iteration)), store)
-
-
 def execute_sequential(
     program: LoopProgram,
     params: Mapping[str, int],
@@ -116,43 +109,124 @@ def execute_sequential(
     contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
     for label, iteration in program.sequential_iterations(params):
         ctx = contexts[label]
-        _execute_instance(ctx.statement, iteration, ctx.index_names, store)
+        _execute_instance_env(
+            ctx.statement, dict(zip(ctx.index_names, iteration)), store
+        )
     return store
 
 
-def execute_schedule(
-    program: LoopProgram,
-    schedule: Schedule,
-    params: Mapping[str, int] | None = None,
-    store: Optional[ArrayStore] = None,
-    seed: Optional[int] = 0,
-    rng: Optional[random.Random] = None,
-) -> ArrayStore:
-    """Run a partitioned schedule phase by phase; returns the final store.
+#: One phase lowered for execution: ``(stmt_ids, iters, unit_offsets)``.
+#: ``stmt_ids`` indexes ``program.statement_contexts()``; row ``k`` of the
+#: ``(n, width)`` int64 ``iters`` is that statement's iteration vector (padded
+#: past its depth); ``unit_offsets`` delimits the units CSR-style, ``None``
+#: meaning one instance per unit.
+Lowered = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
-    A thin shim over the ``serial`` backend of the
-    :mod:`repro.runtime.backends` registry, kept for its historical
-    signature/return (a bare store); new call sites should use
-    :func:`repro.runtime.backends.execute`, which also reports per-phase
-    counters.
+#: A worker's share of one phase: ``(stmt_ids, iters)`` in execution order.
+Task = Tuple[np.ndarray, np.ndarray]
 
-    Within each phase the units are executed in a shuffled order to emulate an
-    arbitrary interleaving of the parallel units; inside a unit the instance
-    order is preserved.  The shuffle draws from a private ``random.Random``
-    (never the global module state): pass ``rng`` to supply your own generator
-    — fully reproducible and side-effect-free — or ``seed`` to have one
-    created; ``seed=None`` with no ``rng`` disables shuffling (phase order as
-    built).
 
-    :class:`~repro.core.schedule.ArrayPhase` phases are executed directly off
-    their ``(n, dim)`` point array — no per-point unit objects are built.
+def lower_phase(phase, label_ids: Mapping[str, int]) -> Lowered:
+    """Lower any schedule phase into the flat form every transport runs.
+
+    ``label_ids`` maps statement labels to their index in
+    ``program.statement_contexts()``.  Array-backed phases are sliced or
+    expanded vectorised — a cached plan's coset chains never materialise unit
+    tuples — and any other phase is flattened from its ``units``.
     """
-    from .backends import ExecConfig, execute
+    if isinstance(phase, ArrayPhase):
+        points = phase.points
+        return np.full(len(points), label_ids[phase.label], np.int64), points, None
+    if isinstance(phase, SymbolicDoallPhase):
+        points = phase.points_array()
+        return np.full(len(points), label_ids[phase.label], np.int64), points, None
+    if isinstance(phase, UnifiedArrayPhase):
+        # Odd columns of a unified row are its loop indices; interpretation
+        # stops at each statement's depth, so the padding never reaches it.
+        remap = np.asarray([label_ids[l] for l in phase.labels], dtype=np.int64)
+        return remap[phase.stmt_ids], phase.rows[:, 1::2], None
+    if isinstance(phase, CosetChainPhase):
+        # Chain c is start_c + t*step for t < len_c, laid out back to back.
+        starts, lens = phase.chains()
+        offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        t = np.arange(offsets[-1], dtype=np.int64) - np.repeat(offsets[:-1], lens)
+        iters = np.repeat(starts, lens, axis=0) + t[:, None] * np.asarray(
+            phase.step, dtype=np.int64
+        )
+        return np.full(len(iters), label_ids[phase.label], np.int64), iters, offsets
+    ids: List[int] = []
+    rows: List[Sequence[int]] = []
+    offsets = [0]
+    for unit in phase.units:
+        for label, iteration in unit.instances:
+            ids.append(label_ids[label])
+            rows.append(iteration)
+        offsets.append(len(ids))
+    width = max(map(len, rows), default=0)
+    if any(len(r) != width for r in rows):
+        rows = [list(r) + [0] * (width - len(r)) for r in rows]
+    return (
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(rows, dtype=np.int64).reshape(len(rows), width),
+        None if offsets == list(range(len(offsets))) else np.asarray(offsets, dtype=np.int64),
+    )
 
-    return execute(
-        program, schedule, params, store=store,
-        config=ExecConfig(backend="serial", seed=seed), rng=rng,
-    ).store
+
+def split_phase(
+    lowered: Lowered, workers: int, rng: Optional[random.Random]
+) -> List[Task]:
+    """Shuffle a lowered phase's units and deal them round-robin.
+
+    ``rng.shuffle`` permutes a list of unit indices — the same permutation it
+    would apply to a list of the units themselves, so a seed fixes the visit
+    order — and worker ``k`` takes units ``k::workers`` (``serial`` is
+    ``workers=1``).  Each task keeps its units' instances contiguous and in
+    order; workers without a unit get no task.
+    """
+    stmt_ids, iters, offsets = lowered
+    n_units = len(stmt_ids) if offsets is None else len(offsets) - 1
+    order = list(range(n_units))
+    if rng is not None:
+        rng.shuffle(order)
+    bounds = None if offsets is None else offsets.tolist()
+    tasks = []
+    for k in range(min(workers, n_units)):
+        rows = order[k::workers]
+        if bounds is not None:
+            rows = [r for u in rows for r in range(bounds[u], bounds[u + 1])]
+        rows = np.asarray(rows, dtype=np.int64)
+        tasks.append((stmt_ids[rows], iters[rows]))
+    return tasks
+
+
+def run_instances(
+    contexts: Sequence,
+    stmt_ids: np.ndarray,
+    iters: np.ndarray,
+    store: ArrayStore,
+    locks: Optional[Sequence[Sequence]] = None,
+) -> int:
+    """The interpreter loop: execute one task's instances in order.
+
+    ``contexts`` is ``program.statement_contexts()``.  ``locks`` is ``None``
+    for lock-free execution; otherwise ``locks[sid]`` holds the locks of the
+    arrays statement ``sid`` touches, in sorted array-name order (so no two
+    instances deadlock), all held for its whole read-compute-write.  Returns
+    the instance count.
+    """
+    table = [(ctx.statement, ctx.index_names) for ctx in contexts]
+    for sid, row in zip(stmt_ids.tolist(), iters.tolist()):
+        stmt, names = table[sid]
+        env = dict(zip(names, row))
+        if locks is None:
+            _execute_instance_env(stmt, env, store)
+        else:
+            with ExitStack() as stack:
+                for lock in locks[sid]:
+                    stack.enter_context(lock)
+                _execute_instance_env(stmt, env, store)
+    return len(stmt_ids)
 
 
 @dataclass(frozen=True)
@@ -210,11 +284,13 @@ def validate_schedule(
     if dependences is not None:
         respects = schedule.respects(dependences)
 
+    from .backends import execute
+
     reference = execute_sequential(program, params)
     arrays_match = True
     mismatched: List[str] = []
     for seed in seeds:
-        result = execute_schedule(program, schedule, params, seed=seed)
+        result = execute(program, schedule, params, seed=seed).store
         for name in reference:
             if not np.array_equal(reference[name], result[name]):
                 arrays_match = False

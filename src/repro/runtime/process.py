@@ -1,13 +1,12 @@
 """The shared-memory process pool behind the ``process`` execution backend.
 
-This is the executor the ROADMAP asked for: real wall-clock parallelism for
-the phase/barrier schedules.  :mod:`repro.runtime.threaded` proves
-*correctness* under concurrency but the GIL serialises the Python statement
-interpreter; here each phase's work is executed by a pool of **processes**
-sharing the program's arrays through one ``multiprocessing.shared_memory``
-segment (see :mod:`repro.runtime.shm`), so DOALL phases genuinely overlap on
-multi-core hosts while keeping the shared-mutable-array semantics the paper's
-OpenMP runs have.
+Real wall-clock parallelism for the phase/barrier schedules.  The
+``threaded`` backend proves *correctness* under concurrency but the GIL
+serialises the Python statement interpreter; here each phase's work is
+executed by a pool of **processes** sharing the program's arrays through one
+``multiprocessing.shared_memory`` segment (see :mod:`repro.runtime.shm`), so
+DOALL phases genuinely overlap on multi-core hosts while keeping the
+shared-mutable-array semantics the paper's OpenMP runs have.
 
 Protocol (attach per store, barrier per phase):
 
@@ -21,11 +20,14 @@ Protocol (attach per store, barrier per phase):
    dtype, offset)`` descriptor table; each worker maps the segment **once**
    and builds numpy views onto the shared buffer (an internal barrier makes
    every worker consume exactly one control message);
-3. per phase, the parent ships each worker one strided slice of the phase's
-   rows — an :class:`~repro.core.schedule.ArrayPhase` point slice, a
-   :class:`~repro.core.schedule.UnifiedArrayPhase` ``(stmt_ids, rows)`` slice,
-   or a CSR-encoded slice of a unit phase's chains — as plain int64 arrays
-   (slice-level messages, never per-point objects);
+3. per phase, the parent lowers the phase once, shuffles its units and
+   deals them round-robin (:func:`~repro.runtime.executor.lower_phase` /
+   :func:`~repro.runtime.executor.split_phase`, shared with every other
+   backend), then ships each worker its ``(stmt_ids, iters)`` slice as two
+   plain int64 arrays (slice-level messages, never per-point objects); the
+   worker runs it through the one interpreter loop
+   (:func:`~repro.runtime.executor.run_instances`) against statement
+   contexts it built identically to the parent's;
 4. the parent collects one acknowledgement per shipped task before moving to
    the next phase — exactly the barrier of the generated code — and finally
    copies the shared arrays back into the caller's store, broadcasts
@@ -44,14 +46,13 @@ import multiprocessing as mp
 import queue as queue_module
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.schedule import ArrayPhase, UnifiedArrayPhase
 from ..ir.program import LoopProgram
-from .executor import _execute_instance_env
-from .shm import ArrayDescriptor, SharedArrayStore
+from .executor import lower_phase, run_instances, split_phase
+from .shm import SharedArrayStore
 
 __all__ = ["ProcessPool", "default_mp_context", "process_unavailable_reason"]
 
@@ -89,64 +90,6 @@ def process_unavailable_reason() -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-# One statement instance against the shared views: the same dispatch body
-# as every other backend (see executor._execute_instance_env — sharing it is
-# what keeps the backends bit-identical).
-_execute_env = _execute_instance_env
-
-
-def _run_rows_task(task, contexts, arrays) -> int:
-    """An :class:`ArrayPhase` slice: (label, (n, dim) rows)."""
-    _, label, rows = task
-    ctx = contexts[label]
-    stmt, index_names = ctx.statement, ctx.index_names
-    for row in rows.tolist():
-        _execute_env(stmt, dict(zip(index_names, row)), arrays)
-    return len(rows)
-
-
-def _run_unified_task(task, contexts, arrays) -> int:
-    """A :class:`UnifiedArrayPhase` slice: unified rows + parallel stmt ids."""
-    _, labels, depths, stmt_ids, rows = task
-    stmts = [contexts[label] for label in labels]
-    executed = 0
-    for sid, row in zip(stmt_ids.tolist(), rows.tolist()):
-        ctx = stmts[sid]
-        env = dict(zip(ctx.index_names, row[1 : 2 * depths[sid] : 2]))
-        _execute_env(ctx.statement, env, arrays)
-        executed += 1
-    return executed
-
-
-def _run_units_task(task, contexts, arrays) -> int:
-    """A CSR-encoded slice of a unit phase (e.g. WHILE chains).
-
-    ``unit_offsets`` delimits the units inside the flat ``(stmt_ids, rows)``
-    arrays; instances inside a unit execute in order (a chain is sequential by
-    construction), units in the slice run back to back on this worker.
-    """
-    _, labels, depths, stmt_ids, rows, unit_offsets = task
-    stmts = [contexts[label] for label in labels]
-    executed = 0
-    offsets = unit_offsets.tolist()
-    ids = stmt_ids.tolist()
-    pts = rows.tolist()
-    for u in range(len(offsets) - 1):
-        for k in range(offsets[u], offsets[u + 1]):
-            ctx = stmts[ids[k]]
-            env = dict(zip(ctx.index_names, pts[k][: depths[ids[k]]]))
-            _execute_env(ctx.statement, env, arrays)
-            executed += 1
-    return executed
-
-
-_TASK_RUNNERS = {
-    "rows": _run_rows_task,
-    "unified": _run_unified_task,
-    "units": _run_units_task,
-}
-
-
 def _worker_main(
     worker_id: int,
     program: LoopProgram,
@@ -162,7 +105,7 @@ def _worker_main(
     worker until all of them consumed theirs, so no worker can steal a
     sibling's attach off the shared queue.
     """
-    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
+    contexts = program.statement_contexts()
     store: Optional[SharedArrayStore] = None
     try:
         while True:
@@ -189,91 +132,13 @@ def _worker_main(
                 arrays = store.arrays if store is not None else None
                 if arrays is None:
                     raise RuntimeError("phase task received with no store attached")
-                executed = _TASK_RUNNERS[kind](task, contexts, arrays)
+                executed = run_instances(contexts, task[1], task[2], arrays)
                 results.put(("ok", worker_id, executed, time.perf_counter() - t0))
             except Exception:
                 results.put(("error", worker_id, traceback.format_exc(), 0.0))
     finally:
         if store is not None:
             store.close()
-
-
-# ---------------------------------------------------------------------------
-# parent side: phase encoding
-# ---------------------------------------------------------------------------
-
-
-def _split_array_phase(phase: ArrayPhase, workers: int, rng) -> List[tuple]:
-    """Strided row slices of an ArrayPhase, one task per (nonempty) worker."""
-    points = phase.points
-    if rng is not None:
-        order = list(range(len(points)))
-        rng.shuffle(order)
-        points = points[np.asarray(order, dtype=np.int64)]
-    return [
-        ("rows", phase.label, np.ascontiguousarray(points[k::workers]))
-        for k in range(workers)
-        if len(points[k::workers])
-    ]
-
-
-def _split_unified_phase(phase: UnifiedArrayPhase, workers: int, rng) -> List[tuple]:
-    """Strided (stmt_ids, rows) slices of a UnifiedArrayPhase."""
-    ids, rows = phase.stmt_ids, phase.rows
-    if rng is not None:
-        order = list(range(len(rows)))
-        rng.shuffle(order)
-        perm = np.asarray(order, dtype=np.int64)
-        ids, rows = ids[perm], rows[perm]
-    return [
-        (
-            "unified",
-            phase.labels,
-            phase.depths,
-            np.ascontiguousarray(ids[k::workers]),
-            np.ascontiguousarray(rows[k::workers]),
-        )
-        for k in range(workers)
-        if len(rows[k::workers])
-    ]
-
-
-def _split_unit_phase(phase, labels, depths, label_ids, workers: int, rng) -> List[tuple]:
-    """CSR-encode a generic unit phase (chains, blocks) into per-worker tasks.
-
-    Units are distributed round-robin; each worker's units are flattened into
-    ``(stmt_ids, rows, unit_offsets)`` int64 arrays — rows are iteration
-    vectors padded to the program's maximum nesting depth, so the message is a
-    single rectangular array regardless of how the statements nest.
-    """
-    units = list(phase.units)
-    if rng is not None:
-        rng.shuffle(units)
-    width = max(depths) if depths else 1
-    tasks = []
-    for k in range(workers):
-        mine = units[k::workers]
-        if not mine:
-            continue
-        ids: List[int] = []
-        rows: List[List[int]] = []
-        offsets = [0]
-        for unit in mine:
-            for label, iteration in unit.instances:
-                ids.append(label_ids[label])
-                rows.append(list(iteration) + [0] * (width - len(iteration)))
-            offsets.append(len(ids))
-        tasks.append(
-            (
-                "units",
-                labels,
-                depths,
-                np.asarray(ids, dtype=np.int64),
-                np.asarray(rows, dtype=np.int64).reshape(len(ids), width),
-                np.asarray(offsets, dtype=np.int64),
-            )
-        )
-    return tasks
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +190,11 @@ class ProcessPool:
         self._results = self._ctx.Queue()
         self._barrier = self._ctx.Barrier(workers)
         self._procs = []
-        # Label table for unit-phase encoding, shared across phases.
-        contexts = program.statement_contexts()
-        self._labels = tuple(ctx.statement.label for ctx in contexts)
-        self._depths = tuple(ctx.depth for ctx in contexts)
-        self._label_ids = {label: i for i, label in enumerate(self._labels)}
+        # Statement ids as the workers index their statement contexts.
+        self._label_ids = {
+            ctx.statement.label: i
+            for i, ctx in enumerate(program.statement_contexts())
+        }
         try:
             for wid in range(workers):
                 p = self._ctx.Process(
@@ -411,16 +276,6 @@ class ProcessPool:
 
     # -- phase execution --------------------------------------------------------
 
-    def phase_tasks(self, phase, rng=None) -> List[tuple]:
-        """Encode one schedule phase into per-worker task messages."""
-        if isinstance(phase, ArrayPhase):
-            return _split_array_phase(phase, self.workers, rng)
-        if isinstance(phase, UnifiedArrayPhase):
-            return _split_unified_phase(phase, self.workers, rng)
-        return _split_unit_phase(
-            phase, self._labels, self._depths, self._label_ids, self.workers, rng
-        )
-
     def run_phase(self, phase, rng=None) -> Tuple[int, int]:
         """Execute one phase across the pool; returns (instances, tasks).
 
@@ -430,9 +285,9 @@ class ProcessPool:
         """
         if self.shared is None:
             raise RuntimeError("no store attached; call attach_store() first")
-        tasks = self.phase_tasks(phase, rng)
-        for task in tasks:
-            self._tasks.put(task)
+        tasks = split_phase(lower_phase(phase, self._label_ids), self.workers, rng)
+        for stmt_ids, iters in tasks:
+            self._tasks.put(("run", stmt_ids, iters))
         executed = 0
         for _ in range(len(tasks)):
             ack = self._collect()

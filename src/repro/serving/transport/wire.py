@@ -88,6 +88,10 @@ _MAX_HEADER_BYTES = 64 * 1024 * 1024
 #: total, before reading (or allocating for) any of them.
 MAX_PAYLOAD_BYTES = 1024 * 1024 * 1024
 
+#: Largest ``exec_config.workers`` a request may ask for: each distinct count
+#: can cost the server a process pool of that many workers.
+MAX_WIRE_WORKERS = 64
+
 
 class WireError(RuntimeError):
     """Malformed frame, unknown kind, or unmarshallable payload."""
@@ -394,15 +398,29 @@ def exec_config_to_dict(cfg: Optional[ExecConfig]) -> Optional[Dict[str, Any]]:
 
 
 def exec_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[ExecConfig]:
+    """The execution config a peer asked for, validated before any work:
+    fields are taken as sent (never coerced) and ``workers`` is capped at
+    :data:`MAX_WIRE_WORKERS`, so a request cannot make the server fork an
+    arbitrary pool."""
     if d is None:
         return None
-    return ExecConfig(
-        backend=d["backend"],
-        workers=int(d["workers"]),
-        seed=d["seed"],
-        lock_free=bool(d["lock_free"]),
-        mp_context=d["mp_context"],
-    )
+    workers = d["workers"]
+    if isinstance(workers, int) and workers > MAX_WIRE_WORKERS:
+        raise WireError(
+            f"exec_config.workers={workers} exceeds the {MAX_WIRE_WORKERS}-worker bound"
+        )
+    if not isinstance(d["lock_free"], bool):
+        raise WireError(f"exec_config.lock_free must be a bool, got {d['lock_free']!r}")
+    try:
+        return ExecConfig(
+            backend=d["backend"],
+            workers=workers,
+            seed=d["seed"],
+            lock_free=d["lock_free"],
+            mp_context=d["mp_context"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise WireError(f"bad exec_config: {exc}") from None
 
 
 def plan_config_to_dict(cfg: Optional[PlanConfig]) -> Optional[Dict[str, Any]]:

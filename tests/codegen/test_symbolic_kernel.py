@@ -18,7 +18,6 @@ the serial interpreter with the reason recorded in ``RunResult.meta`` — the
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.codegen.python_source import (
     clear_kernel_cache,
@@ -30,18 +29,12 @@ from repro.codegen.python_source import (
 )
 from repro.core.strategy import PlanConfig, plan
 from repro.ir.builder import aref, assign, loop, program
-from repro.ir.semantics import compute_heavy_semantics, sum_semantics
 from repro.runtime import execute, execute_sequential, make_store
 from repro.workloads.examples import figure1_loop
 from repro.workloads.synthetic import large_uniform_loop
+from strategies import symbolic_programs
 
 SYMBOLIC = PlanConfig(strategies=("symbolic",))
-
-_INDICES = ("I1", "I2", "I3")
-
-#: The three vectorizable statement semantics (None = the order-sensitive
-#: default); anything else must fall back to the serial interpreter.
-_SEMANTICS = (None, sum_semantics, compute_heavy_semantics)
 
 
 def _xor_semantics(arrays, env, read_values):
@@ -50,45 +43,6 @@ def _xor_semantics(arrays, env, read_values):
     for v in read_values:
         acc ^= int(v)
     return acc
-
-
-@st.composite
-def symbolic_programs(draw):
-    """Random symbolic-eligible nests: a single statement over rectangular
-    unit-stride bounds, rank-d identity-coefficient subscripts, and exactly
-    one distinct nonzero uniform distance (drawn lex-positive, so it is a
-    flow dependence).  An optional zero-distance read (same subscripts as the
-    write) exercises the self-pair skip."""
-    dim = draw(st.integers(1, 3))
-    names = _INDICES[:dim]
-    bounds = [draw(st.integers(3, 6)) for _ in range(dim)]
-
-    # Lex-positive distance u with |u_k| <= 2: zeros before the first
-    # nonzero component, which is drawn positive.
-    first = draw(st.integers(0, dim - 1))
-    u = [0] * dim
-    u[first] = draw(st.integers(1, 2))
-    for k in range(first + 1, dim):
-        u[k] = draw(st.integers(-2, 2))
-
-    # Write offsets in [2, 4] keep every subscript non-negative (|u_k| <= 2).
-    offs = [draw(st.integers(2, 4)) for _ in range(dim)]
-
-    def subscript(base, delta):
-        return "+".join(filter(None, [base, str(delta)])) if delta else base
-
-    write = aref("x", *(subscript(n, a) for n, a in zip(names, offs)))
-    reads = [aref("x", *(subscript(n, a - d) for n, a, d in zip(names, offs, u)))]
-    if draw(st.booleans()):  # zero-distance self read: skipped by the gate
-        reads.append(aref("x", *(subscript(n, a) for n, a in zip(names, offs))))
-
-    body = assign("s", write, reads, semantics=draw(st.sampled_from(_SEMANTICS)))
-    nest = body
-    for k in reversed(range(dim)):
-        nest = loop(names[k], 1, bounds[k], nest)
-    # subscripts reach bound + off + max(0, -u_k) <= bound + 4 + 2
-    shape = tuple(b + 7 for b in bounds)
-    return program("hypothesis-symbolic", nest, array_shapes={"x": shape})
 
 
 class TestDifferential:

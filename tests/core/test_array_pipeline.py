@@ -19,8 +19,8 @@ from repro.core.schedule import ArrayPhase, ParallelPhase, Schedule
 from repro.core.strategy import PlanConfig, plan
 from repro.dependence.analysis import DependenceAnalysis
 from repro.isl.relations import FiniteRelation
-from repro.runtime.executor import execute_schedule, execute_sequential, validate_schedule
-from repro.runtime.threaded import execute_schedule_threaded
+from repro.runtime import execute
+from repro.runtime.executor import execute_sequential, validate_schedule
 from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
 from repro.workloads.synthetic import large_triangular_loop, large_uniform_loop
 
@@ -84,7 +84,7 @@ class TestPipelineEquivalence:
     def test_threaded_execution_matches_sequential(self, prog):
         sched_a = run_pipeline(prog)[0].schedule
         assert any(isinstance(p, ArrayPhase) for p in sched_a.phases)
-        run = execute_schedule_threaded(prog, sched_a, n_threads=3)
+        run = execute(prog, sched_a, backend="threaded", workers=3)
         reference = execute_sequential(prog, {})
         for name in reference:
             assert np.array_equal(reference[name], run.store[name])
@@ -227,7 +227,7 @@ class TestScheduleFromArrays:
         mixed = Schedule(
             "mixed", (arr_sched.phases[0],) + tup_sched.phases[1:], {}
         )
-        result = execute_schedule(prog, mixed, {})
+        result = execute(prog, mixed, {}).store
         reference = execute_sequential(prog, {})
         for name in reference:
             assert np.array_equal(reference[name], result[name])

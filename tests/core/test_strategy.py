@@ -266,7 +266,7 @@ class TestPlanCacheMechanics:
         assert plan(build(sum_semantics), cache=cache) is summing_plan
         # and the cached plans execute their own program's semantics
         assert not np.array_equal(
-            default_plan.execute()["x"], summing_plan.execute()["x"]
+            default_plan.execute().store["x"], summing_plan.execute().store["x"]
         )
 
     def test_default_cache_is_shared(self):
@@ -391,9 +391,8 @@ class TestPlanObject:
         prog = figure1_loop(10, 10)
         p = plan(prog, cache=False)
         ref = execute_sequential(prog, {})
-        store = p.execute()
-        assert np.array_equal(ref["a"], store["a"])
-        run = p.execute(threads=3)
+        assert np.array_equal(ref["a"], p.execute().store["a"])
+        run = p.execute(backend="threaded", workers=3)
         assert np.array_equal(ref["a"], run.store["a"])
         assert run.instances_executed == p.schedule.total_work
 

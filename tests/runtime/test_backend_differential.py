@@ -10,11 +10,14 @@ stream, over *varied* initial stores (``make_store(fill="random", seed=...)``
 — a schedule bug that only corrupts some initial contents still has to be
 caught).
 
-The schedules come from the always-applicable dataflow strategy — as planned
-(array phases) or as the oracle's tuple block units — whose validity on
-generated programs is already pinned by the statement-level differential
-suite; here the property under test is the *executor*, not the partitioner.  The process-backend property forks a 2-worker pool per example,
-so it runs a reduced example budget.
+The schedules come in three kinds: the always-applicable dataflow strategy
+as planned (array phases) or as the oracle's tuple block units, whose
+validity on generated programs is already pinned by the statement-level
+differential suite, and the ``symbolic`` strategy on symbolic-eligible
+programs (``SymbolicDoallPhase`` boxes and ``CosetChainPhase`` chains).  The
+property under test is the *executor*, not the partitioner.  The
+process-backend property forks a 2-worker pool per example, so it runs a
+reduced example budget.
 """
 
 import numpy as np
@@ -24,27 +27,50 @@ import hypothesis.strategies as st
 
 import oracle
 from repro.core.partitioner import dataflow_branch
+from repro.core.strategy import PlanConfig, plan
+from repro.core.symbolic import CosetChainPhase, SymbolicDoallPhase
 from repro.runtime import execute, execute_sequential, make_store
 from repro.runtime.process import process_unavailable_reason
-from strategies import loop_programs
+from strategies import loop_programs, symbolic_programs
 
-#: The two phase shapes an executor must run: tuple units and arrays.
-KINDS = st.sampled_from(["units", "arrays"])
+#: The phase shapes an executor must run: tuple units, arrays, and the
+#: symbolic strategy's boxes and coset chains.
+KINDS = ("units", "arrays", "symbolic")
+
+SYMBOLIC = PlanConfig(strategies=("symbolic",))
+
+
+@st.composite
+def cases(draw):
+    """A ``(program, kind)`` pair: symbolic-eligible programs for the
+    ``symbolic`` kind, general generated nests otherwise."""
+    kind = draw(st.sampled_from(KINDS))
+    prog = draw(symbolic_programs() if kind == "symbolic" else loop_programs())
+    return prog, kind
 
 
 def _schedule(prog, kind):
     if kind == "units":
         return oracle.unit_schedule(prog)
+    if kind == "symbolic":
+        schedule = plan(prog, config=SYMBOLIC, cache=False).schedule
+        assert all(
+            isinstance(ph, (SymbolicDoallPhase, CosetChainPhase))
+            for ph in schedule.phases
+        )
+        return schedule
     return dataflow_branch(prog, {}).schedule
 
 
-def _reference_and_schedule(prog, kind, fill_seed):
+def _reference_and_schedule(case, fill_seed):
+    prog, kind = case
     schedule = _schedule(prog, kind)
     init = make_store(prog, fill="random", seed=fill_seed)
     ref = execute_sequential(
         prog, {}, store={k: v.copy() for k, v in init.items()}
     )
-    return schedule, init, ref
+    return prog, schedule, init, ref
+
 
 def _assert_backend_matches(prog, schedule, init, ref, backend, **overrides):
     store = {k: v.copy() for k, v in init.items()}
@@ -56,14 +82,14 @@ def _assert_backend_matches(prog, schedule, init, ref, backend, **overrides):
 
 
 class TestBackendDifferential:
-    @given(prog=loop_programs(), kind=KINDS, fill_seed=st.integers(0, 2**16))
-    def test_serial_backend_bit_identical(self, prog, kind, fill_seed):
-        schedule, init, ref = _reference_and_schedule(prog, kind, fill_seed)
+    @given(case=cases(), fill_seed=st.integers(0, 2**16))
+    def test_serial_backend_bit_identical(self, case, fill_seed):
+        prog, schedule, init, ref = _reference_and_schedule(case, fill_seed)
         _assert_backend_matches(prog, schedule, init, ref, "serial", seed=fill_seed)
 
-    @given(prog=loop_programs(), kind=KINDS, fill_seed=st.integers(0, 2**16))
-    def test_threaded_backend_bit_identical(self, prog, kind, fill_seed):
-        schedule, init, ref = _reference_and_schedule(prog, kind, fill_seed)
+    @given(case=cases(), fill_seed=st.integers(0, 2**16))
+    def test_threaded_backend_bit_identical(self, case, fill_seed):
+        prog, schedule, init, ref = _reference_and_schedule(case, fill_seed)
         _assert_backend_matches(
             prog, schedule, init, ref, "threaded", workers=2, seed=fill_seed
         )
@@ -74,9 +100,9 @@ class TestBackendDifferential:
     )
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(prog=loop_programs(), kind=KINDS, fill_seed=st.integers(0, 2**16))
-    def test_process_backend_bit_identical(self, prog, kind, fill_seed):
-        schedule, init, ref = _reference_and_schedule(prog, kind, fill_seed)
+    @given(case=cases(), fill_seed=st.integers(0, 2**16))
+    def test_process_backend_bit_identical(self, case, fill_seed):
+        prog, schedule, init, ref = _reference_and_schedule(case, fill_seed)
         _assert_backend_matches(
             prog, schedule, init, ref, "process", workers=2, seed=fill_seed
         )

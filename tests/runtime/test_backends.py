@@ -17,12 +17,9 @@ from repro.runtime import (
     ExecConfig,
     ExecutionBackend,
     RunResult,
-    ThreadedRun,
     backend_names,
     backend_table,
     execute,
-    execute_schedule,
-    execute_schedule_threaded,
     execute_sequential,
     get_backend,
     make_store,
@@ -122,6 +119,15 @@ class TestExecConfig:
         with pytest.raises(ValueError):
             ExecConfig(backend="")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"workers": "7"}, {"workers": True}, {"workers": 2.0}, {"seed": [1]}, {"seed": "0"}],
+        ids=["workers-str", "workers-bool", "workers-float", "seed-list", "seed-str"],
+    )
+    def test_integer_fields_are_not_coerced(self, kwargs):
+        with pytest.raises(TypeError):
+            ExecConfig(**kwargs)
+
     def test_hashable_for_plan_config(self):
         """ExecConfig rides inside PlanConfig, which keys the plan cache."""
         a = PlanConfig(exec_config=ExecConfig(backend="process", workers=2))
@@ -218,26 +224,60 @@ class TestSimulatedBackend:
         )
 
 
-class TestShims:
-    """The historical entry points keep working over the registry."""
+def _logging_program(log):
+    """A depth-2 single-statement nest whose semantics log each visited
+    iteration ``(I, J)`` in execution order."""
+    from repro.ir.builder import aref, assign, loop, program
 
-    def test_execute_schedule_shim_matches_serial_backend(self):
-        prog = figure1_loop(10, 12)
-        p = plan(prog, cache=False)
-        via_shim = execute_schedule(prog, p.schedule, {}, seed=5)
-        via_registry = execute(prog, p.schedule, {}, backend="serial", seed=5)
-        assert isinstance(via_shim, dict)
-        assert _stores_equal(via_shim, via_registry.store)
+    def record(arrays, env, read_values):
+        log.append((env["I"], env["J"]))
+        return 0
 
-    def test_execute_schedule_threaded_shim_returns_threadedrun(self):
-        prog = figure1_loop(10, 12)
-        p = plan(prog, cache=False)
-        run = execute_schedule_threaded(prog, p.schedule, {}, n_threads=3)
-        assert isinstance(run, ThreadedRun)
-        assert run.n_threads == 3
-        assert run.phases_executed == p.schedule.num_phases
-        assert run.instances_executed == p.schedule.total_work
-        assert _stores_equal(execute_sequential(prog, {}), run.store)
+    body = assign("s", aref("x", "I", "J"), semantics=record)
+    return program(
+        "visit-log", loop("I", 0, 3, loop("J", 0, 3, body)),
+        array_shapes={"x": (4, 4)},
+    )
+
+
+class TestShuffleContract:
+    """The serial visit order per seed: each phase runs its units in the
+    order ``random.Random(seed).shuffle(list(range(n_units)))`` permutes
+    them, the generator drawn phase after phase."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_serial_visits_units_in_shuffled_index_order(self, seed):
+        import random
+
+        from repro.core import (
+            ArrayPhase,
+            ExecutionUnit,
+            ParallelPhase,
+            Schedule,
+            UnifiedArrayPhase,
+        )
+
+        chains = [[(i, j) for j in range(4)] for i in range(4)]
+        points = [(i, j) for i in range(4) for j in range(4)]
+        phases = (
+            ParallelPhase("units", tuple(ExecutionUnit.chain("s", c) for c in chains)),
+            ArrayPhase("array", "s", np.array(points)),
+            UnifiedArrayPhase(
+                "unified", ("s",), (2,), np.zeros(len(points), dtype=np.int64),
+                np.array([(0, i, 0, j, 0) for i, j in points]),
+            ),
+        )
+        rng = random.Random(seed)
+        expected = []
+        for units in (chains, [[p] for p in points], [[p] for p in points]):
+            order = list(range(len(units)))
+            rng.shuffle(order)
+            expected.extend(pt for k in order for pt in units[k])
+
+        log = []
+        prog = _logging_program(log)
+        execute(prog, Schedule("contract", phases), {}, backend="serial", seed=seed)
+        assert log == expected
 
 
 class TestPlanExecuteWiring:
@@ -267,13 +307,16 @@ class TestPlanExecuteWiring:
         # per-call override still wins
         assert p.execute(backend="serial").backend == "serial"
 
-    def test_plan_execute_legacy_paths_unchanged(self):
+    def test_plan_execute_always_returns_run_result(self):
+        """A bare execute() runs the serial backend through the registry,
+        shuffled by the plan config's seed."""
         prog = figure1_loop(10, 10)
         p = plan(prog, cache=False)
-        store = p.execute()
-        assert isinstance(store, dict)
-        run = p.execute(threads=2)
-        assert isinstance(run, ThreadedRun)
+        run = p.execute()
+        assert isinstance(run, RunResult)
+        assert run.backend == "serial"
+        expected = execute(prog, p.schedule, {}, seed=p.config.rng_seed).store
+        assert _stores_equal(expected, run.store)
 
     def test_process_backend_rejects_locking(self):
         prog = figure1_loop(6, 6)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import ExecutionUnit, ParallelPhase, PlanConfig, Schedule, plan
-from repro.runtime.executor import (
-    execute_schedule,
-    execute_sequential,
-    make_store,
-    validate_schedule,
-)
+from repro.runtime import execute
+from repro.runtime.executor import execute_sequential, make_store, validate_schedule
 from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
 
 
@@ -82,7 +78,7 @@ class TestScheduleExecution:
         result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
         for seed in (0, 1, 2, 99):
-            out = execute_schedule(prog, result.schedule, {}, seed=seed)
+            out = execute(prog, result.schedule, {}, seed=seed).store
             assert np.array_equal(ref["a"], out["a"])
 
     def test_wrong_order_schedule_detected(self):
@@ -93,7 +89,7 @@ class TestScheduleExecution:
             "reversed", list(reversed(result.schedule.phases))
         )
         ref = execute_sequential(prog, {})
-        out = execute_schedule(prog, reversed_schedule, {}, seed=0)
+        out = execute(prog, reversed_schedule, {}, seed=0).store
         assert not np.array_equal(ref["a"], out["a"])
 
     def test_missing_instances_detected_by_validator(self):
@@ -195,8 +191,8 @@ class TestShuffleRng:
 
         prog = figure1_loop(8, 8)
         result = plan(prog, config=ALGORITHM1, cache=False)
-        a = execute_schedule(prog, result.schedule, {}, rng=random.Random(42))
-        b = execute_schedule(prog, result.schedule, {}, rng=random.Random(42))
+        a = execute(prog, result.schedule, {}, rng=random.Random(42)).store
+        b = execute(prog, result.schedule, {}, rng=random.Random(42)).store
         for name in a:
             assert np.array_equal(a[name], b[name])
 
@@ -207,8 +203,8 @@ class TestShuffleRng:
         result = plan(prog, config=ALGORITHM1, cache=False)
         random.seed(1234)
         before = random.getstate()
-        execute_schedule(prog, result.schedule, {}, seed=7)
-        execute_schedule(prog, result.schedule, {}, rng=random.Random(3))
+        execute(prog, result.schedule, {}, seed=7)
+        execute(prog, result.schedule, {}, rng=random.Random(3))
         assert random.getstate() == before
 
     def test_seed_and_rng_agree_with_sequential_semantics(self):
@@ -218,6 +214,6 @@ class TestShuffleRng:
         result = plan(prog, config=ALGORITHM1, cache=False)
         reference = execute_sequential(prog, {})
         for kwargs in ({"seed": 5}, {"rng": random.Random(5)}, {"seed": None}):
-            out = execute_schedule(prog, result.schedule, {}, **kwargs)
+            out = execute(prog, result.schedule, {}, **kwargs).store
             for name in reference:
                 assert np.array_equal(reference[name], out[name])

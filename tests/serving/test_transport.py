@@ -376,6 +376,30 @@ class TestHostileInput:
                     assert np.array_equal(ref[name], served.result.store[name])
 
 
+    def test_oversized_worker_count_gets_error_frame_and_no_pool(self):
+        """A process request asking for 10**6 workers is refused at decode:
+        the client gets an ERROR frame, no pool is forked, and both that
+        connection and another client keep being served."""
+        prog = figure1_loop(6, 6)
+        ref = execute_sequential(prog, {})
+        with TransportServer() as ts:
+            host, port = ts.address
+            with TransportClient(host, port) as greedy, \
+                    TransportClient(host, port) as bystander:
+                with pytest.raises(RemoteServingError) as info:
+                    greedy.request(
+                        prog, config=DATAFLOW, timeout=60,
+                        exec_config=ExecConfig(backend="process", workers=10**6),
+                    )
+                assert info.value.error_type == "WireError"
+                assert ts.plan_server.stats()["pools"]["created"] == 0
+                for client in (bystander, greedy):
+                    served = client.request(prog, config=DATAFLOW, timeout=60)
+                    for name in ref:
+                        assert np.array_equal(ref[name], served.result.store[name])
+            assert ts.plan_server.stats()["pools"]["created"] == 0
+
+
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count fds"
 )

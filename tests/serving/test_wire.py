@@ -259,6 +259,50 @@ class TestConfigMarshalling:
     def test_exec_config_roundtrip(self, cfg):
         assert wire.exec_config_from_dict(wire.exec_config_to_dict(cfg)) == cfg
 
+    def test_exec_config_at_the_worker_bound_is_accepted(self):
+        d = wire.exec_config_to_dict(ExecConfig(backend="process"))
+        d["workers"] = wire.MAX_WIRE_WORKERS
+        assert wire.exec_config_from_dict(d).workers == wire.MAX_WIRE_WORKERS
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", wire.MAX_WIRE_WORKERS + 1),
+            ("workers", 10**6),
+            ("workers", "7"),
+            ("workers", 2.0),
+            ("workers", True),
+            ("workers", 0),
+            ("workers", None),
+            ("seed", [1]),
+            ("seed", "0"),
+            ("lock_free", 1),
+            ("backend", ""),
+            ("mp_context", "greenlet"),
+        ],
+        ids=[
+            "workers-over-bound", "workers-million", "workers-str", "workers-float",
+            "workers-bool", "workers-zero", "workers-null", "seed-list", "seed-str",
+            "lock-free-int", "backend-empty", "mp-context-unknown",
+        ],
+    )
+    def test_bad_exec_config_is_a_wire_error(self, field, value):
+        """Out-of-range or mistyped fields are refused as sent, never
+        coerced, before any ExecConfig (or pool) exists."""
+        d = wire.exec_config_to_dict(ExecConfig(backend="process", workers=2))
+        d[field] = value
+        with pytest.raises(WireError):
+            wire.exec_config_from_dict(d)
+
+    def test_bad_exec_config_in_a_request_frame_is_a_wire_error(self):
+        req = PlanRequest(
+            program=figure1_loop(4, 4), exec_config=ExecConfig(backend="process")
+        )
+        header, payloads = wire.request_frame(req)
+        header["exec_config"]["workers"] = 10**6
+        with pytest.raises(WireError, match="worker bound"):
+            wire.decode_request(header, list(payloads))
+
 
 class TestRequestResponseFrames:
     def test_request_roundtrip_with_store(self):

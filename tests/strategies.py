@@ -25,15 +25,19 @@ Use :func:`loop_programs` as a strategy::
 
     @given(prog=loop_programs())
     def test_something(prog): ...
+
+:func:`symbolic_programs` draws the narrower family the ``symbolic``
+strategy plans (one statement, rectangular bounds, one uniform distance).
 """
 
 import hypothesis.strategies as st
 
 from repro.ir.builder import aref, assign, loop, program
 from repro.ir.program import LoopProgram
+from repro.ir.semantics import compute_heavy_semantics, sum_semantics
 from repro.isl.affine import AffineExpr
 
-__all__ = ["loop_programs", "MAX_BOUND", "ARRAY_POOL"]
+__all__ = ["loop_programs", "symbolic_programs", "MAX_BOUND", "ARRAY_POOL"]
 
 #: Largest loop bound the generator draws (keeps spaces at ≤ 4³ points/statement).
 MAX_BOUND = 4
@@ -155,3 +159,47 @@ def _syntactic_key(placement):
     if slot == 0:
         return (0, level)
     return (1, -level)
+
+
+#: The three vectorizable statement semantics (None = the order-sensitive
+#: default) the symbolic kernel serves.
+_SEMANTICS = (None, sum_semantics, compute_heavy_semantics)
+
+
+@st.composite
+def symbolic_programs(draw) -> LoopProgram:
+    """Random symbolic-eligible nests: a single statement over rectangular
+    unit-stride bounds, rank-d identity-coefficient subscripts, and exactly
+    one distinct nonzero uniform distance (drawn lex-positive, so it is a
+    flow dependence).  An optional zero-distance read (same subscripts as the
+    write) exercises the self-pair skip."""
+    dim = draw(st.integers(1, 3))
+    names = _INDICES[:dim]
+    bounds = [draw(st.integers(3, 6)) for _ in range(dim)]
+
+    # Lex-positive distance u with |u_k| <= 2: zeros before the first
+    # nonzero component, which is drawn positive.
+    first = draw(st.integers(0, dim - 1))
+    u = [0] * dim
+    u[first] = draw(st.integers(1, 2))
+    for k in range(first + 1, dim):
+        u[k] = draw(st.integers(-2, 2))
+
+    # Write offsets in [2, 4] keep every subscript non-negative (|u_k| <= 2).
+    offs = [draw(st.integers(2, 4)) for _ in range(dim)]
+
+    def subscript(base, delta):
+        return "+".join(filter(None, [base, str(delta)])) if delta else base
+
+    write = aref("x", *(subscript(n, a) for n, a in zip(names, offs)))
+    reads = [aref("x", *(subscript(n, a - d) for n, a, d in zip(names, offs, u)))]
+    if draw(st.booleans()):  # zero-distance self read: skipped by the gate
+        reads.append(aref("x", *(subscript(n, a) for n, a in zip(names, offs))))
+
+    body = assign("s", write, reads, semantics=draw(st.sampled_from(_SEMANTICS)))
+    nest = body
+    for k in reversed(range(dim)):
+        nest = loop(names[k], 1, bounds[k], nest)
+    # subscripts reach bound + off + max(0, -u_k) <= bound + 4 + 2
+    shape = tuple(b + 7 for b in bounds)
+    return program("hypothesis-symbolic", nest, array_shapes={"x": shape})

@@ -87,7 +87,7 @@ class TestCorpusPrograms:
             entry.program, entry.params,
             store={k: v.copy() for k, v in init.items()},
         )
-        store = p.execute(store={k: v.copy() for k, v in init.items()})
+        store = p.execute(store={k: v.copy() for k, v in init.items()}).store
         for name in ref:
             assert np.array_equal(ref[name], store[name]), (
                 f"{entry.name}: array {name!r} diverges from sequential"
