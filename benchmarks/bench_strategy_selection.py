@@ -7,7 +7,7 @@ plan's schedule on the paper's 4-way SMP under the per-scheme cost models of
 subscript-simplification factor, DOACROSS with its synchronization
 overheads).  The per-entry win table is aggregated by
 :meth:`~repro.analysis.features.ProgramFeatures.bucket` into the calibrated
-table the default ``table`` selector loads (``src/repro/core/
+table ``plan()`` ranks strategies by (``src/repro/core/
 selection_table.json``); the raw sweep is recorded in
 ``BENCH_strategy_selection.json`` at the repository root (uploaded as a CI
 artifact).  Sweep rows **accumulate across sessions** keyed by ``run_id``
@@ -16,11 +16,12 @@ holds only the current derivation.
 
 Contracts asserted here (the tentpole's acceptance criteria):
 
-* the default ``table`` selector picks **≥ 3 distinct strategies** across the
-  corpus families — the fixed chain's one-size-fits-all order demonstrably
-  leaves simulated time on the table;
-* on every corpus entry the table selector's pick is **never more than 5 %
-  slower** (simulated) than the old fixed chain's pick;
+* the default (table-ranked) ``plan()`` picks **≥ 3 distinct strategies**
+  across the corpus families — the registry chain's one-size-fits-all order
+  demonstrably leaves simulated time on the table;
+* on every corpus entry the table's pick is **never more than 5 % slower**
+  (simulated) than the pick of the registry chain walked in order
+  (``PlanConfig(strategies=strategy_names())``);
 * at the calibration size the freshly derived table is **bit-identical** to
   the checked-in one (the simulator is deterministic — no wall-clock enters
   the table), so the artifact can be regenerated by anyone.
@@ -194,43 +195,41 @@ def test_strategy_selection_sweep(report):
             "regenerate it with REPRO_WRITE_SELECTION_TABLE=1"
         )
 
-    # -- acceptance: the calibrated default beats the fixed chain -------------
+    # -- acceptance: the calibrated default beats the registry chain ---------
+    chain = PlanConfig(strategies=strategy_names())
     picks = {}
     losses = []
     for entry in entries:
         features = program_features(entry.program, entry.params)
         p_table = plan(entry.program, entry.params, cache=False)  # default
-        p_fixed = plan(
-            entry.program, entry.params,
-            config=PlanConfig(selector="fixed"), cache=False,
-        )
+        p_chain = plan(entry.program, entry.params, config=chain, cache=False)
         t_table = simulate_schedule(
             p_table.schedule, PROCESSORS,
             COST_MODELS.get(p_table.strategy, DEFAULT_COST_MODEL),
             sequential_work=features.n_points,
         ).parallel_time
-        t_fixed = simulate_schedule(
-            p_fixed.schedule, PROCESSORS,
-            COST_MODELS.get(p_fixed.strategy, DEFAULT_COST_MODEL),
+        t_chain = simulate_schedule(
+            p_chain.schedule, PROCESSORS,
+            COST_MODELS.get(p_chain.strategy, DEFAULT_COST_MODEL),
             sequential_work=features.n_points,
         ).parallel_time
         picks.setdefault(entry.family, set()).add(p_table.strategy)
-        if t_table > 1.05 * t_fixed:
+        if t_table > 1.05 * t_chain:
             losses.append(
                 f"{entry.name}: table pick {p_table.strategy} "
-                f"({t_table:.1f}) vs fixed pick {p_fixed.strategy} "
-                f"({t_fixed:.1f})"
+                f"({t_table:.1f}) vs registry-chain pick {p_chain.strategy} "
+                f"({t_chain:.1f})"
             )
     assert not losses, (
-        "the table selector loses to the fixed chain by >5% simulated time "
+        "the table's pick loses to the registry chain by >5% simulated time "
         "on: " + "; ".join(losses)
     )
     distinct = set().union(*picks.values())
     assert len(distinct) >= 3, (
-        f"the table selector only ever picked {sorted(distinct)} across the "
+        f"the table only ever picked {sorted(distinct)} across the "
         f"corpus families — expected at least 3 distinct strategies"
     )
     report(
-        "Table-selector picks by family",
+        "Table picks by family",
         {family: sorted(strategies) for family, strategies in sorted(picks.items())},
     )

@@ -10,7 +10,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # the calibrated strategy-selection table loaded by the default selector
+    # the calibrated strategy-selection table plan() ranks strategies by
     package_data={"repro.core": ["selection_table.json"]},
     include_package_data=True,
     python_requires=">=3.10",

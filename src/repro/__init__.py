@@ -53,17 +53,16 @@ identical object (the serving scenario — no re-analysis):
 >>> repro.plan(repro.workloads.figure1_loop(10, 10)) is p
 True
 
-Strategy selection is feature-driven: ``plan()`` reduces the nest to a
-:class:`~repro.analysis.features.ProgramFeatures` record and a **selector**
-ranks the strategy chain with it.  The default ``table`` selector looks the
-program's feature bucket up in the corpus-calibrated win table
-(``feature_rules`` ranks by each strategy's ``score(features)`` hook,
-``fixed`` replays the historical registration-order chain bit-identically).
-``Plan.explain()`` shows the features and the selection scores:
+Strategy selection has one policy: ``plan()`` reduces the nest to a
+:class:`~repro.analysis.features.ProgramFeatures` record, looks its feature
+bucket up in the corpus-calibrated win table and probes the bucket's
+calibrated strategies first; the rest of the registry follows in Algorithm
+1's chain order, which is all an uncalibrated bucket gets.
+``Plan.explain()`` shows the features and the calibrated scores:
 
 >>> print(p.explain())  # doctest: +ELLIPSIS
 plan for 'figure1' (params {}):
-  selector 'table' (calibrated workload table)
+  selection: calibrated workload table
   features: depth=2 statements=1 (perfect, rect), 100 points, 18 dependences...
   bucket: perfect|1cp|coupled|nonuniform|rect|d2|dep
   - score recurrence-chains 1.00: calibrated: 1.00x the bucket's best simulated time
@@ -71,8 +70,7 @@ plan for 'figure1' (params {}):
 ...
 
 :class:`~repro.core.strategy.PlanConfig` centralises every knob — the
-selector, the pinned strategy order, the shuffle seed and the default
-execution config:
+pinned strategy order, the shuffle seed and the default execution config:
 
 >>> forced = repro.plan(prog, config=repro.PlanConfig(strategies=("pdm",)))
 >>> forced.scheme
@@ -80,8 +78,8 @@ execution config:
 >>> imperfect = repro.plan(repro.workloads.example3_loop(8))
 >>> imperfect.strategy
 'dataflow'
->>> imperfect.selection.bucket  # uncalibrated bucket -> feature-rule fallback
-'imperfect|mcp|coupled|mixed|nonrect|d3|free'
+>>> imperfect.selection.source  # an uncalibrated bucket walks the registry chain
+'bucket not calibrated; registry order'
 
 Execution mirrors planning: every executor is a registered backend behind
 one entry point.  ``p.execute(backend="process", workers=2)`` runs the
@@ -136,16 +134,13 @@ from . import (
     workloads,
 )
 from .core.strategy import (
-    DEFAULT_SELECTOR,
     PartitionStrategy,
     Plan,
     PlanCache,
     PlanConfig,
     SelectionReport,
-    StrategySelector,
     default_plan_cache,
     plan,
-    selector_names,
     strategy_names,
     strategy_table,
 )
@@ -176,10 +171,7 @@ __all__ = [
     "PlanCache",
     "PartitionStrategy",
     "SelectionReport",
-    "StrategySelector",
-    "DEFAULT_SELECTOR",
     "default_plan_cache",
-    "selector_names",
     "strategy_names",
     "strategy_table",
     "ExecConfig",

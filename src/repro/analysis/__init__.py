@@ -1,6 +1,6 @@
 """repro.analysis — program features, corpus statistics, experiments, reports.
 
-* :mod:`repro.analysis.features` — the selector-facing
+* :mod:`repro.analysis.features` — the selection-facing
   :class:`~repro.analysis.features.ProgramFeatures` summary of one plan
   request (array-native extraction, cached on the plan fingerprint);
 * :mod:`repro.analysis.stats` — loop classification (coupled / uniform /

@@ -5,8 +5,9 @@ The paper's premise (§1, echoed by the SPECfp95-style corpus in
 46 % non-uniform, 45 % coupled-subscript — so no single partitioning scheme
 wins everywhere.  Acting on that requires knowing, per program, which mix it
 belongs to: this module reduces a :class:`~repro.dependence.analysis.DependenceAnalysis`
-to a small, hashable :class:`ProgramFeatures` record that the strategy
-selectors in :mod:`repro.core.strategy` rank against.
+to a small, hashable :class:`ProgramFeatures` record whose
+:meth:`~ProgramFeatures.bucket` keys the calibrated selection table that
+:func:`repro.core.strategy.plan` ranks strategies by.
 
 Design constraints:
 
@@ -16,13 +17,11 @@ Design constraints:
   through :meth:`DependenceAnalysis.is_uniform`); no per-point Python set
   algebra is introduced;
 * **shared work** — extraction consumes the *same* ``DependenceAnalysis``
-  object the winning strategy's builder will consume, so nothing the
-  selector touches is re-analysed by the build;
-* **bounded cost** — the one potentially super-linear fact, the wavefront
-  shape, is estimated from a dataflow peel of a lexicographic *prefix sample*
-  of the space when the space exceeds ``sample_cap`` points (the dependence
-  relation is restricted to the prefix and the level count is extrapolated
-  by the per-dimension extent ratio);
+  object the winning strategy's builder will consume, so nothing selection
+  touches is re-analysed by the build;
+* **no probing** — every fact is a count or a verdict the analysis already
+  holds; no partition is built to describe the program (symbolic-eligible
+  nests get closed-form counts and enumerate nothing);
 * **cached on the plan fingerprint** — :func:`program_features` memoises on
   ``(program fingerprint, params)``, so repeated planning of the same nest
   (the serving scenario) never re-extracts, mirroring the plan cache.
@@ -35,8 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 
@@ -45,26 +42,16 @@ __all__ = [
     "program_features",
     "clear_feature_cache",
     "feature_cache_stats",
-    "WAVEFRONT_SAMPLE_CAP",
 ]
-
-#: Spaces larger than this are wavefront-estimated from a lexicographic
-#: prefix of this many points instead of a full dataflow peel.
-WAVEFRONT_SAMPLE_CAP = 20_000
 
 
 @dataclass(frozen=True)
 class ProgramFeatures:
-    """The selector-facing summary of one (program, params) pair.
+    """The selection-facing summary of one (program, params) pair.
 
     ``uniform`` is three-valued: ``True``/``False`` for perfect nests (the
     exhaustive §2 check over the combined relation) and ``None`` for
     imperfect nests, where no single iteration-level relation exists.
-    ``wavefront_levels`` / ``wavefront_width`` describe the dataflow
-    wavefront shape — exact for small spaces, extrapolated from a prefix
-    sample (``sampled=True``) for large ones, ``None`` for imperfect nests
-    (their statement-level peel is exactly what the dataflow builder would
-    run, so probing it here would double the work).
     """
 
     program: str
@@ -79,9 +66,6 @@ class ProgramFeatures:
     single_coupled_pair: bool
     n_dependences: int
     uniform: Optional[bool]
-    wavefront_levels: Optional[int]
-    wavefront_width: Optional[float]
-    sampled: bool
 
     @property
     def dependence_density(self) -> float:
@@ -123,17 +107,10 @@ class ProgramFeatures:
         shape = "rect" if self.rectangular else "nonrect"
         nest = "perfect" if self.perfect_nest else "imperfect"
         uniform = {True: "uniform", False: "non-uniform", None: "mixed"}[self.uniform]
-        wave = ""
-        if self.wavefront_levels is not None:
-            approx = "~" if self.sampled else ""
-            wave = (
-                f", wavefronts {approx}{self.wavefront_levels}"
-                f"x{self.wavefront_width:.0f}"
-            )
         return (
             f"depth={self.nest_depth} statements={self.n_statements} ({nest}, {shape}), "
             f"{self.n_points} points, {self.n_dependences} dependences "
-            f"({uniform}, {self.n_coupled_pairs} coupled pairs){wave}"
+            f"({uniform}, {self.n_coupled_pairs} coupled pairs)"
         )
 
 
@@ -160,59 +137,11 @@ def _is_rectangular(program: LoopProgram) -> bool:
     return True
 
 
-def _lex_le(points: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Vectorised ``row <=lex bound`` over an ``(n, d)`` int64 array."""
-    n = points.shape[0]
-    result = np.zeros(n, dtype=bool)
-    undecided = np.ones(n, dtype=bool)
-    for k in range(points.shape[1]):
-        less = undecided & (points[:, k] < bound[k])
-        greater = undecided & (points[:, k] > bound[k])
-        result |= less
-        undecided &= ~(less | greater)
-    result |= undecided  # exactly equal to the bound
-    return result
-
-
-def _wavefront_estimate(
-    analysis: DependenceAnalysis, n_points: int, depth: int, sample_cap: int
-) -> Tuple[Optional[int], Optional[float], bool]:
-    """(levels, mean width, sampled?) of the dataflow wavefront partition.
-
-    Exact (one vectorised peel) up to ``sample_cap`` points; beyond that the
-    peel runs on the lexicographic prefix of ``sample_cap`` points with the
-    relation restricted to it, and the level count is extrapolated by the
-    per-dimension extent ratio ``(n/k)^(1/depth)`` (wavefront counts grow
-    with the linear extent of the space, not its volume).
-    """
-    from ..core.dataflow import dataflow_partition
-    from ..isl.relations import FiniteRelation
-
-    rel = analysis.iteration_dependences
-    if n_points == 0:
-        return 0, 0.0, False
-    if len(rel) == 0:
-        return 1, float(n_points), False
-    space = analysis.iteration_space_array
-    if n_points <= sample_cap:
-        levels = dataflow_partition(space, rel).num_steps
-        return levels, n_points / max(1, levels), False
-    prefix = space[:sample_cap]
-    bound = space[sample_cap - 1]
-    src, dst = rel.as_arrays()
-    mask = _lex_le(src, bound) & _lex_le(dst, bound)
-    sub = FiniteRelation.from_arrays(src[mask], dst[mask])
-    sampled_levels = dataflow_partition(prefix, sub).num_steps
-    scale = (n_points / sample_cap) ** (1.0 / max(1, depth))
-    levels = max(1, int(round(sampled_levels * scale)))
-    return levels, n_points / levels, True
-
-
 def _closed_form(
     program: LoopProgram,
     params: Mapping[str, int],
     analysis: DependenceAnalysis,
-) -> Optional[Tuple[int, int, bool, Optional[int], Optional[float]]]:
+) -> Optional[Tuple[int, int, bool]]:
     """O(1)-in-N feature facts for the symbolic-eligible case, or ``None``.
 
     When the nest is rectangular with a single uniform integral dependence
@@ -220,10 +149,7 @@ def _closed_form(
     ``iteration_space_array`` / ``iteration_dependences`` is a product of
     the box extents: ``|Φ| = Π e_k``, ``|Rd| = Π max(0, e_k − |u_k|)``
     (iteration ``i`` depends on ``i − u`` whenever both ends stay in the
-    box), and the dataflow wavefront is the longest ``u``-line in the box —
-    ``1 + min_{u_k ≠ 0} (e_k − 1) // |u_k|`` levels, exactly what a full
-    peel would count.  Returns ``(n_points, n_deps, single_coupled_pair,
-    levels, width)``.
+    box).  Returns ``(n_points, n_deps, single_coupled_pair)``.
     """
     from ..core.symbolic import box_count, rectangular_box, uniform_shift_pairs
 
@@ -239,63 +165,29 @@ def _closed_form(
     n_deps = 1 if n_points else 0
     for e, u in zip(extents, shift):
         n_deps *= max(0, e - abs(u))
-    if n_points == 0:
-        levels: Optional[int] = 0
-        width: Optional[float] = 0.0
-    elif n_deps == 0:
-        levels, width = 1, float(n_points)
-    else:
-        levels = 1 + min((e - 1) // abs(u) for e, u in zip(extents, shift) if u)
-        width = n_points / levels
-    return n_points, n_deps, n_deps > 0 and n_active_pairs == 1, levels, width
+    return n_points, n_deps, n_deps > 0 and n_active_pairs == 1
 
 
 def _extract(
     program: LoopProgram,
     params: Mapping[str, int],
     analysis: DependenceAnalysis,
-    sample_cap: int,
 ) -> ProgramFeatures:
     contexts = program.statement_contexts()
-    depth = max((ctx.depth for ctx in contexts), default=0)
     perfect = program.is_perfect_nest()
     closed = _closed_form(program, params, analysis) if perfect else None
 
+    uniform: Optional[bool]
     if closed is not None:
         # Symbolic-eligible nest: every count is a closed-form product —
         # no iteration space or dependence relation is ever enumerated.
-        n_points, n_deps, scp, levels, width = closed
-        uniform: Optional[bool] = True
-        sampled = False
-        return ProgramFeatures(
-            program=program.name,
-            nest_depth=depth,
-            n_statements=len(contexts),
-            perfect_nest=perfect,
-            rectangular=_is_rectangular(program),
-            n_points=n_points,
-            n_reference_pairs=len(analysis.reference_pairs),
-            n_coupled_pairs=len(analysis.coupled_pairs),
-            coupled_subscripts=any(
-                p.has_coupled_subscript_dimensions()
-                for p in analysis.reference_pairs
-            ),
-            single_coupled_pair=scp,
-            n_dependences=n_deps,
-            uniform=uniform,
-            wavefront_levels=levels,
-            wavefront_width=width,
-            sampled=sampled,
-        )
-
-    if perfect:
+        n_points, n_deps, single_coupled_pair = closed
+        uniform = True
+    elif perfect:
         n_points = int(analysis.iteration_space_array.shape[0])
-        rel = analysis.iteration_dependences
-        n_deps = len(rel)
+        n_deps = len(analysis.iteration_dependences)
         uniform = analysis.is_uniform() if n_deps else True
-        levels, width, sampled = _wavefront_estimate(
-            analysis, n_points, depth, sample_cap
-        )
+        single_coupled_pair = analysis.has_single_coupled_pair()
     else:
         n_points = sum(
             int(analysis.statement_domain_array(ctx.statement.label).shape[0])
@@ -303,12 +195,11 @@ def _extract(
         )
         n_deps = sum(len(d.relation) for d in analysis.pair_dependences)
         uniform = None
-        levels = width = None
-        sampled = False
+        single_coupled_pair = analysis.has_single_coupled_pair()
 
     return ProgramFeatures(
         program=program.name,
-        nest_depth=depth,
+        nest_depth=max((ctx.depth for ctx in contexts), default=0),
         n_statements=len(contexts),
         perfect_nest=perfect,
         rectangular=_is_rectangular(program),
@@ -318,12 +209,9 @@ def _extract(
         coupled_subscripts=any(
             p.has_coupled_subscript_dimensions() for p in analysis.reference_pairs
         ),
-        single_coupled_pair=analysis.has_single_coupled_pair(),
+        single_coupled_pair=single_coupled_pair,
         n_dependences=n_deps,
         uniform=uniform,
-        wavefront_levels=levels,
-        wavefront_width=width,
-        sampled=sampled,
     )
 
 
@@ -360,7 +248,6 @@ def program_features(
     params: Optional[Mapping[str, int]] = None,
     analysis: Optional[DependenceAnalysis] = None,
     fingerprint: Optional[str] = None,
-    sample_cap: int = WAVEFRONT_SAMPLE_CAP,
     cache: bool = True,
 ) -> ProgramFeatures:
     """Extract (or recall) the :class:`ProgramFeatures` of one plan request.
@@ -391,7 +278,7 @@ def program_features(
             _CACHE_MISSES += 1
     if analysis is None:
         analysis = DependenceAnalysis(program, params)
-    features = _extract(program, params, analysis, sample_cap)
+    features = _extract(program, params, analysis)
     if key is not None:
         with _CACHE_LOCK:
             _CACHE[key] = features

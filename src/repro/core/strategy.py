@@ -10,24 +10,23 @@ This module puts one compiler-style facade in front of all of them:
 
 ``plan(program, params, config=PlanConfig(...)) -> Plan``
 
-* every scheme is a :class:`PartitionStrategy` in a **registry**; selection
-  is delegated to a :class:`StrategySelector` (its own registry):
-  ``selector="table"`` (the default) ranks the registry against a
-  **calibrated workload table** (``selection_table.json``, regenerated by
-  ``benchmarks/bench_strategy_selection.py`` from the corpus sweep) keyed by
-  the program's :class:`~repro.analysis.features.ProgramFeatures` bucket;
-  ``selector="feature_rules"`` ranks by each strategy's
-  ``score(features) -> Score`` hook; ``selector="fixed"`` walks the
-  historical fallback chain (recurrence-chains → dataflow → pdm → pl →
-  unique-sets → doacross → tiling → inner-parallel) bit-identically.
-  Whatever the order, the first *applicable* strategy wins and every probe
-  failure is recorded — ``Plan.explain()`` reports the features seen, the
-  per-strategy scores and the skip reasons, replacing the old hand-rolled
-  fallback idiom.  An explicit ``PlanConfig(strategies=...)`` order is
-  honoured literally (no re-ranking);
+* every scheme is a :class:`PartitionStrategy` in a **registry** whose
+  registration order is Algorithm 1's fallback chain (recurrence-chains →
+  dataflow → pdm → pl → unique-sets → doacross → tiling → inner-parallel →
+  symbolic).  One selection policy orders that chain: the program's
+  :class:`~repro.analysis.features.ProgramFeatures` bucket is looked up in
+  the **calibrated workload table** (``selection_table.json``, regenerated
+  by ``benchmarks/bench_strategy_selection.py`` from the corpus sweep); the
+  bucket's calibrated strategies come first and the rest follow in registry
+  order, so an uncalibrated bucket (or a missing table) walks the registry
+  chain unchanged.  An explicit ``PlanConfig(strategies=...)`` order is
+  honoured literally (no re-ranking).  Whatever the order, the first
+  *applicable* strategy wins and every probe failure is recorded —
+  ``Plan.explain()`` reports the features seen, the calibrated scores and
+  the skip reasons, replacing the old hand-rolled fallback idiom;
 * :class:`PlanConfig` centralises the knobs that used to be scattered as
-  keyword arguments: the strategy preference order, the selector, the
-  executor's shuffle seed and its default execution config;
+  keyword arguments: the strategy preference order, the executor's shuffle
+  seed and its default execution config, validated on construction;
 * :class:`Plan` is the single result object — schedule, partition/chain/
   statement-space diagnostics, chosen strategy, per-strategy timings — with
   ``.execute(backend=…)``, ``.validate()`` and ``.codegen(target=…)``
@@ -54,7 +53,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
@@ -95,22 +94,13 @@ __all__ = [
     "get_strategy",
     "strategy_names",
     "strategy_table",
-    "Score",
     "SelectionReport",
-    "StrategySelector",
-    "register_selector",
-    "get_selector",
-    "selector_names",
     "load_selection_table",
-    "DEFAULT_SELECTOR",
 ]
 
-#: The selector registry (populated at the bottom of this module); declared
-#: here so ``PlanConfig.__post_init__`` can validate against it.
-_SELECTORS: "OrderedDict[str, StrategySelector]" = OrderedDict()
-
-#: Name of the selector a bare ``PlanConfig()`` uses.
-DEFAULT_SELECTOR = "table"
+#: The strategy registry (populated below); declared here so
+#: ``PlanConfig.__post_init__`` can validate names against it.
+_REGISTRY: "OrderedDict[str, PartitionStrategy]" = OrderedDict()
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +113,11 @@ class PlanConfig:
     """Every knob of the planning pipeline, in one hashable object.
 
     ``strategies``
-        Explicit strategy preference order (names from the registry); the
-        first applicable one wins and **no selector re-ranking happens** — a
-        pinned order is honoured literally (``("dataflow",)`` forces the
-        dataflow branch).  ``None`` means the registry's chain, ranked by the
-        configured selector.
-    ``selector``
-        How the registry chain is ordered when ``strategies`` is ``None``:
-        ``"table"`` (default — the calibrated workload table, falling back
-        to feature rules for uncalibrated buckets), ``"feature_rules"``
-        (rank by each strategy's ``score(features)`` hook) or ``"fixed"``
-        (the historical registration-order fallback chain, bit-identical to
-        the pre-selector dispatch).
+        Explicit strategy preference order (a non-empty tuple of registered
+        names); the first applicable one wins and **no re-ranking happens**
+        — a pinned order is honoured literally (``("dataflow",)`` forces the
+        dataflow branch, ``strategy_names()`` walks the registry chain).
+        ``None`` means the registry's chain ranked by the calibrated table.
     ``rng_seed``
         Default intra-phase shuffle seed used by :meth:`Plan.execute`
         (``None`` disables shuffling, matching the executors' contract).
@@ -144,21 +127,36 @@ class PlanConfig:
         through the execution-backend registry (``serial`` / ``threaded`` /
         ``process`` / ``simulated``) with these knobs.  ``None`` means the
         serial backend shuffled by ``rng_seed``.
+
+    Every field is checked on construction, so a bad config (a bare string
+    for ``strategies``, an unknown name, a non-integer seed) fails here and
+    not inside :func:`plan`.
     """
 
     strategies: Optional[Tuple[str, ...]] = None
-    selector: str = DEFAULT_SELECTOR
     rng_seed: Optional[int] = 0
     exec_config: Optional[ExecConfig] = None
 
     def __post_init__(self):
-        if _SELECTORS and self.selector not in _SELECTORS:
-            raise ValueError(
-                f"unknown selector {self.selector!r}; registered: "
-                f"{', '.join(_SELECTORS)}"
-            )
         if self.strategies is not None:
-            object.__setattr__(self, "strategies", tuple(self.strategies))
+            if isinstance(self.strategies, str):
+                raise TypeError(
+                    "PlanConfig.strategies must be a sequence of strategy "
+                    f"names, not the string {self.strategies!r}"
+                )
+            names = tuple(self.strategies)
+            if not names:
+                raise ValueError("PlanConfig.strategies must name at least one strategy")
+            for name in names:
+                if name not in _REGISTRY:
+                    raise ValueError(
+                        f"unknown strategy {name!r}; registered: {', '.join(_REGISTRY)}"
+                    )
+            object.__setattr__(self, "strategies", names)
+        if self.rng_seed is not None and (
+            isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int)
+        ):
+            raise TypeError(f"rng_seed must be an int or None, got {self.rng_seed!r}")
         if self.exec_config is not None and not isinstance(self.exec_config, ExecConfig):
             raise TypeError("exec_config must be an ExecConfig (or None)")
 
@@ -183,7 +181,7 @@ class PlanningContext:
     config: PlanConfig
     analysis: DependenceAnalysis
     #: The program fingerprint ``plan()`` already computed for its cache key;
-    #: lets selectors hit the feature cache without re-hashing the program.
+    #: lets selection hit the feature cache without re-hashing the program.
     fingerprint: str = ""
 
     @property
@@ -206,36 +204,13 @@ class StrategyBuild:
 
 
 @dataclass(frozen=True)
-class Score:
-    """A strategy's self-assessed fit for a program's features.
-
-    ``value`` is in ``[0, 1]`` by convention (higher = better fit);
-    ``reason`` is the human-readable justification surfaced by
-    ``Plan.explain()``.  Scores *rank* applicable strategies — they never
-    override the hard ``applicability`` gates.
-    """
-
-    value: float
-    reason: str = ""
-
-
-def _default_score(features) -> Score:
-    return Score(0.5, "no feature model registered for this strategy")
-
-
-@dataclass(frozen=True)
 class PartitionStrategy:
     """One partitioning scheme behind the facade.
 
     ``applicability(ctx)`` returns ``None`` when the strategy applies or a
     human-readable reason when it does not (surfaced by ``Plan.explain()``);
     ``builder(ctx)`` produces the :class:`StrategyBuild` and is only called
-    after the applicability probe passed; ``score(features)`` is the
-    applicability-*strength* hook — given a program's
-    :class:`~repro.analysis.features.ProgramFeatures` it returns a
-    :class:`Score` that the ``feature_rules`` selector ranks strategies by
-    (and that the ``table`` selector falls back to for uncalibrated
-    feature buckets).
+    after the applicability probe passed.
     """
 
     name: str
@@ -243,10 +218,6 @@ class PartitionStrategy:
     description: str
     applicability: Callable[[PlanningContext], Optional[str]]
     builder: Callable[[PlanningContext], StrategyBuild]
-    score: Callable[..., Score] = _default_score
-
-
-_REGISTRY: "OrderedDict[str, PartitionStrategy]" = OrderedDict()
 
 
 def register_strategy(strategy: PartitionStrategy) -> PartitionStrategy:
@@ -391,100 +362,12 @@ def _symbolic_builder(ctx: PlanningContext) -> StrategyBuild:
     )
 
 
-# -- feature-rule scorers ----------------------------------------------------
-#
-# Heuristic applicability-strength models, one per built-in strategy.  They
-# encode the paper's qualitative claims (REC dominates the single non-uniform
-# coupled pair case; uniformization schemes want uniform distances; tiling
-# wants uniform rectangular nests) and exist so selection degrades gracefully
-# for programs outside the calibrated table's buckets.  The calibrated table
-# — measured, not guessed — takes precedence wherever it has data.
-
-
-def _score_recurrence(f) -> Score:
-    if not f.perfect_nest:
-        return Score(0.05, "imperfect nest: the Lemma 1 gate cannot pass")
-    if not f.single_coupled_pair:
-        return Score(0.1, "needs exactly one coupled pair with dependences")
-    if f.uniform is False:
-        return Score(0.95, "one non-uniform coupled pair: the REC home ground")
-    return Score(0.7, "one uniform coupled pair: chains degenerate to strides")
-
-
-def _score_dataflow(f) -> Score:
-    if not f.perfect_nest:
-        return Score(0.85, "imperfect nest: statement-level wavefronts apply directly")
-    if f.n_dependences == 0:
-        return Score(0.8, "no dependences: a single DOALL wavefront")
-    width = f.wavefront_width if f.wavefront_width is not None else 1.0
-    if width >= 8.0:
-        return Score(0.6, f"wide wavefronts (mean width ~{width:.0f})")
-    return Score(0.3, f"narrow wavefronts (mean width ~{width:.1f}): barrier-bound")
-
-
-def _score_pdm(f) -> Score:
-    if not f.perfect_nest:
-        return Score(0.02, "statement-level PDM is conservative on imperfect nests")
-    if f.uniform:
-        return Score(0.5, "uniform distances: the pseudo-distance matrix is exact")
-    return Score(0.35, "non-uniform distances: PDM over-synchronizes")
-
-
-def _score_pl(f) -> Score:
-    if not f.perfect_nest:
-        return Score(0.02, "requires a perfect nest")
-    if f.coupled_subscripts:
-        return Score(0.3, "coupled subscripts: direction vectors lose precision")
-    return Score(0.4, "separable subscripts: labeling is exact")
-
-
-def _score_unique_sets(f) -> Score:
-    if not f.perfect_nest:
-        return Score(0.02, "requires a perfect nest")
-    return Score(0.25, "unique-set splitting rarely beats three-set + chains")
-
-
-def _score_doacross(f) -> Score:
-    if not f.perfect_nest:
-        return Score(0.1, "DOACROSS on an imperfect nest synchronizes per statement")
-    if f.uniform:
-        return Score(0.4, "uniform distances: tight BDV synchronization")
-    return Score(0.25, "non-uniform distances: conservative BDV delays")
-
-
-def _score_tiling(f) -> Score:
-    if f.perfect_nest and f.uniform and f.rectangular:
-        return Score(0.55, "uniform rectangular nest: minimum-distance tiles exactly")
-    return Score(0.1, "tiling needs uniform distances on a rectangular space")
-
-
-def _score_innerpar(f) -> Score:
-    if f.nest_depth >= 2:
-        return Score(0.2, "inner DOALL exists but the outer loop stays sequential")
-    return Score(0.05, "depth-1 nest: nothing inner to parallelize")
-
-
-def _score_symbolic(f) -> Score:
-    if not f.perfect_nest:
-        return Score(0.02, "requires a single-statement perfect nest")
-    if not f.rectangular:
-        return Score(0.05, "requires a rectangular iteration space")
-    if not (f.uniform and f.single_coupled_pair):
-        return Score(0.1, "requires exactly one uniform dependence distance")
-    return Score(
-        0.9,
-        "rectangular + single uniform distance: O(1) closed-form plan "
-        "and a compiled vectorized kernel",
-    )
-
-
 register_strategy(PartitionStrategy(
     name="recurrence-chains",
     scheme="recurrence-chains",
     description="Algorithm 1, Lemma 1 branch: P1 / monotonic WHILE chains / P3",
     applicability=_rec_applicability,
     builder=_rec_builder,
-    score=_score_recurrence,
 ))
 register_strategy(PartitionStrategy(
     name="dataflow",
@@ -492,7 +375,6 @@ register_strategy(PartitionStrategy(
     description="Algorithm 1, iterative dataflow branch: one DOALL wavefront per peel",
     applicability=_always_applicable,
     builder=_dataflow_builder,
-    score=_score_dataflow,
 ))
 register_strategy(PartitionStrategy(
     name="pdm",
@@ -500,7 +382,6 @@ register_strategy(PartitionStrategy(
     description="pseudo-distance-matrix uniformization (Yu & D'Hollander '00)",
     applicability=_always_applicable,
     builder=_pdm_builder,
-    score=_score_pdm,
 ))
 register_strategy(PartitionStrategy(
     name="pl",
@@ -508,7 +389,6 @@ register_strategy(PartitionStrategy(
     description="partitioning & labeling / direction-vector uniformization",
     applicability=_perfect_nest_only,
     builder=_pl_builder,
-    score=_score_pl,
 ))
 register_strategy(PartitionStrategy(
     name="unique-sets",
@@ -516,7 +396,6 @@ register_strategy(PartitionStrategy(
     description="unique-sets oriented partitioning (Ju & Chaudhary '97)",
     applicability=_perfect_nest_only,
     builder=_unique_sets_builder,
-    score=_score_unique_sets,
 ))
 register_strategy(PartitionStrategy(
     name="doacross",
@@ -524,7 +403,6 @@ register_strategy(PartitionStrategy(
     description="BDV-synchronized DOACROSS wavefronts (Tzen & Ni '93)",
     applicability=_always_applicable,
     builder=_doacross_builder,
-    score=_score_doacross,
 ))
 register_strategy(PartitionStrategy(
     name="tiling",
@@ -532,7 +410,6 @@ register_strategy(PartitionStrategy(
     description="minimum-distance tiling (Punyamurtula et al. '99)",
     applicability=_perfect_nest_only,
     builder=_tiling_builder,
-    score=_score_tiling,
 ))
 register_strategy(PartitionStrategy(
     name="inner-parallel",
@@ -540,7 +417,6 @@ register_strategy(PartitionStrategy(
     description="outer loop sequential, inner iterations parallel (PAR)",
     applicability=_always_applicable,
     builder=_innerpar_builder,
-    score=_score_innerpar,
 ))
 register_strategy(PartitionStrategy(
     name="symbolic",
@@ -548,106 +424,31 @@ register_strategy(PartitionStrategy(
     description="closed-form three-set partition, O(1)-in-N plan + compiled kernel",
     applicability=_symbolic_applicability,
     builder=_symbolic_builder,
-    score=_score_symbolic,
 ))
 
 
 # ---------------------------------------------------------------------------
-# strategy selectors: how the registry chain is ordered
+# selection: how the registry chain is ordered
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """What the selector saw and decided — attached to every :class:`Plan`.
+    """How the strategy chain was ordered — attached to every :class:`Plan`.
 
-    ``order`` is the ranked chain actually walked; ``scores`` are
-    ``(strategy, value, reason)`` triples in ranked order (empty for the
-    fixed selector and for pinned/single-strategy orders, which skip feature
-    extraction entirely); ``features`` is the
+    ``order`` is the chain actually walked; ``scores`` are ``(strategy,
+    value, reason)`` triples for a calibrated bucket, in ranked order (empty
+    for pinned orders and uncalibrated buckets); ``features`` is the
     :class:`~repro.analysis.features.ProgramFeatures` record when one was
-    extracted; ``bucket`` is its calibration-table key; ``source`` says how
-    the order was produced.
+    extracted (every unpinned plan); ``bucket`` is its calibration-table
+    key; ``source`` says how the order was produced.
     """
 
-    selector: str
     order: Tuple[str, ...]
     scores: Tuple[Tuple[str, float, str], ...] = ()
     features: Optional[object] = None
     bucket: Optional[str] = None
     source: str = ""
-
-
-@dataclass(frozen=True)
-class StrategySelector:
-    """One ranking policy behind ``PlanConfig(selector=...)``.
-
-    ``rank(ctx, order)`` returns ``(ranked order, SelectionReport)``; it may
-    only reorder ``order``, never add or drop names — hard applicability
-    gates stay with the strategies themselves.
-    """
-
-    name: str
-    description: str
-    rank: Callable[[PlanningContext, Tuple[str, ...]],
-                   Tuple[Tuple[str, ...], SelectionReport]]
-
-
-def register_selector(selector: StrategySelector) -> StrategySelector:
-    _SELECTORS[selector.name] = selector
-    return selector
-
-
-def get_selector(name: str) -> StrategySelector:
-    try:
-        return _SELECTORS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown selector {name!r}; registered: {', '.join(_SELECTORS)}"
-        ) from None
-
-
-def selector_names() -> Tuple[str, ...]:
-    return tuple(_SELECTORS)
-
-
-def _ctx_features(ctx: PlanningContext):
-    """The planning context's ProgramFeatures (shared analysis, cached on the
-    plan fingerprint).  Imported lazily: ``repro.analysis`` imports this
-    module at package-init time."""
-    from ..analysis.features import program_features
-
-    return program_features(
-        ctx.program,
-        ctx.params,
-        analysis=ctx.analysis,
-        fingerprint=ctx.fingerprint or None,
-    )
-
-
-def _rank_fixed(ctx, order):
-    return tuple(order), SelectionReport(
-        selector="fixed", order=tuple(order), source="registration-order chain"
-    )
-
-
-def _rank_feature_rules(ctx, order):
-    features = _ctx_features(ctx)
-    scored = []
-    for name in order:
-        s = get_strategy(name).score(features)
-        scored.append((name, round(float(s.value), 4), s.reason))
-    # Stable sort: ties keep the registry/registration order.
-    ranked_rows = sorted(scored, key=lambda row: -row[1])
-    ranked = tuple(name for name, _, _ in ranked_rows)
-    return ranked, SelectionReport(
-        selector="feature_rules",
-        order=ranked,
-        scores=tuple(ranked_rows),
-        features=features,
-        bucket=features.bucket(),
-        source="per-strategy feature scores",
-    )
 
 
 #: Path of the checked-in calibrated strategy-selection table (regenerated by
@@ -665,7 +466,7 @@ def load_selection_table(path: Optional[Path] = None) -> Dict[str, object]:
     [{"strategy", "rel_time"}, ...]}, "families": {family: bucket}}`` where
     ``rel_time`` is the family-averaged simulated time relative to the
     bucket's best strategy (1.0 = fastest).  A missing file yields an empty
-    table — the ``table`` selector then behaves like ``feature_rules``.
+    table — every bucket then walks the registry chain.
     """
     key = str(path or SELECTION_TABLE_PATH)
     with _SELECTION_TABLE_LOCK:
@@ -683,56 +484,61 @@ def clear_selection_table_cache() -> None:
         _SELECTION_TABLE_CACHE.clear()
 
 
-def _rank_table(ctx, order):
-    features = _ctx_features(ctx)
+def _rank(ctx: PlanningContext) -> Tuple[Tuple[str, ...], SelectionReport]:
+    """The one selection policy: ``(chain to walk, report)``.
+
+    A pinned ``PlanConfig.strategies`` is walked literally, without feature
+    extraction.  Otherwise the program's feature bucket is looked up in the
+    calibrated table: its strategies come first, best simulated time first,
+    and every other registered strategy follows in registry order — so an
+    uncalibrated bucket walks Algorithm 1's registry chain unchanged.  The
+    order only decides which applicable strategy is probed first; the hard
+    applicability gates stay with the strategies themselves.
+    """
+    if ctx.config.strategies is not None:
+        order = ctx.config.strategies
+        return order, SelectionReport(
+            order=order, source="pinned order (PlanConfig.strategies)"
+        )
+    # Imported lazily: ``repro.analysis`` imports this module at package-init
+    # time.
+    from ..analysis.features import program_features
+
+    features = program_features(
+        ctx.program,
+        ctx.params,
+        analysis=ctx.analysis,
+        fingerprint=ctx.fingerprint or None,
+    )
     bucket = features.bucket()
-    table = load_selection_table()
-    entries = table.get("buckets", {}).get(bucket)
-    if not entries:
-        ranked, report = _rank_feature_rules(ctx, order)
-        return ranked, replace(
-            report,
-            selector="table",
-            bucket=bucket,
-            source="bucket not calibrated; feature-rule fallback",
+    entries = [
+        e for e in load_selection_table().get("buckets", {}).get(bucket, ())
+        if e["strategy"] in _REGISTRY
+    ]
+    calibrated = [e["strategy"] for e in entries]
+    ranked = tuple(calibrated + [n for n in _REGISTRY if n not in calibrated])
+    scores: Tuple[Tuple[str, float, str], ...] = ()
+    if entries:
+        scores = tuple(
+            (
+                e["strategy"],
+                round(1.0 / max(float(e["rel_time"]), 1e-9), 4),
+                f"calibrated: {e['rel_time']:.2f}x the bucket's best simulated time",
+            )
+            for e in entries
+        ) + tuple(
+            (name, 0.0, "not calibrated in this bucket") for name in ranked[len(entries):]
         )
-    calibrated = [e["strategy"] for e in entries if e["strategy"] in order]
-    rest = [name for name in order if name not in calibrated]
-    ranked = tuple(calibrated + rest)
-    scores = tuple(
-        (
-            e["strategy"],
-            round(1.0 / max(float(e["rel_time"]), 1e-9), 4),
-            f"calibrated: {e['rel_time']:.2f}x the bucket's best simulated time",
-        )
-        for e in entries
-        if e["strategy"] in order
-    ) + tuple((name, 0.0, "not calibrated in this bucket") for name in rest)
     return ranked, SelectionReport(
-        selector="table",
         order=ranked,
         scores=scores,
         features=features,
         bucket=bucket,
-        source="calibrated workload table",
+        source=(
+            "calibrated workload table" if entries
+            else "bucket not calibrated; registry order"
+        ),
     )
-
-
-register_selector(StrategySelector(
-    name="fixed",
-    description="the historical registration-order fallback chain",
-    rank=_rank_fixed,
-))
-register_selector(StrategySelector(
-    name="feature_rules",
-    description="rank by each strategy's score(features) hook",
-    rank=_rank_feature_rules,
-))
-register_selector(StrategySelector(
-    name="table",
-    description="rank by the calibrated corpus win table (feature-rule fallback)",
-    rank=_rank_table,
-))
 
 
 # ---------------------------------------------------------------------------
@@ -802,16 +608,12 @@ class Plan:
         per-strategy planning times — the replacement for hand-rolled
         try/except dispatch around :class:`PartitioningNotApplicable`."""
         lines = [f"plan for {self.program.name!r} (params {self.params or '{}'}):"]
-        if self.selection is not None and self.selection.scores:
-            lines.append(
-                f"  selector {self.selection.selector!r} "
-                f"({self.selection.source})"
-            )
-            if self.selection.features is not None:
-                lines.append(f"  features: {self.selection.features.describe()}")
-            if self.selection.bucket is not None:
-                lines.append(f"  bucket: {self.selection.bucket}")
-            for name, value, reason in self.selection.scores:
+        sel = self.selection
+        if sel is not None and sel.features is not None:
+            lines.append(f"  selection: {sel.source}")
+            lines.append(f"  features: {sel.features.describe()}")
+            lines.append(f"  bucket: {sel.bucket}")
+            for name, value, reason in sel.scores:
                 lines.append(f"  - score {name} {value:.2f}: {reason}")
         for name, reason in self.skipped:
             lines.append(f"  - skipped {name}: {reason}")
@@ -1056,8 +858,9 @@ def plan(
 ) -> Plan:
     """Plan a parallel execution of ``program`` at concrete parameter values.
 
-    Walks the configured strategy chain (default: the full registry order),
-    picks the first applicable strategy, and returns a :class:`Plan` that
+    Walks the strategy chain (a pinned ``config.strategies`` literally,
+    otherwise the registry ranked by the calibrated table), picks the first
+    applicable strategy, and returns a :class:`Plan` that
     records the schedule, the scheme-specific partition diagnostics, and why
     earlier strategies were skipped.  Raises
     :class:`~repro.core.partitioner.PartitioningNotApplicable` when no
@@ -1087,10 +890,6 @@ def plan(
         if hit is not None:
             return hit
 
-    order = config.strategies if config.strategies is not None else strategy_names()
-    if not order:
-        raise ValueError("PlanConfig.strategies must name at least one strategy")
-
     skipped: List[Tuple[str, str]] = []
     timings: Dict[str, float] = {}
     t_start = time.perf_counter()
@@ -1101,23 +900,7 @@ def plan(
         analysis=DependenceAnalysis(program, params),
         fingerprint=fingerprint,
     )
-    # How the chain is ordered: an explicit PlanConfig.strategies tuple is
-    # honoured literally (no feature extraction, no re-ranking), as is a
-    # single-name chain.  Otherwise the configured selector ranks the registry.
-    if config.strategies is not None:
-        selection = SelectionReport(
-            selector=config.selector,
-            order=tuple(order),
-            source="pinned order (PlanConfig.strategies)",
-        )
-    elif len(order) <= 1:
-        selection = SelectionReport(
-            selector=config.selector,
-            order=tuple(order),
-            source="single-strategy chain",
-        )
-    else:
-        order, selection = get_selector(config.selector).rank(ctx, tuple(order))
+    order, selection = _rank(ctx)
     chosen: Optional[PartitionStrategy] = None
     build: Optional[StrategyBuild] = None
     for name in order:
@@ -1130,7 +913,7 @@ def plan(
         try:
             build = strategy.builder(ctx)
         except (PartitioningNotApplicable, ImperfectNestError) as err:
-            # A ranked walk can probe a builder the fixed chain's hard
+            # A ranked walk can probe a builder the registry chain's hard
             # gates used to shield; a build-time refusal is just a skip.
             timings[name] = time.perf_counter() - t0
             skipped.append((name, f"builder raised: {err}"))

@@ -74,8 +74,10 @@ __all__ = [
 MAGIC = b"RPLN"
 
 #: Bumped on any incompatible change to the frame layout or header schema
-#: (2: the plan config lost its three engine-selection knobs).
-PROTOCOL_VERSION = 2
+#: (2: the plan config lost its three engine-selection knobs; 3: the plan
+#: config lost ``selector``, the selection report its ``selector`` and the
+#: features their wavefront estimate).
+PROTOCOL_VERSION = 3
 
 #: magic, version, kind, header length.
 _PRELUDE = struct.Struct(">4sHBI")
@@ -428,28 +430,32 @@ def plan_config_to_dict(cfg: Optional[PlanConfig]) -> Optional[Dict[str, Any]]:
         return None
     return {
         "strategies": list(cfg.strategies) if cfg.strategies is not None else None,
-        "selector": cfg.selector,
         "rng_seed": cfg.rng_seed,
         "exec_config": exec_config_to_dict(cfg.exec_config),
     }
 
 
 def plan_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[PlanConfig]:
+    """The plan config a peer asked for; :class:`PlanConfig` validates every
+    field as sent (a bare string or an unknown strategy name is refused here,
+    not inside ``plan()``)."""
     if d is None:
         return None
-    return PlanConfig(
-        strategies=tuple(d["strategies"]) if d["strategies"] is not None else None,
-        selector=d["selector"],
-        rng_seed=d["rng_seed"],
-        exec_config=exec_config_from_dict(d["exec_config"]),
-    )
+    exec_config = exec_config_from_dict(d["exec_config"])
+    try:
+        return PlanConfig(
+            strategies=d["strategies"],
+            rng_seed=d["rng_seed"],
+            exec_config=exec_config,
+        )
+    except (TypeError, ValueError) as exc:
+        raise WireError(f"bad plan config: {exc}") from None
 
 
 def _selection_to_dict(sel: Optional[SelectionReport]) -> Optional[Dict[str, Any]]:
     if sel is None:
         return None
     return {
-        "selector": sel.selector,
         "order": list(sel.order),
         "scores": [[s, v, r] for s, v, r in sel.scores],
         "features": asdict(sel.features) if isinstance(sel.features, ProgramFeatures) else None,
@@ -462,7 +468,6 @@ def _selection_from_dict(d: Optional[Dict[str, Any]]) -> Optional[SelectionRepor
     if d is None:
         return None
     return SelectionReport(
-        selector=d["selector"],
         order=tuple(d["order"]),
         scores=tuple((s, float(v), r) for s, v, r in d["scores"]),
         features=(

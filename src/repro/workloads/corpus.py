@@ -17,13 +17,13 @@ generation fractions — i.e. the measurement methodology is validated even
 though the original inputs cannot be.
 
 Beyond the composition study, the module hosts the **selection corpus**: named,
-seeded program *families* spanning the feature axes the strategy selectors in
-:mod:`repro.core.strategy` rank on — deep rectangular and triangular nests,
+seeded program *families* spanning the feature axes the selection table in
+:mod:`repro.core.strategy` is keyed on — deep rectangular and triangular nests,
 imperfect nests, non-uniform / coupled / separable dependences, parametric
 bounds, and real kernels (:func:`lu_kernel`, :func:`sor_kernel` alongside the
 paper's Cholesky).  ``benchmarks/bench_strategy_selection.py`` sweeps every
 registered strategy over :func:`selection_corpus` to regenerate the calibrated
-table the default ``table`` selector loads.
+table ``plan()`` ranks strategies by.
 """
 
 from __future__ import annotations

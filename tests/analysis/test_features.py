@@ -1,16 +1,15 @@
 """Tests for the program-feature layer (repro.analysis.features).
 
 The features feed strategy selection, so the facts asserted here are the ones
-the selectors rank on: nest shape, coupling, uniformity, the Lemma 1
-single-coupled-pair gate, the wavefront estimate, and the bucket key the
-calibrated table is indexed by — plus the fingerprint-keyed cache contract
+selection reads: nest shape, coupling, uniformity, the Lemma 1
+single-coupled-pair gate, and the bucket key the calibrated table is indexed
+by — plus the fingerprint-keyed cache contract
 (repeated planning of the same nest never re-extracts).
 """
 
 import pytest
 
 from repro.analysis.features import (
-    WAVEFRONT_SAMPLE_CAP,
     ProgramFeatures,
     clear_feature_cache,
     feature_cache_stats,
@@ -38,7 +37,7 @@ def _two_shift_uniform_loop(n1, n2):
     """Like ``large_uniform_loop`` but with a second read ``x(I1, I2+1)``,
     giving two distinct uniform distances (1,1) and (1,0).  The closed-form
     O(1) feature path requires exactly one distinct distance, so this program
-    exercises the enumerating wavefront estimator and its sampling cap."""
+    exercises the enumerating path."""
     from repro.ir.builder import aref, assign, loop, program
 
     body = assign(
@@ -63,7 +62,6 @@ class TestExtraction:
         assert f.coupled_subscripts and f.single_coupled_pair
         assert f.uniform is False
         assert f.n_dependences > 0
-        assert f.wavefront_levels is not None and not f.sampled
         assert f.bucket() == "perfect|1cp|coupled|nonuniform|rect|d2|dep"
 
     def test_figure2_is_depth1_nonuniform(self):
@@ -74,8 +72,6 @@ class TestExtraction:
     def test_uniform_stencil(self):
         f = program_features(large_uniform_loop(12, 12))
         assert f.uniform is True
-        assert f.wavefront_levels == 12  # one wavefront per diagonal
-        assert f.wavefront_width == pytest.approx(12.0)
 
     def test_triangular_space_is_not_rectangular(self):
         f = program_features(large_triangular_loop(10))
@@ -85,7 +81,7 @@ class TestExtraction:
     def test_imperfect_nest_features(self):
         f = program_features(example3_loop(12))
         assert not f.perfect_nest
-        assert f.uniform is None and f.wavefront_levels is None
+        assert f.uniform is None
         assert f.n_points == sum(
             1 for _ in example3_loop(12).sequential_iterations({})
         )
@@ -116,40 +112,26 @@ class TestExtraction:
 
 
 class TestWavefrontSampling:
-    """Programs with *two* distinct uniform distances miss the closed-form
-    gate (which requires exactly one), so they take the enumerating wavefront
-    estimator and its sampling cap."""
-
-    def test_large_space_is_sampled(self):
-        # 60k points > cap: the estimate comes from the lexicographic prefix.
-        f = program_features(_two_shift_uniform_loop(300, 200), cache=False)
-        assert f.sampled
-        assert f.wavefront_levels is not None
-        # the true dataflow depth (chains stepping by (1,0)) is 300; the
-        # extrapolated estimate must land within a factor of two
-        assert 150 <= f.wavefront_levels <= 600
+    """The dataflow wavefront probe and its sampling cap are gone; the
+    enumerating path that two distinct uniform distances take still counts
+    points and dependences exactly, never from a sampled prefix."""
 
     def test_small_space_is_exact(self):
-        f = program_features(large_uniform_loop(40, 40), cache=False)
-        assert not f.sampled and f.wavefront_levels == 40
-
-    def test_custom_sample_cap(self):
-        f = program_features(
-            _two_shift_uniform_loop(40, 40), sample_cap=100, cache=False
-        )
-        assert f.sampled
+        f = program_features(_two_shift_uniform_loop(40, 40), cache=False)
+        assert f.n_points == 40 * 40
+        # distances (1,1) and (1,0): 39*39 diagonal plus 39*40 vertical pairs
+        assert f.n_dependences == 39 * 39 + 39 * 40
 
 
 class TestClosedFormFeatures:
     """Symbolic-eligible nests (rectangular, exactly one uniform distance)
-    get O(1)-in-N features: exact closed-form counts, never sampled, no
-    point or pair enumeration."""
+    get O(1)-in-N features: exact closed-form counts, no point or pair
+    enumeration."""
 
     def test_counts_match_enumeration_exactly(self):
         f = program_features(large_uniform_loop(12, 12), cache=False)
         assert f.n_points == 144
         assert f.n_dependences == 11 * 11
-        assert f.wavefront_levels == 12 and not f.sampled
         assert f.uniform is True and f.single_coupled_pair
 
     def test_huge_space_is_closed_form(self):
@@ -157,14 +139,13 @@ class TestClosedFormFeatures:
         f = program_features(large_uniform_loop(10_000, 10_000), cache=False)
         assert f.n_points == 10**8
         assert f.n_dependences == 9_999**2
-        assert f.wavefront_levels == 10_000 and not f.sampled
-        assert f.wavefront_width == pytest.approx(10**8 / 10_000)
 
     def test_two_distinct_shifts_fall_back_to_enumeration(self):
         f = program_features(_two_shift_uniform_loop(12, 9), cache=False)
-        assert f.uniform is True and not f.sampled
-        # chains step by (1,0): exact depth is n1 = 12 levels
-        assert f.wavefront_levels == 12
+        assert f.uniform is True and not f.single_coupled_pair
+        assert f.n_points == 12 * 9
+        # distances (1,1) and (1,0): 11*8 diagonal plus 11*9 vertical pairs
+        assert f.n_dependences == 11 * 8 + 11 * 9
 
 
 class TestFeatureCache:

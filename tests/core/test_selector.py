@@ -1,31 +1,33 @@
-"""Tests for the strategy-selector layer of repro.core.strategy.
+"""Tests for the selection policy of repro.core.strategy.
 
-``plan()``'s dispatch is a selector (``fixed`` / ``feature_rules`` /
-``table``) ranking the registered chain; these tests pin the registry
-surface, the :class:`SelectionReport` attached to every plan, the calibrated
-table's loading/fallback behavior, and the bypass rules (pinned orders,
-single-strategy chains).  The bit-identity of
-``selector="fixed"`` with the historical chain is pinned separately in
-``test_strategy.py``.
+``plan()`` orders the registered chain with one policy: a pinned
+``PlanConfig.strategies`` is walked literally; otherwise the feature bucket's
+calibrated strategies (``selection_table.json``) come first and the rest
+follow in registry order, so an uncalibrated bucket walks Algorithm 1's
+registry chain.  These tests pin the :class:`SelectionReport` attached to
+every plan, the calibrated table's loading and its fallback, and a guard that
+no benchmarked program is decided by the fallback.  The bit-identity of
+``PlanConfig(strategies=strategy_names())`` with the historical chain is
+pinned separately in ``test_strategy.py``.
 """
 
 import pytest
 
+import oracle
+from repro.analysis.features import program_features
 from repro.core.strategy import (
-    DEFAULT_SELECTOR,
     SELECTION_TABLE_PATH,
     PlanConfig,
-    Score,
     SelectionReport,
     clear_selection_table_cache,
-    get_selector,
-    get_strategy,
     load_selection_table,
     plan,
-    selector_names,
     strategy_names,
 )
+from repro.workloads.corpus import selection_corpus
 from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
+
+SMALL_CORPUS = selection_corpus(size="small")
 
 
 @pytest.fixture(autouse=True)
@@ -36,29 +38,10 @@ def fresh_table_cache():
 
 
 class TestRegistry:
-    def test_registered_selectors(self):
-        assert selector_names() == ("fixed", "feature_rules", "table")
-        assert DEFAULT_SELECTOR == "table"
-        assert PlanConfig().selector == "table"
-
-    def test_get_selector(self):
-        sel = get_selector("feature_rules")
-        assert sel.name == "feature_rules" and callable(sel.rank)
-        with pytest.raises(KeyError, match="unknown selector 'banana'"):
-            get_selector("banana")
-
     def test_planconfig_rejects_unknown_selector(self):
-        with pytest.raises(ValueError, match="unknown selector"):
+        # The selector knob is retired: any value is refused, not ignored.
+        with pytest.raises(TypeError, match="selector"):
             PlanConfig(selector="banana")
-
-    def test_every_strategy_has_a_score_hook(self):
-        from repro.analysis.features import program_features
-
-        features = program_features(figure1_loop(6, 6), cache=False)
-        for name in strategy_names():
-            s = get_strategy(name).score(features)
-            assert isinstance(s, Score)
-            assert 0.0 <= s.value <= 1.0 and s.reason
 
 
 class TestSelectionReports:
@@ -66,7 +49,6 @@ class TestSelectionReports:
         p = plan(figure1_loop(10, 10), cache=False)
         sel = p.selection
         assert isinstance(sel, SelectionReport)
-        assert sel.selector == "table"
         assert sel.source == "calibrated workload table"
         assert sel.bucket == "perfect|1cp|coupled|nonuniform|rect|d2|dep"
         assert sel.order[0] == "recurrence-chains"
@@ -75,35 +57,27 @@ class TestSelectionReports:
         assert [name for name, _, _ in sel.scores] == list(sel.order)
         assert "calibrated" in sel.scores[0][2]
 
+    def test_selectors_only_reorder_the_chain(self):
+        for config in (PlanConfig(), PlanConfig(strategies=strategy_names())):
+            p = plan(figure2_loop(12), config=config, cache=False)
+            assert sorted(p.selection.order) == sorted(strategy_names())
+
     def test_table_falls_back_on_uncalibrated_bucket(self):
-        # example3's bucket is not in the corpus-derived table
+        # Example 3's bucket is not in the corpus-derived table, so the
+        # table's fallback walks the registry chain.
         p = plan(example3_loop(8), cache=False)
         sel = p.selection
-        assert sel.selector == "table"
-        assert sel.source == "bucket not calibrated; feature-rule fallback"
-        assert sel.scores and sel.features is not None
         assert sel.bucket not in load_selection_table()["buckets"]
-
-    def test_feature_rules_selector(self):
-        p = plan(
-            figure1_loop(10, 10),
-            config=PlanConfig(selector="feature_rules"), cache=False,
+        assert sel.source == "bucket not calibrated; registry order"
+        assert sel.order == strategy_names()
+        assert sel.scores == () and sel.features is not None
+        assert p.strategy == "dataflow"
+        chain = plan(
+            example3_loop(8),
+            config=PlanConfig(strategies=strategy_names()), cache=False,
         )
-        sel = p.selection
-        assert sel.selector == "feature_rules"
-        assert sel.order[0] == "recurrence-chains"  # non-uniform single pair
-        # scores are sorted descending and cover every registered strategy
-        values = [v for _, v, _ in sel.scores]
-        assert values == sorted(values, reverse=True)
-        assert set(sel.order) == set(strategy_names())
-
-    def test_selectors_only_reorder_the_chain(self):
-        for name in selector_names():
-            p = plan(
-                figure2_loop(12),
-                config=PlanConfig(selector=name), cache=False,
-            )
-            assert sorted(p.selection.order) == sorted(strategy_names())
+        assert chain.strategy == p.strategy
+        assert oracle.schedule_phases(p.schedule) == oracle.schedule_phases(chain.schedule)
 
     def test_pinned_order_skips_selection(self):
         p = plan(
@@ -118,15 +92,33 @@ class TestSelectionReports:
 
     def test_explain_shows_scores_for_ranked_plans_only(self):
         ranked = plan(figure1_loop(10, 10), cache=False).explain()
-        assert "selector 'table'" in ranked or "selector" in ranked
+        assert "selection: calibrated workload table" in ranked
         assert "- score recurrence-chains" in ranked
         assert "features:" in ranked and "bucket:" in ranked
 
-        fixed = plan(
+        pinned = plan(
             figure1_loop(10, 10),
-            config=PlanConfig(selector="fixed"), cache=False,
+            config=PlanConfig(strategies=strategy_names()), cache=False,
         ).explain()
-        assert "- score" not in fixed and "features:" not in fixed
+        assert "- score" not in pinned and "features:" not in pinned
+
+
+class TestRegistryFallback:
+    """An uncalibrated bucket walks the registry chain, and no benchmarked
+    program depends on that fallback."""
+
+    @pytest.mark.parametrize(
+        "entry", SMALL_CORPUS, ids=[e.name for e in SMALL_CORPUS]
+    )
+    def test_every_corpus_bucket_is_calibrated(self, entry):
+        bucket = program_features(entry.program, entry.params, cache=False).bucket()
+        assert bucket in load_selection_table()["buckets"]
+
+    def test_explain_shows_features_without_scores(self):
+        text = plan(example3_loop(8), cache=False).explain()
+        assert "selection: bucket not calibrated; registry order" in text
+        assert "features:" in text and "bucket:" in text
+        assert "- score" not in text
 
 
 class TestSelectionTable:
@@ -145,6 +137,8 @@ class TestSelectionTable:
         assert table == {"version": 0, "buckets": {}, "families": {}}
 
     def test_missing_table_behaves_like_feature_rules(self, tmp_path, monkeypatch):
+        """Without a table, Figure 1 still gets the plan the retired feature
+        rules gave it, now because recurrence chains head the registry chain."""
         import repro.core.strategy as strategy_mod
 
         monkeypatch.setattr(
@@ -152,9 +146,9 @@ class TestSelectionTable:
         )
         clear_selection_table_cache()
         p = plan(figure1_loop(10, 10), cache=False)
-        assert p.selection.selector == "table"
-        assert p.selection.source == "bucket not calibrated; feature-rule fallback"
-        assert p.strategy == "recurrence-chains"  # the rules agree here
+        assert p.selection.source == "bucket not calibrated; registry order"
+        assert p.selection.order == strategy_names()
+        assert p.strategy == "recurrence-chains"  # the chain's head applies
 
     def test_checked_in_path_is_packaged_beside_the_module(self):
         assert SELECTION_TABLE_PATH.name == "selection_table.json"

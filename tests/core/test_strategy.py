@@ -104,9 +104,12 @@ class TestFallbackChain:
         assert cache.stats() == {"size": 1, "hits": 1, "misses": 1}
 
     def test_skip_reasons_are_recorded(self):
-        # The fixed selector probes the historical chain front-to-back, so the
-        # inapplicable Algorithm 1 branch is recorded with its reason.
-        p = plan(example3_loop(10), config=PlanConfig(selector="fixed"), cache=False)
+        # The registry chain is probed front-to-back, so the inapplicable
+        # Algorithm 1 branch is recorded with its reason.
+        p = plan(
+            example3_loop(10),
+            config=PlanConfig(strategies=strategy_names()), cache=False,
+        )
         assert p.strategy == "dataflow"
         skipped = dict(p.skipped)
         assert "recurrence-chains" in skipped
@@ -116,15 +119,18 @@ class TestFallbackChain:
         assert "recurrence-chains" in p.explain()
 
     def test_fixed_selector_is_bit_identical_to_old_dispatch(self):
-        """`selector="fixed"` pins the historical walk: same strategy, same
-        skip list, same schedule, and no feature extraction in the report."""
+        """Pinning ``strategy_names()`` (the fixed registry order the retired
+        ``selector="fixed"`` walked) replays the historical walk: same
+        strategy, same schedule, and no feature extraction in the report."""
         for _, factory, expected in WORKLOADS:
-            p = plan(factory(), config=PlanConfig(selector="fixed"), cache=False)
+            p = plan(
+                factory(), config=PlanConfig(strategies=strategy_names()),
+                cache=False,
+            )
             assert p.strategy == expected
             old = plan(factory(), config=ALGORITHM1, cache=False)
             assert schedule_mismatches(p.schedule, old.schedule) == []
             assert p.selection is not None
-            assert p.selection.selector == "fixed"
             assert p.selection.scores == () and p.selection.features is None
             assert p.selection.order == strategy_names()
 
@@ -150,12 +156,9 @@ class TestFallbackChain:
         assert "perfect nest" in message
 
     def test_unknown_strategy_name(self):
-        with pytest.raises(KeyError):
-            plan(
-                figure2_loop(8),
-                config=PlanConfig(strategies=("no-such-scheme",)),
-                cache=False,
-            )
+        # Refused when the config is built, before plan() can walk it.
+        with pytest.raises(ValueError, match="unknown strategy 'no-such-scheme'"):
+            PlanConfig(strategies=("no-such-scheme",))
 
     def test_registry_covers_all_seven_schemes(self):
         names = strategy_names()
@@ -192,15 +195,34 @@ class TestBaselineStrategies:
 
 class TestPlanConfig:
     def test_engine_validation(self):
-        """Four knobs; the retired engine switches are rejected, not ignored."""
+        """Three knobs; the retired engine and selector switches are
+        rejected, not ignored."""
         from dataclasses import fields
 
         assert [f.name for f in fields(PlanConfig)] == [
-            "strategies", "selector", "rng_seed", "exec_config",
+            "strategies", "rng_seed", "exec_config",
         ]
-        for retired in ("engine", "bulk_size_threshold", "force_dataflow"):
+        for retired in ("engine", "bulk_size_threshold", "force_dataflow", "selector"):
             with pytest.raises(TypeError):
                 PlanConfig(**{retired: None})
+
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"strategies": "dataflow"}, TypeError, "not the string"),
+            ({"strategies": ()}, ValueError, "at least one strategy"),
+            ({"strategies": []}, ValueError, "at least one strategy"),
+            ({"strategies": ("dataflow", "banana")}, ValueError, "unknown strategy 'banana'"),
+            ({"rng_seed": True}, TypeError, "rng_seed"),
+            ({"rng_seed": 1.5}, TypeError, "rng_seed"),
+            ({"rng_seed": "3"}, TypeError, "rng_seed"),
+        ],
+        ids=["str", "empty-tuple", "empty-list", "unknown-name",
+             "seed-bool", "seed-float", "seed-str"],
+    )
+    def test_rejected_on_construction(self, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            PlanConfig(**kwargs)
 
     def test_engines_produce_identical_schedules(self):
         prog = figure1_loop(10, 10)
@@ -278,7 +300,10 @@ class TestPlanCacheMechanics:
 
 class TestPlanExplain:
     def test_explain_reports_skips_selection_and_timing(self):
-        p = plan(example3_loop(8), config=PlanConfig(selector="fixed"), cache=False)
+        p = plan(
+            example3_loop(8),
+            config=PlanConfig(strategies=strategy_names()), cache=False,
+        )
         lines = p.explain().splitlines()
         assert lines[0].startswith("plan for 'example3'")
         skips = [l for l in lines if l.strip().startswith("- skipped")]

@@ -83,14 +83,23 @@ class TestFraming:
         with pytest.raises(WireError, match="payload is"):
             wire.arrays_from_payloads(specs, [b"\x00" * 8])
 
-    def test_protocol_version_two_rejects_version_one_frames(self):
-        assert wire.PROTOCOL_VERSION == 2
+    @staticmethod
+    def _frame_of_version(version):
         buf = io.BytesIO()
         wire.write_frame(buf, FrameKind.REQUEST, {"arrays": []})
         raw = bytearray(buf.getvalue())
-        struct.pack_into(">H", raw, 4, 1)
+        struct.pack_into(">H", raw, 4, version)
+        return io.BytesIO(bytes(raw))
+
+    def test_protocol_version_three_rejects_version_one_frames(self):
+        assert wire.PROTOCOL_VERSION == 3
         with pytest.raises(ProtocolVersionMismatch):
-            wire.read_frame(io.BytesIO(bytes(raw)))
+            wire.read_frame(self._frame_of_version(1))
+
+    def test_protocol_version_three_rejects_version_two_frames(self):
+        # v2 plan configs still carry a ``selector`` knob this peer lacks.
+        with pytest.raises(ProtocolVersionMismatch):
+            wire.read_frame(self._frame_of_version(2))
 
 
 class _NoRead(io.BytesIO):
@@ -236,7 +245,6 @@ class TestConfigMarshalling:
             PlanConfig(),
             PlanConfig(
                 strategies=("dataflow",),
-                selector="fixed",
                 rng_seed=None,
                 exec_config=ExecConfig(backend="threaded", workers=3, seed=7),
             ),
@@ -246,10 +254,43 @@ class TestConfigMarshalling:
     def test_plan_config_roundtrip(self, cfg):
         assert wire.plan_config_from_dict(wire.plan_config_to_dict(cfg)) == cfg
 
-    def test_plan_config_carries_only_the_four_knobs(self):
+    def test_plan_config_carries_only_the_three_knobs(self):
         assert sorted(wire.plan_config_to_dict(PlanConfig())) == [
-            "exec_config", "rng_seed", "selector", "strategies",
+            "exec_config", "rng_seed", "strategies",
         ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("strategies", "pdm"),
+            ("strategies", []),
+            ("strategies", ["dataflow", "banana"]),
+            ("strategies", [["dataflow"]]),
+            ("strategies", 3),
+            ("rng_seed", True),
+            ("rng_seed", 1.5),
+            ("rng_seed", "0"),
+        ],
+        ids=[
+            "strategies-str", "strategies-empty", "strategies-unknown",
+            "strategies-nested", "strategies-int", "seed-bool", "seed-float",
+            "seed-str",
+        ],
+    )
+    def test_bad_plan_config_is_a_wire_error(self, field, value):
+        """A malformed plan config is refused when decoded, not inside
+        ``plan()`` (a bare string used to become one name per letter)."""
+        d = wire.plan_config_to_dict(PlanConfig())
+        d[field] = value
+        with pytest.raises(WireError, match="bad plan config"):
+            wire.plan_config_from_dict(d)
+
+    def test_bad_plan_config_in_a_request_frame_is_a_wire_error(self):
+        req = PlanRequest(program=figure1_loop(4, 4), config=PlanConfig())
+        header, payloads = wire.request_frame(req)
+        header["config"]["strategies"] = "pdm"
+        with pytest.raises(WireError, match="bad plan config"):
+            wire.decode_request(header, list(payloads))
 
     @pytest.mark.parametrize(
         "cfg",

@@ -17,7 +17,7 @@ Two layers of guarantees:
 import numpy as np
 import pytest
 
-from repro.core.strategy import PlanConfig, plan
+from repro.core.strategy import PlanConfig, plan, strategy_names
 from repro.runtime import execute_sequential, make_store
 from repro.workloads.corpus import (
     CORPUS_SIZES,
@@ -97,9 +97,10 @@ class TestCorpusPrograms:
         "entry", SMALL_CORPUS, ids=[e.name for e in SMALL_CORPUS]
     )
     def test_fixed_selector_also_plans(self, entry):
+        # The fixed registry order, as the retired ``selector="fixed"`` walked it.
         p = plan(
             entry.program, entry.params,
-            config=PlanConfig(selector="fixed"), cache=False,
+            config=PlanConfig(strategies=strategy_names()), cache=False,
         )
         assert p.schedule.total_work > 0
 
