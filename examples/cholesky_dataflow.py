@@ -14,7 +14,7 @@ import argparse
 
 from repro.analysis.experiments import _cholesky_pdm_schedule
 from repro.core import PlanConfig, plan
-from repro.runtime import compare_schemes, validate_schedule
+from repro.runtime import compare_schemes
 from repro.workloads import cholesky_loop
 
 
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"statement instances  : {result.schedule.total_work}")
     print(f"widest wavefront     : {result.schedule.max_parallelism}")
 
-    report = validate_schedule(program, result.schedule, {}, dependences=result.statement_space.rd)
+    report = result.validate()
     print(f"validation           : {report}")
 
     pdm = _cholesky_pdm_schedule(program)

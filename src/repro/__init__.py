@@ -69,8 +69,9 @@ plan for 'figure1' (params {}):
   - score dataflow 0.99: calibrated: 1.01x the bucket's best simulated time
 ...
 
-:class:`~repro.core.strategy.PlanConfig` centralises every knob — the
-pinned strategy order, the shuffle seed and the default execution config:
+:class:`~repro.core.strategy.PlanConfig` holds the planning knob — the
+pinned strategy order; execution knobs (backend, workers, shuffle seed) are
+:class:`~repro.runtime.backends.ExecConfig`'s and go to ``Plan.execute``:
 
 >>> forced = repro.plan(prog, config=repro.PlanConfig(strategies=("pdm",)))
 >>> forced.scheme
@@ -88,12 +89,12 @@ one ``multiprocessing.shared_memory`` segment that every worker attaches
 once, phases end in real barriers, and the result is the unified
 :class:`~repro.runtime.backends.RunResult` with per-phase counters.  Every
 backend declares an availability probe (``None`` means usable); the rare
-host without POSIX shared memory falls back to the thread pool here:
+host without POSIX shared memory falls back to the serial backend here:
 
->>> pool = "process" if repro.runtime.get_backend("process").available() is None else "threaded"
+>>> pool = "process" if repro.runtime.get_backend("process").available() is None else "serial"
 >>> run = p.execute(backend=pool, workers=2)
->>> run.workers, run.instances_executed
-(2, 100)
+>>> run.instances_executed
+100
 >>> serial = p.execute(backend="serial")
 >>> all((run.store[a] == serial.store[a]).all() for a in run.store)
 True
@@ -101,7 +102,7 @@ True
 The registered backends (``repro.runtime.backend_names()``):
 
 >>> repro.runtime.backend_names()
-('serial', 'threaded', 'process', 'simulated', 'compiled')
+('serial', 'process', 'compiled')
 
 For many requests, don't loop over one-shot calls — stand up the
 memory-resident :class:`~repro.serving.PlanServer`.  It shares one

@@ -31,7 +31,7 @@ simulator work unchanged while the executors iterate the rows directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -421,63 +421,52 @@ class Schedule:
                     out[inst] = (pi, ui, k)
         return out
 
-    def respects(self, dependences: FiniteRelation, label: str | None = None) -> bool:
-        """Check that every dependence is honoured by the schedule.
+    def respects(
+        self,
+        dependences: FiniteRelation,
+        label: str | None = None,
+        key: Callable[[str, Point], Point] | None = None,
+    ) -> bool:
+        """True when the schedule honours every dependence: the early-exit
+        form of :meth:`violations` (same arguments)."""
+        return next(self._broken(dependences, label, key), None) is None
+
+    def violations(
+        self,
+        dependences: FiniteRelation,
+        label: str | None = None,
+        key: Callable[[str, Point], Point] | None = None,
+    ) -> List[Tuple[Instance, Instance]]:
+        """All dependence pairs the schedule breaks (empty list == safe).
 
         A dependence (i → j) is honoured when instance ``i`` executes in an
         earlier phase than ``j``, or in the same unit at an earlier position.
-        Two dependent instances in *different units of the same phase* would be
-        a race, and the method returns ``False``.
+        Two dependent instances in *different units of the same phase* would
+        be a race and count as a violation.
 
-        ``dependences`` relates iteration vectors; when the schedule contains
-        several statement labels the check is applied to instances with
-        matching iteration vectors regardless of label unless ``label`` is
-        given (single-statement programs pass the label of that statement).
+        ``key(label, iteration)`` maps a scheduled instance to the point
+        space ``dependences`` relates; the default is the iteration vector.
+        A statement-level relation (unified vectors) needs
+        ``key=space.unify``.  Under the default key, instances of several
+        statements that share an iteration vector all match unless ``label``
+        restricts the check to one statement.
         """
-        index = self.execution_index()
-        by_point: Dict[Point, List[Instance]] = {}
-        for inst in index:
-            by_point.setdefault(inst[1], []).append(inst)
-        for src, dst in dependences.pairs:
-            src_insts = by_point.get(tuple(src), [])
-            dst_insts = by_point.get(tuple(dst), [])
-            if label is not None:
-                src_insts = [i for i in src_insts if i[0] == label]
-                dst_insts = [i for i in dst_insts if i[0] == label]
-            for si in src_insts:
-                for di in dst_insts:
-                    ps, us, ks = index[si]
-                    pd, ud, kd = index[di]
-                    if ps < pd:
-                        continue
-                    if ps == pd and us == ud and ks < kd:
-                        continue
-                    return False
-        return True
+        return list(self._broken(dependences, label, key))
 
-    def violations(
-        self, dependences: FiniteRelation, label: str | None = None
-    ) -> List[Tuple[Instance, Instance]]:
-        """All dependence pairs the schedule breaks (empty list == safe)."""
+    def _broken(self, dependences, label, key) -> Iterator[Tuple[Instance, Instance]]:
         index = self.execution_index()
         by_point: Dict[Point, List[Instance]] = {}
         for inst in index:
-            by_point.setdefault(inst[1], []).append(inst)
-        bad: List[Tuple[Instance, Instance]] = []
+            if label is None or inst[0] == label:
+                by_point.setdefault(inst[1] if key is None else key(*inst), []).append(inst)
         for src, dst in dependences.pairs:
-            src_insts = by_point.get(tuple(src), [])
-            dst_insts = by_point.get(tuple(dst), [])
-            if label is not None:
-                src_insts = [i for i in src_insts if i[0] == label]
-                dst_insts = [i for i in dst_insts if i[0] == label]
-            for si in src_insts:
-                for di in dst_insts:
-                    ps, us, ks = index[si]
+            for si in by_point.get(tuple(src), ()):
+                ps, us, ks = index[si]
+                for di in by_point.get(tuple(dst), ()):
                     pd, ud, kd = index[di]
                     if ps < pd or (ps == pd and us == ud and ks < kd):
                         continue
-                    bad.append((si, di))
-        return bad
+                    yield si, di
 
     def summary(self) -> Dict[str, object]:
         return {

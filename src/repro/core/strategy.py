@@ -24,9 +24,8 @@ This module puts one compiler-style facade in front of all of them:
   *applicable* strategy wins and every probe failure is recorded —
   ``Plan.explain()`` reports the features seen, the calibrated scores and
   the skip reasons, replacing the old hand-rolled fallback idiom;
-* :class:`PlanConfig` centralises the knobs that used to be scattered as
-  keyword arguments: the strategy preference order, the executor's shuffle
-  seed and its default execution config, validated on construction;
+* :class:`PlanConfig` holds the one planning knob, the strategy preference
+  order, validated on construction;
 * :class:`Plan` is the single result object — schedule, partition/chain/
   statement-space diagnostics, chosen strategy, per-strategy timings — with
   ``.execute(backend=…)``, ``.validate()`` and ``.codegen(target=…)``
@@ -37,11 +36,12 @@ This module puts one compiler-style facade in front of all of them:
 
 Execution goes through the same pattern on the runtime side: the
 :mod:`repro.runtime.backends` registry of :class:`ExecutionBackend` s
-(``serial`` / ``threaded`` / ``process`` / ``simulated``) is reached via
-``Plan.execute(backend=..., workers=...)`` or a
-:class:`~repro.runtime.backends.ExecConfig` attached to
-:class:`PlanConfig`; the shared-memory process pool turns the planned
-phase/barrier schedules into wall-clock speedups on multi-core hosts.
+(``serial`` / ``process`` / ``compiled``) is reached via
+``Plan.execute(backend=..., workers=..., seed=...)``; its knobs live in
+:class:`~repro.runtime.backends.ExecConfig`, never in :class:`PlanConfig`, so
+execution settings cannot split the plan cache.  The shared-memory process
+pool turns the planned phase/barrier schedules into wall-clock speedups on
+multi-core hosts.
 Future work — symbolic-partition codegen — plugs in as more
 strategies/targets behind the same facade.
 """
@@ -67,7 +67,6 @@ from typing import (
 
 from ..dependence.analysis import DependenceAnalysis, ImperfectNestError
 from ..ir.program import LoopProgram
-from ..runtime.backends import ExecConfig
 from .chains import MonotonicChain
 from .partition import ThreeSetPartition
 from .partitioner import (
@@ -79,7 +78,7 @@ from .partitioner import (
 )
 from .recurrence import AffineRecurrence
 from .schedule import Schedule
-from .statement import StatementLevelSpace
+from .statement import StatementLevelSpace, build_statement_space
 
 __all__ = [
     "PartitionStrategy",
@@ -110,7 +109,10 @@ _REGISTRY: "OrderedDict[str, PartitionStrategy]" = OrderedDict()
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Every knob of the planning pipeline, in one hashable object.
+    """The planning pipeline's one knob, in a hashable object that keys the
+    plan cache.  Execution knobs live in
+    :class:`~repro.runtime.backends.ExecConfig` and reach a plan only through
+    :meth:`Plan.execute`.
 
     ``strategies``
         Explicit strategy preference order (a non-empty tuple of registered
@@ -118,24 +120,13 @@ class PlanConfig:
         — a pinned order is honoured literally (``("dataflow",)`` forces the
         dataflow branch, ``strategy_names()`` walks the registry chain).
         ``None`` means the registry's chain ranked by the calibrated table.
-    ``rng_seed``
-        Default intra-phase shuffle seed used by :meth:`Plan.execute`
-        (``None`` disables shuffling, matching the executors' contract).
-    ``exec_config``
-        Default :class:`~repro.runtime.backends.ExecConfig` for
-        :meth:`Plan.execute`: when set, a bare ``plan.execute()`` runs
-        through the execution-backend registry (``serial`` / ``threaded`` /
-        ``process`` / ``simulated``) with these knobs.  ``None`` means the
-        serial backend shuffled by ``rng_seed``.
 
-    Every field is checked on construction, so a bad config (a bare string
-    for ``strategies``, an unknown name, a non-integer seed) fails here and
-    not inside :func:`plan`.
+    The field is checked on construction, so a bad config (a bare string
+    for ``strategies``, an empty tuple, an unknown name) fails here and not
+    inside :func:`plan`.
     """
 
     strategies: Optional[Tuple[str, ...]] = None
-    rng_seed: Optional[int] = 0
-    exec_config: Optional[ExecConfig] = None
 
     def __post_init__(self):
         if self.strategies is not None:
@@ -153,12 +144,6 @@ class PlanConfig:
                         f"unknown strategy {name!r}; registered: {', '.join(_REGISTRY)}"
                     )
             object.__setattr__(self, "strategies", names)
-        if self.rng_seed is not None and (
-            isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int)
-        ):
-            raise TypeError(f"rng_seed must be an int or None, got {self.rng_seed!r}")
-        if self.exec_config is not None and not isinstance(self.exec_config, ExecConfig):
-            raise TypeError("exec_config must be an ExecConfig (or None)")
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +623,6 @@ class Plan:
         self,
         store=None,
         seed=_UNSET,
-        rng=None,
-        lock_free: bool = True,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
     ):
@@ -647,18 +630,13 @@ class Plan:
         execution-backend registry (:mod:`repro.runtime.backends`); returns
         the unified :class:`~repro.runtime.backends.RunResult`.
 
-        The defaults come from ``config.exec_config`` — or, when that is
-        ``None``, the ``serial`` backend shuffled by ``config.rng_seed``.
-        ``backend=`` / ``workers=`` / ``seed=`` / ``lock_free=False``
-        override them per call: ``plan(...).execute(backend="process",
-        workers=4)`` is the multi-core path.  Pass ``seed=None`` (and no
-        ``rng``) to disable intra-phase shuffling.
+        A bare call runs ``ExecConfig()``: the ``serial`` backend shuffled by
+        seed 0.  ``backend=`` / ``workers=`` / ``seed=`` override it per
+        call: ``plan(...).execute(backend="process", workers=4)`` is the
+        multi-core path, and ``seed=None`` disables intra-phase shuffling.
         """
         from ..runtime.backends import execute
 
-        base = self.config.exec_config
-        if base is None:
-            base = ExecConfig(seed=self.config.rng_seed)
         overrides = {}
         if backend is not None:
             overrides["backend"] = backend
@@ -666,34 +644,34 @@ class Plan:
             overrides["workers"] = workers
         if seed is not Plan._UNSET:
             overrides["seed"] = seed
-        if not lock_free:
-            overrides["lock_free"] = False
         return execute(
-            self.program, self.schedule, self.params, store=store,
-            config=base, rng=rng, **overrides,
+            self.program, self.schedule, self.params, store=store, **overrides
         )
 
     def validate(self, seeds: Sequence[int] = (0, 1, 2)):
         """Validate coverage, dependence safety and exact semantics.
 
         The dependence relation is picked to match the schedule's level:
-        statement-level plans check against the unified-space relation,
-        iteration-level plans against the combined Rd; imperfect-nest plans
-        without a statement space skip the relation check (coverage and
-        semantics still run).
+        perfect-nest plans check against the combined iteration-level Rd;
+        statement-level plans, and any other plan of an imperfect nest,
+        against the unified-space relation (built here when the strategy
+        kept none), each scheduled instance keyed by its unified vector.
+        This dependence check is the executors' race check: they run a
+        phase's units without locks.
         """
-        from ..dependence.analysis import ImperfectNestError
         from ..runtime.executor import validate_schedule
 
-        if self.statement_space is not None:
-            deps = self.statement_space.rd
-        else:
+        space, key = self.statement_space, None
+        if space is None:
             try:
                 deps = self.analysis.iteration_dependences
             except ImperfectNestError:
-                deps = None
+                space = build_statement_space(self.program, self.params, self.analysis)
+        if space is not None:
+            deps, key = space.rd, space.unify
         return validate_schedule(
-            self.program, self.schedule, self.params, dependences=deps, seeds=seeds
+            self.program, self.schedule, self.params, dependences=deps,
+            seeds=seeds, key=key,
         )
 
     def codegen(self, target: str = "python") -> str:

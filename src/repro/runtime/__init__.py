@@ -2,18 +2,19 @@
 
 * :mod:`repro.runtime.backends` — the **execution-backend registry**: one
   :func:`~repro.runtime.backends.execute` entry point over the registered
-  ``serial`` / ``threaded`` / ``process`` / ``simulated`` / ``compiled``
-  backends, all returning a unified
-  :class:`~repro.runtime.backends.RunResult`;
+  ``serial`` / ``process`` / ``compiled`` backends, configured by one
+  :class:`~repro.runtime.backends.ExecConfig` ``(backend, workers, seed)``
+  and all returning a unified :class:`~repro.runtime.backends.RunResult`;
 * :mod:`repro.runtime.executor` — sequential reference execution, exact
   semantic validation, and the one phase lowering and interpreter loop that
-  ``serial`` (inline), ``threaded`` (a thread pool) and ``process`` share;
+  ``serial`` (inline) and ``process`` (the shared-memory workers) share;
 * :mod:`repro.runtime.process` / :mod:`repro.runtime.shm` — the
   shared-memory process pool: arrays in one ``multiprocessing.shared_memory``
   segment, attach-once workers, phase barriers — wall-clock speedups on
   multi-core hosts;
 * :mod:`repro.runtime.simulator` — the deterministic SMP cost model behind the
-  figure-3 speedup reproductions;
+  figure-3 speedup reproductions and the selection table, called directly
+  (it is not an execution backend);
 * :mod:`repro.runtime.metrics` — parallelism metrics, speedup tables and
   scheme comparisons, plus :func:`~repro.runtime.metrics.run_metrics` /
   :func:`~repro.runtime.metrics.measured_speedups` over RunResults.

@@ -10,19 +10,12 @@ instance/worker/timing counters):
 
 ``serial``
     the shuffled single-process reference executor;
-``threaded``
-    a real thread pool with phase barriers — correctness under true
-    concurrency, GIL-bound for speed; ``lock_free=False`` adds per-array
-    locks for schedules of unvalidated provenance;
 ``process``
     the ``multiprocessing.shared_memory`` worker pool
     (:mod:`repro.runtime.process`): arrays live in one shared segment,
     workers attach once and receive their slices of each phase, phases end
     in real barriers — the backend that turns partition schedules into
     wall-clock speedups on multi-core hosts;
-``simulated``
-    the deterministic SMP cost model (no arrays are touched;
-    ``RunResult.store`` is ``None`` and the speedup lands in ``meta``);
 ``compiled``
     the generated-NumPy-kernel runner for symbolic plans
     (:mod:`repro.codegen.python_source`): the whole schedule executes as
@@ -30,25 +23,24 @@ instance/worker/timing counters):
     plan fingerprint — schedules without a kernel fall back to ``serial``
     with the reason recorded in ``RunResult.meta``.
 
-``serial``, ``threaded`` and ``process`` differ only in transport: each
-phase is lowered once (:func:`~repro.runtime.executor.lower_phase`), its
-units shuffled and dealt round-robin
-(:func:`~repro.runtime.executor.split_phase`), and every slice runs through
-the one interpreter loop (:func:`~repro.runtime.executor.run_instances`) —
-inline, on a ``ThreadPoolExecutor``, or in the shared-memory workers.
-:meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
-the same registry through the planning facade.  Third-party executors (a GPU
-runner, a free-threaded pool) plug in via :func:`register_backend` without
-touching any call site.
+``serial`` and ``process`` differ only in transport: each phase is lowered
+once (:func:`~repro.runtime.executor.lower_phase`), its units shuffled and
+dealt round-robin (:func:`~repro.runtime.executor.split_phase`), and every
+slice runs through the one interpreter loop
+(:func:`~repro.runtime.executor.run_instances`) — inline, or in the
+shared-memory workers.  :meth:`Plan.execute(backend=...)
+<repro.core.strategy.Plan.execute>` reaches the same registry through the
+planning facade.  Third-party executors (a GPU runner, a no-GIL thread pool)
+plug in via :func:`register_backend` without touching any call site.  The
+deterministic SMP cost model is not a backend: Figure 3 and the selection
+table call :func:`~repro.runtime.simulator.simulate_schedule` directly.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -56,7 +48,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
 from .executor import ArrayStore, lower_phase, make_store, run_instances, split_phase
-from .simulator import CostModel, simulate_schedule
 
 __all__ = [
     "ExecConfig",
@@ -71,7 +62,9 @@ __all__ = [
     "execute",
 ]
 
-_MP_CONTEXTS = (None, "fork", "spawn", "forkserver")
+#: The backend registry (populated at the bottom of this module); declared
+#: here so ``ExecConfig.__post_init__`` can validate names against it.
+_REGISTRY: "OrderedDict[str, ExecutionBackend]" = OrderedDict()
 
 
 # ---------------------------------------------------------------------------
@@ -83,51 +76,40 @@ _MP_CONTEXTS = (None, "fork", "spawn", "forkserver")
 class ExecConfig:
     """Every knob of schedule execution, in one hashable object.
 
-    The execution twin of :class:`~repro.core.strategy.PlanConfig` (and
-    attachable to it as ``PlanConfig(exec_config=...)``):
+    The execution twin of :class:`~repro.core.strategy.PlanConfig`, which
+    carries only planning knobs:
 
     ``backend``
-        Registry name of the executor: ``"serial"``, ``"threaded"``,
-        ``"process"`` or ``"simulated"`` (plus anything registered later).
+        Registry name of the executor: ``"serial"``, ``"process"`` or
+        ``"compiled"`` (plus anything registered later).
     ``workers``
-        Thread/process/processor count for the parallel backends; the serial
-        backend ignores it.
+        Process count for the ``process`` backend; the others ignore it.
     ``seed``
         Intra-phase shuffle seed (``None`` disables shuffling); one default
         (``0``) for every backend.
-    ``lock_free``
-        Threaded backend only: ``False`` adds per-array locks around each
-        instance.  The process backend rejects ``False`` (cross-process
-        locking would serialise the pool; its schedules are race-free by
-        construction).
-    ``mp_context``
-        Process backend: multiprocessing start method (``None`` = ``fork``
-        where available, else ``spawn``).
-    ``cost_model``
-        Simulated backend: the :class:`~repro.runtime.simulator.CostModel`
-        (``None`` = defaults).
+
+    Every field is checked on construction: an unregistered backend is a
+    ``ValueError`` naming the registered ones, a non-integer (or bool)
+    ``workers`` or ``seed`` a ``TypeError``.
     """
 
     backend: str = "serial"
     workers: int = 4
     seed: Optional[int] = 0
-    lock_free: bool = True
-    mp_context: Optional[str] = None
-    cost_model: Optional[CostModel] = None
 
     def __post_init__(self):
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError("backend must be a non-empty registry name")
+        if self.backend not in _REGISTRY:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; registered: {', '.join(_REGISTRY)}"
+            )
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise TypeError(f"workers must be an int, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and (
+            isinstance(self.seed, bool) or not isinstance(self.seed, int)
+        ):
             raise TypeError(f"seed must be an int or None, got {self.seed!r}")
-        if self.mp_context not in _MP_CONTEXTS:
-            raise ValueError(
-                f"unknown mp_context {self.mp_context!r}; use one of {_MP_CONTEXTS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -146,14 +128,12 @@ class RunResult:
     """The unified result of executing a schedule through any backend.
 
     The final store plus per-phase instance/worker/timing counters, the
-    same shape whether
-    the run was serial, threaded, multi-process or simulated (a simulated
-    run's ``store`` is ``None`` — nothing was executed).  Feed it to
-    :func:`repro.runtime.metrics.run_metrics` /
+    same shape whether the run was serial, multi-process or a compiled
+    kernel.  Feed it to :func:`repro.runtime.metrics.run_metrics` /
     :func:`repro.runtime.metrics.measured_speedups` for reporting.
     """
 
-    store: Optional[ArrayStore]
+    store: ArrayStore
     backend: str
     workers: int
     phase_stats: Tuple[PhaseStats, ...]
@@ -187,9 +167,9 @@ class BackendUnavailable(RuntimeError):
 # backend protocol and registry
 # ---------------------------------------------------------------------------
 
-#: A backend runner: (program, schedule, params, store, config, rng) -> RunResult.
+#: A backend runner: (program, schedule, params, store, config) -> RunResult.
 BackendRunner = Callable[
-    [LoopProgram, Schedule, Dict[str, int], Optional[ArrayStore], ExecConfig, Optional[random.Random]],
+    [LoopProgram, Schedule, Dict[str, int], Optional[ArrayStore], ExecConfig],
     RunResult,
 ]
 
@@ -212,9 +192,6 @@ class ExecutionBackend:
     description: str
     runner: BackendRunner
     available: Callable[[], Optional[str]] = _always_available
-
-
-_REGISTRY: "OrderedDict[str, ExecutionBackend]" = OrderedDict()
 
 
 def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
@@ -261,7 +238,6 @@ def execute(
     params: Optional[Mapping[str, int]] = None,
     store: Optional[ArrayStore] = None,
     config: Optional[ExecConfig] = None,
-    rng: Optional[random.Random] = None,
     pool=None,
     **overrides,
 ) -> RunResult:
@@ -269,11 +245,10 @@ def execute(
     :class:`RunResult`.
 
     ``config`` carries every knob (``None`` = defaults: serial, shuffle seed
-    0); keyword ``overrides`` (``backend=``, ``workers=``, ``seed=``, ...)
-    are applied on top via :func:`dataclasses.replace`, so one-off calls
-    don't need to build a config — ``execute(prog, sched, backend="process",
-    workers=4)``.  ``rng`` supplies a caller-owned shuffle generator
-    (overrides ``seed``).
+    0); keyword ``overrides`` (``backend=``, ``workers=``, ``seed=``) are
+    applied on top via :func:`dataclasses.replace`, so one-off calls don't
+    need to build a config — ``execute(prog, sched, backend="process",
+    workers=4)``.
 
     ``pool`` injects a live :class:`~repro.runtime.process.ProcessPool`
     (``backend="process"`` only): the run attaches a fresh shared store to
@@ -299,21 +274,15 @@ def execute(
                 f"(got {cfg.backend!r})"
             )
         return backend.runner(
-            program, schedule, dict(params or {}), store, cfg, rng, pool=pool
+            program, schedule, dict(params or {}), store, cfg, pool=pool
         )
-    return backend.runner(program, schedule, dict(params or {}), store, cfg, rng)
+    return backend.runner(program, schedule, dict(params or {}), store, cfg)
 
 
-def _resolve_rng(
-    config: ExecConfig, rng: Optional[random.Random]
-) -> Optional[random.Random]:
-    """The shared seed/rng contract: an explicit ``rng`` wins, else ``seed``
-    creates a private generator, and ``seed=None`` disables shuffling."""
-    if rng is not None:
-        return rng
-    if config.seed is not None:
-        return random.Random(config.seed)
-    return None
+def _shuffle_rng(config: ExecConfig) -> Optional[random.Random]:
+    """A private shuffle generator seeded by ``config.seed``; ``None`` (no
+    shuffling) when the seed is ``None``."""
+    return None if config.seed is None else random.Random(config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -334,34 +303,26 @@ def _phase_stats(schedule: Schedule, run_phase) -> Tuple[PhaseStats, ...]:
     return tuple(stats)
 
 
-def _run_local(program, schedule, store, rng, workers, map_tasks, locks=None):
-    """Phase stats for an in-process transport: ``map_tasks`` is ``map``
-    (inline) or a thread pool's ``map``."""
-    contexts = program.statement_contexts()
-    label_ids = {ctx.statement.label: i for i, ctx in enumerate(contexts)}
-
-    def run_task(task) -> int:
-        return run_instances(contexts, task[0], task[1], store, locks)
-
-    def run_phase(phase):
-        tasks = split_phase(lower_phase(phase, label_ids), workers, rng)
-        return sum(map_tasks(run_task, tasks)), len(tasks)
-
-    return _phase_stats(schedule, run_phase)
-
-
 def _serial_runner(
     program: LoopProgram,
     schedule: Schedule,
     params: Dict[str, int],
     store: Optional[ArrayStore],
     config: ExecConfig,
-    rng: Optional[random.Random],
 ) -> RunResult:
     """The reference executor: one process, phases in order, units shuffled."""
     store = store if store is not None else make_store(program)
+    contexts = program.statement_contexts()
+    label_ids = {ctx.statement.label: i for i, ctx in enumerate(contexts)}
+    rng = _shuffle_rng(config)
+
+    def run_phase(phase):
+        tasks = split_phase(lower_phase(phase, label_ids), 1, rng)
+        executed = sum(run_instances(contexts, ids, iters, store) for ids, iters in tasks)
+        return executed, len(tasks)
+
     t_run = time.perf_counter()
-    stats = _run_local(program, schedule, store, _resolve_rng(config, rng), 1, map)
+    stats = _phase_stats(schedule, run_phase)
     return RunResult(
         store=store,
         backend="serial",
@@ -371,69 +332,25 @@ def _serial_runner(
     )
 
 
-def _threaded_runner(
-    program: LoopProgram,
-    schedule: Schedule,
-    params: Dict[str, int],
-    store: Optional[ArrayStore],
-    config: ExecConfig,
-    rng: Optional[random.Random],
-) -> RunResult:
-    """A real thread pool: each phase's units round-robin over the threads,
-    a barrier between phases.  With ``lock_free=False`` every instance holds
-    the locks of the arrays it touches."""
-    store = store if store is not None else make_store(program)
-    locks = None
-    if not config.lock_free:
-        by_array = {name: threading.Lock() for name in store}
-        locks = [
-            tuple(by_array[a] for a in sorted({r.array for r in ctx.statement.references()}))
-            for ctx in program.statement_contexts()
-        ]
-    t_run = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        stats = _run_local(
-            program, schedule, store, _resolve_rng(config, rng), config.workers,
-            pool.map, locks,
-        )
-    return RunResult(
-        store=store,
-        backend="threaded",
-        workers=config.workers,
-        phase_stats=stats,
-        elapsed_s=time.perf_counter() - t_run,
-        meta={"lock_free": config.lock_free},
-    )
-
-
 def _process_runner(
     program: LoopProgram,
     schedule: Schedule,
     params: Dict[str, int],
     store: Optional[ArrayStore],
     config: ExecConfig,
-    rng: Optional[random.Random],
     pool=None,
 ) -> RunResult:
     from .process import ProcessPool
 
-    if not config.lock_free:
-        raise ValueError(
-            "the process backend is lock-free only: partition schedules are "
-            "race-free inside a phase; use backend='threaded' for per-array "
-            "locking of unvalidated schedules"
-        )
     store = store if store is not None else make_store(program)
-    rng = _resolve_rng(config, rng)
+    rng = _shuffle_rng(config)
     meta = {} if pool is None else {"pool": "injected"}
     t_run = time.perf_counter()
     # An injected pool is the serving daemon's warm path: the caller owns
     # the running workers and this run only ships a fresh descriptor table
     # and the phase slices.  detach_store() in the finally destroys the
     # per-run segment even on a worker crash.
-    with ProcessPool(
-        program, workers=config.workers, mp_context=config.mp_context
-    ) if pool is None else nullcontext(pool) as live:
+    with ProcessPool(program, workers=config.workers) if pool is None else nullcontext(pool) as live:
         live.attach_store(store)
         try:
             stats = _phase_stats(schedule, lambda phase: live.run_phase(phase, rng))
@@ -460,47 +377,12 @@ def _process_available() -> Optional[str]:
     return process_unavailable_reason()
 
 
-def _simulated_runner(
-    program: LoopProgram,
-    schedule: Schedule,
-    params: Dict[str, int],
-    store: Optional[ArrayStore],
-    config: ExecConfig,
-    rng: Optional[random.Random],
-) -> RunResult:
-    """Wrap the deterministic SMP cost model: nothing is executed, the
-    modelled per-phase makespans become the timing counters and the headline
-    numbers land in ``meta``."""
-    sim = simulate_schedule(
-        schedule, processors=config.workers, cost_model=config.cost_model
-    )
-    stats = tuple(
-        PhaseStats(ph.name, ph.work, len(ph), config.workers, float(t))
-        for ph, t in zip(schedule.phases, sim.phase_times)
-    )
-    return RunResult(
-        store=None,
-        backend="simulated",
-        workers=config.workers,
-        phase_stats=stats,
-        elapsed_s=float(sim.parallel_time),
-        meta={
-            "simulated": True,
-            "speedup": sim.speedup,
-            "sequential_time": sim.sequential_time,
-            "efficiency": sim.efficiency,
-            "utilization": sim.utilization,
-        },
-    )
-
-
 def _compiled_runner(
     program: LoopProgram,
     schedule: Schedule,
     params: Dict[str, int],
     store: Optional[ArrayStore],
     config: ExecConfig,
-    rng: Optional[random.Random],
 ) -> RunResult:
     """Run a symbolic plan's generated NumPy kernel (compiled once, cached on
     the plan fingerprint).  Schedules without a kernel — any non-symbolic
@@ -512,7 +394,7 @@ def _compiled_runner(
     if reason is None and not schedule.meta.get("kernel_key"):
         reason = "schedule has no kernel_key (not built by the symbolic strategy)"
     if reason is not None:
-        res = _serial_runner(program, schedule, params, store, config, rng)
+        res = _serial_runner(program, schedule, params, store, config)
         return replace(
             res,
             backend="compiled",
@@ -543,20 +425,10 @@ register_backend(ExecutionBackend(
     runner=_serial_runner,
 ))
 register_backend(ExecutionBackend(
-    name="threaded",
-    description="thread pool with phase barriers (correctness under the GIL)",
-    runner=_threaded_runner,
-))
-register_backend(ExecutionBackend(
     name="process",
     description="shared-memory process pool (wall-clock speedup on multi-core)",
     runner=_process_runner,
     available=_process_available,
-))
-register_backend(ExecutionBackend(
-    name="simulated",
-    description="deterministic SMP cost model (no arrays touched)",
-    runner=_simulated_runner,
 ))
 register_backend(ExecutionBackend(
     name="compiled",

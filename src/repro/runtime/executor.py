@@ -3,9 +3,9 @@
 * :func:`execute_sequential` — runs the program in original sequential order;
   this is the semantic ground truth.
 * :func:`lower_phase` / :func:`split_phase` / :func:`run_instances` — the one
-  way a schedule phase is executed, shared by the ``serial``, ``threaded``
-  and ``process`` backends of :mod:`repro.runtime.backends`.  Every phase
-  kind lowers once into flat ``(stmt_ids, iters, unit_offsets)`` arrays; its
+  way a schedule phase is executed, shared by the ``serial`` and ``process``
+  backends of :mod:`repro.runtime.backends` (and by ``compiled``'s serial
+  fallback).  Every phase kind lowers once into flat ``(stmt_ids, iters, unit_offsets)`` arrays; its
   units are shuffled (to emulate an arbitrary interleaving: a schedule that
   is only correct under some lucky intra-phase order is exposed) and dealt
   round-robin to the workers; each worker's slice runs through one
@@ -21,7 +21,6 @@ by :func:`validate_schedule`.
 from __future__ import annotations
 
 import random
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -205,27 +204,18 @@ def run_instances(
     stmt_ids: np.ndarray,
     iters: np.ndarray,
     store: ArrayStore,
-    locks: Optional[Sequence[Sequence]] = None,
 ) -> int:
     """The interpreter loop: execute one task's instances in order.
 
-    ``contexts`` is ``program.statement_contexts()``.  ``locks`` is ``None``
-    for lock-free execution; otherwise ``locks[sid]`` holds the locks of the
-    arrays statement ``sid`` touches, in sorted array-name order (so no two
-    instances deadlock), all held for its whole read-compute-write.  Returns
-    the instance count.
+    ``contexts`` is ``program.statement_contexts()``.  No locking: the
+    instances of one phase are independent by construction, which
+    :meth:`Plan.validate() <repro.core.strategy.Plan.validate>` checks
+    against the dependence relation.  Returns the instance count.
     """
     table = [(ctx.statement, ctx.index_names) for ctx in contexts]
     for sid, row in zip(stmt_ids.tolist(), iters.tolist()):
         stmt, names = table[sid]
-        env = dict(zip(names, row))
-        if locks is None:
-            _execute_instance_env(stmt, env, store)
-        else:
-            with ExitStack() as stack:
-                for lock in locks[sid]:
-                    stack.enter_context(lock)
-                _execute_instance_env(stmt, env, store)
+        _execute_instance_env(stmt, dict(zip(names, row)), store)
     return len(stmt_ids)
 
 
@@ -269,11 +259,16 @@ def validate_schedule(
     params: Mapping[str, int] | None = None,
     dependences=None,
     seeds: Sequence[int] = (0, 1, 2),
+    key=None,
 ) -> ValidationReport:
     """Check a schedule end to end: coverage, dependence safety, and semantics.
 
-    The semantic check runs the schedule with several intra-phase shuffle seeds
-    and compares every array against the sequential execution, exactly.
+    ``dependences`` (optional) is checked with
+    :meth:`~repro.core.schedule.Schedule.respects`; ``key`` maps scheduled
+    instances into its point space (see
+    :meth:`~repro.core.schedule.Schedule.violations`).  The semantic check
+    runs the schedule with several intra-phase shuffle seeds and compares
+    every array against the sequential execution, exactly.
     """
     params = dict(params or {})
     expected_instances = [
@@ -282,7 +277,7 @@ def validate_schedule(
     covers = schedule.covers(expected_instances)
     respects = True
     if dependences is not None:
-        respects = schedule.respects(dependences)
+        respects = schedule.respects(dependences, key=key)
 
     from .backends import execute
 

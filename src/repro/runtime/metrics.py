@@ -95,8 +95,7 @@ def compare_schemes(
 def run_metrics(result) -> Dict[str, object]:
     """Headline counters of one :class:`~repro.runtime.backends.RunResult`.
 
-    Works for every backend: measured runs report real wall-clock, the
-    simulated backend reports modelled time units (its ``meta`` marks it).
+    Works for every backend; every run reports real wall-clock.
     ``phase_time_s`` is the sum of per-phase times; the gap to ``elapsed_s``
     is the run's setup/teardown overhead (pool start-up, shared-memory copy
     in/out), which the process backend amortises over the schedule.

@@ -1,12 +1,12 @@
 """The shared-memory process pool behind the ``process`` execution backend.
 
-Real wall-clock parallelism for the phase/barrier schedules.  The
-``threaded`` backend proves *correctness* under concurrency but the GIL
-serialises the Python statement interpreter; here each phase's work is
-executed by a pool of **processes** sharing the program's arrays through one
-``multiprocessing.shared_memory`` segment (see :mod:`repro.runtime.shm`), so
-DOALL phases genuinely overlap on multi-core hosts while keeping the
-shared-mutable-array semantics the paper's OpenMP runs have.
+Real wall-clock parallelism for the phase/barrier schedules.  The GIL
+serialises the Python statement interpreter within one process, so here each
+phase's work is executed by a pool of **processes** sharing the program's
+arrays through one ``multiprocessing.shared_memory`` segment (see
+:mod:`repro.runtime.shm`), so DOALL phases genuinely overlap on multi-core
+hosts while keeping the shared-mutable-array semantics the paper's OpenMP
+runs have.
 
 Protocol (attach per store, barrier per phase):
 
@@ -60,7 +60,7 @@ __all__ = ["ProcessPool", "default_mp_context", "process_unavailable_reason"]
 _POLL_S = 1.0
 
 
-def default_mp_context(method: Optional[str] = None) -> mp.context.BaseContext:
+def default_mp_context() -> mp.context.BaseContext:
     """The multiprocessing context the pool uses.
 
     ``fork`` is preferred (workers inherit the program — and any non-picklable
@@ -68,9 +68,7 @@ def default_mp_context(method: Optional[str] = None) -> mp.context.BaseContext:
     ``spawn``, which requires the program to be picklable (module-level
     semantics callables, as all built-in semantics are).
     """
-    if method is None:
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    return mp.get_context(method)
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
 
 def process_unavailable_reason() -> Optional[str]:
@@ -177,13 +175,12 @@ class ProcessPool:
         program: LoopProgram,
         store: Optional[Dict[str, np.ndarray]] = None,
         workers: int = 1,
-        mp_context: Optional[str] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.program = program
-        self._ctx = default_mp_context(mp_context)
+        self._ctx = default_mp_context()
         self.shared: Optional[SharedArrayStore] = None
         self._broken = False
         self._tasks = self._ctx.Queue()

@@ -39,8 +39,8 @@ from .queue import AdmissionQueue, ServerClosed, Ticket
 
 __all__ = ["PlanServer"]
 
-#: Pool-cache key: (program fingerprint, worker count, mp start method).
-PoolKey = Tuple[str, int, Optional[str]]
+#: Pool-cache key: (program fingerprint, worker count).
+PoolKey = Tuple[str, int]
 
 
 class PlanServer:
@@ -60,7 +60,7 @@ class PlanServer:
         private one is created when omitted.
     max_pools:
         LRU bound on distinct persistent pools, one per (program
-        fingerprint, workers, start method); the evicted pool is shut down.
+        fingerprint, workers); the evicted pool is shut down.
     max_pending:
         Admission bound (``None`` = unbounded, the historical behaviour).
         With a bound, a full queue pushes back on submitters per
@@ -277,7 +277,7 @@ class PlanServer:
         A broken pool (dead or errored worker) is never reused — it is shut
         down and replaced, so one crashed request cannot poison the next.
         """
-        key: PoolKey = (p.fingerprint, int(cfg.workers), cfg.mp_context)
+        key: PoolKey = (p.fingerprint, cfg.workers)
         pool = self._pools.get(key)
         if pool is not None and pool.broken:
             self._evict_pool(pool)
@@ -287,9 +287,7 @@ class PlanServer:
             with self._stats_lock:
                 self._pools_reused += 1
             return pool, True
-        pool = ProcessPool(
-            p.program, workers=int(cfg.workers), mp_context=cfg.mp_context
-        )
+        pool = ProcessPool(p.program, workers=cfg.workers)
         self._pools[key] = pool
         with self._stats_lock:
             self._pools_created += 1

@@ -272,7 +272,7 @@ class TransportClient:
         """
         client_store = ticket.request.store
         remote_store = response.result.store
-        if client_store is None or remote_store is None:
+        if client_store is None:
             return response
         for name, arr in remote_store.items():
             if name in client_store:

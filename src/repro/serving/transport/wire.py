@@ -28,8 +28,9 @@ frame (the version rides the fixed prelude) and raised as
 before hanging up so old clients fail with a message, not a reset.
 
 Deliberate marshalling refusals (clear errors, not silent drops): statement
-``semantics`` callables, ``ExecConfig.cost_model`` objects and non-JSON
-``meta`` values cannot cross the wire.
+``semantics`` callables cannot cross the wire, and an execution config naming
+an unregistered backend is refused at decode time, before any planning.
+Non-JSON ``meta`` values travel as their ``repr``.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ MAGIC = b"RPLN"
 #: Bumped on any incompatible change to the frame layout or header schema
 #: (2: the plan config lost its three engine-selection knobs; 3: the plan
 #: config lost ``selector``, the selection report its ``selector`` and the
-#: features their wavefront estimate).
-PROTOCOL_VERSION = 3
+#: features their wavefront estimate; 4: the exec config is ``{backend,
+#: workers, seed}``, the plan config ``{strategies}``, and a response's
+#: result always carries its store).
+PROTOCOL_VERSION = 4
 
 #: magic, version, kind, header length.
 _PRELUDE = struct.Struct(">4sHBI")
@@ -382,45 +385,35 @@ def program_from_dict(d: Dict[str, Any]) -> LoopProgram:
 # ---------------------------------------------------------------------------
 
 
+def _check_fields(d: Any, fields: Tuple[str, ...], what: str) -> None:
+    """A config dict must carry exactly ``fields``: a stale peer's extra
+    knob is refused, never silently dropped."""
+    if not isinstance(d, dict) or set(d) != set(fields):
+        got = sorted(d) if isinstance(d, dict) else type(d).__name__
+        raise WireError(f"bad {what}: fields must be exactly {list(fields)}, got {got}")
+
+
 def exec_config_to_dict(cfg: Optional[ExecConfig]) -> Optional[Dict[str, Any]]:
     if cfg is None:
         return None
-    if cfg.cost_model is not None:
-        raise WireError(
-            "ExecConfig.cost_model objects cannot be marshalled; "
-            "configure the simulated backend server-side"
-        )
-    return {
-        "backend": cfg.backend,
-        "workers": cfg.workers,
-        "seed": cfg.seed,
-        "lock_free": cfg.lock_free,
-        "mp_context": cfg.mp_context,
-    }
+    return {"backend": cfg.backend, "workers": cfg.workers, "seed": cfg.seed}
 
 
 def exec_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[ExecConfig]:
     """The execution config a peer asked for, validated before any work:
-    fields are taken as sent (never coerced) and ``workers`` is capped at
-    :data:`MAX_WIRE_WORKERS`, so a request cannot make the server fork an
-    arbitrary pool."""
+    fields are taken as sent (never coerced), the backend must be registered
+    here, and ``workers`` is capped at :data:`MAX_WIRE_WORKERS`, so a request
+    cannot make the server fork an arbitrary pool."""
     if d is None:
         return None
+    _check_fields(d, ("backend", "workers", "seed"), "exec_config")
     workers = d["workers"]
     if isinstance(workers, int) and workers > MAX_WIRE_WORKERS:
         raise WireError(
             f"exec_config.workers={workers} exceeds the {MAX_WIRE_WORKERS}-worker bound"
         )
-    if not isinstance(d["lock_free"], bool):
-        raise WireError(f"exec_config.lock_free must be a bool, got {d['lock_free']!r}")
     try:
-        return ExecConfig(
-            backend=d["backend"],
-            workers=workers,
-            seed=d["seed"],
-            lock_free=d["lock_free"],
-            mp_context=d["mp_context"],
-        )
+        return ExecConfig(**d)
     except (TypeError, ValueError) as exc:
         raise WireError(f"bad exec_config: {exc}") from None
 
@@ -428,11 +421,7 @@ def exec_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[ExecConfig]:
 def plan_config_to_dict(cfg: Optional[PlanConfig]) -> Optional[Dict[str, Any]]:
     if cfg is None:
         return None
-    return {
-        "strategies": list(cfg.strategies) if cfg.strategies is not None else None,
-        "rng_seed": cfg.rng_seed,
-        "exec_config": exec_config_to_dict(cfg.exec_config),
-    }
+    return {"strategies": list(cfg.strategies) if cfg.strategies is not None else None}
 
 
 def plan_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[PlanConfig]:
@@ -441,13 +430,9 @@ def plan_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[PlanConfig]:
     not inside ``plan()``)."""
     if d is None:
         return None
-    exec_config = exec_config_from_dict(d["exec_config"])
+    _check_fields(d, ("strategies",), "plan config")
     try:
-        return PlanConfig(
-            strategies=d["strategies"],
-            rng_seed=d["rng_seed"],
-            exec_config=exec_config,
-        )
+        return PlanConfig(**d)
     except (TypeError, ValueError) as exc:
         raise WireError(f"bad plan config: {exc}") from None
 
@@ -547,7 +532,6 @@ def response_frame(resp: PlanResponse) -> Tuple[Dict[str, Any], Tuple[bytes, ...
             "elapsed_s": result.elapsed_s,
             "meta": _json_safe_meta(dict(result.meta)),
             "phase_stats": [asdict(p) for p in result.phase_stats],
-            "has_store": result.store is not None,
         },
         "arrays": specs,
     }
@@ -556,13 +540,8 @@ def response_frame(resp: PlanResponse) -> Tuple[Dict[str, Any], Tuple[bytes, ...
 
 def decode_response(header: Dict[str, Any], payloads: List[bytes]) -> PlanResponse:
     rd = header["result"]
-    store = (
-        arrays_from_payloads(header["arrays"], payloads)
-        if rd["has_store"]
-        else None
-    )
     result = RunResult(
-        store=store,
+        store=arrays_from_payloads(header["arrays"], payloads),
         backend=rd["backend"],
         workers=int(rd["workers"]),
         phase_stats=tuple(PhaseStats(**p) for p in rd["phase_stats"]),

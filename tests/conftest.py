@@ -14,14 +14,45 @@ Two Hypothesis profiles are registered:
   200 ms deadline on shared runners).
 * ``dev`` — the default everywhere else: fewer examples so the tier-1 suite
   stays fast, still no deadline.
+
+A leak guard fails the session at :func:`pytest_sessionfinish` when a
+multiprocessing child is still alive, or a ``/dev/shm/psm_*`` shared-memory
+segment created during the session is still there: every pool and segment a
+test starts must be reclaimed by the test itself.
 """
 
+import glob
+import multiprocessing
 import os
 import sys
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+def _shm_segments():
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+#: Segments that existed before this session; only new ones count as leaks.
+_SHM_BEFORE = _shm_segments()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    children = multiprocessing.active_children()
+    segments = sorted(_shm_segments() - _SHM_BEFORE)
+    if not children and not segments:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.write_sep("=", "leak guard", red=True)
+        for child in children:
+            reporter.write_line(f"live multiprocessing child: {child!r}")
+        for segment in segments:
+            reporter.write_line(f"leaked shared-memory segment: {segment}")
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 settings.register_profile(
     "ci",

@@ -81,10 +81,10 @@ class TestPipelineEquivalence:
         )
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
-    def test_threaded_execution_matches_sequential(self, prog):
+    def test_process_execution_matches_sequential(self, prog):
         sched_a = run_pipeline(prog)[0].schedule
         assert any(isinstance(p, ArrayPhase) for p in sched_a.phases)
-        run = execute(prog, sched_a, backend="threaded", workers=3)
+        run = execute(prog, sched_a, backend="process", workers=2)
         reference = execute_sequential(prog, {})
         for name in reference:
             assert np.array_equal(reference[name], run.store[name])

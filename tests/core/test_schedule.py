@@ -109,6 +109,20 @@ class TestDependenceSafety:
         assert sched.respects(deps, label="a")
         assert not sched.respects(deps)
 
+    def test_key_maps_instances_into_the_relation_space(self):
+        """A relation over another point space (here: label-tagged vectors)
+        is matched through ``key``; under the default key it matches
+        nothing, so it could not catch the race."""
+        p = ParallelPhase(
+            "p", (ExecutionUnit.single("a", (1,)), ExecutionUnit.single("b", (1,)))
+        )
+        sched = Schedule.from_phases("t", [p])
+        deps = FiniteRelation.from_pairs([((0, 1), (1, 1))])
+        key = lambda label, it: ({"a": 0, "b": 1}[label],) + tuple(it)  # noqa: E731
+        assert sched.violations(deps) == []
+        assert sched.violations(deps, key=key) == [(("a", (1,)), ("b", (1,)))]
+        assert not sched.respects(deps, key=key)
+
     def test_summary_keys(self):
         summary = two_phase_schedule().summary()
         assert {"name", "phases", "work", "span", "max_parallelism", "phase_sizes"} <= set(summary)

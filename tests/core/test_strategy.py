@@ -35,6 +35,7 @@ from repro.core.strategy import (
     strategy_names,
     strategy_table,
 )
+from repro.workloads.corpus import selection_corpus
 from repro.workloads.examples import (
     cholesky_loop,
     example2_loop,
@@ -195,13 +196,11 @@ class TestBaselineStrategies:
 
 class TestPlanConfig:
     def test_engine_validation(self):
-        """Three knobs; the retired engine and selector switches are
-        rejected, not ignored."""
+        """One knob; the retired engine and selector switches are rejected,
+        not ignored (the execution knobs: test_backends.py)."""
         from dataclasses import fields
 
-        assert [f.name for f in fields(PlanConfig)] == [
-            "strategies", "rng_seed", "exec_config",
-        ]
+        assert [f.name for f in fields(PlanConfig)] == ["strategies"]
         for retired in ("engine", "bulk_size_threshold", "force_dataflow", "selector"):
             with pytest.raises(TypeError):
                 PlanConfig(**{retired: None})
@@ -213,6 +212,7 @@ class TestPlanConfig:
             ({"strategies": ()}, ValueError, "at least one strategy"),
             ({"strategies": []}, ValueError, "at least one strategy"),
             ({"strategies": ("dataflow", "banana")}, ValueError, "unknown strategy 'banana'"),
+            # The shuffle seed is an ExecConfig field: any rng_seed is refused.
             ({"rng_seed": True}, TypeError, "rng_seed"),
             ({"rng_seed": 1.5}, TypeError, "rng_seed"),
             ({"rng_seed": "3"}, TypeError, "rng_seed"),
@@ -407,6 +407,58 @@ class TestPlanCacheLRUBoundaries:
         assert cache.stats() == {"size": 0, "hits": 0, "misses": 0}
 
 
+def _lu_kernel():
+    entry = next(e for e in selection_corpus(size="small") if e.name == "lu-kernel")
+    return entry.program, entry.params
+
+
+def _backwards(p):
+    """The plan with its phases run in reverse order."""
+    from dataclasses import replace
+
+    from repro.core.schedule import Schedule
+
+    phases = tuple(reversed(p.schedule.phases))
+    return replace(p, schedule=Schedule(p.schedule.name + "-reversed", phases))
+
+
+class TestStatementLevelValidation:
+    """``Plan.validate()`` keys a statement-level plan's instances by their
+    unified vectors, so its dependence check sees the unified relation."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [_lu_kernel, lambda: (cholesky_loop(nmat=2, m=2, n=5, nrhs=1), {})],
+        ids=["lu-kernel", "cholesky"],
+    )
+    def test_reversed_phases_are_reported(self, factory):
+        p = plan(*factory(), cache=False)
+        space = p.statement_space
+        assert space is not None and len(space.rd) > 0
+        assert p.validate(seeds=(0,)).respects_dependences
+        assert p.schedule.violations(space.rd, key=space.unify) == []
+
+        backwards = _backwards(p)
+        report = backwards.validate(seeds=(0,))
+        assert not report.respects_dependences and not report.ok
+        assert len(backwards.schedule.violations(space.rd, key=space.unify)) == len(space.rd)
+
+    def test_imperfect_plan_without_statement_space_is_checked(self):
+        """A baseline plan of an imperfect nest keeps no statement space;
+        validate() builds one instead of skipping the dependence check."""
+        p = plan(*_lu_kernel(), config=PlanConfig(strategies=("doacross",)), cache=False)
+        assert p.statement_space is None
+        assert p.validate(seeds=(0,)).respects_dependences
+        assert not _backwards(p).validate(seeds=(0,)).respects_dependences
+
+    def test_corpus_statement_level_plans_have_no_violations(self):
+        for entry in selection_corpus(size="small"):
+            p = plan(entry.program, entry.params, cache=False)
+            space = p.statement_space
+            if space is not None:
+                assert p.schedule.respects(space.rd, key=space.unify), entry.name
+
+
 class TestPlanObject:
     def test_execute_matches_sequential(self):
         import numpy as np
@@ -417,7 +469,7 @@ class TestPlanObject:
         p = plan(prog, cache=False)
         ref = execute_sequential(prog, {})
         assert np.array_equal(ref["a"], p.execute().store["a"])
-        run = p.execute(backend="threaded", workers=3)
+        run = p.execute(backend="process", workers=2)
         assert np.array_equal(ref["a"], run.store["a"])
         assert run.instances_executed == p.schedule.total_work
 

@@ -39,7 +39,7 @@ from repro.workloads.synthetic import large_cholesky_nest, large_uniform_loop
 #: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
 ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
-EXECUTING_BACKENDS = ("serial", "threaded", "process")
+EXECUTING_BACKENDS = ("serial", "process", "compiled")
 
 #: (program, PlanConfig) pairs covering unit phases (recurrence chains),
 #: ArrayPhase wavefronts and statement-level UnifiedArrayPhase wavefronts.
@@ -59,9 +59,7 @@ def _stores_equal(a, b):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert backend_names() == (
-            "serial", "threaded", "process", "simulated", "compiled"
-        )
+        assert backend_names() == ("serial", "process", "compiled")
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(KeyError, match="unknown backend"):
@@ -109,32 +107,46 @@ class TestExecConfig:
         assert cfg.backend == "serial"
         assert cfg.workers == 4
         assert cfg.seed == 0
-        assert cfg.lock_free
+
+    def test_three_fields(self):
+        """Backend, workers and seed are every execution knob; the retired
+        ones are rejected, not ignored."""
+        from dataclasses import fields
+
+        assert [f.name for f in fields(ExecConfig)] == ["backend", "workers", "seed"]
+        for retired in ("lock_free", "mp_context", "cost_model"):
+            with pytest.raises(TypeError):
+                ExecConfig(**{retired: None})
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ExecConfig(workers=0)
         with pytest.raises(ValueError):
-            ExecConfig(mp_context="greenlet")
-        with pytest.raises(ValueError):
             ExecConfig(backend="")
+
+    @pytest.mark.parametrize("name", ["threaded", "simulated"])
+    def test_unregistered_backend_rejected_on_construction(self, name):
+        with pytest.raises(ValueError, match="registered: serial, process, compiled"):
+            ExecConfig(backend=name)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"workers": "7"}, {"workers": True}, {"workers": 2.0}, {"seed": [1]}, {"seed": "0"}],
-        ids=["workers-str", "workers-bool", "workers-float", "seed-list", "seed-str"],
+        [
+            {"workers": "7"}, {"workers": True}, {"workers": 2.0},
+            {"seed": [1]}, {"seed": "0"}, {"seed": True},
+        ],
+        ids=["workers-str", "workers-bool", "workers-float", "seed-list", "seed-str", "seed-bool"],
     )
     def test_integer_fields_are_not_coerced(self, kwargs):
         with pytest.raises(TypeError):
             ExecConfig(**kwargs)
 
-    def test_hashable_for_plan_config(self):
-        """ExecConfig rides inside PlanConfig, which keys the plan cache."""
-        a = PlanConfig(exec_config=ExecConfig(backend="process", workers=2))
-        b = PlanConfig(exec_config=ExecConfig(backend="process", workers=2))
-        assert a == b and hash(a) == hash(b)
-        with pytest.raises(TypeError):
-            PlanConfig(exec_config="process")
+    def test_execution_knobs_are_not_plan_config_fields(self):
+        """The plan cache is keyed by PlanConfig, so an execution knob on it
+        would split cache entries for identical schedules."""
+        for retired in ({"rng_seed": 1}, {"exec_config": ExecConfig()}):
+            with pytest.raises(TypeError):
+                PlanConfig(**retired)
 
 
 class TestBackendEquivalence:
@@ -190,38 +202,15 @@ class TestBackendEquivalence:
         prog = figure1_loop(8, 8)
         p = plan(prog, cache=False)
         cfg = ExecConfig(backend="serial", seed=3)
-        result = execute(prog, p.schedule, {}, config=cfg, backend="threaded", workers=2)
-        assert result.backend == "threaded"
+        result = execute(prog, p.schedule, {}, config=cfg, backend="process", workers=2)
+        assert result.backend == "process"
         assert result.workers == 2
 
-
-class TestSimulatedBackend:
-    def test_wraps_cost_model(self):
-        from repro.runtime import CostModel, simulate_schedule
-
-        prog = figure1_loop(10, 12)
+    def test_override_is_validated(self):
+        prog = figure1_loop(4, 4)
         p = plan(prog, cache=False)
-        result = execute(prog, p.schedule, {}, backend="simulated", workers=4)
-        assert result.store is None  # nothing executed
-        assert result.meta["simulated"] is True
-        sim = simulate_schedule(p.schedule, processors=4)
-        assert result.meta["speedup"] == pytest.approx(sim.speedup)
-        assert result.elapsed_s == pytest.approx(sim.parallel_time)
-        assert result.phase_elapsed() == pytest.approx(sim.phase_times)
-
-    def test_custom_cost_model_via_config(self):
-        from repro.runtime import CostModel, simulate_schedule
-
-        prog = figure1_loop(10, 12)
-        p = plan(prog, cache=False)
-        cm = CostModel(barrier_cost=50.0)
-        result = execute(
-            prog, p.schedule, {},
-            config=ExecConfig(backend="simulated", workers=2, cost_model=cm),
-        )
-        assert result.elapsed_s == pytest.approx(
-            simulate_schedule(p.schedule, processors=2, cost_model=cm).parallel_time
-        )
+        with pytest.raises(ValueError, match="unknown backend 'threaded'"):
+            execute(prog, p.schedule, {}, backend="threaded")
 
 
 def _logging_program(log):
@@ -290,39 +279,22 @@ class TestPlanExecuteWiring:
             assert isinstance(result, RunResult)
             assert _stores_equal(ref, result.store), backend
 
-    def test_plan_config_exec_config_default(self):
-        """PlanConfig(exec_config=...) makes a bare execute() take the
-        registry path with those defaults."""
-        prog = figure1_loop(10, 10)
-        p = plan(
-            prog,
-            config=PlanConfig(exec_config=ExecConfig(backend="threaded", workers=2)),
-            cache=False,
-        )
-        result = p.execute()
-        assert isinstance(result, RunResult)
-        assert result.backend == "threaded"
-        assert result.workers == 2
-        assert _stores_equal(execute_sequential(prog, {}), result.store)
-        # per-call override still wins
-        assert p.execute(backend="serial").backend == "serial"
-
     def test_plan_execute_always_returns_run_result(self):
-        """A bare execute() runs the serial backend through the registry,
-        shuffled by the plan config's seed."""
+        """A bare execute() runs ``ExecConfig()`` through the registry: the
+        serial backend shuffled by seed 0."""
         prog = figure1_loop(10, 10)
         p = plan(prog, cache=False)
         run = p.execute()
         assert isinstance(run, RunResult)
         assert run.backend == "serial"
-        expected = execute(prog, p.schedule, {}, seed=p.config.rng_seed).store
+        expected = execute(prog, p.schedule, {}, config=ExecConfig()).store
         assert _stores_equal(expected, run.store)
 
-    def test_process_backend_rejects_locking(self):
-        prog = figure1_loop(6, 6)
-        p = plan(prog, cache=False)
-        with pytest.raises(ValueError, match="lock-free"):
-            p.execute(backend="process", workers=2, lock_free=False)
+    @pytest.mark.parametrize("retired", [{"lock_free": False}, {"rng": None}])
+    def test_plan_execute_rejects_retired_knobs(self, retired):
+        p = plan(figure1_loop(6, 6), cache=False)
+        with pytest.raises(TypeError):
+            p.execute(**retired)
 
 
 class TestRunMetrics:
@@ -341,11 +313,11 @@ class TestRunMetrics:
         prog = figure1_loop(10, 12)
         p = plan(prog, cache=False)
         serial = execute(prog, p.schedule, {}, backend="serial")
-        threaded = execute(prog, p.schedule, {}, backend="threaded", workers=2)
-        table = measured_speedups({"serial": serial, "threaded@2": threaded})
+        process = execute(prog, p.schedule, {}, backend="process", workers=2)
+        table = measured_speedups({"serial": serial, "process@2": process})
         assert table["serial"] == pytest.approx(1.0)
-        assert table["threaded@2"] == pytest.approx(
-            serial.elapsed_s / threaded.elapsed_s
+        assert table["process@2"] == pytest.approx(
+            serial.elapsed_s / process.elapsed_s
         )
 
 

@@ -184,17 +184,33 @@ class TestScheduleExecution:
 
 
 class TestShuffleRng:
-    """Intra-phase shuffling draws from a caller-controllable private RNG."""
+    """Intra-phase shuffling draws from a private generator seeded by
+    ``seed=`` (``None`` disables shuffling)."""
 
     def test_explicit_rng_is_reproducible(self):
-        import random
+        """An explicit seed gives a private shuffle generator that repeats
+        its visit order; another seed gives another order."""
+        from repro.ir.builder import aref, assign, loop, program
 
-        prog = figure1_loop(8, 8)
-        result = plan(prog, config=ALGORITHM1, cache=False)
-        a = execute(prog, result.schedule, {}, rng=random.Random(42)).store
-        b = execute(prog, result.schedule, {}, rng=random.Random(42)).store
-        for name in a:
-            assert np.array_equal(a[name], b[name])
+        log = []
+
+        def record(arrays, env, read_values):
+            log.append((env["I"], env["J"]))
+            return 0
+
+        prog = program(
+            "visit-log",
+            loop("I", 0, 5, loop("J", 0, 5, assign("s", aref("x", "I", "J"), semantics=record))),
+            array_shapes={"x": (6, 6)},
+        )
+        sched = plan(prog, config=PlanConfig(strategies=("pdm",)), cache=False).schedule
+
+        def visits(seed):
+            log.clear()
+            execute(prog, sched, {}, seed=seed)
+            return list(log)
+
+        assert visits(42) == visits(42) != visits(43)
 
     def test_global_random_state_untouched(self):
         import random
@@ -204,16 +220,14 @@ class TestShuffleRng:
         random.seed(1234)
         before = random.getstate()
         execute(prog, result.schedule, {}, seed=7)
-        execute(prog, result.schedule, {}, rng=random.Random(3))
+        execute(prog, result.schedule, {}, seed=3)
         assert random.getstate() == before
 
-    def test_seed_and_rng_agree_with_sequential_semantics(self):
-        import random
-
+    def test_seeds_agree_with_sequential_semantics(self):
         prog = figure2_loop(16)
         result = plan(prog, config=ALGORITHM1, cache=False)
         reference = execute_sequential(prog, {})
-        for kwargs in ({"seed": 5}, {"rng": random.Random(5)}, {"seed": None}):
-            out = execute(prog, result.schedule, {}, **kwargs).store
+        for seed in (5, 0, None):
+            out = execute(prog, result.schedule, {}, seed=seed).store
             for name in reference:
                 assert np.array_equal(reference[name], out[name])

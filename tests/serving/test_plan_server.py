@@ -12,7 +12,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.strategy import PlanCache
+from repro.core.partitioner import PartitioningNotApplicable
+from repro.core.strategy import PlanCache, PlanConfig
 from repro.runtime import execute_sequential, make_store
 from repro.runtime.backends import ExecConfig
 from repro.runtime.process import process_unavailable_reason
@@ -124,8 +125,10 @@ class TestPlanServerLifecycle:
         serving the next one."""
         prog = figure1_loop(6, 6)
         with PlanServer() as srv:
-            with pytest.raises(KeyError, match="unknown backend"):
-                srv.request(prog, exec_config=ExecConfig(backend="gpu"))
+            with pytest.raises(PartitioningNotApplicable):
+                srv.request(
+                    example3_loop(6), config=PlanConfig(strategies=("recurrence-chains",))
+                )
             ok = srv.request(prog)
             assert ok.result.store is not None
             stats = srv.stats()

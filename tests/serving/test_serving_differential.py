@@ -1,7 +1,7 @@
 """Differential tests pinning daemon-served results to direct execution.
 
 The serving layer must be a pure transport: for every backend the registry
-exposes (``serial`` / ``threaded`` / ``process`` / ``compiled``), a result
+exposes (``serial`` / ``process`` / ``compiled``), a result
 served by :class:`~repro.serving.PlanServer` is **bit-identical** to the
 one-shot ``plan()`` + ``execute()`` path and to ``execute_sequential`` —
 over Hypothesis-generated programs, not just the curated examples.  The
@@ -67,11 +67,6 @@ class TestServedBitIdentical:
             _served_matches_direct(srv, prog, "serial")
 
     @given(prog=loop_programs())
-    def test_threaded_served(self, prog):
-        with PlanServer() as srv:
-            _served_matches_direct(srv, prog, "threaded")
-
-    @given(prog=loop_programs())
     def test_compiled_served(self, prog):
         """The compiled backend (kernel or its documented serial fallback)
         serves bit-identical results through the daemon."""
@@ -96,7 +91,7 @@ def test_one_server_all_backends_on_corpus_workload():
     prog, params = entry.program, entry.params
     ref = execute_sequential(prog, dict(params))
     with PlanServer() as srv:
-        for backend in ("serial", "threaded", "compiled", "process"):
+        for backend in ("serial", "compiled", "process"):
             cfg = ExecConfig(backend=backend, workers=2)
             cold = srv.request(prog, params=params, exec_config=cfg, timeout=120)
             warm = srv.request(prog, params=params, exec_config=cfg, timeout=120)

@@ -93,13 +93,6 @@ class TestWireDifferential:
         client, srv = stack
         _assert_tcp_matches_all_paths(client, srv, prog, "serial")
 
-    @settings(max_examples=25,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(prog=loop_programs())
-    def test_threaded_tcp_differential(self, stack, prog):
-        client, srv = stack
-        _assert_tcp_matches_all_paths(client, srv, prog, "threaded")
-
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(prog=loop_programs())
@@ -152,12 +145,16 @@ class TestWireDifferential:
             assert np.array_equal(ref[name], store[name])
 
     def test_remote_error_propagates_with_type(self, stack):
+        """A serving-side failure (here: no strategy in a pinned chain
+        applies to the imperfect nest) reaches the client with its type."""
         client, _ = stack
-        bad = figure1_loop(6, 6)
-        with pytest.raises(RemoteServingError, match="unknown backend"):
+        with pytest.raises(RemoteServingError, match="PartitioningNotApplicable") as info:
             client.request(
-                bad, exec_config=ExecConfig(backend="no-such-backend"), timeout=60
+                example3_loop(6),
+                config=PlanConfig(strategies=("recurrence-chains",)),
+                timeout=60,
             )
+        assert info.value.error_type == "PartitioningNotApplicable"
 
 
 class _GatedServer(PlanServer):
@@ -375,6 +372,28 @@ class TestHostileInput:
                 for name in ref:
                     assert np.array_equal(ref[name], served.result.store[name])
 
+
+    @pytest.mark.parametrize("backend", ["threaded", "simulated"])
+    def test_unregistered_backend_gets_error_frame_before_planning(self, backend):
+        """A stale client naming a deleted backend is refused at decode time
+        with a typed ERROR frame naming the registered ones: nothing is
+        planned."""
+        header, payloads = wire.request_frame(
+            PlanRequest(program=figure1_loop(4, 4), exec_config=ExecConfig())
+        )
+        header["exec_config"]["backend"] = backend
+        with TransportServer() as ts:
+            host, port = ts.address
+            with socket.create_connection((host, port), timeout=10) as raw:
+                out, inp = raw.makefile("wb"), raw.makefile("rb")
+                wire.write_frame(out, FrameKind.REQUEST, header, payloads)
+                kind, reply, _ = wire.read_frame(inp)
+                out.close(), inp.close()
+            assert kind == FrameKind.ERROR
+            assert reply["error_type"] == "WireError"
+            assert f"unknown backend {backend!r}" in reply["message"]
+            assert "registered: serial, process, compiled" in reply["message"]
+            assert ts.plan_server.stats()["plan_cache"]["misses"] == 0
 
     def test_oversized_worker_count_gets_error_frame_and_no_pool(self):
         """A process request asking for 10**6 workers is refused at decode:

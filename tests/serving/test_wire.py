@@ -15,7 +15,7 @@ from hypothesis import given
 
 from repro.core.strategy import PlanConfig
 from repro.runtime import execute_sequential, make_store
-from repro.runtime.backends import ExecConfig, PhaseStats, RunResult
+from repro.runtime.backends import ExecConfig, RunResult
 from repro.serving import PlanRequest, PlanResponse, PlanServer, ServerBusy
 from repro.serving.transport import wire
 from repro.serving.transport.wire import (
@@ -91,15 +91,21 @@ class TestFraming:
         struct.pack_into(">H", raw, 4, version)
         return io.BytesIO(bytes(raw))
 
-    def test_protocol_version_three_rejects_version_one_frames(self):
-        assert wire.PROTOCOL_VERSION == 3
+    def test_protocol_version_four_rejects_version_one_frames(self):
+        assert wire.PROTOCOL_VERSION == 4
         with pytest.raises(ProtocolVersionMismatch):
             wire.read_frame(self._frame_of_version(1))
 
-    def test_protocol_version_three_rejects_version_two_frames(self):
+    def test_protocol_version_four_rejects_version_two_frames(self):
         # v2 plan configs still carry a ``selector`` knob this peer lacks.
         with pytest.raises(ProtocolVersionMismatch):
             wire.read_frame(self._frame_of_version(2))
+
+    def test_protocol_version_four_rejects_version_three_frames(self):
+        # v3 plan configs still carry ``rng_seed`` / ``exec_config``, and v3
+        # exec configs ``lock_free`` / ``mp_context``.
+        with pytest.raises(ProtocolVersionMismatch):
+            wire.read_frame(self._frame_of_version(3))
 
 
 class _NoRead(io.BytesIO):
@@ -222,20 +228,6 @@ class TestIRMarshalling:
         with pytest.raises(WireError, match="semantics"):
             wire.program_to_dict(prog)
 
-    def test_cost_model_refused(self):
-        class FakeCostModel:
-            pass
-
-        cfg = ExecConfig.__new__(ExecConfig)  # bypass __post_init__ validation
-        object.__setattr__(cfg, "backend", "simulated")
-        object.__setattr__(cfg, "workers", 2)
-        object.__setattr__(cfg, "seed", 0)
-        object.__setattr__(cfg, "lock_free", True)
-        object.__setattr__(cfg, "mp_context", None)
-        object.__setattr__(cfg, "cost_model", FakeCostModel())
-        with pytest.raises(WireError, match="cost_model"):
-            wire.exec_config_to_dict(cfg)
-
 
 class TestConfigMarshalling:
     @pytest.mark.parametrize(
@@ -243,20 +235,19 @@ class TestConfigMarshalling:
         [
             None,
             PlanConfig(),
-            PlanConfig(
-                strategies=("dataflow",),
-                rng_seed=None,
-                exec_config=ExecConfig(backend="threaded", workers=3, seed=7),
-            ),
+            PlanConfig(strategies=("dataflow",)),
         ],
         ids=["none", "defaults", "pinned"],
     )
     def test_plan_config_roundtrip(self, cfg):
         assert wire.plan_config_from_dict(wire.plan_config_to_dict(cfg)) == cfg
 
-    def test_plan_config_carries_only_the_three_knobs(self):
-        assert sorted(wire.plan_config_to_dict(PlanConfig())) == [
-            "exec_config", "rng_seed", "strategies",
+    def test_plan_config_carries_only_strategies(self):
+        assert sorted(wire.plan_config_to_dict(PlanConfig())) == ["strategies"]
+
+    def test_exec_config_carries_exactly_backend_workers_seed(self):
+        assert sorted(wire.exec_config_to_dict(ExecConfig())) == [
+            "backend", "seed", "workers",
         ]
 
     @pytest.mark.parametrize(
@@ -267,6 +258,7 @@ class TestConfigMarshalling:
             ("strategies", ["dataflow", "banana"]),
             ("strategies", [["dataflow"]]),
             ("strategies", 3),
+            # v3's seed field: the plan config is exactly {strategies}.
             ("rng_seed", True),
             ("rng_seed", 1.5),
             ("rng_seed", "0"),
@@ -294,8 +286,8 @@ class TestConfigMarshalling:
 
     @pytest.mark.parametrize(
         "cfg",
-        [None, ExecConfig(), ExecConfig(backend="process", workers=2, mp_context="spawn")],
-        ids=["none", "defaults", "process-spawn"],
+        [None, ExecConfig(), ExecConfig(backend="process", workers=2, seed=None)],
+        ids=["none", "defaults", "process-unshuffled"],
     )
     def test_exec_config_roundtrip(self, cfg):
         assert wire.exec_config_from_dict(wire.exec_config_to_dict(cfg)) == cfg
@@ -317,14 +309,19 @@ class TestConfigMarshalling:
             ("workers", None),
             ("seed", [1]),
             ("seed", "0"),
+            ("seed", True),
+            # v3's fields: the exec config is exactly {backend, workers, seed}.
             ("lock_free", 1),
             ("backend", ""),
+            ("backend", "threaded"),
+            ("backend", "simulated"),
             ("mp_context", "greenlet"),
         ],
         ids=[
             "workers-over-bound", "workers-million", "workers-str", "workers-float",
             "workers-bool", "workers-zero", "workers-null", "seed-list", "seed-str",
-            "lock-free-int", "backend-empty", "mp-context-unknown",
+            "seed-bool", "lock-free-int", "backend-empty", "backend-threaded",
+            "backend-simulated", "mp-context-unknown",
         ],
     )
     def test_bad_exec_config_is_a_wire_error(self, field, value):
@@ -333,6 +330,12 @@ class TestConfigMarshalling:
         d = wire.exec_config_to_dict(ExecConfig(backend="process", workers=2))
         d[field] = value
         with pytest.raises(WireError):
+            wire.exec_config_from_dict(d)
+
+    def test_missing_exec_config_field_is_a_wire_error(self):
+        d = wire.exec_config_to_dict(ExecConfig())
+        del d["seed"]
+        with pytest.raises(WireError, match="exactly"):
             wire.exec_config_from_dict(d)
 
     def test_bad_exec_config_in_a_request_frame_is_a_wire_error(self):
@@ -392,36 +395,9 @@ class TestRequestResponseFrames:
         for name in resp.result.store:
             assert np.array_equal(back.result.store[name], resp.result.store[name])
 
-    def test_simulated_result_without_store(self):
-        result = RunResult(
-            store=None,
-            backend="simulated",
-            workers=4,
-            phase_stats=(PhaseStats("P1", 10, 10, 4, 0.001),),
-            elapsed_s=0.002,
-            meta={"makespan": 12.5},
-        )
-        resp = PlanResponse(
-            request_id="r1",
-            strategy="dataflow",
-            scheme="dataflow",
-            backend="simulated",
-            result=result,
-            selection=None,
-            explain="",
-            plan_cache_hit=False,
-            pool_reused=False,
-            batch_size=1,
-            timings={"total_s": 0.1},
-        )
-        header, bodies = wire.response_frame(resp)
-        assert bodies == ()
-        _, rheader, payloads = _roundtrip(FrameKind.RESPONSE, header, bodies)
-        assert wire.decode_response(rheader, payloads).result.store is None
-
     def test_non_json_meta_degrades_to_repr(self):
         result = RunResult(
-            store=None,
+            store={},
             backend="serial",
             workers=1,
             phase_stats=(),
