@@ -17,15 +17,24 @@ the ``symbolic`` strategy and its ``compiled`` execution backend.
   backend by **≥ 10×** wall-clock with a **bit-identical** final store, and a
   second execution of the same plan hits the fingerprint-keyed kernel cache.
 
+* ``test_symbolic_corpus_plan_cold`` — the O(1) planner's constant: a cold
+  ``plan()`` of each ``selection_corpus(size="small")`` nest that picks
+  ``symbolic``, against the cheapest other strategy pinned on the same nest.
+  ``deep-rect-diag``'s symbolic plan must take at most **20×** its cheapest
+  pinned strategy.
+
 Rows are appended to ``BENCH_scale.json`` via the run_id-keyed trajectory
 recorder shared with ``bench_scale_partition.py``.
 """
 
+import statistics
 import time
 
 import numpy as np
 
-from repro.core.strategy import PlanConfig, plan
+from repro.analysis.features import clear_feature_cache
+from repro.core.partitioner import PartitioningNotApplicable
+from repro.core.strategy import PlanCache, PlanConfig, plan, strategy_names
 from repro.runtime import execute, execute_sequential
 
 from bench_scale_partition import record_bench
@@ -37,6 +46,10 @@ PLAN_N = (10_000, 10_000)
 EXEC_N = (1_000, 1_000)
 
 SYMBOLIC = PlanConfig(strategies=("symbolic",))
+#: Calls per cold-plan timing; the row records their median.
+COLD_REPS = 5
+#: ``deep-rect-diag``: symbolic cold plan / cheapest pinned cold plan.
+MAX_SYMBOLIC_RATIO = 20.0
 
 
 def test_symbolic_plan_is_o1_in_n(report):
@@ -126,4 +139,60 @@ def test_compiled_backend_speedup(report):
     assert speedup >= 10.0, (
         f"compiled kernel only {speedup:.1f}x the serial backend at "
         f"{n1 * n2} points — the contract requires >= 10x"
+    )
+
+
+def _cold_plan_ms(entry, config=None):
+    """Median of ``COLD_REPS`` cold ``plan()`` calls, each with a fresh plan
+    cache and a cleared feature cache; returns ``(ms, plan)``."""
+    times = []
+    p = None
+    for _ in range(COLD_REPS):
+        clear_feature_cache()
+        t0 = time.perf_counter()
+        p = plan(entry.program, entry.params, config=config, cache=PlanCache())
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3, p
+
+
+def test_symbolic_corpus_plan_cold(report):
+    from repro.workloads.corpus import selection_corpus
+
+    entries = selection_corpus(size="small")
+    for e in entries:  # warm imports and the selection table
+        plan(e.program, e.params, cache=False)
+
+    rows = []
+    for e in entries:
+        t_symbolic, p = _cold_plan_ms(e)
+        if p.strategy != "symbolic":
+            continue
+        cheapest = None
+        for name in strategy_names():
+            if name == "symbolic":
+                continue
+            try:
+                t, _ = _cold_plan_ms(e, PlanConfig(strategies=(name,)))
+            except PartitioningNotApplicable:
+                continue
+            if cheapest is None or t < cheapest[1]:
+                cheapest = (name, t)
+        rows.append(
+            {
+                "program": e.name,
+                "t_plan_ms": round(t_symbolic, 2),
+                "cheapest_pinned": cheapest[0],
+                "t_pinned_ms": round(cheapest[1], 2),
+                "ratio": round(t_symbolic / cheapest[1], 1),
+            }
+        )
+    report("Cold plan() of the small-corpus nests that pick symbolic", rows)
+    record_bench("symbolic_corpus_plan_cold", rows)
+
+    assert len(rows) == 6, [r["program"] for r in rows]
+    (diag,) = [r for r in rows if r["program"] == "deep-rect-diag"]
+    assert diag["ratio"] <= MAX_SYMBOLIC_RATIO, (
+        f"cold symbolic plan() of deep-rect-diag takes {diag['ratio']}x its "
+        f"cheapest pinned strategy ({diag['cheapest_pinned']}); the bound is "
+        f"{MAX_SYMBOLIC_RATIO}x"
     )

@@ -15,7 +15,6 @@ bounds) become ``IF`` guards at the innermost level, exactly like the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isl.affine import AffineExpr
@@ -120,24 +119,19 @@ def nest_bounds(cs: ConvexSet, order: Optional[Sequence[str]] = None) -> NestBou
         lowers: List[BoundExpr] = []
         uppers: List[BoundExpr] = []
         for c in projected:
-            coeff = c.expr.coeff(name)
-            rest = c.expr.drop([name])
+            coeff = c.coeff(name)
             if coeff == 0:
                 continue
-            extra = [v for v in rest.variables if v not in outer and v not in cs.parameters]
-            if extra:
+            if any(v != name and v not in outer and v not in cs.parameters for v, _ in c.coeffs):
                 guards.append(c)
                 continue
-            # Normalized constraints have integer coefficients.
-            if coeff.denominator != 1:
-                guards.append(c)
-                continue
-            # c: coeff*name + rest >= 0
+            # c: coeff*name + rest >= 0, with integer coefficients
+            rest = AffineExpr.build({v: k for v, k in c.coeffs if v != name}, c.constant)
             if coeff > 0:
                 # name >= ceil((-rest)/coeff)
-                lowers.append(BoundExpr(expr=-rest, divisor=int(coeff), is_lower=True))
+                lowers.append(BoundExpr(expr=-rest, divisor=coeff, is_lower=True))
             else:
                 # name <= floor(rest/(-coeff))
-                uppers.append(BoundExpr(expr=rest, divisor=int(-coeff), is_lower=False))
+                uppers.append(BoundExpr(expr=rest, divisor=-coeff, is_lower=False))
         levels.append(LoopBounds(name, tuple(lowers), tuple(uppers)))
     return NestBounds(tuple(levels), tuple(guards))

@@ -24,6 +24,7 @@ from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..isl.affine import AffineExpr
+from ..isl.convex import Constraint
 from .pair import ReferencePair
 
 __all__ = ["DependenceTestResult", "gcd_test", "banerjee_test", "combined_test"]
@@ -59,20 +60,17 @@ def _difference_expressions(pair: ReferencePair) -> List[AffineExpr]:
 def gcd_test(pair: ReferencePair) -> DependenceTestResult:
     """Per-dimension GCD test.  ``independent=True`` means provably no solution."""
     for dim, expr in enumerate(_difference_expressions(pair)):
-        scaled = expr.scaled_to_integer()
-        coeffs = [int(c) for _, c in scaled.coeffs]
-        constant = int(scaled.constant)
-        if not coeffs:
-            if constant != 0:
-                return DependenceTestResult(True, f"dimension {dim}: constant mismatch")
+        # The integer row of ``expr == 0`` keeps its coefficients' gcd exactly
+        # when that gcd does not divide the constant.
+        row = Constraint.eq(expr)
+        if not row.is_contradiction():
             continue
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        if g != 0 and constant % g != 0:
-            return DependenceTestResult(
-                True, f"dimension {dim}: gcd {g} does not divide {constant}"
-            )
+        if not row.coeffs:
+            return DependenceTestResult(True, f"dimension {dim}: constant mismatch")
+        g = gcd(*[c for _, c in row.coeffs])
+        return DependenceTestResult(
+            True, f"dimension {dim}: gcd {g} does not divide {row.constant}"
+        )
     return DependenceTestResult(False, "gcd test cannot disprove a solution")
 
 

@@ -6,7 +6,8 @@ manipulate exact dependence relations.  It provides:
 * exact integer/rational linear algebra (:mod:`repro.isl.linalg`):
   Hermite/Smith normal forms, diophantine system solving, rational inverses;
 * affine expressions over named variables (:mod:`repro.isl.affine`);
-* convex integer sets and constraint systems (:mod:`repro.isl.convex`);
+* convex integer sets over canonical integer constraint rows
+  (:mod:`repro.isl.convex`);
 * Fourier–Motzkin projection (:mod:`repro.isl.fourier_motzkin`);
 * unions of convex sets with ∩/∪/\\ (:mod:`repro.isl.sets`);
 * symbolic and finite relations with dom/ran/inverse/compose

@@ -121,16 +121,6 @@ class AffineExpr:
     def __rmul__(self, scalar: Coeff) -> "AffineExpr":
         return self.__mul__(scalar)
 
-    def scaled_to_integer(self) -> "AffineExpr":
-        """Multiply by the LCM of the denominators so all coefficients are ints."""
-        from math import gcd
-
-        denominators = [self.constant.denominator] + [c.denominator for _, c in self.coeffs]
-        lcm = 1
-        for d in denominators:
-            lcm = lcm // gcd(lcm, d) * d
-        return self * lcm
-
     # -- evaluation / substitution -------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Coeff]) -> Fraction:

@@ -10,6 +10,14 @@ addition, emptiness testing, point membership, projection (Fourier–Motzkin,
 see :mod:`repro.isl.fourier_motzkin`), and integer point enumeration for
 bounded sets (see :mod:`repro.isl.enumerate_points`).
 
+Each :class:`Constraint` is a canonical integer row: its kind, a sorted
+tuple of ``(name, int)`` coefficients and an ``int`` constant, with the
+coefficients divided by their gcd and ``>=`` constants floor-tightened.  The
+rational :class:`~repro.isl.affine.AffineExpr` of the IR is converted once,
+in the constructors; simplification, elimination, membership and bounds then
+run on Python ints, and :attr:`Constraint.expr` derives the rational form
+back for the code generators.
+
 Unions of convex sets live in :mod:`repro.isl.sets`; affine relations in
 :mod:`repro.isl.relations`.
 """
@@ -17,9 +25,8 @@ Unions of convex sets live in :mod:`repro.isl.sets`; affine relations in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineExpr
 
@@ -29,76 +36,113 @@ EQ = "=="
 GE = ">="
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _canonical(kind: str, coeffs: Mapping[str, int], constant: int) -> "Constraint":
+    """The canonical row of ``sum(coeffs[v] * v) + constant`` (``kind``) 0.
+
+    Zero coefficients are dropped and the rest sorted by name.  The
+    coefficients are divided by their gcd ``g``: a ``>=`` constant becomes
+    ``floor(constant / g)``, which is exact over the integers; an equality
+    constant is divided when ``g`` divides it, and otherwise the row is kept
+    as it is (it has no integer solution, see :meth:`Constraint.is_contradiction`).
+    """
+    items = sorted([(n, c) for n, c in coeffs.items() if c])
+    g = gcd(*[c for _, c in items])
+    if g > 1 and (kind == GE or constant % g == 0):
+        items = [(n, c // g) for n, c in items]
+        constant //= g
+    return tuple.__new__(Constraint, (kind, tuple(items), constant))
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """A single affine constraint ``expr == 0`` or ``expr >= 0``."""
-
-    expr: AffineExpr
+class _Row(NamedTuple):
     kind: str  # EQ or GE
+    coeffs: Tuple[Tuple[str, int], ...]  # sorted by name, no zeros
+    constant: int
 
-    def __post_init__(self):
-        if self.kind not in (EQ, GE):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
+
+class Constraint(_Row):
+    """A single affine constraint ``expr == 0`` or ``expr >= 0``, held as a
+    canonical integer row: ``(kind, coeffs, constant)``.
+
+    Every constructor returns the canonical form (see :func:`_canonical`), so
+    two rows that are positive multiples of each other are equal and hash
+    alike.  Rational :class:`AffineExpr` operands are converted once, here;
+    everything below works on Python ints.  :attr:`expr` derives the
+    rational expression back for readers outside the constraint core.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, coeffs: Iterable[Tuple[str, int]] | Mapping[str, int] = (),
+                constant: int = 0) -> "Constraint":
+        """The canonical row from integer coefficients (pairs or a mapping)."""
+        if kind not in (EQ, GE):
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        return _canonical(kind, dict(coeffs), int(constant))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild the row through __new__ from its fields.
+        return tuple(self)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
+    def from_expr(expr: AffineExpr, kind: str) -> "Constraint":
+        """``expr == 0`` or ``expr >= 0``: scaled by the lcm of its
+        denominators, then made canonical."""
+        lcm = expr.constant.denominator
+        for _, c in expr.coeffs:
+            d = c.denominator
+            lcm = lcm // gcd(lcm, d) * d
+        return Constraint(
+            kind,
+            {n: c.numerator * (lcm // c.denominator) for n, c in expr.coeffs},
+            expr.constant.numerator * (lcm // expr.constant.denominator),
+        )
+
+    @staticmethod
     def eq(lhs, rhs=0) -> "Constraint":
         """``lhs == rhs``"""
-        return Constraint(AffineExpr.from_any(lhs) - AffineExpr.from_any(rhs), EQ)
+        return Constraint.from_expr(AffineExpr.from_any(lhs) - AffineExpr.from_any(rhs), EQ)
 
     @staticmethod
     def ge(lhs, rhs=0) -> "Constraint":
         """``lhs >= rhs``"""
-        return Constraint(AffineExpr.from_any(lhs) - AffineExpr.from_any(rhs), GE)
+        return Constraint.from_expr(AffineExpr.from_any(lhs) - AffineExpr.from_any(rhs), GE)
 
     @staticmethod
     def le(lhs, rhs=0) -> "Constraint":
         """``lhs <= rhs``"""
-        return Constraint(AffineExpr.from_any(rhs) - AffineExpr.from_any(lhs), GE)
+        return Constraint.from_expr(AffineExpr.from_any(rhs) - AffineExpr.from_any(lhs), GE)
 
     @staticmethod
     def lt(lhs, rhs=0) -> "Constraint":
         """``lhs < rhs`` over the integers, i.e. ``lhs <= rhs - 1``."""
-        return Constraint(AffineExpr.from_any(rhs) - AffineExpr.from_any(lhs) - 1, GE)
+        return Constraint.from_expr(
+            AffineExpr.from_any(rhs) - AffineExpr.from_any(lhs) - 1, GE
+        )
 
     @staticmethod
     def gt(lhs, rhs=0) -> "Constraint":
         """``lhs > rhs`` over the integers, i.e. ``lhs >= rhs + 1``."""
-        return Constraint(AffineExpr.from_any(lhs) - AffineExpr.from_any(rhs) - 1, GE)
+        return Constraint.from_expr(
+            AffineExpr.from_any(lhs) - AffineExpr.from_any(rhs) - 1, GE
+        )
+
+    # -- accessors ------------------------------------------------------------
+
+    @property
+    def expr(self) -> AffineExpr:
+        """The row as a rational :class:`AffineExpr` (for code generation)."""
+        return AffineExpr.build(dict(self.coeffs), self.constant)
+
+    def coeff(self, name: str) -> int:
+        """Coefficient of ``name`` (0 if the variable does not occur)."""
+        for n, c in self.coeffs:
+            if n == name:
+                return c
+        return 0
 
     # -- operations -----------------------------------------------------------
-
-    def normalized(self) -> "Constraint":
-        """Return an equivalent constraint with coprime integer coefficients.
-
-        For ``>=`` constraints the constant term is additionally tightened to
-        ``floor(c / g)`` (valid over the integers).
-        """
-        expr = self.expr.scaled_to_integer()
-        coeff_ints = [int(c) for _, c in expr.coeffs]
-        g = 0
-        for c in coeff_ints:
-            g = gcd(g, abs(c))
-        if g == 0:
-            return Constraint(expr, self.kind)
-        const = expr.constant
-        new_coeffs = {n: Fraction(int(c), g) for n, c in expr.coeffs}
-        if self.kind == GE:
-            new_const = Fraction(floor(Fraction(const, g)))
-        else:
-            if const % g != 0:
-                # Equality with non-divisible constant: unsatisfiable; keep as-is
-                # (emptiness detection happens at the set level).
-                return Constraint(expr, self.kind)
-            new_const = Fraction(const, g)
-        return Constraint(AffineExpr.build(new_coeffs, new_const), self.kind)
 
     def negated(self) -> List["Constraint"]:
         """Integer negation.
@@ -107,39 +151,51 @@ class Constraint:
         ``e >= 1 or -e >= 1`` and therefore returns two constraints that the
         caller must treat as alternatives (used by set subtraction).
         """
+        minus = {n: -c for n, c in self.coeffs}
         if self.kind == GE:
-            return [Constraint((-self.expr) - 1, GE)]
-        return [Constraint(self.expr - 1, GE), Constraint((-self.expr) - 1, GE)]
+            return [_canonical(GE, minus, -self.constant - 1)]
+        return [
+            _canonical(GE, dict(self.coeffs), self.constant - 1),
+            _canonical(GE, minus, -self.constant - 1),
+        ]
 
-    def substitute(self, mapping) -> "Constraint":
-        return Constraint(self.expr.substitute(mapping), self.kind)
+    def substitute(self, values: Mapping[str, int]) -> "Constraint":
+        """Bind variables to integer values."""
+        constant = self.constant
+        coeffs: Dict[str, int] = {}
+        for n, c in self.coeffs:
+            if n in values:
+                constant += c * int(values[n])
+            else:
+                coeffs[n] = c
+        return _canonical(self.kind, coeffs, constant)
 
     def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        return Constraint(self.expr.rename(mapping), self.kind)
+        return _canonical(
+            self.kind, {mapping.get(n, n): c for n, c in self.coeffs}, self.constant
+        )
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
-        value = self.expr.evaluate(assignment)
+        value = self.constant
+        for n, c in self.coeffs:
+            if n not in assignment:
+                raise KeyError(f"no value for variable {n!r}")
+            value += c * assignment[n]
         return value == 0 if self.kind == EQ else value >= 0
 
     def is_tautology(self) -> bool:
-        if self.expr.is_constant():
-            v = self.expr.constant
-            return v == 0 if self.kind == EQ else v >= 0
-        return False
+        if self.coeffs:
+            return False
+        return self.constant == 0 if self.kind == EQ else self.constant >= 0
 
     def is_contradiction(self) -> bool:
-        if self.expr.is_constant():
-            v = self.expr.constant
-            return v != 0 if self.kind == EQ else v < 0
-        # An integer equality whose integer-scaled coefficients share a gcd not
-        # dividing the constant can never hold.
+        if not self.coeffs:
+            return self.constant != 0 if self.kind == EQ else self.constant < 0
+        # A canonical equality keeps its coefficients' gcd only when that gcd
+        # does not divide the constant: then it can never hold.
         if self.kind == EQ:
-            expr = self.expr.scaled_to_integer()
-            g = 0
-            for _, c in expr.coeffs:
-                g = gcd(g, abs(int(c)))
-            if g > 1 and int(expr.constant) % g != 0:
-                return True
+            g = gcd(*[c for _, c in self.coeffs])
+            return g > 1 and self.constant % g != 0
         return False
 
     def __str__(self) -> str:
@@ -147,6 +203,10 @@ class Constraint:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Constraint({self})"
+
+
+#: The canonical unsatisfiable row: an empty set holds this and nothing else.
+_FALSE = Constraint(GE, (), -1)
 
 
 @dataclass(frozen=True)
@@ -190,9 +250,6 @@ class ConvexSet:
     def dim(self) -> int:
         return len(self.variables)
 
-    def all_symbols(self) -> Tuple[str, ...]:
-        return tuple(self.variables) + tuple(self.parameters)
-
     def with_constraints(self, extra: Iterable[Constraint]) -> "ConvexSet":
         return ConvexSet(
             self.variables, self.constraints + tuple(extra), self.parameters
@@ -217,24 +274,16 @@ class ConvexSet:
     # -- simplification -------------------------------------------------------
 
     def simplified(self) -> "ConvexSet":
-        """Normalize constraints, drop tautologies, deduplicate."""
+        """Drop tautologies and duplicate rows; collapse a contradiction."""
         seen = set()
         out: List[Constraint] = []
-        contradictory = False
         for c in self.constraints:
-            n = c.normalized()
-            if n.is_tautology():
+            if c.is_tautology() or c in seen:
                 continue
-            if n.is_contradiction():
-                contradictory = True
-            key = (n.kind, n.expr.coeffs, n.expr.constant)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(n)
-        if contradictory:
-            # Canonical empty set: a single unsatisfiable constraint.
-            out = [Constraint(AffineExpr.constant_expr(-1), GE)]
+            if c.is_contradiction():
+                return ConvexSet(self.variables, (_FALSE,), self.parameters)
+            seen.add(c)
+            out.append(c)
         return ConvexSet(self.variables, tuple(out), self.parameters)
 
     def is_obviously_empty(self) -> bool:
@@ -248,11 +297,9 @@ class ConvexSet:
             raise ValueError(
                 f"point has {len(point)} coordinates, set has {len(self.variables)} variables"
             )
-        assignment: Dict[str, Fraction] = {
-            v: Fraction(int(x)) for v, x in zip(self.variables, point)
-        }
+        assignment: Dict[str, int] = {v: int(x) for v, x in zip(self.variables, point)}
         if params:
-            assignment.update({k: Fraction(int(v)) for k, v in params.items()})
+            assignment.update({k: int(v) for k, v in params.items()})
         for p in self.parameters:
             if p not in assignment:
                 raise ValueError(f"parameter {p!r} is unbound; pass params=...")
@@ -274,29 +321,19 @@ class ConvexSet:
 
         cs = self if params is None else self.bind_parameters(params)
         projected = project_onto(cs, [name])
-        lower: Optional[Fraction] = None
-        upper: Optional[Fraction] = None
+        lo: Optional[int] = None
+        hi: Optional[int] = None
         for c in projected.constraints:
-            coeff = c.expr.coeff(name)
-            rest = c.expr.drop([name])
-            if not rest.is_constant():
+            # A row over ``name`` alone: a*name + constant (== | >=) 0.
+            if len(c.coeffs) != 1 or c.coeffs[0][0] != name:
                 continue
-            if coeff == 0:
-                continue
-            if c.kind == EQ:
-                val = -rest.constant / coeff
-                lower = val if lower is None else max(lower, val)
-                upper = val if upper is None else min(upper, val)
-            else:
-                # coeff*name + rest >= 0
-                if coeff > 0:
-                    val = -rest.constant / coeff
-                    lower = val if lower is None else max(lower, val)
-                else:
-                    val = -rest.constant / coeff
-                    upper = val if upper is None else min(upper, val)
-        lo = None if lower is None else ceil(lower)
-        hi = None if upper is None else floor(upper)
+            a = c.coeffs[0][1]
+            if c.kind == EQ or a > 0:
+                bound = -(c.constant // a)  # ceil(-constant / a)
+                lo = bound if lo is None else max(lo, bound)
+            if c.kind == EQ or a < 0:
+                bound = (-c.constant) // a  # floor(-constant / a)
+                hi = bound if hi is None else min(hi, bound)
         return lo, hi
 
     def bounding_box(
@@ -370,7 +407,7 @@ def _rationally_infeasible(cs: ConvexSet) -> bool:
 def _find_integer_point(cs: ConvexSet, _depth: int = 0) -> Optional[Tuple[int, ...]]:
     """Depth-first search for an integer point using FME bounds per variable."""
     if not cs.variables:
-        sat = all(c.is_tautology() or not c.expr.is_constant() for c in cs.constraints)
+        sat = all(c.is_tautology() or c.coeffs for c in cs.constraints)
         return () if sat and not cs.is_obviously_empty() else None
     name = cs.variables[0]
     rest_vars = cs.variables[1:]

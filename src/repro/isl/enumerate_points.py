@@ -18,12 +18,11 @@ brute force).  This module provides two complementary strategies:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .convex import Constraint, ConvexSet, EQ
+from .convex import ConvexSet, EQ
 
 __all__ = [
     "EnumerationTruncated",
@@ -126,8 +125,8 @@ def _constraint_matrix(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (A_ge, b_ge) and equality rows for vectorised evaluation.
 
-    Every constraint is scaled to integer coefficients first so the numpy
-    evaluation is exact (int64 arithmetic on affine forms of small magnitude).
+    The rows are integer already, so the numpy evaluation is exact (int64
+    arithmetic on affine forms of small magnitude).
     """
     param_vals = dict(params or {})
     ge_rows: List[List[int]] = []
@@ -135,19 +134,18 @@ def _constraint_matrix(
     eq_rows: List[List[int]] = []
     eq_consts: List[int] = []
     for c in cs.constraints:
-        expr = c.expr.substitute(param_vals) if param_vals else c.expr
-        expr = expr.scaled_to_integer()
-        row = [int(expr.coeff(v)) for v in cs.variables]
-        konst = int(expr.constant)
-        leftover = [v for v in expr.variables if v not in cs.variables]
+        if param_vals:
+            c = c.substitute(param_vals)
+        leftover = [n for n, _ in c.coeffs if n not in cs.variables]
         if leftover:
             raise ValueError(f"unbound symbols in constraint: {leftover}")
+        row = [c.coeff(v) for v in cs.variables]
         if c.kind == EQ:
             eq_rows.append(row)
-            eq_consts.append(konst)
+            eq_consts.append(c.constant)
         else:
             ge_rows.append(row)
-            ge_consts.append(konst)
+            ge_consts.append(c.constant)
     A_ge = np.array(ge_rows, dtype=np.int64).reshape(len(ge_rows), len(cs.variables))
     b_ge = np.array(ge_consts, dtype=np.int64)
     A_eq = np.array(eq_rows, dtype=np.int64).reshape(len(eq_rows), len(cs.variables))

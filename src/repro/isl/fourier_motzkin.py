@@ -11,6 +11,12 @@ recurrence-chain partitioner uses it for:
   code-generation step produces the ``min``/``max``/ceil/floor bound
   expressions of its listings.
 
+The rows are canonical integer rows (:class:`~repro.isl.convex.Constraint`),
+and both steps stay integral: a lower and an upper bound combine by integer
+multiples, and substituting through an equality ``a*x + e == 0`` scales the
+other row by ``|a|`` first, so no division is needed.  Each result row is made
+canonical again, which also tightens it over the integers.
+
 The integer projection is in general a superset of the true integer shadow
 (dark-shadow/Omega-test refinements are not implemented); all *exact* integer
 reasoning in this package is done by enumeration of bounded sets, and FME is
@@ -19,10 +25,9 @@ used only where a conservative rational answer is sound.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .affine import AffineExpr
-from .convex import Constraint, ConvexSet, EQ, GE
+from .convex import _FALSE, Constraint, ConvexSet, EQ, GE, _canonical
 
 __all__ = ["eliminate_variable", "eliminate_variables", "project_onto", "project_out"]
 
@@ -30,70 +35,64 @@ __all__ = ["eliminate_variable", "eliminate_variables", "project_onto", "project
 def _substitute_equality(constraints: List[Constraint], name: str) -> List[Constraint] | None:
     """If an equality pins ``name``, substitute it and return new constraints.
 
-    Returns ``None`` when no usable equality exists.  The substitution keeps
-    exactness because it happens over the rationals and membership tests
-    re-verify integrality.
+    With the equality ``a*name + e == 0`` every other row ``c*name + r``
+    becomes ``|a|*row - sign(a)*c*eq``, in which ``name`` cancels.  Returns
+    ``None`` when no usable equality exists.
     """
-    for idx, c in enumerate(constraints):
-        if c.kind != EQ:
+    for idx, eq in enumerate(constraints):
+        if eq.kind != EQ:
             continue
-        coeff = c.expr.coeff(name)
-        if coeff == 0:
+        a = eq.coeff(name)
+        if a == 0:
             continue
-        # name = -(rest)/coeff
-        rest = c.expr.drop([name])
-        replacement = rest * (-1 / coeff)
+        scale = abs(a)
         out = []
-        for j, other in enumerate(constraints):
+        for j, row in enumerate(constraints):
             if j == idx:
                 continue
-            out.append(other.substitute({name: replacement}))
+            c = row.coeff(name)
+            if c == 0:
+                out.append(row)
+                continue
+            t = c if a > 0 else -c
+            acc: Dict[str, int] = {n: scale * v for n, v in row.coeffs}
+            for n, v in eq.coeffs:
+                acc[n] = acc.get(n, 0) - t * v
+            out.append(_canonical(row.kind, acc, scale * row.constant - t * eq.constant))
         return out
     return None
 
 
 def eliminate_variable(constraints: Iterable[Constraint], name: str) -> List[Constraint]:
     """Eliminate one variable from a conjunction of constraints."""
-    cons = [c for c in constraints]
+    cons = list(constraints)
     # Prefer substitution through an equality: exact and cheap.
     substituted = _substitute_equality(cons, name)
     if substituted is not None:
-        return [c for c in substituted]
+        return substituted
 
-    lowers: List[Constraint] = []   # coeff > 0  : name >= -rest/coeff
-    uppers: List[Constraint] = []   # coeff < 0  : name <= -rest/coeff
-    others: List[Constraint] = []
+    # No equality mentions ``name`` now, so every row that does is a bound.
+    lowers: List[Tuple[int, Constraint]] = []   # a*name + rest >= 0, a > 0
+    uppers: List[Tuple[int, Constraint]] = []   # -b*name + rest >= 0, b > 0
+    result: List[Constraint] = []
     for c in cons:
-        coeff = c.expr.coeff(name)
+        coeff = c.coeff(name)
         if coeff == 0:
-            others.append(c)
-        elif c.kind == EQ:
-            # No pinning equality found above means coeff == 0 for equalities;
-            # being defensive: treat as two inequalities.
-            others_from_eq = [Constraint(c.expr, GE), Constraint(-c.expr, GE)]
-            for ge in others_from_eq:
-                if ge.expr.coeff(name) > 0:
-                    lowers.append(ge)
-                else:
-                    uppers.append(ge)
+            result.append(c)
         elif coeff > 0:
-            lowers.append(c)
+            lowers.append((coeff, c))
         else:
-            uppers.append(c)
+            uppers.append((-coeff, c))
 
-    result = list(others)
-    for lo in lowers:
-        a = lo.expr.coeff(name)
-        lo_rest = lo.expr.drop([name])
-        for up in uppers:
-            b = -up.expr.coeff(name)
-            up_rest = up.expr.drop([name])
-            # lo: a*name + lo_rest >= 0  => name >= -lo_rest/a
-            # up: -b*name + up_rest >= 0 => name <= up_rest/b
-            # combined: b*lo_rest + a*up_rest >= 0
-            combined = lo_rest * b + up_rest * a
-            result.append(Constraint(combined, GE))
-    return [c.normalized() for c in result]
+    for a, lo in lowers:
+        for b, up in uppers:
+            # name >= -lo_rest/a and name <= up_rest/b: b*lo_rest + a*up_rest >= 0
+            acc: Dict[str, int] = {n: b * v for n, v in lo.coeffs if n != name}
+            for n, v in up.coeffs:
+                if n != name:
+                    acc[n] = acc.get(n, 0) + a * v
+            result.append(_canonical(GE, acc, b * lo.constant + a * up.constant))
+    return result
 
 
 def eliminate_variables(constraints: Iterable[Constraint], names: Sequence[str]) -> List[Constraint]:
@@ -103,25 +102,14 @@ def eliminate_variables(constraints: Iterable[Constraint], names: Sequence[str])
         cons = eliminate_variable(cons, name)
         # Early exit on contradiction keeps the combinatorics in check.
         if any(c.is_contradiction() for c in cons):
-            return [Constraint(AffineExpr.constant_expr(-1), GE)]
+            return [_FALSE]
         cons = _prune(cons)
     return cons
 
 
 def _prune(constraints: List[Constraint]) -> List[Constraint]:
     """Drop tautologies and duplicates to limit FME blow-up."""
-    seen = set()
-    out = []
-    for c in constraints:
-        n = c.normalized()
-        if n.is_tautology():
-            continue
-        key = (n.kind, n.expr.coeffs, n.expr.constant)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(n)
-    return out
+    return [c for c in dict.fromkeys(constraints) if not c.is_tautology()]
 
 
 def project_out(cs: ConvexSet, names: Sequence[str]) -> ConvexSet:

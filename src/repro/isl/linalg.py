@@ -37,14 +37,11 @@ __all__ = [
     "identity_matrix",
     "zero_matrix",
     "mat_mul",
-    "mat_vec",
     "vec_mat",
     "mat_add",
     "mat_sub",
-    "mat_transpose",
     "mat_det",
     "mat_inverse",
-    "is_integer_matrix",
     "hermite_normal_form",
     "smith_normal_form",
     "DiophantineSolution",
@@ -149,14 +146,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return out
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vector:
-    """Matrix-vector product ``a @ v``."""
-    ra, ca = mat_shape(a)
-    if ca != len(v):
-        raise ValueError("shape mismatch for mat_vec")
-    return [sum((_frac(a[i][j]) * _frac(v[j]) for j in range(ca)), Fraction(0)) for i in range(ra)]
-
-
 def vec_mat(v: Sequence, a: Sequence[Sequence]) -> Vector:
     """Row-vector times matrix, ``v @ a`` (the paper writes iterations as rows)."""
     ra, ca = mat_shape(a)
@@ -179,11 +168,6 @@ def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     if (ra, ca) != (rb, cb):
         raise ValueError("shape mismatch for mat_sub")
     return [[_frac(a[i][j]) - _frac(b[i][j]) for j in range(ca)] for i in range(ra)]
-
-
-def mat_transpose(a: Sequence[Sequence]) -> Matrix:
-    ra, ca = mat_shape(a)
-    return [[_frac(a[i][j]) for i in range(ra)] for j in range(ca)]
 
 
 def mat_det(a: Sequence[Sequence]) -> Fraction:
@@ -245,15 +229,6 @@ def mat_inverse(a: Sequence[Sequence]) -> Matrix:
             m[r] = [m[r][c] - factor * m[col][c] for c in range(ra)]
             inv[r] = [inv[r][c] - factor * inv[col][c] for c in range(ra)]
     return inv
-
-
-def is_integer_matrix(a: Sequence[Sequence]) -> bool:
-    """True when every entry is an integer (Fraction with denominator 1)."""
-    for row in a:
-        for x in row:
-            if _frac(x).denominator != 1:
-                return False
-    return True
 
 
 def mat_rank(a: Sequence[Sequence]) -> int:
@@ -329,14 +304,8 @@ class RationalMatrix:
     def det(self) -> Fraction:
         return mat_det(self.rows)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(mat_transpose(self.rows))
-
     def rank(self) -> int:
         return mat_rank(self.rows)
-
-    def is_integer(self) -> bool:
-        return is_integer_matrix(self.rows)
 
     def row_apply(self, v: Sequence) -> Vector:
         """Return ``v @ self`` for a row vector ``v``."""

@@ -121,12 +121,6 @@ class TestEvaluation:
 
 
 class TestUtilities:
-    def test_scaled_to_integer(self):
-        e = var("i") * Fraction(1, 2) + Fraction(1, 3)
-        scaled = e.scaled_to_integer()
-        assert scaled.is_integral()
-        assert scaled == var("i") * 3 + 2
-
     def test_is_integral(self):
         assert (var("i") * 2 + 1).is_integral()
         assert not (var("i") * Fraction(1, 2)).is_integral()

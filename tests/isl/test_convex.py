@@ -1,5 +1,7 @@
 """Tests for repro.isl.convex: constraints, convex sets, emptiness, bounds."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,15 +23,73 @@ class TestConstraint:
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
-            Constraint(var("i"), "<=")
+            Constraint("<=", {"i": 1}, 0)
+        with pytest.raises(ValueError):
+            Constraint.from_expr(var("i"), "<=")
 
-    def test_normalized_divides_by_gcd(self):
+    def test_constructed_rows_are_canonical(self):
         c = Constraint.ge(var("i") * 4, 6)  # 4i - 6 >= 0 -> 2i - 3 >= 0 -> i >= 2 (tighten)
-        n = c.normalized()
-        assert n.expr.coeff("i") in (1, 2)
-        # the tightened constraint must still accept exactly i >= 2
-        assert n.satisfied_by({"i": 2})
-        assert not n.satisfied_by({"i": 1})
+        assert (c.kind, c.coeffs, c.constant) == (GE, (("i", 1),), -2)
+        assert c.satisfied_by({"i": 2})
+        assert not c.satisfied_by({"i": 1})
+        # 6i + 4j == 2 divides through; 2i == 3 has no integer solution and
+        # keeps its coefficients so the gcd test can see it.
+        assert Constraint.eq(var("i") * 6 + var("j") * 4, 2) == Constraint(EQ, {"i": 3, "j": 2}, -1)
+        assert Constraint.eq(var("i") * 2, 3) == Constraint(EQ, {"i": 2}, -3)
+        # Rational operands are scaled once: i/2 - j/3 >= 1/6 is 3i - 2j - 1 >= 0.
+        half = var("i") * Fraction(1, 2) - var("j") * Fraction(1, 3)
+        assert Constraint.ge(half, Fraction(1, 6)) == Constraint(GE, {"j": -2, "i": 3}, -1)
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["i", "j", "N"]),
+            st.fractions(min_value=-6, max_value=6, max_denominator=3),
+            max_size=3,
+        ),
+        st.fractions(min_value=-9, max_value=9, max_denominator=3),
+        st.sampled_from(["eq", "ge", "le", "lt", "gt"]),
+        st.integers(-4, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_returns_canonical_rows(self, coeffs, constant, ctor, value):
+        from oracle import RationalRow, normalized
+
+        def assert_canonical(c):
+            assert all(type(x) is int for _, x in c.coeffs) and type(c.constant) is int
+            assert [n for n, _ in c.coeffs] == sorted(n for n, _ in c.coeffs)
+            assert all(x != 0 for _, x in c.coeffs)
+            assert normalized(RationalRow(c.expr, c.kind)).expr == c.expr
+
+        expr = AffineExpr.build(coeffs, constant)
+        for kind in (EQ, GE):
+            # The one conversion gives what the rational normalization gave.
+            assert Constraint.from_expr(expr, kind).expr == normalized(RationalRow(expr, kind)).expr
+        c = getattr(Constraint, ctor)(expr, var("j"))
+        assert_canonical(c)
+        for derived in (
+            *c.negated(),
+            c.substitute({"N": value}),
+            c.substitute({"i": value, "j": 1}),
+            c.rename({"i": "k"}),
+            Constraint(c.kind, dict(c.coeffs), c.constant),
+        ):
+            assert_canonical(derived)
+        assert Constraint(c.kind, c.coeffs, c.constant) == c
+
+    def test_core_modules_do_not_import_fractions(self):
+        import ast
+        import repro.isl.convex
+        import repro.isl.fourier_motzkin
+
+        for module in (repro.isl.convex, repro.isl.fourier_motzkin):
+            tree = ast.parse(open(module.__file__).read())
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported |= {a.name for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module or "")
+            assert "fractions" not in imported, module.__name__
 
     def test_normalized_equality_unsat_detected_at_contradiction(self):
         c = Constraint.eq(var("i") * 2, 3)  # 2i == 3 has no integer solution

@@ -1,12 +1,24 @@
-"""Tests for repro.isl.fourier_motzkin: projection vs brute-force enumeration."""
+"""Tests for repro.isl.fourier_motzkin: projection vs brute-force enumeration,
+and the integer rows vs the rational reference in ``tests/oracle.py``."""
 
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isl.affine import var
-from repro.isl.convex import Constraint, ConvexSet
+import oracle
+from oracle import RationalRow
+from repro.isl.affine import AffineExpr, var
+from repro.isl.convex import EQ, GE, Constraint, ConvexSet
 from repro.isl.enumerate_points import enumerate_convex
-from repro.isl.fourier_motzkin import eliminate_variable, project_onto, project_out
+from repro.isl.fourier_motzkin import (
+    eliminate_variable,
+    eliminate_variables,
+    project_onto,
+    project_out,
+)
 
 
 def brute_projection(points, keep_indices):
@@ -106,3 +118,90 @@ class TestProjection:
         # projection may be larger (rational relaxation) but never smaller.
         for (i_val,) in brute_projection(points, [0]):
             assert projected.contains((i_val,))
+
+
+# ---------------------------------------------------------------------------
+# differential: integer rows vs the rational reference
+# ---------------------------------------------------------------------------
+
+#: Every drawn variable is boxed to [-BOX, BOX], so each system is bounded.
+BOX = 3
+VARIABLES = ("w", "x", "y", "z")
+
+_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3])),
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """2–4 boxed variables, an optional parameter ``N`` with a drawn value,
+    and 1–4 random ``==``/``>=`` rows, some with rational coefficients; plus
+    an elimination order over the variables."""
+    variables = VARIABLES[: draw(st.integers(2, 4))]
+    parameters = ("N",) if draw(st.booleans()) else ()
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = {v: draw(_coefficients) for v in variables + parameters}
+        expr = AffineExpr.build(coeffs, draw(_coefficients))
+        rows.append(RationalRow(expr, draw(st.sampled_from([EQ, GE, GE]))))
+    for v in variables:
+        rows.append(RationalRow(var(v) + BOX, GE))
+        rows.append(RationalRow(BOX - var(v), GE))
+    order = draw(st.permutations(variables))
+    n_value = draw(st.integers(-BOX, BOX))
+    return variables, parameters, rows, list(order), n_value
+
+
+def _integer_points(rows, names, lo, hi, bound):
+    """The points of ``[lo, hi]^len(names)`` satisfying every rational row,
+    with the symbols in ``bound`` fixed to their values."""
+    points = np.array(list(product(range(lo, hi + 1), repeat=len(names))), dtype=np.int64)
+    mask = np.ones(len(points), dtype=bool)
+    for row in rows:
+        expr = oracle.scaled_to_integer(row.expr.substitute(bound))
+        assert set(expr.variables) <= set(names)
+        values = np.full(len(points), int(expr.constant), dtype=np.int64)
+        for k, name in enumerate(names):
+            values += int(expr.coeff(name)) * points[:, k]
+        mask &= (values == 0) if row.kind == EQ else (values >= 0)
+    return [tuple(p) for p in points[mask].tolist()]
+
+
+class TestRationalReferenceDifferential:
+    @given(rational_systems())
+    def test_integer_core_matches_rational_reference(self, system):
+        variables, parameters, rows, order, n_value = system
+        params = {"N": n_value} if parameters else {}
+        core = [Constraint.from_expr(r.expr, r.kind) for r in rows]
+        # The rational code normalized every row before eliminating from it.
+        reference = [oracle.normalized(r) for r in rows]
+        assert [c.expr for c in core] == [r.expr for r in reference]
+
+        # Elimination, one row for one row, after every prefix of the order.
+        for k in range(1, len(order) + 1):
+            got = eliminate_variables(core, order[:k])
+            want = oracle.eliminate_variables(reference, order[:k])
+            assert [c.expr for c in got] == [oracle.normalized(r).expr for r in want]
+
+        # Both projections hold the same integer points of a box around them.
+        cs = ConvexSet.from_constraints(variables, core, parameters)
+        keep = sorted(order[1:])
+        projected = project_onto(cs, keep)
+        shadow = oracle.simplified(
+            oracle.eliminate_variables(oracle.simplified(rows), order[:1])
+        )
+        inside = set(_integer_points(shadow, keep, -BOX - 1, BOX + 1, params))
+        for point in product(range(-BOX - 1, BOX + 2), repeat=len(keep)):
+            assert projected.contains(point, params) == (point in inside)
+
+        # Emptiness, the sample point and bounds, with N bound.
+        bound = [RationalRow(r.expr.substitute(params), r.kind) for r in rows]
+        points = _integer_points(bound, variables, -BOX, BOX, {})
+        assert cs.is_empty(params or None) == (not points)
+        assert cs.sample_point(params or None) == (min(points) if points else None)
+        for v in variables:
+            assert cs.variable_bounds(v, params or None) == oracle.rational_variable_bounds(
+                bound, variables, v
+            )

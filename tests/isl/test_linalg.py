@@ -143,10 +143,6 @@ class TestRationalMatrix:
         assert RationalMatrix.from_rows([[2, 0], [0, 5]]).is_full_rank()
         assert not RationalMatrix.from_rows([[1, 2], [2, 4]]).is_full_rank()
 
-    def test_is_integer(self):
-        assert RationalMatrix.from_rows([[1, 2], [3, 4]]).is_integer()
-        assert not RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]]).is_integer()
-
     def test_add_sub(self):
         a = RationalMatrix.from_rows([[1, 2], [3, 4]])
         b = RationalMatrix.from_rows([[1, 1], [1, 1]])

@@ -5,18 +5,24 @@ Kahn peel).  These per-point implementations of the same definitions — the
 exact dependences by a dict join on address tuples, eq. 5 by set algebra,
 the literal while-loop of Algorithm 1's dataflow branch, the per-instance
 §3.3 mapping — are what its results are compared against.  They are meant
-to be obviously correct, not fast: keep inputs small (≲10⁴ points).
+to be obviously correct, not fast: keep inputs small (≲10⁴ points).  The
+last section keeps the rational ``Fraction`` constraint code that the
+integer rows of ``repro.isl`` replaced, as the reference for those.
 
 ``tests/conftest.py`` puts this directory on ``sys.path``; the benchmarks
 import it the same way (``benchmarks/conftest.py``).
 """
 
+from fractions import Fraction
+from math import ceil, floor, gcd
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.core.schedule import ExecutionUnit, ParallelPhase, Schedule
 from repro.core.statement import UnifiedIndexMap
 from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.exact import enumerate_domain, reference_addresses
+from repro.isl.affine import AffineExpr
+from repro.isl.convex import EQ, GE
 from repro.isl.lexorder import lex_lt
 from repro.isl.relations import FiniteRelation
 
@@ -223,3 +229,192 @@ def chains_by_dict_walk(partition) -> List[Tuple[Point, ...]]:
     for p in sorted(p2 - covered):
         chains.append(walk(p, skip_covered=True))
     return chains
+
+
+# ---------------------------------------------------------------------------
+# the rational constraint reference
+# ---------------------------------------------------------------------------
+#
+# ``repro.isl`` holds every constraint as a canonical integer row.  What
+# follows is the rational code it replaced, over ``(AffineExpr, kind)`` rows:
+# ``normalized`` rebuilds a row through ``Fraction``s, and elimination
+# substitutes equalities over the rationals.  The differential in
+# ``tests/isl/test_fourier_motzkin.py`` compares the two.
+
+
+class RationalRow(NamedTuple):
+    """``expr == 0`` or ``expr >= 0`` with rational coefficients."""
+
+    expr: AffineExpr
+    kind: str
+
+
+def scaled_to_integer(expr: AffineExpr) -> AffineExpr:
+    """Multiply by the LCM of the denominators so all coefficients are ints."""
+    denominators = [expr.constant.denominator] + [c.denominator for _, c in expr.coeffs]
+    lcm = 1
+    for d in denominators:
+        lcm = lcm // gcd(lcm, d) * d
+    return expr * lcm
+
+
+def normalized(row: RationalRow) -> RationalRow:
+    """An equivalent row with coprime integer coefficients.
+
+    For ``>=`` rows the constant term is additionally tightened to
+    ``floor(c / g)`` (valid over the integers).
+    """
+    expr = scaled_to_integer(row.expr)
+    coeff_ints = [int(c) for _, c in expr.coeffs]
+    g = 0
+    for c in coeff_ints:
+        g = gcd(g, abs(c))
+    if g == 0:
+        return RationalRow(expr, row.kind)
+    const = expr.constant
+    new_coeffs = {n: Fraction(int(c), g) for n, c in expr.coeffs}
+    if row.kind == GE:
+        new_const = Fraction(floor(Fraction(const, g)))
+    else:
+        if const % g != 0:
+            # Equality with non-divisible constant: unsatisfiable; keep as-is.
+            return RationalRow(expr, row.kind)
+        new_const = Fraction(const, g)
+    return RationalRow(AffineExpr.build(new_coeffs, new_const), row.kind)
+
+
+def is_tautology(row: RationalRow) -> bool:
+    if row.expr.is_constant():
+        v = row.expr.constant
+        return v == 0 if row.kind == EQ else v >= 0
+    return False
+
+
+def is_contradiction(row: RationalRow) -> bool:
+    if row.expr.is_constant():
+        v = row.expr.constant
+        return v != 0 if row.kind == EQ else v < 0
+    if row.kind == EQ:
+        expr = scaled_to_integer(row.expr)
+        g = 0
+        for _, c in expr.coeffs:
+            g = gcd(g, abs(int(c)))
+        if g > 1 and int(expr.constant) % g != 0:
+            return True
+    return False
+
+
+def substitute_equality(rows: List[RationalRow], name: str) -> Optional[List[RationalRow]]:
+    """If an equality pins ``name``, substitute it and return the other rows.
+
+    Returns ``None`` when no usable equality exists.
+    """
+    for idx, c in enumerate(rows):
+        if c.kind != EQ:
+            continue
+        coeff = c.expr.coeff(name)
+        if coeff == 0:
+            continue
+        # name = -(rest)/coeff
+        rest = c.expr.drop([name])
+        replacement = rest * (-1 / coeff)
+        out = []
+        for j, other in enumerate(rows):
+            if j == idx:
+                continue
+            out.append(RationalRow(other.expr.substitute({name: replacement}), other.kind))
+        return out
+    return None
+
+
+def eliminate_variable(rows: List[RationalRow], name: str) -> List[RationalRow]:
+    """Eliminate one variable from a conjunction of rational rows."""
+    cons = list(rows)
+    substituted = substitute_equality(cons, name)
+    if substituted is not None:
+        return substituted
+
+    lowers: List[RationalRow] = []   # coeff > 0  : name >= -rest/coeff
+    uppers: List[RationalRow] = []   # coeff < 0  : name <= -rest/coeff
+    others: List[RationalRow] = []
+    for c in cons:
+        coeff = c.expr.coeff(name)
+        if coeff == 0:
+            others.append(c)
+        elif c.kind == EQ:
+            for ge in (RationalRow(c.expr, GE), RationalRow(-c.expr, GE)):
+                if ge.expr.coeff(name) > 0:
+                    lowers.append(ge)
+                else:
+                    uppers.append(ge)
+        elif coeff > 0:
+            lowers.append(c)
+        else:
+            uppers.append(c)
+
+    result = list(others)
+    for lo in lowers:
+        a = lo.expr.coeff(name)
+        lo_rest = lo.expr.drop([name])
+        for up in uppers:
+            b = -up.expr.coeff(name)
+            up_rest = up.expr.drop([name])
+            # combined: b*lo_rest + a*up_rest >= 0
+            result.append(RationalRow(lo_rest * b + up_rest * a, GE))
+    return [normalized(c) for c in result]
+
+
+#: What a contradiction collapses to.
+FALSE_ROW = RationalRow(AffineExpr.constant_expr(-1), GE)
+
+
+def prune(rows: List[RationalRow]) -> List[RationalRow]:
+    """Normalize, then drop tautologies and duplicates."""
+    seen = set()
+    out = []
+    for c in rows:
+        n = normalized(c)
+        if is_tautology(n):
+            continue
+        key = (n.kind, n.expr.coeffs, n.expr.constant)
+        if key not in seen:
+            seen.add(key)
+            out.append(n)
+    return out
+
+
+def simplified(rows: List[RationalRow]) -> List[RationalRow]:
+    """``ConvexSet.simplified``: a contradiction collapses the set to ``-1 >= 0``."""
+    out = prune(rows)
+    return [FALSE_ROW] if any(is_contradiction(c) for c in out) else out
+
+
+def eliminate_variables(rows: List[RationalRow], names) -> List[RationalRow]:
+    """Eliminate several variables in order, pruning after each step."""
+    cons = list(rows)
+    for name in names:
+        cons = eliminate_variable(cons, name)
+        if any(is_contradiction(c) for c in cons):
+            return [FALSE_ROW]
+        cons = prune(cons)
+    return cons
+
+
+def rational_variable_bounds(rows: List[RationalRow], variables, name: str):
+    """Conservative integer bounds of ``name``: the rational projection onto
+    it, rounded inwards (``None`` where unbounded)."""
+    projected = simplified(
+        eliminate_variables(simplified(rows), [v for v in variables if v != name])
+    )
+    lower = upper = None
+    for c in projected:
+        coeff = c.expr.coeff(name)
+        rest = c.expr.drop([name])
+        if coeff == 0 or not rest.is_constant():
+            continue
+        val = -rest.constant / coeff
+        if c.kind == EQ or coeff > 0:
+            lower = val if lower is None else max(lower, val)
+        if c.kind == EQ or coeff < 0:
+            upper = val if upper is None else min(upper, val)
+    return (None if lower is None else ceil(lower), None if upper is None else floor(upper))
