@@ -198,13 +198,10 @@ def _statement_semantics_kind(stmt) -> Optional[str]:
 
 
 def _integer_subscripts(ref, index_names) -> bool:
-    for sub in ref.subscripts:
-        if Fraction(sub.constant).denominator != 1:
-            return False
-        for name, coeff in sub.coeffs:
-            if Fraction(coeff).denominator != 1 or name not in index_names:
-                return False
-    return True
+    return all(
+        den == 1 and all(name in index_names for name, _ in terms)
+        for terms, _, den in ref.subscript_rows
+    )
 
 
 def symbolic_kernel_reason(program: LoopProgram, schedule: Schedule) -> Optional[str]:

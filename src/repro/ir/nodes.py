@@ -14,6 +14,12 @@ the program model of §2 of the paper:
   expressions, convertible to the matrix form ``I·A + a`` used by the
   dependence equations.
 
+Each subscript and bound is also held as an integer row (see
+:func:`integer_row`), built once when the node is constructed: evaluating a
+reference or a loop's bounds at an iteration point — once per statement
+instance in every executor — runs on Python ints and builds no ``Fraction``.
+The rows are derived data, so equality, hashing and ``str()`` ignore them.
+
 The IR is deliberately minimal: it captures exactly the information the
 dependence analysis and the partitioning algorithms consume, nothing more.
 """
@@ -22,19 +28,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..isl.affine import AffineExpr
 
-__all__ = ["ArrayRef", "Statement", "Loop", "Node"]
+__all__ = ["ArrayRef", "Statement", "Loop", "Node", "IntegerRow", "integer_row"]
+
+#: An affine expression as ``(terms, constant, denominator)``: ``terms`` are
+#: ``(name, int)`` pairs and ``sum(c * env[name]) + constant`` equals
+#: ``denominator`` (a positive int) times the expression's value.
+IntegerRow = Tuple[Tuple[Tuple[str, int], ...], int, int]
+
+
+def integer_row(expr: AffineExpr) -> IntegerRow:
+    """``expr`` scaled by the lcm of its denominators, and that lcm."""
+    den = lcm(expr.constant.denominator, *[c.denominator for _, c in expr.coeffs])
+    return (
+        tuple((n, c.numerator * (den // c.denominator)) for n, c in expr.coeffs),
+        expr.constant.numerator * (den // expr.constant.denominator),
+        den,
+    )
+
+
+def _scaled_value(row: IntegerRow, env: Mapping[str, int]) -> int:
+    """``denominator`` times the row's value under ``env``."""
+    terms, value, _ = row
+    try:
+        for name, c in terms:
+            value += c * env[name]
+    except KeyError:
+        raise KeyError(f"no value for variable {name!r}") from None
+    return value
+
+
+def _ratio(value: int, den: int) -> str:
+    """``value / den`` in lowest terms, as ``str(Fraction(value, den))`` reads."""
+    g = gcd(value, den)
+    return f"{value // g}/{den // g}"
 
 
 @dataclass(frozen=True)
 class ArrayRef:
-    """An affine array reference ``array[sub_1, ..., sub_d]``."""
+    """An affine array reference ``array[sub_1, ..., sub_d]``.
+
+    ``subscript_rows`` holds each subscript's :func:`integer_row`.
+    """
 
     array: str
     subscripts: Tuple[AffineExpr, ...]
+    subscript_rows: Tuple[IntegerRow, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "subscript_rows", tuple(integer_row(s) for s in self.subscripts)
+        )
 
     @staticmethod
     def make(array: str, subscripts: Sequence) -> "ArrayRef":
@@ -81,13 +129,27 @@ class ArrayRef:
         return A, a
 
     def evaluate(self, env: Mapping[str, int]) -> Tuple[int, ...]:
-        """Concrete subscript values under an iteration-point environment."""
+        """Concrete subscript values under an integer iteration-point
+        environment; ``ValueError`` when one is not an integer.
+
+        The hottest call of every executor, so :func:`_scaled_value` is
+        inlined here.
+        """
         out = []
-        for s in self.subscripts:
-            v = s.evaluate(env)
-            if v.denominator != 1:
-                raise ValueError(f"non-integer subscript value {v} for {self}")
-            out.append(int(v))
+        try:
+            for terms, value, den in self.subscript_rows:
+                for name, c in terms:
+                    value += c * env[name]
+                if den != 1:
+                    value, rem = divmod(value, den)
+                    if rem:
+                        raise ValueError(
+                            f"non-integer subscript value "
+                            f"{_ratio(value * den + rem, den)} for {self}"
+                        )
+                out.append(value)
+        except KeyError:
+            raise KeyError(f"no value for variable {name!r}") from None
         return tuple(out)
 
     def __str__(self) -> str:
@@ -150,6 +212,8 @@ class Loop:
     upper bounds, which models Fortran bounds like ``DO I = MAX(-M, -J), -1``
     and ``DO JJ = 1, MIN(M, N-K)`` exactly (both occur in the Cholesky
     kernel of Example 4 and in the paper's generated listings).
+
+    ``lower_rows`` and ``upper_rows`` hold each bound's :func:`integer_row`.
     """
 
     index: str
@@ -157,6 +221,12 @@ class Loop:
     upper: Tuple[AffineExpr, ...]
     body: Tuple["Node", ...] = ()
     stride: int = 1
+    lower_rows: Tuple[IntegerRow, ...] = field(init=False, repr=False, compare=False)
+    upper_rows: Tuple[IntegerRow, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower_rows", tuple(integer_row(b) for b in self.lower))
+        object.__setattr__(self, "upper_rows", tuple(integer_row(b) for b in self.upper))
 
     @staticmethod
     def make(index: str, lower, upper, body: Sequence["Node"] = (), stride: int = 1) -> "Loop":
@@ -183,13 +253,17 @@ class Loop:
         return self.upper[0]
 
     def evaluate_bounds(self, env: Mapping[str, int]) -> Tuple[int, int]:
-        """Concrete ``(lo, hi)`` bounds under an environment (MAX/MIN applied)."""
-        lows = [b.evaluate(env) for b in self.lower]
-        highs = [b.evaluate(env) for b in self.upper]
-        for v in lows + highs:
-            if v.denominator != 1:
-                raise ValueError(f"non-integer bound value for loop {self.index}")
-        return int(max(lows)), int(min(highs))
+        """Concrete ``(lo, hi)`` bounds under an integer environment (MAX/MIN
+        applied); ``ValueError`` when a bound value is not an integer."""
+        lows = [self._bound_value(row, env) for row in self.lower_rows]
+        highs = [self._bound_value(row, env) for row in self.upper_rows]
+        return max(lows), min(highs)
+
+    def _bound_value(self, row: IntegerRow, env: Mapping[str, int]) -> int:
+        value, rem = divmod(_scaled_value(row, env), row[2])
+        if rem:
+            raise ValueError(f"non-integer bound value for loop {self.index}")
+        return value
 
     def is_normalized(self) -> bool:
         """Unit-stride loops are "normalized" in the sense of §2."""

@@ -7,7 +7,7 @@ queries the partitioning algorithms need:
 
 * the enclosing-loop chain and iteration domain of every statement,
 * the iteration space Φ of a perfect nest (eq. 1),
-* coupled reference pairs (the inputs of the dependence equation, eq. 2),
+* reference pairs (the inputs of the dependence equation, eq. 2),
 * sequential execution order of statement instances (used as the ground truth
   by the runtime validators).
 """
@@ -15,7 +15,7 @@ queries the partitioning algorithms need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..isl.affine import AffineExpr
 from ..isl.convex import Constraint, ConvexSet
@@ -64,21 +64,6 @@ class LoopProgram:
     body: Tuple[Node, ...]
     parameters: Tuple[str, ...] = ()
     array_shapes: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-
-    @staticmethod
-    def single_nest(
-        name: str,
-        loops: Sequence[Loop],
-        parameters: Sequence[str] = (),
-        array_shapes: Optional[Mapping[str, Tuple[int, ...]]] = None,
-    ) -> "LoopProgram":
-        """Build a program from an outermost loop (already containing its body)."""
-        return LoopProgram(
-            name=name,
-            body=tuple(loops),
-            parameters=tuple(parameters),
-            array_shapes=dict(array_shapes or {}),
-        )
 
     # -- traversal -------------------------------------------------------------
 
@@ -204,19 +189,6 @@ class LoopProgram:
                         # solutions.
                         pairs.append((ctx1, w, ctx2, other))
         return pairs
-
-    def coupled_reference_pairs(self) -> List[Tuple[StatementContext, ArrayRef, StatementContext, ArrayRef]]:
-        """Reference pairs whose subscripts actually share loop indices.
-
-        The paper calls subscripts *coupled* when loop index variables appear
-        in both references of the pair (potentially in several dimensions);
-        uncoupled pairs cannot produce loop-carried dependences of interest.
-        """
-        out = []
-        for ctx1, r1, ctx2, r2 in self.reference_pairs():
-            if set(r1.variables()) or set(r2.variables()):
-                out.append((ctx1, r1, ctx2, r2))
-        return out
 
     # -- sequential order -----------------------------------------------------------
 

@@ -78,24 +78,39 @@ def make_store(program: LoopProgram, fill: str = "index", seed: int = 0) -> Arra
     return store
 
 
-def _execute_instance_env(stmt: Statement, env: Mapping[str, int], store: ArrayStore) -> None:
+#: A statement resolved against a store once: ``(reads, writes, semantics)``,
+#: where ``reads`` and ``writes`` pair each reference's target array with its
+#: bound :meth:`~repro.ir.nodes.ArrayRef.evaluate`.
+BoundStatement = Tuple[tuple, tuple, object]
+
+
+def _bind(stmt: Statement, store: ArrayStore) -> BoundStatement:
+    """Resolve a statement's target arrays, subscript evaluators and
+    semantics against ``store``, once per task rather than once per instance."""
+    return (
+        tuple((store[ref.array], ref.evaluate) for ref in stmt.reads),
+        tuple((store[ref.array], ref.evaluate) for ref in stmt.writes),
+        stmt.semantics or DEFAULT_SEMANTICS,
+    )
+
+
+def _execute_instance_env(
+    bound: BoundStatement, env: Mapping[str, int], store: ArrayStore
+) -> None:
     """Run one statement instance against a prebuilt environment: gather
     reads, compute, store through writes.
 
     The single definition of statement dispatch: :func:`execute_sequential`
     and :func:`run_instances` (hence every executing backend) run this body
     (the differential harness pins them bit-identical, which only holds
-    while they share it).
+    while they share it).  Subscripts evaluate on integer rows, so no
+    ``Fraction`` is built per instance.
     """
-    read_values = []
-    for ref in stmt.reads:
-        idx = ref.evaluate(env)
-        read_values.append(int(store[ref.array][idx]))
-    semantics = stmt.semantics or DEFAULT_SEMANTICS
-    value = semantics(store, env, read_values)
-    for ref in stmt.writes:
-        idx = ref.evaluate(env)
-        store[ref.array][idx] = int(value)
+    reads, writes, semantics = bound
+    read_values = [int(array[subscript(env)]) for array, subscript in reads]
+    value = int(semantics(store, env, read_values))
+    for array, subscript in writes:
+        array[subscript(env)] = value
 
 
 def execute_sequential(
@@ -105,12 +120,13 @@ def execute_sequential(
 ) -> ArrayStore:
     """Run the program in its original sequential order; returns the final store."""
     store = store if store is not None else make_store(program)
-    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
+    table = {
+        ctx.statement.label: (ctx.index_names, _bind(ctx.statement, store))
+        for ctx in program.statement_contexts()
+    }
     for label, iteration in program.sequential_iterations(params):
-        ctx = contexts[label]
-        _execute_instance_env(
-            ctx.statement, dict(zip(ctx.index_names, iteration)), store
-        )
+        names, bound = table[label]
+        _execute_instance_env(bound, dict(zip(names, iteration)), store)
     return store
 
 
@@ -212,10 +228,10 @@ def run_instances(
     :meth:`Plan.validate() <repro.core.strategy.Plan.validate>` checks
     against the dependence relation.  Returns the instance count.
     """
-    table = [(ctx.statement, ctx.index_names) for ctx in contexts]
+    table = [(ctx.index_names, _bind(ctx.statement, store)) for ctx in contexts]
     for sid, row in zip(stmt_ids.tolist(), iters.tolist()):
-        stmt, names = table[sid]
-        _execute_instance_env(stmt, dict(zip(names, row)), store)
+        names, bound = table[sid]
+        _execute_instance_env(bound, dict(zip(names, row)), store)
     return len(stmt_ids)
 
 

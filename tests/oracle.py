@@ -7,7 +7,9 @@ the literal while-loop of Algorithm 1's dataflow branch, the per-instance
 §3.3 mapping — are what its results are compared against.  They are meant
 to be obviously correct, not fast: keep inputs small (≲10⁴ points).  The
 last section keeps the rational ``Fraction`` constraint code that the
-integer rows of ``repro.isl`` replaced, as the reference for those.
+integer rows of ``repro.isl`` replaced, as the reference for those, and the
+``Fraction`` evaluator of subscripts and loop bounds that the IR's integer
+rows replaced.
 
 ``tests/conftest.py`` puts this directory on ``sys.path``; the benchmarks
 import it the same way (``benchmarks/conftest.py``).
@@ -418,3 +420,33 @@ def rational_variable_bounds(rows: List[RationalRow], variables, name: str):
         if c.kind == EQ or coeff < 0:
             upper = val if upper is None else min(upper, val)
     return (None if lower is None else ceil(lower), None if upper is None else floor(upper))
+
+
+# ---------------------------------------------------------------------------
+# the rational evaluator reference
+# ---------------------------------------------------------------------------
+#
+# ``ArrayRef.evaluate`` and ``Loop.evaluate_bounds`` run on integer rows.
+# These are the ``Fraction`` evaluators they replaced, logic unchanged; the
+# differential in ``tests/ir/test_integer_rows.py`` compares the two.
+
+
+def rational_subscripts(ref, env) -> Tuple[int, ...]:
+    """Concrete subscript values of ``ref``, evaluated over the rationals."""
+    out = []
+    for s in ref.subscripts:
+        v = s.evaluate(env)
+        if v.denominator != 1:
+            raise ValueError(f"non-integer subscript value {v} for {ref}")
+        out.append(int(v))
+    return tuple(out)
+
+
+def rational_bounds(loop, env) -> Tuple[int, int]:
+    """Concrete ``(lo, hi)`` bounds of ``loop``, evaluated over the rationals."""
+    lows = [b.evaluate(env) for b in loop.lower]
+    highs = [b.evaluate(env) for b in loop.upper]
+    for v in lows + highs:
+        if v.denominator != 1:
+            raise ValueError(f"non-integer bound value for loop {loop.index}")
+    return int(max(lows)), int(min(highs))
