@@ -5,8 +5,9 @@ contract.  A cold one-shot request pays ``plan()`` (dependence analysis,
 strategy selection, schedule construction) plus — on the ``process`` backend
 — a full worker fork inside ``execute()``.  A warm request against a
 memory-resident :class:`~repro.serving.PlanServer` pays neither: the plan
-comes out of the shared :class:`PlanCache` and the execution attaches a
-fresh shared-memory descriptor table to the already-running pool.
+comes out of the shared :class:`PlanCache` and the execution sends each
+already-running worker one message (a fresh shared-memory descriptor table,
+plus its phase slices unless the pool already holds them).
 
 Gate: for repeated (program, params) requests on the process backend, the
 warm-path latency must be **≥ 10×** faster than the cold one-shot path,
@@ -14,6 +15,10 @@ with served results bit-identical to ``execute_sequential``.  The workload
 is the corpus entry with the largest planning cost (a deep rectangular
 nest): planning dominates execution there, which is exactly the request
 profile a plan-serving daemon exists for.
+
+``test_process_pool_request_latency`` records (ungated) the warm per-request
+latency of an injected pool next to ``serial`` on the three programs the
+perfbench ``serve-tcp`` workload runs on process pools.
 
 Rows are appended to ``BENCH_scale.json`` via the run_id-keyed trajectory
 recorder shared with ``bench_scale_partition.py``.
@@ -106,6 +111,54 @@ def test_warm_requests_amortise_cold_planning(report):
         f"(cold {t_cold * 1e3:.1f} ms, warm {t_warm * 1e3:.1f} ms) — "
         f"the serving contract requires >= 10x on repeat-plan requests"
     )
+
+
+#: The programs the perfbench ``serve-tcp`` workload runs on process pools.
+POOL_PROGRAMS = ("deep-rect-diag", "lu-kernel", "sor-kernel")
+POOL_REQUESTS = 200
+
+
+def test_process_pool_request_latency(report):
+    """Recorded, ungated: the median warm latency of one ``execute(pool=...)``
+    request (fresh store each time) next to ``serial`` on the same plan.
+
+    A request is one round trip to every worker whatever the phase count, so
+    the row carries the phase count to show the cost no longer scales with
+    it.  Results are checked against ``execute_sequential``; the timings are
+    recorded for the trajectory only.
+    """
+    from repro.runtime import make_store
+    from repro.runtime.process import ProcessPool
+
+    entries = [e for e in selection_corpus(size="small") if e.name in POOL_PROGRAMS]
+    rows = []
+    for entry in entries:
+        p = plan(entry.program, params=entry.params, cache=False)
+        ref = execute_sequential(entry.program, entry.params)
+        timings = {}
+        with ProcessPool(entry.program, workers=WORKERS) as pool:
+            for backend in ("process", "serial"):
+                samples = []
+                for _ in range(POOL_REQUESTS):
+                    store = make_store(entry.program)
+                    t0 = time.perf_counter()
+                    execute(entry.program, p.schedule, entry.params, store=store,
+                            backend=backend, pool=pool if backend == "process" else None)
+                    samples.append(time.perf_counter() - t0)
+                    assert all(np.array_equal(ref[k], store[k]) for k in ref)
+                timings[backend] = float(np.median(samples))
+        rows.append({
+            "program": entry.name,
+            "strategy": p.strategy,
+            "phases": p.schedule.num_phases,
+            "workers": WORKERS,
+            "requests": POOL_REQUESTS,
+            "t_process_ms": round(timings["process"] * 1e3, 3),
+            "t_serial_ms": round(timings["serial"] * 1e3, 3),
+        })
+    report("Warm injected-pool request latency vs serial (median)", rows)
+    record_bench("process_pool_request", rows)
+    assert len(rows) == len(POOL_PROGRAMS)
 
 
 #: Wire-path measurement: M concurrent TCP clients, R warm requests each.

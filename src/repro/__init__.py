@@ -85,8 +85,9 @@ pinned strategy order; execution knobs (backend, workers, shuffle seed) are
 Execution mirrors planning: every executor is a registered backend behind
 one entry point.  ``p.execute(backend="process", workers=2)`` runs the
 schedule on a **shared-memory process pool** — the program's arrays live in
-one ``multiprocessing.shared_memory`` segment that every worker attaches
-once, phases end in real barriers, and the result is the unified
+one ``multiprocessing.shared_memory`` segment, each worker receives all its
+phase slices in one message, the workers barrier among themselves between
+phases, and the result is the unified
 :class:`~repro.runtime.backends.RunResult` with per-phase counters.  Every
 backend declares an availability probe (``None`` means usable); the rare
 host without POSIX shared memory falls back to the serial backend here:

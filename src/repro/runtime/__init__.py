@@ -10,8 +10,8 @@
   ``serial`` (inline) and ``process`` (the shared-memory workers) share;
 * :mod:`repro.runtime.process` / :mod:`repro.runtime.shm` — the
   shared-memory process pool: arrays in one ``multiprocessing.shared_memory``
-  segment, attach-once workers, phase barriers — wall-clock speedups on
-  multi-core hosts;
+  segment, one message per worker per execution, worker-side phase barriers
+  — wall-clock speedups on multi-core hosts;
 * :mod:`repro.runtime.simulator` — the deterministic SMP cost model behind the
   figure-3 speedup reproductions and the selection table, called directly
   (it is not an execution backend);

@@ -13,9 +13,9 @@ instance/worker/timing counters):
 ``process``
     the ``multiprocessing.shared_memory`` worker pool
     (:mod:`repro.runtime.process`): arrays live in one shared segment,
-    workers attach once and receive their slices of each phase, phases end
-    in real barriers — the backend that turns partition schedules into
-    wall-clock speedups on multi-core hosts;
+    each worker receives its slices of every phase in one message and the
+    workers barrier among themselves between phases — the backend that
+    turns partition schedules into wall-clock speedups on multi-core hosts;
 ``compiled``
     the generated-NumPy-kernel runner for symbolic plans
     (:mod:`repro.codegen.python_source`): the whole schedule executes as
@@ -27,10 +27,10 @@ instance/worker/timing counters):
 once (:func:`~repro.runtime.executor.lower_phase`), its units shuffled and
 dealt round-robin (:func:`~repro.runtime.executor.split_phase`), and every
 slice runs through the one interpreter loop
-(:func:`~repro.runtime.executor.run_instances`) — inline, or in the
-shared-memory workers.  :meth:`Plan.execute(backend=...)
-<repro.core.strategy.Plan.execute>` reaches the same registry through the
-planning facade.  Third-party executors (a GPU runner, a no-GIL thread pool)
+(:func:`~repro.runtime.executor.run_instances`) — inline, phase by phase, or
+in the shared-memory workers, which get all their slices up front.
+:meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
+the same registry through the planning facade.  Third-party executors (a GPU runner, a no-GIL thread pool)
 plug in via :func:`register_backend` without touching any call site.  The
 deterministic SMP cost model is not a backend: Figure 3 and the selection
 table call :func:`~repro.runtime.simulator.simulate_schedule` directly.
@@ -251,11 +251,13 @@ def execute(
     workers=4)``.
 
     ``pool`` injects a live :class:`~repro.runtime.process.ProcessPool`
-    (``backend="process"`` only): the run attaches a fresh shared store to
-    the already-running workers instead of forking a pool of its own — the
-    serving daemon's warm path (:mod:`repro.serving`).  The pool must have
-    been built for a structurally identical program; its worker count wins
-    over ``config.workers``.
+    (``backend="process"`` only): the run hands a fresh shared store to the
+    already-running workers (:meth:`ProcessPool.run
+    <repro.runtime.process.ProcessPool.run>`, one message and one ack per
+    worker) instead of forking a pool of its own — the serving daemon's warm
+    path (:mod:`repro.serving`).  The pool must have been built for a
+    structurally identical program; its worker count wins over
+    ``config.workers``.
 
     Raises :class:`BackendUnavailable` when the backend's probe says it
     cannot run here (e.g. the process backend without ``/dev/shm``).
@@ -279,28 +281,9 @@ def execute(
     return backend.runner(program, schedule, dict(params or {}), store, cfg)
 
 
-def _shuffle_rng(config: ExecConfig) -> Optional[random.Random]:
-    """A private shuffle generator seeded by ``config.seed``; ``None`` (no
-    shuffling) when the seed is ``None``."""
-    return None if config.seed is None else random.Random(config.seed)
-
-
 # ---------------------------------------------------------------------------
 # built-in backends
 # ---------------------------------------------------------------------------
-
-
-def _phase_stats(schedule: Schedule, run_phase) -> Tuple[PhaseStats, ...]:
-    """Run the phases in order; ``run_phase(phase) -> (instances, tasks)``
-    returns only once every task of the phase finished — the barrier."""
-    stats = []
-    for phase in schedule.phases:
-        t0 = time.perf_counter()
-        executed, tasks = run_phase(phase)
-        stats.append(
-            PhaseStats(phase.name, executed, len(phase), tasks, time.perf_counter() - t0)
-        )
-    return tuple(stats)
 
 
 def _serial_runner(
@@ -314,20 +297,21 @@ def _serial_runner(
     store = store if store is not None else make_store(program)
     contexts = program.statement_contexts()
     label_ids = {ctx.statement.label: i for i, ctx in enumerate(contexts)}
-    rng = _shuffle_rng(config)
-
-    def run_phase(phase):
+    rng = None if config.seed is None else random.Random(config.seed)
+    stats = []
+    t_run = time.perf_counter()
+    for phase in schedule.phases:
+        t0 = time.perf_counter()
         tasks = split_phase(lower_phase(phase, label_ids), 1, rng)
         executed = sum(run_instances(contexts, ids, iters, store) for ids, iters in tasks)
-        return executed, len(tasks)
-
-    t_run = time.perf_counter()
-    stats = _phase_stats(schedule, run_phase)
+        stats.append(
+            PhaseStats(phase.name, executed, len(phase), len(tasks), time.perf_counter() - t0)
+        )
     return RunResult(
         store=store,
         backend="serial",
         workers=1,
-        phase_stats=stats,
+        phase_stats=tuple(stats),
         elapsed_s=time.perf_counter() - t_run,
     )
 
@@ -343,22 +327,17 @@ def _process_runner(
     from .process import ProcessPool
 
     store = store if store is not None else make_store(program)
-    rng = _shuffle_rng(config)
     meta = {} if pool is None else {"pool": "injected"}
     t_run = time.perf_counter()
     # An injected pool is the serving daemon's warm path: the caller owns
-    # the running workers and this run only ships a fresh descriptor table
-    # and the phase slices.  detach_store() in the finally destroys the
-    # per-run segment even on a worker crash.
+    # the running workers.  run() fills the caller's store in place, so the
+    # mutate-in-place contract matches every other backend.
     with ProcessPool(program, workers=config.workers) if pool is None else nullcontext(pool) as live:
-        live.attach_store(store)
-        try:
-            stats = _phase_stats(schedule, lambda phase: live.run_phase(phase, rng))
-            # The shared segment is authoritative; fill the caller's store so
-            # the mutate-in-place contract matches every other backend.
-            live.copy_out(store)
-        finally:
-            live.detach_store()
+        rows = live.run(schedule, store, config.seed)
+    stats = tuple(
+        PhaseStats(phase.name, executed, len(phase), tasks, elapsed)
+        for phase, (executed, tasks, elapsed) in zip(schedule.phases, rows)
+    )
     return RunResult(
         store=store,
         backend="process",

@@ -8,45 +8,49 @@ arrays through one ``multiprocessing.shared_memory`` segment (see
 hosts while keeping the shared-mutable-array semantics the paper's OpenMP
 runs have.
 
-Protocol (attach per store, barrier per phase):
+Protocol (one message, a worker-side barrier, one ack per execution):
 
 1. the parent starts ``workers`` persistent processes, handing each only the
-   program (statement contexts are rebuilt worker-side) — workers outlive any
-   particular store, which is what lets a serving daemon keep one pool warm
-   across many requests (:mod:`repro.serving`);
-2. per store, the parent packs the arrays into a
-   :class:`~repro.runtime.shm.SharedArrayStore` and broadcasts an ``attach``
-   control message carrying only the segment *name* and the ``(name, shape,
-   dtype, offset)`` descriptor table; each worker maps the segment **once**
-   and builds numpy views onto the shared buffer (an internal barrier makes
-   every worker consume exactly one control message);
-3. per phase, the parent lowers the phase once, shuffles its units and
-   deals them round-robin (:func:`~repro.runtime.executor.lower_phase` /
+   program (statement contexts are rebuilt worker-side) and its own
+   :func:`~multiprocessing.Pipe` — workers outlive any particular store,
+   which is what lets a serving daemon keep one pool warm across many
+   requests (:mod:`repro.serving`);
+2. per execution, the parent lowers and splits **every** phase up front
+   (:func:`~repro.runtime.executor.lower_phase` /
    :func:`~repro.runtime.executor.split_phase`, shared with every other
-   backend), then ships each worker its ``(stmt_ids, iters)`` slice as two
-   plain int64 arrays (slice-level messages, never per-point objects); the
-   worker runs it through the one interpreter loop
-   (:func:`~repro.runtime.executor.run_instances`) against statement
-   contexts it built identically to the parent's;
-4. the parent collects one acknowledgement per shipped task before moving to
-   the next phase — exactly the barrier of the generated code — and finally
-   copies the shared arrays back into the caller's store, broadcasts
-   ``detach`` and unlinks the segment.  The attach/detach lifetime is wrapped
-   in ``try/finally`` on the owner, so a worker crash mid-phase can never
-   leak the segment.
+   backend, one shuffle generator drawn in phase order), packs the arrays
+   into a fresh :class:`~repro.runtime.shm.SharedArrayStore` and sends each
+   worker **one** message: the segment name, the ``(name, shape, dtype,
+   offset)`` descriptor table and that worker's ``(stmt_ids, iters)`` slice
+   of every phase (``None`` where it has no unit);
+3. each worker maps the segment, runs its slices through the one
+   interpreter loop (:func:`~repro.runtime.executor.run_instances`) and
+   waits on a pool-wide :class:`multiprocessing.Barrier` between phases —
+   exactly the barrier of the generated code, without the parent in it —
+   then unmaps the segment and sends **one** acknowledgement carrying its
+   per-phase instance counts and times;
+4. the parent waits on the pipes and the workers' sentinels
+   (:func:`multiprocessing.connection.wait`), copies the shared arrays back
+   into the caller's store and unlinks the segment in a ``finally``, so a
+   worker crash can never leak it.
 
-Worker assignment within a phase is first-come-first-served off a single
-queue; a partition-derived schedule is race-free inside a phase, so any
-assignment produces the sequential result bit for bit.
+A split is a pure function of ``(schedule, workers, seed)``, so the pool
+keeps one entry — the last schedule (a strong reference), its seed, a token
+and the per-phase task counts — and each worker keeps its slices under that
+token: a repeat request ships only the token, the segment name and the
+descriptors.  A partition-derived schedule is race-free inside a phase, so
+the worker a unit lands on never changes the result, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
-import queue as queue_module
+import random
 import time
 import traceback
-from typing import Dict, Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,9 +59,6 @@ from .executor import lower_phase, run_instances, split_phase
 from .shm import SharedArrayStore
 
 __all__ = ["ProcessPool", "default_mp_context", "process_unavailable_reason"]
-
-#: Seconds between liveness checks while waiting on phase acknowledgements.
-_POLL_S = 1.0
 
 
 def default_mp_context() -> mp.context.BaseContext:
@@ -88,55 +89,49 @@ def process_unavailable_reason() -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(
-    worker_id: int,
-    program: LoopProgram,
-    tasks,
-    results,
-    barrier,
-) -> None:
-    """Worker loop: swap stores on ``attach``/``detach`` control messages,
-    execute phase tasks against the current store, exit on the ``None``
-    sentinel.
+def _worker_main(program: LoopProgram, conn, barrier) -> None:
+    """Worker loop: one ``(token, slices, shm_name, descriptors)`` message per
+    execution, one ack back; exits on the ``None`` sentinel or a closed pipe.
 
-    Control messages are broadcast one-per-worker; the barrier holds every
-    worker until all of them consumed theirs, so no worker can steal a
-    sibling's attach off the shared queue.
+    ``slices`` is ``None`` when the parent knows this worker already holds
+    the slices of ``token``.  The ack is ``("ok", [(instances, seconds), ...])``
+    per phase, or ``("error", traceback)``.  The parent kills every worker
+    on the first failure it reads, so no sibling is left waiting in the
+    barrier for a failed worker.
     """
     contexts = program.statement_contexts()
-    store: Optional[SharedArrayStore] = None
-    try:
-        while True:
-            task = tasks.get()
-            if task is None:
-                break
-            kind = task[0]
-            if kind == "attach":
-                if store is not None:
-                    store.close()
-                store = SharedArrayStore.attach(task[1], task[2])
-                results.put(("ok", worker_id, 0, 0.0))
-                barrier.wait()
-                continue
-            if kind == "detach":
-                if store is not None:
-                    store.close()
-                    store = None
-                results.put(("ok", worker_id, 0, 0.0))
-                barrier.wait()
-                continue
-            try:
-                t0 = time.perf_counter()
-                arrays = store.arrays if store is not None else None
-                if arrays is None:
-                    raise RuntimeError("phase task received with no store attached")
-                executed = run_instances(contexts, task[1], task[2], arrays)
-                results.put(("ok", worker_id, executed, time.perf_counter() - t0))
-            except Exception:
-                results.put(("error", worker_id, traceback.format_exc(), 0.0))
-    finally:
-        if store is not None:
-            store.close()
+    token, slices = None, None
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        msg_token, msg_slices, shm_name, descriptors = msg
+        if msg_slices is not None:
+            token, slices = msg_token, msg_slices
+        store = None
+        try:
+            if msg_token != token:
+                raise RuntimeError(f"no slices held for token {msg_token}")
+            store = SharedArrayStore.attach(shm_name, descriptors)
+            rows = []
+            t0 = time.perf_counter()
+            for i, task in enumerate(slices):
+                executed = 0 if task is None else run_instances(contexts, *task, store.arrays)
+                if i + 1 < len(slices):
+                    barrier.wait()
+                t1 = time.perf_counter()
+                rows.append((executed, t1 - t0))
+                t0 = t1
+            reply = ("ok", rows)
+        except Exception:
+            reply = ("error", traceback.format_exc())
+        finally:
+            if store is not None:
+                store.close()
+        conn.send(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -144,65 +139,50 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 
 
-def _drain_queue(q) -> None:
-    """Discard everything buffered in an mp queue (best effort)."""
-    try:
-        while True:
-            q.get_nowait()
-    except Exception:
-        pass
-
-
 class ProcessPool:
     """A persistent pool of workers executing one program's schedules.
 
-    Workers start once and outlive any particular store: per execution the
-    parent :meth:`attach_store` packs the caller's arrays into a fresh shared
-    segment and broadcasts only its descriptor table, so a serving daemon can
-    keep one warm pool across many requests and pay per request only the
-    segment pack + two control round-trips (never a worker fork).  Passing
-    ``store`` to the constructor attaches it immediately — the historical
-    one-shot shape.  Use as a context manager; :meth:`run_phase` blocks until
-    every shipped task acknowledged — the phase barrier.
+    Workers start once and outlive any particular store; :meth:`run` is the
+    one entry point — one message to each worker and one ack back per
+    execution, whatever the phase count — so a serving daemon can keep one
+    warm pool across many requests and never pay a worker fork.  Use as a
+    context manager.
 
-    A worker death or in-flight failure marks the pool :attr:`broken`
-    (acknowledgements may be lost, so reuse would be unsound); every teardown
-    path still closes and unlinks the owner's segment.
+    A worker death or failure marks the pool :attr:`broken` and kills its
+    workers (their slice caches are no longer trusted, so reuse would be
+    unsound); every path still closes and unlinks the request's segment.
     """
 
-    def __init__(
-        self,
-        program: LoopProgram,
-        store: Optional[Dict[str, np.ndarray]] = None,
-        workers: int = 1,
-    ):
+    def __init__(self, program: LoopProgram, workers: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.program = program
         self._ctx = default_mp_context()
-        self.shared: Optional[SharedArrayStore] = None
         self._broken = False
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
         self._barrier = self._ctx.Barrier(workers)
         self._procs = []
+        self._conns = []
         # Statement ids as the workers index their statement contexts.
         self._label_ids = {
             ctx.statement.label: i
             for i, ctx in enumerate(program.statement_contexts())
         }
+        # The payload cache: (schedule, seed, token, per-phase task counts).
+        self._last: Optional[tuple] = None
+        self._tokens = itertools.count()
         try:
-            for wid in range(workers):
+            for _ in range(workers):
+                parent_end, child_end = self._ctx.Pipe()
+                self._conns.append(parent_end)
                 p = self._ctx.Process(
                     target=_worker_main,
-                    args=(wid, program, self._tasks, self._results, self._barrier),
+                    args=(program, child_end, self._barrier),
                     daemon=True,
                 )
                 p.start()
+                child_end.close()
                 self._procs.append(p)
-            if store is not None:
-                self.attach_store(store)
         except Exception:
             self.shutdown()
             raise
@@ -217,126 +197,114 @@ class ProcessPool:
         """True once a worker died or failed mid-flight — reuse is unsound."""
         return self._broken or any(not p.is_alive() for p in self._procs)
 
-    # -- per-store lifetime -----------------------------------------------------
+    # -- execution --------------------------------------------------------------
 
-    def attach_store(self, store: Dict[str, np.ndarray]) -> SharedArrayStore:
-        """Pack ``store`` into a fresh shared segment and map it pool-wide.
+    def run(
+        self, schedule, store: Dict[str, np.ndarray], seed: Optional[int] = 0
+    ) -> List[Tuple[int, int, float]]:
+        """Execute ``schedule`` against ``store`` (filled in place); returns
+        ``(instances, tasks, elapsed_s)`` per phase.
 
-        Ships each worker one ``("attach", shm_name, descriptors)`` control
-        message — a few dozen bytes per array, never the data — and waits for
-        every acknowledgement.  The segment is destroyed on the spot if the
-        broadcast fails, so a half-attached store can never leak.
+        ``seed`` seeds the intra-phase shuffle (``None`` = no shuffle).  A
+        worker exception is re-raised here with the originating worker's
+        remote traceback; a dead worker raises instead of hanging the
+        barrier.  Either marks the pool :attr:`broken`.
         """
-        if self.shared is not None:
-            raise RuntimeError(
-                "a store is already attached; detach_store() it first"
-            )
         if self.broken:
-            raise RuntimeError("pool is broken (a worker died); start a new pool")
+            raise RuntimeError(
+                "pool is broken (a worker failed or died); start a new pool"
+            )
+        token, task_counts, slices = self._payload(schedule, seed)
         shared = SharedArrayStore.from_store(store)
         try:
-            self._broadcast(("attach", shared.shm_name, shared.descriptors))
-        except Exception:
-            shared.close()
-            shared.unlink()
-            raise
-        self.shared = shared
-        return shared
-
-    def detach_store(self) -> None:
-        """Unmap the current store pool-wide and destroy its segment.
-
-        Always closes and unlinks the owner's segment — even when the pool is
-        broken and the worker round-trip is skipped — so crash paths cannot
-        leak ``/dev/shm`` entries.  No-op without an attached store.
-        """
-        shared, self.shared = self.shared, None
-        if shared is None:
-            return
-        try:
-            if not self.broken:
-                self._broadcast(("detach",))
+            try:
+                for k, conn in enumerate(self._conns):
+                    conn.send((
+                        token,
+                        None if slices is None else slices[k],
+                        shared.shm_name,
+                        shared.descriptors,
+                    ))
+                acks = self._gather()
+            except BaseException:
+                # Acks may be lost and the workers' slice caches are no longer
+                # in step, so the pool is done.  Kill its workers rather than
+                # abort their barrier: a dead worker may be counted as a
+                # sleeper in it (or hold its lock), which would block the
+                # abort for good.  Killed, no sibling is left waiting there.
+                self._broken = True
+                for p in self._procs:
+                    p.kill()
+                raise
+            self._last = (schedule, seed, token, task_counts)
+            shared.copy_out(store)
         finally:
             shared.close()
             shared.unlink()
+        return [
+            (sum(rows[0] for rows in phase), tasks, max(rows[1] for rows in phase))
+            for phase, tasks in zip(zip(*acks), task_counts)
+        ]
 
-    def _broadcast(self, msg: tuple) -> None:
-        """Ship one control message per worker and collect every ack.
+    def _payload(self, schedule, seed):
+        """``(token, per-phase task counts, per-worker slices)``; the slices
+        are ``None`` when the workers already hold them (same schedule and
+        seed as the last run)."""
+        last = self._last
+        if last is not None and last[0] is schedule and last[1] == seed:
+            return last[2], last[3], None
+        rng = None if seed is None else random.Random(seed)
+        slices = [[] for _ in range(self.workers)]
+        task_counts = []
+        for phase in schedule.phases:
+            tasks = split_phase(lower_phase(phase, self._label_ids), self.workers, rng)
+            task_counts.append(len(tasks))
+            for k in range(self.workers):
+                slices[k].append(tasks[k] if k < len(tasks) else None)
+        return next(self._tokens), task_counts, slices
 
-        The worker-side barrier guarantees each worker consumes exactly one
-        message before any returns to the task loop.
-        """
-        for _ in self._procs:
-            self._tasks.put(msg)
-        for _ in self._procs:
-            self._collect()
+    def _gather(self) -> List[list]:
+        """One ack per worker; raises on the first failure or worker death.
 
-    # -- phase execution --------------------------------------------------------
+        A failed worker's siblings are held in the barrier and never ack
+        until :meth:`run` kills them once this has raised, so the first
+        error read is always the originating worker's."""
+        acks: List[Optional[list]] = [None] * self.workers
+        pending = {conn: k for k, conn in enumerate(self._conns)}
+        sentinels = [p.sentinel for p in self._procs]
+        while pending:
+            ready = wait([*pending, *sentinels])
+            for conn in [c for c in ready if c in pending]:
+                k = pending.pop(conn)
+                try:
+                    msg = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"process backend worker {k} died") from None
+                if msg[0] == "error":
+                    raise RuntimeError(f"process backend worker {k} failed:\n{msg[1]}")
+                acks[k] = msg[1]
+            dead = [p.exitcode for p in self._procs if not p.is_alive()]
+            if dead:
+                raise RuntimeError(f"process backend worker(s) died: {dead}")
+        return acks
 
-    def run_phase(self, phase, rng=None) -> Tuple[int, int]:
-        """Execute one phase across the pool; returns (instances, tasks).
-
-        Blocks until every shipped task has been acknowledged — the barrier
-        between phases.  A worker exception is re-raised here with the remote
-        traceback; a dead worker raises instead of hanging the barrier.
-        """
-        if self.shared is None:
-            raise RuntimeError("no store attached; call attach_store() first")
-        tasks = split_phase(lower_phase(phase, self._label_ids), self.workers, rng)
-        for stmt_ids, iters in tasks:
-            self._tasks.put(("run", stmt_ids, iters))
-        executed = 0
-        for _ in range(len(tasks)):
-            ack = self._collect()
-            executed += ack
-        return executed, len(tasks)
-
-    def _collect(self) -> int:
-        while True:
-            try:
-                msg = self._results.get(timeout=_POLL_S)
-            except queue_module.Empty:
-                dead = [p for p in self._procs if not p.is_alive()]
-                if dead:
-                    self._broken = True
-                    raise RuntimeError(
-                        f"process backend worker(s) died: "
-                        f"{[p.exitcode for p in dead]}"
-                    ) from None
-                continue
-            if msg[0] == "error":
-                # Unacknowledged sibling tasks may still be in flight; reuse
-                # would interleave their acks into the next phase's barrier.
-                self._broken = True
-                raise RuntimeError(
-                    f"process backend worker {msg[1]} failed:\n{msg[2]}"
-                )
-            return msg[2]
-
-    # -- results and lifetime ---------------------------------------------------
-
-    def copy_out(self, into: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Copy the shared arrays back into the caller's store (in place)."""
-        if self.shared is None:
-            raise RuntimeError("no store attached; nothing to copy out")
-        return self.shared.copy_out(into)
+    # -- lifetime ---------------------------------------------------------------
 
     def shutdown(self, join_timeout: float = 5.0, kill_timeout: float = 1.0) -> None:
-        """Stop the workers, drop the queues, and destroy the segment.
+        """Stop the workers and close the pipes.
 
         Escalates worker teardown — sentinel + ``join(join_timeout)``, then
         ``terminate()`` (SIGTERM), then ``kill()`` (SIGKILL, which a wedged or
-        signal-ignoring worker cannot block).  The queues are drained and
-        their feeder threads cancelled so a wedged worker cannot leak queue
-        threads, and the ``finally`` always closes and unlinks the shared
-        segment — shutdown never leaves a ``/dev/shm`` entry behind.
+        signal-ignoring worker cannot block).  The pool holds no segment
+        between runs (:meth:`run` unlinks its own), so shutdown never leaves
+        a ``/dev/shm`` entry behind.  Idempotent.
         """
         try:
-            try:
-                for _ in self._procs:
-                    self._tasks.put(None)
-            except Exception:  # pragma: no cover - queue feeder already gone
-                pass
+            for conn in self._conns:
+                try:
+                    conn.send(None)
+                except (OSError, ValueError):  # worker gone or pipe closed
+                    pass
             for p in self._procs:
                 p.join(timeout=join_timeout)
             stuck = [p for p in self._procs if p.is_alive()]
@@ -350,16 +318,9 @@ class ProcessPool:
             for p in stuck:
                 p.join(timeout=kill_timeout)
         finally:
-            for q in (self._tasks, self._results):
-                _drain_queue(q)
-                q.close()
-                q.cancel_join_thread()
-            shared, self.shared = self.shared, None
-            if shared is not None:
-                try:
-                    shared.close()
-                finally:
-                    shared.unlink()
+            for conn in self._conns:
+                conn.close()
+            self._last = None
 
     def __enter__(self) -> "ProcessPool":
         return self

@@ -5,9 +5,8 @@ Clients on any thread :meth:`~AdmissionQueue.submit` a request and get a
 :meth:`~AdmissionQueue.next_batch`, which blocks for the *first* pending
 request and then drains (without further waiting) up to ``max_batch`` more.
 Small executions submitted close together therefore ride the same batch —
-the server plans/attaches/executes them back-to-back against the live worker
-pool, so per-request overhead (and the pool's per-phase barrier set-up)
-amortises across the batch.
+the server plans and executes them back-to-back against the live worker
+pool, so per-request overhead amortises across the batch.
 
 Back-pressure: ``max_pending`` bounds the queue.  On saturation the
 configured :mod:`policy <repro.serving.policy>` decides who absorbs the

@@ -8,17 +8,20 @@ alive across requests instead of rebuilding them inside every call:
   selection and schedule construction entirely;
 * the process-wide compiled-kernel cache (``codegen.python_source``) — the
   ``compiled`` backend and symbolic plans reuse generated kernels;
-* persistent :class:`~repro.runtime.process.ProcessPool` workers — the
-  ``process`` backend re-ships only a fresh shared-memory descriptor table
-  per request (``execute(pool=...)``) instead of re-forking workers.
+* persistent :class:`~repro.runtime.process.ProcessPool` workers — a
+  ``process`` request (``execute(pool=...)``) is one message to each live
+  worker and one ack back: a fresh shared-memory descriptor table, plus the
+  worker's phase slices only when the plan or seed differs from the pool's
+  last request.  No worker is re-forked.
 
 Threading model: clients submit from any number of threads; ONE serving
 thread owns every pool and drains the admission queue in batches (see
-:mod:`repro.serving.queue`), so pool control messages are never interleaved.
-Ownership/shutdown ordering: ``stop()`` first closes admissions, then (by
-default) drains already-accepted requests, then joins the serving thread,
-and only then shuts pools down — each pool shutdown closes *and unlinks* its
-current segment, so a cleanly stopped server leaves nothing in ``/dev/shm``.
+:mod:`repro.serving.queue`), so two requests' messages to one pool never
+interleave.  Ownership/shutdown ordering: each request's segment is unlinked
+when the request ends, on every path; ``stop()`` first closes admissions,
+then (by default) drains already-accepted requests, then joins the serving
+thread, and only then shuts pools down, so a cleanly stopped server leaves
+no process and nothing in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class PlanServer:
 
     def stop(self, drain: bool = True, timeout: Optional[float] = 30.0) -> None:
         """Shut down: close admissions, drain (or fail) pending work, join
-        the serving thread, then tear every pool down (segments unlinked).
+        the serving thread, then stop every pool's workers.
 
         ``drain=False`` completes still-queued tickets with
         :class:`ServerClosed` instead of serving them.  Idempotent.

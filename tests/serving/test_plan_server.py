@@ -7,6 +7,7 @@ fast in tier-1.
 """
 
 import glob
+import os
 import threading
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.serving import (
     PlanServer,
     ServerClosed,
 )
+from repro.workloads.corpus import selection_corpus
 from repro.workloads.examples import example3_loop, figure1_loop
 
 needs_process = pytest.mark.skipif(
@@ -188,6 +190,36 @@ class TestPlanServerPools:
         assert stats["pools"]["created"] == 2
         assert stats["pools"]["evicted"] == 1
         assert stats["pools"]["size"] == 1
+        assert _dev_shm() == before
+
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_process_requests_leak_no_segments_or_fds(self):
+        """Leak soak: 200 process requests over 3 programs through one
+        server leave /dev/shm and the open-fd count where request 10 left
+        them — segments and pipes are reclaimed per request, not at stop."""
+        entries = [
+            e for e in selection_corpus(size="small")
+            if e.name in ("deep-rect-diag", "lu-kernel", "sor-kernel")
+        ]
+        assert len(entries) == 3
+        refs = [execute_sequential(e.program, e.params) for e in entries]
+        cfg = ExecConfig(backend="process", workers=2)
+        before = _dev_shm()
+        with PlanServer(default_exec=cfg, max_pools=3) as srv:
+            for i in range(200):
+                e, ref = entries[i % 3], refs[i % 3]
+                resp = srv.request(e.program, e.params)
+                if i % 50 == 0:
+                    for name in ref:
+                        assert np.array_equal(ref[name], resp.result.store[name])
+                if i == 9:
+                    shm_at_10, fds_at_10 = _dev_shm(), len(os.listdir("/proc/self/fd"))
+            shm_at_200, fds_at_200 = _dev_shm(), len(os.listdir("/proc/self/fd"))
+            stats = srv.stats()
+        assert shm_at_200 == shm_at_10 == before
+        assert fds_at_200 == fds_at_10
+        assert stats["pools"] == {"size": 3, "created": 3, "reused": 197, "evicted": 0}
         assert _dev_shm() == before
 
 
