@@ -17,8 +17,8 @@ checks that the array engine's result is bit-identical to it.
   schedule** pipeline on a real program (:func:`large_uniform_loop`), oracle
   (dict join on address tuples, frozenset unions, set-algebra partitions,
   literal dataflow while-loop) vs the planned array pipeline (sort/merge
-  join, array concatenation, CSR peeling,
-  :class:`~repro.core.schedule.ArrayPhase` schedule).  Contract: ≥10×
+  join, array concatenation, CSR peeling, a schedule of
+  :class:`~repro.core.schedule.Phase` array slices).  Contract: ≥10×
   end-to-end wall-clock at 10⁵ points, bit-identical P1/P2/P3/W sets and
   wavefronts.
 
@@ -48,8 +48,8 @@ checks that the array engine's result is bit-identical to it.
   program → statement-level Rd → wavefront schedule, oracle (per-instance
   unify loop, Python set of unified pairs, set peeling) vs array path (one
   ``unify_array`` interleave per statement, ``PointCodec`` orientation, CSR
-  peeling over unified rows, :class:`~repro.core.schedule.UnifiedArrayPhase`
-  schedule).  Contract: ≥5× at 10⁵ statement instances, bit-identical phase
+  peeling over unified rows, a :class:`~repro.core.schedule.Phase` schedule
+  over their odd columns).  Contract: ≥5× at 10⁵ statement instances, bit-identical phase
   names and instance sequences.
 
 Every sweep's rows are recorded in ``BENCH_scale.json`` at the repository
@@ -333,7 +333,7 @@ def test_process_backend_speedup(report):
     over the serial backend at 4 workers, 10⁵ points, compute-heavy kernel.
 
     The schedule is the vectorised dataflow wavefront plan of
-    ``large_uniform_loop`` — 200 DOALL phases whose :class:`ArrayPhase` rows
+    ``large_uniform_loop`` — 200 DOALL phases whose :class:`~repro.core.schedule.Phase` rows
     ship to the persistent workers as strided slices (attach-once shared
     memory, barrier per phase).  Timings are end-to-end per run, *including*
     pool start-up and the shared-memory copy-in/copy-out, so the recorded

@@ -253,18 +253,26 @@ def _cholesky_pdm_schedule(prog):
     this kernel because the unified-vector lattice mixes coordinates of the two
     nests; the hand-derived slicing here matches the paper's published code.)
     """
-    from ..core.schedule import ExecutionUnit, ParallelPhase, Schedule
+    from ..core.schedule import Phase, Schedule, statement_table
 
-    contexts = {ctx.statement.label: ctx for ctx in prog.statement_contexts()}
-    groups = {}
-    for label, iteration in prog.sequential_iterations({}):
-        ctx = contexts[label]
-        # every statement's innermost loop is its L loop (L, L2, ..., L8)
-        l_value = iteration[-1]
-        groups.setdefault(l_value, []).append((label, tuple(iteration)))
-    units = tuple(ExecutionUnit.block(groups[k]) for k in sorted(groups))
-    phase = ParallelPhase("PDM: DOALL over L", units)
-    return Schedule.from_phases(f"{prog.name}-PDM", [phase], scheme="pdm-example4")
+    labels, depths = statement_table(prog)
+    sid = {label: k for k, label in enumerate(labels)}
+    width = max(depths, default=0)
+    # Every statement's innermost loop is its L loop (L, L2, ..., L8), so an
+    # instance's unit is its last index; the sort is stable, so each unit
+    # keeps program order.
+    instances = sorted(prog.sequential_iterations({}), key=lambda inst: inst[1][-1])
+    l_values = [iteration[-1] for _, iteration in instances]
+    starts = [k for k in range(1, len(l_values)) if l_values[k] != l_values[k - 1]]
+    phase = Phase(
+        "PDM: DOALL over L",
+        [sid[label] for label, _ in instances],
+        [list(it) + [0] * (width - len(it)) for _, it in instances],
+        [0, *starts, len(instances)],
+    )
+    return Schedule.from_phases(
+        f"{prog.name}-PDM", [phase], labels, depths, scheme="pdm-example4"
+    )
 
 
 def run_figure3_experiment(

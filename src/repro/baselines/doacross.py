@@ -18,13 +18,16 @@ when simulating the schedule (see the figure-3 benchmarks).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.dataflow import dataflow_partition
-from ..core.schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
+from ..core.partition import space_rows
+from ..core.schedule import Phase, Schedule, point_phases
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.relations import FiniteRelation
+from ..isl.relations import FiniteRelation, PointCodec, in_sorted
 from .lattice import pseudo_distance_matrix
 
 __all__ = ["basic_dependence_vectors", "uniformized_relation", "doacross_schedule"]
@@ -45,18 +48,33 @@ def basic_dependence_vectors(rd: FiniteRelation, dim: int) -> List[Point]:
 
 
 def uniformized_relation(
-    space: Sequence[Point], vectors: Sequence[Point]
+    space: Union[np.ndarray, Sequence[Point]], vectors: Sequence[Point]
 ) -> FiniteRelation:
-    """The uniform relation ``{ i → i+v | v ∈ vectors, i and i+v in Φ }``."""
-    phi = set(tuple(p) for p in space)
-    pairs = set()
-    for p in phi:
+    """The uniform relation ``{ i → i+v | v ∈ vectors, i and i+v in Φ }``.
+
+    One vectorised membership test per vector: the shifted space is encoded
+    with the space's :class:`~repro.isl.relations.PointCodec` and looked up
+    among the sorted space keys.
+    """
+    points = space_rows(space, len(vectors[0]) if vectors else 0)
+    dim = points.shape[1]
+    src_blocks, dst_blocks = [], []
+    if len(points):
+        codec = PointCodec.for_arrays(points)
+        keys = np.sort(codec.encode(points))
         for v in vectors:
-            q = tuple(x + d for x, d in zip(p, v))
-            if q in phi and q != p:
-                pairs.add((p, q))
-    dim = len(space[0]) if space else 0
-    return FiniteRelation(frozenset(pairs), dim, dim)
+            if not any(v):
+                continue
+            shifted = points + np.asarray(v, dtype=np.int64)
+            hit = codec.contains(shifted)
+            hit[hit] = in_sorted(codec.encode(shifted[hit]), keys)
+            src_blocks.append(points[hit])
+            dst_blocks.append(shifted[hit])
+    if not sum(len(b) for b in src_blocks):
+        return FiniteRelation(frozenset(), dim, dim)
+    return FiniteRelation.from_arrays(
+        np.concatenate(src_blocks), np.concatenate(dst_blocks)
+    )
 
 
 def doacross_schedule(
@@ -68,7 +86,9 @@ def doacross_schedule(
 
     Works at iteration level for perfect nests and at statement level (unified
     index vectors) otherwise, so the imperfectly nested Example 3 can be
-    scheduled the way Chen & Yew's paper schedules it.
+    scheduled the way Chen & Yew's paper schedules it.  The wavefront levels
+    come out of the dataflow peeling as CSR arrays (lexicographic inside a
+    level), and each level becomes one phase over slices of them.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
@@ -78,8 +98,7 @@ def doacross_schedule(
     perfect = all(ctx.index_names == index_names for ctx in contexts)
 
     if perfect:
-        labels = [s.label for s in program.statements()]
-        space = analysis.iteration_space_points
+        space = analysis.iteration_space_array
         rd = analysis.iteration_dependences
         vectors = basic_dependence_vectors(rd, len(index_names))
         # The wavefront levels are computed over the uniformized relation *plus*
@@ -88,33 +107,28 @@ def doacross_schedule(
         # even where an intermediate point i+v falls outside the iteration
         # space (single BDV steps alone would then lose the ordering).
         uniform = uniformized_relation(space, vectors).union(rd)
-        levels = dataflow_partition(space, uniform)
-        phases = []
-        for k, wave in enumerate(levels.wavefronts):
-            units = []
-            for p in sorted(wave):
-                units.append(
-                    ExecutionUnit.block([(label, p) for label in labels])
-                )
-            phases.append(ParallelPhase(f"doacross-wave-{k}", tuple(units)))
+        offsets, rows = dataflow_partition(space, uniform).level_arrays()
+        bounds = offsets.tolist()
+        names = [f"doacross-wave-{k}" for k in range(len(bounds) - 1)]
+        phases = point_phases(names, rows, bounds, len(contexts))
     else:
         from ..core.statement import build_statement_space
 
         stmt_space = build_statement_space(program, params, analysis)
-        points = sorted(stmt_space.points)
+        points = stmt_space.space_array
         vectors = basic_dependence_vectors(stmt_space.rd, stmt_space.width)
         uniform = uniformized_relation(points, vectors).union(stmt_space.rd)
-        levels = dataflow_partition(points, uniform)
-        back = stmt_space.instance_of()
-        phases = []
-        for k, wave in enumerate(levels.wavefronts):
-            units = []
-            for p in sorted(wave):
-                units.append(ExecutionUnit.block(back[p]))
-            phases.append(ParallelPhase(f"doacross-wave-{k}", tuple(units)))
+        offsets, rows = dataflow_partition(points, uniform).level_arrays()
+        bounds = offsets.tolist()
+        ids = stmt_space.stmt_ids_of(rows)
+        phases = [
+            Phase(f"doacross-wave-{k}", ids[lo:hi], rows[lo:hi, 1::2])
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
 
-    return Schedule.from_phases(
+    return Schedule.for_program(
         f"{program.name}-DOACROSS",
+        program,
         phases,
         scheme="doacross",
         basic_dependence_vectors=[list(v) for v in vectors],

@@ -22,12 +22,14 @@ schemes' speedup in figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from ..isl.lexorder import is_lex_positive
 from ..isl.linalg import hermite_normal_form, solve_diophantine
+from ..isl.relations import lexsort_rows
 
 __all__ = ["DistanceLattice", "pseudo_distance_matrix", "direction_basis"]
 
@@ -82,10 +84,29 @@ def direction_basis(distances: Iterable[Point], dim: int) -> List[Point]:
 
 @dataclass(frozen=True)
 class DistanceLattice:
-    """The integer lattice generated by a set of covering distance vectors."""
+    """The integer lattice generated by a set of covering distance vectors.
+
+    The Hermite normal form of the generators is computed once, on
+    construction; :meth:`coset_keys` reduces a whole ``(n, dim)`` point
+    array against it in one vectorised pass per HNF row.
+    """
 
     generators: Tuple[Point, ...]
     dim: int
+    #: ``(pivot column, row)`` per non-zero HNF row (rows echelon, pivots positive)
+    _reducers: Tuple[Tuple[int, Tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        reducers = []
+        if self.generators:
+            H, _U = hermite_normal_form([list(g) for g in self.generators])
+            for row in H:
+                pivot_col = next((c for c, x in enumerate(row) if x != 0), None)
+                if pivot_col is not None:
+                    reducers.append((pivot_col, tuple(int(x) for x in row)))
+        object.__setattr__(self, "_reducers", tuple(reducers))
 
     @staticmethod
     def from_vectors(vectors: Sequence[Point], dim: int) -> "DistanceLattice":
@@ -107,33 +128,34 @@ class DistanceLattice:
         """Every distance is an integer combination of the generators."""
         return all(self.contains(d) for d in distances)
 
-    def coset_key(self, point: Sequence[int]) -> Point:
-        """A canonical representative of the point's lattice coset.
+    def coset_keys(self, points: np.ndarray) -> np.ndarray:
+        """A canonical representative of each row's lattice coset, ``(n, dim)``.
 
         Two points get the same key iff their difference lies in the lattice.
-        The key is computed by reducing the point modulo the Hermite form of
-        the generator matrix, column by column.
+        Each point is reduced modulo the Hermite form of the generator
+        matrix, pivot column by pivot column.
         """
-        if not self.generators:
-            return tuple(int(x) for x in point)
-        H, _U = hermite_normal_form([list(g) for g in self.generators])
-        residue = [int(x) for x in point]
-        # Reduce against each non-zero HNF row (rows are echelon, pivots positive).
-        for row in H:
-            pivot_col = next((c for c, x in enumerate(row) if x != 0), None)
-            if pivot_col is None:
-                continue
-            pivot = row[pivot_col]
-            q = residue[pivot_col] // pivot
-            if q != 0:
-                residue = [r - q * row[c] for c, r in enumerate(residue)]
-        return tuple(residue)
+        residue = np.array(points, dtype=np.int64).reshape(-1, self.dim)
+        for pivot_col, row in self._reducers:
+            q = residue[:, pivot_col] // row[pivot_col]
+            residue -= q[:, None] * np.asarray(row, dtype=np.int64)
+        return residue
 
-    def cosets(self, points: Iterable[Point]) -> Dict[Point, List[Point]]:
-        """Group points by lattice coset; each list is sorted lexicographically."""
-        groups: Dict[Point, List[Point]] = {}
-        for p in points:
-            groups.setdefault(self.coset_key(p), []).append(tuple(p))
-        for members in groups.values():
-            members.sort()
-        return groups
+    def coset_key(self, point: Sequence[int]) -> Point:
+        """:meth:`coset_keys` of one point, as a tuple."""
+        return tuple(self.coset_keys(np.asarray([point]))[0].tolist())
+
+    def group(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(order, offsets)``: the cosets of ``points`` as CSR over a permutation.
+
+        ``points[order]`` lists the cosets one after another, by ascending
+        key, each in lexicographic order; coset ``c`` owns positions
+        ``offsets[c]:offsets[c+1]`` of it.
+        """
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, self.dim)
+        keys = self.coset_keys(pts)
+        order = lexsort_rows(np.concatenate([keys, pts], axis=1))
+        keys = keys[order]
+        starts = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
+        offsets = np.concatenate(([0], starts, [len(pts)])) if len(pts) else np.zeros(1)
+        return order, offsets.astype(np.int64)

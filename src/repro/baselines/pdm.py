@@ -22,72 +22,85 @@ paper's Example 4 comparison, where PDM parallelizes the outermost ``L`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
+import numpy as np
+
+from ..core.partition import space_rows
+from ..core.schedule import Phase, Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.relations import FiniteRelation
+from ..isl.relations import FiniteRelation, readonly_view
 from .lattice import DistanceLattice, pseudo_distance_matrix
 
-__all__ = ["PDMPartition", "pdm_partition", "pdm_schedule"]
+__all__ = [
+    "PDMPartition",
+    "pdm_partition",
+    "pdm_schedule",
+    "pdm_schedule_and_partition",
+]
 
 Point = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PDMPartition:
     """The PDM partition: pseudo distance vectors and the resulting cosets.
 
-    ``scheme`` names the uniformization scheme that produced the partition;
-    the PL baseline's :class:`~repro.baselines.pl.PLPartition` subclass
-    overrides it so registry diagnostics report the right scheme even though
-    both schemes share the coset mechanics.
+    ``points`` lists the space coset by coset (ascending coset key, each
+    coset in lexicographic order) and ``coset_offsets`` delimits the cosets
+    CSR-style.  ``scheme`` names the uniformization scheme that produced
+    the partition; the PL baseline's :class:`~repro.baselines.pl.PLPartition`
+    subclass overrides it so registry diagnostics report the right scheme
+    even though both schemes share the coset mechanics.
     """
 
     scheme: ClassVar[str] = "pdm"
 
     pdm: Tuple[Point, ...]
-    cosets: Mapping[Point, List[Point]]
     lattice: DistanceLattice
+    points: np.ndarray
+    coset_offsets: np.ndarray
+
+    @classmethod
+    def of(cls, vectors: Sequence[Point], points: np.ndarray) -> "PDMPartition":
+        """Partition ``(n, dim)`` points by the lattice ``vectors`` generate."""
+        lattice = DistanceLattice.from_vectors(vectors, points.shape[1])
+        order, offsets = lattice.group(points)
+        return cls(
+            pdm=tuple(vectors),
+            lattice=lattice,
+            points=readonly_view(points[order]),
+            coset_offsets=readonly_view(offsets),
+        )
 
     @property
     def num_parallel_sets(self) -> int:
-        return len(self.cosets)
+        return len(self.coset_offsets) - 1
 
     @property
     def longest_chain(self) -> int:
-        return max((len(c) for c in self.cosets.values()), default=0)
+        return int(np.diff(self.coset_offsets).max()) if self.num_parallel_sets else 0
 
     def covers(self, distances) -> bool:
         return self.lattice.covers(distances)
 
 
-def pdm_partition(space: Sequence[Point], rd: FiniteRelation) -> PDMPartition:
+def pdm_partition(
+    space: Union[np.ndarray, Sequence[Point]], rd: FiniteRelation
+) -> PDMPartition:
     """Build the PDM and the coset partition for a concrete iteration space."""
-    if space:
-        dim = len(space[0])
-    else:
-        dim = rd.dim_in
-    distances = sorted(rd.distances())
-    pdm = pseudo_distance_matrix(distances, dim)
-    lattice = DistanceLattice.from_vectors(pdm, dim)
-    cosets = lattice.cosets(space)
-    return PDMPartition(pdm=tuple(pdm), cosets=cosets, lattice=lattice)
+    points = space_rows(space, rd.dim_in)
+    pdm = pseudo_distance_matrix(sorted(rd.distances()), points.shape[1])
+    return PDMPartition.of(pdm, points)
 
 
-def pdm_schedule(
+def pdm_schedule_and_partition(
     program: LoopProgram,
     params: Optional[Mapping[str, int]] = None,
     analysis: Optional[DependenceAnalysis] = None,
-) -> Schedule:
-    """Schedule a perfect-nest program under the PDM scheme.
-
-    The schedule is a single parallel phase (the outermost DOALL over cosets);
-    each coset is one sequential unit in lexicographic order.  For programs
-    with several statements the units carry every statement instance of the
-    iterations in the coset, still in sequential program order.
-    """
+) -> Tuple[Schedule, PDMPartition]:
+    """:func:`pdm_schedule` together with the partition it was built from."""
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
 
@@ -95,19 +108,14 @@ def pdm_schedule(
     index_names = contexts[0].index_names if contexts else ()
     perfect = all(ctx.index_names == index_names for ctx in contexts)
 
+    name = "PDM cosets (outermost DOALL)"
     if perfect:
-        labels = [s.label for s in program.statements()]
-        space = analysis.iteration_space_points
-        rd = analysis.iteration_dependences
-        partition = pdm_partition(space, rd)
-        units = []
-        for key in sorted(partition.cosets):
-            members = partition.cosets[key]
-            instances: List[Instance] = []
-            for point in members:
-                for label in labels:
-                    instances.append((label, point))
-            units.append(ExecutionUnit.block(instances))
+        partition = pdm_partition(
+            analysis.iteration_space_array, analysis.iteration_dependences
+        )
+        phase = Phase.of_points(
+            name, partition.points, len(contexts), partition.coset_offsets
+        )
     else:
         # Statement-level PDM: uniformize over the unified statement index
         # vectors of §3.3, so instances whose unified difference lies in the
@@ -117,22 +125,36 @@ def pdm_schedule(
         from ..core.statement import build_statement_space
 
         stmt_space = build_statement_space(program, params, analysis)
-        partition = pdm_partition(sorted(stmt_space.points), stmt_space.rd)
-        back = stmt_space.instance_of()
-        units = []
-        for key in sorted(partition.cosets):
-            members = partition.cosets[key]
-            instances = []
-            for point in members:
-                instances.extend(back[point])
-            units.append(ExecutionUnit.block(instances))
+        partition = pdm_partition(stmt_space.space_array, stmt_space.rd)
+        phase = Phase(
+            name,
+            stmt_space.stmt_ids_of(partition.points),
+            partition.points[:, 1::2],
+            partition.coset_offsets,
+        )
 
-    phase = ParallelPhase("PDM cosets (outermost DOALL)", tuple(units))
-    return Schedule.from_phases(
+    schedule = Schedule.for_program(
         f"{program.name}-PDM",
+        program,
         [phase],
         scheme="pdm",
         pseudo_distance_matrix=[list(v) for v in partition.pdm],
         parallel_sets=partition.num_parallel_sets,
         longest_chain=partition.longest_chain,
     )
+    return schedule, partition
+
+
+def pdm_schedule(
+    program: LoopProgram,
+    params: Optional[Mapping[str, int]] = None,
+    analysis: Optional[DependenceAnalysis] = None,
+) -> Schedule:
+    """Schedule a program under the PDM scheme.
+
+    The schedule is a single parallel phase (the outermost DOALL over cosets);
+    each coset is one sequential unit in lexicographic order.  For programs
+    with several statements the units carry every statement instance of the
+    iterations in the coset, still in sequential program order.
+    """
+    return pdm_schedule_and_partition(program, params, analysis)[0]

@@ -17,21 +17,20 @@ generator set; see :mod:`repro.baselines.lattice`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Mapping, Optional, Tuple
+from typing import ClassVar, Mapping, Optional, Tuple
 
-from ..core.schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
+from ..core.partition import space_rows
+from ..core.schedule import Phase, Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation
-from .lattice import DistanceLattice, direction_basis
+from .lattice import direction_basis
 from .pdm import PDMPartition
 
-__all__ = ["PLPartition", "pl_partition", "pl_schedule"]
-
-Point = Tuple[int, ...]
+__all__ = ["PLPartition", "pl_partition", "pl_schedule", "pl_schedule_and_partition"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PLPartition(PDMPartition):
     """The PL coset partition (direction-vector lattice).
 
@@ -47,11 +46,38 @@ class PLPartition(PDMPartition):
 
 def pl_partition(space, rd: FiniteRelation) -> PLPartition:
     """Coset partition under the primitive direction-vector lattice."""
-    dim = len(space[0]) if space else rd.dim_in
-    basis = direction_basis(sorted(rd.distances()), dim)
-    lattice = DistanceLattice.from_vectors(basis, dim)
-    cosets = lattice.cosets(space)
-    return PLPartition(pdm=tuple(basis), cosets=cosets, lattice=lattice)
+    points = space_rows(space, rd.dim_in)
+    basis = direction_basis(sorted(rd.distances()), points.shape[1])
+    return PLPartition.of(basis, points)
+
+
+def pl_schedule_and_partition(
+    program: LoopProgram,
+    params: Optional[Mapping[str, int]] = None,
+    analysis: Optional[DependenceAnalysis] = None,
+) -> Tuple[Schedule, PLPartition]:
+    """:func:`pl_schedule` together with the partition it was built from."""
+    params = dict(params or {})
+    analysis = analysis or DependenceAnalysis(program, params)
+    partition = pl_partition(
+        analysis.iteration_space_array, analysis.iteration_dependences
+    )
+    phase = Phase.of_points(
+        "PL partitions (labels executed in order)",
+        partition.points,
+        len(program.statement_contexts()),
+        partition.coset_offsets,
+    )
+    schedule = Schedule.for_program(
+        f"{program.name}-PL",
+        program,
+        [phase],
+        scheme="pl",
+        basis=[list(v) for v in partition.pdm],
+        parallel_sets=partition.num_parallel_sets,
+        longest_chain=partition.longest_chain,
+    )
+    return schedule, partition
 
 
 def pl_schedule(
@@ -60,27 +86,4 @@ def pl_schedule(
     analysis: Optional[DependenceAnalysis] = None,
 ) -> Schedule:
     """Schedule a perfect-nest program under the PL (direction vector) scheme."""
-    params = dict(params or {})
-    analysis = analysis or DependenceAnalysis(program, params)
-    labels = [s.label for s in program.statements()]
-    space = analysis.iteration_space_points
-    rd = analysis.iteration_dependences
-    partition = pl_partition(space, rd)
-
-    units = []
-    for key in sorted(partition.cosets):
-        members = partition.cosets[key]
-        instances: List[Instance] = []
-        for point in members:
-            for label in labels:
-                instances.append((label, point))
-        units.append(ExecutionUnit.block(instances))
-    phase = ParallelPhase("PL partitions (labels executed in order)", (tuple(units)))
-    return Schedule.from_phases(
-        f"{program.name}-PL",
-        [phase],
-        scheme="pl",
-        basis=[list(v) for v in partition.pdm],
-        parallel_sets=partition.num_parallel_sets,
-        longest_chain=partition.longest_chain,
-    )
+    return pl_schedule_and_partition(program, params, analysis)[0]

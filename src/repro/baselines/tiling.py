@@ -14,16 +14,16 @@ parallelism).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
-from ..core.schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
+import numpy as np
+
+from ..core.schedule import Schedule, point_phases
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.relations import FiniteRelation
+from ..isl.relations import FiniteRelation, lexsort_rows
 
 __all__ = ["minimum_distances", "tiling_schedule"]
-
-Point = Tuple[int, ...]
 
 
 def minimum_distances(rd: FiniteRelation, dim: int) -> Tuple[int, ...]:
@@ -56,37 +56,34 @@ def tiling_schedule(
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-    labels = [s.label for s in program.statements()]
-    space = analysis.iteration_space_points
+    statements = len(program.statement_contexts())
+    space = analysis.iteration_space_array
     rd = analysis.iteration_dependences
-    if not space:
-        return Schedule.from_phases(f"{program.name}-TILE", [], scheme="min-distance-tiling")
-    dim = len(space[0])
-    extents = minimum_distances(rd, dim)
-    lows = [min(p[k] for p in space) for k in range(dim)]
-    highs = [max(p[k] for p in space) for k in range(dim)]
-    sizes = tuple(
-        (e if e and e > 0 else (highs[k] - lows[k] + 1)) for k, e in enumerate(extents)
-    )
-
-    def tile_of(p: Point) -> Point:
-        return tuple((p[k] - lows[k]) // sizes[k] for k in range(dim))
-
-    tiles: Dict[Point, List[Point]] = {}
-    for p in space:
-        tiles.setdefault(tile_of(p), []).append(p)
-
-    phases = []
-    for tile_key in sorted(tiles):
-        members = sorted(tiles[tile_key])
-        units = tuple(
-            ExecutionUnit.block([(label, p) for label in labels]) for p in members
+    if not len(space):
+        return Schedule.for_program(
+            f"{program.name}-TILE", program, [], scheme="min-distance-tiling"
         )
-        phases.append(ParallelPhase(f"tile{tile_key}", units))
-    return Schedule.from_phases(
+    dim = space.shape[1]
+    extents = minimum_distances(rd, dim)
+    lows = space.min(axis=0)
+    highs = space.max(axis=0)
+    sizes = tuple(
+        int(e if e and e > 0 else (highs[k] - lows[k] + 1)) for k, e in enumerate(extents)
+    )
+    # Tile of each point by floor division; tiles in lexicographic order,
+    # each tile's points in lexicographic order.
+    tiles = (space - lows) // np.asarray(sizes, dtype=np.int64)
+    order = lexsort_rows(np.concatenate([tiles, space], axis=1))
+    tiles, points = tiles[order], space[order]
+    starts = np.flatnonzero((tiles[1:] != tiles[:-1]).any(axis=1)) + 1
+    bounds = [0, *starts.tolist(), len(points)]
+    names = [f"tile{tuple(key)}" for key in tiles[bounds[:-1]].tolist()]
+    phases = point_phases(names, points, bounds, statements)
+    return Schedule.for_program(
         f"{program.name}-TILE",
+        program,
         phases,
         scheme="min-distance-tiling",
         tile_size=list(sizes),
-        tiles=len(tiles),
+        tiles=len(phases),
     )

@@ -29,45 +29,63 @@ the intersection phase is internally sequential in lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
+import numpy as np
+
+from ..core.partition import space_rows
+from ..core.schedule import Phase, Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.lexorder import lex_lt
-from ..isl.relations import FiniteRelation
+from ..isl.relations import FiniteRelation, PointCodec, in_sorted
 
-__all__ = ["UniqueSets", "unique_sets_partition", "unique_sets_schedule"]
+__all__ = [
+    "SETS",
+    "UniqueSets",
+    "unique_sets_partition",
+    "unique_sets_schedule",
+    "unique_sets_schedule_and_partition",
+]
 
 Point = Tuple[int, ...]
 
+#: The sets, in the order their codes are stored in ``UniqueSets.membership``.
+SETS = ("independent", "flow_head", "anti_head", "intersection", "flow_tail", "anti_tail")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class UniqueSets:
-    """The five unique sets of the Ju & Chaudhary scheme (concrete form)."""
+    """The five unique sets of the Ju & Chaudhary scheme (concrete form).
 
-    independent: FrozenSet[Point]
-    flow_head: FrozenSet[Point]
-    anti_head: FrozenSet[Point]
-    intersection: FrozenSet[Point]
-    flow_tail: FrozenSet[Point]
-    anti_tail: FrozenSet[Point]
+    ``points`` is the space as lexicographically sorted ``(n, dim)`` rows and
+    ``membership`` the index into :data:`SETS` of each row's set.
+    """
 
-    def phases(self) -> List[Tuple[str, FrozenSet[Point], bool]]:
-        """(name, points, is_sequential) in execution order."""
+    points: np.ndarray
+    membership: np.ndarray
+
+    def rows(self, *names: str) -> np.ndarray:
+        """The sorted rows of the union of the named sets."""
+        codes = [SETS.index(name) for name in names]
+        return self.points[np.isin(self.membership, codes)]
+
+    def phases(self) -> List[Tuple[str, np.ndarray, bool]]:
+        """(name, sorted rows, is_sequential) in execution order."""
         return [
-            ("independent + flow heads", self.independent | self.flow_head, False),
-            ("anti heads", self.anti_head, False),
-            ("head/tail intersection (sequential)", self.intersection, True),
-            ("flow tails", self.flow_tail, False),
-            ("anti tails", self.anti_tail, False),
+            ("independent + flow heads", self.rows("independent", "flow_head"), False),
+            ("anti heads", self.rows("anti_head"), False),
+            ("head/tail intersection (sequential)", self.rows("intersection"), True),
+            ("flow tails", self.rows("flow_tail"), False),
+            ("anti tails", self.rows("anti_tail"), False),
         ]
 
     def counts(self) -> Dict[str, int]:
         return {name: len(points) for name, points, _ in self.phases()}
 
 
-def unique_sets_partition(space: Sequence[Point], rd: FiniteRelation) -> UniqueSets:
+def unique_sets_partition(
+    space: Union[np.ndarray, Sequence[Point]], rd: FiniteRelation
+) -> UniqueSets:
     """Split the iteration space into the unique sets.
 
     ``rd`` is the oriented (earlier → later) exact relation.  The flow/anti
@@ -77,49 +95,72 @@ def unique_sets_partition(space: Sequence[Point], rd: FiniteRelation) -> UniqueS
     the sign convention that pairs whose source is also a pure source of the
     relation (never a target) are "flow-like"; the distinction only affects
     which head/tail bucket an iteration lands in, not the safety argument.
-    """
-    phi = set(tuple(p) for p in space)
-    relation = rd.restrict(domain=phi, rng=phi)
-    dom = relation.domain()
-    ran = relation.range()
-    touched = dom | ran
-    independent = frozenset(phi - touched)
-    heads = (dom - ran)
-    tails = (ran - dom)
-    intersection = frozenset(dom & ran)
 
-    # Flow/anti split of heads and tails: a head whose every outgoing target is
-    # lexicographically *adjacent forward* in the first orientation is flow;
-    # we approximate the published split by parity of the orientation that
-    # produced the pair — heads whose smallest target is closer than the
-    # midpoint of its targets' span go to flow, the rest to anti.  The split
-    # is structural only (both head phases precede every dependent target).
-    succ = relation.successor_map()
-    flow_head: Set[Point] = set()
-    anti_head: Set[Point] = set()
-    for h in heads:
-        targets = succ.get(h, [])
-        if targets and lex_lt(h, targets[0]) and len(targets) == 1:
-            flow_head.add(h)
-        else:
-            anti_head.add(h)
-    pred = relation.predecessor_map()
-    flow_tail: Set[Point] = set()
-    anti_tail: Set[Point] = set()
-    for t in tails:
-        sources = pred.get(t, [])
-        if sources and len(sources) == 1:
-            flow_tail.add(t)
-        else:
-            anti_tail.add(t)
-    return UniqueSets(
-        independent=independent,
-        flow_head=frozenset(flow_head),
-        anti_head=frozenset(anti_head),
-        intersection=intersection,
-        flow_tail=frozenset(flow_tail),
-        anti_tail=frozenset(anti_tail),
+    Array-native: the pairs inside Φ are located by codec key in the sorted
+    space, and every set follows from per-point in/out degrees.
+    """
+    points = space_rows(space, rd.dim_in)
+    points = np.unique(points, axis=0) if len(points) else points
+    n = len(points)
+    out_deg = np.zeros(n, dtype=np.int64)
+    in_deg = np.zeros(n, dtype=np.int64)
+    forward = np.zeros(n, dtype=bool)
+    src, dst = rd.as_arrays() if n and not rd.is_empty() else (points[:0], points[:0])
+    if len(src):
+        codec = PointCodec.for_arrays(points)
+        keys = codec.encode(points)  # ascending: the rows are sorted
+        inside = codec.contains(src) & codec.contains(dst)
+        s_keys, d_keys = codec.encode(src[inside]), codec.encode(dst[inside])
+        keep = in_sorted(s_keys, keys) & in_sorted(d_keys, keys)
+        s_idx = np.searchsorted(keys, s_keys[keep])
+        d_idx = np.searchsorted(keys, d_keys[keep])
+        out_deg = np.bincount(s_idx, minlength=n)
+        in_deg = np.bincount(d_idx, minlength=n)
+        forward[s_idx[s_idx < d_idx]] = True  # some target is lexicographically later
+    dom, ran = out_deg > 0, in_deg > 0
+    heads, tails = dom & ~ran, ran & ~dom
+
+    # Flow/anti split of heads and tails: a head with a single, lexicographically
+    # later target is flow, and a tail with a single source is flow; the rest are
+    # anti.  The split is structural only (both head phases precede every
+    # dependent target).
+    flow_head = heads & (out_deg == 1) & forward
+    flow_tail = tails & (in_deg == 1)
+    membership = np.select(
+        [heads & ~flow_head, dom & ran, flow_tail, tails & ~flow_tail, flow_head],
+        [SETS.index(name) for name in (
+            "anti_head", "intersection", "flow_tail", "anti_tail", "flow_head"
+        )],
+        default=SETS.index("independent"),
+    ).astype(np.int8)
+    return UniqueSets(points=points, membership=membership)
+
+
+def unique_sets_schedule_and_partition(
+    program: LoopProgram,
+    params: Optional[Mapping[str, int]] = None,
+    analysis: Optional[DependenceAnalysis] = None,
+) -> Tuple[Schedule, UniqueSets]:
+    """:func:`unique_sets_schedule` together with the sets it was built from."""
+    params = dict(params or {})
+    analysis = analysis or DependenceAnalysis(program, params)
+    statements = len(program.statement_contexts())
+    space = analysis.iteration_space_array
+    rd = analysis.iteration_dependences
+    sets = unique_sets_partition(space, rd)
+    phases = [
+        Phase.of_points(name, rows, statements, [0, len(rows)] if sequential else None)
+        for name, rows, sequential in sets.phases()
+        if len(rows)
+    ]
+    schedule = Schedule.for_program(
+        f"{program.name}-UNIQUE",
+        program,
+        phases,
+        scheme="unique-sets",
+        set_sizes=sets.counts(),
     )
+    return schedule, sets
 
 
 def unique_sets_schedule(
@@ -128,32 +169,4 @@ def unique_sets_schedule(
     analysis: Optional[DependenceAnalysis] = None,
 ) -> Schedule:
     """Schedule a perfect-nest program under the unique-sets scheme."""
-    params = dict(params or {})
-    analysis = analysis or DependenceAnalysis(program, params)
-    labels = [s.label for s in program.statements()]
-    space = analysis.iteration_space_points
-    rd = analysis.iteration_dependences
-    sets = unique_sets_partition(space, rd)
-
-    phases: List[ParallelPhase] = []
-    for name, points, sequential in sets.phases():
-        if not points:
-            continue
-        ordered = sorted(points)
-        if sequential:
-            instances: List[Instance] = []
-            for p in ordered:
-                for label in labels:
-                    instances.append((label, p))
-            units: Tuple[ExecutionUnit, ...] = (ExecutionUnit.block(instances),)
-        else:
-            units = tuple(
-                ExecutionUnit.block([(label, p) for label in labels]) for p in ordered
-            )
-        phases.append(ParallelPhase(name, units))
-    return Schedule.from_phases(
-        f"{program.name}-UNIQUE",
-        phases,
-        scheme="unique-sets",
-        set_sizes=sets.counts(),
-    )
+    return unique_sets_schedule_and_partition(program, params, analysis)[0]

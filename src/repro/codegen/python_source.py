@@ -8,9 +8,10 @@ Three generators whose output is *actually executed* by the test-suite:
   the intermediate set, and returns the visited chain.  The tests compare the
   compiled function against :func:`repro.core.chains.chains_from_recurrence`.
 * :func:`generate_schedule_runner` — a Python function that replays a
-  partitioned schedule over an array store (phases → barriers, units → ordered
-  instance lists) using the program's statement semantics.  The tests compare
-  its effect against the interpreting executor and the sequential reference.
+  partitioned schedule over an array store (phases → barriers, each phase's
+  instances in unit order) using the program's statement semantics.  The
+  tests compare its effect against the interpreting executor and the
+  sequential reference.
 * :func:`generate_symbolic_kernel_source` — the whole-schedule NumPy kernel
   for a *symbolic* plan (:mod:`repro.core.symbolic`): every DOALL phase is a
   strided-grid gather/compute/scatter, the coset-chain phase steps all chains
@@ -145,31 +146,28 @@ def generate_schedule_runner(
     callables ``(store, env, read_values) -> value``; phases are separated by
     comments marking the barrier, mirroring the OpenMP structure.
     """
-    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
+    contexts = program.statement_contexts()
     lines: List[str] = [
         f"def {name}(store, semantics):",
         f'    """Generated from schedule {schedule.name!r} ({schedule.num_phases} phases)."""',
     ]
     for pi, phase in enumerate(schedule.phases):
-        lines.append(f"    # phase {pi}: {phase.name} ({len(phase.units)} parallel units)")
-        for unit in phase.units:
-            for label, iteration in unit.instances:
-                ctx = contexts[label]
-                env_items = ", ".join(
-                    f"{n!r}: {v}" for n, v in zip(ctx.index_names, iteration)
-                )
-                stmt = ctx.statement
-                reads = []
-                for ref in stmt.reads:
-                    idx = ref.evaluate(dict(zip(ctx.index_names, iteration)))
-                    reads.append(f"int(store[{ref.array!r}][{idx!r}])")
-                reads_src = "[" + ", ".join(reads) + "]"
-                lines.append(
-                    f"    _v = semantics[{label!r}](store, {{{env_items}}}, {reads_src})"
-                )
-                for ref in stmt.writes:
-                    idx = ref.evaluate(dict(zip(ctx.index_names, iteration)))
-                    lines.append(f"    store[{ref.array!r}][{idx!r}] = int(_v)")
+        lowered = phase.lower()
+        lines.append(f"    # phase {pi}: {phase.name} ({len(lowered)} parallel units)")
+        for sid, row in zip(lowered.stmt_ids.tolist(), lowered.iters.tolist()):
+            ctx = contexts[sid]
+            env = dict(zip(ctx.index_names, row))
+            env_items = ", ".join(f"{n!r}: {v}" for n, v in env.items())
+            stmt = ctx.statement
+            reads = []
+            for ref in stmt.reads:
+                reads.append(f"int(store[{ref.array!r}][{ref.evaluate(env)!r}])")
+            reads_src = "[" + ", ".join(reads) + "]"
+            lines.append(
+                f"    _v = semantics[{stmt.label!r}](store, {{{env_items}}}, {reads_src})"
+            )
+            for ref in stmt.writes:
+                lines.append(f"    store[{ref.array!r}][{ref.evaluate(env)!r}] = int(_v)")
         lines.append(f"    # ---- barrier after phase {pi} ----")
     lines.append("    return store")
     return "\n".join(lines) + "\n"

@@ -49,14 +49,7 @@ from .recurrence import (
     iteration_space_diameter,
     theorem1_bound,
 )
-from .schedule import (
-    ArrayPhase,
-    ExecutionUnit,
-    Instance,
-    ParallelPhase,
-    Schedule,
-    UnifiedArrayPhase,
-)
+from .schedule import Instance, Phase, Schedule
 from .statement import (
     StatementLevelSpace,
     UnifiedIndexMap,
@@ -118,9 +111,6 @@ __all__ = [
     "strategy_names",
     "strategy_table",
     "Schedule",
-    "ParallelPhase",
-    "ArrayPhase",
-    "UnifiedArrayPhase",
-    "ExecutionUnit",
+    "Phase",
     "Instance",
 ]

@@ -231,18 +231,21 @@ def dataflow_schedule(
 ) -> Schedule:
     """Wrap a dataflow partition into a :class:`Schedule` (one phase per wavefront).
 
-    Each point becomes the single instance ``(label, point)`` and the
-    schedule is **array-backed**: one :class:`~repro.core.schedule.ArrayPhase`
-    per wavefront over the CSR arrays, no per-point unit objects.  Points
-    that stand for statement instances (§3.3) are scheduled by
+    Each point becomes the single instance ``(label, point)`` of a
+    one-statement table, and the wavefronts become DOALL
+    :class:`~repro.core.schedule.Phase` slices of the partition's CSR arrays
+    (:meth:`Schedule.from_levels`) — no per-point unit objects.  Points that
+    stand for statement instances (§3.3) are scheduled by
     :func:`repro.core.statement.statement_dataflow_schedule` instead.
     """
     partition = dataflow_partition(space, rd)
     level_offsets, point_rows = partition.level_arrays()
-    return Schedule.from_arrays(
+    return Schedule.from_levels(
         name,
-        label,
+        (label,),
+        (point_rows.shape[1],),
         level_offsets,
+        0,
         point_rows,
         scheme="dataflow",
         num_steps=partition.num_steps,

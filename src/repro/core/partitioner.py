@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from .chains import (
@@ -53,7 +55,7 @@ from .chains import (
 from .dataflow import dataflow_schedule
 from .partition import ThreeSetPartition, three_set_partition
 from .recurrence import AffineRecurrence, iteration_space_diameter, theorem1_bound
-from .schedule import ArrayPhase, ExecutionUnit, ParallelPhase, Schedule
+from .schedule import Phase, Schedule
 from .statement import (
     StatementLevelSpace,
     build_statement_space,
@@ -124,13 +126,6 @@ class RecurrencePartitionResult:
         return info
 
 
-def _single_statement_label(program: LoopProgram) -> str:
-    labels = [s.label for s in program.statements()]
-    if len(set(labels)) != 1:
-        raise ValueError("expected a single-statement program")
-    return labels[0]
-
-
 def three_phase_schedule(
     name: str,
     label: str,
@@ -139,21 +134,25 @@ def three_phase_schedule(
 ) -> Schedule:
     """Build the P1 → chains → P3 schedule of the single-pair branch.
 
-    The fully parallel DOALL phases (P1, P3) are
-    :class:`~repro.core.schedule.ArrayPhase` views over the partition's sorted
-    row arrays — lexicographic instance order, no per-point unit boxing; the
-    chain phase keeps explicit multi-instance units (a WHILE chain is
-    inherently sequential and tuple-shaped).
+    The fully parallel DOALL phases (P1, P3) are the partition's sorted row
+    arrays — lexicographic instance order, one instance per unit; the chain
+    phase concatenates the chains' points, one unit per chain (a WHILE chain
+    is inherently sequential), delimited by ``unit_offsets``.
     """
-    chain_units = tuple(
-        ExecutionUnit.chain(label, list(chain.points)) for chain in chains
-    )
+    p1, p3 = partition.p1_array(), partition.p3_array()
+    dim = p1.shape[1]
+    lens = [len(chain) for chain in chains]
+    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    chain_points = np.asarray(
+        [p for chain in chains for p in chain.points], dtype=np.int64
+    ).reshape(-1, dim)
     phases = [
-        ArrayPhase("P1 (independent + initial)", label, partition.p1_array()),
-        ParallelPhase("P2 (recurrence chains)", chain_units),
-        ArrayPhase("P3 (final)", label, partition.p3_array()),
+        Phase("P1 (independent + initial)", 0, p1),
+        Phase("P2 (recurrence chains)", 0, chain_points, offsets),
+        Phase("P3 (final)", 0, p3),
     ]
-    return Schedule.from_phases(name, phases, scheme="recurrence-chains")
+    return Schedule.from_phases(name, phases, (label,), (dim,), scheme="recurrence-chains")
 
 
 def recurrence_not_applicable_reason(analysis: DependenceAnalysis) -> Optional[str]:
@@ -266,8 +265,8 @@ def dataflow_branch(
     directly on the iteration-level relation; multi-statement and imperfect
     nests go through the statement-level unified space of §3.3, which is
     itself array-native — the peeling consumes the unified ``(n, width)`` rows
-    and the schedule stays in :class:`~repro.core.schedule.UnifiedArrayPhase`
-    form — so the branch is array-native end to end either way.
+    and each wavefront is one :class:`~repro.core.schedule.Phase` over them —
+    so the branch is array-native end to end either way.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)

@@ -3,11 +3,11 @@
 All partitioners in this package (recurrence chains, dataflow, PDM, unique
 sets, DOACROSS, tiling, ...) ultimately answer the same question: *in what
 order, and with what synchronization, may the statement instances execute?*
-Their answer is a :class:`Schedule` — an ordered sequence of
-:class:`ParallelPhase` objects separated by barriers, where each phase holds
-independent :class:`ExecutionUnit` s that may run concurrently, and each unit
-is a sequence of statement instances that must run in the given order
-(e.g. one monotonic recurrence chain executed by a WHILE loop).
+Their answer is a :class:`Schedule` — an ordered sequence of phases separated
+by barriers, where each phase holds independent *units* that may run
+concurrently, and each unit is a sequence of statement instances that must
+run in the given order (e.g. one monotonic recurrence chain executed by a
+WHILE loop).
 
 This representation captures exactly what the paper's generated code captures:
 ``DOALL`` nests become phases whose units are single instances, the WHILE-loop
@@ -15,23 +15,32 @@ chains become multi-instance units inside the intermediate phase, and barrier
 synchronization exists only *between* phases (``c$omp end do nowait`` inside a
 phase, barriers at the P1/P2 and P2/P3 borders).
 
+A materialised phase is one :class:`Phase`: three int64 arrays and a name.
+
+* ``stmt_ids`` — ``(n,)``, the statement of each instance, an index into the
+  schedule's statement table (:attr:`Schedule.labels`, which lists the
+  program's ``statement_contexts()`` in order); a one-statement phase
+  stores one int instead;
+* ``iters`` — ``(n, width)``, row ``k`` the iteration vector of instance
+  ``k`` (zero-padded past its statement's depth, :attr:`Schedule.depths`);
+* ``unit_offsets`` — the units CSR-style (unit ``u`` owns instances
+  ``unit_offsets[u]:unit_offsets[u+1]``, in order), or ``None`` when every
+  unit is one instance.
+
+The symbolic phases of :mod:`repro.core.symbolic` hold bounds only and turn
+into a :class:`Phase` through the same :meth:`Phase.lower` method, so every
+consumer — the executors, the validators, the cost simulator, codegen —
+reads one form.
+
 The runtime package consumes schedules to (a) validate them against the
 dependence relation and the sequential semantics and (b) estimate/measure
 speedups under a processor-count and overhead model.
-
-Large DOALL phases additionally have an **array-backed form**:
-:class:`ArrayPhase` holds its single-iteration units as one ``(n, dim)``
-int64 array of iteration points instead of ``n`` :class:`ExecutionUnit`
-objects, and :meth:`Schedule.from_arrays` builds a whole wavefront schedule
-from CSR-style ``(level_offsets, point_rows)`` arrays.  The tuple view
-(:attr:`ArrayPhase.units`) is derived lazily, so validators and the cost
-simulator work unchanged while the executors iterate the rows directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,11 +48,10 @@ from ..isl.relations import FiniteRelation, readonly_view
 
 __all__ = [
     "Instance",
-    "ExecutionUnit",
-    "ParallelPhase",
-    "ArrayPhase",
-    "UnifiedArrayPhase",
+    "Phase",
     "Schedule",
+    "point_phases",
+    "statement_table",
 ]
 
 Point = Tuple[int, ...]
@@ -51,71 +59,10 @@ Point = Tuple[int, ...]
 Instance = Tuple[str, Point]
 
 
-@dataclass(frozen=True)
-class ExecutionUnit:
-    """A sequence of statement instances that must execute in order.
-
-    A unit is the smallest schedulable entity: a single iteration of a DOALL
-    loop (one instance) or a whole recurrence chain executed by a WHILE loop
-    (several instances in chain order).
-    """
-
-    instances: Tuple[Instance, ...]
-    kind: str = "iteration"  # "iteration" | "chain" | "block"
-
-    @staticmethod
-    def single(label: str, point: Sequence[int]) -> "ExecutionUnit":
-        return ExecutionUnit(((label, tuple(point)),), "iteration")
-
-    @staticmethod
-    def chain(label: str, points: Sequence[Sequence[int]]) -> "ExecutionUnit":
-        return ExecutionUnit(tuple((label, tuple(p)) for p in points), "chain")
-
-    @staticmethod
-    def block(instances: Sequence[Instance]) -> "ExecutionUnit":
-        return ExecutionUnit(tuple((l, tuple(p)) for l, p in instances), "block")
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    @property
-    def work(self) -> int:
-        """Number of statement instances (the unit's sequential execution time
-        in the unit-cost model)."""
-        return len(self.instances)
-
-
-@dataclass(frozen=True)
-class ParallelPhase:
-    """A set of execution units that may run concurrently, ended by a barrier."""
-
-    name: str
-    units: Tuple[ExecutionUnit, ...]
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-    @property
-    def work(self) -> int:
-        """Total statement instances in the phase."""
-        return sum(u.work for u in self.units)
-
-    @property
-    def span(self) -> int:
-        """Length of the longest unit — the phase's critical path in unit cost."""
-        return max((u.work for u in self.units), default=0)
-
-    def instances(self) -> List[Instance]:
-        out: List[Instance] = []
-        for u in self.units:
-            out.extend(u.instances)
-        return out
-
-
 def validate_csr(level_offsets: np.ndarray, point_rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Validate and normalise CSR-style ``(level_offsets, point_rows)`` arrays.
 
-    Shared by :meth:`Schedule.from_arrays` and
+    Shared by :meth:`Schedule.from_levels` and
     :meth:`~repro.core.dataflow.DataflowPartition.from_arrays`; returns the
     int64-normalised pair or raises :class:`ValueError`.
     """
@@ -129,247 +76,250 @@ def validate_csr(level_offsets: np.ndarray, point_rows: np.ndarray) -> Tuple[np.
         raise ValueError("level_offsets must start at 0 and end at len(point_rows)")
     if (np.diff(offsets) < 0).any():
         raise ValueError("level_offsets must be non-decreasing")
-    # Read-only: the containers cache tuple views derived from these arrays,
-    # so an in-place edit through any alias must raise, not desync.
+    # Read-only: partitions and schedules share slices of these arrays, so
+    # an in-place edit through any alias must raise, not desync.
     return readonly_view(offsets), readonly_view(rows)
 
 
-class ArrayPhase:
-    """A DOALL phase whose units are the rows of an ``(n, dim)`` int64 array.
+def _body_ids(n: int, statements: int):
+    """``stmt_ids`` for ``n`` points of a perfect nest whose body holds
+    ``statements`` statements: ``0 .. statements-1`` repeated per point, or
+    the int ``0`` for a one-statement body."""
+    return 0 if statements == 1 else np.tile(np.arange(statements, dtype=np.int64), n)
 
-    Semantically identical to a :class:`ParallelPhase` of ``n`` single-instance
-    units ``(label, row)`` — :attr:`units` materialises exactly that tuple
-    lazily, so every tuple-path consumer (validators, simulator, codegen)
-    works unchanged — but the executors recognise the class and iterate the
-    rows directly, skipping per-point :class:`ExecutionUnit` boxing.
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when already read-only (a slice of a read-only array —
+    the common case, which keeps a schedule of many small phases lean),
+    else a read-only view."""
+    return arr if not arr.flags.writeable else readonly_view(arr)
+
+
+class Phase:
+    """A set of independent units ended by a barrier, held as arrays.
+
+    See the module docstring for the three arrays.  ``stmt_ids`` may be
+    given as one int, the statement of every instance: a one-statement
+    phase then stores no id array (:attr:`stmt_ids` reads it back as a
+    zero-stride view).  ``len`` is the unit count, ``work`` the instance
+    count and ``span`` the longest unit (the phase's critical path in unit
+    cost).  ``unit_offsets`` that delimit one instance per unit are stored
+    as ``None``, so two phases with the same units compare equal whichever
+    way they were built.  The arrays are stored read-only.
     """
 
-    __slots__ = ("name", "label", "points", "_units")
-
-    def __init__(self, name: str, label: str, points: np.ndarray):
-        self.name = name
-        self.label = label
-        pts = np.asarray(points, dtype=np.int64)
-        if pts.ndim != 2:
-            raise ValueError("ArrayPhase points must be an (n, dim) array")
-        # Stored read-only: the lazy `units` view caches tuples of this data.
-        self.points = readonly_view(pts)
-        self._units: Tuple[ExecutionUnit, ...] | None = None
-
-    @property
-    def units(self) -> Tuple[ExecutionUnit, ...]:
-        if self._units is None:
-            self._units = tuple(
-                ExecutionUnit.single(self.label, p) for p in self.points.tolist()
-            )
-        return self._units
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def work(self) -> int:
-        return len(self.points)
-
-    @property
-    def span(self) -> int:
-        return 1 if len(self.points) else 0
-
-    def instances(self) -> List[Instance]:
-        return [(self.label, tuple(p)) for p in self.points.tolist()]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ArrayPhase):
-            return (
-                self.name == other.name
-                and self.label == other.label
-                and np.array_equal(self.points, other.points)
-            )
-        if isinstance(other, ParallelPhase):
-            return self.name == other.name and self.units == other.units
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Must match ParallelPhase's dataclass hash: the two compare equal
-        # when (name, units) agree, so they have to hash alike too.  Hashing
-        # materialises the unit view; phases are rarely used as dict/set keys.
-        return hash((self.name, self.units))
-
-    def __repr__(self) -> str:
-        return f"ArrayPhase({self.name!r}, {self.label!r}, <{len(self)} points>)"
-
-
-class UnifiedArrayPhase:
-    """A DOALL phase over *statement instances* held as parallel arrays.
-
-    The statement-level analogue of :class:`ArrayPhase` (§3.3): ``rows`` are
-    unified index vectors — ``(s0, i1, s1, ..., il, sl, 0, ...)`` — and
-    ``stmt_ids`` names each row's statement (an index into the ``labels``
-    table, whose per-statement nesting depths are in ``depths``).  The
-    iteration vector of row ``r`` is its odd columns up to the statement's
-    depth: ``rows[r, 1 : 2·depth : 2]``.
-
-    Semantically identical to a :class:`ParallelPhase` of ``n``
-    single-instance block units in row order — :attr:`units` materialises
-    exactly that tuple lazily, so validators, the simulator and codegen work
-    unchanged — but the executors recognise the class and iterate the rows
-    directly.
-    """
-
-    __slots__ = ("name", "labels", "depths", "stmt_ids", "rows", "_units")
+    __slots__ = ("name", "_stmt_ids", "iters", "unit_offsets")
 
     def __init__(
         self,
         name: str,
-        labels: Sequence[str],
-        depths: Sequence[int],
-        stmt_ids: np.ndarray,
-        rows: np.ndarray,
+        stmt_ids: Union[int, np.ndarray],
+        iters: np.ndarray,
+        unit_offsets: Optional[np.ndarray] = None,
     ):
+        rows = np.asarray(iters, dtype=np.int64)
+        if isinstance(stmt_ids, (int, np.integer)):
+            ids = int(stmt_ids)
+        else:
+            ids = _readonly(np.asarray(stmt_ids, dtype=np.int64))
+            if ids.ndim != 1 or len(ids) != len(rows):
+                raise ValueError("stmt_ids must be (n,) parallel to (n, width) iters")
+        if rows.ndim != 2:
+            raise ValueError("iters must be an (n, width) array")
+        if unit_offsets is not None:
+            offsets = np.asarray(unit_offsets, dtype=np.int64)
+            if (
+                offsets.ndim != 1 or len(offsets) == 0
+                or offsets[0] != 0 or offsets[-1] != len(rows)
+                or (np.diff(offsets) <= 0).any()
+            ):
+                raise ValueError(
+                    "unit_offsets must rise strictly from 0 to the instance count"
+                )
+            unit_offsets = None if len(offsets) == len(rows) + 1 else _readonly(offsets)
         self.name = name
-        self.labels = tuple(labels)
-        self.depths = tuple(int(d) for d in depths)
-        if len(self.labels) != len(self.depths):
-            raise ValueError("labels and depths must be parallel")
-        ids = np.asarray(stmt_ids, dtype=np.int64)
-        pts = np.asarray(rows, dtype=np.int64)
-        if ids.ndim != 1 or pts.ndim != 2 or len(ids) != len(pts):
-            raise ValueError("stmt_ids must be (n,) parallel to (n, width) rows")
-        # Stored read-only: the lazy `units` view caches tuples of this data.
-        self.stmt_ids = readonly_view(ids)
-        self.rows = readonly_view(pts)
-        self._units: Tuple[ExecutionUnit, ...] | None = None
+        self._stmt_ids = ids
+        self.iters = _readonly(rows)
+        self.unit_offsets = unit_offsets
 
     @property
-    def units(self) -> Tuple[ExecutionUnit, ...]:
-        if self._units is None:
-            self._units = tuple(
-                ExecutionUnit.block([inst]) for inst in self.instances()
-            )
-        return self._units
+    def stmt_ids(self) -> np.ndarray:
+        """The ``(n,)`` statement of each instance (read-only)."""
+        if isinstance(self._stmt_ids, int):
+            return np.broadcast_to(np.int64(self._stmt_ids), (len(self.iters),))
+        return self._stmt_ids
+
+    @staticmethod
+    def of_points(
+        name: str,
+        points: np.ndarray,
+        statements: int = 1,
+        point_offsets: Optional[np.ndarray] = None,
+    ) -> "Phase":
+        """A phase of a perfect nest whose body holds ``statements`` statements.
+
+        Each row of ``points`` runs every statement of the body in order
+        (statement ids ``0 .. statements-1``); ``point_offsets`` groups the
+        rows into units CSR-style, ``None`` meaning one row per unit.
+        """
+        points = np.asarray(points, dtype=np.int64)
+        if point_offsets is None:
+            point_offsets = np.arange(len(points) + 1, dtype=np.int64)
+        return Phase(
+            name,
+            _body_ids(len(points), statements),
+            np.repeat(points, statements, axis=0) if statements != 1 else points,
+            np.asarray(point_offsets, dtype=np.int64) * statements,
+        )
+
+    def lower(self) -> "Phase":
+        """The phase as arrays: itself (the symbolic phases build one)."""
+        return self
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self.unit_offsets is None:
+            return len(self.iters)
+        return len(self.unit_offsets) - 1
 
     @property
     def work(self) -> int:
-        return len(self.rows)
+        """Total statement instances in the phase."""
+        return len(self.iters)
+
+    def unit_lengths(self) -> np.ndarray:
+        """Instances per unit, in unit order."""
+        if self.unit_offsets is None:
+            return np.ones(len(self.iters), dtype=np.int64)
+        return np.diff(self.unit_offsets)
 
     @property
     def span(self) -> int:
-        return 1 if len(self.rows) else 0
-
-    def instances(self) -> List[Instance]:
-        labels, depths = self.labels, self.depths
-        return [
-            (labels[sid], tuple(row[1 : 2 * depths[sid] : 2]))
-            for sid, row in zip(self.stmt_ids.tolist(), self.rows.tolist())
-        ]
+        """Length of the longest unit — the phase's critical path in unit cost."""
+        if not len(self.iters):
+            return 0
+        return 1 if self.unit_offsets is None else int(self.unit_lengths().max())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UnifiedArrayPhase):
-            return (
-                self.name == other.name
-                and self.labels == other.labels
-                and self.depths == other.depths
-                and np.array_equal(self.stmt_ids, other.stmt_ids)
-                and np.array_equal(self.rows, other.rows)
-            )
-        if isinstance(other, ParallelPhase):
-            return self.name == other.name and self.units == other.units
-        return NotImplemented
+        if not isinstance(other, Phase):
+            return NotImplemented
+        mine, theirs = self.unit_offsets, other.unit_offsets
+        return (
+            self.name == other.name
+            and np.array_equal(self.stmt_ids, other.stmt_ids)
+            and np.array_equal(self.iters, other.iters)
+            and (mine is None) == (theirs is None)
+            and (mine is None or np.array_equal(mine, theirs))
+        )
 
-    def __hash__(self) -> int:
-        # Must match ParallelPhase's dataclass hash (see ArrayPhase.__hash__).
-        return hash((self.name, self.units))
+    __hash__ = None  # equal by array value, so not hashable
 
     def __repr__(self) -> str:
-        return (
-            f"UnifiedArrayPhase({self.name!r}, <{len(self)} instances, "
-            f"{len(self.labels)} statements>)"
+        return f"Phase({self.name!r}, <{len(self)} units, {self.work} instances>)"
+
+
+def point_phases(
+    names: Sequence[str], points: np.ndarray, bounds: Sequence[int], statements: int = 1
+) -> List[Phase]:
+    """DOALL phases of a perfect nest whose body holds ``statements`` statements.
+
+    Phase ``k`` is named ``names[k]`` and runs rows
+    ``bounds[k]:bounds[k+1]`` of ``points``, one unit per row; a unit runs
+    every statement of the body in order.  The phases slice two shared
+    arrays, so many small phases stay cheap.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    ids = _body_ids(len(points), statements)
+    iters = readonly_view(np.repeat(points, statements, axis=0) if statements != 1 else points)
+    return [
+        Phase(
+            name,
+            ids if statements == 1 else ids[lo * statements : hi * statements],
+            iters[lo * statements : hi * statements],
+            None if statements == 1 else np.arange(hi - lo + 1) * statements,
         )
+        for name, lo, hi in zip(names, bounds, bounds[1:])
+    ]
+
+
+def statement_table(program) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+    """``(labels, depths)`` of ``program.statement_contexts()``, in order:
+    the statement table a schedule's ``stmt_ids`` index."""
+    contexts = program.statement_contexts()
+    return (
+        tuple(ctx.statement.label for ctx in contexts),
+        tuple(ctx.depth for ctx in contexts),
+    )
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """An ordered sequence of parallel phases separated by barriers."""
+    """An ordered sequence of parallel phases separated by barriers.
+
+    ``labels`` and ``depths`` are the statement table the phases'
+    ``stmt_ids`` index (see :func:`statement_table`).
+    """
 
     name: str
-    phases: Tuple[ParallelPhase, ...]
+    phases: Tuple[Phase, ...]
+    labels: Tuple[str, ...]
+    depths: Tuple[int, ...]
     meta: Mapping[str, object] = field(default_factory=dict)
 
     # -- construction ---------------------------------------------------------
 
     @staticmethod
     def from_phases(
-        name: str, phases: Sequence[ParallelPhase], **meta
-    ) -> "Schedule":
-        return Schedule(name, tuple(p for p in phases if len(p) > 0), dict(meta))
-
-    @staticmethod
-    def from_arrays(
         name: str,
-        label: str,
-        level_offsets: np.ndarray,
-        point_rows: np.ndarray,
-        phase_prefix: str = "wavefront",
-        **meta,
-    ) -> "Schedule":
-        """A wavefront schedule from CSR-style arrays, one :class:`ArrayPhase`
-        per level.
-
-        ``point_rows`` is the ``(total, dim)`` array of all iteration points
-        and ``level_offsets`` the ``(levels + 1,)`` prefix-sum array: level
-        ``k`` owns rows ``level_offsets[k]:level_offsets[k+1]``.  Empty levels
-        are dropped, mirroring :meth:`from_phases`.
-        """
-        offsets, rows = validate_csr(level_offsets, point_rows)
-        phases = []
-        for level in range(len(offsets) - 1):
-            chunk = rows[int(offsets[level]) : int(offsets[level + 1])]
-            if len(chunk):
-                phases.append(ArrayPhase(f"{phase_prefix}-{level}", label, chunk))
-        return Schedule(name, tuple(phases), dict(meta))
-
-    @staticmethod
-    def from_unified_arrays(
-        name: str,
-        level_offsets: np.ndarray,
-        rows: np.ndarray,
-        stmt_ids: np.ndarray,
+        phases: Sequence[Phase],
         labels: Sequence[str],
         depths: Sequence[int],
+        **meta,
+    ) -> "Schedule":
+        """A schedule over the given phases; empty phases are dropped."""
+        return Schedule(
+            name,
+            tuple(p for p in phases if len(p) > 0),
+            tuple(labels),
+            tuple(int(d) for d in depths),
+            dict(meta),
+        )
+
+    @staticmethod
+    def for_program(name: str, program, phases: Sequence[Phase], **meta) -> "Schedule":
+        """:meth:`from_phases` with ``program``'s statement table."""
+        return Schedule.from_phases(name, phases, *statement_table(program), **meta)
+
+    @staticmethod
+    def from_levels(
+        name: str,
+        labels: Sequence[str],
+        depths: Sequence[int],
+        level_offsets: np.ndarray,
+        stmt_ids: Union[int, np.ndarray],
+        iters: np.ndarray,
         phase_prefix: str = "wavefront",
         **meta,
     ) -> "Schedule":
-        """A statement-level wavefront schedule from CSR-style arrays.
+        """A wavefront schedule from CSR-style arrays, one DOALL phase per level.
 
-        The §3.3 twin of :meth:`from_arrays`: ``rows`` holds unified index
-        vectors and ``stmt_ids`` (parallel to ``rows``) the statement of each
-        instance; level ``k`` owns rows ``level_offsets[k]:level_offsets[k+1]``
-        and becomes one :class:`UnifiedArrayPhase`.  Empty levels are dropped.
+        ``stmt_ids`` / ``iters`` hold every instance (see :class:`Phase`;
+        one int is the statement of every instance), level-major, and ``level_offsets`` the ``(levels + 1,)`` prefix
+        sums: level ``k`` owns rows ``level_offsets[k]:level_offsets[k+1]``
+        and becomes phase ``f"{phase_prefix}-{k}"``, one instance per unit.
+        Empty levels are dropped.
         """
-        offsets, pts = validate_csr(level_offsets, rows)
-        ids = np.asarray(stmt_ids, dtype=np.int64)
-        if ids.ndim != 1 or len(ids) != len(pts):
-            raise ValueError("stmt_ids must be (n,) parallel to the point rows")
-        phases = []
-        for level in range(len(offsets) - 1):
-            lo, hi = int(offsets[level]), int(offsets[level + 1])
-            if hi > lo:
-                phases.append(
-                    UnifiedArrayPhase(
-                        f"{phase_prefix}-{level}", labels, depths,
-                        ids[lo:hi], pts[lo:hi],
-                    )
-                )
-        return Schedule(name, tuple(phases), dict(meta))
-
-    @staticmethod
-    def sequential(name: str, instances: Sequence[Instance]) -> "Schedule":
-        """The degenerate schedule: everything in one unit of one phase."""
-        unit = ExecutionUnit.block(list(instances))
-        return Schedule(name, (ParallelPhase("sequential", (unit,)),), {})
+        offsets, rows = validate_csr(level_offsets, iters)
+        uniform = isinstance(stmt_ids, (int, np.integer))
+        ids = stmt_ids if uniform else np.asarray(stmt_ids, dtype=np.int64)
+        if not uniform and (ids.ndim != 1 or len(ids) != len(rows)):
+            raise ValueError("stmt_ids must be (n,) parallel to the iteration rows")
+        bounds = offsets.tolist()
+        phases = [
+            Phase(f"{phase_prefix}-{level}", ids if uniform else ids[lo:hi], rows[lo:hi])
+            for level, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if hi > lo
+        ]
+        return Schedule.from_phases(name, phases, labels, depths, **meta)
 
     # -- aggregate metrics ------------------------------------------------------
 
@@ -395,15 +345,20 @@ class Schedule:
         """Work/span ratio — the speedup on unboundedly many unit-cost processors."""
         return self.total_work / self.span if self.span else float("nan")
 
+    def phase_instances(self, phase) -> List[Instance]:
+        """One phase's instances as ``(label, iteration)``, in unit order."""
+        lowered = phase.lower()
+        labels, depths = self.labels, self.depths
+        return [
+            (labels[sid], tuple(row[: depths[sid]]))
+            for sid, row in zip(lowered.stmt_ids.tolist(), lowered.iters.tolist())
+        ]
+
     def instances(self) -> List[Instance]:
         out: List[Instance] = []
         for p in self.phases:
-            out.extend(p.instances())
+            out.extend(self.phase_instances(p))
         return out
-
-    def instance_counts(self) -> Dict[str, int]:
-        """Instances per phase name (useful in reports)."""
-        return {p.name: p.work for p in self.phases}
 
     # -- safety checking ----------------------------------------------------------
 
@@ -416,9 +371,14 @@ class Schedule:
         """Map instance -> (phase number, unit number, position inside unit)."""
         out: Dict[Instance, Tuple[int, int, int]] = {}
         for pi, phase in enumerate(self.phases):
-            for ui, unit in enumerate(phase.units):
-                for k, inst in enumerate(unit.instances):
-                    out[inst] = (pi, ui, k)
+            lens = phase.lower().unit_lengths()
+            unit = np.repeat(np.arange(len(lens)), lens)
+            starts = np.repeat(np.cumsum(lens) - lens, lens)
+            position = np.arange(len(unit)) - starts
+            for inst, u, k in zip(
+                self.phase_instances(phase), unit.tolist(), position.tolist()
+            ):
+                out[inst] = (pi, u, k)
         return out
 
     def respects(

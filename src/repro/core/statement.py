@@ -376,21 +376,21 @@ def statement_dataflow_schedule(name: str, space: StatementLevelSpace) -> Schedu
 
     The wavefronts stay in array form end to end: the partition's CSR rows
     are unified vectors, the statement of each row is recovered with one
-    vectorised :meth:`StatementLevelSpace.stmt_ids_of` lookup, and the result
-    is a :class:`~repro.core.schedule.UnifiedArrayPhase` schedule — no
-    frozenset of unified points, no per-instance
-    :class:`~repro.core.schedule.ExecutionUnit` boxing.  Instances run in
-    lexicographic order within each wavefront.
+    vectorised :meth:`StatementLevelSpace.stmt_ids_of` lookup, and each
+    level becomes one DOALL :class:`~repro.core.schedule.Phase` whose
+    iteration rows are the unified rows' odd columns (interpretation stops
+    at each statement's depth, so the padding is never read).  Instances
+    run in lexicographic order within each wavefront.
     """
     partition = dataflow_partition(space.space_array, space.rd)
     level_offsets, point_rows = partition.level_arrays()
-    return Schedule.from_unified_arrays(
+    return Schedule.from_levels(
         name,
-        level_offsets,
-        point_rows,
-        space.stmt_ids_of(point_rows),
         space.stmt_labels,
         space.stmt_depths,
+        level_offsets,
+        space.stmt_ids_of(point_rows),
+        point_rows[:, 1::2],
         scheme="dataflow",
         num_steps=partition.num_steps,
     )

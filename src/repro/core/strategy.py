@@ -276,33 +276,26 @@ def _perfect_nest_only(ctx: PlanningContext) -> Optional[str]:
 
 
 def _pdm_builder(ctx: PlanningContext) -> StrategyBuild:
-    from ..baselines.pdm import pdm_partition, pdm_schedule
+    from ..baselines.pdm import pdm_schedule_and_partition
 
-    schedule = pdm_schedule(ctx.program, ctx.params, ctx.analysis)
-    partition = None
-    if ctx.is_perfect_nest:
-        partition = pdm_partition(
-            ctx.analysis.iteration_space_points, ctx.analysis.iteration_dependences
-        )
-    return StrategyBuild(schedule=schedule, partition=partition)
+    schedule, partition = pdm_schedule_and_partition(ctx.program, ctx.params, ctx.analysis)
+    return StrategyBuild(
+        schedule=schedule, partition=partition if ctx.is_perfect_nest else None
+    )
 
 
 def _pl_builder(ctx: PlanningContext) -> StrategyBuild:
-    from ..baselines.pl import pl_partition, pl_schedule
+    from ..baselines.pl import pl_schedule_and_partition
 
-    schedule = pl_schedule(ctx.program, ctx.params, ctx.analysis)
-    partition = pl_partition(
-        ctx.analysis.iteration_space_points, ctx.analysis.iteration_dependences
-    )
+    schedule, partition = pl_schedule_and_partition(ctx.program, ctx.params, ctx.analysis)
     return StrategyBuild(schedule=schedule, partition=partition)
 
 
 def _unique_sets_builder(ctx: PlanningContext) -> StrategyBuild:
-    from ..baselines.unique_sets import unique_sets_partition, unique_sets_schedule
+    from ..baselines.unique_sets import unique_sets_schedule_and_partition
 
-    schedule = unique_sets_schedule(ctx.program, ctx.params, ctx.analysis)
-    partition = unique_sets_partition(
-        ctx.analysis.iteration_space_points, ctx.analysis.iteration_dependences
+    schedule, partition = unique_sets_schedule_and_partition(
+        ctx.program, ctx.params, ctx.analysis
     )
     return StrategyBuild(schedule=schedule, partition=partition)
 

@@ -20,9 +20,9 @@ size is independent of N:
   fallback chain moves on.
 * :class:`SymbolicDoallPhase` / :class:`CosetChainPhase` — schedule phases
   that store boxes, not points.  ``len`` / ``work`` / ``span`` are products
-  and closed-form chain bounds; the tuple ``units`` view (validators, the
-  simulator, the serial executor) materialises lazily, exactly like
-  :class:`~repro.core.schedule.ArrayPhase`.
+  and closed-form chain bounds; :meth:`~SymbolicDoallPhase.lower` builds the
+  materialised :class:`~repro.core.schedule.Phase` only when a consumer
+  (the interpreter, the validators, the simulator) asks for it.
 
 The chain phase realises the ROADMAP's coset observation: for a uniform
 distance ``u`` the chains are cosets of the distance lattice
@@ -52,7 +52,7 @@ from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from .partition import symbolic_three_set_partition
 from .partitioner import PartitioningNotApplicable
-from .schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
+from .schedule import Phase, Schedule
 
 __all__ = [
     "SymbolicDoallPhase",
@@ -97,19 +97,16 @@ def _box_points(box: Box) -> np.ndarray:
 class SymbolicDoallPhase:
     """A DOALL phase over a union of disjoint integer boxes.
 
-    The symbolic twin of :class:`~repro.core.schedule.ArrayPhase`: metrics
-    (``len`` / ``work`` / ``span``) are closed-form products of the box
-    extents, so building and inspecting the phase costs O(boxes), not
-    O(points).  ``points_array()`` / ``units`` / ``instances()`` materialise
-    the enumerated views lazily for consumers that need them (validators,
-    the cost simulator, the serial executor at test sizes).
+    Metrics (``len`` / ``work`` / ``span``) are closed-form products of the
+    box extents, so building and inspecting the phase costs O(boxes), not
+    O(points).  :meth:`lower` enumerates the points, one instance of the
+    program's single statement per unit.
     """
 
-    __slots__ = ("name", "label", "boxes", "_count", "_points", "_units")
+    __slots__ = ("name", "boxes", "_count", "_points")
 
-    def __init__(self, name: str, label: str, boxes: Sequence[Box]):
+    def __init__(self, name: str, boxes: Sequence[Box]):
         self.name = name
-        self.label = label
         kept = []
         for box in boxes:
             norm = tuple((int(lo), int(hi)) for lo, hi in box)
@@ -118,7 +115,6 @@ class SymbolicDoallPhase:
         self.boxes: Tuple[Box, ...] = tuple(kept)
         self._count = sum(box_count(b) for b in self.boxes)
         self._points: Optional[np.ndarray] = None
-        self._units: Optional[Tuple[ExecutionUnit, ...]] = None
 
     def __len__(self) -> int:
         return self._count
@@ -142,36 +138,22 @@ class SymbolicDoallPhase:
                 self._points = np.zeros((0, dim), dtype=np.int64)
         return self._points
 
-    @property
-    def units(self) -> Tuple[ExecutionUnit, ...]:
-        if self._units is None:
-            self._units = tuple(
-                ExecutionUnit.single(self.label, p)
-                for p in self.points_array().tolist()
-            )
-        return self._units
-
-    def instances(self) -> List[Instance]:
-        return [(self.label, tuple(p)) for p in self.points_array().tolist()]
+    def lower(self) -> Phase:
+        """The enumerated phase: every point, in box order, one unit each."""
+        points = self.points_array()
+        return Phase(self.name, 0, points)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, SymbolicDoallPhase):
-            return (
-                self.name == other.name
-                and self.label == other.label
-                and self.boxes == other.boxes
-            )
-        if isinstance(other, ParallelPhase):
-            return self.name == other.name and self.units == other.units
-        return NotImplemented
+        if not isinstance(other, SymbolicDoallPhase):
+            return NotImplemented
+        return self.name == other.name and self.boxes == other.boxes
 
     def __hash__(self) -> int:
-        # Must match ParallelPhase's dataclass hash (see ArrayPhase.__hash__).
-        return hash((self.name, self.units))
+        return hash((self.name, self.boxes))
 
     def __repr__(self) -> str:
         return (
-            f"SymbolicDoallPhase({self.name!r}, {self.label!r}, "
+            f"SymbolicDoallPhase({self.name!r}, "
             f"<{len(self.boxes)} boxes, {self._count} points>)"
         )
 
@@ -188,20 +170,17 @@ class CosetChainPhase:
     """
 
     __slots__ = (
-        "name", "label", "start_boxes", "step", "box",
-        "_work", "_n_chains", "_chains", "_units",
+        "name", "start_boxes", "step", "box", "_work", "_n_chains", "_chains",
     )
 
     def __init__(
         self,
         name: str,
-        label: str,
         start_boxes: Sequence[Box],
         step: Sequence[int],
         box: Box,
     ):
         self.name = name
-        self.label = label
         self.step: Tuple[int, ...] = tuple(int(c) for c in step)
         if not any(self.step):
             raise ValueError("CosetChainPhase needs a non-zero step")
@@ -215,7 +194,6 @@ class CosetChainPhase:
         self._work = box_count(self.box) if self.start_boxes else 0
         self._n_chains = sum(box_count(b) for b in self.start_boxes)
         self._chains: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._units: Optional[Tuple[ExecutionUnit, ...]] = None
 
     def __len__(self) -> int:
         return self._n_chains
@@ -276,43 +254,30 @@ class CosetChainPhase:
             self._chains = (starts, lens)
         return self._chains
 
-    @property
-    def units(self) -> Tuple[ExecutionUnit, ...]:
-        if self._units is None:
-            starts, lens = self.chains()
-            step = self.step
-            units = []
-            for start, length in zip(starts.tolist(), lens.tolist()):
-                points = [
-                    tuple(c + t * s for c, s in zip(start, step))
-                    for t in range(length)
-                ]
-                units.append(ExecutionUnit.chain(self.label, points))
-            self._units = tuple(units)
-        return self._units
-
-    def instances(self) -> List[Instance]:
-        out: List[Instance] = []
-        for u in self.units:
-            out.extend(u.instances)
-        return out
+    def lower(self) -> Phase:
+        """The enumerated phase: chain ``c`` is ``start_c + t·step`` for
+        ``t < len_c``, the chains laid out back to back, one unit each."""
+        starts, lens = self.chains()
+        offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        t = np.arange(offsets[-1], dtype=np.int64) - np.repeat(offsets[:-1], lens)
+        iters = np.repeat(starts, lens, axis=0) + t[:, None] * np.asarray(
+            self.step, dtype=np.int64
+        )
+        return Phase(self.name, 0, iters, offsets)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, CosetChainPhase):
-            return (
-                self.name == other.name
-                and self.label == other.label
-                and self.start_boxes == other.start_boxes
-                and self.step == other.step
-                and self.box == other.box
-            )
-        if isinstance(other, ParallelPhase):
-            return self.name == other.name and self.units == other.units
-        return NotImplemented
+        if not isinstance(other, CosetChainPhase):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.start_boxes == other.start_boxes
+            and self.step == other.step
+            and self.box == other.box
+        )
 
     def __hash__(self) -> int:
-        # Must match ParallelPhase's dataclass hash (see ArrayPhase.__hash__).
-        return hash((self.name, self.units))
+        return hash((self.name, self.start_boxes, self.step, self.box))
 
     def __repr__(self) -> str:
         return (
@@ -515,23 +480,19 @@ def build_symbolic_schedule(
             f"{n_p1 + n_p2 + n_p3} != |Phi| = {n_phi}"
         )
 
-    label = program.statement_contexts()[0].statement.label
-    phases = [SymbolicDoallPhase("P1-doall", label, p1_boxes)]
+    phases = [SymbolicDoallPhase("P1-doall", p1_boxes)]
     if n_p2:
-        phases.append(
-            CosetChainPhase(
-                "P2-chains", label, w_boxes, shift, p2_boxes[0]
-            )
-        )
-    phases.append(SymbolicDoallPhase("P3-doall", label, p3_boxes))
+        phases.append(CosetChainPhase("P2-chains", w_boxes, shift, p2_boxes[0]))
+    phases.append(SymbolicDoallPhase("P3-doall", p3_boxes))
 
     key_params = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
     if not fingerprint:
         from .strategy import program_fingerprint
 
         fingerprint = program_fingerprint(program)
-    return Schedule.from_phases(
+    return Schedule.for_program(
         f"symbolic-{program.name}",
+        program,
         phases,
         scheme="symbolic",
         shift=shift,

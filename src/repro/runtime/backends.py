@@ -24,7 +24,7 @@ instance/worker/timing counters):
     with the reason recorded in ``RunResult.meta``.
 
 ``serial`` and ``process`` differ only in transport: each phase is lowered
-once (:func:`~repro.runtime.executor.lower_phase`), its units shuffled and
+once into its arrays (``phase.lower()``), its units shuffled and
 dealt round-robin (:func:`~repro.runtime.executor.split_phase`), and every
 slice runs through the one interpreter loop
 (:func:`~repro.runtime.executor.run_instances`) — inline, phase by phase, or
@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
-from .executor import ArrayStore, lower_phase, make_store, run_instances, split_phase
+from .executor import ArrayStore, make_store, run_instances, split_phase
 
 __all__ = [
     "ExecConfig",
@@ -296,13 +296,12 @@ def _serial_runner(
     """The reference executor: one process, phases in order, units shuffled."""
     store = store if store is not None else make_store(program)
     contexts = program.statement_contexts()
-    label_ids = {ctx.statement.label: i for i, ctx in enumerate(contexts)}
     rng = None if config.seed is None else random.Random(config.seed)
     stats = []
     t_run = time.perf_counter()
     for phase in schedule.phases:
         t0 = time.perf_counter()
-        tasks = split_phase(lower_phase(phase, label_ids), 1, rng)
+        tasks = split_phase(phase.lower(), 1, rng)
         executed = sum(run_instances(contexts, ids, iters, store) for ids, iters in tasks)
         stats.append(
             PhaseStats(phase.name, executed, len(phase), len(tasks), time.perf_counter() - t0)

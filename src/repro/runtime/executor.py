@@ -2,15 +2,16 @@
 
 * :func:`execute_sequential` — runs the program in original sequential order;
   this is the semantic ground truth.
-* :func:`lower_phase` / :func:`split_phase` / :func:`run_instances` — the one
-  way a schedule phase is executed, shared by the ``serial`` and ``process``
-  backends of :mod:`repro.runtime.backends` (and by ``compiled``'s serial
-  fallback).  Every phase kind lowers once into flat ``(stmt_ids, iters, unit_offsets)`` arrays; its
-  units are shuffled (to emulate an arbitrary interleaving: a schedule that
-  is only correct under some lucky intra-phase order is exposed) and dealt
-  round-robin to the workers; each worker's slice runs through one
-  interpreter loop.  Instances inside a unit keep their order (a WHILE chain
-  is sequential by construction).
+* :func:`split_phase` / :func:`run_instances` — the one way a schedule
+  phase is executed, shared by the ``serial`` and ``process`` backends of
+  :mod:`repro.runtime.backends` (and by ``compiled``'s serial fallback).
+  Every phase is (or lowers through ``phase.lower()`` into) one
+  :class:`~repro.core.schedule.Phase` of flat ``(stmt_ids, iters,
+  unit_offsets)`` arrays; its units are shuffled (to emulate an arbitrary
+  interleaving: a schedule that is only correct under some lucky
+  intra-phase order is exposed) and dealt round-robin to the workers; each
+  worker's slice runs through one interpreter loop.  Instances inside a
+  unit keep their order (a WHILE chain is sequential by construction).
 
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so
@@ -26,8 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.schedule import ArrayPhase, Schedule, UnifiedArrayPhase
-from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
+from ..core.schedule import Phase, Schedule
 from ..ir.nodes import Statement
 from ..ir.program import LoopProgram
 from ..ir.semantics import DEFAULT_SEMANTICS
@@ -36,7 +36,6 @@ __all__ = [
     "ArrayStore",
     "make_store",
     "execute_sequential",
-    "lower_phase",
     "split_phase",
     "run_instances",
     "validate_schedule",
@@ -130,68 +129,14 @@ def execute_sequential(
     return store
 
 
-#: One phase lowered for execution: ``(stmt_ids, iters, unit_offsets)``.
-#: ``stmt_ids`` indexes ``program.statement_contexts()``; row ``k`` of the
-#: ``(n, width)`` int64 ``iters`` is that statement's iteration vector (padded
-#: past its depth); ``unit_offsets`` delimits the units CSR-style, ``None``
-#: meaning one instance per unit.
-Lowered = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
-
 #: A worker's share of one phase: ``(stmt_ids, iters)`` in execution order.
 Task = Tuple[np.ndarray, np.ndarray]
 
 
-def lower_phase(phase, label_ids: Mapping[str, int]) -> Lowered:
-    """Lower any schedule phase into the flat form every transport runs.
-
-    ``label_ids`` maps statement labels to their index in
-    ``program.statement_contexts()``.  Array-backed phases are sliced or
-    expanded vectorised — a cached plan's coset chains never materialise unit
-    tuples — and any other phase is flattened from its ``units``.
-    """
-    if isinstance(phase, ArrayPhase):
-        points = phase.points
-        return np.full(len(points), label_ids[phase.label], np.int64), points, None
-    if isinstance(phase, SymbolicDoallPhase):
-        points = phase.points_array()
-        return np.full(len(points), label_ids[phase.label], np.int64), points, None
-    if isinstance(phase, UnifiedArrayPhase):
-        # Odd columns of a unified row are its loop indices; interpretation
-        # stops at each statement's depth, so the padding never reaches it.
-        remap = np.asarray([label_ids[l] for l in phase.labels], dtype=np.int64)
-        return remap[phase.stmt_ids], phase.rows[:, 1::2], None
-    if isinstance(phase, CosetChainPhase):
-        # Chain c is start_c + t*step for t < len_c, laid out back to back.
-        starts, lens = phase.chains()
-        offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        t = np.arange(offsets[-1], dtype=np.int64) - np.repeat(offsets[:-1], lens)
-        iters = np.repeat(starts, lens, axis=0) + t[:, None] * np.asarray(
-            phase.step, dtype=np.int64
-        )
-        return np.full(len(iters), label_ids[phase.label], np.int64), iters, offsets
-    ids: List[int] = []
-    rows: List[Sequence[int]] = []
-    offsets = [0]
-    for unit in phase.units:
-        for label, iteration in unit.instances:
-            ids.append(label_ids[label])
-            rows.append(iteration)
-        offsets.append(len(ids))
-    width = max(map(len, rows), default=0)
-    if any(len(r) != width for r in rows):
-        rows = [list(r) + [0] * (width - len(r)) for r in rows]
-    return (
-        np.asarray(ids, dtype=np.int64),
-        np.asarray(rows, dtype=np.int64).reshape(len(rows), width),
-        None if offsets == list(range(len(offsets))) else np.asarray(offsets, dtype=np.int64),
-    )
-
-
 def split_phase(
-    lowered: Lowered, workers: int, rng: Optional[random.Random]
+    phase: Phase, workers: int, rng: Optional[random.Random]
 ) -> List[Task]:
-    """Shuffle a lowered phase's units and deal them round-robin.
+    """Shuffle a phase's units and deal them round-robin.
 
     ``rng.shuffle`` permutes a list of unit indices — the same permutation it
     would apply to a list of the units themselves, so a seed fixes the visit
@@ -199,8 +144,8 @@ def split_phase(
     ``workers=1``).  Each task keeps its units' instances contiguous and in
     order; workers without a unit get no task.
     """
-    stmt_ids, iters, offsets = lowered
-    n_units = len(stmt_ids) if offsets is None else len(offsets) - 1
+    stmt_ids, iters, offsets = phase.stmt_ids, phase.iters, phase.unit_offsets
+    n_units = len(phase)
     order = list(range(n_units))
     if rng is not None:
         rng.shuffle(order)

@@ -16,7 +16,7 @@ Protocol (one message, a worker-side barrier, one ack per execution):
    which is what lets a serving daemon keep one pool warm across many
    requests (:mod:`repro.serving`);
 2. per execution, the parent lowers and splits **every** phase up front
-   (:func:`~repro.runtime.executor.lower_phase` /
+   (``phase.lower()`` /
    :func:`~repro.runtime.executor.split_phase`, shared with every other
    backend, one shuffle generator drawn in phase order), packs the arrays
    into a fresh :class:`~repro.runtime.shm.SharedArrayStore` and sends each
@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..ir.program import LoopProgram
-from .executor import lower_phase, run_instances, split_phase
+from .executor import run_instances, split_phase
 from .shm import SharedArrayStore
 
 __all__ = ["ProcessPool", "default_mp_context", "process_unavailable_reason"]
@@ -163,11 +163,6 @@ class ProcessPool:
         self._barrier = self._ctx.Barrier(workers)
         self._procs = []
         self._conns = []
-        # Statement ids as the workers index their statement contexts.
-        self._label_ids = {
-            ctx.statement.label: i
-            for i, ctx in enumerate(program.statement_contexts())
-        }
         # The payload cache: (schedule, seed, token, per-phase task counts).
         self._last: Optional[tuple] = None
         self._tokens = itertools.count()
@@ -257,7 +252,7 @@ class ProcessPool:
         slices = [[] for _ in range(self.workers)]
         task_counts = []
         for phase in schedule.phases:
-            tasks = split_phase(lower_phase(phase, self._label_ids), self.workers, rng)
+            tasks = split_phase(phase.lower(), self.workers, rng)
             task_counts.append(len(tasks))
             for k in range(self.workers):
                 slices[k].append(tasks[k] if k < len(tasks) else None)

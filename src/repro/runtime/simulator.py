@@ -117,8 +117,8 @@ def simulate_schedule(
     busy = 0.0
     for phase in schedule.phases:
         unit_costs = [
-            u.work * cm.iteration_cost * cm.instance_cost_factor + cm.bound_evaluation_cost
-            for u in phase.units
+            work * cm.iteration_cost * cm.instance_cost_factor + cm.bound_evaluation_cost
+            for work in phase.lower().unit_lengths().tolist()
         ]
         busy += sum(unit_costs)
         makespan = _phase_makespan(unit_costs, processors, cm.unit_overhead)

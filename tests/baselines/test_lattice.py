@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,12 +88,19 @@ class TestDistanceLattice:
 
     def test_cosets_partition_the_space(self):
         lattice = DistanceLattice.from_vectors([(2, 2)], 2)
-        points = [(i, j) for i in range(1, 5) for j in range(1, 5)]
-        cosets = lattice.cosets(points)
-        flattened = [p for members in cosets.values() for p in members]
-        assert sorted(flattened) == sorted(points)
-        # members of a coset differ by lattice vectors
-        for members in cosets.values():
+        points = np.array([(i, j) for i in range(1, 5) for j in range(1, 5)])
+        order, offsets = lattice.group(points)
+        assert sorted(order.tolist()) == list(range(len(points)))
+        cosets = [points[order[lo:hi]].tolist() for lo, hi in zip(offsets, offsets[1:])]
+        for members in cosets:
+            assert members == sorted(members)  # lexicographic inside a coset
+            # members of a coset differ by lattice vectors
             base = members[0]
             for other in members[1:]:
                 assert lattice.contains((other[0] - base[0], other[1] - base[1]))
+        # different cosets are not lattice translates of each other
+        heads = [members[0] for members in cosets]
+        for a in heads:
+            for b in heads:
+                if a != b:
+                    assert not lattice.contains((a[0] - b[0], a[1] - b[1]))

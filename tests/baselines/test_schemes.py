@@ -19,6 +19,7 @@ from repro.baselines import (
     unique_sets_partition,
     unique_sets_schedule,
 )
+from repro.baselines.unique_sets import SETS
 from repro.core import PlanConfig, plan
 from repro.core.statement import build_statement_space
 from repro.dependence import DependenceAnalysis
@@ -115,14 +116,23 @@ class TestUniqueSets:
             analysis.iteration_space_points, analysis.iteration_dependences
         )
         counts = sets.counts()
-        assert sum(counts.values()) == len(analysis.iteration_space_points)
-        # heads/tails/intersection are disjoint
-        all_sets = [
-            sets.independent, sets.flow_head, sets.anti_head,
-            sets.intersection, sets.flow_tail, sets.anti_tail,
-        ]
-        total = sum(len(s) for s in all_sets)
-        assert total == len(set().union(*all_sets))
+        space = set(analysis.iteration_space_points)
+        assert sum(counts.values()) == len(space)
+        # every point lies in exactly one set, by the degree definitions
+        pairs = analysis.iteration_dependences.pairs
+        dom = {src for src, _ in pairs}
+        ran = {dst for _, dst in pairs}
+
+        def points(*names):
+            return set(map(tuple, sets.rows(*names).tolist()))
+
+        assert points(*SETS) == space
+        assert points("independent") == space - dom - ran
+        assert points("flow_head", "anti_head") == dom - ran
+        assert points("intersection") == dom & ran
+        assert points("flow_tail", "anti_tail") == ran - dom
+        single_source = {d for d in ran - dom if sum(1 for _, t in pairs if t == d) == 1}
+        assert points("flow_tail") == single_source
 
 
 class TestDoacross:
@@ -187,3 +197,27 @@ class TestInnerParallel:
         analysis = DependenceAnalysis(prog, {})
         sched = inner_parallel_schedule(prog, {}, analysis)
         check(prog, sched, analysis.iteration_dependences)
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "compiled"])
+    def test_sibling_top_level_nests_keep_program_order(self, backend):
+        """Cholesky has two sibling top-level nests; grouping on the unified
+        prefix (s0, i1) keeps them in program order instead of merging
+        equal i1 values of both nests into one phase."""
+        from repro.runtime import execute_sequential
+        from repro.runtime.process import process_unavailable_reason
+
+        if backend == "process" and process_unavailable_reason() is not None:
+            pytest.skip(process_unavailable_reason())
+        prog = cholesky_loop(nmat=1, m=2, n=4, nrhs=1)
+        p = plan(prog, config=PlanConfig(strategies=("inner-parallel",)), cache=False)
+        assert p.validate(seeds=(0, 1, 2)).ok
+        assert [ph.name for ph in p.schedule.phases][:2] == ["outer(0, 0)", "outer(0, 1)"]
+        ref = execute_sequential(prog, {})
+        for seed in (0, 1):
+            out = p.execute(backend=backend, workers=2, seed=seed).store
+            for name in ref:
+                assert np.array_equal(ref[name], out[name]), (backend, name)
+
+    def test_single_nest_phases_are_named_by_the_outer_index(self):
+        sched = inner_parallel_schedule(example3_loop(5), {})
+        assert [ph.name for ph in sched.phases] == [f"outer({i},)" for i in range(1, 6)]

@@ -2,7 +2,7 @@
 
 ``test_bulk_equivalence`` pins the partitioners; this module pins the whole
 pipeline: program → exact Rd (sort/merge join) → three-set / dataflow
-partition → :class:`ArrayPhase` schedule → execution.  For every example
+partition → array :class:`~repro.core.schedule.Phase` schedule → execution.  For every example
 workload the planned pipeline must produce the same Rd, P1/P2/P3/W sets,
 wavefronts, per-phase instances and :func:`validate_schedule` results as the
 brute-force tuple oracle of ``tests/oracle.py``.
@@ -15,7 +15,7 @@ import oracle
 from repro.core.dataflow import DataflowPartition, dataflow_partition, dataflow_schedule
 from repro.core.partition import three_set_partition
 from repro.core.partitioner import recurrence_branch
-from repro.core.schedule import ArrayPhase, ParallelPhase, Schedule
+from repro.core.schedule import Phase, Schedule
 from repro.core.strategy import PlanConfig, plan
 from repro.dependence.analysis import DependenceAnalysis
 from repro.isl.relations import FiniteRelation
@@ -83,12 +83,12 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_process_execution_matches_sequential(self, prog):
         sched_a = run_pipeline(prog)[0].schedule
-        assert any(isinstance(p, ArrayPhase) for p in sched_a.phases)
+        assert all(isinstance(p, Phase) for p in sched_a.phases)
         run = execute(prog, sched_a, backend="process", workers=2)
         reference = execute_sequential(prog, {})
         for name in reference:
             assert np.array_equal(reference[name], run.store[name])
-        assert run.instances_executed == sum(len(p.points) for p in sched_a.phases)
+        assert run.instances_executed == sum(p.work for p in sched_a.phases)
 
 
 class TestArrayBackedPartitionViews:
@@ -146,8 +146,9 @@ class TestRecurrenceChainArrayPhases:
         prog = large_uniform_loop(80, 80)
         result = recurrence_branch(prog)
         assert result.scheme == "recurrence-chains"
-        kinds = [type(p) for p in result.schedule.phases]
-        assert ArrayPhase in kinds  # P1/P3 emitted as array views
+        # P1/P3 are DOALL slices of the partition's rows, P2 one unit per chain.
+        units = [p.unit_offsets is None for p in result.schedule.phases]
+        assert units == [True, False, True]
         report = validate_schedule(
             prog,
             result.schedule,
@@ -159,12 +160,15 @@ class TestRecurrenceChainArrayPhases:
     def test_small_program_gets_array_doall_phases_and_matches(self):
         prog = figure1_loop(10, 10)
         result = recurrence_branch(prog)
-        kinds = [type(p) for p in result.schedule.phases]
-        assert kinds == [ArrayPhase, ParallelPhase, ArrayPhase]  # P1, chains, P3
         expected = oracle.three_sets(oracle.space_points(prog), result.partition.rd)
-        p1, _, p3 = result.schedule.phases
-        assert [pt for _, pt in p1.instances()] == sorted(expected.p1)
-        assert [pt for _, pt in p3.instances()] == sorted(expected.p3)
+        p1, p2, p3 = result.schedule.phases
+        instances = result.schedule.phase_instances
+        assert [pt for _, pt in instances(p1)] == sorted(expected.p1)
+        assert [pt for _, pt in instances(p3)] == sorted(expected.p3)
+        chains = [tuple(c.points) for c in result.chains]
+        bounds = [0, *np.cumsum(p2.unit_lengths()).tolist()]  # one unit per chain
+        p2_points = [pt for _, pt in instances(p2)]
+        assert [tuple(p2_points[lo:hi]) for lo, hi in zip(bounds, bounds[1:])] == chains
         report = validate_schedule(
             prog,
             result.schedule,
@@ -178,7 +182,10 @@ class TestScheduleFromArrays:
     def make(self):
         rows = np.array([[1, 1], [1, 2], [2, 1], [2, 2], [3, 3]], dtype=np.int64)
         offsets = np.array([0, 2, 4, 5], dtype=np.int64)
-        return Schedule.from_arrays("s", "stmt", offsets, rows, scheme="dataflow")
+        return Schedule.from_levels(
+            "s", ("stmt",), (2,), offsets, np.zeros(5, dtype=np.int64), rows,
+            scheme="dataflow",
+        )
 
     def test_structure_and_metrics(self):
         sched = self.make()
@@ -193,30 +200,26 @@ class TestScheduleFromArrays:
         assert sched.max_parallelism == 2
         assert sched.meta["scheme"] == "dataflow"
 
-    def test_units_are_lazy_and_equivalent(self):
-        sched = self.make()
-        phase = sched.phases[0]
-        assert phase._units is None
-        tuple_phase = ParallelPhase("wavefront-0", phase.units)
-        assert phase == tuple_phase
-        assert hash(phase) == hash(tuple_phase)  # eq/hash contract across kinds
-        assert phase.instances() == tuple_phase.instances()
-
     def test_empty_levels_dropped(self):
         rows = np.array([[1], [2]], dtype=np.int64)
         offsets = np.array([0, 0, 2, 2], dtype=np.int64)
-        sched = Schedule.from_arrays("s", "stmt", offsets, rows)
+        sched = Schedule.from_levels("s", ("stmt",), (1,), offsets, [0, 0], rows)
         assert sched.num_phases == 1
         assert sched.phases[0].name == "wavefront-1"
 
     def test_bad_offsets_rejected(self):
         rows = np.array([[1], [2]], dtype=np.int64)
+        def build(offsets):
+            return Schedule.from_levels("s", ("stmt",), (1,), offsets, [0, 0], rows)
+
         with pytest.raises(ValueError):
-            Schedule.from_arrays("s", "stmt", np.array([0, 1]), rows)
+            build(np.array([0, 1]))
         with pytest.raises(ValueError):
-            Schedule.from_arrays("s", "stmt", np.array([1, 2]), rows)
+            build(np.array([1, 2]))
         with pytest.raises(ValueError):  # non-monotonic: would replay rows
-            Schedule.from_arrays("s", "stmt", np.array([0, 2, 1, 2]), rows)
+            build(np.array([0, 2, 1, 2]))
+        with pytest.raises(ValueError):  # statement ids not parallel to rows
+            Schedule.from_levels("s", ("stmt",), (1,), np.array([0, 2]), [0], rows)
 
     def test_executor_handles_mixed_phase_kinds(self):
         prog = figure2_loop(20)
@@ -225,7 +228,10 @@ class TestScheduleFromArrays:
         arr_sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
         tup_sched = oracle.unit_schedule(prog)
         mixed = Schedule(
-            "mixed", (arr_sched.phases[0],) + tup_sched.phases[1:], {}
+            "mixed",
+            (arr_sched.phases[0],) + tup_sched.phases[1:],
+            arr_sched.labels,
+            arr_sched.depths,
         )
         result = execute(prog, mixed, {}).store
         reference = execute_sequential(prog, {})
@@ -244,16 +250,15 @@ class TestArrayBackedIsConstructionFact:
         assert is_uniform_relation(rel, np.array(points, dtype=np.int64)) == expected
 
     def test_stored_arrays_are_read_only(self):
-        # The lazy tuple views cache data derived from the stored arrays; an
+        # Schedules, partitions and relations share and cache these arrays; an
         # in-place edit through any alias must raise, never silently desync.
         prog = figure2_loop(20)
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
         sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
         phase = sched.phases[0]
-        _ = phase.units  # materialise the tuple view
         with pytest.raises(ValueError):
-            phase.points[0, 0] = 999
+            phase.iters[0, 0] = 999
         part = three_set_partition(analysis.iteration_space_array, rd)
         with pytest.raises(ValueError):
             part.p1_array()[0, 0] = 999

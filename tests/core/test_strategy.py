@@ -75,7 +75,7 @@ def schedule_mismatches(a, b):
     for pa, pb in zip(a.phases, b.phases):
         if pa.name != pb.name:
             problems.append(f"phase name {pa.name!r} != {pb.name!r}")
-        if pa.instances() != pb.instances():
+        if a.phase_instances(pa) != b.phase_instances(pb):
             problems.append(f"instances differ in phase {pa.name!r}")
     return problems
 
@@ -416,10 +416,9 @@ def _backwards(p):
     """The plan with its phases run in reverse order."""
     from dataclasses import replace
 
-    from repro.core.schedule import Schedule
-
     phases = tuple(reversed(p.schedule.phases))
-    return replace(p, schedule=Schedule(p.schedule.name + "-reversed", phases))
+    schedule = replace(p.schedule, name=p.schedule.name + "-reversed", phases=phases)
+    return replace(p, schedule=schedule)
 
 
 class TestStatementLevelValidation:

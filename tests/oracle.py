@@ -19,7 +19,9 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from repro.core.schedule import ExecutionUnit, ParallelPhase, Schedule
+import numpy as np
+
+from repro.core.schedule import Phase, Schedule, statement_table
 from repro.core.statement import UnifiedIndexMap
 from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.exact import enumerate_domain, reference_addresses
@@ -168,18 +170,25 @@ def dataflow_phases(program, params=None) -> List[Tuple[str, List[Instance]]]:
 
 
 def unit_schedule(program, params=None) -> Schedule:
-    """:func:`dataflow_phases` as a schedule of one tuple block unit per
-    instance — the unit-phase shape the executors run next to array phases."""
-    phases = [
-        ParallelPhase(name, tuple(ExecutionUnit.block([inst]) for inst in instances))
-        for name, instances in dataflow_phases(program, params)
-    ]
-    return Schedule.from_phases(f"{program.name}-oracle", phases, scheme="dataflow")
+    """:func:`dataflow_phases` as a schedule of one unit per instance, its
+    phases filled row by row from the instance lists (never from a planner's
+    arrays)."""
+    labels, depths = statement_table(program)
+    sid = {label: k for k, label in enumerate(labels)}
+    width = max(depths, default=0)
+    phases = []
+    for name, instances in dataflow_phases(program, params):
+        ids = [sid[label] for label, _ in instances]
+        rows = [list(it) + [0] * (width - len(it)) for _, it in instances]
+        phases.append(Phase(name, ids, np.array(rows, dtype=np.int64).reshape(len(rows), width)))
+    return Schedule.from_phases(
+        f"{program.name}-oracle", phases, labels, depths, scheme="dataflow"
+    )
 
 
 def schedule_phases(schedule) -> List[Tuple[str, List[Instance]]]:
     """A planned schedule in the shape :func:`dataflow_phases` returns."""
-    return [(phase.name, phase.instances()) for phase in schedule.phases]
+    return [(phase.name, schedule.phase_instances(phase)) for phase in schedule.phases]
 
 
 def is_uniform(relation: FiniteRelation, points) -> bool:

@@ -10,14 +10,16 @@ stream, over *varied* initial stores (``make_store(fill="random", seed=...)``
 — a schedule bug that only corrupts some initial contents still has to be
 caught).
 
-The schedules come in three kinds: the always-applicable dataflow strategy
-as planned (array phases) or as the oracle's tuple block units, whose
-validity on generated programs is already pinned by the statement-level
-differential suite, and the ``symbolic`` strategy on symbolic-eligible
-programs (``SymbolicDoallPhase`` boxes and ``CosetChainPhase`` chains).  The
-property under test is the *executor*, not the partitioner.  The
-process-backend property forks a 2-worker pool per example, so it runs a
-reduced example budget.
+The schedules are the oracle's one-unit-per-instance wavefronts
+(``tests/oracle.py::unit_schedule``, built from instance lists, never from
+the planner) and **every registered strategy's schedule on a draw it
+applies to** — so each builder (dataflow, recurrence chains, PDM, PL,
+unique sets, DOACROSS, tiling, inner-parallel, symbolic boxes and coset
+chains) is pinned bit-identical to the sequential run on every backend.
+Draws come from ``loop_programs()`` or ``symbolic_programs()`` (the latter
+is where ``symbolic`` and ``recurrence-chains`` apply).  The
+process-backend property starts one 2-worker pool per example and runs
+every schedule through it, on a reduced example budget.
 """
 
 import numpy as np
@@ -26,73 +28,59 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 import oracle
-from repro.core.partitioner import dataflow_branch
-from repro.core.strategy import PlanConfig, plan
-from repro.core.symbolic import CosetChainPhase, SymbolicDoallPhase
+from repro.core.partitioner import PartitioningNotApplicable, dataflow_branch
+from repro.core.strategy import PlanConfig, plan, strategy_names
 from repro.runtime import execute, execute_sequential, make_store
-from repro.runtime.process import process_unavailable_reason
+from repro.runtime.process import ProcessPool, process_unavailable_reason
 from strategies import loop_programs, symbolic_programs
 
-#: The phase shapes an executor must run: tuple units, arrays, and the
-#: symbolic strategy's boxes and coset chains.
-KINDS = ("units", "arrays", "symbolic")
-
-SYMBOLIC = PlanConfig(strategies=("symbolic",))
+#: Every schedule source: the oracle's units, then each registered strategy.
+KINDS = ("units",) + strategy_names()
 
 
-@st.composite
-def cases(draw):
-    """A ``(program, kind)`` pair: symbolic-eligible programs for the
-    ``symbolic`` kind, general generated nests otherwise."""
-    kind = draw(st.sampled_from(KINDS))
-    prog = draw(symbolic_programs() if kind == "symbolic" else loop_programs())
-    return prog, kind
+def _schedules(prog):
+    """``{kind: schedule}`` for every kind that applies to ``prog``."""
+    out = {"units": oracle.unit_schedule(prog)}
+    for name in KINDS[1:]:
+        try:
+            out[name] = plan(
+                prog, config=PlanConfig(strategies=(name,)), cache=False
+            ).schedule
+        except PartitioningNotApplicable:
+            continue
+    return out
 
 
-def _schedule(prog, kind):
-    if kind == "units":
-        return oracle.unit_schedule(prog)
-    if kind == "symbolic":
-        schedule = plan(prog, config=SYMBOLIC, cache=False).schedule
-        assert all(
-            isinstance(ph, (SymbolicDoallPhase, CosetChainPhase))
-            for ph in schedule.phases
-        )
-        return schedule
-    return dataflow_branch(prog, {}).schedule
+programs = st.one_of(loop_programs(), symbolic_programs())
 
 
-def _reference_and_schedule(case, fill_seed):
-    prog, kind = case
-    schedule = _schedule(prog, kind)
-    init = make_store(prog, fill="random", seed=fill_seed)
-    ref = execute_sequential(
-        prog, {}, store={k: v.copy() for k, v in init.items()}
-    )
-    return prog, schedule, init, ref
-
-
-def _assert_backend_matches(prog, schedule, init, ref, backend, **overrides):
+def _run(prog, schedule, init, backend, **overrides):
     store = {k: v.copy() for k, v in init.items()}
-    result = execute(prog, schedule, {}, store=store, backend=backend, **overrides)
-    for name in ref:
-        assert np.array_equal(ref[name], result.store[name]), (
-            f"{backend} diverged from sequential on {name!r}"
-        )
+    return execute(prog, schedule, {}, store=store, backend=backend, **overrides).store
+
+
+def _assert_every_schedule_matches(prog, fill_seed, backend, **overrides):
+    init = make_store(prog, fill="random", seed=fill_seed)
+    ref = execute_sequential(prog, {}, store={k: v.copy() for k, v in init.items()})
+    for kind, schedule in _schedules(prog).items():
+        out = _run(prog, schedule, init, backend, seed=fill_seed, **overrides)
+        for name in ref:
+            assert np.array_equal(ref[name], out[name]), (
+                f"{backend} diverged from sequential on {name!r} "
+                f"running the {kind} schedule"
+            )
 
 
 class TestBackendDifferential:
-    @given(case=cases(), fill_seed=st.integers(0, 2**16))
-    def test_serial_backend_bit_identical(self, case, fill_seed):
-        prog, schedule, init, ref = _reference_and_schedule(case, fill_seed)
-        _assert_backend_matches(prog, schedule, init, ref, "serial", seed=fill_seed)
+    @given(prog=programs, fill_seed=st.integers(0, 2**16))
+    def test_serial_backend_bit_identical(self, prog, fill_seed):
+        _assert_every_schedule_matches(prog, fill_seed, "serial")
 
-    @given(case=cases(), fill_seed=st.integers(0, 2**16))
-    def test_compiled_backend_bit_identical(self, case, fill_seed):
+    @given(prog=programs, fill_seed=st.integers(0, 2**16))
+    def test_compiled_backend_bit_identical(self, prog, fill_seed):
         """Symbolic schedules run their generated kernel; the others take the
         serial fallback."""
-        prog, schedule, init, ref = _reference_and_schedule(case, fill_seed)
-        _assert_backend_matches(prog, schedule, init, ref, "compiled", seed=fill_seed)
+        _assert_every_schedule_matches(prog, fill_seed, "compiled")
 
     @pytest.mark.skipif(
         process_unavailable_reason() is not None,
@@ -100,25 +88,19 @@ class TestBackendDifferential:
     )
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(case=cases(), fill_seed=st.integers(0, 2**16))
-    def test_process_backend_bit_identical(self, case, fill_seed):
-        prog, schedule, init, ref = _reference_and_schedule(case, fill_seed)
-        _assert_backend_matches(
-            prog, schedule, init, ref, "process", workers=2, seed=fill_seed
-        )
+    @given(prog=programs, fill_seed=st.integers(0, 2**16))
+    def test_process_backend_bit_identical(self, prog, fill_seed):
+        with ProcessPool(prog, workers=2) as pool:
+            _assert_every_schedule_matches(prog, fill_seed, "process", pool=pool)
 
     @given(prog=loop_programs(min_statements=2), fill_seed=st.integers(0, 2**16))
     def test_backends_agree_across_engines(self, prog, fill_seed):
-        """Tuple-unit and array schedules of the same program execute to the
-        same store through the registry (phase kind must not matter)."""
-        set_schedule = _schedule(prog, "units")
-        vec_schedule = _schedule(prog, "arrays")
+        """The oracle's units and the planned dataflow arrays of the same
+        program execute to the same store through the registry."""
         init = make_store(prog, fill="random", seed=fill_seed)
-        outs = []
-        for schedule in (set_schedule, vec_schedule):
-            store = {k: v.copy() for k, v in init.items()}
-            outs.append(
-                execute(prog, schedule, {}, store=store, backend="serial").store
-            )
+        outs = [
+            _run(prog, schedule, init, "serial")
+            for schedule in (oracle.unit_schedule(prog), dataflow_branch(prog, {}).schedule)
+        ]
         for name in outs[0]:
             assert np.array_equal(outs[0][name], outs[1][name])

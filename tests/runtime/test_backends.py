@@ -41,8 +41,8 @@ ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 EXECUTING_BACKENDS = ("serial", "process", "compiled")
 
-#: (program, PlanConfig) pairs covering unit phases (recurrence chains),
-#: ArrayPhase wavefronts and statement-level UnifiedArrayPhase wavefronts.
+#: (program, PlanConfig) pairs covering chain units (recurrence chains),
+#: iteration-level and statement-level wavefronts.
 WORKLOADS = [
     (figure1_loop(10, 12), None),
     (figure2_loop(16), None),
@@ -238,23 +238,16 @@ class TestShuffleContract:
     def test_serial_visits_units_in_shuffled_index_order(self, seed):
         import random
 
-        from repro.core import (
-            ArrayPhase,
-            ExecutionUnit,
-            ParallelPhase,
-            Schedule,
-            UnifiedArrayPhase,
-        )
+        from repro.core import Phase, Schedule
+        from repro.core.symbolic import SymbolicDoallPhase
 
         chains = [[(i, j) for j in range(4)] for i in range(4)]
         points = [(i, j) for i in range(4) for j in range(4)]
+        ids = np.zeros(len(points), dtype=np.int64)
         phases = (
-            ParallelPhase("units", tuple(ExecutionUnit.chain("s", c) for c in chains)),
-            ArrayPhase("array", "s", np.array(points)),
-            UnifiedArrayPhase(
-                "unified", ("s",), (2,), np.zeros(len(points), dtype=np.int64),
-                np.array([(0, i, 0, j, 0) for i, j in points]),
-            ),
+            Phase("units", ids, np.array(points), np.arange(5) * 4),
+            Phase("array", ids, np.array(points)),
+            SymbolicDoallPhase("boxes", [((0, 3), (0, 3))]),
         )
         rng = random.Random(seed)
         expected = []
@@ -265,7 +258,7 @@ class TestShuffleContract:
 
         log = []
         prog = _logging_program(log)
-        execute(prog, Schedule("contract", phases), {}, backend="serial", seed=seed)
+        execute(prog, Schedule("contract", phases, ("s",), (2,)), {}, backend="serial", seed=seed)
         assert log == expected
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ExecutionUnit, ParallelPhase, PlanConfig, Schedule, plan
+from repro.core import Phase, PlanConfig, Schedule, plan
 from repro.runtime import execute
 from repro.runtime.executor import execute_sequential, make_store, validate_schedule
 from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
@@ -11,6 +11,17 @@ from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
 
 #: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
 ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
+
+
+def flat_schedule(schedule):
+    """Every instance of ``schedule`` in one fully parallel phase."""
+    phases = [p.lower() for p in schedule.phases]
+    everything = Phase(
+        "all",
+        np.concatenate([p.stmt_ids for p in phases]),
+        np.concatenate([p.iters for p in phases]),
+    )
+    return Schedule.from_phases("flat", [everything], schedule.labels, schedule.depths)
 
 
 class TestStore:
@@ -85,8 +96,8 @@ class TestScheduleExecution:
         """Executing the phases in reverse order must change the result."""
         prog = figure1_loop(10, 12)
         result = plan(prog, config=ALGORITHM1, cache=False)
-        reversed_schedule = Schedule.from_phases(
-            "reversed", list(reversed(result.schedule.phases))
+        reversed_schedule = Schedule.for_program(
+            "reversed", prog, list(reversed(result.schedule.phases))
         )
         ref = execute_sequential(prog, {})
         out = execute(prog, reversed_schedule, {}, seed=0).store
@@ -95,7 +106,7 @@ class TestScheduleExecution:
     def test_missing_instances_detected_by_validator(self):
         prog = figure2_loop(20)
         result = plan(prog, config=ALGORITHM1, cache=False)
-        truncated = Schedule.from_phases("truncated", result.schedule.phases[:1])
+        truncated = Schedule.for_program("truncated", prog, result.schedule.phases[:1])
         report = validate_schedule(prog, truncated, {})
         assert not report.covers_all_instances
         assert not report.ok
@@ -115,18 +126,7 @@ class TestScheduleExecution:
         the dependences and (with enough seeds) the semantics check."""
         prog = figure1_loop(10, 12)
         analysis_result = plan(prog, config=ALGORITHM1, cache=False)
-        flat = Schedule.from_phases(
-            "flat",
-            [
-                ParallelPhase(
-                    "all",
-                    tuple(
-                        ExecutionUnit.single(label, point)
-                        for label, point in analysis_result.schedule.instances()
-                    ),
-                )
-            ],
-        )
+        flat = flat_schedule(analysis_result.schedule)
         report = validate_schedule(
             prog, flat, {}, dependences=analysis_result.analysis.iteration_dependences,
             seeds=tuple(range(8)),
@@ -162,18 +162,7 @@ class TestScheduleExecution:
         match), a dependence-violating schedule still fails validation."""
         prog = figure1_loop(8, 8)
         analysis_result = plan(prog, config=ALGORITHM1, cache=False)
-        flat = Schedule.from_phases(
-            "flat",
-            [
-                ParallelPhase(
-                    "all",
-                    tuple(
-                        ExecutionUnit.single(label, point)
-                        for label, point in analysis_result.schedule.instances()
-                    ),
-                )
-            ],
-        )
+        flat = flat_schedule(analysis_result.schedule)
         report = validate_schedule(
             prog, flat, {}, dependences=analysis_result.analysis.iteration_dependences,
             seeds=(),

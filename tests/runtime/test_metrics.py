@@ -30,7 +30,7 @@ class TestScheduleParallelism:
     def test_empty_schedule_reports_zero_not_nan(self):
         from repro.core.schedule import Schedule
 
-        metrics = schedule_parallelism(Schedule.from_phases("empty", []))
+        metrics = schedule_parallelism(Schedule.from_phases("empty", [], (), ()))
         assert metrics["work"] == 0.0
         assert metrics["span"] == 0.0
         assert metrics["average_parallelism"] == 0.0  # not NaN

@@ -21,7 +21,7 @@ import pytest
 from repro.core.strategy import PlanConfig, plan
 from repro.runtime import execute, execute_sequential, make_store
 from repro.runtime.backends import ExecConfig
-from repro.runtime.executor import lower_phase, split_phase
+from repro.runtime.executor import split_phase
 from repro.runtime.process import (
     ProcessPool,
     default_mp_context,
@@ -100,15 +100,20 @@ class TestSharedArrayStore:
 
 class TestProcessPool:
     def test_pool_runs_all_phase_kinds(self):
-        """One pool executes unit phases, ArrayPhase and UnifiedArrayPhase —
-        each worker gets all its slices at once and barriers between phases."""
+        """One pool executes chain units, iteration-level and statement-level
+        wavefronts and symbolic phases — each worker gets all its slices at
+        once and barriers between phases."""
         cases = [
-            (figure1_loop(8, 8), None),  # unit phases (P1/chains/P3)
-            (  # ArrayPhase wavefronts
+            (figure1_loop(8, 8), None),  # P1 / chain units / P3
+            (  # iteration-level wavefronts
                 large_uniform_loop(8, 6),
                 PlanConfig(strategies=("dataflow",)),
             ),
-            (  # statement-level UnifiedArrayPhase wavefronts
+            (  # boxes and coset chains, lowered on demand
+                large_uniform_loop(8, 6),
+                PlanConfig(strategies=("symbolic",)),
+            ),
+            (  # statement-level wavefronts
                 large_cholesky_nest(10),
                 PlanConfig(strategies=("dataflow",)),
             ),
@@ -319,10 +324,7 @@ class TestPoolLifecycle:
         for stmt in prog.statements():
             object.__setattr__(stmt, "semantics", _slow_semantics)
         p = plan(prog, cache=False)
-        label_ids = {
-            ctx.statement.label: i for i, ctx in enumerate(prog.statement_contexts())
-        }
-        tasks = split_phase(lower_phase(p.schedule.phases[0], label_ids), WORKERS, None)
+        tasks = split_phase(p.schedule.phases[0].lower(), WORKERS, None)
         assert len(tasks) == WORKERS
         slow = next(
             k for k, (_, iters) in enumerate(tasks)
@@ -498,9 +500,6 @@ class TestOneRoundTrip:
         """Every PhaseStats.instances / .workers is what split_phase gives
         for the same seed, drawn in phase order."""
         prog = figure1_loop(8, 8)
-        label_ids = {
-            ctx.statement.label: i for i, ctx in enumerate(prog.statement_contexts())
-        }
         with ProcessPool(prog, workers=WORKERS) as pool:
             for strategies in (None, ("dataflow",), ("doacross",)):
                 config = None if strategies is None else PlanConfig(strategies=strategies)
@@ -510,6 +509,6 @@ class TestOneRoundTrip:
                                      seed=seed, pool=pool)
                     rng = None if seed is None else random.Random(seed)
                     for stat, phase in zip(result.phase_stats, p.schedule.phases):
-                        tasks = split_phase(lower_phase(phase, label_ids), WORKERS, rng)
+                        tasks = split_phase(phase.lower(), WORKERS, rng)
                         assert stat.instances == sum(len(ids) for ids, _ in tasks)
                         assert stat.workers == len(tasks)

@@ -1,10 +1,11 @@
 """Tests for repro.runtime.simulator: the SMP cost model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExecutionUnit, ParallelPhase, PlanConfig, Schedule, plan
+from repro.core import Phase, PlanConfig, Schedule, plan
 from repro.runtime.simulator import CostModel, simulate_schedule, speedup_curve
 from repro.workloads.examples import figure1_loop
 
@@ -14,18 +15,17 @@ ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 def uniform_schedule(units, work_per_unit=1, phases=1):
-    phase_list = []
-    for p in range(phases):
-        phase_list.append(
-            ParallelPhase(
-                f"p{p}",
-                tuple(
-                    ExecutionUnit.chain("s", [(p, u, k) for k in range(work_per_unit)])
-                    for u in range(units)
-                ),
-            )
+    """``phases`` phases of ``units`` chains, each ``work_per_unit`` long."""
+    phase_list = [
+        Phase(
+            f"p{p}",
+            np.zeros(units * work_per_unit, dtype=np.int64),
+            [(p, u, k) for u in range(units) for k in range(work_per_unit)],
+            np.arange(units + 1) * work_per_unit,
         )
-    return Schedule.from_phases("uniform", phase_list)
+        for p in range(phases)
+    ]
+    return Schedule.from_phases("uniform", phase_list, ("s",), (3,))
 
 
 class TestCostModel:

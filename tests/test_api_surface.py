@@ -39,3 +39,38 @@ def test_facade_is_exported_top_level():
     for attr in ("plan", "Plan", "PlanConfig", "PlanCache", "strategy_names"):
         assert attr in repro.__all__
         assert hasattr(repro, attr)
+
+
+def test_one_materialised_phase_form():
+    """A schedule phase is one :class:`Phase` of arrays (or a symbolic phase
+    that lowers to one): the retired tuple and per-kind array phase classes
+    are gone from ``repro.core``."""
+    import repro.core as core
+    import repro.core.schedule as schedule
+
+    for name in ("ExecutionUnit", "ParallelPhase", "ArrayPhase", "UnifiedArrayPhase"):
+        assert name not in core.__all__
+        assert not hasattr(core, name)
+        assert not hasattr(schedule, name)
+    assert "Phase" in core.__all__
+
+
+def test_names_the_steady_benchmark_wraps_exist():
+    """perfbench wraps these attributes by name to time its layers; a
+    rename must be a deliberate change to the benchmark, not a silent miss."""
+    from repro.analysis import features
+    from repro.codegen import python_source
+    from repro.core import strategy
+    from repro.runtime import backends
+
+    for module, name in (
+        (backends, "_serial_runner"),
+        (backends, "execute"),
+        (strategy, "plan"),
+        (strategy, "program_fingerprint"),
+        (strategy, "DependenceAnalysis"),
+        (strategy, "get_strategy"),
+        (features, "program_features"),
+        (python_source, "ensure_symbolic_kernel"),
+    ):
+        assert callable(getattr(module, name)), f"{module.__name__}.{name}"
