@@ -34,7 +34,7 @@ def main(n1: int = 30, n2: int = 100) -> None:
             [[name, counts[name]] for name in ("space", "P1", "P2", "P3", "W")],
         )
     )
-    print(f"chains          : {len(result.chains)} "
+    print(f"chains          : {result.summary().get('n_chains', 0)} "
           f"(longest {result.longest_chain()}, Theorem 1 bound {result.chain_length_bound()})")
     print(f"phases          : {result.schedule.num_phases}")
     print(f"ideal speedup   : {result.schedule.ideal_speedup():.1f}")

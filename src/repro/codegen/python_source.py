@@ -6,7 +6,8 @@ Three generators whose output is *actually executed* by the test-suite:
   Python source: starting from an iteration it repeatedly applies
   ``i ← i·T + u`` (with explicit integrality checks) while the image stays in
   the intermediate set, and returns the visited chain.  The tests compare the
-  compiled function against :func:`repro.core.chains.chains_from_recurrence`.
+  compiled function against the units of the P2 phase that
+  :func:`repro.core.chains.chain_phase` builds.
 * :func:`generate_schedule_runner` — a Python function that replays a
   partitioned schedule over an array store (phases → barriers, each phase's
   instances in unit order) using the program's statement semantics.  The

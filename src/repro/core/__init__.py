@@ -4,8 +4,8 @@
   concrete and symbolic;
 * :mod:`repro.core.recurrence` — the affine recurrence ``i ← i·T + u`` of
   §3.2 and the Theorem 1 chain-length bound;
-* :mod:`repro.core.chains` — monotonic dependence chains (Definition 1) and
-  their extraction from the relation or from the recurrence (Lemma 1);
+* :mod:`repro.core.chains` — monotonic dependence chains (Definition 1): the
+  P2 phase built from the relation's arrays, one unit per chain (Lemma 1);
 * :mod:`repro.core.dataflow` — the iterative dataflow partitioning branch of
   Algorithm 1 for multiple coupled subscripts with constant bounds;
 * :mod:`repro.core.statement` — the statement-level iteration space extension
@@ -22,13 +22,7 @@
   :func:`~repro.core.strategy.plan` entry point.
 """
 
-from .chains import (
-    MonotonicChain,
-    chains_from_recurrence,
-    chains_from_relation,
-    split_into_monotonic_pairs,
-    verify_disjoint_chains,
-)
+from .chains import chain_phase, split_into_monotonic_pairs
 from .dataflow import DataflowPartition, dataflow_partition, dataflow_schedule
 from .partition import (
     SymbolicThreeSetPartition,
@@ -45,7 +39,6 @@ from .partitioner import (
 )
 from .recurrence import (
     AffineRecurrence,
-    chain_length_bound_holds,
     iteration_space_diameter,
     theorem1_bound,
 )
@@ -81,12 +74,8 @@ __all__ = [
     "AffineRecurrence",
     "theorem1_bound",
     "iteration_space_diameter",
-    "chain_length_bound_holds",
-    "MonotonicChain",
-    "chains_from_relation",
-    "chains_from_recurrence",
+    "chain_phase",
     "split_into_monotonic_pairs",
-    "verify_disjoint_chains",
     "DataflowPartition",
     "dataflow_partition",
     "dataflow_schedule",

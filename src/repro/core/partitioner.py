@@ -39,19 +39,13 @@ The returned schedule always satisfies (and the tests verify):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from .chains import (
-    MonotonicChain,
-    chains_from_recurrence,
-    chains_from_relation,
-    chains_respect_relation,
-    verify_disjoint_chains,
-)
+from .chains import CHAIN_PHASE, chain_phase
 from .dataflow import dataflow_schedule
 from .partition import ThreeSetPartition, three_set_partition
 from .recurrence import AffineRecurrence, iteration_space_diameter, theorem1_bound
@@ -70,9 +64,6 @@ __all__ = [
     "three_phase_schedule",
 ]
 
-Point = Tuple[int, ...]
-
-
 class PartitioningNotApplicable(RuntimeError):
     """Raised when neither branch of Algorithm 1 applies (PDM fallback needed)."""
 
@@ -86,7 +77,6 @@ class RecurrencePartitionResult:
     scheme: str  # "recurrence-chains" | "dataflow"
     schedule: Schedule
     partition: Optional[ThreeSetPartition]
-    chains: Tuple[MonotonicChain, ...]
     recurrence: Optional[AffineRecurrence]
     statement_space: Optional[StatementLevelSpace]
     analysis: DependenceAnalysis
@@ -106,8 +96,17 @@ class RecurrencePartitionResult:
         diameter = iteration_space_diameter(self.partition.space_array())
         return theorem1_bound(self.recurrence, diameter)
 
+    def chain_lengths(self) -> np.ndarray:
+        """Points per chain, in unit order: the P2 phase's unit lengths
+        (empty for the dataflow branch and for an empty P2, whose phase the
+        schedule drops)."""
+        for phase in self.schedule.phases:
+            if phase.name == CHAIN_PHASE:
+                return phase.unit_lengths()
+        return np.zeros(0, dtype=np.int64)
+
     def longest_chain(self) -> int:
-        return max((len(c) for c in self.chains), default=0)
+        return int(self.chain_lengths().max(initial=0))
 
     def summary(self) -> Dict[str, object]:
         info: Dict[str, object] = {
@@ -117,8 +116,9 @@ class RecurrencePartitionResult:
         }
         if self.partition is not None:
             info.update(self.partition.counts())
-        if self.chains:
-            info["n_chains"] = len(self.chains)
+        n_chains = len(self.chain_lengths())
+        if n_chains:
+            info["n_chains"] = n_chains
             info["longest_chain"] = self.longest_chain()
             bound = self.chain_length_bound()
             if bound is not None:
@@ -130,26 +130,20 @@ def three_phase_schedule(
     name: str,
     label: str,
     partition: ThreeSetPartition,
-    chains: Sequence[MonotonicChain],
+    chains: Phase,
 ) -> Schedule:
     """Build the P1 → chains → P3 schedule of the single-pair branch.
 
     The fully parallel DOALL phases (P1, P3) are the partition's sorted row
-    arrays — lexicographic instance order, one instance per unit; the chain
-    phase concatenates the chains' points, one unit per chain (a WHILE chain
-    is inherently sequential), delimited by ``unit_offsets``.
+    arrays — lexicographic instance order, one instance per unit; ``chains``
+    is the P2 phase of :func:`~repro.core.chains.chain_phase`, one unit per
+    chain (a WHILE chain is inherently sequential).
     """
     p1, p3 = partition.p1_array(), partition.p3_array()
     dim = p1.shape[1]
-    lens = [len(chain) for chain in chains]
-    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    chain_points = np.asarray(
-        [p for chain in chains for p in chain.points], dtype=np.int64
-    ).reshape(-1, dim)
     phases = [
         Phase("P1 (independent + initial)", 0, p1),
-        Phase("P2 (recurrence chains)", 0, chain_points, offsets),
+        chains,
         Phase("P3 (final)", 0, p3),
     ]
     return Schedule.from_phases(name, phases, (label,), (dim,), scheme="recurrence-chains")
@@ -203,7 +197,8 @@ def recurrence_branch(
 
     Raises :class:`PartitioningNotApplicable` when the program does not have
     exactly one square, full-rank coupled reference pair over one iteration
-    space.
+    space, or when the P2-internal dependences do not split into disjoint
+    chains (Lemma 1 does not hold in practice).
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
@@ -218,34 +213,22 @@ def recurrence_branch(
         analysis.iteration_space_array, analysis.iteration_dependences
     )
     recurrence = AffineRecurrence.from_pair(single_pair)
-    chains = chains_from_recurrence(partition, recurrence)
-    if not verify_disjoint_chains(chains, partition.p2) or not chains_respect_relation(
-        chains, partition
-    ):
-        # Lemma 1's precondition failed in practice: either the recurrence
-        # walk did not yield a disjoint cover of P2, or Rd carries P2-internal
-        # dependences outside the coupled pair's recurrence (e.g. an uncoupled
-        # constant-subscript reference) that the chains do not order.  Fall
-        # back to the graph walk over the full exact relation, which follows
-        # every dependence edge.
-        chains = chains_from_relation(partition)
-        if not chains_respect_relation(chains, partition):
-            raise PartitioningNotApplicable(
-                f"recurrence-chain branch does not apply to {program.name!r}: "
-                "P2-internal dependences do not decompose into disjoint "
-                "monotonic chains (edges cross chains); the dataflow branch "
-                "handles this shape"
-            )
-    schedule = three_phase_schedule(
-        f"{program.name}-REC", label, partition, chains
-    )
+    try:
+        chains = chain_phase(partition)
+    except ValueError as err:
+        # An extra dependence (e.g. an uncoupled constant-subscript
+        # reference) threads through P2 beside the coupled pair's recurrence.
+        raise PartitioningNotApplicable(
+            f"recurrence-chain branch does not apply to {program.name!r}: "
+            f"{err}; the dataflow branch handles this shape"
+        ) from None
+    schedule = three_phase_schedule(f"{program.name}-REC", label, partition, chains)
     return RecurrencePartitionResult(
         program=program,
         params=params,
         scheme="recurrence-chains",
         schedule=schedule,
         partition=partition,
-        chains=tuple(chains),
         recurrence=recurrence,
         statement_space=None,
         analysis=analysis,
@@ -284,7 +267,6 @@ def dataflow_branch(
             scheme="dataflow",
             schedule=schedule,
             partition=None,
-            chains=(),
             recurrence=None,
             statement_space=None,
             analysis=analysis,
@@ -297,7 +279,6 @@ def dataflow_branch(
         scheme="dataflow",
         schedule=schedule,
         partition=None,
-        chains=(),
         recurrence=None,
         statement_space=stmt_space,
         analysis=analysis,

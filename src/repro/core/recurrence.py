@@ -23,16 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..dependence.pair import ReferencePair
-from ..isl.convex import ConvexSet
-from ..isl.lexorder import lex_lt
 from ..isl.linalg import RationalMatrix
 
-__all__ = ["AffineRecurrence", "theorem1_bound", "chain_length_bound_holds"]
+__all__ = ["AffineRecurrence", "theorem1_bound"]
 
 Point = Tuple[int, ...]
 
@@ -68,71 +66,6 @@ class AffineRecurrence:
         u_inv = tuple(T_inv.row_apply(neg_u))
         return AffineRecurrence(T_inv, u_inv)
 
-    # -- pointwise application ---------------------------------------------------
-
-    def apply(self, point: Sequence[int]) -> Tuple[Fraction, ...]:
-        """The exact (rational) image of an integer point under the map."""
-        image = self.T.row_apply(list(point))
-        return tuple(x + du for x, du in zip(image, self.u))
-
-    def next_integer(self, point: Sequence[int]) -> Optional[Point]:
-        """The image if it is an integer point, else ``None``.
-
-        A ``None`` means the iteration has no dependence successor *through
-        this recurrence* (the diophantine equation has no solution at that
-        point), regardless of the loop bounds.
-        """
-        image = self.apply(point)
-        if any(x.denominator != 1 for x in image):
-            return None
-        return tuple(int(x) for x in image)
-
-    def successor_in(
-        self, point: Sequence[int], space: Callable[[Point], bool]
-    ) -> Optional[Point]:
-        """The integer image if it also lies in the iteration space."""
-        nxt = self.next_integer(point)
-        if nxt is None or not space(nxt):
-            return None
-        return nxt
-
-    # -- chains ---------------------------------------------------------------------
-
-    def chain_from(
-        self,
-        start: Sequence[int],
-        space: Callable[[Point], bool],
-        max_steps: int = 1_000_000,
-    ) -> List[Point]:
-        """The recurrence chain starting at ``start`` and staying inside ``space``.
-
-        Follows ``i ← i·T + u`` while the image is integral and inside the
-        space; the starting point itself must be in the space.  Guards against
-        accidental cycles (possible only when |det T| == 1 and the map is not
-        expansive) by stopping when a point repeats.
-        """
-        start_pt = tuple(int(x) for x in start)
-        if not space(start_pt):
-            raise ValueError(f"chain start {start_pt} is outside the iteration space")
-        chain = [start_pt]
-        seen = {start_pt}
-        current = start_pt
-        for _ in range(max_steps):
-            nxt = self.successor_in(current, space)
-            if nxt is None:
-                break
-            if nxt in seen:
-                break
-            chain.append(nxt)
-            seen.add(nxt)
-            current = nxt
-        return chain
-
-    def distance_at(self, point: Sequence[int]) -> Tuple[Fraction, ...]:
-        """The dependence distance ``next(i) − i`` at a point (eq. 6)."""
-        image = self.apply(point)
-        return tuple(x - Fraction(int(p)) for x, p in zip(image, point))
-
     # -- Theorem 1 ----------------------------------------------------------------------
 
     def expansion_factor(self) -> Fraction:
@@ -143,18 +76,6 @@ class AffineRecurrence:
         det_abs = abs(det)
         inv_abs = abs(Fraction(1, 1) / det)
         return max(det_abs, inv_abs)
-
-    def is_monotone_map(self, point: Sequence[int]) -> Optional[bool]:
-        """True when the successor of ``point`` is lexicographically later.
-
-        Used to orient chains so that a WHILE loop follows the lexicographic
-        (i.e. legal sequential) order, as §3.1 requires.  Returns ``None``
-        when there is no integer successor.
-        """
-        nxt = self.next_integer(point)
-        if nxt is None:
-            return None
-        return lex_lt(tuple(int(x) for x in point), nxt)
 
 
 def theorem1_bound(recurrence: AffineRecurrence, diameter: float) -> Optional[int]:
@@ -196,12 +117,3 @@ def iteration_space_diameter(points: Union[np.ndarray, Sequence[Point]]) -> floa
         total += float(extent) ** 2
     return math.sqrt(total)
 
-
-def chain_length_bound_holds(
-    recurrence: AffineRecurrence, chains: Sequence[Sequence[Point]], diameter: float
-) -> bool:
-    """Check Theorem 1 against measured chains: every chain obeys the bound."""
-    bound = theorem1_bound(recurrence, diameter)
-    if bound is None:
-        return True
-    return all(len(chain) <= bound for chain in chains)

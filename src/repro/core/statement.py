@@ -143,10 +143,9 @@ class StatementLevelSpace:
     Array-backed: ``unified_array`` holds every instance's unified vector as
     an ``(n, width)`` int64 row (lexicographic == sequential order) with
     ``stmt_ids`` naming the statement of each row; the tuple views
-    (:attr:`instances`, :attr:`unified`, :attr:`points`,
-    :meth:`instance_of`) are derived lazily on first access and cached, so a
-    purely array-path consumer (the vectorised dataflow branch) never boxes a
-    single instance.
+    (:attr:`instances`, :attr:`unified`, :attr:`points`) are derived lazily
+    on first access and cached, so a purely array-path consumer (the
+    vectorised dataflow branch) never boxes a single instance.
     """
 
     __slots__ = (
@@ -273,13 +272,6 @@ class StatementLevelSpace:
         if self._points is None:
             self._points = frozenset(self.unified)
         return self._points
-
-    def instance_of(self) -> Dict[Point, List[Instance]]:
-        """Map a unified point back to the statement instance(s) it denotes."""
-        out: Dict[Point, List[Instance]] = {}
-        for inst, point in zip(self.instances, self.unified):
-            out.setdefault(point, []).append(inst)
-        return out
 
     def __len__(self) -> int:
         return len(self.unified_array)

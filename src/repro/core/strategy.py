@@ -67,7 +67,6 @@ from typing import (
 
 from ..dependence.analysis import DependenceAnalysis, ImperfectNestError
 from ..ir.program import LoopProgram
-from .chains import MonotonicChain
 from .partition import ThreeSetPartition
 from .partitioner import (
     PartitioningNotApplicable,
@@ -182,7 +181,6 @@ class StrategyBuild:
 
     schedule: Schedule
     partition: Optional[object] = None  # ThreeSetPartition / PDMPartition / ...
-    chains: Tuple[MonotonicChain, ...] = ()
     recurrence: Optional[AffineRecurrence] = None
     statement_space: Optional[StatementLevelSpace] = None
     rec_result: Optional[RecurrencePartitionResult] = None
@@ -249,7 +247,6 @@ def _rec_builder(ctx: PlanningContext) -> StrategyBuild:
     return StrategyBuild(
         schedule=result.schedule,
         partition=result.partition,
-        chains=result.chains,
         recurrence=result.recurrence,
         statement_space=result.statement_space,
         rec_result=result,
@@ -537,7 +534,6 @@ class Plan:
     schedule: Schedule
     analysis: DependenceAnalysis
     partition: Optional[object] = None
-    chains: Tuple[MonotonicChain, ...] = ()
     recurrence: Optional[AffineRecurrence] = None
     statement_space: Optional[StatementLevelSpace] = None
     skipped: Tuple[Tuple[str, str], ...] = ()
@@ -553,7 +549,8 @@ class Plan:
         return self.schedule.num_phases
 
     def longest_chain(self) -> int:
-        return max((len(c) for c in self.chains), default=0)
+        """Points on the longest P2 chain (recurrence-chain plans; 0 otherwise)."""
+        return 0 if self.rec_result is None else self.rec_result.longest_chain()
 
     def chain_length_bound(self) -> Optional[int]:
         """Theorem 1 bound (recurrence-chain plans only; ``None`` otherwise)."""
@@ -909,7 +906,6 @@ def plan(
         schedule=build.schedule,
         analysis=ctx.analysis,
         partition=build.partition,
-        chains=build.chains,
         recurrence=build.recurrence,
         statement_space=build.statement_space,
         skipped=tuple(skipped),

@@ -27,7 +27,7 @@ size is independent of N:
 The chain phase realises the ROADMAP's coset observation: for a uniform
 distance ``u`` the chains are cosets of the distance lattice
 (cf. :class:`repro.baselines.lattice.DistanceLattice`), i.e. strided arrays
-``start + t·u`` clipped to the P2 box — no ``SuccessorIndex`` walk.  With
+``start + t·u`` clipped to the P2 box — no edge matching over Rd.  With
 ``Φ`` a box and ``Rd`` the translation by ``u``::
 
     ran = (Φ + u) ∩ Φ        dom = (Φ − u) ∩ Φ

@@ -55,7 +55,6 @@ from .relations import (
     ConvexRelation,
     FiniteRelation,
     PointCodec,
-    SuccessorIndex,
     UnionRelation,
     in_sorted,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "UnionRelation",
     "FiniteRelation",
     "PointCodec",
-    "SuccessorIndex",
     "in_sorted",
     "EnumerationTruncated",
     "RationalMatrix",

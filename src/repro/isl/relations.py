@@ -11,7 +11,7 @@ provided, mirroring the two ways the package reasons about dependences:
   symbolic parameters.
 * :class:`FiniteRelation` — an explicit set of integer pairs, produced by the
   exact dependence analyser for concrete loop bounds and used by the
-  executors, the validators and the chain extractor.  All partition-safety
+  executors, the validators and the chain builder.  All partition-safety
   invariants are ultimately checked against this exact object.
 
 The planner works on the **array form** of :class:`FiniteRelation`:
@@ -21,8 +21,7 @@ int64 key whose order is lexicographic point order, so that
 ``dom``/``ran``/``restrict`` and membership become sorted-array operations
 (``np.unique``, ``np.searchsorted``).  The codec encodes rows of any
 magnitude (raw mixed-radix keys when the bounding box fits int64,
-rank-compressed keys otherwise).  :class:`SuccessorIndex` provides successor
-lookup by binary search on the same keys.
+rank-compressed keys otherwise).
 
 The frozenset of tuple pairs (:attr:`FiniteRelation.pairs`) is a lazy
 *view* for validators and tests: a relation built with
@@ -33,9 +32,8 @@ See ARCHITECTURE.md for the pipeline-wide picture.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,7 +47,6 @@ __all__ = [
     "UnionRelation",
     "FiniteRelation",
     "PointCodec",
-    "SuccessorIndex",
     "in_sorted",
     "lexsort_rows",
     "readonly_view",
@@ -258,50 +255,6 @@ class PointCodec:
             if self.prefixes[d] is not None:
                 rem = self.prefixes[d][rem]
         return out
-
-    def scalar_encoder(self) -> Callable[[Sequence[int]], Optional[int]]:
-        """A pure-Python ``point -> key`` function (``None`` for inexact points).
-
-        For per-point lookups in sequential walks, which must not pay numpy's
-        per-call overhead: the codec state is converted to lists and dicts
-        once, so each call costs a few integer operations.
-        """
-        if self.values is None:
-            box = list(zip(self.lo.tolist(), self.extents.tolist(), self.strides.tolist()))
-
-            def key_of(point: Sequence[int]) -> Optional[int]:
-                key = 0
-                for x, (lo, extent, stride) in zip(point, box):
-                    digit = x - lo
-                    if digit < 0 or digit >= extent:
-                        return None
-                    key += digit * stride
-                return key
-
-            return key_of
-        columns = [
-            (
-                None if table is None else {k: r for r, k in enumerate(table.tolist())},
-                {v: r for r, v in enumerate(column.tolist())},
-                len(column),
-            )
-            for table, column in zip(self.prefixes, self.values)
-        ]
-
-        def ranked_key_of(point: Sequence[int]) -> Optional[int]:
-            key = 0
-            for x, (prefix_rank, rank, radix) in zip(point, columns):
-                if prefix_rank is not None:
-                    key = prefix_rank.get(key)
-                    if key is None:
-                        return None
-                digit = rank.get(x)
-                if digit is None:
-                    return None
-                key = key * radix + digit
-            return key
-
-        return ranked_key_of
 
 
 # ---------------------------------------------------------------------------
@@ -612,37 +565,6 @@ class FiniteRelation:
         src, dst = self.as_arrays()
         return PointCodec.for_arrays(src, dst, *extra)
 
-    def bulk_dom(self, codec: PointCodec) -> np.ndarray:
-        """Sorted unique keys of the domain (array analogue of :meth:`domain`)."""
-        return np.unique(codec.encode(self.as_arrays()[0]))
-
-    def bulk_ran(self, codec: PointCodec) -> np.ndarray:
-        """Sorted unique keys of the range (array analogue of :meth:`range`)."""
-        return np.unique(codec.encode(self.as_arrays()[1]))
-
-    def bulk_restrict(
-        self,
-        codec: PointCodec,
-        domain_keys: Optional[np.ndarray] = None,
-        rng_keys: Optional[np.ndarray] = None,
-    ) -> "FiniteRelation":
-        """Array analogue of :meth:`restrict` over sorted key arrays.
-
-        ``domain_keys``/``rng_keys`` are ascending-sorted key arrays produced
-        with the same ``codec`` (e.g. by :meth:`bulk_dom` or
-        ``np.unique(codec.encode(points))``).
-        """
-        src, dst = self.as_arrays()
-        mask = np.ones(len(src), dtype=bool)
-        if domain_keys is not None:
-            mask &= in_sorted(codec.encode(src), domain_keys)
-        if rng_keys is not None:
-            mask &= in_sorted(codec.encode(dst), rng_keys)
-        if mask.all():
-            return self
-        # A masked subset of canonical (sorted, unique) arrays stays canonical.
-        return FiniteRelation._from_canonical_arrays(src[mask], dst[mask])
-
     # -- basic queries --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -803,47 +725,3 @@ class FiniteRelation:
         items = ", ".join(f"{a}->{b}" for a, b in sorted(self.pairs))
         return f"{{ {items} }}"
 
-
-class SuccessorIndex:
-    """Successor lookup by binary search on sorted lexicographic keys.
-
-    Replaces dict-of-point probing (:meth:`FiniteRelation.successor_map`):
-    construction is a vectorised argsort over the encoded edges (no per-pair
-    tuple hashing), while the lookup state is converted to plain Python lists
-    once and each probe encodes its point with
-    :meth:`PointCodec.scalar_encoder` and does a ``bisect`` — sequential
-    chain walks must not pay numpy per-call overhead.
-    Successor lists come back lexicographically sorted, exactly like the
-    dict-based maps.
-    """
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray, codec: PointCodec):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        src_keys = codec.encode(src)
-        dst_keys = codec.encode(dst)
-        order = np.lexsort((dst_keys, src_keys))
-        self._keys: List[int] = src_keys[order].tolist()
-        self._dsts: List[Point] = [tuple(r) for r in dst[order].tolist()]
-        self._key_of = codec.scalar_encoder()
-
-    @staticmethod
-    def from_relation(
-        relation: "FiniteRelation", codec: Optional[PointCodec] = None
-    ) -> "SuccessorIndex":
-        src, dst = relation.as_arrays()
-        if codec is None:
-            codec = relation.codec()
-        return SuccessorIndex(src, dst, codec)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def successors(self, point: Sequence[int]) -> List[Point]:
-        """Sorted successors of one point (empty for points with no out-edges)."""
-        key = self._key_of(point)
-        if key is None:
-            return []  # not encodable by the codec ⇒ not a source of the relation
-        start = bisect.bisect_left(self._keys, key)
-        stop = bisect.bisect_right(self._keys, key, start)
-        return self._dsts[start:stop]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from repro.codegen import (
     chain_subroutine,
     compile_function,
@@ -14,6 +15,7 @@ from repro.codegen import (
     render_affine,
 )
 from repro.core import AffineRecurrence, PlanConfig, plan, symbolic_three_set_partition
+from repro.core.chains import CHAIN_PHASE
 from repro.dependence import DependenceAnalysis, symbolic_dependence_relation
 from repro.ir.semantics import DEFAULT_SEMANTICS
 from repro.isl.affine import var
@@ -114,9 +116,12 @@ class TestGeneratedPython:
         source = generate_chain_function(result.recurrence, 2)
         fn = compile_function(source, "follow_chain")
         p2 = set(result.partition.p2)
-        for chain in result.chains:
-            walked = fn(chain.start, lambda p: p in p2)
-            assert tuple(tuple(p) for p in walked) == chain.points
+        (phase,) = [p for p in result.schedule.phases if p.name == CHAIN_PHASE]
+        chains = oracle.chain_units(phase)
+        assert chains
+        for chain in chains:
+            walked = fn(chain[0], lambda p: p in p2)
+            assert tuple(tuple(p) for p in walked) == chain
 
     def test_chain_function_1d(self):
         result = plan(figure2_loop(20), config=ALGORITHM1, cache=False)

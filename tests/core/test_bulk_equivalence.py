@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracle
-from repro.core.chains import chains_from_relation
+from repro.core.chains import chain_phase
 from repro.core.dataflow import dataflow_partition
 from repro.core.partition import three_set_partition
 from repro.core.statement import build_statement_space
@@ -143,5 +143,5 @@ class TestChainsBulkLookup:
         partition = three_set_partition(
             analysis.iteration_space_points, analysis.iteration_dependences
         )
-        chains = chains_from_relation(partition)
-        assert [c.points for c in chains] == oracle.chains_by_dict_walk(partition)
+        chains = oracle.chain_units(chain_phase(partition))
+        assert chains == oracle.chains_by_dict_walk(partition)

@@ -32,13 +32,6 @@ class TestUnifiedVectors:
             seq = prog.sequential_iterations(params)
             assert space.sequential_order_is_lexicographic(seq), prog.name
 
-    def test_instance_of_roundtrip(self):
-        prog = example3_loop(6)
-        space = build_statement_space(prog, {})
-        back = space.instance_of()
-        for inst, point in zip(space.instances, space.unified):
-            assert inst in back[point]
-
     def test_instances_match_sequential_execution(self):
         prog = example3_loop(8)
         space = build_statement_space(prog, {})

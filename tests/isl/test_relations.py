@@ -12,7 +12,6 @@ from repro.isl.relations import (
     ConvexRelation,
     FiniteRelation,
     PointCodec,
-    SuccessorIndex,
     UnionRelation,
     in_sorted,
     lexsort_rows,
@@ -169,9 +168,6 @@ class TestPointCodec:
         keys = codec.encode(rows)
         assert np.array_equal(np.argsort(keys), lexsort_rows(rows))
         assert np.array_equal(codec.decode(keys), rows)
-        encoder = codec.scalar_encoder()
-        assert [encoder(r) for r in rows[:50].tolist()] == keys[:50].tolist()
-        assert encoder((values[0], values[1], 0, 0, 0)) is None
         assert not codec.contains(np.array([[values[0], values[1], 0, 0, 0]])).any()
 
     @given(row_sets())
@@ -216,40 +212,6 @@ class TestArrayBackedRelation:
         r = FiniteRelation(frozenset(), 2, 2)
         src, dst = r.as_arrays()
         assert src.shape == (0, 2) and dst.shape == (0, 2)
-
-    def test_bulk_dom_ran_match_set_ops(self):
-        r = self.make()
-        codec = r.codec()
-        dom_pts = {tuple(p) for p in codec.decode(r.bulk_dom(codec)).tolist()}
-        ran_pts = {tuple(p) for p in codec.decode(r.bulk_ran(codec)).tolist()}
-        assert dom_pts == r.domain()
-        assert ran_pts == r.range()
-
-    def test_bulk_restrict_matches_set_restrict(self):
-        r = self.make()
-        domain = {(1, 1), (1, 2)}
-        rng = {(2, 3)}
-        codec = r.codec(np.array(sorted(domain | rng), dtype=np.int64))
-        dom_keys = np.unique(codec.encode(np.array(sorted(domain), dtype=np.int64)))
-        rng_keys = np.unique(codec.encode(np.array(sorted(rng), dtype=np.int64)))
-        assert r.bulk_restrict(codec, dom_keys, rng_keys) == r.restrict(domain, rng)
-        assert r.bulk_restrict(codec, dom_keys) == r.restrict(domain=domain)
-        # no-op restriction returns self
-        all_keys = np.unique(
-            np.concatenate([codec.encode(a) for a in r.as_arrays()])
-        )
-        assert r.bulk_restrict(codec, all_keys, all_keys) is r
-
-    def test_successor_index_matches_successors(self):
-        r = self.make()
-        index = SuccessorIndex.from_relation(r)
-        for point in sorted(r.points()):
-            assert index.successors(point) == r.successors(point)
-
-    def test_successor_index_out_of_box_point(self):
-        r = self.make()
-        index = SuccessorIndex.from_relation(r)
-        assert index.successors((100, 100)) == []
 
     def test_oriented_forward_bulk_matches_scalar(self):
         raw = [

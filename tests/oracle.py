@@ -4,7 +4,8 @@ The planner runs on arrays only (codec keys, the sort/merge join, the CSR
 Kahn peel).  These per-point implementations of the same definitions — the
 exact dependences by a dict join on address tuples, eq. 5 by set algebra,
 the literal while-loop of Algorithm 1's dataflow branch, the per-instance
-§3.3 mapping — are what its results are compared against.  They are meant
+§3.3 mapping, the Lemma 1 chains by the affine recurrence and by a greedy
+graph walk — are what its results are compared against.  They are meant
 to be obviously correct, not fast: keep inputs small (≲10⁴ points).  The
 last section keeps the rational ``Fraction`` constraint code that the
 integer rows of ``repro.isl`` replaced, as the reference for those, and the
@@ -203,8 +204,61 @@ def is_uniform(relation: FiniteRelation, points) -> bool:
     return True
 
 
+def next_integer(recurrence, point) -> Optional[Point]:
+    """``point·T + u`` of an :class:`~repro.core.recurrence.AffineRecurrence`
+    when it is an integer point, else ``None`` (no successor through this
+    map, whatever the loop bounds)."""
+    image = [
+        Fraction(x) + du for x, du in zip(recurrence.T.row_apply(list(point)), recurrence.u)
+    ]
+    if any(x.denominator != 1 for x in image):
+        return None
+    return tuple(int(x) for x in image)
+
+
+def recurrence_chains(partition, recurrence) -> List[Tuple[Point, ...]]:
+    """Lemma 1 by the recurrence: the WHILE loop of Algorithm 1, point by point.
+
+    From each W start, in lexicographic order, step by whichever of the map
+    ``i·T + u`` and its inverse lands lexicographically later inside P2 (the
+    dependence equation relates the two iterations symmetrically, so the
+    forward direction may instantiate either reference).  Both qualifying
+    would break Lemma 1's precondition, and raises :class:`ValueError`.
+    """
+    p2 = set(partition.p2)
+    directions = (recurrence, recurrence.inverse())
+
+    def forward_step(point):
+        candidates = {
+            nxt
+            for nxt in (next_integer(d, point) for d in directions)
+            if nxt is not None and nxt in p2 and lex_lt(point, nxt)
+        }
+        if len(candidates) > 1:
+            raise ValueError(f"iteration {point} has {len(candidates)} forward successors in P2")
+        return candidates.pop() if candidates else None
+
+    chains = []
+    for start in sorted(partition.w):
+        chain = [start]
+        nxt = forward_step(start)
+        while nxt is not None and nxt not in chain:
+            chain.append(nxt)
+            nxt = forward_step(nxt)
+        chains.append(tuple(chain))
+    return chains
+
+
+def chain_units(phase) -> List[Tuple[Point, ...]]:
+    """The units of a planned P2 phase as tuples of points."""
+    rows = [tuple(r) for r in phase.iters.tolist()]
+    bounds = [0, *np.cumsum(phase.unit_lengths()).tolist()]
+    return [tuple(rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def chains_by_dict_walk(partition) -> List[Tuple[Point, ...]]:
-    """The P2 chain walk of ``chains_from_relation`` on dict successor maps."""
+    """The greedy P2 chain walk over dict successor maps: from every head
+    (no predecessor inside P2), then from every point no walk reached."""
     p2 = set(partition.p2)
     succ: Dict[Point, List[Point]] = {}
     has_pred = set()

@@ -16,8 +16,10 @@ the planner) and **every registered strategy's schedule on a draw it
 applies to** — so each builder (dataflow, recurrence chains, PDM, PL,
 unique sets, DOACROSS, tiling, inner-parallel, symbolic boxes and coset
 chains) is pinned bit-identical to the sequential run on every backend.
-Draws come from ``loop_programs()`` or ``symbolic_programs()`` (the latter
-is where ``symbolic`` and ``recurrence-chains`` apply).  The
+Draws come from ``loop_programs()``, ``symbolic_programs()`` (where
+``symbolic`` and ``recurrence-chains`` apply) or ``lemma1_programs()`` (the
+non-uniform single-pair nests where ``recurrence-chains`` builds chains by
+Lemma 1).  The
 process-backend property starts one 2-worker pool per example and runs
 every schedule through it, on a reduced example budget.
 """
@@ -32,7 +34,7 @@ from repro.core.partitioner import PartitioningNotApplicable, dataflow_branch
 from repro.core.strategy import PlanConfig, plan, strategy_names
 from repro.runtime import execute, execute_sequential, make_store
 from repro.runtime.process import ProcessPool, process_unavailable_reason
-from strategies import loop_programs, symbolic_programs
+from strategies import lemma1_programs, loop_programs, symbolic_programs
 
 #: Every schedule source: the oracle's units, then each registered strategy.
 KINDS = ("units",) + strategy_names()
@@ -51,7 +53,7 @@ def _schedules(prog):
     return out
 
 
-programs = st.one_of(loop_programs(), symbolic_programs())
+programs = st.one_of(loop_programs(), symbolic_programs(), lemma1_programs())
 
 
 def _run(prog, schedule, init, backend, **overrides):

@@ -27,7 +27,10 @@ Use :func:`loop_programs` as a strategy::
     def test_something(prog): ...
 
 :func:`symbolic_programs` draws the narrower family the ``symbolic``
-strategy plans (one statement, rectangular bounds, one uniform distance).
+strategy plans (one statement, rectangular bounds, one uniform distance), and
+:func:`lemma1_programs` the family of Lemma 1 that ``recurrence-chains``
+plans (one statement, one coupled pair, square full-rank subscript matrices,
+non-uniform distances).
 """
 
 import hypothesis.strategies as st
@@ -37,7 +40,13 @@ from repro.ir.program import LoopProgram
 from repro.ir.semantics import compute_heavy_semantics, sum_semantics
 from repro.isl.affine import AffineExpr
 
-__all__ = ["loop_programs", "symbolic_programs", "MAX_BOUND", "ARRAY_POOL"]
+__all__ = [
+    "loop_programs",
+    "symbolic_programs",
+    "lemma1_programs",
+    "MAX_BOUND",
+    "ARRAY_POOL",
+]
 
 #: Largest loop bound the generator draws (keeps spaces at ≤ 4³ points/statement).
 MAX_BOUND = 4
@@ -203,3 +212,97 @@ def symbolic_programs(draw) -> LoopProgram:
     # subscripts reach bound + off + max(0, -u_k) <= bound + 4 + 2
     shape = tuple(b + 7 for b in bounds)
     return program("hypothesis-symbolic", nest, array_shapes={"x": shape})
+
+
+def _full_rank_matrix(draw, dim):
+    """A ``dim × dim`` integer matrix, entries drawn in [-3, 3], with det ≠ 0.
+
+    A singular draw gets the identity added until it is not: ``det(M + t·E)``
+    is a nonzero polynomial in ``t``, so this stops within ``dim + 1`` steps.
+    """
+    rows = [[draw(st.integers(-3, 3)) for _ in range(dim)] for _ in range(dim)]
+    while (rows[0][0] if dim == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) == 0:
+        for k in range(dim):
+            rows[k][k] += 1
+    return rows
+
+
+def _unimodular_matrix(draw, dim):
+    """A ``dim × dim`` integer matrix with det ±1: a signed permutation
+    times up to two shears with factors in [-2, 2]."""
+    rows = [[0] * dim for _ in range(dim)]
+    for r, c in enumerate(draw(st.permutations(range(dim)))):
+        rows[r][c] = draw(st.sampled_from((-1, 1)))
+    for _ in range(draw(st.integers(0, 2)) if dim > 1 else 0):
+        src = draw(st.integers(0, dim - 1))
+        dst = (src + 1) % dim
+        factor = draw(st.integers(-2, 2))
+        rows[dst] = [x + factor * y for x, y in zip(rows[dst], rows[src])]
+    return rows
+
+
+@st.composite
+def lemma1_programs(draw) -> LoopProgram:
+    """Random Lemma 1 nests: the shapes of Figure 1 and Examples 1–2.
+
+    One statement ``x[I·A + a] = f(x[I·B + b])`` over a rectangular 1-D or
+    2-D box, with square full-rank integer matrices ``A ≠ B``, ``B``
+    unimodular (so the
+    distance ``I·(A·B⁻¹ − E) + u`` varies with ``I``: non-uniform).  The
+    offset ``b`` is solved from two drawn iterations ``i0``, ``j0`` so that
+    ``i0`` writes the cell ``j0`` reads.  Distinct, they guarantee the
+    coupled pair a dependence; equal, ``i0`` is a fixed point of the map
+    inside the box, around which chains gather.  Full rank leaves each
+    iteration at most one writer of the cell it reads and one reader of the
+    cell it writes, so P2 splits into disjoint chains (Lemma 1), and
+    ``recurrence-chains`` applies to every draw with a non-self dependence.
+    """
+    dim = draw(st.sampled_from((2, 1)))
+    names = _INDICES[:dim]
+    bounds = [draw(st.integers(4, 24 if dim == 1 else 10)) for _ in range(dim)]
+    # B is unimodular (det ±1) as in Figures 1–2 and Example 2, so every
+    # iteration has an integer partner; a unimodular A as well makes the
+    # map volume-preserving (α = 1), so chains are long.
+    A = _unimodular_matrix(draw, dim) if draw(st.booleans()) else _full_rank_matrix(draw, dim)
+    B = _unimodular_matrix(draw, dim)
+    if A == B:
+        B = [[-x for x in row] for row in B]
+    i0 = [draw(st.integers(1, n)) for n in bounds]
+    j0 = [draw(st.integers(1, n)) for n in bounds]
+    if draw(st.booleans()):
+        j0 = i0  # i0 is a fixed point of the map, as (1, 1) is in Figure 1
+    elif i0 == j0:
+        j0[0] = j0[0] % bounds[0] + 1
+    a = [draw(st.integers(0, 3)) for _ in range(dim)]
+
+    def image(M, point):
+        return [sum(point[r] * M[r][c] for r in range(dim)) for c in range(dim)]
+
+    b = [x + o - y for x, o, y in zip(image(A, i0), a, image(B, j0))]
+
+    def lowest(M, off, c):
+        return off + sum(min(M[r][c], M[r][c] * n) for r, n in enumerate(bounds))
+
+    def highest(M, off, c):
+        return off + sum(max(M[r][c], M[r][c] * n) for r, n in enumerate(bounds))
+
+    # One shift per array dimension keeps both references non-negative and
+    # leaves the dependence equation I·A + a = J·B + b unchanged.
+    shift = [-min(lowest(A, a[c], c), lowest(B, b[c], c), 0) for c in range(dim)]
+    shape = tuple(
+        max(highest(A, a[c], c), highest(B, b[c], c)) + shift[c] + 1 for c in range(dim)
+    )
+
+    def ref(M, off):
+        return aref("x", *(
+            AffineExpr.build(
+                {names[r]: M[r][c] for r in range(dim) if M[r][c]}, off[c] + shift[c]
+            )
+            for c in range(dim)
+        ))
+
+    body = assign("s", ref(A, a), [ref(B, b)], semantics=draw(st.sampled_from(_SEMANTICS)))
+    nest = body
+    for k in reversed(range(dim)):
+        nest = loop(names[k], 1, bounds[k], nest)
+    return program("hypothesis-lemma1", nest, array_shapes={"x": shape})
