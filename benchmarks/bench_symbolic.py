@@ -5,11 +5,11 @@ the ``symbolic`` strategy and its ``compiled`` execution backend.
 
 * ``test_symbolic_plan_is_o1_in_n`` — planning a symbolic-eligible workload
   at **10⁸ iteration points** returns in **< 100 ms** without enumerating the
-  iteration space or the dependence pairs: the plan is built from the
-  closed-form three-set partition (``symbolic_three_set_partition``), the
-  DOALL bounds come from ``codegen.bounds`` range arithmetic, and the Lemma 1
-  chains are lattice cosets (start + k·T strided arrays), so nothing in the
-  pipeline is proportional to N.  Asserted structurally too: the shared
+  iteration space or the dependence pairs: P1, P2, P3 and the chain starts
+  are boxes built in integer box arithmetic from the loop box and the shift
+  (``repro.core.symbolic.box_partition``), and the Lemma 1 chains are
+  lattice cosets (start + k·u strided arrays), so nothing in the pipeline
+  is proportional to N.  Asserted structurally too: the shared
   ``DependenceAnalysis`` must not have materialised its point or pair arrays.
 
 * ``test_compiled_backend_speedup`` — on a 10⁶-point workload the generated
@@ -20,7 +20,7 @@ the ``symbolic`` strategy and its ``compiled`` execution backend.
 * ``test_symbolic_corpus_plan_cold`` — the O(1) planner's constant: a cold
   ``plan()`` of each ``selection_corpus(size="small")`` nest that picks
   ``symbolic``, against the cheapest other strategy pinned on the same nest.
-  ``deep-rect-diag``'s symbolic plan must take at most **20×** its cheapest
+  ``deep-rect-diag``'s symbolic plan must take at most **3×** its cheapest
   pinned strategy.
 
 Rows are appended to ``BENCH_scale.json`` via the run_id-keyed trajectory
@@ -49,13 +49,13 @@ SYMBOLIC = PlanConfig(strategies=("symbolic",))
 #: Calls per cold-plan timing; the row records their median.
 COLD_REPS = 5
 #: ``deep-rect-diag``: symbolic cold plan / cheapest pinned cold plan.
-MAX_SYMBOLIC_RATIO = 20.0
+MAX_SYMBOLIC_RATIO = 3.0
 
 
 def test_symbolic_plan_is_o1_in_n(report):
     from repro.workloads.synthetic import large_uniform_loop
 
-    # Warm the import graph and the symbolic set algebra on a tiny instance so
+    # Warm the import graph and the symbolic builder on a tiny instance so
     # the timed run measures planning, not first-touch module loading.
     plan(large_uniform_loop(8, 8), config=SYMBOLIC, cache=False)
 

@@ -151,12 +151,12 @@ def _closed_form(
     (iteration ``i`` depends on ``i − u`` whenever both ends stay in the
     box).  Returns ``(n_points, n_deps, single_coupled_pair)``.
     """
-    from ..core.symbolic import box_count, rectangular_box, uniform_shift_pairs
+    from ..core.symbolic import box_count, rectangular_box
 
     box = rectangular_box(program, params)
     if box is None:
         return None
-    info = uniform_shift_pairs(program, analysis)
+    info = analysis.uniform_shift_pairs
     if info is None:
         return None
     shift, n_active_pairs = info

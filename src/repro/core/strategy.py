@@ -78,6 +78,11 @@ from .partitioner import (
 from .recurrence import AffineRecurrence
 from .schedule import Schedule
 from .statement import StatementLevelSpace, build_statement_space
+from .symbolic import (
+    CosetChainPhase,
+    build_symbolic_schedule,
+    symbolic_not_applicable_reason,
+)
 
 __all__ = [
     "PartitionStrategy",
@@ -322,14 +327,10 @@ def _innerpar_builder(ctx: PlanningContext) -> StrategyBuild:
 
 
 def _symbolic_applicability(ctx: PlanningContext) -> Optional[str]:
-    from .symbolic import symbolic_not_applicable_reason
-
     return symbolic_not_applicable_reason(ctx.program, ctx.params, ctx.analysis)
 
 
 def _symbolic_builder(ctx: PlanningContext) -> StrategyBuild:
-    from .symbolic import build_symbolic_schedule
-
     return StrategyBuild(
         schedule=build_symbolic_schedule(
             ctx.program, ctx.params, ctx.analysis, fingerprint=ctx.fingerprint
@@ -548,9 +549,16 @@ class Plan:
     def num_phases(self) -> int:
         return self.schedule.num_phases
 
+    def _coset_chains(self) -> List[CosetChainPhase]:
+        """The ``symbolic`` plan's chain phase (none for other builders)."""
+        return [ph for ph in self.schedule.phases if isinstance(ph, CosetChainPhase)]
+
     def longest_chain(self) -> int:
-        """Points on the longest P2 chain (recurrence-chain plans; 0 otherwise)."""
-        return 0 if self.rec_result is None else self.rec_result.longest_chain()
+        """Points on the longest P2 chain (recurrence-chain and ``symbolic``
+        plans; 0 otherwise)."""
+        if self.rec_result is not None:
+            return self.rec_result.longest_chain()
+        return max((ph.span for ph in self._coset_chains()), default=0)
 
     def chain_length_bound(self) -> Optional[int]:
         """Theorem 1 bound (recurrence-chain plans only; ``None`` otherwise)."""
@@ -571,6 +579,9 @@ class Plan:
                 "scheme": self.scheme,
                 **self.schedule.summary(),
             }
+            for chains in self._coset_chains():
+                info["n_chains"] = len(chains)
+                info["longest_chain"] = chains.span
         info["strategy"] = self.strategy
         if self.statement_space is not None:
             info["n_statement_instances"] = len(self.statement_space)

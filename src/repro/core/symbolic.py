@@ -6,18 +6,17 @@ the paper's Theorem 1 partition *symbolically* for the Lemma 1
 single-uniform-pair case and represents the result with phase objects whose
 size is independent of N:
 
-* :func:`uniform_shift` — the eligibility gate, entirely syntactic: a
-  single-statement rectangular perfect nest whose reference pairs all reduce
-  to one uniform dependence distance ``u`` (``T = A·B⁻¹ = I``,
-  ``u = (a−b)·B⁻¹`` integral).  Nothing here touches an enumerated view.
-* :func:`build_symbolic_schedule` — runs
-  :func:`~repro.core.partition.symbolic_three_set_partition` on the symbolic
-  relation, converts every union member to a concrete integer **box** via
-  :func:`~repro.codegen.bounds.nest_bounds` + ``BoundExpr.evaluate``, and
-  cross-checks ``|P1| + |P2| + |P3| == |Φ|`` with closed-form products —
-  any geometry the box algebra cannot represent exactly raises
-  :class:`~repro.core.partitioner.PartitioningNotApplicable` and the
-  fallback chain moves on.
+* :func:`symbolic_not_applicable_reason` — the eligibility gate, entirely
+  syntactic: a single-statement rectangular perfect nest whose reference
+  pairs all reduce to one uniform dependence distance ``u``
+  (``T = A·B⁻¹ = I``, ``u = (a−b)·B⁻¹`` integral), solved once per analysis
+  (:attr:`~repro.dependence.analysis.DependenceAnalysis.uniform_shift_pairs`).
+  Nothing here touches an enumerated view.
+* :func:`box_partition` — eq. 5 and the chain starts W in integer box
+  arithmetic, straight from the loop box (:func:`rectangular_box`) and
+  ``u``: box intersection, translation and difference (disjoint slabs,
+  outermost dimension first).  :func:`build_symbolic_schedule` turns the
+  boxes into phases; ``|P1| + |P2| + |P3| == |Φ|`` holds by construction.
 * :class:`SymbolicDoallPhase` / :class:`CosetChainPhase` — schedule phases
   that store boxes, not points.  ``len`` / ``work`` / ``span`` are products
   and closed-form chain bounds; :meth:`~SymbolicDoallPhase.lower` builds the
@@ -28,29 +27,31 @@ The chain phase realises the ROADMAP's coset observation: for a uniform
 distance ``u`` the chains are cosets of the distance lattice
 (cf. :class:`repro.baselines.lattice.DistanceLattice`), i.e. strided arrays
 ``start + t·u`` clipped to the P2 box — no edge matching over Rd.  With
-``Φ`` a box and ``Rd`` the translation by ``u``::
+``Φ`` a box and ``Rd`` the translation by ``u``, every set is a box
+translate or a box difference, which is how :func:`box_partition` builds
+them::
 
     ran = (Φ + u) ∩ Φ        dom = (Φ − u) ∩ Φ
     P1  = Φ \\ ran            P2 = ran ∩ dom         P3 = ran \\ dom
-    W   = {w ∈ P2 : w − 2u ∉ Φ}
+    W   = {w ∈ P2 : w − 2u ∉ Φ} = P2 \\ (Φ + 2u)
 
-and walking back from any ``p ∈ P2`` by ``u`` stays inside P2 until it hits
-a ``w ∈ W`` (``p − u ∈ dom`` always; ``p − u ∈ ran`` iff ``p − 2u ∈ Φ``), so
-the cosets ``{w + t·u}`` tile P2 exactly — the generated kernels assert the
-tiling (``Σ len == |P2|``) at run time as a cheap belt-and-braces check.
+P2 is an intersection of boxes, so it is always one box.  Walking back from
+any ``p ∈ P2`` by ``u`` stays inside P2 until it hits a ``w ∈ W``
+(``p − u ∈ dom`` always; ``p − u ∈ ran`` iff ``p − 2u ∈ Φ``), so the cosets
+``{w + t·u}`` tile P2 exactly — the generated kernels assert the tiling
+(``Σ len == |P2|``) at run time as a cheap belt-and-braces check.  The
+rational :func:`~repro.core.partition.symbolic_three_set_partition` is not
+used here; it stays for the paper-style Fortran listings.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..codegen.bounds import nest_bounds
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from .partition import symbolic_three_set_partition
 from .partitioner import PartitioningNotApplicable
 from .schedule import Phase, Schedule
 
@@ -60,8 +61,8 @@ __all__ = [
     "Box",
     "box_count",
     "rectangular_box",
-    "uniform_shift",
-    "uniform_shift_pairs",
+    "BoxPartition",
+    "box_partition",
     "symbolic_not_applicable_reason",
     "build_symbolic_schedule",
 ]
@@ -316,63 +317,6 @@ def rectangular_box(
     return tuple(box)
 
 
-def _lex_positive(u: Tuple[int, ...]) -> Tuple[int, ...]:
-    for c in u:
-        if c > 0:
-            return u
-        if c < 0:
-            return tuple(-x for x in u)
-    return u
-
-
-def uniform_shift_pairs(
-    program: LoopProgram, analysis: DependenceAnalysis
-) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """``(u, n_active_pairs)`` for the single-uniform-distance case, or ``None``.
-
-    Syntactic only: walks the reference pairs, requires every pair to be a
-    uniform full-rank recurrence (``T = I``), drops pairs whose shift is
-    non-integral or zero (they generate no cross-iteration dependences), and
-    demands that exactly one lex-normalised distance remains.
-    ``n_active_pairs`` counts the pairs carrying that distance (the feature
-    extractor needs it for the Lemma 1 single-pair flag).  Never touches an
-    enumerated relation or space.
-    """
-    contexts = program.statement_contexts()
-    if len(contexts) != 1:
-        return None
-    shifts = set()
-    active = 0
-    for pair in analysis.reference_pairs:
-        try:
-            if not pair.is_square_full_rank() or not pair.is_uniform():
-                return None
-            rec = pair.recurrence()
-        except ValueError:
-            return None  # e.g. parameters inside subscripts
-        if rec is None:
-            return None
-        _, u = rec
-        if any(Fraction(c).denominator != 1 for c in u):
-            continue  # non-integral shift: the pair has no solutions
-        u_int = tuple(int(c) for c in u)
-        if not any(u_int):
-            continue  # zero distance: no cross-iteration dependence
-        shifts.add(_lex_positive(u_int))
-        active += 1
-    if len(shifts) != 1:
-        return None
-    return shifts.pop(), active
-
-
-def uniform_shift(
-    program: LoopProgram, analysis: DependenceAnalysis
-) -> Optional[Tuple[int, ...]]:
-    """The single uniform dependence distance of ``program``, or ``None``."""
-    info = uniform_shift_pairs(program, analysis)
-    return info[0] if info is not None else None
-
-
 def symbolic_not_applicable_reason(
     program: LoopProgram,
     params: Mapping[str, int],
@@ -386,7 +330,7 @@ def symbolic_not_applicable_reason(
         return "requires a single-statement perfect nest"
     if rectangular_box(program, params) is None:
         return "requires a rectangular space (constant bounds, unit strides)"
-    if uniform_shift(program, analysis) is None:
+    if analysis.uniform_shift_pairs is None:
         return (
             "requires exactly one uniform integral dependence distance "
             "(the Lemma 1 single-pair case with T = I)"
@@ -399,38 +343,63 @@ def symbolic_not_applicable_reason(
 # ---------------------------------------------------------------------------
 
 
-def _union_boxes(uset, order: Sequence[str]) -> List[Box]:
-    """Every member of a parameter-free union set as a concrete box.
+def _box_intersect(a: Box, b: Box) -> Box:
+    """``a ∩ b`` (empty when any extent comes out negative)."""
+    return tuple((max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, b))
 
-    Raises :class:`PartitioningNotApplicable` when a member is not exactly a
-    box (guard constraints, bounds referencing other loop variables, or an
-    unbounded direction) — the builder's contract is to refuse rather than
-    approximate.
+
+def _box_translate(box: Box, shift: Sequence[int]) -> Box:
+    """``box + shift``."""
+    return tuple((lo + c, hi + c) for (lo, hi), c in zip(box, shift))
+
+
+def _box_difference(a: Box, b: Box) -> List[Box]:
+    """``a \\ b`` as at most ``2·d`` disjoint non-empty boxes.
+
+    Slabs are peeled outermost dimension first: the part of ``a`` below and
+    above ``b`` in dimension ``k``, with the dimensions before ``k`` already
+    clipped to ``b``.
     """
-    boxes: List[Box] = []
-    for member in uset.members:
-        nb = nest_bounds(member.simplified(), order)
-        if nb.guards:
-            raise PartitioningNotApplicable(
-                "symbolic partition member has non-box guard constraints"
-            )
-        box: List[Tuple[int, int]] = []
-        for level in nb.levels:
-            if not level.lowers or not level.uppers:
-                raise PartitioningNotApplicable(
-                    f"symbolic partition member is unbounded in {level.variable}"
-                )
-            for bound in (*level.lowers, *level.uppers):
-                if bound.expr.variables:
-                    raise PartitioningNotApplicable(
-                        "symbolic partition member is not an axis-aligned box"
-                    )
-            lo = max(b.evaluate({}) for b in level.lowers)
-            hi = min(b.evaluate({}) for b in level.uppers)
-            box.append((int(lo), int(hi)))
-        if box_count(tuple(box)):
-            boxes.append(tuple(box))
-    return boxes
+    if not box_count(_box_intersect(a, b)):
+        return [a] if box_count(a) else []
+    out: List[Box] = []
+    rest = list(a)
+    for k, (lb, hb) in enumerate(b):
+        lo, hi = rest[k]
+        if lo < lb:
+            out.append(tuple(rest[:k] + [(lo, lb - 1)] + rest[k + 1:]))
+        if hb < hi:
+            out.append(tuple(rest[:k] + [(hb + 1, hi)] + rest[k + 1:]))
+        rest[k] = (max(lo, lb), min(hi, hb))
+    return out
+
+
+class BoxPartition(NamedTuple):
+    """Eq. 5's sets and W as disjoint boxes; P2 is one, possibly empty, box."""
+
+    p1: List[Box]
+    p2: Box
+    p3: List[Box]
+    w: List[Box]
+
+
+def box_partition(phi: Box, shift: Sequence[int]) -> BoxPartition:
+    """Eq. 5 for ``Φ = phi`` and ``Rd = {i − u → i}``, in box arithmetic.
+
+    ``shift`` is the lex-positive distance ``u``; see the module docstring
+    for the four formulas.  O(d²) integer work, whatever the size of Φ.
+    """
+    neg = tuple(-c for c in shift)
+    ran = _box_intersect(_box_translate(phi, shift), phi)
+    dom = _box_intersect(_box_translate(phi, neg), phi)
+    p2 = _box_intersect(ran, dom)
+    two_u = tuple(2 * c for c in shift)
+    return BoxPartition(
+        p1=_box_difference(phi, ran),
+        p2=p2,
+        p3=_box_difference(ran, dom),
+        w=_box_difference(p2, _box_translate(phi, two_u)),
+    )
 
 
 def build_symbolic_schedule(
@@ -439,51 +408,28 @@ def build_symbolic_schedule(
     analysis: DependenceAnalysis,
     fingerprint: str = "",
 ) -> Schedule:
-    """The Theorem 1 schedule from the symbolic partition, O(1) in |Φ|.
+    """The Theorem 1 schedule from the closed-form partition, O(1) in |Φ|.
 
     Three phases — P1 DOALL, the coset chains over P2, P3 DOALL — each
-    represented by boxes.  The closed-form counts are cross-checked
-    (``|P1| + |P2| + |P3| == |Φ|``); any mismatch means the rational set
-    algebra approximated the integer geometry and the builder refuses.
+    represented by boxes built by :func:`box_partition` from the loop box
+    and the shift, so ``|P1| + |P2| + |P3| == |Φ|`` holds by construction.
     """
-    shift = uniform_shift(program, analysis)
-    if shift is None:
-        raise PartitioningNotApplicable(
-            "no single uniform integral dependence distance"
-        )
-    space = program.iteration_space()
-    order = list(space.variables)
-    sym = symbolic_three_set_partition(space, analysis.symbolic_relation())
-    if params:
-        sym = sym.bind_parameters(params)
+    reason = symbolic_not_applicable_reason(program, params, analysis)
+    if reason is not None:
+        raise PartitioningNotApplicable(reason)
+    shift, _ = analysis.uniform_shift_pairs
+    phi = rectangular_box(program, params)
+    part = box_partition(phi, shift)
+    n_p2 = box_count(part.p2)
+    assert (
+        sum(map(box_count, part.p1)) + n_p2 + sum(map(box_count, part.p3))
+        == box_count(phi)
+    ), "box partition does not cover the iteration space"
 
-    phi_boxes = _union_boxes(sym.space, order)
-    p1_boxes = _union_boxes(sym.p1, order)
-    p2_boxes = _union_boxes(sym.p2, order)
-    p3_boxes = _union_boxes(sym.p3, order)
-    w_boxes = _union_boxes(sym.w, order)
-
-    if len(phi_boxes) != 1:
-        raise PartitioningNotApplicable("iteration space is not a single box")
-    if len(p2_boxes) > 1:
-        raise PartitioningNotApplicable(
-            "intermediate set P2 is not a single box"
-        )
-
-    n_phi = box_count(phi_boxes[0])
-    n_p1 = sum(box_count(b) for b in p1_boxes)
-    n_p2 = sum(box_count(b) for b in p2_boxes)
-    n_p3 = sum(box_count(b) for b in p3_boxes)
-    if n_p1 + n_p2 + n_p3 != n_phi:
-        raise PartitioningNotApplicable(
-            f"symbolic partition is not exact here: |P1|+|P2|+|P3| = "
-            f"{n_p1 + n_p2 + n_p3} != |Phi| = {n_phi}"
-        )
-
-    phases = [SymbolicDoallPhase("P1-doall", p1_boxes)]
+    phases = [SymbolicDoallPhase("P1-doall", part.p1)]
     if n_p2:
-        phases.append(CosetChainPhase("P2-chains", w_boxes, shift, p2_boxes[0]))
-    phases.append(SymbolicDoallPhase("P3-doall", p3_boxes))
+        phases.append(CosetChainPhase("P2-chains", part.w, shift, part.p2))
+    phases.append(SymbolicDoallPhase("P3-doall", part.p3))
 
     key_params = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
     if not fingerprint:

@@ -29,6 +29,7 @@ the uniformity check runs on the array form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -222,6 +223,46 @@ class DependenceAnalysis:
     def iteration_space_points(self) -> List[Tuple[int, ...]]:
         """All iteration points of the (perfect) nest, in lexicographic order."""
         return [tuple(p) for p in self.iteration_space_array.tolist()]
+
+    # -- the Lemma 1 single-uniform-distance case ----------------------------------
+
+    @cached_property
+    def uniform_shift_pairs(self) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """``(u, n_active_pairs)`` for the single-uniform-distance case, or ``None``.
+
+        Syntactic: every reference pair of a single-statement program must be
+        a uniform full-rank recurrence (``T = I``); pairs with a non-integral
+        or zero shift carry no cross-iteration dependence and are dropped, and
+        exactly one lex-positive distance ``u`` must remain, carried by
+        ``n_active_pairs`` pairs.  Solved once and read by the feature
+        extractor, the ``symbolic`` gate and its builder.
+        """
+        if len(self.program.statement_contexts()) != 1:
+            return None
+        shifts = set()
+        active = 0
+        for pair in self.reference_pairs:
+            try:
+                if not pair.is_square_full_rank() or not pair.is_uniform():
+                    return None
+                rec = pair.recurrence()
+            except ValueError:
+                return None  # e.g. parameters inside subscripts
+            if rec is None:
+                return None
+            _, u = rec
+            if any(Fraction(c).denominator != 1 for c in u):
+                continue  # non-integral shift: the pair has no solutions
+            u_int = tuple(int(c) for c in u)
+            if not any(u_int):
+                continue  # zero distance: no cross-iteration dependence
+            if next(c for c in u_int if c) < 0:
+                u_int = tuple(-c for c in u_int)
+            shifts.add(u_int)
+            active += 1
+        if len(shifts) != 1:
+            return None
+        return shifts.pop(), active
 
     # -- symbolic view ------------------------------------------------------------
 

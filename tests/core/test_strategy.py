@@ -35,7 +35,7 @@ from repro.core.strategy import (
     strategy_names,
     strategy_table,
 )
-from repro.workloads.corpus import selection_corpus
+from repro.workloads.corpus import family_entries, selection_corpus
 from repro.workloads.examples import (
     cholesky_loop,
     example2_loop,
@@ -499,6 +499,15 @@ class TestPlanObject:
         assert p.longest_chain() <= p.chain_length_bound()
         df = plan(example3_loop(10), cache=False)
         assert df.chain_length_bound() is None and df.longest_chain() == 0
+        # A symbolic plan reports its coset chains.
+        (diag,) = [
+            e for e in family_entries("deep-rectangular", size="small")
+            if e.name == "deep-rect-diag"
+        ]
+        sym = plan(diag.program, diag.params, cache=False)
+        assert sym.strategy == "symbolic" and sym.longest_chain() == 3
+        assert sym.summary()["n_chains"] == 19
+        assert sym.summary()["longest_chain"] == 3
 
 
 class TestPlanCacheThreadSafety:
