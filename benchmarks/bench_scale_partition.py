@@ -119,13 +119,13 @@ def oracle_hot_path(space, rd):
 def array_pipeline(prog):
     """program → exact Rd → dataflow schedule, planned; plus the eq. 5 partition."""
     p = plan(prog, config=DATAFLOW, cache=False)
-    rd = p.analysis.iteration_dependences
-    return rd, three_set_partition(p.analysis.iteration_space_array, rd), p.schedule
+    rd = p.analysis.space.rd
+    return rd, three_set_partition(p.analysis.space.unified_array, rd), p.schedule
 
 
 def oracle_pipeline(prog):
     """The same three results from the brute-force oracle."""
-    rd = oracle.iteration_dependences(prog)
+    rd = oracle.statement_space(prog).rd
     points = oracle.space_points(prog)
     label = prog.statement_contexts()[0].statement.label
     phases = [
@@ -270,8 +270,8 @@ def test_plan_facade_overhead(report):
         analysis = DependenceAnalysis(prog, {})
         return dataflow_schedule(
             f"{prog.name}-REC-dataflow",
-            analysis.iteration_space_array,
-            analysis.iteration_dependences,
+            analysis.space.unified_array,
+            analysis.space.rd,
             label="s",
         )
 
@@ -427,8 +427,8 @@ def test_statement_level_speedup(report):
         assert oracle.schedule_phases(vec_plan.schedule) == expected
         rows.append(
             {
-                "instances": len(vec_plan.statement_space),
-                "unified_pairs": len(vec_plan.statement_space.rd),
+                "instances": len(vec_plan.analysis.space),
+                "unified_pairs": len(vec_plan.analysis.space.rd),
                 "wavefronts": vec_plan.schedule.num_phases,
                 "t_set_s": round(t_set, 4),
                 "t_vector_s": round(t_vector, 4),

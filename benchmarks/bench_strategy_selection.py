@@ -56,7 +56,6 @@ from repro.core.strategy import (
     plan,
     strategy_names,
 )
-from repro.dependence.analysis import ImperfectNestError
 from repro.runtime.simulator import simulate_schedule
 from repro.workloads.corpus import DEFAULT_CORPUS_SEED, selection_corpus
 
@@ -91,7 +90,7 @@ def simulated_time(entry, strategy_name, n_points):
     config = PlanConfig(strategies=(strategy_name,))
     try:
         p = plan(entry.program, entry.params, config=config, cache=False)
-    except (PartitioningNotApplicable, ImperfectNestError):
+    except PartitioningNotApplicable:
         return None
     model = COST_MODELS.get(strategy_name, DEFAULT_COST_MODEL)
     result = simulate_schedule(

@@ -73,7 +73,7 @@ def test_symbolic_plan_is_o1_in_n(report):
     # O(1) structurally: the shared analysis never materialised the iteration
     # space or enumerated dependence pairs (both are lazy cached properties —
     # enumeration would leave them in the instance __dict__).
-    assert "iteration_space_array" not in vars(p.analysis)
+    assert "space" not in vars(p.analysis)
     assert "pair_dependences" not in vars(p.analysis)
 
     rows = [

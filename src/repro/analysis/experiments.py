@@ -74,9 +74,9 @@ def run_figure1_dependences(n1: int = 10, n2: int = 10) -> Dict[str, object]:
     """The dependence structure of the figure-1 loop (distances (2,2),(4,4),(6,6))."""
     prog = figure1_loop(n1, n2)
     analysis = DependenceAnalysis(prog, {})
-    rel = analysis.iteration_dependences
+    rel = analysis.space.rd
     return {
-        "iterations": len(analysis.iteration_space_points),
+        "iterations": len(analysis.space),
         "direct_dependences": len(rel),
         "distances": sorted(rel.distances()),
         "uniform": analysis.is_uniform(),
@@ -92,8 +92,8 @@ def run_figure2_chains(n: int = 20) -> Dict[str, object]:
 
     prog = figure2_loop(n)
     analysis = DependenceAnalysis(prog, {})
-    rel = analysis.iteration_dependences
-    partition = three_set_partition(analysis.iteration_space_points, rel)
+    rel = analysis.space.rd
+    partition = three_set_partition(analysis.space.unified_array, rel)
     pairs = split_into_monotonic_pairs(rel)
     return {
         "dependences": sorted((a[0], b[0]) for a, b in rel.pairs),
@@ -139,10 +139,10 @@ def run_example2_partition(n: int = 12) -> Dict[str, object]:
 def run_example3_partition(n: int = 40) -> Dict[str, object]:
     """REC partition of the imperfectly nested Chen & Yew loop (empty P2 → 2 phases)."""
     result = plan(example3_loop(n))
-    stmt_space = result.statement_space
+    space = result.analysis.space
     report = result.validate(seeds=(0,))
     # The three-set view of the unified space (empty intermediate set expected).
-    partition = three_set_partition(stmt_space.space_array, stmt_space.rd)
+    partition = three_set_partition(space.unified_array, space.rd)
     return {
         "params": {"N": n},
         "phases": result.schedule.num_phases,

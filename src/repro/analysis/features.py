@@ -11,11 +11,11 @@ to a small, hashable :class:`ProgramFeatures` record whose
 
 Design constraints:
 
-* **array-native** — every fact is read off the analysis' cached array views
-  (``iteration_space_array``, ``statement_domain_array``, the array-backed
-  combined relation, :func:`~repro.dependence.distance.is_uniform_relation_arrays`
-  through :meth:`DependenceAnalysis.is_uniform`); no per-point Python set
-  algebra is introduced;
+* **array-native** — every fact is read off the analysis' one cached space
+  (``DependenceAnalysis.space``: its rows, its array-backed Rd, and
+  :func:`~repro.dependence.distance.is_uniform_relation_arrays` through
+  :meth:`DependenceAnalysis.is_uniform`); no per-point Python set algebra is
+  introduced;
 * **shared work** — extraction consumes the *same* ``DependenceAnalysis``
   object the winning strategy's builder will consume, so nothing selection
   touches is re-analysed by the build;
@@ -50,8 +50,10 @@ class ProgramFeatures:
     """The selection-facing summary of one (program, params) pair.
 
     ``uniform`` is three-valued: ``True``/``False`` for perfect nests (the
-    exhaustive §2 check over the combined relation) and ``None`` for
-    imperfect nests, where no single iteration-level relation exists.
+    exhaustive §2 check over the space's Rd) and ``None`` for any other
+    program, whose unified distances mix position digits into the loop
+    distances.  ``n_points`` counts statement instances and
+    ``n_dependences`` the pairs of that Rd.
     """
 
     program: str
@@ -145,11 +147,10 @@ def _closed_form(
     """O(1)-in-N feature facts for the symbolic-eligible case, or ``None``.
 
     When the nest is rectangular with a single uniform integral dependence
-    distance ``u``, every fact the enumerating path derives from
-    ``iteration_space_array`` / ``iteration_dependences`` is a product of
-    the box extents: ``|Φ| = Π e_k``, ``|Rd| = Π max(0, e_k − |u_k|)``
-    (iteration ``i`` depends on ``i − u`` whenever both ends stay in the
-    box).  Returns ``(n_points, n_deps, single_coupled_pair)``.
+    distance ``u``, every fact the enumerating path derives from the
+    analysis' space and its Rd is a product of the box extents:
+    ``|Φ| = Π e_k``, ``|Rd| = Π max(0, e_k − |u_k|)`` (iteration ``i``
+    depends on ``i − u`` whenever both ends stay in the box).  Returns ``(n_points, n_deps, single_coupled_pair)``.
     """
     from ..core.symbolic import box_count, rectangular_box
 
@@ -183,18 +184,11 @@ def _extract(
         # no iteration space or dependence relation is ever enumerated.
         n_points, n_deps, single_coupled_pair = closed
         uniform = True
-    elif perfect:
-        n_points = int(analysis.iteration_space_array.shape[0])
-        n_deps = len(analysis.iteration_dependences)
-        uniform = analysis.is_uniform() if n_deps else True
-        single_coupled_pair = analysis.has_single_coupled_pair()
     else:
-        n_points = sum(
-            int(analysis.statement_domain_array(ctx.statement.label).shape[0])
-            for ctx in contexts
-        )
-        n_deps = sum(len(d.relation) for d in analysis.pair_dependences)
-        uniform = None
+        # The builders' own space and Rd (shared through the analysis).
+        n_points = len(analysis.space)
+        n_deps = len(analysis.space.rd)
+        uniform = analysis.is_uniform() if perfect else None
         single_coupled_pair = analysis.has_single_coupled_pair()
 
     return ProgramFeatures(

@@ -24,10 +24,9 @@ generate non-uniform dependences).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..dependence.analysis import DependenceAnalysis
-from ..dependence.distance import is_uniform_relation
 from ..ir.program import LoopProgram
 from ..workloads.synthetic import SyntheticLoopSpec
 
@@ -65,13 +64,8 @@ def classify_loop(
     has_deps = analysis.has_dependences()
     uniform_matrix = all(p.is_uniform() for p in analysis.coupled_pairs) if analysis.coupled_pairs else True
     uniform_exact: Optional[bool] = None
-    if exact:
-        try:
-            uniform_exact = is_uniform_relation(
-                analysis.iteration_dependences, analysis.iteration_space_points
-            )
-        except ValueError:
-            uniform_exact = None
+    if exact and program.is_perfect_nest():
+        uniform_exact = analysis.is_uniform()
     return LoopClassification(
         name=program.name,
         has_coupled_pair=coupled,

@@ -11,7 +11,9 @@ comparison relies on (DOACROSS trails the two-phase DOALL code REC produces).
 
 The reproduction models a DOACROSS execution as a wavefront schedule over the
 relation ``{ i → i+v | v ∈ BDV, both in Φ }``: one phase per wavefront level,
-single-iteration units.  The extra cost of the per-iteration P/V
+single-instance units, over the program's one space (the analysis'
+statement-level space, whose rows are plain iteration vectors for a
+one-statement nest).  The extra cost of the per-iteration P/V
 synchronization relative to barriers is expressed through the cost model used
 when simulating the schedule (see the figure-3 benchmarks).
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from ..core.dataflow import dataflow_partition
 from ..core.partition import space_rows
-from ..core.schedule import Phase, Schedule, point_phases
+from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation, PointCodec, in_sorted
@@ -84,53 +86,32 @@ def doacross_schedule(
 ) -> Schedule:
     """Schedule a program under BDV-synchronized DOACROSS execution.
 
-    Works at iteration level for perfect nests and at statement level (unified
-    index vectors) otherwise, so the imperfectly nested Example 3 can be
-    scheduled the way Chen & Yew's paper schedules it.  The wavefront levels
-    come out of the dataflow peeling as CSR arrays (lexicographic inside a
-    level), and each level becomes one phase over slices of them.
+    Works on the analysis' one space — iteration vectors for a one-statement
+    nest, unified statement index vectors otherwise — so the imperfectly
+    nested Example 3 is scheduled the way Chen & Yew's paper schedules it.
+    The wavefront levels come out of the dataflow peeling as CSR arrays
+    (lexicographic inside a level), and each level becomes one phase over
+    slices of them.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-
-    contexts = program.statement_contexts()
-    index_names = contexts[0].index_names if contexts else ()
-    perfect = all(ctx.index_names == index_names for ctx in contexts)
-
-    if perfect:
-        space = analysis.iteration_space_array
-        rd = analysis.iteration_dependences
-        vectors = basic_dependence_vectors(rd, len(index_names))
-        # The wavefront levels are computed over the uniformized relation *plus*
-        # the exact one: the BDV edges add the artificial serialization the
-        # scheme pays for, and keeping the exact edges guarantees correctness
-        # even where an intermediate point i+v falls outside the iteration
-        # space (single BDV steps alone would then lose the ordering).
-        uniform = uniformized_relation(space, vectors).union(rd)
-        offsets, rows = dataflow_partition(space, uniform).level_arrays()
-        bounds = offsets.tolist()
-        names = [f"doacross-wave-{k}" for k in range(len(bounds) - 1)]
-        phases = point_phases(names, rows, bounds, len(contexts))
-    else:
-        from ..core.statement import build_statement_space
-
-        stmt_space = build_statement_space(program, params, analysis)
-        points = stmt_space.space_array
-        vectors = basic_dependence_vectors(stmt_space.rd, stmt_space.width)
-        uniform = uniformized_relation(points, vectors).union(stmt_space.rd)
-        offsets, rows = dataflow_partition(points, uniform).level_arrays()
-        bounds = offsets.tolist()
-        ids = stmt_space.stmt_ids_of(rows)
-        phases = [
-            Phase(f"doacross-wave-{k}", ids[lo:hi], rows[lo:hi, 1::2])
-            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        ]
-
-    return Schedule.for_program(
+    space = analysis.space
+    vectors = basic_dependence_vectors(space.rd, space.width)
+    # The wavefront levels are computed over the uniformized relation *plus*
+    # the exact one: the BDV edges add the artificial serialization the
+    # scheme pays for, and keeping the exact edges guarantees correctness
+    # even where an intermediate point i+v falls outside the space (single
+    # BDV steps alone would then lose the ordering).
+    uniform = uniformized_relation(space.unified_array, vectors).union(space.rd)
+    offsets, rows = dataflow_partition(space.unified_array, uniform).level_arrays()
+    return Schedule.from_levels(
         f"{program.name}-DOACROSS",
-        program,
-        phases,
+        space.stmt_labels,
+        space.stmt_depths,
+        offsets,
+        *space.split(rows),
+        phase_names="doacross-wave",
         scheme="doacross",
         basic_dependence_vectors=[list(v) for v in vectors],
-        waves=len(phases),
+        waves=len(offsets) - 1,
     )

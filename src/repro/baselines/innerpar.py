@@ -6,9 +6,10 @@ is what a dependence test such as the POWER test licenses for Example 3 (the
 outer ``I`` loop carries the dependences, the inner ``J``/``K`` loops do not).
 The schedule has one phase (one barrier) per outer-loop iteration; the units
 of a phase are the statement instances sharing that outer iteration value.
-"Outer iteration" is read in the unified index space of §3.3, as the prefix
-``(s0, i1)`` — so two sibling top-level nests (the Cholesky kernel) keep their
-program order instead of interleaving by the value of ``i1``.
+"Outer iteration" is read in the program's one space, the unified index space
+of §3.3, as the prefix ``(s0, i1)`` (just ``(i1,)`` for a one-statement nest)
+— so two sibling top-level nests (the Cholesky kernel) keep their program
+order instead of interleaving by the value of ``i1``.
 
 The scheme is safe whenever the outermost loop carries every dependence, which
 the constructor verifies against the exact relation and reports loudly if
@@ -21,8 +22,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..core.schedule import Phase, Schedule
-from ..core.statement import build_statement_space
+from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 
@@ -49,9 +49,9 @@ def inner_parallel_schedule(
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-    stmt_space = build_statement_space(program, params, analysis)
-    rows = stmt_space.space_array
-    prefix = rows[:, : 2 * sequential_depth]
+    space = analysis.space
+    rows = space.unified_array
+    prefix = space.index_map.prefix(rows, sequential_depth)
     # Rows are in lexicographic (== sequential) order, so each prefix group
     # is one contiguous run and the groups come in ascending prefix order.
     starts = np.flatnonzero((prefix[1:] != prefix[:-1]).any(axis=1)) + 1
@@ -62,24 +62,19 @@ def inner_parallel_schedule(
     # a later one (carried by the outer loops) — otherwise both groups run as
     # one sequential unit.
     conflicting = np.zeros(len(bounds) - 1, dtype=bool)
-    src, dst = stmt_space.rd.as_arrays()
+    src, dst = space.rd.as_arrays()
     if len(src):
-        g_src = group[stmt_space.row_indices_of(src)]
-        g_dst = group[stmt_space.row_indices_of(dst)]
+        g_src = group[space.row_indices_of(src)]
+        g_dst = group[space.row_indices_of(dst)]
         bad = g_src >= g_dst
         conflicting[g_src[bad]] = True
         conflicting[g_dst[bad]] = True
 
     keys = prefix[bounds[:-1]]
-    if len(np.unique(keys[:, 0::2], axis=0)) <= 1:
-        keys = keys[:, 1::2]
+    if len(np.unique(space.index_map.position_columns(keys), axis=0)) <= 1:
+        keys = space.index_map.iteration_columns(keys)
     phases = [
-        Phase(
-            f"outer{tuple(key)}",
-            stmt_space.stmt_ids[lo:hi],
-            rows[lo:hi, 1::2],
-            [0, hi - lo] if conflict else None,
-        )
+        space.phase(f"outer{tuple(key)}", rows[lo:hi], [0, hi - lo] if conflict else None)
         for key, conflict, lo, hi in zip(
             keys.tolist(), conflicting.tolist(), bounds, bounds[1:]
         )

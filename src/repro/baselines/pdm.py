@@ -10,13 +10,13 @@ coset are executed sequentially in lexicographic order, which serializes both
 the real dependences and the *artificial* ones the covering introduces — the
 over-serialization the recurrence-chain paper improves on.
 
-At statement level (imperfect nests / multiple statements) the scheme is
-applied per uniformizable dimension group; this reproduction applies it to the
-iteration vectors of perfect nests and, for imperfect programs such as the
-Cholesky kernel, to each statement's iteration domain with the dependence
-distances projected onto the shared outer loops — enough to reproduce the
-paper's Example 4 comparison, where PDM parallelizes the outermost ``L`` /
-``I`` loops and wins on load balance beyond 3 threads.
+The scheme runs on the program's one space, the analysis' §3.3
+statement-level space: on iteration vectors for a one-statement nest, and
+on unified statement index vectors for every program of several statements,
+so instances whose unified difference lies in the pseudo-distance lattice
+share a sequential unit and the remaining (outermost) dimensions stay fully
+parallel — what the paper's Example 4 PDM code achieves with its DOALL over
+``L`` and ``I``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import ClassVar, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.partition import space_rows
-from ..core.schedule import Phase, Schedule
+from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation, readonly_view
@@ -103,36 +103,11 @@ def pdm_schedule_and_partition(
     """:func:`pdm_schedule` together with the partition it was built from."""
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-
-    contexts = program.statement_contexts()
-    index_names = contexts[0].index_names if contexts else ()
-    perfect = all(ctx.index_names == index_names for ctx in contexts)
-
-    name = "PDM cosets (outermost DOALL)"
-    if perfect:
-        partition = pdm_partition(
-            analysis.iteration_space_array, analysis.iteration_dependences
-        )
-        phase = Phase.of_points(
-            name, partition.points, len(contexts), partition.coset_offsets
-        )
-    else:
-        # Statement-level PDM: uniformize over the unified statement index
-        # vectors of §3.3, so instances whose unified difference lies in the
-        # pseudo-distance lattice share a sequential unit and the remaining
-        # (outermost) dimensions stay fully parallel — this is what the
-        # paper's Example 4 PDM code achieves with its DOALL over L and I.
-        from ..core.statement import build_statement_space
-
-        stmt_space = build_statement_space(program, params, analysis)
-        partition = pdm_partition(stmt_space.space_array, stmt_space.rd)
-        phase = Phase(
-            name,
-            stmt_space.stmt_ids_of(partition.points),
-            partition.points[:, 1::2],
-            partition.coset_offsets,
-        )
-
+    space = analysis.space
+    partition = pdm_partition(space.unified_array, space.rd)
+    phase = space.phase(
+        "PDM cosets (outermost DOALL)", partition.points, partition.coset_offsets
+    )
     schedule = Schedule.for_program(
         f"{program.name}-PDM",
         program,
@@ -153,8 +128,6 @@ def pdm_schedule(
     """Schedule a program under the PDM scheme.
 
     The schedule is a single parallel phase (the outermost DOALL over cosets);
-    each coset is one sequential unit in lexicographic order.  For programs
-    with several statements the units carry every statement instance of the
-    iterations in the coset, still in sequential program order.
+    each coset is one sequential unit in lexicographic (== program) order.
     """
     return pdm_schedule_and_partition(program, params, analysis)[0]

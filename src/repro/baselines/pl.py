@@ -11,7 +11,8 @@ inside each partition are longer, and there are fewer independent partitions —
 which is why PL trails PDM and REC in figure 3.
 
 Mechanically the scheme is the same coset construction as PDM with a different
-generator set; see :mod:`repro.baselines.lattice`.
+generator set, on the same space (the analysis' statement-level space); see
+:mod:`repro.baselines.lattice`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Mapping, Optional, Tuple
 
 from ..core.partition import space_rows
-from ..core.schedule import Phase, Schedule
+from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation
@@ -59,13 +60,11 @@ def pl_schedule_and_partition(
     """:func:`pl_schedule` together with the partition it was built from."""
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-    partition = pl_partition(
-        analysis.iteration_space_array, analysis.iteration_dependences
-    )
-    phase = Phase.of_points(
+    space = analysis.space
+    partition = pl_partition(space.unified_array, space.rd)
+    phase = space.phase(
         "PL partitions (labels executed in order)",
         partition.points,
-        len(program.statement_contexts()),
         partition.coset_offsets,
     )
     schedule = Schedule.for_program(

@@ -18,7 +18,7 @@ from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.schedule import Schedule, point_phases
+from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation, lexsort_rows
@@ -51,39 +51,41 @@ def tiling_schedule(
 ) -> Schedule:
     """Schedule a perfect-nest program under minimum-distance tiling.
 
-    Tiles are visited in lexicographic order (one phase per tile); the
-    iterations inside a tile are the parallel units of that phase.
+    The tiles cut the analysis' one space (iteration vectors for one
+    statement, unified vectors for several).  Tiles are visited in
+    lexicographic order (one phase per tile); the instances inside a tile
+    are the parallel units of that phase.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-    statements = len(program.statement_contexts())
-    space = analysis.iteration_space_array
-    rd = analysis.iteration_dependences
-    if not len(space):
+    space = analysis.space
+    rows = space.unified_array
+    if not len(rows):
         return Schedule.for_program(
             f"{program.name}-TILE", program, [], scheme="min-distance-tiling"
         )
-    dim = space.shape[1]
-    extents = minimum_distances(rd, dim)
-    lows = space.min(axis=0)
-    highs = space.max(axis=0)
+    extents = minimum_distances(space.rd, rows.shape[1])
+    lows = rows.min(axis=0)
+    highs = rows.max(axis=0)
     sizes = tuple(
         int(e if e and e > 0 else (highs[k] - lows[k] + 1)) for k, e in enumerate(extents)
     )
     # Tile of each point by floor division; tiles in lexicographic order,
     # each tile's points in lexicographic order.
-    tiles = (space - lows) // np.asarray(sizes, dtype=np.int64)
-    order = lexsort_rows(np.concatenate([tiles, space], axis=1))
-    tiles, points = tiles[order], space[order]
+    tiles = (rows - lows) // np.asarray(sizes, dtype=np.int64)
+    order = lexsort_rows(np.concatenate([tiles, rows], axis=1))
+    tiles, points = tiles[order], rows[order]
     starts = np.flatnonzero((tiles[1:] != tiles[:-1]).any(axis=1)) + 1
     bounds = [0, *starts.tolist(), len(points)]
     names = [f"tile{tuple(key)}" for key in tiles[bounds[:-1]].tolist()]
-    phases = point_phases(names, points, bounds, statements)
-    return Schedule.for_program(
+    return Schedule.from_levels(
         f"{program.name}-TILE",
-        program,
-        phases,
+        space.stmt_labels,
+        space.stmt_depths,
+        bounds,
+        *space.split(points),
+        phase_names=names,
         scheme="min-distance-tiling",
         tile_size=list(sizes),
-        tiles=len(phases),
+        tiles=len(names),
     )

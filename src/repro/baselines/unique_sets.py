@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.partition import space_rows
-from ..core.schedule import Phase, Schedule
+from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation, PointCodec, in_sorted
@@ -144,12 +144,10 @@ def unique_sets_schedule_and_partition(
     """:func:`unique_sets_schedule` together with the sets it was built from."""
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-    statements = len(program.statement_contexts())
-    space = analysis.iteration_space_array
-    rd = analysis.iteration_dependences
-    sets = unique_sets_partition(space, rd)
+    space = analysis.space
+    sets = unique_sets_partition(space.unified_array, space.rd)
     phases = [
-        Phase.of_points(name, rows, statements, [0, len(rows)] if sequential else None)
+        space.phase(name, rows, [0, len(rows)] if sequential else None)
         for name, rows, sequential in sets.phases()
         if len(rows)
     ]

@@ -8,8 +8,8 @@
   P2 phase built from the relation's arrays, one unit per chain (Lemma 1);
 * :mod:`repro.core.dataflow` — the iterative dataflow partitioning branch of
   Algorithm 1 for multiple coupled subscripts with constant bounds;
-* :mod:`repro.core.statement` — the statement-level iteration space extension
-  of §3.3 for imperfectly nested loops;
+* :mod:`repro.core.statement` — the statement-level iteration space of §3.3,
+  the one space every program is planned in;
 * :mod:`repro.core.partitioner` — Algorithm 1 end to end, producing a
   :class:`~repro.core.schedule.Schedule`;
 * :mod:`repro.core.schedule` — the schedule representation shared by every

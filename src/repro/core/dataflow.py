@@ -86,10 +86,6 @@ class DataflowPartition:
     def total_points(self) -> int:
         return len(self._point_rows)
 
-    def level_sizes(self) -> List[int]:
-        """Points per wavefront."""
-        return np.diff(self._level_offsets).tolist()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataflowPartition):
             return NotImplemented

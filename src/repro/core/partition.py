@@ -185,26 +185,6 @@ class ThreeSetPartition:
         )
         return disjoint and union == set(self.space)
 
-    def respects_phase_order(self) -> bool:
-        """No dependence goes against the P1 → P2 → P3 phase order, and none is
-        internal to P1 or to P3."""
-        rank = {}
-        for p in self.p1:
-            rank[p] = 0
-        for p in self.p2:
-            rank[p] = 1
-        for p in self.p3:
-            rank[p] = 2
-        for src, dst in self.rd.pairs:
-            rs, rd_ = rank.get(src), rank.get(dst)
-            if rs is None or rd_ is None:
-                return False
-            if rs > rd_:
-                return False
-            if rs == rd_ and rs in (0, 2):
-                return False
-        return True
-
     def counts(self) -> Dict[str, int]:
         return {
             "space": self._size("space"),

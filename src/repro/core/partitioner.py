@@ -3,9 +3,9 @@
 The two branches of the paper's Algorithm 1 for concrete parameter values,
 each producing a :class:`~repro.core.schedule.Schedule`:
 
-1. Build the unified iteration space Φ and the exact dependence relation Rd
-   (iteration-level for perfect single-statement nests, statement-level via
-   §3.3 otherwise).
+1. Build the unified iteration space Φ and the exact dependence relation Rd:
+   the analysis' one statement-level space (§3.3), whose rows are plain
+   iteration vectors for a one-statement program.
 2. If the program has a **single coupled reference pair with square,
    full-rank A and B** — the Lemma 1 case — apply the three-set partitioning
    (eq. 5) and execute the intermediate set as disjoint monotonic recurrence
@@ -17,9 +17,11 @@ each producing a :class:`~repro.core.schedule.Schedule`:
    **iterative dataflow partitioning**: peel P1 = Φ \\ ran Rd until Φ is empty,
    one DOALL phase per step.
 
-Both branches hand the concrete sets to the array partitioners of
+Both branches hand the space's rows and Rd to the array partitioners of
 :mod:`repro.core.partition` and :mod:`repro.core.dataflow` (int64-key
-membership and CSR peeling at every size).
+membership and CSR peeling at every size); the chain branch needs a single
+statement, so its rows are iteration vectors.
+
 4. Otherwise Algorithm 1 does not apply and the caller should fall back to the
    PDM scheme (``repro.baselines.pdm``); :func:`recurrence_branch` raises
    :class:`PartitioningNotApplicable` so the fallback is an explicit decision.
@@ -33,7 +35,7 @@ records why strategies were skipped.
 
 The returned schedule always satisfies (and the tests verify):
 ``schedule.covers(all statement instances)`` and
-``schedule.respects(Rd)``.
+``schedule.respects(analysis.space)``.
 """
 
 from __future__ import annotations
@@ -46,15 +48,10 @@ import numpy as np
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from .chains import CHAIN_PHASE, chain_phase
-from .dataflow import dataflow_schedule
 from .partition import ThreeSetPartition, three_set_partition
 from .recurrence import AffineRecurrence, iteration_space_diameter, theorem1_bound
 from .schedule import Phase, Schedule
-from .statement import (
-    StatementLevelSpace,
-    build_statement_space,
-    statement_dataflow_schedule,
-)
+from .statement import statement_dataflow_schedule
 
 __all__ = [
     "PartitioningNotApplicable",
@@ -78,7 +75,6 @@ class RecurrencePartitionResult:
     schedule: Schedule
     partition: Optional[ThreeSetPartition]
     recurrence: Optional[AffineRecurrence]
-    statement_space: Optional[StatementLevelSpace]
     analysis: DependenceAnalysis
 
     @property
@@ -183,8 +179,6 @@ def recurrence_not_applicable_reason(analysis: DependenceAnalysis) -> Optional[s
             "the coupled pair's subscript matrices are not square and "
             "full-rank (no Lemma 1 recurrence)"
         )
-    if single_pair.source_indices != single_pair.target_indices:
-        return "the coupled references do not share one iteration space"
     return None
 
 
@@ -196,8 +190,8 @@ def recurrence_branch(
     """The single-pair branch of Algorithm 1 (Lemma 1 recurrence chains).
 
     Raises :class:`PartitioningNotApplicable` when the program does not have
-    exactly one square, full-rank coupled reference pair over one iteration
-    space, or when the P2-internal dependences do not split into disjoint
+    exactly one statement with exactly one square, full-rank coupled
+    reference pair, or when the P2-internal dependences do not split into disjoint
     chains (Lemma 1 does not hold in practice).
     """
     params = dict(params or {})
@@ -209,9 +203,8 @@ def recurrence_branch(
         )
     single_pair = analysis.single_coupled_pair()
     label = single_pair.source_ctx.statement.label
-    partition = three_set_partition(
-        analysis.iteration_space_array, analysis.iteration_dependences
-    )
+    # One statement: the space's rows are its iteration vectors.
+    partition = three_set_partition(analysis.space.unified_array, analysis.space.rd)
     recurrence = AffineRecurrence.from_pair(single_pair)
     try:
         chains = chain_phase(partition)
@@ -230,7 +223,6 @@ def recurrence_branch(
         schedule=schedule,
         partition=partition,
         recurrence=recurrence,
-        statement_space=None,
         analysis=analysis,
     )
 
@@ -244,43 +236,21 @@ def dataflow_branch(
 
     Needs concrete bounds, which ``params`` guarantees here
     (:class:`~repro.dependence.analysis.DependenceAnalysis` refuses unbound
-    parameters).  Single-statement programs (always a perfect nest) are peeled
-    directly on the iteration-level relation; multi-statement and imperfect
-    nests go through the statement-level unified space of §3.3, which is
-    itself array-native — the peeling consumes the unified ``(n, width)`` rows
-    and each wavefront is one :class:`~repro.core.schedule.Phase` over them —
-    so the branch is array-native end to end either way.
+    parameters).  Every program is peeled on the analysis' one space: the
+    peeling consumes its ``(n, width)`` rows and Rd, and each wavefront is
+    one :class:`~repro.core.schedule.Phase` over them, so the branch is
+    array-native end to end.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
-    contexts = program.statement_contexts()
-    if len(contexts) == 1:
-        schedule = dataflow_schedule(
-            f"{program.name}-REC-dataflow",
-            analysis.iteration_space_array,
-            analysis.iteration_dependences,
-            label=contexts[0].statement.label,
-        )
-        return RecurrencePartitionResult(
-            program=program,
-            params=params,
-            scheme="dataflow",
-            schedule=schedule,
-            partition=None,
-            recurrence=None,
-            statement_space=None,
-            analysis=analysis,
-        )
-    stmt_space = build_statement_space(program, params, analysis)
-    schedule = statement_dataflow_schedule(f"{program.name}-REC-dataflow", stmt_space)
     return RecurrencePartitionResult(
         program=program,
         params=params,
         scheme="dataflow",
-        schedule=schedule,
+        schedule=statement_dataflow_schedule(
+            f"{program.name}-REC-dataflow", analysis.space
+        ),
         partition=None,
         recurrence=None,
-        statement_space=stmt_space,
         analysis=analysis,
     )
-

@@ -27,20 +27,26 @@ A materialised phase is one :class:`Phase`: three int64 arrays and a name.
   ``unit_offsets[u]:unit_offsets[u+1]``, in order), or ``None`` when every
   unit is one instance.
 
-The symbolic phases of :mod:`repro.core.symbolic` hold bounds only and turn
+The builders cut their phases out of the rows of the program's one
+statement-level space (:attr:`DependenceAnalysis.space
+<repro.dependence.analysis.DependenceAnalysis.space>`) with
+:meth:`StatementLevelSpace.phase <repro.core.statement.StatementLevelSpace.phase>`,
+which splits each row into its statement id and iteration columns.  The
+symbolic phases of :mod:`repro.core.symbolic` hold bounds only and turn
 into a :class:`Phase` through the same :meth:`Phase.lower` method, so every
 consumer — the executors, the validators, the cost simulator, codegen —
 reads one form.
 
 The runtime package consumes schedules to (a) validate them against the
-dependence relation and the sequential semantics and (b) estimate/measure
-speedups under a processor-count and overhead model.
+same space's dependence relation (:meth:`Schedule.respects`) and the
+sequential semantics and (b) estimate/measure speedups under a
+processor-count and overhead model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +56,6 @@ __all__ = [
     "Instance",
     "Phase",
     "Schedule",
-    "point_phases",
     "statement_table",
 ]
 
@@ -79,13 +84,6 @@ def validate_csr(level_offsets: np.ndarray, point_rows: np.ndarray) -> Tuple[np.
     # Read-only: partitions and schedules share slices of these arrays, so
     # an in-place edit through any alias must raise, not desync.
     return readonly_view(offsets), readonly_view(rows)
-
-
-def _body_ids(n: int, statements: int):
-    """``stmt_ids`` for ``n`` points of a perfect nest whose body holds
-    ``statements`` statements: ``0 .. statements-1`` repeated per point, or
-    the int ``0`` for a one-statement body."""
-    return 0 if statements == 1 else np.tile(np.arange(statements, dtype=np.int64), n)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -149,29 +147,6 @@ class Phase:
             return np.broadcast_to(np.int64(self._stmt_ids), (len(self.iters),))
         return self._stmt_ids
 
-    @staticmethod
-    def of_points(
-        name: str,
-        points: np.ndarray,
-        statements: int = 1,
-        point_offsets: Optional[np.ndarray] = None,
-    ) -> "Phase":
-        """A phase of a perfect nest whose body holds ``statements`` statements.
-
-        Each row of ``points`` runs every statement of the body in order
-        (statement ids ``0 .. statements-1``); ``point_offsets`` groups the
-        rows into units CSR-style, ``None`` meaning one row per unit.
-        """
-        points = np.asarray(points, dtype=np.int64)
-        if point_offsets is None:
-            point_offsets = np.arange(len(points) + 1, dtype=np.int64)
-        return Phase(
-            name,
-            _body_ids(len(points), statements),
-            np.repeat(points, statements, axis=0) if statements != 1 else points,
-            np.asarray(point_offsets, dtype=np.int64) * statements,
-        )
-
     def lower(self) -> "Phase":
         """The phase as arrays: itself (the symbolic phases build one)."""
         return self
@@ -215,30 +190,6 @@ class Phase:
 
     def __repr__(self) -> str:
         return f"Phase({self.name!r}, <{len(self)} units, {self.work} instances>)"
-
-
-def point_phases(
-    names: Sequence[str], points: np.ndarray, bounds: Sequence[int], statements: int = 1
-) -> List[Phase]:
-    """DOALL phases of a perfect nest whose body holds ``statements`` statements.
-
-    Phase ``k`` is named ``names[k]`` and runs rows
-    ``bounds[k]:bounds[k+1]`` of ``points``, one unit per row; a unit runs
-    every statement of the body in order.  The phases slice two shared
-    arrays, so many small phases stay cheap.
-    """
-    points = np.asarray(points, dtype=np.int64)
-    ids = _body_ids(len(points), statements)
-    iters = readonly_view(np.repeat(points, statements, axis=0) if statements != 1 else points)
-    return [
-        Phase(
-            name,
-            ids if statements == 1 else ids[lo * statements : hi * statements],
-            iters[lo * statements : hi * statements],
-            None if statements == 1 else np.arange(hi - lo + 1) * statements,
-        )
-        for name, lo, hi in zip(names, bounds, bounds[1:])
-    ]
 
 
 def statement_table(program) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
@@ -297,16 +248,19 @@ class Schedule:
         level_offsets: np.ndarray,
         stmt_ids: Union[int, np.ndarray],
         iters: np.ndarray,
-        phase_prefix: str = "wavefront",
+        phase_names: Union[str, Sequence[str]] = "wavefront",
         **meta,
     ) -> "Schedule":
         """A wavefront schedule from CSR-style arrays, one DOALL phase per level.
 
         ``stmt_ids`` / ``iters`` hold every instance (see :class:`Phase`;
-        one int is the statement of every instance), level-major, and ``level_offsets`` the ``(levels + 1,)`` prefix
-        sums: level ``k`` owns rows ``level_offsets[k]:level_offsets[k+1]``
-        and becomes phase ``f"{phase_prefix}-{k}"``, one instance per unit.
-        Empty levels are dropped.
+        one int is the statement of every instance), level-major, and
+        ``level_offsets`` the ``(levels + 1,)`` prefix sums: level ``k`` owns
+        rows ``level_offsets[k]:level_offsets[k+1]`` and becomes one phase,
+        one instance per unit, named ``phase_names[k]`` — or
+        ``f"{phase_names}-{k}"`` when ``phase_names`` is one prefix string.
+        Empty levels are dropped.  The phases slice the two shared arrays,
+        so a schedule of many small phases stays cheap.
         """
         offsets, rows = validate_csr(level_offsets, iters)
         uniform = isinstance(stmt_ids, (int, np.integer))
@@ -314,9 +268,11 @@ class Schedule:
         if not uniform and (ids.ndim != 1 or len(ids) != len(rows)):
             raise ValueError("stmt_ids must be (n,) parallel to the iteration rows")
         bounds = offsets.tolist()
+        if isinstance(phase_names, str):
+            phase_names = [f"{phase_names}-{level}" for level in range(len(bounds) - 1)]
         phases = [
-            Phase(f"{phase_prefix}-{level}", ids if uniform else ids[lo:hi], rows[lo:hi])
-            for level, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            Phase(phase_name, ids if uniform else ids[lo:hi], rows[lo:hi])
+            for phase_name, lo, hi in zip(phase_names, bounds, bounds[1:])
             if hi > lo
         ]
         return Schedule.from_phases(name, phases, labels, depths, **meta)
@@ -381,22 +337,12 @@ class Schedule:
                 out[inst] = (pi, u, k)
         return out
 
-    def respects(
-        self,
-        dependences: FiniteRelation,
-        label: str | None = None,
-        key: Callable[[str, Point], Point] | None = None,
-    ) -> bool:
+    def respects(self, dependences) -> bool:
         """True when the schedule honours every dependence: the early-exit
-        form of :meth:`violations` (same arguments)."""
-        return next(self._broken(dependences, label, key), None) is None
+        form of :meth:`violations` (same argument)."""
+        return next(self._broken(dependences), None) is None
 
-    def violations(
-        self,
-        dependences: FiniteRelation,
-        label: str | None = None,
-        key: Callable[[str, Point], Point] | None = None,
-    ) -> List[Tuple[Instance, Instance]]:
+    def violations(self, dependences) -> List[Tuple[Instance, Instance]]:
         """All dependence pairs the schedule breaks (empty list == safe).
 
         A dependence (i → j) is honoured when instance ``i`` executes in an
@@ -404,22 +350,33 @@ class Schedule:
         Two dependent instances in *different units of the same phase* would
         be a race and count as a violation.
 
-        ``key(label, iteration)`` maps a scheduled instance to the point
-        space ``dependences`` relates; the default is the iteration vector.
-        A statement-level relation (unified vectors) needs
-        ``key=space.unify``.  Under the default key, instances of several
-        statements that share an iteration vector all match unless ``label``
-        restricts the check to one statement.
+        ``dependences`` is a program's statement-level space
+        (:class:`~repro.core.statement.StatementLevelSpace`, e.g.
+        ``DependenceAnalysis.space``): its Rd relates unified vectors, and
+        each scheduled instance is matched by its own.  A bare
+        :class:`~repro.isl.relations.FiniteRelation` relates iteration
+        vectors, which is a one-statement program's space; it is refused for
+        a schedule of several statements, whose instances it cannot tell
+        apart.
         """
-        return list(self._broken(dependences, label, key))
+        return list(self._broken(dependences))
 
-    def _broken(self, dependences, label, key) -> Iterator[Tuple[Instance, Instance]]:
+    def _broken(self, dependences) -> Iterator[Tuple[Instance, Instance]]:
+        if isinstance(dependences, FiniteRelation):
+            if len(self.labels) > 1:
+                raise ValueError(
+                    "a bare relation relates one statement's iteration vectors; "
+                    "pass the program's statement space for a schedule of "
+                    f"{len(self.labels)} statements"
+                )
+            rd, key = dependences, lambda label, it: it
+        else:
+            rd, key = dependences.rd, dependences.unify
         index = self.execution_index()
         by_point: Dict[Point, List[Instance]] = {}
         for inst in index:
-            if label is None or inst[0] == label:
-                by_point.setdefault(inst[1] if key is None else key(*inst), []).append(inst)
-        for src, dst in dependences.pairs:
+            by_point.setdefault(key(*inst), []).append(inst)
+        for src, dst in rd.pairs:
             for si in by_point.get(tuple(src), ()):
                 ps, us, ks = index[si]
                 for di in by_point.get(tuple(dst), ()):

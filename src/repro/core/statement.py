@@ -1,11 +1,11 @@
-"""Statement-level iteration space extension (§3.3) — array-native.
+"""The statement-level iteration space of §3.3 — the planner's one space.
 
-Imperfectly nested loops (Example 3, the Cholesky kernel) and loops with
-several statements cannot be partitioned on plain iteration vectors, because
-two statement instances can share an iteration vector while being distinct
-units of work.  The paper adopts the affine mapping framework of Kelly & Pugh:
-every statement instance ``S(i)`` with ``l`` surrounding loops is given a
-*unified index vector*
+Two statement instances can share an iteration vector while being distinct
+units of work (Example 3, the Cholesky kernel, any loop with several
+statements), so the partitioners cannot run on plain iteration vectors.  The
+paper adopts the affine mapping framework of Kelly & Pugh: every statement
+instance ``S(i)`` with ``l`` surrounding loops is given a *unified index
+vector*
 
     s_i = (s0, i1, s1, i2, s2, ..., il, sl, 0, 0, ...)
 
@@ -16,15 +16,24 @@ lexicographic order of unified vectors is exactly the sequential execution
 order, so the three-set and dataflow partitioners apply unchanged — they just
 operate on unified vectors instead of iteration vectors.
 
+Every program is planned in this one space.  A one-statement program needs
+no position digits (they are constant), so its unified vector *is* its
+iteration vector: :class:`UnifiedIndexMap` keeps no position column for it,
+and its space costs exactly what enumerating the iteration space and its
+relation costs.  Every program of several statements keeps the interleaved
+layout above, whether or not its loops form a perfect nest.
+
 The mapping itself lives in :class:`UnifiedIndexMap` (a pure function of the
-program's syntax, usable without building any space);
-:class:`StatementLevelSpace` is the concrete unified space of a program at
-given bounds, held as arrays:
+program's syntax, usable without building any space); it alone decides the
+column layout.  :class:`StatementLevelSpace` is the concrete unified space of
+a program at given bounds, held as arrays:
 
 * one ``(n, width)`` int64 row per instance in unified (== sequential)
-  order, with a parallel ``stmt_ids`` vector naming the statement of each
-  row, and ``rd`` as an array-backed
-  :class:`~repro.isl.relations.FiniteRelation` over unified rows;
+  order, with ``stmt_ids`` naming the statement of each row, and ``rd`` as
+  an array-backed :class:`~repro.isl.relations.FiniteRelation` over unified
+  rows;
+* :meth:`StatementLevelSpace.phase`, the one way rows of the space become a
+  :class:`~repro.core.schedule.Phase` (statement ids plus iteration columns);
 * the tuple views :attr:`StatementLevelSpace.instances`,
   :attr:`~StatementLevelSpace.unified` and
   :attr:`~StatementLevelSpace.points`, derived lazily on first access.
@@ -34,16 +43,18 @@ gather/interleave per statement, lex-merges the per-statement blocks, and
 maps the exact analyser's pair relations into unified space with the
 :class:`~repro.isl.relations.PointCodec` sort/merge machinery of
 ``FiniteRelation.oriented_forward`` — no per-instance Python tuples anywhere.
-``tests/core/test_statement_differential.py`` pins it bit-identical to a
-brute-force per-instance oracle on Hypothesis-generated programs; the array
-path assumes a unit-stride (normalized) program, exactly like the rest of
-the analysis layer.
+:attr:`~repro.dependence.analysis.DependenceAnalysis.space` caches its result
+per analysis, and every builder, the features and ``Plan.validate()`` read
+that one object.  ``tests/core/test_statement_differential.py`` pins it
+bit-identical to a brute-force per-instance oracle on Hypothesis-generated
+loop trees; the array path assumes a unit-stride (normalized) program,
+exactly like the rest of the analysis layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +63,7 @@ from ..ir.program import LoopProgram
 from ..isl.lexorder import lex_lt
 from ..isl.relations import FiniteRelation, PointCodec, lexsort_rows, readonly_view
 from .dataflow import dataflow_partition
-from .schedule import Instance, Schedule
+from .schedule import Instance, Phase, Schedule
 
 __all__ = [
     "UnifiedIndexMap",
@@ -71,6 +82,9 @@ class UnifiedIndexMap:
     A pure function of the program's *syntax* (statement positions and the
     deepest nesting level) — it needs no enumerated space, so callers that
     only want to map vectors never build a :class:`StatementLevelSpace`.
+    It is also the one place that knows the column layout: a one-statement
+    program's vectors carry no position digits (:attr:`interleaved` is
+    false), every other program's interleave them with the loop indices.
     """
 
     #: per statement label: the syntactic position numbers (s0, s1, ..., sl)
@@ -93,14 +107,24 @@ class UnifiedIndexMap:
         for ctx in program.statement_contexts():
             positions[ctx.statement.label] = tuple(int(x) for x in ctx.position)
             max_depth = max(max_depth, ctx.depth)
+        if len(positions) == 1:
+            return UnifiedIndexMap(positions, max_depth)
         # Unified width: s0 + (i_k, s_k) per loop level up to the deepest statement.
         return UnifiedIndexMap(positions, 1 + 2 * max_depth)
+
+    @property
+    def interleaved(self) -> bool:
+        """Whether the vectors carry position digits: false only for a
+        one-statement program, whose unified vector is its iteration vector."""
+        return len(self.positions) != 1
 
     def depth_of(self, label: str) -> int:
         return len(self.positions[label]) - 1
 
     def unify(self, label: str, iteration: Sequence[int]) -> Point:
         """The unified index vector of one statement instance."""
+        if not self.interleaved:
+            return tuple(int(iv) for iv in iteration)
         pos = self.positions[label]
         coords: List[int] = [pos[0]]
         for k, iv in enumerate(iteration):
@@ -112,12 +136,13 @@ class UnifiedIndexMap:
     def unify_array(self, label: str, iterations: np.ndarray) -> np.ndarray:
         """Unified vectors of a whole batch of one statement's iterations.
 
-        ``iterations`` is ``(n, depth)``; the result is ``(n, width)`` — the
-        iteration coordinates land in the odd columns ``1, 3, ..., 2·depth-1``
-        (one strided interleave), the position digits broadcast into the even
-        columns, and the tail stays zero-padded.  This is the vectorised twin
-        of :meth:`unify`: ``unify_array(l, a)[k] == unify(l, a[k])`` row by
-        row.
+        ``iterations`` is ``(n, depth)``; the result is ``(n, width)`` — in
+        the interleaved layout the iteration coordinates land in the odd
+        columns ``1, 3, ..., 2·depth-1`` (one strided interleave), the
+        position digits broadcast into the even columns, and the tail stays
+        zero-padded; a one-statement program's iterations come back as they
+        are.  This is the vectorised twin of :meth:`unify`:
+        ``unify_array(l, a)[k] == unify(l, a[k])`` row by row.
         """
         pos = self.positions[label]
         iters = np.asarray(iterations, dtype=np.int64)
@@ -129,6 +154,8 @@ class UnifiedIndexMap:
                 f"statement {label!r} has depth {len(pos) - 1}, "
                 f"got iteration vectors of rank {depth}"
             )
+        if not self.interleaved:
+            return iters
         out = np.zeros((len(iters), self.width), dtype=np.int64)
         out[:, 0] = pos[0]
         if depth:
@@ -136,16 +163,35 @@ class UnifiedIndexMap:
             out[:, 2 : 2 * depth + 1 : 2] = np.asarray(pos[1:], dtype=np.int64)
         return out
 
+    # -- column views of unified rows ------------------------------------------
+
+    def iteration_columns(self, rows: np.ndarray) -> np.ndarray:
+        """The loop-index columns of unified rows (a view): the iteration
+        vectors, zero-padded past each statement's depth."""
+        return rows[:, 1::2] if self.interleaved else rows
+
+    def position_columns(self, rows: np.ndarray) -> np.ndarray:
+        """The position-digit columns of unified rows (none for a
+        one-statement program)."""
+        return rows[:, 0::2] if self.interleaved else rows[:, :0]
+
+    def prefix(self, rows: np.ndarray, depth: int) -> np.ndarray:
+        """The columns of unified rows down to loop level ``depth``:
+        ``(s0, i1, ..., s_{d-1}, i_d)``, or ``(i1, ..., i_d)`` without
+        position digits."""
+        return rows[:, : 2 * depth] if self.interleaved else rows[:, :depth]
+
 
 class StatementLevelSpace:
     """The unified statement-instance space of a program at concrete bounds.
 
     Array-backed: ``unified_array`` holds every instance's unified vector as
     an ``(n, width)`` int64 row (lexicographic == sequential order) with
-    ``stmt_ids`` naming the statement of each row; the tuple views
-    (:attr:`instances`, :attr:`unified`, :attr:`points`) are derived lazily
-    on first access and cached, so a purely array-path consumer (the
-    vectorised dataflow branch) never boxes a single instance.
+    ``stmt_ids`` naming the statement of each row (given as the int ``0``
+    for a one-statement program, and read back as a zero-stride view); the
+    tuple views (:attr:`instances`, :attr:`unified`, :attr:`points`) are
+    derived lazily on first access and cached, so a purely array-path
+    consumer never boxes a single instance.
     """
 
     __slots__ = (
@@ -153,7 +199,7 @@ class StatementLevelSpace:
         "index_map",
         "stmt_labels",
         "stmt_depths",
-        "stmt_ids",
+        "_stmt_ids",
         "unified_array",
         "rd",
         "_instances",
@@ -168,7 +214,7 @@ class StatementLevelSpace:
         program_name: str,
         index_map: UnifiedIndexMap,
         stmt_labels: Tuple[str, ...],
-        stmt_ids: np.ndarray,
+        stmt_ids: Union[int, np.ndarray],
         unified_array: np.ndarray,
         rd: FiniteRelation,
     ):
@@ -176,10 +222,15 @@ class StatementLevelSpace:
         self.index_map = index_map
         self.stmt_labels = tuple(stmt_labels)
         self.stmt_depths = tuple(index_map.depth_of(l) for l in self.stmt_labels)
-        self.stmt_ids = readonly_view(np.asarray(stmt_ids, dtype=np.int64))
         self.unified_array = readonly_view(np.asarray(unified_array, dtype=np.int64))
-        if self.unified_array.ndim != 2 or len(self.unified_array) != len(self.stmt_ids):
-            raise ValueError("unified_array must be (n, width) parallel to stmt_ids")
+        if isinstance(stmt_ids, (int, np.integer)):
+            self._stmt_ids: Union[int, np.ndarray] = int(stmt_ids)
+        else:
+            self._stmt_ids = readonly_view(np.asarray(stmt_ids, dtype=np.int64))
+            if len(self._stmt_ids) != len(self.unified_array):
+                raise ValueError("stmt_ids must be parallel to unified_array")
+        if self.unified_array.ndim != 2:
+            raise ValueError("unified_array must be an (n, width) array")
         self.rd = rd
         self._instances: Optional[Tuple[Instance, ...]] = None
         self._unified: Optional[Tuple[Point, ...]] = None
@@ -208,10 +259,11 @@ class StatementLevelSpace:
     # -- array views -----------------------------------------------------------
 
     @property
-    def space_array(self) -> np.ndarray:
-        """The unified space as ``(n, width)`` rows — the partitioners'
-        natural input (lexicographic row order)."""
-        return self.unified_array
+    def stmt_ids(self) -> np.ndarray:
+        """The ``(n,)`` statement of each row (read-only)."""
+        if isinstance(self._stmt_ids, int):
+            return np.broadcast_to(np.int64(self._stmt_ids), (len(self.unified_array),))
+        return self._stmt_ids
 
     def _keys(self) -> Tuple[PointCodec, np.ndarray]:
         """Codec over the unified box + the (ascending) keys of every row."""
@@ -245,6 +297,22 @@ class StatementLevelSpace:
         """The statement id (index into :attr:`stmt_labels`) of each unified row."""
         return self.stmt_ids[self.row_indices_of(rows)]
 
+    def split(self, rows: np.ndarray) -> Tuple[Union[int, np.ndarray], np.ndarray]:
+        """``(stmt_ids, iters)`` of rows of this space, as a
+        :class:`~repro.core.schedule.Phase` holds them: the statement of each
+        row (the int ``0`` for a one-statement program, found by one
+        vectorised lookup otherwise) and its iteration columns."""
+        if not self.index_map.interleaved:
+            return 0, rows
+        return self.stmt_ids_of(rows), self.index_map.iteration_columns(rows)
+
+    def phase(
+        self, name: str, rows: np.ndarray, unit_offsets: Optional[np.ndarray] = None
+    ) -> Phase:
+        """Rows of this space as one :class:`~repro.core.schedule.Phase`
+        (``unit_offsets`` as there: ``None`` is one row per unit)."""
+        return Phase(name, *self.split(rows), unit_offsets)
+
     # -- tuple views (lazy) ----------------------------------------------------
 
     @property
@@ -254,10 +322,11 @@ class StatementLevelSpace:
         access for array-built spaces."""
         if self._instances is None:
             labels, depths = self.stmt_labels, self.stmt_depths
-            out: List[Instance] = []
-            for sid, row in zip(self.stmt_ids.tolist(), self.unified_array.tolist()):
-                out.append((labels[sid], tuple(row[1 : 2 * depths[sid] : 2])))
-            self._instances = tuple(out)
+            iters = self.index_map.iteration_columns(self.unified_array)
+            self._instances = tuple(
+                (labels[sid], tuple(row[: depths[sid]]))
+                for sid, row in zip(self.stmt_ids.tolist(), iters.tolist())
+            )
         return self._instances
 
     @property
@@ -307,30 +376,36 @@ def build_statement_space(
     The dependences come from the exact per-reference-pair analysis; each pair
     ``(i of S1) -> (j of S2)`` is mapped to unified vectors and then oriented
     so the lexicographically earlier instance is the source, dropping
-    self-pairs — the statement-level analogue of eq. 4 / eq. 7.
+    self-pairs — eq. 4 / eq. 7 on statement instances.
 
     Everything is built on arrays: per-statement domains come from the
     analysis' cached enumeration, one :meth:`UnifiedIndexMap.unify_array`
     interleave maps each statement's block, a lexicographic merge puts the
-    blocks in sequential order, and the pair relations are concatenated and
-    oriented on the :class:`~repro.isl.relations.PointCodec` path
+    blocks in sequential order (a single block is already in order), and
+    the pair relations are concatenated and oriented on the
+    :class:`~repro.isl.relations.PointCodec` path
     (:meth:`~repro.isl.relations.FiniteRelation.oriented_forward`), yielding an
     array-backed ``rd`` whose tuple pairs stay unbuilt until a validator asks.
+    Planning code reads the analysis' cached copy,
+    :attr:`~repro.dependence.analysis.DependenceAnalysis.space`.
     """
     analysis = analysis or DependenceAnalysis(program, params)
     index_map = UnifiedIndexMap.from_program(program)
     contexts = program.statement_contexts()
     stmt_labels = tuple(ctx.statement.label for ctx in contexts)
 
-    blocks: List[np.ndarray] = []
-    ids: List[np.ndarray] = []
-    for sid, ctx in enumerate(contexts):
-        iters = analysis.statement_domain_array(ctx.statement.label)
-        blocks.append(index_map.unify_array(ctx.statement.label, iters))
-        ids.append(np.full(len(iters), sid, dtype=np.int64))
-    if blocks:
+    blocks = [
+        index_map.unify_array(label, analysis.statement_domain_array(label))
+        for label in stmt_labels
+    ]
+    ids_all: Union[int, np.ndarray]
+    if len(blocks) == 1:
+        unified_all, ids_all = blocks[0], 0
+    elif blocks:
         unified_all = np.concatenate(blocks)
-        ids_all = np.concatenate(ids)
+        ids_all = np.repeat(
+            np.arange(len(blocks), dtype=np.int64), [len(b) for b in blocks]
+        )
         order = lexsort_rows(unified_all)
         unified_all = unified_all[order]
         ids_all = ids_all[order]
@@ -367,22 +442,20 @@ def statement_dataflow_schedule(name: str, space: StatementLevelSpace) -> Schedu
     """Dataflow-partition a statement-level space into a wavefront schedule.
 
     The wavefronts stay in array form end to end: the partition's CSR rows
-    are unified vectors, the statement of each row is recovered with one
-    vectorised :meth:`StatementLevelSpace.stmt_ids_of` lookup, and each
-    level becomes one DOALL :class:`~repro.core.schedule.Phase` whose
-    iteration rows are the unified rows' odd columns (interpretation stops
-    at each statement's depth, so the padding is never read).  Instances
-    run in lexicographic order within each wavefront.
+    are unified vectors, :meth:`StatementLevelSpace.split` recovers their
+    statements and iteration columns in one pass, and each level becomes one
+    DOALL :class:`~repro.core.schedule.Phase` (interpretation stops at each
+    statement's depth, so the padding is never read).  Instances run in
+    lexicographic order within each wavefront.
     """
-    partition = dataflow_partition(space.space_array, space.rd)
+    partition = dataflow_partition(space.unified_array, space.rd)
     level_offsets, point_rows = partition.level_arrays()
     return Schedule.from_levels(
         name,
         space.stmt_labels,
         space.stmt_depths,
         level_offsets,
-        space.stmt_ids_of(point_rows),
-        point_rows[:, 1::2],
+        *space.split(point_rows),
         scheme="dataflow",
         num_steps=partition.num_steps,
     )

@@ -26,8 +26,8 @@ This module puts one compiler-style facade in front of all of them:
   the skip reasons, replacing the old hand-rolled fallback idiom;
 * :class:`PlanConfig` holds the one planning knob, the strategy preference
   order, validated on construction;
-* :class:`Plan` is the single result object — schedule, partition/chain/
-  statement-space diagnostics, chosen strategy, per-strategy timings — with
+* :class:`Plan` is the single result object — schedule, partition/chain
+  diagnostics, the shared dependence analysis, chosen strategy, per-strategy timings — with
   ``.execute(backend=…)``, ``.validate()`` and ``.codegen(target=…)``
   delegating to :mod:`repro.runtime` / :mod:`repro.codegen`;
 * an LRU :class:`PlanCache` keyed by ``(program fingerprint, params,
@@ -65,9 +65,8 @@ from typing import (
     Tuple,
 )
 
-from ..dependence.analysis import DependenceAnalysis, ImperfectNestError
+from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from .partition import ThreeSetPartition
 from .partitioner import (
     PartitioningNotApplicable,
     RecurrencePartitionResult,
@@ -77,7 +76,6 @@ from .partitioner import (
 )
 from .recurrence import AffineRecurrence
 from .schedule import Schedule
-from .statement import StatementLevelSpace, build_statement_space
 from .symbolic import (
     CosetChainPhase,
     build_symbolic_schedule,
@@ -173,12 +171,6 @@ class PlanningContext:
     #: lets selection hit the feature cache without re-hashing the program.
     fingerprint: str = ""
 
-    @property
-    def is_perfect_nest(self) -> bool:
-        contexts = self.program.statement_contexts()
-        names = contexts[0].index_names if contexts else ()
-        return all(ctx.index_names == names for ctx in contexts)
-
 
 @dataclass(frozen=True)
 class StrategyBuild:
@@ -187,7 +179,6 @@ class StrategyBuild:
     schedule: Schedule
     partition: Optional[object] = None  # ThreeSetPartition / PDMPartition / ...
     recurrence: Optional[AffineRecurrence] = None
-    statement_space: Optional[StatementLevelSpace] = None
     rec_result: Optional[RecurrencePartitionResult] = None
 
 
@@ -253,18 +244,13 @@ def _rec_builder(ctx: PlanningContext) -> StrategyBuild:
         schedule=result.schedule,
         partition=result.partition,
         recurrence=result.recurrence,
-        statement_space=result.statement_space,
         rec_result=result,
     )
 
 
 def _dataflow_builder(ctx: PlanningContext) -> StrategyBuild:
     result = dataflow_branch(ctx.program, ctx.params, ctx.analysis)
-    return StrategyBuild(
-        schedule=result.schedule,
-        statement_space=result.statement_space,
-        rec_result=result,
-    )
+    return StrategyBuild(schedule=result.schedule, rec_result=result)
 
 
 def _always_applicable(ctx: PlanningContext) -> Optional[str]:
@@ -272,8 +258,8 @@ def _always_applicable(ctx: PlanningContext) -> Optional[str]:
 
 
 def _perfect_nest_only(ctx: PlanningContext) -> Optional[str]:
-    if not ctx.is_perfect_nest:
-        return "requires a perfect nest (single shared iteration space)"
+    if not ctx.program.is_perfect_nest():
+        return "requires a perfect nest (one loop chain, statements innermost)"
     return None
 
 
@@ -281,9 +267,7 @@ def _pdm_builder(ctx: PlanningContext) -> StrategyBuild:
     from ..baselines.pdm import pdm_schedule_and_partition
 
     schedule, partition = pdm_schedule_and_partition(ctx.program, ctx.params, ctx.analysis)
-    return StrategyBuild(
-        schedule=schedule, partition=partition if ctx.is_perfect_nest else None
-    )
+    return StrategyBuild(schedule=schedule, partition=partition)
 
 
 def _pl_builder(ctx: PlanningContext) -> StrategyBuild:
@@ -536,7 +520,6 @@ class Plan:
     analysis: DependenceAnalysis
     partition: Optional[object] = None
     recurrence: Optional[AffineRecurrence] = None
-    statement_space: Optional[StatementLevelSpace] = None
     skipped: Tuple[Tuple[str, str], ...] = ()
     timings: Dict[str, float] = field(default_factory=dict)
     fingerprint: str = ""
@@ -568,9 +551,7 @@ class Plan:
 
     def summary(self) -> Dict[str, object]:
         """Headline facts; for Algorithm 1 plans this is a superset of the
-        historical ``RecurrencePartitionResult.summary()`` dictionary.
-        Statement-level plans (§3.3) additionally report the unified space:
-        instance count, unified vector width, and dependence count."""
+        historical ``RecurrencePartitionResult.summary()`` dictionary."""
         if self.rec_result is not None:
             info = self.rec_result.summary()
         else:
@@ -583,10 +564,6 @@ class Plan:
                 info["n_chains"] = len(chains)
                 info["longest_chain"] = chains.span
         info["strategy"] = self.strategy
-        if self.statement_space is not None:
-            info["n_statement_instances"] = len(self.statement_space)
-            info["unified_width"] = self.statement_space.width
-            info["n_unified_dependences"] = len(self.statement_space.rd)
         return info
 
     def explain(self) -> str:
@@ -652,27 +629,16 @@ class Plan:
     def validate(self, seeds: Sequence[int] = (0, 1, 2)):
         """Validate coverage, dependence safety and exact semantics.
 
-        The dependence relation is picked to match the schedule's level:
-        perfect-nest plans check against the combined iteration-level Rd;
-        statement-level plans, and any other plan of an imperfect nest,
-        against the unified-space relation (built here when the strategy
-        kept none), each scheduled instance keyed by its unified vector.
-        This dependence check is the executors' race check: they run a
-        phase's units without locks.
+        Every plan is checked against the analysis' one space and its Rd,
+        each scheduled instance keyed by its unified vector.  This dependence
+        check is the executors' race check: they run a phase's units without
+        locks.
         """
         from ..runtime.executor import validate_schedule
 
-        space, key = self.statement_space, None
-        if space is None:
-            try:
-                deps = self.analysis.iteration_dependences
-            except ImperfectNestError:
-                space = build_statement_space(self.program, self.params, self.analysis)
-        if space is not None:
-            deps, key = space.rd, space.unify
         return validate_schedule(
-            self.program, self.schedule, self.params, dependences=deps,
-            seeds=seeds, key=key,
+            self.program, self.schedule, self.params,
+            dependences=self.analysis.space, seeds=seeds,
         )
 
     def codegen(self, target: str = "python") -> str:
@@ -891,7 +857,7 @@ def plan(
         t0 = time.perf_counter()
         try:
             build = strategy.builder(ctx)
-        except (PartitioningNotApplicable, ImperfectNestError) as err:
+        except PartitioningNotApplicable as err:
             # A ranked walk can probe a builder the registry chain's hard
             # gates used to shield; a build-time refusal is just a skip.
             timings[name] = time.perf_counter() - t0
@@ -918,7 +884,6 @@ def plan(
         analysis=ctx.analysis,
         partition=build.partition,
         recurrence=build.recurrence,
-        statement_space=build.statement_space,
         skipped=tuple(skipped),
         timings=timings,
         fingerprint=fingerprint,

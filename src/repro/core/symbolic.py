@@ -325,8 +325,9 @@ def symbolic_not_applicable_reason(
     """``None`` when the symbolic strategy applies, else a human-readable
     reason — the :class:`~repro.core.strategy.PartitionStrategy`
     applicability hook."""
-    contexts = program.statement_contexts()
-    if len(contexts) != 1:
+    # The box spans every loop of the program, so it is the statement's
+    # space only when the loops form one chain around that statement.
+    if len(program.statement_contexts()) != 1 or not program.is_perfect_nest():
         return "requires a single-statement perfect nest"
     if rectangular_box(program, params) is None:
         return "requires a rectangular space (constant bounds, unit strides)"

@@ -12,7 +12,7 @@
 * :mod:`repro.dependence.analysis` — the whole-program driver.
 """
 
-from .analysis import DependenceAnalysis, ImperfectNestError, StatementPairDependence
+from .analysis import DependenceAnalysis, StatementPairDependence
 from .distance import (
     PairClassification,
     classify_pair,
@@ -28,7 +28,6 @@ from .tests import DependenceTestResult, banerjee_test, combined_test, gcd_test
 
 __all__ = [
     "DependenceAnalysis",
-    "ImperfectNestError",
     "StatementPairDependence",
     "ReferencePair",
     "exact_pair_dependences",

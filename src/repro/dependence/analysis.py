@@ -5,11 +5,13 @@ enumerates the coupled reference pairs of a program, runs the exact analyser
 on each for concrete parameter values, and exposes the views the partitioners
 consume:
 
-* per statement-pair finite relations (imperfect nests, statement level),
-* the combined iteration-level relation ``Rd`` of a perfect nest, oriented so
-  every pair maps the lexicographically earlier iteration to the later one
-  (eq. 4),
-* the symbolic union relation for code generation,
+* per statement-pair finite relations,
+* the program's one iteration space, :attr:`DependenceAnalysis.space`: the
+  §3.3 statement-level space of every statement instance and the combined
+  relation ``Rd`` over it, oriented so every pair maps the lexicographically
+  earlier instance to the later one (eq. 4).  A one-statement program's
+  space is its plain iteration space;
+* the symbolic union relation of a perfect nest, for code generation,
 * summary facts: is there a single coupled pair?  is it square and full rank?
   are the dependences uniform?
 
@@ -18,12 +20,11 @@ Results are cached; the analysis object is intended to be created once per
 
 The analysis is **array-native end to end** for concrete spaces: the exact
 analyser joins address tables on sorted int64 keys and returns array-backed
-relations (:mod:`repro.dependence.exact`),
-:attr:`DependenceAnalysis.iteration_space_array` exposes the enumerated space
-as an ``(n, depth)`` int64 array (no per-point tuple boxing), the combined
-relation of :attr:`DependenceAnalysis.iteration_dependences` is built by
-array concatenation + ``np.unique`` instead of repeated frozenset unions, and
-the uniformity check runs on the array form.
+relations (:mod:`repro.dependence.exact`), each statement's domain is
+enumerated once into an ``(n, depth)`` int64 array
+(:meth:`DependenceAnalysis.statement_domain_array`), the space's relation is
+built by array concatenation + ``np.unique`` instead of repeated frozenset
+unions, and the uniformity check runs on the array form.
 """
 
 from __future__ import annotations
@@ -31,27 +32,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..ir.program import LoopProgram
+from ..isl.linalg import mat_inverse, vec_mat
 from ..isl.relations import FiniteRelation, UnionRelation, readonly_view
 from .exact import enumerate_domain, exact_pair_dependences
 from .pair import ReferencePair
 from .symbolic import symbolic_dependence_relation
 from .distance import classify_pair, is_uniform_relation_arrays
 
-__all__ = ["DependenceAnalysis", "StatementPairDependence", "ImperfectNestError"]
+if TYPE_CHECKING:
+    from ..core.statement import StatementLevelSpace
 
-
-class ImperfectNestError(ValueError):
-    """The program is not a perfect nest, so no single iteration-level Rd exists.
-
-    A subclass of :class:`ValueError` (the exception historically raised), so
-    existing ``except ValueError`` callers keep working; :meth:`DependenceAnalysis.summary`
-    catches exactly this class and lets genuine errors propagate.
-    """
+__all__ = ["DependenceAnalysis", "StatementPairDependence"]
 
 
 @dataclass(frozen=True)
@@ -168,61 +164,22 @@ class DependenceAnalysis:
         return [d for d in self.pair_dependences if not d.is_empty()]
 
     @cached_property
-    def iteration_dependences(self) -> FiniteRelation:
-        """Combined iteration-level relation Rd of a perfect nest (eq. 4).
+    def space(self) -> "StatementLevelSpace":
+        """The program's one iteration space: the §3.3 statement-level space.
 
-        Every dependence pair is oriented from the lexicographically earlier to
-        the later iteration; self-dependences (same iteration) are dropped.
-        Only valid when all statements share the same loop-index space; raises
-        :class:`ImperfectNestError` otherwise.
-
-        The per-pair relations are combined by concatenating their
-        ``(src, dst)`` arrays and deduplicating on codec keys — one vectorised
-        pass instead of one frozenset union per reference pair — and the
-        result stays array-backed through ``oriented_forward``.
+        Every statement instance as one unified row (lexicographic ==
+        sequential order), the statement of each row, and the combined
+        relation Rd over those rows, every pair oriented from the earlier
+        instance to the later one and self-pairs dropped (eq. 4).  A
+        one-statement program's rows are its iteration vectors, so its space
+        and Rd are the plain iteration space and iteration-level relation.
+        Built once per analysis (:func:`repro.core.statement.build_statement_space`)
+        and read by the features, every builder and ``Plan.validate()``.
         """
-        contexts = self.program.statement_contexts()
-        index_names = contexts[0].index_names if contexts else ()
-        for ctx in contexts:
-            if ctx.index_names != index_names:
-                raise ImperfectNestError(
-                    "iteration_dependences requires a perfect nest; use the "
-                    "statement-level extension (repro.core.statement) instead"
-                )
-        arrays = [
-            dep.relation.as_arrays()
-            for dep in self.pair_dependences
-            if not dep.relation.is_empty()
-        ]
-        if not arrays:
-            return FiniteRelation(frozenset(), len(index_names), len(index_names))
-        combined = FiniteRelation.from_arrays(
-            np.concatenate([src for src, _ in arrays]),
-            np.concatenate([dst for _, dst in arrays]),
-        )
-        return combined.oriented_forward()
+        # Imported lazily: the space module sits above this one.
+        from ..core.statement import build_statement_space
 
-    @cached_property
-    def iteration_space_array(self) -> np.ndarray:
-        """All iteration points of the (perfect) nest as an ``(n, depth)`` array.
-
-        Lexicographic row order.  This is the natural input of the
-        partitioners — :func:`repro.core.partition.three_set_partition` and
-        :func:`repro.core.dataflow.dataflow_partition` accept it directly,
-        skipping the per-point tuple materialisation of
-        :attr:`iteration_space_points`.
-        """
-        contexts = self.program.statement_contexts()
-        if not contexts:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.asarray(
-            self.statement_domain_array(contexts[0].statement.label), dtype=np.int64
-        )
-
-    @cached_property
-    def iteration_space_points(self) -> List[Tuple[int, ...]]:
-        """All iteration points of the (perfect) nest, in lexicographic order."""
-        return [tuple(p) for p in self.iteration_space_array.tolist()]
+        return build_statement_space(self.program, self.params, self)
 
     # -- the Lemma 1 single-uniform-distance case ----------------------------------
 
@@ -236,6 +193,11 @@ class DependenceAnalysis:
         exactly one lex-positive distance ``u`` must remain, carried by
         ``n_active_pairs`` pairs.  Solved once and read by the feature
         extractor, the ``symbolic`` gate and its builder.
+
+        Each pair's matrices are read once: ``A == B`` with ``B`` square and
+        invertible makes ``T = A·B⁻¹ = I``, so only the shift
+        ``u = (a − b)·B⁻¹`` is solved (``ReferencePair.recurrence`` forms
+        ``T`` as well, for the Lemma 1 callers that need it).
         """
         if len(self.program.statement_contexts()) != 1:
             return None
@@ -243,14 +205,12 @@ class DependenceAnalysis:
         active = 0
         for pair in self.reference_pairs:
             try:
-                if not pair.is_square_full_rank() or not pair.is_uniform():
-                    return None
-                rec = pair.recurrence()
+                A, a, B, b = pair.matrices()
+                if not A or A != B:
+                    return None  # not a uniform recurrence
+                u = vec_mat([x - y for x, y in zip(a, b)], mat_inverse(B))
             except ValueError:
-                return None  # e.g. parameters inside subscripts
-            if rec is None:
-                return None
-            _, u = rec
+                return None  # B not square and invertible, or parameters in subscripts
             if any(Fraction(c).denominator != 1 for c in u):
                 continue  # non-integral shift: the pair has no solutions
             u_int = tuple(int(c) for c in u)
@@ -292,11 +252,9 @@ class DependenceAnalysis:
         return None
 
     def is_uniform(self) -> bool:
-        """Exhaustive uniformity check of the combined relation (perfect nests),
-        on the array form (:func:`~repro.dependence.distance.is_uniform_relation_arrays`)."""
-        return is_uniform_relation_arrays(
-            self.iteration_dependences, self.iteration_space_array
-        )
+        """Exhaustive uniformity check of Rd over the space's rows, on the
+        array form (:func:`~repro.dependence.distance.is_uniform_relation_arrays`)."""
+        return is_uniform_relation_arrays(self.space.rd, self.space.unified_array)
 
     def has_dependences(self) -> bool:
         return any(not d.is_empty() for d in self.pair_dependences)
@@ -304,21 +262,15 @@ class DependenceAnalysis:
     def summary(self) -> Dict[str, object]:
         """A small dict of headline facts, convenient for reports and tests.
 
-        An imperfect nest has no single iteration-level relation — that is an
-        expected shape, reported as ``None`` entries.  Any other failure of
-        :attr:`iteration_dependences` is a genuine error and propagates.
+        Uniformity (§2) is a property of a perfect nest's distances; any
+        other program reports ``None`` there.
         """
-        rel = None
-        try:
-            rel = self.iteration_dependences
-        except ImperfectNestError:
-            pass
         return {
             "program": self.program.name,
             "params": dict(self.params),
             "n_reference_pairs": len(self.reference_pairs),
             "n_coupled_pairs": len(self.coupled_pairs),
-            "n_direct_dependences": (len(rel) if rel is not None else None),
+            "n_direct_dependences": len(self.space.rd),
             "single_coupled_pair": self.has_single_coupled_pair(),
-            "uniform": (self.is_uniform() if rel is not None else None),
+            "uniform": self.is_uniform() if self.program.is_perfect_nest() else None,
         }

@@ -18,11 +18,10 @@ for execution and validation, and the two are cross-checked in the tests.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..ir.program import LoopProgram
-from ..isl.affine import AffineExpr
-from ..isl.convex import Constraint, ConvexSet
+from ..isl.convex import Constraint
 from ..isl.lexorder import lex_lt_constraints
 from ..isl.relations import ConvexRelation, UnionRelation
 from .pair import ReferencePair
@@ -69,12 +68,12 @@ def symbolic_pair_relation(
 ) -> UnionRelation:
     """The dependence relation of one reference pair over a perfect nest.
 
-    Requires the two statements to share the same loop-index space (true for
-    perfect nests with a single statement, the setting of the paper's §3.1–3.2
-    scheme).  With ``orient=True`` (the default) the relation maps the
+    Requires the two statements to sit under the same loops (true for every
+    pair of a perfect nest, the setting of the paper's §3.1–3.2 scheme).
+    With ``orient=True`` (the default) the relation maps the
     lexicographically earlier iteration to the later one.
     """
-    if pair.source_indices != pair.target_indices:
+    if pair.source_ctx.loops != pair.target_ctx.loops:
         raise ValueError(
             "symbolic_pair_relation requires both references under the same loop nest; "
             "use the statement-level extension for imperfect nests"
@@ -109,23 +108,19 @@ def symbolic_dependence_relation(
     prog: LoopProgram,
     parameters: Sequence[str] | None = None,
 ) -> UnionRelation:
-    """The combined symbolic relation Rd of a perfect single-statement nest.
+    """The combined symbolic relation Rd of a perfect nest.
 
-    Unions the relations of every coupled reference pair of the program.  All
-    statements must live under the same perfect nest (same index space).
+    Unions the relations of every coupled reference pair of the program, on
+    iteration vectors; a program that is not one perfect nest
+    (:meth:`~repro.ir.program.LoopProgram.is_perfect_nest`) is refused.
     """
     params = tuple(parameters if parameters is not None else prog.parameters)
-    contexts = prog.statement_contexts()
-    if not contexts:
-        raise ValueError(f"program {prog.name!r} has no statements")
-    index_names = contexts[0].index_names
-    for ctx in contexts:
-        if ctx.index_names != index_names:
-            raise ValueError(
-                "symbolic_dependence_relation handles perfect nests only; "
-                "use the statement-level extension for imperfect nests"
-            )
-    src_names, dst_names = source_target_names(index_names)
+    if not prog.is_perfect_nest():
+        raise ValueError(
+            f"symbolic_dependence_relation handles perfect nests only, and "
+            f"{prog.name!r} is not one"
+        )
+    src_names, dst_names = source_target_names(prog.index_names())
     relation = UnionRelation.empty(src_names, dst_names)
     seen = set()
     for ctx1, r1, ctx2, r2 in prog.reference_pairs():

@@ -336,12 +336,6 @@ class ConvexSet:
                 hi = bound if hi is None else min(hi, bound)
         return lo, hi
 
-    def bounding_box(
-        self, params: Mapping[str, int] | None = None
-    ) -> List[Tuple[Optional[int], Optional[int]]]:
-        """Per-variable conservative integer bounds."""
-        return [self.variable_bounds(v, params) for v in self.variables]
-
     # -- emptiness ------------------------------------------------------------
 
     def is_empty(self, params: Mapping[str, int] | None = None) -> bool:

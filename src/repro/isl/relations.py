@@ -39,7 +39,6 @@ import numpy as np
 
 from .convex import Constraint, ConvexSet
 from .fourier_motzkin import project_onto
-from .lexorder import lex_lt
 from .sets import UnionSet
 
 __all__ = [
@@ -387,27 +386,6 @@ class UnionRelation:
     ) -> bool:
         return any(p.contains_pair(src, dst, params) for p in self.pieces)
 
-    def enumerate_pairs(self, params: Mapping[str, int] | None = None) -> "FiniteRelation":
-        """Materialise the relation as explicit pairs (bounded graphs only)."""
-        pairs: Set[Pair] = set()
-        for p in self.pieces:
-            graph = p.graph if params is None else p.graph.bind_parameters(params)
-            from .enumerate_points import enumerate_convex
-
-            # Map graph coordinates to (in, out) by variable name so pieces
-            # whose graph stores the variables in a different order (e.g.
-            # inverted relations) still enumerate correctly.
-            positions = {name: k for k, name in enumerate(graph.variables)}
-            in_idx = [positions[name] for name in p.in_vars]
-            out_idx = [positions[name] for name in p.out_vars]
-            for point in enumerate_convex(graph):
-                src = tuple(point[k] for k in in_idx)
-                dst = tuple(point[k] for k in out_idx)
-                pairs.add((src, dst))
-        return FiniteRelation(
-            frozenset(pairs), dim_in=len(self.in_vars), dim_out=len(self.out_vars)
-        )
-
     def __str__(self) -> str:
         if not self.pieces:
             return f"{{ [{', '.join(self.in_vars)}] -> [{', '.join(self.out_vars)}] : false }}"
@@ -639,14 +617,6 @@ class FiniteRelation:
             v.sort()
         return out
 
-    def predecessor_map(self) -> Dict[Point, List[Point]]:
-        out: Dict[Point, List[Point]] = {}
-        for a, b in self.pairs:
-            out.setdefault(b, []).append(a)
-        for v in out.values():
-            v.sort()
-        return out
-
     def compose(self, other: "FiniteRelation") -> "FiniteRelation":
         """Relational composition: ``(a, c)`` when ``(a, b) ∈ self`` and ``(b, c) ∈ other``."""
         succ = other.successor_map()
@@ -656,40 +626,7 @@ class FiniteRelation:
                 pairs.add((a, c))
         return FiniteRelation(frozenset(pairs), self.dim_in, other.dim_out)
 
-    def transitive_closure(self) -> "FiniteRelation":
-        """The transitive closure ``R⁺`` (direct and indirect dependences)."""
-        succ = self.successor_map()
-        closure: Set[Pair] = set()
-        for start in succ:
-            # BFS from each source node.
-            stack = list(succ.get(start, ()))
-            visited: Set[Point] = set()
-            while stack:
-                node = stack.pop()
-                if node in visited:
-                    continue
-                visited.add(node)
-                closure.add((start, node))
-                stack.extend(succ.get(node, ()))
-        return FiniteRelation(frozenset(closure), self.dim_in, self.dim_out)
-
     # -- order-related views ----------------------------------------------------
-
-    def lexicographically_forward(self) -> "FiniteRelation":
-        """Keep only pairs with ``source ≺ target`` (the R_succ part of eq. 4)."""
-        return FiniteRelation(
-            frozenset((a, b) for a, b in self.pairs if lex_lt(a, b)),
-            self.dim_in,
-            self.dim_out,
-        )
-
-    def lexicographically_backward(self) -> "FiniteRelation":
-        """Keep only pairs with ``target ≺ source`` (the R_pred part of eq. 4)."""
-        return FiniteRelation(
-            frozenset((a, b) for a, b in self.pairs if lex_lt(b, a)),
-            self.dim_in,
-            self.dim_out,
-        )
 
     def oriented_forward(self) -> "FiniteRelation":
         """Re-orient every pair so the source lexicographically precedes the target.

@@ -220,14 +220,12 @@ def validate_schedule(
     params: Mapping[str, int] | None = None,
     dependences=None,
     seeds: Sequence[int] = (0, 1, 2),
-    key=None,
 ) -> ValidationReport:
     """Check a schedule end to end: coverage, dependence safety, and semantics.
 
-    ``dependences`` (optional) is checked with
-    :meth:`~repro.core.schedule.Schedule.respects`; ``key`` maps scheduled
-    instances into its point space (see
-    :meth:`~repro.core.schedule.Schedule.violations`).  The semantic check
+    ``dependences`` (optional) is the program's statement-level space, or a
+    relation over a one-statement program's iteration vectors, checked with
+    :meth:`~repro.core.schedule.Schedule.respects`.  The semantic check
     runs the schedule with several intra-phase shuffle seeds and compares
     every array against the sequential execution, exactly.
     """
@@ -238,7 +236,7 @@ def validate_schedule(
     covers = schedule.covers(expected_instances)
     respects = True
     if dependences is not None:
-        respects = schedule.respects(dependences, key=key)
+        respects = schedule.respects(dependences)
 
     from .backends import execute
 

@@ -20,13 +20,13 @@ small_vecs = st.lists(
 
 class TestPseudoDistanceMatrix:
     def test_figure1_pdm(self):
-        rel = DependenceAnalysis(figure1_loop(10, 10), {}).iteration_dependences
+        rel = DependenceAnalysis(figure1_loop(10, 10), {}).space.rd
         pdm = pseudo_distance_matrix(sorted(rel.distances()), 2)
         # the distances (2,2),(4,4),(6,6) reduce to the single generator (2,2)
         assert pdm == [(2, 2)]
 
     def test_vectors_are_lex_positive(self):
-        rel = DependenceAnalysis(example2_loop(20), {}).iteration_dependences
+        rel = DependenceAnalysis(example2_loop(20), {}).space.rd
         for v in pseudo_distance_matrix(sorted(rel.distances()), 2):
             assert is_lex_positive(v)
 
@@ -43,7 +43,7 @@ class TestPseudoDistanceMatrix:
     def test_direction_basis_is_primitive(self):
         from math import gcd
 
-        rel = DependenceAnalysis(figure1_loop(10, 10), {}).iteration_dependences
+        rel = DependenceAnalysis(figure1_loop(10, 10), {}).space.rd
         basis = direction_basis(sorted(rel.distances()), 2)
         assert basis == [(1, 1)]
         for v in basis:

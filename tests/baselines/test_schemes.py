@@ -21,8 +21,11 @@ from repro.baselines import (
 )
 from repro.baselines.unique_sets import SETS
 from repro.core import PlanConfig, plan
+from repro.core.partitioner import PartitioningNotApplicable
 from repro.core.statement import build_statement_space
+from repro.core.strategy import strategy_names
 from repro.dependence import DependenceAnalysis
+from repro.ir.builder import aref, assign, loop, program
 from repro.runtime import validate_schedule
 from repro.workloads.examples import (
     cholesky_loop,
@@ -49,14 +52,14 @@ class TestPDM:
         prog = factory(*arg)
         analysis = DependenceAnalysis(prog, {})
         sched = pdm_schedule(prog, {}, analysis)
-        check(prog, sched, analysis.iteration_dependences)
+        check(prog, sched, analysis.space)
         assert sched.num_phases == 1  # outermost DOALL over cosets
 
     def test_partition_covers_distances(self):
         prog = figure1_loop(12, 12)
         analysis = DependenceAnalysis(prog, {})
-        partition = pdm_partition(analysis.iteration_space_points, analysis.iteration_dependences)
-        assert partition.covers(analysis.iteration_dependences.distances())
+        partition = pdm_partition(analysis.space.unified, analysis.space.rd)
+        assert partition.covers(analysis.space.rd.distances())
         assert partition.num_parallel_sets >= 1
         assert partition.longest_chain >= 1
 
@@ -64,7 +67,7 @@ class TestPDM:
         prog = cholesky_loop(nmat=1, m=2, n=4, nrhs=1)
         sched = pdm_schedule(prog, {})
         space = build_statement_space(prog, {})
-        check(prog, sched, space.rd)
+        check(prog, sched, space)
 
     def test_pdm_serializes_more_than_rec(self):
         """PDM's artificial dependences give longer sequential units than REC chains."""
@@ -79,7 +82,7 @@ class TestPL:
         prog = figure1_loop(14, 18)
         analysis = DependenceAnalysis(prog, {})
         sched = pl_schedule(prog, {}, analysis)
-        check(prog, sched, analysis.iteration_dependences)
+        check(prog, sched, analysis.space)
 
     def test_pl_has_fewer_parallel_sets_than_pdm(self):
         """The primitive direction basis introduces more artificial dependences,
@@ -98,7 +101,7 @@ class TestUniqueSets:
         prog = example2_loop(16)
         analysis = DependenceAnalysis(prog, {})
         sched = unique_sets_schedule(prog, {}, analysis)
-        check(prog, sched, analysis.iteration_dependences)
+        check(prog, sched, analysis.space)
 
     def test_more_phases_than_rec(self):
         """The scheme's head/tail split gives a longer phase sequence than REC's
@@ -113,13 +116,13 @@ class TestUniqueSets:
         prog = example2_loop(16)
         analysis = DependenceAnalysis(prog, {})
         sets = unique_sets_partition(
-            analysis.iteration_space_points, analysis.iteration_dependences
+            analysis.space.unified, analysis.space.rd
         )
         counts = sets.counts()
-        space = set(analysis.iteration_space_points)
+        space = set(analysis.space.unified)
         assert sum(counts.values()) == len(space)
         # every point lies in exactly one set, by the degree definitions
-        pairs = analysis.iteration_dependences.pairs
+        pairs = analysis.space.rd.pairs
         dom = {src for src, _ in pairs}
         ran = {dst for _, dst in pairs}
 
@@ -140,14 +143,14 @@ class TestDoacross:
         prog = figure1_loop(12, 14)
         analysis = DependenceAnalysis(prog, {})
         sched = doacross_schedule(prog, {}, analysis)
-        check(prog, sched, analysis.iteration_dependences)
+        check(prog, sched, analysis.space)
 
     def test_valid_on_imperfect_nest(self):
         prog = example3_loop(35)
         analysis = DependenceAnalysis(prog, {})
         sched = doacross_schedule(prog, {}, analysis)
         space = build_statement_space(prog, {}, analysis)
-        check(prog, sched, space.rd)
+        check(prog, sched, space)
 
     def test_more_synchronization_than_rec(self):
         prog = example3_loop(40)
@@ -159,14 +162,14 @@ class TestDoacross:
 
 class TestTiling:
     def test_minimum_distances(self):
-        rel = DependenceAnalysis(figure1_loop(10, 10), {}).iteration_dependences
+        rel = DependenceAnalysis(figure1_loop(10, 10), {}).space.rd
         assert minimum_distances(rel, 2) == (2, 2)
 
     def test_valid(self):
         prog = example2_loop(14)
         analysis = DependenceAnalysis(prog, {})
         sched = tiling_schedule(prog, {}, analysis)
-        check(prog, sched, analysis.iteration_dependences)
+        check(prog, sched, analysis.space)
         assert sched.meta["tiles"] == sched.num_phases
 
     def test_parallelism_bounded_by_tile_volume(self):
@@ -185,7 +188,7 @@ class TestInnerParallel:
         analysis = DependenceAnalysis(prog, {})
         sched = inner_parallel_schedule(prog, {}, analysis)
         space = build_statement_space(prog, {}, analysis)
-        check(prog, sched, space.rd)
+        check(prog, sched, space)
 
     def test_one_phase_per_outer_iteration(self):
         prog = example3_loop(12)
@@ -196,7 +199,7 @@ class TestInnerParallel:
         prog = figure1_loop(8, 9)
         analysis = DependenceAnalysis(prog, {})
         sched = inner_parallel_schedule(prog, {}, analysis)
-        check(prog, sched, analysis.iteration_dependences)
+        check(prog, sched, analysis.space)
 
     @pytest.mark.parametrize("backend", ["serial", "process", "compiled"])
     def test_sibling_top_level_nests_keep_program_order(self, backend):
@@ -221,3 +224,102 @@ class TestInnerParallel:
     def test_single_nest_phases_are_named_by_the_outer_index(self):
         sched = inner_parallel_schedule(example3_loop(5), {})
         assert [ph.name for ph in sched.phases] == [f"outer({i},)" for i in range(1, 6)]
+
+
+def _two_nests(second_index="I"):
+    """Two top-level ``DO I = 1, 4`` nests; the second writes what the first
+    wrote, in reverse, after reading it."""
+    k = second_index
+    return program(
+        f"two-nests-{k}",
+        loop("I", 1, 4, assign("s1", aref("y", "I"), [])),
+        loop(k, 1, 4, assign("s2", aref("y", f"5-{k}"), [aref("y", k)])),
+        array_shapes={"y": (6,)},
+    )
+
+
+def _siblings_in_j(upper=4):
+    """The same two nests as siblings inside ``DO J = 1, 3`` (the second
+    one's bound may differ)."""
+    return program(
+        f"siblings-in-j-{upper}",
+        loop(
+            "J", 1, 3,
+            loop("I", 1, 4, assign("s1", aref("y", "I"), [])),
+            loop("I", 1, upper, assign("s2", aref("y", "5-I"), [aref("y", "I")])),
+        ),
+        array_shapes={"y": (6,)},
+    )
+
+
+SIBLING_NESTS = [_two_nests(), _two_nests("K"), _siblings_in_j(), _siblings_in_j(3)]
+
+
+class TestSiblingNests:
+    """Sibling loop nests that reuse an index name are two nests, not one:
+    ``s1(I)`` and ``s2(I)`` are different instances and run in program
+    order under every strategy."""
+
+    @pytest.mark.parametrize("prog", SIBLING_NESTS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("strategy", strategy_names())
+    def test_every_accepting_strategy_validates_and_matches(self, prog, strategy):
+        from repro.runtime import execute_sequential
+        from repro.runtime.process import process_unavailable_reason
+
+        try:
+            p = plan(prog, config=PlanConfig(strategies=(strategy,)), cache=False)
+        except PartitioningNotApplicable:
+            return  # refusing is allowed; running wrongly is not
+        report = p.validate(seeds=(0, 1))
+        assert report.ok, str(report)
+        ref = execute_sequential(prog, {})
+        backends = ["serial", "compiled"]
+        if process_unavailable_reason() is None:
+            backends.append("process")
+        for backend in backends:
+            out = p.execute(backend=backend, workers=2, seed=0).store
+            for name in ref:
+                assert np.array_equal(ref[name], out[name]), (backend, name)
+
+    @pytest.mark.parametrize("prog", SIBLING_NESTS, ids=lambda p: p.name)
+    def test_nest_only_strategies_refuse_sibling_nests(self, prog):
+        for strategy in ("pl", "unique-sets", "tiling"):
+            with pytest.raises(PartitioningNotApplicable, match="perfect nest"):
+                plan(prog, config=PlanConfig(strategies=(strategy,)), cache=False)
+
+    @pytest.mark.parametrize("empty_first", [False, True])
+    def test_symbolic_refuses_a_statement_beside_an_empty_loop(self, empty_first):
+        """One statement next to an empty sibling loop is no perfect nest:
+        the symbolic box would span the empty loop's index too.  (The
+        builder used to accept it and fail its own coverage check.)"""
+        nest = loop("I", 1, 4, assign("s", aref("y", "I+1"), [aref("y", "I")]))
+        empty = loop("J", 1, 3)
+        body = (empty, nest) if empty_first else (nest, empty)
+        prog = program("beside-empty-loop", *body, array_shapes={"y": (8,)})
+        with pytest.raises(PartitioningNotApplicable, match="single-statement perfect nest"):
+            plan(prog, config=PlanConfig(strategies=("symbolic",)), cache=False)
+        assert plan(prog, cache=False).validate(seeds=(0,)).ok
+
+    def test_interleaved_unit_is_a_dependence_violation(self):
+        """One PDM unit that interleaves the two nests, ``s1(1), s2(1),
+        s1(2), …``, lets ``s2(1)`` read ``y(1)`` before ``s1(4)`` overwrites
+        ``y(4)`` that ``s2(1)`` writes: validate() reports the broken
+        dependences, not only the wrong arrays."""
+        from dataclasses import replace
+
+        from repro.core.schedule import Phase
+
+        prog = _two_nests()
+        p = plan(prog, config=PlanConfig(strategies=("pdm",)), cache=False)
+        interleaved = Phase(
+            "PDM cosets (outermost DOALL)",
+            np.tile([0, 1], 4),
+            np.repeat(np.arange(1, 5), 2).reshape(8, 1),
+            [0, 8],
+        )
+        bad = replace(p, schedule=replace(p.schedule, phases=(interleaved,)))
+        report = bad.validate(seeds=(0,))
+        assert report.covers_all_instances
+        assert not report.respects_dependences
+        assert not report.arrays_match
+        assert bad.schedule.violations(p.analysis.space)

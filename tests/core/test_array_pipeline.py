@@ -39,27 +39,27 @@ DATAFLOW = PlanConfig(strategies=("dataflow",))
 def run_pipeline(prog):
     """The planned dataflow pipeline plus the eq. 5 partition of its Rd."""
     p = plan(prog, config=DATAFLOW, cache=False)
-    rd = p.analysis.iteration_dependences
-    return p, rd, three_set_partition(p.analysis.iteration_space_array, rd)
+    rd = p.analysis.space.rd
+    return p, rd, three_set_partition(p.analysis.space.unified_array, rd)
 
 
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_pipelines_bit_identical(self, prog):
         p, rd, partition = run_pipeline(prog)
-        assert rd == oracle.iteration_dependences(prog)
+        assert rd == oracle.statement_space(prog).rd
         expected = oracle.three_sets(oracle.space_points(prog), rd)
         for name in ("space", "p1", "p2", "p3", "w"):
             assert getattr(partition, name) == getattr(expected, name), name
         assert partition.is_complete()
-        assert partition.respects_phase_order()
+        assert oracle.respects_phase_order(partition)
         assert oracle.schedule_phases(p.schedule) == oracle.dataflow_phases(prog)
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_wavefronts_identical(self, prog):
         analysis = DependenceAnalysis(prog, {})
-        rd = analysis.iteration_dependences
-        waves = dataflow_partition(analysis.iteration_space_array, rd)
+        rd = analysis.space.rd
+        waves = dataflow_partition(analysis.space.unified_array, rd)
         assert waves.wavefronts == oracle.wavefronts(oracle.space_points(prog), rd)
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
@@ -95,10 +95,10 @@ class TestArrayBackedPartitionViews:
     def test_vector_partition_stays_lazy_for_array_consumers(self):
         prog = large_uniform_loop(20, 15)
         analysis = DependenceAnalysis(prog, {})
-        rd = analysis.iteration_dependences
-        part = three_set_partition(analysis.iteration_space_array, rd)
+        rd = analysis.space.rd
+        part = three_set_partition(analysis.space.unified_array, rd)
         assert part._sets == {}  # nothing materialised yet
-        sched = dataflow_partition(analysis.iteration_space_array, rd)
+        sched = dataflow_partition(analysis.space.unified_array, rd)
         assert sched._wavefronts is None
         # Touching a set view materialises only that view.
         _ = part.p1
@@ -107,11 +107,11 @@ class TestArrayBackedPartitionViews:
     def test_level_arrays_round_trip(self):
         prog = large_triangular_loop(12)
         analysis = DependenceAnalysis(prog, {})
-        rd = analysis.iteration_dependences
-        part = dataflow_partition(analysis.iteration_space_array, rd)
+        rd = analysis.space.rd
+        part = dataflow_partition(analysis.space.unified_array, rd)
         offsets, rows = part.level_arrays()
         expected = oracle.wavefronts(oracle.space_points(prog), rd)
-        assert part.level_sizes() == [len(w) for w in expected]
+        assert np.diff(offsets).tolist() == [len(w) for w in expected]
         for k, wave in enumerate(expected):
             level = rows[offsets[k] : offsets[k + 1]].tolist()
             assert [tuple(r) for r in level] == sorted(wave)  # lex inside a level
@@ -126,14 +126,14 @@ class TestArrayBackedPartitionViews:
             np.array([0, 0, 1]), np.array([[1, 2]], dtype=np.int64), rd
         )
         assert part.wavefronts == (frozenset(), frozenset({(1, 2)}))
-        assert part.level_sizes() == [0, 1]
+        assert np.diff(part.level_arrays()[0]).tolist() == [0, 1]
         all_empty = DataflowPartition(np.array([0, 0]), np.zeros((0, 2), dtype=np.int64), rd)
         assert all_empty.wavefronts == (frozenset(),)
         offsets, rows = all_empty.level_arrays()
         assert offsets.tolist() == [0, 0] and rows.shape == (0, 2)
 
     def test_from_arrays_validates_offsets(self):
-        rd = DependenceAnalysis(figure2_loop(6), {}).iteration_dependences
+        rd = DependenceAnalysis(figure2_loop(6), {}).space.rd
         rows = np.array([[1], [2], [3]], dtype=np.int64)
         with pytest.raises(ValueError):
             DataflowPartition(np.array([0, 2]), rows, rd)
@@ -153,7 +153,7 @@ class TestRecurrenceChainArrayPhases:
             prog,
             result.schedule,
             {},
-            dependences=result.analysis.iteration_dependences,
+            dependences=result.analysis.space.rd,
         )
         assert report.ok and report.respects_dependences
 
@@ -173,7 +173,7 @@ class TestRecurrenceChainArrayPhases:
             prog,
             result.schedule,
             {},
-            dependences=result.analysis.iteration_dependences,
+            dependences=result.analysis.space.rd,
         )
         assert report.ok
 
@@ -224,8 +224,8 @@ class TestScheduleFromArrays:
     def test_executor_handles_mixed_phase_kinds(self):
         prog = figure2_loop(20)
         analysis = DependenceAnalysis(prog, {})
-        rd = analysis.iteration_dependences
-        arr_sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
+        rd = analysis.space.rd
+        arr_sched = dataflow_schedule(prog.name, analysis.space.unified_array, rd)
         tup_sched = oracle.unit_schedule(prog)
         mixed = Schedule(
             "mixed",
@@ -254,12 +254,12 @@ class TestArrayBackedIsConstructionFact:
         # in-place edit through any alias must raise, never silently desync.
         prog = figure2_loop(20)
         analysis = DependenceAnalysis(prog, {})
-        rd = analysis.iteration_dependences
-        sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
+        rd = analysis.space.rd
+        sched = dataflow_schedule(prog.name, analysis.space.unified_array, rd)
         phase = sched.phases[0]
         with pytest.raises(ValueError):
             phase.iters[0, 0] = 999
-        part = three_set_partition(analysis.iteration_space_array, rd)
+        part = three_set_partition(analysis.space.unified_array, rd)
         with pytest.raises(ValueError):
             part.p1_array()[0, 0] = 999
         src, dst = rd.as_arrays()

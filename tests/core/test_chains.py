@@ -19,7 +19,7 @@ from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
 def setup(prog):
     analysis = DependenceAnalysis(prog, {})
     partition = three_set_partition(
-        analysis.iteration_space_points, analysis.iteration_dependences
+        analysis.space.unified, analysis.space.rd
     )
     recurrence = AffineRecurrence.from_pair(analysis.single_coupled_pair())
     return analysis, partition, recurrence
@@ -57,7 +57,7 @@ class TestFigure2Splitting:
         """The solution chain 6 -> 9 -> 3 -> 15 splits into the monotonic pairs
         6 -> 9, 3 -> 9 and 3 -> 15 (figure 2)."""
         analysis = DependenceAnalysis(figure2_loop(20), {})
-        pairs = split_into_monotonic_pairs(analysis.iteration_dependences)
+        pairs = split_into_monotonic_pairs(analysis.space.rd)
         as_scalars = {(a[0], b[0]) for a, b in pairs}
         assert {(6, 9), (3, 9), (3, 15)} <= as_scalars
         # every pair is lexicographically forward
@@ -87,7 +87,7 @@ class TestChainExtraction:
 
     def test_chain_steps_are_direct_dependences(self):
         analysis, partition, _ = setup(figure1_loop(40, 60))
-        rel = analysis.iteration_dependences
+        rel = analysis.space.rd
         for chain in oracle.chain_units(chain_phase(partition)):
             for a, b in zip(chain, chain[1:]):
                 assert (a, b) in rel
@@ -151,7 +151,7 @@ class TestChainsRespectRelation:
         prog = figure1_loop(10, 10)
         analysis, partition, recurrence = setup(prog)
         result = recurrence_branch(prog)
-        assert result.schedule.respects(analysis.iteration_dependences, "s")
+        assert result.schedule.respects(analysis.space)
         assert oracle.chain_units(chain_phase(partition)) == oracle.recurrence_chains(
             partition, recurrence
         )

@@ -41,15 +41,16 @@ class TestDataflowPartition:
         prog = figure1_loop(30, 40)
         analysis = DependenceAnalysis(prog, {})
         partition = dataflow_partition(
-            analysis.iteration_space_points, analysis.iteration_dependences
+            analysis.space.unified, analysis.space.rd
         )
-        closure = analysis.iteration_dependences.transitive_closure()
-        longest = 1
-        for src in closure.domain():
-            longest = max(longest, 1 + len({dst for s, dst in closure.pairs if s == src}))
-        assert partition.num_steps <= longest + 1
+        # Longest path, in points: every pair points lexicographically
+        # forward, so visiting the pairs by source settles each source first.
+        depth = {}
+        for src, dst in sorted(analysis.space.rd.pairs):
+            depth[dst] = max(depth.get(dst, 0), depth.get(src, 0) + 1)
+        assert partition.num_steps == 1 + max(depth.values(), default=0)
         assert partition.respects_dependences()
-        assert partition.is_complete(analysis.iteration_space_points)
+        assert partition.is_complete(analysis.space.unified)
 
     def test_cyclic_relation_detected(self):
         space = [(1,), (2,)]

@@ -33,7 +33,7 @@ class TestLemma1Differential:
             assert "coupled reference pair with dependences (found 0)" in str(err)
             return
         expected = oracle.three_sets(
-            oracle.space_points(prog), oracle.iteration_dependences(prog)
+            oracle.space_points(prog), oracle.statement_space(prog).rd
         )
         chains = [
             unit

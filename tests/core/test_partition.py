@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core.partition import symbolic_three_set_partition, three_set_partition
 from repro.dependence import DependenceAnalysis, symbolic_dependence_relation
 from repro.isl.relations import FiniteRelation
@@ -15,7 +16,7 @@ from repro.workloads.synthetic import random_coupled_loop
 def partition_of(prog, params=None):
     analysis = DependenceAnalysis(prog, params or {})
     return (
-        three_set_partition(analysis.iteration_space_points, analysis.iteration_dependences),
+        three_set_partition(analysis.space.unified, analysis.space.rd),
         analysis,
     )
 
@@ -35,7 +36,7 @@ class TestFigure2Partition:
     def test_invariants(self):
         partition, _ = partition_of(figure2_loop(20))
         assert partition.is_complete()
-        assert partition.respects_phase_order()
+        assert oracle.respects_phase_order(partition)
         counts = partition.counts()
         assert counts["space"] == 20 and counts["P1"] == 12 and counts["P3"] == 8
 
@@ -49,14 +50,13 @@ class TestFigure1Partition:
         assert counts["P2"] == 2
         assert counts["W"] == 2
         assert partition.is_complete()
-        assert partition.respects_phase_order()
+        assert oracle.respects_phase_order(partition)
 
     def test_w_subset_of_p2_and_has_p1_predecessor(self):
         partition, _ = partition_of(figure1_loop(30, 40))
         assert partition.w <= partition.p2
-        preds = partition.rd.predecessor_map()
         for w in partition.w:
-            assert any(p in partition.p1 for p in preds[w])
+            assert any(src in partition.p1 for src, dst in partition.rd.pairs if dst == w)
 
     def test_p1_p3_have_no_internal_dependences(self):
         partition, _ = partition_of(figure1_loop(20, 20))
@@ -87,10 +87,10 @@ class TestPartitionProperties:
         spec = random_coupled_loop(rng, n1=6, n2=6)
         analysis = DependenceAnalysis(spec.program, {})
         partition = three_set_partition(
-            analysis.iteration_space_points, analysis.iteration_dependences
+            analysis.space.unified, analysis.space.rd
         )
         assert partition.is_complete()
-        assert partition.respects_phase_order()
+        assert oracle.respects_phase_order(partition)
         assert partition.w <= partition.p2
 
     def test_empty_relation_puts_everything_in_p1(self):

@@ -61,12 +61,9 @@ class TestScheduleSafety:
     )
     def test_schedule_is_semantically_correct(self, prog):
         result = plan(prog, config=ALGORITHM1, cache=False)
-        deps = (
-            result.statement_space.rd
-            if result.statement_space is not None
-            else result.analysis.iteration_dependences
+        report = validate_schedule(
+            prog, result.schedule, {}, dependences=result.analysis.space, seeds=(0, 1)
         )
-        report = validate_schedule(prog, result.schedule, {}, dependences=deps, seeds=(0, 1))
         assert report.ok, str(report)
         assert report.respects_dependences
 
@@ -94,14 +91,9 @@ class TestScheduleSafety:
         rng = random.Random(seed)
         spec = random_coupled_loop(rng, n1=6, n2=6, force_full_rank=True)
         result = plan(spec.program, config=ALGORITHM1, cache=False)
-        # Single-statement dataflow results stay at iteration level (the §3.3
-        # statement space is only built for multi-statement programs).
-        deps = (
-            result.statement_space.rd
-            if result.statement_space is not None
-            else result.analysis.iteration_dependences
+        report = validate_schedule(
+            spec.program, result.schedule, {}, dependences=result.analysis.space, seeds=(0,)
         )
-        report = validate_schedule(spec.program, result.schedule, {}, dependences=deps, seeds=(0,))
         assert report.ok, f"seed {seed}: {report}"
 
 
@@ -119,7 +111,7 @@ class TestExample4:
         prog = cholesky_loop(nmat=1, m=2, n=5, nrhs=1)
         result = plan(prog, config=ALGORITHM1, cache=False)
         report = validate_schedule(
-            prog, result.schedule, {}, dependences=result.statement_space.rd, seeds=(0,)
+            prog, result.schedule, {}, dependences=result.analysis.space, seeds=(0,)
         )
         assert report.ok, str(report)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import Phase, Schedule
+from repro.core.statement import build_statement_space
+from repro.ir.builder import aref, assign, loop, program
 from repro.isl.relations import FiniteRelation
 
 
@@ -126,27 +128,30 @@ class TestDependenceSafety:
         deps = FiniteRelation.from_pairs([((4,), (3,))])
         assert not sched.respects(deps)
 
-    def test_label_filter(self):
-        labels = ("a", "b")
-        p = phase("p", [("a", (1,))], [("b", (2,))], labels=labels)
-        sched = schedule("t", p, labels=labels)
-        deps = FiniteRelation.from_pairs([((1,), (2,))])
-        # with the label filter, only same-label instances are constrained
-        assert sched.respects(deps, label="a")
-        assert not sched.respects(deps)
-
     def test_key_maps_instances_into_the_relation_space(self):
-        """A relation over another point space (here: label-tagged vectors)
-        is matched through ``key``; under the default key it matches
-        nothing, so it could not catch the race."""
+        """Given the statement space, each instance is keyed by its unified
+        vector, so two statements that share an iteration vector are told
+        apart and a race between them is caught."""
+        prog = program(
+            "two-statements",
+            loop(
+                "I", 1, 2,
+                assign("a", aref("y", "I"), []),
+                assign("b", aref("z", "I"), [aref("y", "I")]),
+            ),
+            array_shapes={"y": (4,), "z": (4,)},
+        )
+        space = build_statement_space(prog, {})
         labels = ("a", "b")
-        p = phase("p", [("a", (1,))], [("b", (1,))], labels=labels)
-        sched = schedule("t", p, labels=labels)
-        deps = FiniteRelation.from_pairs([((0, 1), (1, 1))])
-        key = lambda label, it: ({"a": 0, "b": 1}[label],) + tuple(it)  # noqa: E731
-        assert sched.violations(deps) == []
-        assert sched.violations(deps, key=key) == [(("a", (1,)), ("b", (1,)))]
-        assert not sched.respects(deps, key=key)
+        racy = schedule(
+            "t", phase("p", [("a", (1,))], [("b", (1,))], labels=labels), labels=labels
+        )
+        assert racy.violations(space) == [(("a", (1,)), ("b", (1,)))]
+        assert not racy.respects(space)
+        ordered = schedule(
+            "t", phase("p", [("a", (1,)), ("b", (1,))], labels=labels), labels=labels
+        )
+        assert ordered.respects(space)
 
     def test_summary_keys(self):
         summary = two_phase_schedule().summary()

@@ -95,7 +95,7 @@ class TestArrayPath:
 
     def test_space_array_rows_are_lex_sorted(self):
         space = build_statement_space(example3_loop(8), {})
-        rows = list(map(tuple, space.space_array.tolist()))
+        rows = list(map(tuple, space.unified_array.tolist()))
         assert rows == sorted(rows)
 
     def test_stmt_ids_of_roundtrip_and_rejects_foreign_rows(self):

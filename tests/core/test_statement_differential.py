@@ -99,11 +99,10 @@ class TestScheduleDifferential:
         from repro.runtime.executor import validate_schedule
 
         result = dataflow_branch(prog, {})
-        space = result.statement_space
-        if space is not None:
-            assert result.schedule.covers(space.instances)
+        space = result.analysis.space
+        assert result.schedule.covers(space.instances)
         report = validate_schedule(
-            prog, result.schedule, {}, dependences=None, seeds=(0,)
+            prog, result.schedule, {}, dependences=space, seeds=(0,)
         )
         assert report.ok, str(report)
 

@@ -422,8 +422,8 @@ def _backwards(p):
 
 
 class TestStatementLevelValidation:
-    """``Plan.validate()`` keys a statement-level plan's instances by their
-    unified vectors, so its dependence check sees the unified relation."""
+    """``Plan.validate()`` keys every plan's instances by their unified
+    vectors, so its dependence check sees the analysis' one relation."""
 
     @pytest.mark.parametrize(
         "factory",
@@ -432,30 +432,27 @@ class TestStatementLevelValidation:
     )
     def test_reversed_phases_are_reported(self, factory):
         p = plan(*factory(), cache=False)
-        space = p.statement_space
-        assert space is not None and len(space.rd) > 0
+        space = p.analysis.space
+        assert len(space.rd) > 0
         assert p.validate(seeds=(0,)).respects_dependences
-        assert p.schedule.violations(space.rd, key=space.unify) == []
+        assert p.schedule.violations(space) == []
 
         backwards = _backwards(p)
         report = backwards.validate(seeds=(0,))
         assert not report.respects_dependences and not report.ok
-        assert len(backwards.schedule.violations(space.rd, key=space.unify)) == len(space.rd)
+        assert len(backwards.schedule.violations(space)) == len(space.rd)
 
     def test_imperfect_plan_without_statement_space_is_checked(self):
-        """A baseline plan of an imperfect nest keeps no statement space;
-        validate() builds one instead of skipping the dependence check."""
+        """A baseline plan of an imperfect nest keeps no space of its own;
+        validate() checks it against the analysis' space its builder read."""
         p = plan(*_lu_kernel(), config=PlanConfig(strategies=("doacross",)), cache=False)
-        assert p.statement_space is None
         assert p.validate(seeds=(0,)).respects_dependences
         assert not _backwards(p).validate(seeds=(0,)).respects_dependences
 
     def test_corpus_statement_level_plans_have_no_violations(self):
         for entry in selection_corpus(size="small"):
             p = plan(entry.program, entry.params, cache=False)
-            space = p.statement_space
-            if space is not None:
-                assert p.schedule.respects(space.rd, key=space.unify), entry.name
+            assert p.schedule.respects(p.analysis.space), entry.name
 
 
 class TestPlanObject:

@@ -1,9 +1,11 @@
 """Tests for repro.dependence.analysis: the whole-program driver."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import oracle
-from repro.dependence.analysis import DependenceAnalysis, ImperfectNestError
+from repro.dependence.analysis import DependenceAnalysis
 from repro.workloads.examples import (
     cholesky_loop,
     example2_loop,
@@ -11,6 +13,7 @@ from repro.workloads.examples import (
     figure1_loop,
     figure2_loop,
 )
+from strategies import lemma1_programs, symbolic_programs
 
 
 class TestDriver:
@@ -28,8 +31,8 @@ class TestDriver:
     def test_figure2_summary(self):
         analysis = DependenceAnalysis(figure2_loop(20), {})
         assert analysis.has_single_coupled_pair()
-        assert len(analysis.iteration_dependences) == 9
-        assert len(analysis.iteration_space_points) == 20
+        assert len(analysis.space.rd) == 9
+        assert len(analysis.space.unified) == 20
 
     def test_example2_single_pair(self):
         analysis = DependenceAnalysis(example2_loop(12), {})
@@ -39,9 +42,9 @@ class TestDriver:
     def test_example3_statement_level_facts(self):
         analysis = DependenceAnalysis(example3_loop(40), {})
         assert not analysis.has_single_coupled_pair() or analysis.has_dependences()
-        # iteration-level combined relation is undefined for imperfect nests
-        with pytest.raises(ValueError):
-            _ = analysis.iteration_dependences
+        # an imperfect nest's space is the interleaved unified space
+        assert analysis.space.index_map.interleaved
+        assert analysis.space.width == 1 + 2 * 3
 
     def test_cholesky_has_multiple_coupled_pairs(self):
         prog = cholesky_loop(nmat=2, m=2, n=5, nrhs=1)
@@ -60,25 +63,22 @@ class TestDriver:
 
     def test_caching_returns_same_object(self):
         analysis = DependenceAnalysis(figure1_loop(6, 6), {})
-        assert analysis.iteration_dependences is analysis.iteration_dependences
+        assert analysis.space.rd is analysis.space.rd
         assert analysis.reference_pairs is analysis.reference_pairs
 
 
 class TestSummaryErrorHandling:
-    """summary() reports None for imperfect nests, re-raises genuine errors."""
+    """summary() counts every program's Rd, reports uniformity for perfect
+    nests only, and re-raises genuine errors."""
 
     def test_imperfect_nest_reports_none_fields(self):
+        """Uniformity is reported for perfect nests only; the dependence
+        count comes from the statement-level Rd every program has."""
         analysis = DependenceAnalysis(example3_loop(40), {})
-        with pytest.raises(ImperfectNestError):
-            _ = analysis.iteration_dependences
         s = analysis.summary()
-        assert s["n_direct_dependences"] is None
+        assert s["n_direct_dependences"] == len(analysis.space.rd) > 0
         assert s["uniform"] is None
         assert s["n_reference_pairs"] > 0
-
-    def test_imperfect_nest_error_is_a_value_error(self):
-        # Existing `except ValueError` callers must keep working.
-        assert issubclass(ImperfectNestError, ValueError)
 
     def test_genuine_error_propagates(self, monkeypatch):
         import repro.dependence.analysis as analysis_module
@@ -107,9 +107,9 @@ class TestEngineEquivalence:
     )
     def test_summaries_identical(self, prog):
         analysis = DependenceAnalysis(prog, {})
-        rd = oracle.iteration_dependences(prog)
+        rd = oracle.statement_space(prog).rd
         uniform = oracle.is_uniform(rd, oracle.space_points(prog))
-        assert analysis.iteration_dependences == rd
+        assert analysis.space.rd == rd
         assert analysis.is_uniform() == uniform
         summary = analysis.summary()
         assert summary["n_direct_dependences"] == len(rd)
@@ -119,6 +119,21 @@ class TestEngineEquivalence:
         from repro.workloads.synthetic import large_uniform_loop
 
         prog = large_uniform_loop(12, 9)
-        rd = oracle.iteration_dependences(prog)
+        rd = oracle.statement_space(prog).rd
         assert oracle.is_uniform(rd, oracle.space_points(prog)) is True
         assert DependenceAnalysis(prog, {}).is_uniform() is True
+
+
+class TestUniformShiftPairs:
+    @given(prog=st.one_of(symbolic_programs(), lemma1_programs()))
+    def test_matches_the_recurrence_derivation(self, prog):
+        """Solving only ``u`` (``T = I`` whenever ``A == B``) gives the
+        answer the full Lemma 1 recurrence gives."""
+        analysis = DependenceAnalysis(prog, {})
+        assert analysis.uniform_shift_pairs == oracle.uniform_shift_pairs(analysis)
+
+    def test_uniform_and_non_uniform_examples(self):
+        from repro.workloads.synthetic import large_uniform_loop
+
+        assert DependenceAnalysis(figure1_loop(6, 6), {}).uniform_shift_pairs is None
+        assert DependenceAnalysis(large_uniform_loop(5, 5), {}).uniform_shift_pairs == ((1, 1), 1)

@@ -27,7 +27,7 @@ def uniform_2d(n=6):
 
 class TestDistanceAndDirection:
     def test_figure1_distances(self):
-        rel = DependenceAnalysis(figure1_loop(10, 10), {}).iteration_dependences
+        rel = DependenceAnalysis(figure1_loop(10, 10), {}).space.rd
         assert distance_vectors(rel) == {(2, 2), (4, 4), (6, 6)}
         assert direction_vectors(rel) == {("<", "<")}
 
@@ -41,7 +41,7 @@ class TestUniformity:
         prog = uniform_2d()
         analysis = DependenceAnalysis(prog, {})
         assert is_uniform_relation(
-            analysis.iteration_dependences, analysis.iteration_space_points
+            analysis.space.rd, analysis.space.unified
         )
 
     def test_figure1_is_nonuniform(self):

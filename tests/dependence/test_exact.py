@@ -76,7 +76,7 @@ class TestExactDependences:
     def test_figure1_matches_brute_force(self):
         prog = figure1_loop(10, 10)
         analysis = DependenceAnalysis(prog, {})
-        rel = analysis.iteration_dependences
+        rel = analysis.space.rd
         brute = brute_force_dependences(prog, {})
         brute_iter_pairs = set()
         for (l1, i1), (l2, i2) in brute:
@@ -87,12 +87,12 @@ class TestExactDependences:
 
     def test_figure1_distances_match_paper(self):
         prog = figure1_loop(10, 10)
-        rel = DependenceAnalysis(prog, {}).iteration_dependences
+        rel = DependenceAnalysis(prog, {}).space.rd
         assert sorted(rel.distances()) == [(2, 2), (4, 4), (6, 6)]
 
     def test_figure2_solutions(self):
         prog = figure2_loop(20)
-        rel = DependenceAnalysis(prog, {}).iteration_dependences
+        rel = DependenceAnalysis(prog, {}).space.rd
         for (i,), (j,) in rel.pairs:
             assert 2 * i == 21 - j or 2 * j == 21 - i
 
@@ -119,7 +119,7 @@ class TestExactDependences:
         rng = random.Random(seed)
         spec = random_coupled_loop(rng, n1=5, n2=5)
         prog = spec.program
-        rel = DependenceAnalysis(prog, {}).iteration_dependences
+        rel = DependenceAnalysis(prog, {}).space.rd
         brute = brute_force_dependences(prog, {})
         brute_iter_pairs = set()
         for (l1, i1), (l2, i2) in brute:
@@ -214,5 +214,5 @@ class TestSortJoinEngine:
 
     def test_analysis_engines_equivalent_end_to_end(self):
         for prog in (figure1_loop(10, 10), figure2_loop(20), large_triangular_loop(12)):
-            rd = DependenceAnalysis(prog, {}).iteration_dependences
-            assert rd == oracle.iteration_dependences(prog)
+            rd = DependenceAnalysis(prog, {}).space.rd
+            assert rd == oracle.statement_space(prog).rd

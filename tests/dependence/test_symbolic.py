@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracle
 from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.symbolic import (
     source_target_names,
@@ -19,32 +20,32 @@ class TestSymbolicRelation:
 
     def test_figure1_matches_exact(self):
         prog = figure1_loop(10, 10)
-        exact = DependenceAnalysis(prog, {}).iteration_dependences
-        symbolic = symbolic_dependence_relation(prog).enumerate_pairs()
+        exact = DependenceAnalysis(prog, {}).space.rd
+        symbolic = oracle.enumerate_union_pairs(symbolic_dependence_relation(prog))
         assert set(symbolic.pairs) == set(exact.pairs)
 
     def test_figure2_matches_exact(self):
         prog = figure2_loop(20)
-        exact = DependenceAnalysis(prog, {}).iteration_dependences
-        symbolic = symbolic_dependence_relation(prog).enumerate_pairs()
+        exact = DependenceAnalysis(prog, {}).space.rd
+        symbolic = oracle.enumerate_union_pairs(symbolic_dependence_relation(prog))
         assert set(symbolic.pairs) == set(exact.pairs)
 
     def test_example2_matches_exact(self):
         prog = example2_loop(12)
-        exact = DependenceAnalysis(prog, {}).iteration_dependences
-        symbolic = symbolic_dependence_relation(prog).enumerate_pairs()
+        exact = DependenceAnalysis(prog, {}).space.rd
+        symbolic = oracle.enumerate_union_pairs(symbolic_dependence_relation(prog))
         assert set(symbolic.pairs) == set(exact.pairs)
 
     def test_parametric_relation_binds(self):
         prog = figure1_loop()  # symbolic N1, N2
         rel = symbolic_dependence_relation(prog)
-        pairs = rel.enumerate_pairs({"N1": 10, "N2": 10})
-        exact = DependenceAnalysis(figure1_loop(10, 10), {}).iteration_dependences
+        pairs = oracle.enumerate_union_pairs(rel, {"N1": 10, "N2": 10})
+        exact = DependenceAnalysis(figure1_loop(10, 10), {}).space.rd
         assert set(pairs.pairs) == set(exact.pairs)
 
     def test_orientation_is_forward(self):
         prog = figure1_loop(10, 10)
-        rel = symbolic_dependence_relation(prog).enumerate_pairs()
+        rel = oracle.enumerate_union_pairs(symbolic_dependence_relation(prog))
         for src, dst in rel.pairs:
             assert src < dst
 

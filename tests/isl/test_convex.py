@@ -183,10 +183,6 @@ class TestBoundsAndEmptiness:
         assert cs.variable_bounds("j") == (1, 6)
         assert cs.variable_bounds("i") == (1, 6)
 
-    def test_bounding_box(self):
-        cs = ConvexSet.from_box(["i", "j"], [(0, 3), (5, 9)])
-        assert cs.bounding_box() == [(0, 3), (5, 9)]
-
     def test_empty_by_contradictory_bounds(self):
         cs = ConvexSet.from_box(["i"], [(5, 3)])
         assert cs.is_empty()

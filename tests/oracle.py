@@ -28,6 +28,7 @@ from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.exact import enumerate_domain, reference_addresses
 from repro.isl.affine import AffineExpr
 from repro.isl.convex import EQ, GE
+from repro.isl.enumerate_points import enumerate_convex
 from repro.isl.lexorder import lex_lt
 from repro.isl.relations import FiniteRelation
 
@@ -60,17 +61,6 @@ def orient_forward(pairs) -> FrozenSet[Tuple[Point, Point]]:
     return frozenset((a, b) if lex_lt(a, b) else (b, a) for a, b in pairs if a != b)
 
 
-def iteration_dependences(program, params=None) -> FiniteRelation:
-    """The combined iteration-level Rd of a perfect nest (eq. 4)."""
-    params = dict(params or {})
-    analysis = DependenceAnalysis(program, params)
-    pairs = set()
-    for pair in analysis.reference_pairs:
-        pairs |= pair_dependences(pair, params, program.parameters).pairs
-    depth = len(program.statement_contexts()[0].index_names)
-    return FiniteRelation(orient_forward(pairs), depth, depth)
-
-
 def space_points(program, params=None) -> List[Point]:
     """The iteration points of a single-statement perfect nest, in order."""
     return [it for _, it in program.sequential_iterations(dict(params or {}))]
@@ -99,6 +89,19 @@ def three_sets(space, rd: FiniteRelation) -> ThreeSets:
     return ThreeSets(phi, restricted, p1, p2, p3, w)
 
 
+def respects_phase_order(partition) -> bool:
+    """No dependence of a three-set partition goes against the P1 → P2 → P3
+    order, and none is internal to P1 or to P3."""
+    rank = {p: 0 for p in partition.p1}
+    rank.update((p, 1) for p in partition.p2)
+    rank.update((p, 2) for p in partition.p3)
+    for src, dst in partition.rd.pairs:
+        rs, rd_ = rank.get(src), rank.get(dst)
+        if rs is None or rd_ is None or rs > rd_ or (rs == rd_ and rs != 1):
+            return False
+    return True
+
+
 def wavefronts(space, rd: FiniteRelation, max_steps: Optional[int] = None):
     """The literal while-loop: peel ``P1 = Φ \\ ran Rd`` until Φ is empty."""
     remaining = {tuple(p) for p in space}
@@ -115,6 +118,21 @@ def wavefronts(space, rd: FiniteRelation, max_steps: Optional[int] = None):
         remaining -= front
         relation = {(a, b) for a, b in relation if a in remaining and b in remaining}
     return tuple(waves)
+
+
+def enumerate_union_pairs(relation, params=None) -> FiniteRelation:
+    """A bounded symbolic :class:`~repro.isl.relations.UnionRelation` as
+    explicit pairs: every integer point of every piece's graph."""
+    pairs = set()
+    for piece in relation.pieces:
+        graph = piece.graph if params is None else piece.graph.bind_parameters(params)
+        positions = {name: k for k, name in enumerate(graph.variables)}
+        for point in enumerate_convex(graph):
+            pairs.add((
+                tuple(point[positions[name]] for name in piece.in_vars),
+                tuple(point[positions[name]] for name in piece.out_vars),
+            ))
+    return FiniteRelation(frozenset(pairs), len(relation.in_vars), len(relation.out_vars))
 
 
 class StatementSpace(NamedTuple):
@@ -146,21 +164,9 @@ def statement_space(program, params=None) -> StatementSpace:
 
 
 def dataflow_phases(program, params=None) -> List[Tuple[str, List[Instance]]]:
-    """``(phase name, instances)`` of the dataflow branch's schedule.
-
-    A single-statement nest is peeled on iteration vectors, anything else on
-    the unified statement space; instances run in lexicographic order inside
-    each wavefront.
-    """
-    params = dict(params or {})
-    contexts = program.statement_contexts()
-    if len(contexts) == 1:
-        label = contexts[0].statement.label
-        waves = wavefronts(space_points(program, params), iteration_dependences(program, params))
-        return [
-            (f"wavefront-{k}", [(label, p) for p in sorted(wave)])
-            for k, wave in enumerate(waves)
-        ]
+    """``(phase name, instances)`` of the dataflow branch's schedule: the
+    unified statement space peeled, instances in lexicographic order inside
+    each wavefront."""
     space = statement_space(program, params)
     instance_of = dict(zip(space.unified, space.instances))
     waves = wavefronts(space.unified, space.rd)
@@ -202,6 +208,38 @@ def is_uniform(relation: FiniteRelation, points) -> bool:
             if q in points and (p, q) not in pair_set:
                 return False
     return True
+
+
+def uniform_shift_pairs(analysis):
+    """``DependenceAnalysis.uniform_shift_pairs`` derived from each pair's
+    Lemma 1 recurrence ``j = i·T + u``: every pair must be square, full rank
+    and uniform (``T = I``); non-integral and zero shifts are dropped, the
+    rest oriented lex-positive, and exactly one distinct shift may remain."""
+    if len(analysis.program.statement_contexts()) != 1:
+        return None
+    shifts = set()
+    active = 0
+    for pair in analysis.reference_pairs:
+        try:
+            if not pair.is_square_full_rank() or not pair.is_uniform():
+                return None
+            rec = pair.recurrence()
+        except ValueError:
+            return None
+        if rec is None:
+            return None
+        T, u = rec
+        assert T.tolist() == [[int(r == c) for c in range(len(u))] for r in range(len(u))]
+        if any(Fraction(c).denominator != 1 for c in u):
+            continue
+        u = tuple(int(c) for c in u)
+        if not any(u):
+            continue
+        if next(c for c in u if c) < 0:
+            u = tuple(-c for c in u)
+        shifts.add(u)
+        active += 1
+    return (shifts.pop(), active) if len(shifts) == 1 else None
 
 
 def next_integer(recurrence, point) -> Optional[Point]:

@@ -16,7 +16,9 @@ the planner) and **every registered strategy's schedule on a draw it
 applies to** — so each builder (dataflow, recurrence chains, PDM, PL,
 unique sets, DOACROSS, tiling, inner-parallel, symbolic boxes and coset
 chains) is pinned bit-identical to the sequential run on every backend.
-Draws come from ``loop_programs()``, ``symbolic_programs()`` (where
+Every accepting strategy's plan must also pass ``Plan.validate()``.
+Draws come from ``loop_programs()`` (loop trees: sibling loops at any
+level, several top-level nests), ``symbolic_programs()`` (where
 ``symbolic`` and ``recurrence-chains`` apply) or ``lemma1_programs()`` (the
 non-uniform single-pair nests where ``recurrence-chains`` builds chains by
 Lemma 1).  The
@@ -74,6 +76,20 @@ def _assert_every_schedule_matches(prog, fill_seed, backend, **overrides):
 
 
 class TestBackendDifferential:
+    @given(prog=loop_programs(min_statements=2))
+    def test_every_accepting_strategy_validates(self, prog):
+        """Coverage, the dependence check against the analysis' one space,
+        and the sequential result, for every strategy that accepts a loop
+        tree of several statements — where sibling nests that reuse an
+        index name occur."""
+        for name in strategy_names():
+            try:
+                p = plan(prog, config=PlanConfig(strategies=(name,)), cache=False)
+            except PartitioningNotApplicable:
+                continue
+            report = p.validate(seeds=(0,))
+            assert report.ok, f"{name}: {report}"
+
     @given(prog=programs, fill_seed=st.integers(0, 2**16))
     def test_serial_backend_bit_identical(self, prog, fill_seed):
         _assert_every_schedule_matches(prog, fill_seed, "serial")

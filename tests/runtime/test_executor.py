@@ -115,7 +115,7 @@ class TestScheduleExecution:
         prog = figure2_loop(20)
         result = plan(prog, config=ALGORITHM1, cache=False)
         report = validate_schedule(
-            prog, result.schedule, {}, dependences=result.analysis.iteration_dependences
+            prog, result.schedule, {}, dependences=result.analysis.space.rd
         )
         assert report.ok
         assert report.respects_dependences
@@ -128,7 +128,7 @@ class TestScheduleExecution:
         analysis_result = plan(prog, config=ALGORITHM1, cache=False)
         flat = flat_schedule(analysis_result.schedule)
         report = validate_schedule(
-            prog, flat, {}, dependences=analysis_result.analysis.iteration_dependences,
+            prog, flat, {}, dependences=analysis_result.analysis.space.rd,
             seeds=tuple(range(8)),
         )
         assert not report.respects_dependences
@@ -164,7 +164,7 @@ class TestScheduleExecution:
         analysis_result = plan(prog, config=ALGORITHM1, cache=False)
         flat = flat_schedule(analysis_result.schedule)
         report = validate_schedule(
-            prog, flat, {}, dependences=analysis_result.analysis.iteration_dependences,
+            prog, flat, {}, dependences=analysis_result.analysis.space.rd,
             seeds=(),
         )
         assert report.arrays_match  # vacuous: nothing was executed

@@ -1,9 +1,11 @@
 """Shared Hypothesis strategies: random small :class:`LoopProgram` s.
 
 The differential test modules need a stream of loop programs covering the
-shapes the statement-level extension (§3.3) must handle — 1–3 statements,
-nesting depth ≤ 3, statements at any level (imperfect nests), rectangular
-*and* triangular bounds, affine subscripts with negative coefficients — while
+shapes the statement-level extension (§3.3) must handle — 1–3 statements in
+loop trees of depth ≤ 3 (statements at any level, sibling loops at any
+level, several top-level nests, index names reused across siblings),
+rectangular *and* triangular bounds, affine subscripts with negative
+coefficients — while
 staying small enough that the exact analyser, the partitioners and the oracle
 run in milliseconds per example.
 
@@ -54,8 +56,10 @@ MAX_BOUND = 4
 #: Array pool with fixed ranks so shapes are consistent across statements.
 ARRAY_POOL = (("x", 2), ("y", 1))
 
-#: Loop index names by nesting level (outermost first).
+#: Loop index names by nesting level (outermost first), and the alternates
+#: a sibling loop may take instead.
 _INDICES = ("I1", "I2", "I3")
+_ALT_INDICES = ("K1", "K2", "K3")
 
 # Every subscript coefficient is in [-2, 2] and every index in [1, MAX_BOUND],
 # so shifting by 2*MAX_BOUND per enclosing index keeps subscripts >= 0 and
@@ -91,83 +95,61 @@ def loop_programs(
     max_statements: int = 3,
     max_depth: int = 3,
 ) -> LoopProgram:
-    """A random small loop program (possibly imperfect, possibly triangular).
+    """A random small loop tree (possibly imperfect, possibly triangular).
 
-    The skeleton is one loop chain of depth ``1..max_depth``; each statement
-    is placed at a drawn level, either before or after the next-deeper loop
-    (statements at the innermost level are simply its body).  Inner loop upper
-    bounds are a constant or the enclosing index (triangular).
+    The program is 1–3 top-level nests.  Each loop body is a drawn sequence
+    of statements and up to two sibling sub-loops, down to ``max_depth``, so
+    statements sit at any level, before, between or after sub-loops, and a
+    loop may be empty.  Each loop takes its level's index name (``I1``,
+    ``I2``, ``I3``) or the alternate (``K1``, ...), so siblings often reuse
+    a name.  Upper bounds are a constant or, below the top level, the
+    enclosing index (triangular).  Statements are labelled ``s1, s2, ...``
+    in program-text order.  One top-level nest whose bodies hold at most one
+    sub-loop each is a loop chain, with statements before and after each
+    sub-loop.
     """
-    depth = draw(st.integers(1, max_depth))
     n_statements = draw(st.integers(min_statements, max_statements))
+    labels = iter(f"s{k}" for k in range(1, n_statements + 1))
 
-    # Placement per statement: (level, slot), where slot 0 = before the
-    # nested loop at that level and slot 1 = after it (the innermost level
-    # has no nested loop, so its statements all take slot 0).
-    placements = []
-    for _ in range(n_statements):
-        level = draw(st.integers(1, depth))
-        slot = 0 if level == depth else draw(st.integers(0, 1))
-        placements.append((level, slot))
+    def build_loop(enclosing, budget):
+        """One loop under ``enclosing`` whose subtree holds ``budget`` statements."""
+        level = len(enclosing)
+        name = draw(st.sampled_from((_INDICES[level], _ALT_INDICES[level])))
+        upper = draw(st.integers(2, MAX_BOUND))
+        if enclosing and draw(st.booleans()):
+            upper = enclosing[-1]  # triangular: 1..enclosing index
+        indices = enclosing + (name,)
+        body = []
+        sub_loops = 0
+        while True:
+            can_nest = len(indices) < max_depth and sub_loops < 2
+            if not budget and not (can_nest and draw(st.booleans())):
+                break
+            if can_nest and (not budget or draw(st.booleans())):
+                take = draw(st.integers(0, budget))
+                body.append(build_loop(indices, take))
+                budget -= take
+                sub_loops += 1
+            else:
+                body.append(_statement(draw, next(labels), indices))
+                budget -= 1
+        return loop(name, 1, upper, *body)
 
-    # Labels follow syntactic (program-text) order, as the IR requires them
-    # to be readable; the stable sort keeps draw order within a placement.
-    labels = {}
-    for rank, k in enumerate(
-        sorted(range(n_statements), key=lambda k: _syntactic_key(placements[k]))
-    ):
-        labels[k] = f"s{rank + 1}"
-
-    # Bounds per level: outermost constant, inner constant or triangular.
-    uppers = [draw(st.integers(2, MAX_BOUND))]
-    for level in range(2, depth + 1):
-        if draw(st.booleans()):
-            uppers.append(_INDICES[level - 2])  # triangular: 1..I_{level-1}
-        else:
-            uppers.append(draw(st.integers(2, MAX_BOUND)))
-
-    statements = {
-        k: _statement(draw, labels[k], _INDICES[: placements[k][0]])
-        for k in range(n_statements)
-    }
-
-    def build_level(level):
-        before = [
-            statements[k]
-            for k in range(n_statements)
-            if placements[k] == (level, 0)
-        ]
-        after = [
-            statements[k]
-            for k in range(n_statements)
-            if placements[k] == (level, 1)
-        ]
-        inner = [build_level(level + 1)] if level < depth else []
-        return loop(
-            _INDICES[level - 1], 1, uppers[level - 1], *(before + inner + after)
-        )
+    nests = []
+    remaining = n_statements
+    for k in range(draw(st.integers(1, 3)) - 1, -1, -1):
+        take = draw(st.integers(0, remaining)) if k else remaining
+        nests.append(build_loop((), take))
+        remaining -= take
 
     return program(
         "hypothesis-nest",
-        build_level(1),
+        *nests,
         array_shapes={
             "x": (_SHAPE, _SHAPE),
             "y": (_SHAPE,),
         },
     )
-
-
-def _syntactic_key(placement):
-    """Sort key giving the syntactic (program-text) order of a placement.
-
-    Before-statements appear in increasing level order on the way *down* the
-    loop chain; after-statements appear in *decreasing* level order on the way
-    back up, after the whole subtree.
-    """
-    level, slot = placement
-    if slot == 0:
-        return (0, level)
-    return (1, -level)
 
 
 #: The three vectorizable statement semantics (None = the order-sensitive

@@ -119,7 +119,7 @@ class TestKernels:
         assert prog.is_perfect_nest()
         analysis = DependenceAnalysis(prog, {})
         assert analysis.is_uniform()
-        assert len(analysis.iteration_dependences) > 0
+        assert len(analysis.space.rd) > 0
 
     def test_composition_corpus_unchanged(self):
         specs = build_corpus(seed=DEFAULT_CORPUS_SEED)

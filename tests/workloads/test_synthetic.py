@@ -90,9 +90,9 @@ class TestScalePartitionCase:
         assert validate_program(prog) == []
         analysis = DependenceAnalysis(prog, {})
         space, rd = scale_partition_case(6, 5)
-        assert analysis.iteration_dependences.pairs == rd.pairs
+        assert analysis.space.rd.pairs == rd.pairs
         assert {tuple(p) for p in space.tolist()} == set(
-            analysis.iteration_space_points
+            analysis.space.unified
         )
 
     def test_other_distances(self):
@@ -128,7 +128,7 @@ class TestLargeCholeskyNest:
         result = dataflow_branch(prog, {})
         assert result.schedule.num_phases == 3
         assert result.schedule.total_work == len(space)
-        assert result.statement_space is not None
+        assert result.analysis.space.index_map.interleaved
 
     def test_schedule_validates_semantically(self):
         from repro.core.strategy import PlanConfig, plan
