@@ -23,6 +23,18 @@ the ``symbolic`` strategy and its ``compiled`` execution backend.
   ``deep-rect-diag``'s symbolic plan must take at most **3×** its cheapest
   pinned strategy.
 
+* ``test_lockstep_kernel_speedup`` — every other plan runs on ``compiled``
+  through the lockstep executor (``repro.runtime.lockstep``).  A pinned
+  ``dataflow`` plan of ``large_uniform_loop(320, 320)`` (about 10⁵ points,
+  one DOALL phase per wavefront) must run hot at **≥ 10×** ``serial``, and
+  its first run, lowering included, must beat ``serial`` too.
+
+* ``test_symbolic_kernel_vs_lockstep`` — ungated: at 10⁶ points the same
+  symbolic schedule through its generated kernel and through the lockstep
+  executor (lowering and run timed apart).  The generated kernel never
+  materialises the plan, which is why single-statement symbolic plans keep
+  it.
+
 Rows are appended to ``BENCH_scale.json`` via the run_id-keyed trajectory
 recorder shared with ``bench_scale_partition.py``.
 """
@@ -44,6 +56,9 @@ PLAN_N = (10_000, 10_000)
 #: The kernel-speedup gate size: 10³ × 10³ = 10⁶ iteration points (the serial
 #: interpreter at 10⁸ would take half an hour; the claim is size-stable).
 EXEC_N = (1_000, 1_000)
+
+#: The lockstep-kernel gate size: 320 × 320 ≈ 10⁵ iteration points.
+LOCKSTEP_N = (320, 320)
 
 SYMBOLIC = PlanConfig(strategies=("symbolic",))
 #: Calls per cold-plan timing; the row records their median.
@@ -140,6 +155,97 @@ def test_compiled_backend_speedup(report):
         f"compiled kernel only {speedup:.1f}x the serial backend at "
         f"{n1 * n2} points — the contract requires >= 10x"
     )
+
+
+def _same(ref, store):
+    return set(ref) == set(store) and all(np.array_equal(ref[k], store[k]) for k in ref)
+
+
+def test_lockstep_kernel_speedup(report):
+    from repro.workloads.synthetic import large_uniform_loop
+
+    n1, n2 = LOCKSTEP_N
+    prog = large_uniform_loop(n1, n2)
+    p = plan(prog, config=PlanConfig(strategies=("dataflow",)), cache=False)
+    ref = execute_sequential(prog, {})
+
+    t0 = time.perf_counter()
+    serial = execute(prog, p.schedule, {}, backend="serial", seed=None)
+    t_serial = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    first = execute(prog, p.schedule, {}, backend="compiled")
+    t_first = time.perf_counter() - t0
+    t_hot = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        hot = execute(prog, p.schedule, {}, backend="compiled")
+        t_hot = min(t_hot, time.perf_counter() - t0)
+
+    assert _same(ref, serial.store) and _same(ref, first.store) and _same(ref, hot.store)
+    assert (first.meta, hot.meta) == (
+        {"kernel": True, "kernel_cache": "miss"},
+        {"kernel": True, "kernel_cache": "hit"},
+    )
+
+    rows = [
+        {
+            "points": n1 * n2,
+            "strategy": p.strategy,
+            "phases": p.schedule.num_phases,
+            "t_serial_s": round(t_serial, 4),
+            "t_first_s": round(t_first, 4),
+            "t_hot_s": round(t_hot, 4),
+            "speedup_hot": round(t_serial / t_hot, 1),
+            "speedup_first": round(t_serial / t_first, 1),
+        }
+    ]
+    report("Lockstep kernel vs serial interpreter (pinned dataflow)", rows)
+    record_bench("lockstep_compiled", rows)
+
+    assert t_serial / t_hot >= 10.0, (
+        f"hot lockstep kernel only {t_serial / t_hot:.1f}x the serial backend "
+        f"at {n1 * n2} points — the contract requires >= 10x"
+    )
+    assert t_first < t_serial, (
+        f"first lockstep run ({t_first:.3f}s, lowering included) is slower "
+        f"than serial ({t_serial:.3f}s)"
+    )
+
+
+def test_symbolic_kernel_vs_lockstep(report):
+    from repro.runtime.executor import make_store
+    from repro.runtime.lockstep import lower_schedule
+    from repro.workloads.synthetic import large_uniform_loop
+
+    n1, n2 = EXEC_N
+    prog = large_uniform_loop(n1, n2)
+    p = plan(prog, config=SYMBOLIC, cache=False)
+    execute(prog, p.schedule, {}, backend="compiled")  # compile the module
+    t0 = time.perf_counter()
+    symbolic = execute(prog, p.schedule, {}, backend="compiled")
+    t_symbolic = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    lowered = lower_schedule(prog, p.schedule, dict(prog.array_shapes))
+    t_lower = time.perf_counter() - t0
+    store = make_store(prog)
+    t0 = time.perf_counter()
+    lowered(store)
+    t_lockstep = time.perf_counter() - t0
+    assert _same(symbolic.store, store)
+
+    rows = [
+        {
+            "points": n1 * n2,
+            "phases": p.schedule.num_phases,
+            "t_symbolic_kernel_s": round(t_symbolic, 4),
+            "t_lockstep_lower_s": round(t_lower, 4),
+            "t_lockstep_run_s": round(t_lockstep, 4),
+        }
+    ]
+    report("Symbolic kernel vs lockstep executor on one symbolic plan", rows)
+    record_bench("symbolic_vs_lockstep", rows)
 
 
 def _cold_plan_ms(entry, config=None):

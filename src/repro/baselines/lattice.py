@@ -44,11 +44,16 @@ def pseudo_distance_matrix(distances: Iterable[Point], dim: int) -> List[Point]:
     every observed distance and (b) are lexicographically positive after the
     row reduction (the reduction keeps pivots positive and zeroes below them).
     An empty distance set yields an empty PDM (the loop is fully parallel).
+
+    Each distance is folded into the running form in turn, so no call
+    reduces more than ``dim + 1`` rows; the Hermite form of a lattice is
+    unique, so the result is the one-shot form of all the distances.
     """
-    rows = [list(d) for d in distances if any(x != 0 for x in d)]
-    if not rows:
-        return []
-    H, _U = hermite_normal_form(rows)
+    H: List[List[int]] = []
+    for d in distances:
+        if any(x != 0 for x in d):
+            H, _U = hermite_normal_form(H + [list(d)])
+            H = [row for row in H if any(x != 0 for x in row)]
     pdm: List[Point] = []
     for row in H:
         vec = tuple(int(x) for x in row)
@@ -140,10 +145,6 @@ class DistanceLattice:
             q = residue[:, pivot_col] // row[pivot_col]
             residue -= q[:, None] * np.asarray(row, dtype=np.int64)
         return residue
-
-    def coset_key(self, point: Sequence[int]) -> Point:
-        """:meth:`coset_keys` of one point, as a tuple."""
-        return tuple(self.coset_keys(np.asarray([point]))[0].tolist())
 
     def group(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(order, offsets)``: the cosets of ``points`` as CSR over a permutation.

@@ -16,12 +16,15 @@ Three generators whose output is *actually executed* by the test-suite:
 * :func:`generate_symbolic_kernel_source` — the whole-schedule NumPy kernel
   for a *symbolic* plan (:mod:`repro.core.symbolic`): every DOALL phase is a
   strided-grid gather/compute/scatter, the coset-chain phase steps all chains
-  in lockstep, the statement semantics are inlined as vectorized modular
-  arithmetic, and every bound is a baked-in integer.  Per-point Python
-  dispatch disappears entirely.  :func:`ensure_symbolic_kernel` compiles the
-  module once per plan fingerprint and caches the function (the
-  hot-loaded-kernel idiom); schedules no kernel can serve report a reason via
-  :func:`symbolic_kernel_reason` and the ``compiled`` backend falls back.
+  in lockstep, the statement semantics run as their vectorised twins
+  (:func:`repro.ir.semantics.vectorized`, imported by the module), and every
+  bound is a baked-in integer.  Per-point Python dispatch disappears
+  entirely.  :func:`ensure_symbolic_kernel` compiles the module once per
+  plan fingerprint and caches the function (the hot-loaded-kernel idiom).
+  :func:`symbolic_kernel_reason` says why a schedule is not served (the
+  ``compiled`` backend then runs the lockstep executor), and
+  :func:`kernel_reason` why a program can run on no kernel at all (the
+  backend then falls back to ``serial``).
 
 Generated source is returned as a string and compiled with ``compile``/``exec``
 into an isolated namespace, so the artifacts can also be written to disk and
@@ -39,12 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.recurrence import AffineRecurrence
 from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
-from ..ir.semantics import (
-    COMPUTE_HEAVY_ROUNDS,
-    compute_heavy_semantics,
-    order_sensitive_semantics,
-    sum_semantics,
-)
+from ..ir.semantics import iteration_weights, vectorized
 from ..isl.affine import AffineExpr
 
 __all__ = [
@@ -52,8 +50,10 @@ __all__ = [
     "compile_function",
     "generate_schedule_runner",
     "generate_symbolic_kernel_source",
+    "kernel_reason",
     "symbolic_kernel_reason",
     "ensure_symbolic_kernel",
+    "count_kernel_lookup",
     "kernel_cache_stats",
     "clear_kernel_cache",
 ]
@@ -177,22 +177,24 @@ def generate_schedule_runner(
 # symbolic-plan kernels: the compiled execution path
 # ---------------------------------------------------------------------------
 
-#: Semantics the kernel emitter can inline as vectorized arithmetic.  The
-#: order-sensitive chain reduces every gathered value mod M first, so the
-#: int64 intermediate ``31 * ((acc + v) % M)`` stays below 2**36 — congruent
-#: to, and therefore bit-identical with, the interpreter's arbitrary-
-#: precision chain.
-_VECTORIZABLE = ("order", "sum", "heavy")
-
-
-def _statement_semantics_kind(stmt) -> Optional[str]:
-    sem = stmt.semantics
-    if sem is None or sem is order_sensitive_semantics:
-        return "order"
-    if sem is sum_semantics:
-        return "sum"
-    if sem is compute_heavy_semantics:
-        return "heavy"
+def kernel_reason(program: LoopProgram) -> Optional[str]:
+    """``None`` when both compiled kernels can run ``program``'s statements,
+    else the reason the ``compiled`` backend records before it falls back to
+    ``serial``: a statement whose semantics has no vectorised twin
+    (:func:`repro.ir.semantics.vectorized`), or a subscript that is not an
+    integer combination of the enclosing loop indices."""
+    for ctx in program.statement_contexts():
+        if vectorized(ctx.statement.semantics) is None:
+            return (
+                "custom statement semantics cannot be inlined into a vectorized "
+                "kernel"
+            )
+        for ref in ctx.statement.references():
+            if not _integer_subscripts(ref, ctx.index_names):
+                return (
+                    f"reference {ref.array} has non-integer or parametric "
+                    "subscripts"
+                )
     return None
 
 
@@ -204,9 +206,10 @@ def _integer_subscripts(ref, index_names) -> bool:
 
 
 def symbolic_kernel_reason(program: LoopProgram, schedule: Schedule) -> Optional[str]:
-    """``None`` when a vectorized kernel can be generated for this schedule,
-    else the human-readable reason the ``compiled`` backend records before it
-    falls back to ``serial``."""
+    """``None`` when the generated symbolic kernel can run this schedule,
+    else why not.  The kernel serves single-statement symbolic plans, which
+    it runs without materialising a phase; the ``compiled`` backend runs
+    every other schedule through the lockstep executor."""
     from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
 
     if schedule.meta.get("scheme") != "symbolic":
@@ -217,22 +220,9 @@ def symbolic_kernel_reason(program: LoopProgram, schedule: Schedule) -> Optional
     for phase in schedule.phases:
         if not isinstance(phase, (SymbolicDoallPhase, CosetChainPhase)):
             return f"phase {phase.name!r} is not a symbolic box/coset phase"
-    contexts = program.statement_contexts()
-    if len(contexts) != 1:
+    if len(program.statement_contexts()) != 1:
         return "kernels cover single-statement nests only"
-    ctx = contexts[0]
-    if _statement_semantics_kind(ctx.statement) is None:
-        return (
-            "custom statement semantics cannot be inlined into a vectorized "
-            "kernel"
-        )
-    for ref in (*ctx.statement.writes, *ctx.statement.reads):
-        if not _integer_subscripts(ref, ctx.index_names):
-            return (
-                f"reference {ref.array} has non-integer or parametric "
-                "subscripts"
-            )
-    return None
+    return kernel_reason(program)
 
 
 def _render_subscript(expr: AffineExpr, var_map: Mapping[str, str]) -> str:
@@ -261,34 +251,18 @@ def _emit_statement_body(
     stmt,
     index_names: Sequence[str],
     var_map: Mapping[str, str],
-    kind: str,
     pad: str,
 ) -> None:
-    """Gather / vectorized-semantics / scatter for one phase block."""
-    modular = kind in ("order", "heavy")
+    """Gather / vectorised semantics / scatter for one phase block.  The
+    arithmetic is the semantics' NumPy twin, imported as ``_semantics``."""
     for j, ref in enumerate(stmt.reads):
         subs = ", ".join(_render_subscript(s, var_map) for s in ref.subscripts)
-        gather = f"store[{ref.array!r}][{subs}]"
-        if modular:
-            gather = f"{gather} % _M"
-        lines.append(f"{pad}_r{j} = {gather}")
-    if modular:
-        lines.append(f"{pad}_acc = 17")
-        for j in range(len(stmt.reads)):
-            lines.append(f"{pad}_acc = (31 * ((_acc + _r{j}) % _M)) % _M")
-        for k, name in enumerate(sorted(index_names)):
-            lines.append(
-                f"{pad}_acc = (_acc + {k + 2} * {var_map[name]}) % _M"
-            )
-        if kind == "heavy":
-            lines.append(f"{pad}for _mix in range(_ROUNDS):")
-            lines.append(f"{pad}    _acc = (31 * _acc + 7) % _M")
-    else:  # sum semantics: written value = sum of reads + 1
-        if stmt.reads:
-            total = " + ".join(f"_r{j}" for j in range(len(stmt.reads)))
-            lines.append(f"{pad}_acc = {total} + 1")
-        else:
-            lines.append(f"{pad}_acc = 1")
+        lines.append(f"{pad}_r{j} = store[{ref.array!r}][{subs}]")
+    term = " + ".join(
+        f"{weight} * {var_map[name]}" for name, weight in iteration_weights(index_names)
+    )
+    reads = "".join(f"_r{j}, " for j in range(len(stmt.reads)))
+    lines.append(f"{pad}_acc = _semantics(({reads}), {term or 0})")
     for ref in stmt.writes:
         subs = ", ".join(_render_subscript(s, var_map) for s in ref.subscripts)
         lines.append(f"{pad}store[{ref.array!r}][{subs}] = _acc")
@@ -318,7 +292,7 @@ def generate_symbolic_kernel_source(
     stmt = ctx.statement
     names = ctx.index_names
     dim = len(names)
-    kind = _statement_semantics_kind(stmt)
+    twin = vectorized(stmt.semantics)
 
     lines: List[str] = [
         '"""Auto-generated symbolic-plan kernel.  Do not edit."""',
@@ -327,11 +301,7 @@ def generate_symbolic_kernel_source(
         "",
         "import numpy as np",
         "",
-        "_M = 2147483647  # the semantics modulus (2**31 - 1)",
-    ]
-    if kind == "heavy":
-        lines.append(f"_ROUNDS = {COMPUTE_HEAVY_ROUNDS}")
-    lines += [
+        f"from {twin.__module__} import {twin.__name__} as _semantics",
         "",
         "",
         f"def {name}(store):",
@@ -358,7 +328,7 @@ def generate_symbolic_kernel_source(
                         f"dtype=np.int64){reshape}"
                     )
                 var_map = {n: f"_i{k}" for k, n in enumerate(names)}
-                _emit_statement_body(lines, stmt, names, var_map, kind, "    ")
+                _emit_statement_body(lines, stmt, names, var_map, "    ")
             lines.append(
                 f"    _stats.append(({phase.name!r}, {phase.work}, "
                 "_time.perf_counter() - _t0))"
@@ -421,7 +391,7 @@ def generate_symbolic_kernel_source(
                 off = f" + _t * {u_k}" if u_k else ""
                 lines.append(f"        _i{k} = _starts[:_na, {k}]{off}")
             var_map = {n: f"_i{k}" for k, n in enumerate(names)}
-            _emit_statement_body(lines, stmt, names, var_map, kind, "        ")
+            _emit_statement_body(lines, stmt, names, var_map, "        ")
             lines.append(
                 f"    _stats.append(({phase.name!r}, {phase.work}, "
                 "_time.perf_counter() - _t0))"
@@ -477,8 +447,17 @@ def ensure_symbolic_kernel(
     return fn, "miss"
 
 
+def count_kernel_lookup(status: str) -> None:
+    """Count one ``"hit"`` or ``"miss"`` of a kernel cached elsewhere: the
+    lockstep executor keeps its lowered schedules on the schedules
+    themselves, and each build counts as a miss here."""
+    with _KERNEL_CACHE_LOCK:
+        _KERNEL_CACHE_STATS[{"hit": "hits", "miss": "misses"}[status]] += 1
+
+
 def kernel_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters and current size of the compiled-kernel cache."""
+    """Hit/miss counters of both compiled kernels, and the current size of
+    the symbolic-kernel cache."""
     with _KERNEL_CACHE_LOCK:
         return {**_KERNEL_CACHE_STATS, "size": len(_KERNEL_CACHE)}
 

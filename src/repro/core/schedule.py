@@ -207,7 +207,10 @@ class Schedule:
     """An ordered sequence of parallel phases separated by barriers.
 
     ``labels`` and ``depths`` are the statement table the phases'
-    ``stmt_ids`` index (see :func:`statement_table`).
+    ``stmt_ids`` index (see :func:`statement_table`).  ``lowered`` holds the
+    lockstep executor's lowered form of the schedule, built on its first
+    ``compiled`` run (:func:`repro.runtime.lockstep.ensure_lowered`), so it
+    is freed with the schedule.
     """
 
     name: str
@@ -215,6 +218,9 @@ class Schedule:
     labels: Tuple[str, ...]
     depths: Tuple[int, ...]
     meta: Mapping[str, object] = field(default_factory=dict)
+    lowered: Dict[object, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- construction ---------------------------------------------------------
 

@@ -8,6 +8,9 @@
 * :mod:`repro.runtime.executor` — sequential reference execution, exact
   semantic validation, and the one phase lowering and interpreter loop that
   ``serial`` (inline) and ``process`` (the shared-memory workers) share;
+* :mod:`repro.runtime.lockstep` — the ``compiled`` backend's executor for
+  materialised schedules: each phase's units stepped at once as NumPy
+  gather / vectorised semantics / scatter blocks, lowered once per schedule;
 * :mod:`repro.runtime.process` / :mod:`repro.runtime.shm` — the
   shared-memory process pool: arrays in one ``multiprocessing.shared_memory``
   segment, one message per worker per execution, worker-side phase barriers

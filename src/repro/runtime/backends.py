@@ -17,10 +17,15 @@ instance/worker/timing counters):
     workers barrier among themselves between phases — the backend that
     turns partition schedules into wall-clock speedups on multi-core hosts;
 ``compiled``
-    the generated-NumPy-kernel runner for symbolic plans
-    (:mod:`repro.codegen.python_source`): the whole schedule executes as
-    vectorized strided-slice assignments, compiled once and cached on the
-    plan fingerprint — schedules without a kernel fall back to ``serial``
+    vectorised NumPy kernels, no per-instance Python: a single-statement
+    symbolic plan runs its generated module
+    (:mod:`repro.codegen.python_source`, strided-slice assignments over
+    the plan's boxes, compiled once and cached on the plan fingerprint);
+    every other schedule runs through the lockstep executor
+    (:mod:`repro.runtime.lockstep`, lowered once into gather / semantics /
+    scatter blocks and cached on the schedule).  Only a program neither
+    kernel can run — custom statement semantics, or subscripts that are not
+    integer combinations of the loop indices — falls back to ``serial``,
     with the reason recorded in ``RunResult.meta``.
 
 ``serial`` and ``process`` differ only in transport: each phase is lowered
@@ -28,7 +33,8 @@ once into its arrays (``phase.lower()``), its units shuffled and
 dealt round-robin (:func:`~repro.runtime.executor.split_phase`), and every
 slice runs through the one interpreter loop
 (:func:`~repro.runtime.executor.run_instances`) — inline, phase by phase, or
-in the shared-memory workers, which get all their slices up front.
+in the shared-memory workers, which get all their slices up front.  The
+lockstep executor reads the same lowered phases.
 :meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
 the same registry through the planning facade.  Third-party executors (a GPU runner, a no-GIL thread pool)
 plug in via :func:`register_backend` without touching any call site.  The
@@ -362,24 +368,39 @@ def _compiled_runner(
     store: Optional[ArrayStore],
     config: ExecConfig,
 ) -> RunResult:
-    """Run a symbolic plan's generated NumPy kernel (compiled once, cached on
-    the plan fingerprint).  Schedules without a kernel — any non-symbolic
-    plan, or a statement whose semantics cannot be vectorized — fall back to
-    the ``serial`` runner with the reason recorded in ``meta``."""
-    from ..codegen.python_source import ensure_symbolic_kernel, symbolic_kernel_reason
+    """Run the schedule as vectorised kernels: a single-statement symbolic
+    plan through its generated NumPy module (compiled once, cached on the
+    plan fingerprint), every other schedule through the lockstep executor
+    (lowered once, cached on the schedule).  A program neither kernel can
+    run — custom statement semantics, or subscripts that are not integer
+    combinations of the loop indices — falls back to the ``serial`` runner
+    with the reason recorded in ``meta``."""
+    from ..codegen.python_source import (
+        ensure_symbolic_kernel,
+        kernel_reason,
+        symbolic_kernel_reason,
+    )
+    from .lockstep import cached_lowering, ensure_lowered
 
-    reason = symbolic_kernel_reason(program, schedule)
-    if reason is None and not schedule.meta.get("kernel_key"):
-        reason = "schedule has no kernel_key (not built by the symbolic strategy)"
-    if reason is not None:
-        res = _serial_runner(program, schedule, params, store, config)
-        return replace(
-            res,
-            backend="compiled",
-            meta={**res.meta, "fallback": "serial", "reason": reason},
-        )
-    kernel, cache_status = ensure_symbolic_kernel(program, schedule)
     store = store if store is not None else make_store(program)
+    kernel, cache_status = cached_lowering(program, schedule, store), "hit"
+    if kernel is None:
+        # A schedule the generated kernel serves passed kernel_reason too.
+        symbolic = bool(schedule.meta.get("kernel_key")) and (
+            symbolic_kernel_reason(program, schedule) is None
+        )
+        reason = None if symbolic else kernel_reason(program)
+        if reason is not None:
+            res = _serial_runner(program, schedule, params, store, config)
+            return replace(
+                res,
+                backend="compiled",
+                meta={**res.meta, "fallback": "serial", "reason": reason},
+            )
+        if symbolic:
+            kernel, cache_status = ensure_symbolic_kernel(program, schedule)
+        else:
+            kernel, cache_status = ensure_lowered(program, schedule, store)
     t_run = time.perf_counter()
     rows = kernel(store)
     elapsed = time.perf_counter() - t_run
@@ -410,6 +431,7 @@ register_backend(ExecutionBackend(
 ))
 register_backend(ExecutionBackend(
     name="compiled",
-    description="generated NumPy kernel for symbolic plans (serial fallback)",
+    description="vectorised NumPy kernels: generated for symbolic plans, "
+    "lockstep for the rest (serial fallback for custom semantics)",
     runner=_compiled_runner,
 ))

@@ -2,16 +2,22 @@
 
 * :func:`execute_sequential` — runs the program in original sequential order;
   this is the semantic ground truth.
-* :func:`split_phase` / :func:`run_instances` — the one way a schedule
-  phase is executed, shared by the ``serial`` and ``process`` backends of
-  :mod:`repro.runtime.backends` (and by ``compiled``'s serial fallback).
-  Every phase is (or lowers through ``phase.lower()`` into) one
-  :class:`~repro.core.schedule.Phase` of flat ``(stmt_ids, iters,
-  unit_offsets)`` arrays; its units are shuffled (to emulate an arbitrary
-  interleaving: a schedule that is only correct under some lucky
-  intra-phase order is exposed) and dealt round-robin to the workers; each
-  worker's slice runs through one interpreter loop.  Instances inside a
-  unit keep their order (a WHILE chain is sequential by construction).
+* :func:`split_phase` / :func:`run_instances` — the interpreter's way a
+  schedule phase is executed, shared by the ``serial`` and ``process``
+  backends of :mod:`repro.runtime.backends` (and by ``compiled``'s serial
+  fallback for custom semantics).  Every phase is (or lowers through
+  ``phase.lower()`` into) one :class:`~repro.core.schedule.Phase` of flat
+  ``(stmt_ids, iters, unit_offsets)`` arrays; its units are shuffled (to
+  emulate an arbitrary interleaving: a schedule that is only correct under
+  some lucky intra-phase order is exposed) and dealt round-robin to the
+  workers; each worker's slice runs through one interpreter loop.
+  Instances inside a unit keep their order (a WHILE chain is sequential by
+  construction).
+
+The ``compiled`` backend runs the same lowered phases without the
+interpreter: :mod:`repro.runtime.lockstep` executes step ``t`` of every
+unit of a phase at once, as NumPy gathers, the statement semantics'
+vectorised twins and scatters.
 
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so

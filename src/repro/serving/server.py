@@ -7,7 +7,9 @@ alive across requests instead of rebuilding them inside every call:
   ``(program, params, config)`` requests skip dependence analysis, strategy
   selection and schedule construction entirely;
 * the process-wide compiled-kernel cache (``codegen.python_source``) — the
-  ``compiled`` backend and symbolic plans reuse generated kernels;
+  ``compiled`` backend and symbolic plans reuse generated kernels, and every
+  other cached plan keeps its schedule's lockstep lowering
+  (:mod:`repro.runtime.lockstep`), which a repeated request reuses;
 * persistent :class:`~repro.runtime.process.ProcessPool` workers — a
   ``process`` request (``execute(pool=...)``) is one message to each live
   worker and one ack back: a fresh shared-memory descriptor table, plus the

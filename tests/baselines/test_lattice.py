@@ -6,16 +6,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.baselines.lattice import DistanceLattice, direction_basis, pseudo_distance_matrix
 from repro.dependence import DependenceAnalysis
 from repro.isl.lexorder import is_lex_positive
 from repro.workloads.examples import example2_loop, figure1_loop
+from repro.workloads.synthetic import large_cholesky_nest
 
 small_vecs = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
     min_size=1,
     max_size=4,
 )
+
+
+def _key(lattice, point):
+    """The coset key of one point."""
+    return tuple(lattice.coset_keys(np.asarray([point]))[0].tolist())
 
 
 class TestPseudoDistanceMatrix:
@@ -32,6 +39,23 @@ class TestPseudoDistanceMatrix:
 
     def test_empty_distances(self):
         assert pseudo_distance_matrix([], 2) == []
+
+    @given(st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)),
+        max_size=8,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_running_form_equals_the_one_shot_form(self, distances):
+        """Folding the distances in one by one reaches the one Hermite form
+        of their lattice."""
+        assert pseudo_distance_matrix(distances, 3) == oracle.pseudo_distance_matrix(distances, 3)
+
+    def test_running_form_equals_the_one_shot_form_on_cholesky(self):
+        rd = DependenceAnalysis(large_cholesky_nest(60), {}).space.rd
+        distances = sorted(rd.distances())
+        assert len(distances) > 1000
+        dim = len(distances[0])
+        assert pseudo_distance_matrix(distances, dim) == oracle.pseudo_distance_matrix(distances, dim)
 
     @given(small_vecs)
     @settings(max_examples=40, deadline=None)
@@ -66,14 +90,14 @@ class TestDistanceLattice:
         lattice = DistanceLattice.from_vectors([], 2)
         assert lattice.contains((0, 0))
         assert not lattice.contains((1, 0))
-        assert lattice.coset_key((3, 4)) == (3, 4)
+        assert _key(lattice, (3, 4)) == (3, 4)
 
     def test_coset_key_consistency(self):
         lattice = DistanceLattice.from_vectors([(2, 2), (0, 6)], 2)
         p = (3, 5)
         shifted = (3 + 2, 5 + 2 + 6)
-        assert lattice.coset_key(p) == lattice.coset_key(shifted)
-        assert lattice.coset_key(p) != lattice.coset_key((4, 5))
+        assert _key(lattice, p) == _key(lattice, shifted)
+        assert _key(lattice, p) != _key(lattice, (4, 5))
 
     @given(small_vecs, st.tuples(st.integers(-6, 6), st.integers(-6, 6)), st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=40, deadline=None)
@@ -84,7 +108,7 @@ class TestDistanceLattice:
             k1 * gens[0][1] + (k2 * gens[-1][1] if len(gens) > 1 else 0),
         )
         moved = (point[0] + shift[0], point[1] + shift[1])
-        assert lattice.coset_key(point) == lattice.coset_key(moved)
+        assert _key(lattice, point) == _key(lattice, moved)
 
     def test_cosets_partition_the_space(self):
         lattice = DistanceLattice.from_vectors([(2, 2)], 2)

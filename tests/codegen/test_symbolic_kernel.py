@@ -9,11 +9,16 @@ programs (every dimensionality, distance, offset and semantics shape the
 generator covers), and the source → ``compile_function`` → run round trip is
 exercised on every generated kernel.
 
-The fallback contract is pinned too: a schedule the kernel generator cannot
-serve (wrong scheme, custom semantics, missing cache key) executes through
-the serial interpreter with the reason recorded in ``RunResult.meta`` — the
-``compiled`` backend never fails where ``serial`` would have succeeded.
+The routing contract is pinned too: a schedule the kernel generator does not
+serve (another scheme, several statements) runs through the lockstep
+executor (:mod:`repro.runtime.lockstep`), and only a program neither kernel
+can run (custom semantics) executes through the serial interpreter, with
+the reason recorded in ``RunResult.meta`` — the ``compiled`` backend never
+fails where ``serial`` would have succeeded.  Both kernels fill the caller's
+arrays in place whatever their memory layout.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,10 +30,14 @@ from repro.codegen.python_source import (
     ensure_symbolic_kernel,
     generate_symbolic_kernel_source,
     kernel_cache_stats,
+    kernel_reason,
     symbolic_kernel_reason,
 )
+from repro.core.schedule import Phase, Schedule
 from repro.core.strategy import PlanConfig, plan
 from repro.ir.builder import aref, assign, loop, program
+from repro.ir.nodes import ArrayRef
+from repro.isl.affine import AffineExpr
 from repro.runtime import execute, execute_sequential, make_store
 from repro.workloads.examples import figure1_loop
 from repro.workloads.synthetic import large_uniform_loop
@@ -76,36 +85,67 @@ class TestDifferential:
         assert all(row[2] >= 0.0 for row in stats)
 
 
+def _custom_semantics_program():
+    body = assign(
+        "s", aref("x", "I1+1", "I2+1"), [aref("x", "I1", "I2")],
+        semantics=_xor_semantics,
+    )
+    return program(
+        "custom-sem",
+        loop("I1", 1, 6, loop("I2", 1, 5, body)),
+        array_shapes={"x": (8, 7)},
+    )
+
+
 class TestFallback:
-    def test_non_symbolic_schedule_falls_back_to_serial(self):
+    def test_non_symbolic_schedule_runs_the_lockstep_kernel(self):
         prog = figure1_loop(8, 8)
         p = plan(prog, cache=False)
         assert p.strategy != "symbolic"
+        before = kernel_cache_stats()["size"]
         result = execute(prog, p.schedule, {}, backend="compiled")
         assert result.backend == "compiled"
-        assert result.meta["fallback"] == "serial"
-        assert "not a symbolic plan" in result.meta["reason"]
+        assert result.meta == {"kernel": True, "kernel_cache": "miss"}
+        assert kernel_cache_stats()["size"] == before  # no generated module
+        assert len(p.schedule.lowered) == 1
         ref = execute_sequential(prog, {})
         assert all(np.array_equal(ref[k], result.store[k]) for k in ref)
+        again = execute(prog, p.schedule, {}, backend="compiled")
+        assert again.meta == {"kernel": True, "kernel_cache": "hit"}
 
-    def test_custom_semantics_fall_back_to_serial(self):
-        """Eligibility is syntactic, so the symbolic *plan* succeeds — but the
-        kernel generator declines the un-vectorizable semantics and the
-        backend runs the schedule through the interpreter instead."""
-        body = assign(
-            "s", aref("x", "I1+1", "I2+1"), [aref("x", "I1", "I2")],
-            semantics=_xor_semantics,
-        )
-        prog = program(
-            "custom-sem",
-            loop("I1", 1, 6, loop("I2", 1, 5, body)),
-            array_shapes={"x": (8, 7)},
-        )
-        p = plan(prog, config=SYMBOLIC, cache=False)
-        assert p.strategy == "symbolic"
+    @pytest.mark.parametrize("strategy", ["symbolic", "dataflow"])
+    def test_custom_semantics_fall_back_to_serial(self, strategy):
+        """Eligibility is syntactic, so the plan succeeds — but neither
+        kernel can vectorise the semantics, and the backend runs the
+        schedule through the interpreter instead."""
+        prog = _custom_semantics_program()
+        p = plan(prog, config=PlanConfig(strategies=(strategy,)), cache=False)
+        assert p.strategy == strategy
         result = execute(prog, p.schedule, {}, backend="compiled")
         assert result.meta["fallback"] == "serial"
         assert "semantics" in result.meta["reason"]
+        assert not p.schedule.lowered
+        ref = execute_sequential(prog, {})
+        assert all(np.array_equal(ref[k], result.store[k]) for k in ref)
+
+    def test_non_integer_subscripts_fall_back_to_serial(self):
+        """``x((I1 + I2) / 2)`` is an integer only because ``I2 = I1``: a
+        subscript row with denominator 2, which only the interpreter
+        evaluates."""
+        half = AffineExpr.build({"I1": Fraction(1, 2), "I2": Fraction(1, 2)}, 0)
+        body = assign("s", ArrayRef.make("x", [half]), [ArrayRef.make("x", [half - 1])])
+        prog = program(
+            "halves", loop("I1", 1, 6, loop("I2", "I1", "I1", body)),
+            array_shapes={"x": (7,)},
+        )
+        assert "non-integer" in kernel_reason(prog)
+        iters = [it for _, it in prog.sequential_iterations({})]
+        sequential = Schedule.for_program(
+            "one-unit", prog, [Phase("all", 0, iters, unit_offsets=[0, len(iters)])]
+        )
+        result = execute(prog, sequential, {}, backend="compiled")
+        assert result.meta["fallback"] == "serial"
+        assert "non-integer" in result.meta["reason"]
         ref = execute_sequential(prog, {})
         assert all(np.array_equal(ref[k], result.store[k]) for k in ref)
 

@@ -29,7 +29,8 @@ from repro.dependence.exact import enumerate_domain, reference_addresses
 from repro.isl.affine import AffineExpr
 from repro.isl.convex import EQ, GE
 from repro.isl.enumerate_points import enumerate_convex
-from repro.isl.lexorder import lex_lt
+from repro.isl.lexorder import is_lex_positive, lex_lt
+from repro.isl.linalg import hermite_normal_form
 from repro.isl.relations import FiniteRelation
 
 Point = Tuple[int, ...]
@@ -551,3 +552,18 @@ def rational_bounds(loop, env) -> Tuple[int, int]:
         if v.denominator != 1:
             raise ValueError(f"non-integer bound value for loop {loop.index}")
     return int(max(lows)), int(min(highs))
+
+
+def pseudo_distance_matrix(distances, dim) -> List[Point]:
+    """The PDM as one Hermite normal form over every non-zero distance at
+    once (an m × m ``U`` for m distances), each row made lex-positive."""
+    rows = [list(d) for d in distances if any(x != 0 for x in d)]
+    if not rows:
+        return []
+    H, _U = hermite_normal_form(rows)
+    pdm = []
+    for row in H:
+        vec = tuple(int(x) for x in row)
+        if any(vec):
+            pdm.append(vec if is_lex_positive(vec) else tuple(-x for x in vec))
+    return pdm

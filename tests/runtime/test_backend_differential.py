@@ -58,16 +58,23 @@ def _schedules(prog):
 programs = st.one_of(loop_programs(), symbolic_programs(), lemma1_programs())
 
 
-def _run(prog, schedule, init, backend, **overrides):
+def _execute(prog, schedule, init, backend, **overrides):
     store = {k: v.copy() for k, v in init.items()}
-    return execute(prog, schedule, {}, store=store, backend=backend, **overrides).store
+    return execute(prog, schedule, {}, store=store, backend=backend, **overrides)
+
+
+def _run(prog, schedule, init, backend, **overrides):
+    return _execute(prog, schedule, init, backend, **overrides).store
 
 
 def _assert_every_schedule_matches(prog, fill_seed, backend, **overrides):
     init = make_store(prog, fill="random", seed=fill_seed)
     ref = execute_sequential(prog, {}, store={k: v.copy() for k, v in init.items()})
     for kind, schedule in _schedules(prog).items():
-        out = _run(prog, schedule, init, backend, seed=fill_seed, **overrides)
+        result = _execute(prog, schedule, init, backend, seed=fill_seed, **overrides)
+        if backend == "compiled":
+            assert result.meta.get("kernel") is True, (kind, result.meta)
+        out = result.store
         for name in ref:
             assert np.array_equal(ref[name], out[name]), (
                 f"{backend} diverged from sequential on {name!r} "
@@ -96,8 +103,10 @@ class TestBackendDifferential:
 
     @given(prog=programs, fill_seed=st.integers(0, 2**16))
     def test_compiled_backend_bit_identical(self, prog, fill_seed):
-        """Symbolic schedules run their generated kernel; the others take the
-        serial fallback."""
+        """Every schedule runs a kernel, never the serial fallback: the
+        generated programs use the built-in semantics and integer
+        subscripts.  Single-statement symbolic plans run their generated
+        module, the rest the lockstep executor."""
         _assert_every_schedule_matches(prog, fill_seed, "compiled")
 
     @pytest.mark.skipif(
