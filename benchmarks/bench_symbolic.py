@@ -12,10 +12,11 @@ the ``symbolic`` strategy and its ``compiled`` execution backend.
   is proportional to N.  Asserted structurally too: the shared
   ``DependenceAnalysis`` must not have materialised its point or pair arrays.
 
-* ``test_compiled_backend_speedup`` — on a 10⁶-point workload the generated
-  NumPy kernel (``compiled`` backend) beats the interpreting ``serial``
-  backend by **≥ 10×** wall-clock with a **bit-identical** final store, and a
-  second execution of the same plan hits the fingerprint-keyed kernel cache.
+* ``test_compiled_backend_speedup`` — on a 10⁶-point workload the first
+  ``compiled`` run of the symbolic plan (the lockstep executor, closed-form
+  lowering included) beats the interpreting ``serial`` backend by **≥ 10×**
+  wall-clock with a **bit-identical** final store, and a second execution of
+  the same plan hits the lowered form cached on the schedule.
 
 * ``test_symbolic_corpus_plan_cold`` — the O(1) planner's constant: a cold
   ``plan()`` of each ``selection_corpus(size="small")`` nest that picks
@@ -23,17 +24,16 @@ the ``symbolic`` strategy and its ``compiled`` execution backend.
   ``deep-rect-diag``'s symbolic plan must take at most **3×** its cheapest
   pinned strategy.
 
-* ``test_lockstep_kernel_speedup`` — every other plan runs on ``compiled``
-  through the lockstep executor (``repro.runtime.lockstep``).  A pinned
+* ``test_lockstep_kernel_speedup`` — the lockstep executor
+  (``repro.runtime.lockstep``) on materialised phases.  A pinned
   ``dataflow`` plan of ``large_uniform_loop(320, 320)`` (about 10⁵ points,
   one DOALL phase per wavefront) must run hot at **≥ 10×** ``serial``, and
   its first run, lowering included, must beat ``serial`` too.
 
-* ``test_symbolic_kernel_vs_lockstep`` — ungated: at 10⁶ points the same
-  symbolic schedule through its generated kernel and through the lockstep
-  executor (lowering and run timed apart).  The generated kernel never
-  materialises the plan, which is why single-statement symbolic plans keep
-  it.
+* ``test_symbolic_lowering`` — ungated: at 10⁶ points the symbolic
+  schedule's closed-form lowering (straight from its boxes and cosets)
+  against the generic lowering of the same phases materialised, the hot
+  ``compiled`` run, and the bytes each lowered form holds.
 
 Rows are appended to ``BENCH_scale.json`` via the run_id-keyed trajectory
 recorder shared with ``bench_scale_partition.py``.
@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.analysis.features import clear_feature_cache
 from repro.core.partitioner import PartitioningNotApplicable
+from repro.core.schedule import Phase, Schedule
 from repro.core.strategy import PlanCache, PlanConfig, plan, strategy_names
 from repro.runtime import execute, execute_sequential
 
@@ -132,7 +133,7 @@ def test_compiled_backend_speedup(report):
     assert compiled.meta.get("kernel") is True
     assert compiled.instances_executed == p.schedule.total_work
 
-    # The second execution of the same plan reuses the compiled module.
+    # The second execution of the same plan reuses the lowered form.
     again = execute(prog, p.schedule, {}, backend="compiled")
     assert again.meta["kernel_cache"] == "hit"
     assert all(np.array_equal(ref[k], again.store[k]) for k in ref)
@@ -213,7 +214,20 @@ def test_lockstep_kernel_speedup(report):
     )
 
 
-def test_symbolic_kernel_vs_lockstep(report):
+def _lowered_mb(lowered):
+    """Megabytes of index, term and (for interpreted phases) instance arrays
+    a lowered schedule holds."""
+    total = 0
+    for _, _, body in lowered.phases:
+        if isinstance(body, Phase):
+            total += body.iters.nbytes + body.stmt_ids.nbytes
+            continue
+        for _, reads, writes, term in body:
+            total += term.nbytes + sum(idx.nbytes for _, idx in reads + writes)
+    return total / 2**20
+
+
+def test_symbolic_lowering(report):
     from repro.runtime.executor import make_store
     from repro.runtime.lockstep import lower_schedule
     from repro.workloads.synthetic import large_uniform_loop
@@ -221,31 +235,43 @@ def test_symbolic_kernel_vs_lockstep(report):
     n1, n2 = EXEC_N
     prog = large_uniform_loop(n1, n2)
     p = plan(prog, config=SYMBOLIC, cache=False)
-    execute(prog, p.schedule, {}, backend="compiled")  # compile the module
-    t0 = time.perf_counter()
-    symbolic = execute(prog, p.schedule, {}, backend="compiled")
-    t_symbolic = time.perf_counter() - t0
+    shapes = dict(prog.array_shapes)
 
     t0 = time.perf_counter()
-    lowered = lower_schedule(prog, p.schedule, dict(prog.array_shapes))
-    t_lower = time.perf_counter() - t0
-    store = make_store(prog)
+    closed = lower_schedule(prog, p.schedule, shapes)
+    t_closed = time.perf_counter() - t0
     t0 = time.perf_counter()
-    lowered(store)
-    t_lockstep = time.perf_counter() - t0
-    assert _same(symbolic.store, store)
+    materialised = Schedule.from_phases(
+        p.schedule.name, [ph.lower() for ph in p.schedule.phases],
+        p.schedule.labels, p.schedule.depths,
+    )
+    generic = lower_schedule(prog, materialised, shapes)
+    t_generic = time.perf_counter() - t0
+
+    execute(prog, p.schedule, {}, backend="compiled")  # lower once
+    t_hot = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        hot = execute(prog, p.schedule, {}, backend="compiled")
+        t_hot = min(t_hot, time.perf_counter() - t0)
+    store = make_store(prog)
+    generic(store)
+    assert hot.meta == {"kernel": True, "kernel_cache": "hit"}
+    assert _same(hot.store, store)
 
     rows = [
         {
             "points": n1 * n2,
             "phases": p.schedule.num_phases,
-            "t_symbolic_kernel_s": round(t_symbolic, 4),
-            "t_lockstep_lower_s": round(t_lower, 4),
-            "t_lockstep_run_s": round(t_lockstep, 4),
+            "t_closed_form_lower_s": round(t_closed, 4),
+            "t_generic_lower_s": round(t_generic, 4),
+            "t_hot_s": round(t_hot, 4),
+            "closed_form_mb": round(_lowered_mb(closed), 1),
+            "generic_mb": round(_lowered_mb(generic), 1),
         }
     ]
-    report("Symbolic kernel vs lockstep executor on one symbolic plan", rows)
-    record_bench("symbolic_vs_lockstep", rows)
+    report("Closed-form vs generic lowering of one symbolic plan", rows)
+    record_bench("symbolic_lowering", rows)
 
 
 def _cold_plan_ms(entry, config=None):

@@ -5,7 +5,9 @@
 * :mod:`repro.codegen.fortran` — pseudo-Fortran/OpenMP listings matching the
   structure of the paper's Example 1/3 output (documentation parity);
 * :mod:`repro.codegen.python_source` — executable Python generation for the
-  WHILE-loop chain walker and for whole schedules (tested by execution).
+  WHILE-loop chain walker and for whole schedules (tested by execution), and
+  the ``compiled`` backend's kernel lookup (the schedule lowered for the
+  lockstep executor, :mod:`repro.runtime.lockstep`).
 """
 
 from .bounds import BoundExpr, LoopBounds, NestBounds, nest_bounds, render_affine

@@ -1,6 +1,6 @@
-"""Executable Python code generation.
+"""Executable Python code generation, and the ``compiled`` kernel's lookup.
 
-Three generators whose output is *actually executed* by the test-suite:
+Two generators whose output is *actually executed* by the test-suite:
 
 * :func:`generate_chain_function` — the WHILE-loop chain walker of §3.2 as
   Python source: starting from an iteration it repeatedly applies
@@ -13,45 +13,41 @@ Three generators whose output is *actually executed* by the test-suite:
   instances in unit order) using the program's statement semantics.  The
   tests compare its effect against the interpreting executor and the
   sequential reference.
-* :func:`generate_symbolic_kernel_source` — the whole-schedule NumPy kernel
-  for a *symbolic* plan (:mod:`repro.core.symbolic`): every DOALL phase is a
-  strided-grid gather/compute/scatter, the coset-chain phase steps all chains
-  in lockstep, the statement semantics run as their vectorised twins
-  (:func:`repro.ir.semantics.vectorized`, imported by the module), and every
-  bound is a baked-in integer.  Per-point Python dispatch disappears
-  entirely.  :func:`ensure_symbolic_kernel` compiles the module once per
-  plan fingerprint and caches the function (the hot-loaded-kernel idiom).
-  :func:`symbolic_kernel_reason` says why a schedule is not served (the
-  ``compiled`` backend then runs the lockstep executor), and
-  :func:`kernel_reason` why a program can run on no kernel at all (the
-  backend then falls back to ``serial``).
 
 Generated source is returned as a string and compiled with ``compile``/``exec``
 into an isolated namespace, so the artifacts can also be written to disk and
 inspected — the Python analogue of the paper's generated Fortran.
+
+The ``compiled`` backend generates no source: every schedule runs on the
+lockstep executor (:mod:`repro.runtime.lockstep`).
+:func:`ensure_symbolic_kernel` is its one kernel lookup — the schedule's
+lowered form, built once and kept on the schedule — with the hit/miss
+counters of :func:`kernel_cache_stats`, and :func:`kernel_reason` says why a
+program can run on no kernel (the backend then falls back to ``serial``).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import weakref
 from fractions import Fraction
-from textwrap import indent
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.recurrence import AffineRecurrence
 from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
-from ..ir.semantics import iteration_weights, vectorized
-from ..isl.affine import AffineExpr
+from ..ir.semantics import vectorized
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..runtime.lockstep import LoweredSchedule
 
 __all__ = [
     "generate_chain_function",
     "compile_function",
     "generate_schedule_runner",
-    "generate_symbolic_kernel_source",
     "kernel_reason",
-    "symbolic_kernel_reason",
     "ensure_symbolic_kernel",
     "count_kernel_lookup",
     "kernel_cache_stats",
@@ -174,11 +170,11 @@ def generate_schedule_runner(
     return "\n".join(lines) + "\n"
 
 # ---------------------------------------------------------------------------
-# symbolic-plan kernels: the compiled execution path
+# the compiled kernel's lookup
 # ---------------------------------------------------------------------------
 
 def kernel_reason(program: LoopProgram) -> Optional[str]:
-    """``None`` when both compiled kernels can run ``program``'s statements,
+    """``None`` when the compiled kernel can run ``program``'s statements,
     else the reason the ``compiled`` backend records before it falls back to
     ``serial``: a statement whose semantics has no vectorised twin
     (:func:`repro.ir.semantics.vectorized`), or a subscript that is not an
@@ -205,264 +201,56 @@ def _integer_subscripts(ref, index_names) -> bool:
     )
 
 
-def symbolic_kernel_reason(program: LoopProgram, schedule: Schedule) -> Optional[str]:
-    """``None`` when the generated symbolic kernel can run this schedule,
-    else why not.  The kernel serves single-statement symbolic plans, which
-    it runs without materialising a phase; the ``compiled`` backend runs
-    every other schedule through the lockstep executor."""
-    from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
-
-    if schedule.meta.get("scheme") != "symbolic":
-        return (
-            f"schedule {schedule.name!r} is not a symbolic plan "
-            f"(scheme {schedule.meta.get('scheme', 'unknown')!r})"
-        )
-    for phase in schedule.phases:
-        if not isinstance(phase, (SymbolicDoallPhase, CosetChainPhase)):
-            return f"phase {phase.name!r} is not a symbolic box/coset phase"
-    if len(program.statement_contexts()) != 1:
-        return "kernels cover single-statement nests only"
-    return kernel_reason(program)
-
-
-def _render_subscript(expr: AffineExpr, var_map: Mapping[str, str]) -> str:
-    """One affine subscript as a NumPy index expression over grid variables."""
-    terms: List[str] = []
-    for name, coeff in expr.coeffs:
-        c = int(coeff)
-        if c == 0:
-            continue
-        v = var_map[name]
-        if c == 1:
-            terms.append(v)
-        elif c == -1:
-            terms.append(f"-{v}")
-        else:
-            terms.append(f"{c} * {v}")
-    const = int(expr.constant)
-    if const or not terms:
-        terms.append(str(const))
-    body = " + ".join(terms).replace("+ -", "- ")
-    return body if len(terms) == 1 else f"({body})"
-
-
-def _emit_statement_body(
-    lines: List[str],
-    stmt,
-    index_names: Sequence[str],
-    var_map: Mapping[str, str],
-    pad: str,
-) -> None:
-    """Gather / vectorised semantics / scatter for one phase block.  The
-    arithmetic is the semantics' NumPy twin, imported as ``_semantics``."""
-    for j, ref in enumerate(stmt.reads):
-        subs = ", ".join(_render_subscript(s, var_map) for s in ref.subscripts)
-        lines.append(f"{pad}_r{j} = store[{ref.array!r}][{subs}]")
-    term = " + ".join(
-        f"{weight} * {var_map[name]}" for name, weight in iteration_weights(index_names)
-    )
-    reads = "".join(f"_r{j}, " for j in range(len(stmt.reads)))
-    lines.append(f"{pad}_acc = _semantics(({reads}), {term or 0})")
-    for ref in stmt.writes:
-        subs = ", ".join(_render_subscript(s, var_map) for s in ref.subscripts)
-        lines.append(f"{pad}store[{ref.array!r}][{subs}] = _acc")
-
-
-def generate_symbolic_kernel_source(
-    program: LoopProgram,
-    schedule: Schedule,
-    name: str = "run_kernel",
-) -> str:
-    """The complete importable kernel module for a symbolic schedule.
-
-    The generated ``{name}(store)`` mutates the arrays in place and returns
-    ``[(phase_name, instances_executed, elapsed_seconds), ...]`` — one row
-    per phase, the shape the ``compiled`` backend turns into
-    :class:`~repro.runtime.backends.PhaseStats`.  All loop bounds, box
-    extents and chain-length formulas are baked in as integers; the only
-    Python-level loop left is the chain phase's lockstep walk (one iteration
-    per chain *step*, not per instance).
-    """
-    from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
-
-    reason = symbolic_kernel_reason(program, schedule)
-    if reason is not None:
-        raise ValueError(f"cannot generate a symbolic kernel: {reason}")
-    ctx = program.statement_contexts()[0]
-    stmt = ctx.statement
-    names = ctx.index_names
-    dim = len(names)
-    twin = vectorized(stmt.semantics)
-
-    lines: List[str] = [
-        '"""Auto-generated symbolic-plan kernel.  Do not edit."""',
-        "",
-        "import time as _time",
-        "",
-        "import numpy as np",
-        "",
-        f"from {twin.__module__} import {twin.__name__} as _semantics",
-        "",
-        "",
-        f"def {name}(store):",
-        f'    """Generated from schedule {schedule.name!r} '
-        f'({schedule.num_phases} phases, {schedule.total_work} instances)."""',
-        "    _stats = []",
-    ]
-
-    for pi, phase in enumerate(schedule.phases):
-        lines.append(f"    # phase {pi}: {phase.name}")
-        lines.append("    _t0 = _time.perf_counter()")
-        if isinstance(phase, SymbolicDoallPhase):
-            for box in phase.boxes:
-                lines.append(
-                    f"    # box {' x '.join(f'[{lo}, {hi}]' for lo, hi in box)}"
-                )
-                for k, (lo, hi) in enumerate(box):
-                    shape = ", ".join(
-                        "-1" if j == k else "1" for j in range(dim)
-                    )
-                    reshape = f".reshape({shape})" if dim > 1 else ""
-                    lines.append(
-                        f"    _i{k} = np.arange({lo}, {hi + 1}, "
-                        f"dtype=np.int64){reshape}"
-                    )
-                var_map = {n: f"_i{k}" for k, n in enumerate(names)}
-                _emit_statement_body(lines, stmt, names, var_map, "    ")
-            lines.append(
-                f"    _stats.append(({phase.name!r}, {phase.work}, "
-                "_time.perf_counter() - _t0))"
-            )
-        elif isinstance(phase, CosetChainPhase):
-            step = phase.step
-            lines.append(
-                f"    # {len(phase)} coset chains, step {step}, "
-                f"P2 {' x '.join(f'[{lo}, {hi}]' for lo, hi in phase.box)}"
-            )
-            blocks = []
-            for bi, box in enumerate(phase.start_boxes):
-                axes = ", ".join(
-                    f"np.arange({lo}, {hi + 1}, dtype=np.int64)"
-                    for lo, hi in box
-                )
-                lines.append(
-                    f"    _g{bi} = np.meshgrid({axes}, indexing='ij')"
-                )
-                lines.append(
-                    f"    _w{bi} = np.stack([_a.ravel() for _a in _g{bi}], "
-                    "axis=1)"
-                )
-                blocks.append(f"_w{bi}")
-            if len(blocks) == 1:
-                lines.append(f"    _starts = {blocks[0]}")
-            else:
-                lines.append(
-                    f"    _starts = np.concatenate([{', '.join(blocks)}], "
-                    "axis=0)"
-                )
-            avail = []
-            for k, u_k in enumerate(step):
-                if u_k == 0:
-                    continue
-                lo2, hi2 = phase.box[k]
-                if u_k > 0:
-                    avail.append(f"({hi2} - _starts[:, {k}]) // {u_k}")
-                else:
-                    avail.append(f"(_starts[:, {k}] - {lo2}) // {-u_k}")
-            if len(avail) == 1:
-                lines.append(f"    _lens = {avail[0]} + 1")
-            else:
-                lines.append(
-                    f"    _lens = np.minimum.reduce([{', '.join(avail)}]) + 1"
-                )
-            lines += [
-                f"    if int(_lens.sum()) != {phase.work}:",
-                "        raise RuntimeError(",
-                "            'coset chains do not tile P2: %d != %d'",
-                f"            % (int(_lens.sum()), {phase.work}))",
-                "    # longest chains first: the active set per step is a prefix",
-                "    _ord = np.argsort(-_lens, kind='stable')",
-                "    _starts = _starts[_ord]",
-                "    _neg = -_lens[_ord]",
-                "    for _t in range(int(_lens.max()) if _lens.size else 0):",
-                "        _na = int(np.searchsorted(_neg, -_t, side='left'))",
-            ]
-            for k, u_k in enumerate(step):
-                off = f" + _t * {u_k}" if u_k else ""
-                lines.append(f"        _i{k} = _starts[:_na, {k}]{off}")
-            var_map = {n: f"_i{k}" for k, n in enumerate(names)}
-            _emit_statement_body(lines, stmt, names, var_map, "        ")
-            lines.append(
-                f"    _stats.append(({phase.name!r}, {phase.work}, "
-                "_time.perf_counter() - _t0))"
-            )
-        lines.append(f"    # ---- barrier after phase {pi} ----")
-    lines.append("    return _stats")
-    return "\n".join(lines) + "\n"
-
-
-#: Compiled kernels keyed on ``schedule.meta['kernel_key']`` — the plan
-#: fingerprint plus the bound parameters, i.e. one kernel per distinct
-#: (program, params) plan, shared across repeated executions.  LRU-bounded
-#: (mirroring ``PlanCache``) and lock-guarded: a long-lived server compiles
-#: kernels from many threads, and an unbounded dict of generated functions
-#: is a slow memory leak over an open-ended request stream.
-_KERNEL_CACHE_MAXSIZE = 128
-_KERNEL_CACHE: "OrderedDict[str, Callable]" = OrderedDict()
-_KERNEL_CACHE_LOCK = threading.Lock()
-_KERNEL_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
 def ensure_symbolic_kernel(
-    program: LoopProgram,
-    schedule: Schedule,
-    name: str = "run_kernel",
-) -> Tuple[Callable, str]:
-    """The compiled kernel for a symbolic schedule, compiling at most once.
+    program: LoopProgram, schedule: Schedule, store: Mapping[str, np.ndarray]
+) -> Tuple[Optional["LoweredSchedule"], str]:
+    """The ``compiled`` backend's kernel for ``schedule``: its lowered form
+    (:class:`~repro.runtime.lockstep.LoweredSchedule`) for ``program``'s
+    statements and ``store``'s array shapes, built at most once per
+    schedule.
 
-    Returns ``(kernel, "hit" | "miss")``; raises :class:`ValueError` (with
-    the :func:`symbolic_kernel_reason`) when the schedule cannot be served
-    by a kernel.
+    Returns ``(lowered, "hit" | "miss")``, or ``(None, reason)`` when
+    :func:`kernel_reason` refuses the program.  The reason is checked on a
+    miss only: a lowering under the same key ran the same statements.  The
+    schedule keeps one lowered form, for the last statements and shapes it
+    ran with; a content-equal program (a plan server's freshly decoded
+    request, say) hits it too.
     """
-    key = schedule.meta.get("kernel_key")
-    if not key:
-        raise ValueError(
-            "cannot generate a symbolic kernel: schedule has no kernel_key "
-            "(not built by the symbolic strategy)"
-        )
-    with _KERNEL_CACHE_LOCK:
-        fn = _KERNEL_CACHE.get(key)
-        if fn is not None:
-            _KERNEL_CACHE.move_to_end(key)
-            _KERNEL_CACHE_STATS["hits"] += 1
-            return fn, "hit"
-    source = generate_symbolic_kernel_source(program, schedule, name=name)
-    fn = compile_function(source, name)
-    with _KERNEL_CACHE_LOCK:
-        _KERNEL_CACHE[key] = fn
-        _KERNEL_CACHE.move_to_end(key)
-        while len(_KERNEL_CACHE) > _KERNEL_CACHE_MAXSIZE:
-            _KERNEL_CACHE.popitem(last=False)
-        _KERNEL_CACHE_STATS["misses"] += 1
-    return fn, "miss"
+    from ..runtime.lockstep import lower_schedule, lowering_key
+
+    key = lowering_key(program.statement_contexts(), store)
+    lowered = schedule.lowered.get(key)
+    status = "hit"
+    if lowered is None:
+        reason = kernel_reason(program)
+        if reason is not None:
+            return None, reason
+        lowered = lower_schedule(program, schedule, dict(key[1]))
+        schedule.lowered.clear()
+        schedule.lowered[key] = lowered
+        status = "miss"
+    lowered.program = weakref.ref(program)
+    count_kernel_lookup(status)
+    return lowered, status
+
+
+_KERNEL_STATS_LOCK = threading.Lock()
+_KERNEL_STATS = {"hits": 0, "misses": 0}
 
 
 def count_kernel_lookup(status: str) -> None:
-    """Count one ``"hit"`` or ``"miss"`` of a kernel cached elsewhere: the
-    lockstep executor keeps its lowered schedules on the schedules
-    themselves, and each build counts as a miss here."""
-    with _KERNEL_CACHE_LOCK:
-        _KERNEL_CACHE_STATS[{"hit": "hits", "miss": "misses"}[status]] += 1
+    """Count one ``"hit"`` or ``"miss"`` of a kernel lookup."""
+    with _KERNEL_STATS_LOCK:
+        _KERNEL_STATS[{"hit": "hits", "miss": "misses"}[status]] += 1
 
 
 def kernel_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of both compiled kernels, and the current size of
-    the symbolic-kernel cache."""
-    with _KERNEL_CACHE_LOCK:
-        return {**_KERNEL_CACHE_STATS, "size": len(_KERNEL_CACHE)}
+    """Hit/miss counters of the compiled kernel's lookups."""
+    with _KERNEL_STATS_LOCK:
+        return dict(_KERNEL_STATS)
 
 
 def clear_kernel_cache() -> None:
-    with _KERNEL_CACHE_LOCK:
-        _KERNEL_CACHE.clear()
-        _KERNEL_CACHE_STATS.update(hits=0, misses=0)
+    """Reset the counters of :func:`kernel_cache_stats`."""
+    with _KERNEL_STATS_LOCK:
+        _KERNEL_STATS.update(hits=0, misses=0)

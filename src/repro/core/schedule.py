@@ -209,8 +209,9 @@ class Schedule:
     ``labels`` and ``depths`` are the statement table the phases'
     ``stmt_ids`` index (see :func:`statement_table`).  ``lowered`` holds the
     lockstep executor's lowered form of the schedule, built on its first
-    ``compiled`` run (:func:`repro.runtime.lockstep.ensure_lowered`), so it
-    is freed with the schedule.
+    ``compiled`` run
+    (:func:`repro.codegen.python_source.ensure_symbolic_kernel`), so it is
+    freed with the schedule.
     """
 
     name: str

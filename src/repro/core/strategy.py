@@ -316,9 +316,7 @@ def _symbolic_applicability(ctx: PlanningContext) -> Optional[str]:
 
 def _symbolic_builder(ctx: PlanningContext) -> StrategyBuild:
     return StrategyBuild(
-        schedule=build_symbolic_schedule(
-            ctx.program, ctx.params, ctx.analysis, fingerprint=ctx.fingerprint
-        )
+        schedule=build_symbolic_schedule(ctx.program, ctx.params, ctx.analysis)
     )
 
 

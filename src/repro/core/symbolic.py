@@ -38,8 +38,9 @@ them::
 P2 is an intersection of boxes, so it is always one box.  Walking back from
 any ``p ∈ P2`` by ``u`` stays inside P2 until it hits a ``w ∈ W``
 (``p − u ∈ dom`` always; ``p − u ∈ ran`` iff ``p − 2u ∈ Φ``), so the cosets
-``{w + t·u}`` tile P2 exactly — the generated kernels assert the tiling
-(``Σ len == |P2|``) at run time as a cheap belt-and-braces check.  The
+``{w + t·u}`` tile P2 exactly — :meth:`CosetChainPhase.chains`, which the
+lockstep executor lowers from, asserts the tiling (``Σ len == |P2|``) as a
+cheap belt-and-braces check.  The
 rational :func:`~repro.core.partition.symbolic_three_set_partition` is not
 used here; it stays for the paper-style Fortran listings.
 """
@@ -407,7 +408,6 @@ def build_symbolic_schedule(
     program: LoopProgram,
     params: Mapping[str, int],
     analysis: DependenceAnalysis,
-    fingerprint: str = "",
 ) -> Schedule:
     """The Theorem 1 schedule from the closed-form partition, O(1) in |Φ|.
 
@@ -431,21 +431,14 @@ def build_symbolic_schedule(
     if n_p2:
         phases.append(CosetChainPhase("P2-chains", part.w, shift, part.p2))
     phases.append(SymbolicDoallPhase("P3-doall", part.p3))
-
-    key_params = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    if not fingerprint:
-        from .strategy import program_fingerprint
-
-        fingerprint = program_fingerprint(program)
     return Schedule.for_program(
         f"symbolic-{program.name}",
         program,
         phases,
         scheme="symbolic",
         shift=shift,
-        kernel_key=f"{fingerprint}|{key_params}",
         backend_hint=(
-            "compiled (generated NumPy kernel, cached on the plan "
-            "fingerprint; serial fallback)"
+            "compiled (lockstep kernel lowered in closed form from the boxes "
+            "and cosets; serial fallback)"
         ),
     )

@@ -29,10 +29,10 @@ tolerance games).
 Each of the three has a NumPy twin (:func:`order_sensitive_vector`,
 :func:`sum_vector`, :func:`compute_heavy_vector`, found by
 :func:`vectorized`) that computes the same values for whole arrays of
-instances at once.  Both compiled kernels call the twins — the symbolic
-kernel's generated module and the lockstep executor of
-:mod:`repro.runtime.lockstep` — so the argument that int64 arithmetic gives
-the interpreter's arbitrary-precision values is made here, once.
+instances at once.  The ``compiled`` backend's lockstep executor
+(:mod:`repro.runtime.lockstep`) calls the twins, so the argument that int64
+arithmetic gives the interpreter's arbitrary-precision values is made here,
+once.
 """
 
 from __future__ import annotations

@@ -17,16 +17,14 @@ instance/worker/timing counters):
     workers barrier among themselves between phases — the backend that
     turns partition schedules into wall-clock speedups on multi-core hosts;
 ``compiled``
-    vectorised NumPy kernels, no per-instance Python: a single-statement
-    symbolic plan runs its generated module
-    (:mod:`repro.codegen.python_source`, strided-slice assignments over
-    the plan's boxes, compiled once and cached on the plan fingerprint);
-    every other schedule runs through the lockstep executor
-    (:mod:`repro.runtime.lockstep`, lowered once into gather / semantics /
-    scatter blocks and cached on the schedule).  Only a program neither
-    kernel can run — custom statement semantics, or subscripts that are not
-    integer combinations of the loop indices — falls back to ``serial``,
-    with the reason recorded in ``RunResult.meta``.
+    one vectorised NumPy kernel, no per-instance Python: every schedule
+    runs through the lockstep executor (:mod:`repro.runtime.lockstep`),
+    lowered once into gather / semantics / scatter blocks and cached on the
+    schedule — a symbolic plan's phases in closed form from their boxes and
+    cosets.  Only a program the kernel cannot run — custom statement
+    semantics, or subscripts that are not integer combinations of the loop
+    indices — falls back to ``serial``, with the reason recorded in
+    ``RunResult.meta``.
 
 ``serial`` and ``process`` differ only in transport: each phase is lowered
 once into its arrays (``phase.lower()``), its units shuffled and
@@ -34,7 +32,8 @@ dealt round-robin (:func:`~repro.runtime.executor.split_phase`), and every
 slice runs through the one interpreter loop
 (:func:`~repro.runtime.executor.run_instances`) — inline, phase by phase, or
 in the shared-memory workers, which get all their slices up front.  The
-lockstep executor reads the same lowered phases.
+lockstep executor reads the same lowered phases, but lowers symbolic ones
+in closed form.
 :meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
 the same registry through the planning facade.  Third-party executors (a GPU runner, a no-GIL thread pool)
 plug in via :func:`register_backend` without touching any call site.  The
@@ -368,39 +367,25 @@ def _compiled_runner(
     store: Optional[ArrayStore],
     config: ExecConfig,
 ) -> RunResult:
-    """Run the schedule as vectorised kernels: a single-statement symbolic
-    plan through its generated NumPy module (compiled once, cached on the
-    plan fingerprint), every other schedule through the lockstep executor
-    (lowered once, cached on the schedule).  A program neither kernel can
-    run — custom statement semantics, or subscripts that are not integer
-    combinations of the loop indices — falls back to the ``serial`` runner
-    with the reason recorded in ``meta``."""
-    from ..codegen.python_source import (
-        ensure_symbolic_kernel,
-        kernel_reason,
-        symbolic_kernel_reason,
-    )
-    from .lockstep import cached_lowering, ensure_lowered
+    """Run the schedule on the lockstep executor: lowered once, cached on
+    the schedule, every phase gather / vectorised semantics / scatter.  A
+    program it cannot run — custom statement semantics, or subscripts that
+    are not integer combinations of the loop indices — falls back to the
+    ``serial`` runner with the reason recorded in ``meta``."""
+    from ..codegen.python_source import ensure_symbolic_kernel
+    from .lockstep import cached_lowering
 
     store = store if store is not None else make_store(program)
     kernel, cache_status = cached_lowering(program, schedule, store), "hit"
     if kernel is None:
-        # A schedule the generated kernel serves passed kernel_reason too.
-        symbolic = bool(schedule.meta.get("kernel_key")) and (
-            symbolic_kernel_reason(program, schedule) is None
+        kernel, cache_status = ensure_symbolic_kernel(program, schedule, store)
+    if kernel is None:  # cache_status is kernel_reason's refusal
+        res = _serial_runner(program, schedule, params, store, config)
+        return replace(
+            res,
+            backend="compiled",
+            meta={**res.meta, "fallback": "serial", "reason": cache_status},
         )
-        reason = None if symbolic else kernel_reason(program)
-        if reason is not None:
-            res = _serial_runner(program, schedule, params, store, config)
-            return replace(
-                res,
-                backend="compiled",
-                meta={**res.meta, "fallback": "serial", "reason": reason},
-            )
-        if symbolic:
-            kernel, cache_status = ensure_symbolic_kernel(program, schedule)
-        else:
-            kernel, cache_status = ensure_lowered(program, schedule, store)
     t_run = time.perf_counter()
     rows = kernel(store)
     elapsed = time.perf_counter() - t_run
@@ -431,7 +416,7 @@ register_backend(ExecutionBackend(
 ))
 register_backend(ExecutionBackend(
     name="compiled",
-    description="vectorised NumPy kernels: generated for symbolic plans, "
-    "lockstep for the rest (serial fallback for custom semantics)",
+    description="vectorised NumPy lockstep kernel "
+    "(serial fallback for custom semantics)",
     runner=_compiled_runner,
 ))

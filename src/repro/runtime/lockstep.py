@@ -1,4 +1,4 @@
-"""The lockstep executor: a materialised schedule as array operations.
+"""The lockstep executor: a schedule as array operations.
 
 The paper's generated code separates its DOALL nests and WHILE-loop chains
 by barriers, so the units of one phase are independent and step ``t`` of
@@ -14,6 +14,14 @@ semantics that depends on the iteration vector, see
 semantics' vectorised twin (:func:`~repro.ir.semantics.vectorized`) →
 scatter, into the caller's arrays.
 
+A symbolic phase (:mod:`repro.core.symbolic`) lowers in closed form,
+without enumerating its points: over a box every reference's flat index is
+an affine function ``C + F·p`` of the iteration, so a DOALL box phase is
+one block of outer sums of per-axis ``arange``s, and a coset phase, its
+chains sorted by descending length, has one block per step ``t``: the
+still-active chains' ``flat(start) + t·flat(u)``.  Every other phase is
+materialised (``phase.lower()``) and sorted.
+
 Inside a block every instance belongs to a different unit, so no instance
 reads what another one writes (that would be a dependence between two
 units of one phase, which :meth:`Schedule.respects
@@ -25,30 +33,30 @@ averaging fewer than :data:`MIN_BLOCK` instances) runs through the
 interpreter instead.
 
 The ``compiled`` backend (:mod:`repro.runtime.backends`) runs every
-schedule this way except single-statement ``symbolic`` plans, whose
-generated kernel never materialises the plan at all.
-:func:`ensure_lowered` caches the lowered form on the schedule
-(:attr:`Schedule.lowered <repro.core.schedule.Schedule.lowered>`), keyed on
-the program's statements and the store's array shapes, so it is freed with
-the plan; each build counts as a miss in
+schedule this way.  Its kernel lookup,
+:func:`~repro.codegen.python_source.ensure_symbolic_kernel`, caches the
+lowered form on the schedule (:attr:`Schedule.lowered
+<repro.core.schedule.Schedule.lowered>`), keyed on :func:`lowering_key`, so
+it is freed with the plan; each build counts as a miss in
 :func:`~repro.codegen.python_source.kernel_cache_stats`.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
-from itertools import groupby
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from itertools import groupby, product
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.schedule import Phase, Schedule
+from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
 from ..ir.program import LoopProgram
 from ..ir.semantics import iteration_weights, vectorized
 from .executor import run_instances
 
-__all__ = ["LoweredSchedule", "lower_schedule", "cached_lowering", "ensure_lowered"]
+__all__ = ["LoweredSchedule", "lower_schedule", "lowering_key", "cached_lowering"]
 
 #: One ``(step, statement)`` block: ``(semantics twin, reads, writes,
 #: iteration term)``.  ``writes`` pair an array slot (an index into
@@ -79,7 +87,8 @@ class LoweredSchedule:
     :func:`~repro.runtime.executor.run_instances` on the program's
     ``contexts``.  Calling it on a store runs the schedule, filling the
     store's arrays in place, and returns ``[(phase name, instances,
-    seconds), ...]`` like the symbolic kernel.
+    seconds), ...]``, the rows the ``compiled`` backend turns into
+    :class:`~repro.runtime.backends.PhaseStats`.
     """
 
     __slots__ = ("arrays", "phases", "contexts", "program", "__weakref__")
@@ -154,8 +163,7 @@ def _flat_index(ref, iters: np.ndarray, column: Mapping[str, int], shape) -> np.
     """The C-order flat index of ``ref`` at every row of ``iters``.
     Negative subscripts count from the end and others must be in range,
     as when NumPy indexes with the subscript tuple."""
-    if len(shape) != len(ref.subscript_rows):
-        raise IndexError(f"{ref} has {len(ref.subscript_rows)} subscripts for a {len(shape)}-d array")
+    _check_rank(ref, shape)
     flat = np.zeros(len(iters), dtype=np.int64)
     for (terms, constant, _den), extent in zip(ref.subscript_rows, shape):
         value = np.full(len(iters), constant, dtype=np.int64)
@@ -168,19 +176,130 @@ def _flat_index(ref, iters: np.ndarray, column: Mapping[str, int], shape) -> np.
     return flat
 
 
-def lower_schedule(
-    program: LoopProgram,
-    schedule: Schedule,
-    shapes: Mapping[str, Tuple[int, ...]],
-) -> LoweredSchedule:
-    """Lower ``schedule`` for ``program``'s statements and arrays of the
-    given ``shapes``.  Every statement must have a vectorised semantics and
-    integer subscripts over its loop indices
-    (:func:`~repro.codegen.python_source.kernel_reason`)."""
-    contexts = program.statement_contexts()
-    names = sorted({ref.array for ctx in contexts for ref in ctx.statement.references()})
-    slot = {name: k for k, name in enumerate(names)}
-    phases = [phase.lower() for phase in schedule.phases]
+def _check_rank(ref, shape) -> None:
+    if len(shape) != len(ref.subscript_rows):
+        raise IndexError(f"{ref} has {len(ref.subscript_rows)} subscripts for a {len(shape)}-d array")
+
+
+def _affine_flat(ref, axis: Mapping[str, int], shape, corners: np.ndarray):
+    """``(constant, coeffs)`` such that ``constant + coeffs · p`` is the
+    C-order flat index of ``ref`` at every point ``p`` of a set whose
+    affine functions take their extremes at the rows of ``corners``; or
+    ``None`` when a subscript is negative on part of the set only (NumPy
+    counts a negative subscript from the end, which is not affine across
+    zero).  Out-of-range subscripts raise as in :func:`_flat_index`."""
+    _check_rank(ref, shape)
+    constant, coeffs = 0, np.zeros(len(axis), dtype=np.int64)
+    for (terms, offset, _den), extent in zip(ref.subscript_rows, shape):
+        row = np.zeros(len(axis), dtype=np.int64)
+        for name, coeff in terms:
+            row[axis[name]] += coeff
+        values = corners @ row + offset
+        lo, hi = int(values.min()), int(values.max())
+        if lo < -extent or hi >= extent:
+            raise IndexError(f"{ref} is out of bounds for an axis of size {extent}")
+        if lo < 0 <= hi:
+            return None
+        constant = constant * extent + offset + (extent if hi < 0 else 0)
+        coeffs = coeffs * extent + row
+    return constant, coeffs
+
+
+def _box_values(box, constant: int, coeffs: np.ndarray) -> np.ndarray:
+    """``constant + coeffs · p`` at every point ``p`` of ``box``, in
+    lexicographic order: an outer sum of one ``arange`` per axis."""
+    out = np.int64(constant)
+    for c, (lo, hi) in zip(coeffs.tolist(), box):
+        out = np.add.outer(out, c * np.arange(lo, hi + 1, dtype=np.int64))
+    return out.reshape(-1)
+
+
+def _statement_arrays(ctx, index, term, slot) -> tuple:
+    """``(twin, reads, writes, term)`` of one statement over its instances in
+    block order, ``index(ref)`` giving a reference's flat indices: consecutive
+    reads of one array stacked into one ``(k, n)`` array."""
+    reads = []
+    for array, run in groupby(ctx.statement.reads, key=lambda ref: ref.array):
+        rows = [index(ref) for ref in run]
+        reads.append((slot[array], rows[0][None] if len(rows) == 1 else np.stack(rows)))
+    writes = tuple((slot[ref.array], index(ref)) for ref in ctx.statement.writes)
+    return vectorized(ctx.statement.semantics), tuple(reads), writes, term
+
+
+def _block(arrays, a: int, b: int) -> Block:
+    """The block of instances ``a:b`` of one statement's arrays."""
+    twin, reads, writes, term = arrays
+    return (
+        twin,
+        tuple((k, idx[:, a:b]) for k, idx in reads),
+        tuple((k, idx[a:b]) for k, idx in writes),
+        term[a:b],
+    )
+
+
+def _symbolic_body(phase, ctx, shapes, slot):
+    """The blocks of a symbolic phase in closed form, from its boxes or its
+    cosets; ``None`` when a subscript wraps on part of the phase, which then
+    takes the generic path.
+
+    A DOALL phase is one block, each index an outer sum over its boxes.  A
+    coset phase sorts its chains by descending length, so the chains still
+    active at step ``t`` are a prefix; block ``t`` holds ``start + t·u`` for
+    that prefix, and every index is ``flat(start) + t·flat(u)``."""
+    if not phase.work:
+        return ()
+    if 1 < phase.span and phase.work < MIN_BLOCK * phase.span:
+        return phase.lower()
+    if isinstance(phase, SymbolicDoallPhase):
+        regions = [
+            (np.array(list(product(*box)), dtype=np.int64), partial(_box_values, box))
+            for box in phase.boxes
+        ]
+        cuts = [0, phase.work]
+    else:
+        starts, lens = phase.chains()
+        order = np.argsort(-lens, kind="stable")
+        starts, lens = starts[order], lens[order]
+        active = np.searchsorted(-lens, -np.arange(lens[0]))  # chains still running at each step
+        cuts = np.concatenate(([0], np.cumsum(active))).tolist()
+        u = np.asarray(phase.step, dtype=np.int64)
+
+        def coset_values(constant, coeffs):
+            base, stride = constant + starts @ coeffs, int(coeffs @ u)
+            out = np.empty(phase.work, dtype=np.int64)
+            for t, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                np.add(base[: b - a], t * stride, out=out[a:b])
+            return out
+
+        ends = starts + (lens - 1)[:, None] * u
+        regions = [(np.concatenate((starts, ends)), coset_values)]
+
+    axis = {name: k for k, name in enumerate(ctx.index_names)}
+    forms = {
+        ref: [_affine_flat(ref, axis, shapes[ref.array], corners) for corners, _ in regions]
+        for ref in ctx.statement.references()
+    }
+    if any(form is None for per_region in forms.values() for form in per_region):
+        return None
+
+    def values(per_region):
+        parts = [evaluate(*form) for form, (_, evaluate) in zip(per_region, regions)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    weights = np.zeros(len(axis), dtype=np.int64)
+    for name, weight in iteration_weights(ctx.index_names):
+        weights[axis[name]] = weight
+    arrays = _statement_arrays(
+        ctx, lambda ref: values(forms[ref]), values([(0, weights)] * len(regions)), slot
+    )
+    return tuple(_block(arrays, a, b) for a, b in zip(cuts, cuts[1:]))
+
+
+def _generic_bodies(contexts, phases, shapes, slot) -> list:
+    """The bodies of materialised phases, lowered together: every instance
+    sorted step-major inside its phase, then by statement, one block per run
+    of equal ``(phase, step, statement)``."""
+    phases = [phase.lower() for phase in phases]
     works = [p.work for p in phases]
     n = sum(works)
     iters = np.zeros((n, max((p.iters.shape[1] for p in phases), default=0)), dtype=np.int64)
@@ -190,8 +309,6 @@ def lower_schedule(
     phase_of = np.repeat(np.arange(len(phases)), works)
     steps = np.concatenate([_steps(p) for p in phases] + [np.zeros(0, np.int64)])
 
-    # Step-major inside each phase, then by statement: one block per run of
-    # equal (phase, step, statement).
     order = np.lexsort((sids, steps, phase_of))
     phase_of, steps, sids = phase_of[order], steps[order], sids[order]
     cut = np.flatnonzero(
@@ -208,16 +325,9 @@ def lower_schedule(
         term = np.zeros(len(rows), dtype=np.int64)
         for name, weight in iteration_weights(ctx.index_names):
             term += weight * rows[:, column[name]]
-
-        def index(ref):
-            return _flat_index(ref, rows, column, shapes[ref.array])
-
-        reads = tuple(
-            (slot[array], np.stack([index(ref) for ref in run]))
-            for array, run in groupby(ctx.statement.reads, key=lambda ref: ref.array)
-        )
-        writes = tuple((slot[ref.array], index(ref)) for ref in ctx.statement.writes)
-        per_statement.append((vectorized(ctx.statement.semantics), reads, writes, term))
+        per_statement.append(_statement_arrays(
+            ctx, lambda ref: _flat_index(ref, rows, column, shapes[ref.array]), term, slot
+        ))
 
     blocks: List[List[Block]] = [[] for _ in phases]
     taken = [0] * len(contexts)
@@ -225,26 +335,46 @@ def lower_schedule(
     for lo, hi, ph, s in zip(bounds, bounds[1:], phase_of[starts].tolist(), sids[starts].tolist()):
         a = taken[s]
         b = taken[s] = a + hi - lo
-        twin, reads, writes, term = per_statement[s]
-        blocks[ph].append((
-            twin,
-            tuple((k, idx[:, a:b]) for k, idx in reads),
-            tuple((k, idx[a:b]) for k, idx in writes),
-            term[a:b],
-        ))
+        blocks[ph].append(_block(per_statement[s], a, b))
+    return [
+        lowered if 1 < len(phase_blocks) and lowered.work < MIN_BLOCK * len(phase_blocks)
+        else tuple(phase_blocks)
+        for lowered, phase_blocks in zip(phases, blocks)
+    ]
+
+
+def lower_schedule(
+    program: LoopProgram,
+    schedule: Schedule,
+    shapes: Mapping[str, Tuple[int, ...]],
+) -> LoweredSchedule:
+    """Lower ``schedule`` for ``program``'s statements and arrays of the
+    given ``shapes``.  Every statement must have a vectorised semantics and
+    integer subscripts over its loop indices
+    (:func:`~repro.codegen.python_source.kernel_reason`).  Symbolic phases
+    lower in closed form from their boxes and cosets (they hold instances of
+    the program's one statement); every other phase is materialised."""
+    contexts = program.statement_contexts()
+    names = sorted({ref.array for ctx in contexts for ref in ctx.statement.references()})
+    slot = {name: k for k, name in enumerate(names)}
+    bodies = [
+        _symbolic_body(phase, contexts[0], shapes, slot)
+        if isinstance(phase, (SymbolicDoallPhase, CosetChainPhase)) else None
+        for phase in schedule.phases
+    ]
+    generic = [k for k, body in enumerate(bodies) if body is None]
+    if generic:
+        lowered = _generic_bodies(contexts, [schedule.phases[k] for k in generic], shapes, slot)
+        for k, body in zip(generic, lowered):
+            bodies[k] = body
     return LoweredSchedule(
         tuple((name, tuple(shapes[name])) for name in names),
-        tuple(
-            (phase.name, lowered.work,
-             lowered if 1 < len(phase_blocks) and lowered.work < MIN_BLOCK * len(phase_blocks)
-             else tuple(phase_blocks))
-            for phase, lowered, phase_blocks in zip(schedule.phases, phases, blocks)
-        ),
+        tuple((phase.name, phase.work, body) for phase, body in zip(schedule.phases, bodies)),
         contexts,
     )
 
 
-def _lowering_key(contexts: Sequence, store: Mapping[str, np.ndarray]) -> tuple:
+def lowering_key(contexts: Sequence, store: Mapping[str, np.ndarray]) -> tuple:
     """What a lowered form depends on: each statement's loop indices,
     semantics twin and references, and the shapes of the arrays."""
     statements = tuple(
@@ -274,27 +404,3 @@ def cached_lowering(
             count_kernel_lookup("hit")
             return lowered
     return None
-
-
-def ensure_lowered(
-    program: LoopProgram, schedule: Schedule, store: Mapping[str, np.ndarray]
-) -> Tuple[LoweredSchedule, str]:
-    """The lowered form of ``schedule`` for ``program`` and ``store``'s
-    array shapes, built at most once per schedule; returns ``(lowered,
-    "hit" | "miss")``.  The schedule keeps one lowered form, for the last
-    statements and shapes it ran with; a content-equal program (a plan
-    server's freshly decoded request, say) hits it too."""
-    from ..codegen.python_source import count_kernel_lookup
-
-    key = _lowering_key(program.statement_contexts(), store)
-    cache: Dict[object, LoweredSchedule] = schedule.lowered
-    lowered = cache.get(key)
-    status = "hit"
-    if lowered is None:
-        lowered = lower_schedule(program, schedule, {name: shape for name, shape in key[1]})
-        cache.clear()
-        cache[key] = lowered
-        status = "miss"
-    lowered.program = weakref.ref(program)
-    count_kernel_lookup(status)
-    return lowered, status

@@ -6,10 +6,10 @@ alive across requests instead of rebuilding them inside every call:
 * a thread-safe :class:`~repro.core.strategy.PlanCache` — repeated
   ``(program, params, config)`` requests skip dependence analysis, strategy
   selection and schedule construction entirely;
-* the process-wide compiled-kernel cache (``codegen.python_source``) — the
-  ``compiled`` backend and symbolic plans reuse generated kernels, and every
-  other cached plan keeps its schedule's lockstep lowering
-  (:mod:`repro.runtime.lockstep`), which a repeated request reuses;
+* the ``compiled`` kernel's lowered forms — every cached plan keeps its
+  schedule's lockstep lowering (:mod:`repro.runtime.lockstep`), which a
+  repeated request reuses: its freshly decoded program hits the lowering
+  key without re-checking the statements;
 * persistent :class:`~repro.runtime.process.ProcessPool` workers — a
   ``process`` request (``execute(pool=...)``) is one message to each live
   worker and one ack back: a fresh shared-memory descriptor table, plus the

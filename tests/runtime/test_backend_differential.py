@@ -105,8 +105,8 @@ class TestBackendDifferential:
     def test_compiled_backend_bit_identical(self, prog, fill_seed):
         """Every schedule runs a kernel, never the serial fallback: the
         generated programs use the built-in semantics and integer
-        subscripts.  Single-statement symbolic plans run their generated
-        module, the rest the lockstep executor."""
+        subscripts.  Every schedule runs on the lockstep executor, symbolic
+        plans lowered in closed form from their boxes and cosets."""
         _assert_every_schedule_matches(prog, fill_seed, "compiled")
 
     @pytest.mark.skipif(

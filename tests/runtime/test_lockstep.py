@@ -1,23 +1,23 @@
 """Differential tests for the lockstep executor (:mod:`repro.runtime.lockstep`).
 
-The ``compiled`` backend runs every schedule but single-statement symbolic
-plans by lowering it once into ``(step, statement)`` blocks of flat indices
-and running each block as gather → vectorised semantics → scatter.  The
-lowered form is pinned **bit-identical to ``execute_sequential``** over
-Hypothesis streams of:
+The ``compiled`` backend runs every schedule by lowering it once into
+``(step, statement)`` blocks of flat indices and running each block as
+gather → vectorised semantics → scatter.  The lowered form is pinned
+**bit-identical to ``execute_sequential``** over Hypothesis streams of:
 
 * every strategy's schedule and the oracle's one-unit-per-instance
   wavefronts (DOALL phases) on loop trees of several statements with sibling
   nests (``loop_programs()``), Lemma 1 nests (``lemma1_programs()``, whose
-  recurrence-chain plans hold CSR chains) and symbolic nests, the symbolic
-  phases lowered too;
+  recurrence-chain plans hold CSR chains) and symbolic nests, whose phases
+  lower in closed form (``tests/runtime/test_symbolic_lowering.py`` pins
+  that lowering against the materialised one);
 * the oracle's wavefronts with each level's instances shuffled and cut into
   units of random lengths — CSR chains of mixed statements whose steps
   hold ragged sets of units (any grouping is valid, since the instances of
   one level are independent).
 
 The stores vary (seeded random contents, Fortran order, strided views,
-int32), and both kernels must fill the caller's arrays in place.  The cache
+int32), and the kernel must fill the caller's arrays in place.  The cache
 contract is pinned as well: one lowering per schedule, a hit for a
 content-equal program, a rebuild for new shapes, and a dropped plan frees
 its lowered arrays.
@@ -32,12 +32,12 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import oracle
-from repro.codegen.python_source import kernel_cache_stats
+from repro.codegen.python_source import ensure_symbolic_kernel, kernel_cache_stats
 from repro.core.partitioner import PartitioningNotApplicable
 from repro.core.schedule import Phase, Schedule
 from repro.core.strategy import PlanConfig, plan, strategy_names
 from repro.runtime import execute, execute_sequential, make_store
-from repro.runtime.lockstep import ensure_lowered, lower_schedule
+from repro.runtime.lockstep import lower_schedule
 from repro.workloads.examples import figure1_loop
 from repro.workloads.synthetic import large_uniform_loop
 from strategies import lemma1_programs, loop_programs, symbolic_programs
@@ -146,9 +146,10 @@ def _planned(prog, strategy):
     return plan(prog, config=PlanConfig(strategies=(strategy,)), cache=False).schedule
 
 
-#: One schedule per way ``compiled`` runs a phase: a single-statement
-#: symbolic plan runs the generated module, a recurrence-chains plan the
-#: lockstep blocks, and one long unit the interpreter on the lowered arrays.
+#: One schedule per way ``compiled`` lowers a phase: a symbolic plan's
+#: boxes and cosets in closed form, a dataflow plan's materialised phases as
+#: lockstep blocks, and one long unit for the interpreter on the lowered
+#: arrays.
 KERNELS = {
     "symbolic": lambda prog: _planned(prog, "symbolic"),
     "lockstep": lambda prog: _planned(prog, "dataflow"),
@@ -220,8 +221,8 @@ class TestLoweringCache:
         prog = figure1_loop(6, 6)
         p = plan(prog, cache=False)
         store = make_store(prog)
-        lowered, status = ensure_lowered(prog, p.schedule, store)
-        again, status_again = ensure_lowered(prog, p.schedule, store)
+        lowered, status = ensure_symbolic_kernel(prog, p.schedule, store)
+        again, status_again = ensure_symbolic_kernel(prog, p.schedule, store)
         assert (status, status_again) == ("miss", "hit") and lowered is again
 
     def test_dropped_plan_frees_its_lowered_arrays(self):

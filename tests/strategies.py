@@ -153,7 +153,7 @@ def loop_programs(
 
 
 #: The three vectorizable statement semantics (None = the order-sensitive
-#: default) the symbolic kernel serves.
+#: default) the compiled kernel runs.
 _SEMANTICS = (None, sum_semantics, compute_heavy_semantics)
 
 
