@@ -8,7 +8,7 @@ Theorem 1 with det(T) = 3.  Run at a scaled-down N1 x N2 (the paper uses
 
 from repro.analysis.experiments import run_example1_partition
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_example1_recurrence_partition(benchmark, report):

@@ -10,7 +10,7 @@ from repro.baselines import unique_sets_schedule
 from repro.core import PlanConfig, plan
 from repro.workloads import example2_loop
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 #: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.

@@ -7,7 +7,7 @@ so the loop becomes two sequences of DOALL nests (P1 then P3) and
 
 from repro.analysis.experiments import run_example3_partition
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_example3_empty_intermediate_set(benchmark, report):

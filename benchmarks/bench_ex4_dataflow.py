@@ -9,7 +9,7 @@ recorded against the paper's 238 in EXPERIMENTS.md.
 
 from repro.analysis.experiments import run_example4_dataflow
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_example4_dataflow_steps(benchmark, report):

@@ -7,7 +7,7 @@ exact dependence set and checks those facts.
 
 from repro.analysis.experiments import run_figure1_dependences
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_figure1_dependence_structure(benchmark, report):

@@ -7,7 +7,7 @@ independent iterations {7,12,14,16,18,20}; the intermediate set is empty.
 
 from repro.analysis.experiments import run_figure2_chains
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_figure2_monotonic_chains(benchmark, report):

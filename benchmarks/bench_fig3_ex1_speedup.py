@@ -9,7 +9,7 @@ absolute Itanium numbers are not claimed (see DESIGN.md §2).
 from repro.analysis.experiments import run_figure3_experiment
 from repro.analysis.report import format_speedups
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_figure3_example1_speedups(benchmark, report):

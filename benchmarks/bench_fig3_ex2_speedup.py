@@ -7,7 +7,7 @@ fully parallel regions (3 partitions vs 5 unique sets, one of them sequential).
 from repro.analysis.experiments import run_figure3_experiment
 from repro.analysis.report import format_speedups
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_figure3_example2_speedups(benchmark, report):

@@ -8,7 +8,7 @@ iteration; DOACROSS pays per-iteration synchronization.
 from repro.analysis.experiments import run_figure3_experiment
 from repro.analysis.report import format_speedups
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_figure3_example3_speedups(benchmark, report):

@@ -12,7 +12,7 @@ from repro.analysis.experiments import run_figure3_experiment
 from repro.analysis.report import format_speedups
 from repro.runtime.metrics import SpeedupTable, crossover_points
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_figure3_example4_speedups(benchmark, report):

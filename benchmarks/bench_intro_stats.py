@@ -8,7 +8,7 @@ ground truth (methodology reproduction, see DESIGN.md §2).
 
 from repro.analysis.experiments import run_intro_statistics
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_intro_statistics(benchmark, report):

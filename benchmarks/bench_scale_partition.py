@@ -70,7 +70,7 @@ from repro.core.partition import three_set_partition
 from repro.core.strategy import PlanCache, PlanConfig, plan
 from repro.dependence.analysis import DependenceAnalysis
 
-from conftest import RUN_ID, emit, run_once, stamp_rows
+from benchrows import RUN_ID, emit, run_once, stamp_rows
 
 #: (n1, n2) sweep: 10³, 10⁴ and 10⁵ iteration points.
 SIZES = [(40, 25), (125, 80), (500, 200)]
@@ -139,8 +139,9 @@ def pipeline_mismatches(expected, got):
     """Differences between an oracle and an array pipeline run (empty == identical)."""
     (rd_o, sets, phases), (rd_a, partition, schedule) = expected, got
     problems = [] if rd_a == rd_o else ["combined dependence relation differs"]
+    got = oracle.sets(partition)
     for name in ("p1", "p2", "p3", "w"):
-        if getattr(partition, name) != getattr(sets, name):
+        if getattr(got, name) != getattr(sets, name):
             problems.append(f"three-set component {name.upper()} differs")
     if oracle.schedule_phases(schedule) != phases:
         problems.append("schedule phases differ")
@@ -160,11 +161,12 @@ def test_scale_partition_speedup(benchmark, report):
         vec_partition, vec_waves = hot_path(space, rd)
         t_vector = time.perf_counter() - t0
         # Engine and oracle must agree exactly before their timings mean anything.
-        assert vec_partition.p1 == set_partition.p1
-        assert vec_partition.p2 == set_partition.p2
-        assert vec_partition.p3 == set_partition.p3
-        assert vec_partition.w == set_partition.w
-        assert vec_waves.wavefronts == set_waves
+        got = oracle.sets(vec_partition)
+        assert got.p1 == set_partition.p1
+        assert got.p2 == set_partition.p2
+        assert got.p3 == set_partition.p3
+        assert got.w == set_partition.w
+        assert oracle.wavefront_sets(vec_waves) == set_waves
         rows.append(
             {
                 "points": n1 * n2,

@@ -59,7 +59,7 @@ from repro.core.strategy import (
 from repro.runtime.simulator import simulate_schedule
 from repro.workloads.corpus import DEFAULT_CORPUS_SEED, selection_corpus
 
-from conftest import RUN_ID, emit, stamp_rows
+from benchrows import RUN_ID, emit, stamp_rows
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_strategy_selection.json"
 

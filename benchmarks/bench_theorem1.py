@@ -6,7 +6,7 @@ sizes of the Example 1 loop (a = det T = 3).
 
 from repro.analysis.experiments import run_theorem1_check
 
-from conftest import emit, run_once
+from benchrows import emit, run_once
 
 
 def test_theorem1_bound_holds(benchmark, report):

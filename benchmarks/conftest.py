@@ -1,61 +1,23 @@
-"""Shared fixtures and helpers for the benchmark harness.
+"""Path setup for the benchmark harness.
 
 Every benchmark file reproduces one table or figure of the paper (see the
-per-experiment index in DESIGN.md).  The measured artifacts — partition sizes,
-chain lengths, speedup tables — are printed so they can be compared with the
-paper and recorded in EXPERIMENTS.md; pytest-benchmark additionally times the
-reproduction itself.
-
-The problem sizes default to scaled-down versions of the paper's parameters so
-the exact (enumeration-based) dependence analysis completes in seconds; the
-claims being checked (who wins, where the crossovers are, which sets are
-empty) are size-stable, and EXPERIMENTS.md records the parameters used.
+per-experiment index in DESIGN.md).  The brute-force oracle the scaling
+gates compare against lives with the tests (``tests/oracle.py``) and is put
+on ``sys.path`` here.  The helpers the benches import (``emit``,
+``run_once``, the row stamping) live in ``benchrows.py``: a module named
+``conftest`` would clash with ``tests/conftest.py`` when one pytest run
+collects both directories.
 """
 
-import json
 import os
-import platform
 import sys
-import uuid
 
 import pytest
+from benchrows import emit
 
-# The brute-force oracle the scaling gates compare against lives with the
-# tests (``tests/oracle.py``).
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
-
-#: One id per bench session, stamped onto every recorded row so rows written
-#: by different runs (and different hosts) stay distinguishable in the
-#: perf-trajectory files.
-RUN_ID = uuid.uuid4().hex[:12]
-
-
-def machine_fingerprint():
-    """The host facts that make a recorded timing comparable to another."""
-    return {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
-
-
-def stamp_rows(rows):
-    """Stamp bench rows with the session ``run_id`` and machine fingerprint."""
-    fp = machine_fingerprint()
-    return [{**row, "run_id": RUN_ID, "machine": fp} for row in rows]
-
-
-def emit(title, payload):
-    """Print one experiment's reproduced numbers in a stable, greppable form."""
-    print(f"\n=== {title} ===")
-    print(json.dumps(payload, indent=2, default=str))
 
 
 @pytest.fixture
 def report():
     return emit
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an expensive reproduction exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -42,8 +42,9 @@ def main() -> None:
     print("\n=== generated chain walker (Python) ===")
     print(chain_src)
     follow_chain = compile_function(chain_src, "follow_chain")
-    p2 = set(result.partition.p2)
-    chains = [follow_chain(start, lambda p: p in p2) for start in sorted(result.partition.w)]
+    p2 = set(map(tuple, result.partition.p2_array().tolist()))
+    starts = map(tuple, result.partition.w_array().tolist())
+    chains = [follow_chain(start, lambda p: p in p2) for start in starts]
     print(f"walked {len(chains)} chains, longest {max((len(c) for c in chains), default=0)}")
 
     program = figure1_loop(8, 9)

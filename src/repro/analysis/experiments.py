@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core import PlanConfig, plan, three_set_partition
 from ..dependence import DependenceAnalysis
 from ..runtime import CostModel, compare_schemes, validate_schedule
@@ -88,21 +90,24 @@ def run_figure1_dependences(n1: int = 10, n2: int = 10) -> Dict[str, object]:
 
 def run_figure2_chains(n: int = 20) -> Dict[str, object]:
     """Monotonic chain structure of the 1-D loop a(2I) = a(N+1-I)."""
-    from ..core.chains import split_into_monotonic_pairs
-
     prog = figure2_loop(n)
     analysis = DependenceAnalysis(prog, {})
     rel = analysis.space.rd
     partition = three_set_partition(analysis.space.unified_array, rel)
-    pairs = split_into_monotonic_pairs(rel)
+    # Rd is oriented (earlier -> later, self-pairs dropped) and row-sorted,
+    # so each of its pairs is already a two-element monotonic chain.
+    src, dst = (a[:, 0].tolist() for a in rel.as_arrays())
+    pairs = list(zip(src, dst))
+    p1 = partition.p1_array()[:, 0]
+    initial = np.isin(p1, src)
     return {
-        "dependences": sorted((a[0], b[0]) for a, b in rel.pairs),
-        "monotonic_pairs": [(a[0], b[0]) for a, b in pairs],
-        "P1": sorted(p[0] for p in partition.p1),
-        "P2": sorted(p[0] for p in partition.p2),
-        "P3": sorted(p[0] for p in partition.p3),
-        "independent": sorted(p[0] for p in partition.independent),
-        "initial": sorted(p[0] for p in partition.initial),
+        "dependences": pairs,
+        "monotonic_pairs": pairs,
+        "P1": p1.tolist(),
+        "P2": partition.p2_array()[:, 0].tolist(),
+        "P3": partition.p3_array()[:, 0].tolist(),
+        "independent": p1[~initial].tolist(),
+        "initial": p1[initial].tolist(),
     }
 
 
@@ -129,7 +134,9 @@ def run_example2_partition(n: int = 12) -> Dict[str, object]:
     return {
         "params": {"N": n},
         **result.summary(),
-        "P2_points": sorted(result.partition.p2) if result.partition else [],
+        "P2_points": (
+            list(map(tuple, result.partition.p2_array().tolist())) if result.partition else []
+        ),
         "validated": report.ok,
     }
 
@@ -147,9 +154,9 @@ def run_example3_partition(n: int = 40) -> Dict[str, object]:
         "params": {"N": n},
         "phases": result.schedule.num_phases,
         "instances": result.schedule.total_work,
-        "P1": len(partition.p1),
-        "P2": len(partition.p2),
-        "P3": len(partition.p3),
+        "P1": len(partition.p1_array()),
+        "P2": len(partition.p2_array()),
+        "P3": len(partition.p3_array()),
         "validated": report.ok,
     }
 

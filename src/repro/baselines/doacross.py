@@ -73,7 +73,7 @@ def uniformized_relation(
             src_blocks.append(points[hit])
             dst_blocks.append(shifted[hit])
     if not sum(len(b) for b in src_blocks):
-        return FiniteRelation(frozenset(), dim, dim)
+        return FiniteRelation.empty(dim, dim)
     return FiniteRelation.from_arrays(
         np.concatenate(src_blocks), np.concatenate(dst_blocks)
     )

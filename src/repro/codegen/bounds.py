@@ -96,9 +96,6 @@ class NestBounds:
     levels: Tuple[LoopBounds, ...]
     guards: Tuple[Constraint, ...]
 
-    def is_bounded(self) -> bool:
-        return all(b.lowers and b.uppers for b in self.levels)
-
 
 def nest_bounds(cs: ConvexSet, order: Optional[Sequence[str]] = None) -> NestBounds:
     """Derive loop-nest bounds for a convex set in the given variable order.

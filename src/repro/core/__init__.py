@@ -22,7 +22,7 @@
   :func:`~repro.core.strategy.plan` entry point.
 """
 
-from .chains import chain_phase, split_into_monotonic_pairs
+from .chains import chain_phase
 from .dataflow import DataflowPartition, dataflow_partition, dataflow_schedule
 from .partition import (
     SymbolicThreeSetPartition,
@@ -75,7 +75,6 @@ __all__ = [
     "theorem1_bound",
     "iteration_space_diameter",
     "chain_phase",
-    "split_into_monotonic_pairs",
     "DataflowPartition",
     "dataflow_partition",
     "dataflow_schedule",

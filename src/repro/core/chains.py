@@ -21,37 +21,16 @@ walks the same chains by the affine recurrence.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
-from ..isl.lexorder import lex_lt
-from ..isl.relations import FiniteRelation, PointCodec, in_sorted
+from ..isl.relations import PointCodec, in_sorted
 from .partition import ThreeSetPartition
 from .schedule import Phase
 
-__all__ = ["split_into_monotonic_pairs", "chain_phase", "CHAIN_PHASE"]
-
-Point = Tuple[int, ...]
+__all__ = ["chain_phase", "CHAIN_PHASE"]
 
 #: The name of the P2 phase :func:`chain_phase` builds.
 CHAIN_PHASE = "P2 (recurrence chains)"
-
-
-def split_into_monotonic_pairs(relation: FiniteRelation) -> List[Tuple[Point, Point]]:
-    """Split arbitrary dependence pairs into monotonic (earlier, later) pairs.
-
-    This is the fig. 2 operation: the solution chain 6 → 9 → 3 → 15 of the
-    recurrence is not monotonic, but each *pair* of directly dependent
-    iterations, ordered lexicographically, is a (two-element) monotonic chain:
-    6 → 9, 3 → 9, 3 → 15.
-    """
-    out = []
-    for a, b in relation.pairs:
-        if a == b:
-            continue
-        out.append((a, b) if lex_lt(a, b) else (b, a))
-    return sorted(set(out))
 
 
 def chain_phase(partition: ThreeSetPartition) -> Phase:

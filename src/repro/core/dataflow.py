@@ -23,12 +23,14 @@ become compact indices via lexicographic key encoding, the relation becomes a
 CSR adjacency with an in-degree array, and every wavefront is peeled with a
 handful of numpy operations — one pass over the edges in total, instead of
 the literal loop's O(steps · |Rd|) rebuilds of ``ran Rd``.  A cyclic
-(stalling) relation raises :class:`RuntimeError`.
+(stalling) relation raises :class:`RuntimeError`.  The partition is its CSR
+arrays alone; the wavefronts as point sets live only in the test oracle
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,34 +46,18 @@ Point = Tuple[int, ...]
 class DataflowPartition:
     """The result of iterative dataflow partitioning: an ordered list of wavefronts.
 
-    Held as CSR-style arrays — ``point_rows`` holding every iteration point
-    (``(total, dim)`` int64, level-major, lexicographic inside a level) and
-    ``level_offsets`` the ``(levels + 1,)`` prefix sums.  :attr:`wavefronts`
-    derives the frozenset view lazily, only when a validator or a test asks;
-    :meth:`level_arrays` gives the executors and schedule builders the arrays.
+    Held as CSR-style arrays (:meth:`level_arrays`) — ``point_rows`` holding
+    every iteration point (``(total, dim)`` int64, level-major, lexicographic
+    inside a level) and ``level_offsets`` the ``(levels + 1,)`` prefix sums.
     """
 
-    __slots__ = ("rd", "_wavefronts", "_level_offsets", "_point_rows")
+    __slots__ = ("rd", "_level_offsets", "_point_rows")
 
     def __init__(
         self, level_offsets: np.ndarray, point_rows: np.ndarray, rd: FiniteRelation
     ):
         self._level_offsets, self._point_rows = validate_csr(level_offsets, point_rows)
-        self._wavefronts: Optional[Tuple[FrozenSet[Point], ...]] = None
         self.rd = rd
-
-    @property
-    def wavefronts(self) -> Tuple[FrozenSet[Point], ...]:
-        """The wavefronts as frozensets, derived on first access."""
-        if self._wavefronts is None:
-            offsets, rows = self._level_offsets, self._point_rows
-            self._wavefronts = tuple(
-                frozenset(
-                    map(tuple, rows[int(offsets[k]) : int(offsets[k + 1])].tolist())
-                )
-                for k in range(len(offsets) - 1)
-            )
-        return self._wavefronts
 
     def level_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The partition as ``(level_offsets, point_rows)`` CSR arrays."""
@@ -89,52 +75,22 @@ class DataflowPartition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataflowPartition):
             return NotImplemented
-        if self.rd != other.rd:
-            return False
-        if np.array_equal(self._level_offsets, other._level_offsets) and np.array_equal(
-            self._point_rows, other._point_rows
-        ):
-            return True
-        # The same sets may sit in another row order inside a level.
-        return self.wavefronts == other.wavefronts
+        # Rows are lexicographic inside each level: equal arrays are equal
+        # wavefronts.
+        return (
+            self.rd == other.rd
+            and np.array_equal(self._level_offsets, other._level_offsets)
+            and np.array_equal(self._point_rows, other._point_rows)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.wavefronts, self.rd))
+        return hash((self.rd, self._level_offsets.tobytes(), self._point_rows.tobytes()))
 
     def __repr__(self) -> str:
         return (
             f"DataflowPartition(<{self.num_steps} wavefronts, "
             f"{self.total_points} points>)"
         )
-
-    def level_of(self) -> Dict[Point, int]:
-        out: Dict[Point, int] = {}
-        for level, wave in enumerate(self.wavefronts):
-            for p in wave:
-                out[p] = level
-        return out
-
-    def is_complete(self, space: Iterable[Point]) -> bool:
-        """Every iteration appears in exactly one wavefront."""
-        if isinstance(space, np.ndarray):
-            space = map(tuple, space.tolist())
-        seen: Set[Point] = set()
-        for wave in self.wavefronts:
-            for p in wave:
-                if p in seen:
-                    return False
-                seen.add(p)
-        return seen == set(tuple(p) for p in space)
-
-    def respects_dependences(self) -> bool:
-        """Every dependence goes from an earlier wavefront to a strictly later one."""
-        level = self.level_of()
-        for src, dst in self.rd.pairs:
-            if src not in level or dst not in level:
-                return False
-            if level[src] >= level[dst]:
-                return False
-        return True
 
 
 def dataflow_partition(
@@ -176,8 +132,7 @@ def dataflow_partition(
     np.cumsum(np.bincount(src_idx, minlength=n), out=offsets[1:])
 
     # Wavefronts accumulate as per-level key arrays (ascending keys == lex
-    # order); the points are decoded once at the end into the CSR row array —
-    # no per-point tuple or frozenset is ever built on this path.
+    # order); the points are decoded once at the end into the CSR row array.
     level_keys: List[np.ndarray] = []
     frontier = np.flatnonzero(indegree == 0)
     released = 0

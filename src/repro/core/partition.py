@@ -27,14 +27,15 @@ concrete variant is exact and feeds the executors and validators.
 The concrete partitioner encodes points as int64 lexicographic keys
 (:class:`~repro.isl.relations.PointCodec`) and computes every membership test
 with sorted-array numpy operations, which keeps 10⁵–10⁶-point spaces
-tractable and costs a few milliseconds on the paper's small examples.
+tractable and costs a few milliseconds on the paper's small examples.  Its
+result holds each set as sorted ``(n, dim)`` rows and nothing else; point
+sets of tuples exist only in the test oracle (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -57,11 +58,8 @@ class ThreeSetPartition:
     """The concrete three-set partition of an iteration space.
 
     Held as ``(n, dim)`` int64 row arrays, unique and lexicographically
-    sorted per set; the frozenset views (:attr:`p1`, ...) are derived lazily
-    for validators and tests — a 10⁵-point partition whose consumer only
-    builds an array schedule never boxes a point into a tuple.
-    :meth:`p1_array`/:meth:`p3_array` expose the DOALL sets in lexicographic
-    row order for the schedule builders.
+    sorted per set (:meth:`space_array`, :meth:`p1_array`, ...): the order
+    the schedule builders emit DOALL sets in.
     """
 
     _SETS = ("space", "p1", "p2", "p3", "w")
@@ -76,56 +74,32 @@ class ThreeSetPartition:
         w: np.ndarray,
     ):
         self.rd = rd
-        # Read-only: the frozenset views are lazily cached off these arrays,
-        # so an in-place edit through an alias must raise, not desync.
+        # Read-only: the builders share slices of these arrays, so an
+        # in-place edit through an alias must raise, not desync.
         self._rows: Dict[str, np.ndarray] = {
             name: readonly_view(np.asarray(rows, dtype=np.int64))
             for name, rows in zip(self._SETS, (space, p1, p2, p3, w))
         }
-        self._sets: Dict[str, FrozenSet[Point]] = {}
 
-    def _set_view(self, name: str) -> FrozenSet[Point]:
-        got = self._sets.get(name)
-        if got is None:
-            got = self._sets[name] = frozenset(map(tuple, self._rows[name].tolist()))
-        return got
-
-    @property
-    def space(self) -> FrozenSet[Point]:
-        return self._set_view("space")
-
-    @property
-    def p1(self) -> FrozenSet[Point]:
-        return self._set_view("p1")
-
-    @property
-    def p2(self) -> FrozenSet[Point]:
-        return self._set_view("p2")
-
-    @property
-    def p3(self) -> FrozenSet[Point]:
-        return self._set_view("p3")
-
-    @property
-    def w(self) -> FrozenSet[Point]:
-        return self._set_view("w")
+    def space_array(self) -> np.ndarray:
+        """Φ as lexicographically sorted ``(n, dim)`` rows."""
+        return self._rows["space"]
 
     def p1_array(self) -> np.ndarray:
-        """P1 as lexicographically sorted ``(n, dim)`` rows (DOALL emission order)."""
+        """P1 (independent ∪ initial) as lexicographically sorted ``(n, dim)`` rows."""
         return self._rows["p1"]
 
     def p2_array(self) -> np.ndarray:
-        """P2 as lexicographically sorted ``(n, dim)`` rows."""
+        """P2 (intermediate) as lexicographically sorted ``(n, dim)`` rows."""
         return self._rows["p2"]
 
     def p3_array(self) -> np.ndarray:
-        """P3 as lexicographically sorted ``(n, dim)`` rows (DOALL emission order)."""
+        """P3 (final) as lexicographically sorted ``(n, dim)`` rows."""
         return self._rows["p3"]
 
-    def space_array(self) -> np.ndarray:
-        """Φ as lexicographically sorted ``(n, dim)`` rows, so geometric
-        queries (e.g. the Theorem 1 diameter) never box the space into tuples."""
-        return self._rows["space"]
+    def w_array(self) -> np.ndarray:
+        """W (the WHILE-loop starts) as lexicographically sorted ``(n, dim)`` rows."""
+        return self._rows["w"]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThreeSetPartition):
@@ -136,64 +110,32 @@ class ThreeSetPartition:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rd,) + tuple(self._set_view(name) for name in self._SETS))
+        return hash((self.rd,) + tuple(self._rows[name].tobytes() for name in self._SETS))
 
     def __repr__(self) -> str:
         return "ThreeSetPartition(" + ", ".join(
-            f"|{name}|={self._size(name)}" for name in self._SETS
+            f"|{name}|={len(self._rows[name])}" for name in self._SETS
         ) + ")"
 
-    def _size(self, name: str) -> int:
-        return len(self._rows[name])
-
-    # -- classification views ----------------------------------------------------
-
-    @cached_property
-    def _touched(self) -> FrozenSet[Point]:
-        """dom ∪ ran of the relation, computed once per partition.
-
-        ``independent``/``initial`` both need it and used to rebuild it on
-        every property access — an O(|Rd|) frozenset construction per call.
-        """
-        return self.rd.points()
-
-    @cached_property
-    def independent(self) -> FrozenSet[Point]:
-        """Iterations not touched by any dependence."""
-        return frozenset(p for p in self.p1 if p not in self._touched)
-
-    @cached_property
-    def initial(self) -> FrozenSet[Point]:
-        """Dependent iterations with no predecessor."""
-        return frozenset(p for p in self.p1 if p in self._touched)
-
-    @property
-    def intermediate(self) -> FrozenSet[Point]:
-        return self.p2
-
-    @property
-    def final(self) -> FrozenSet[Point]:
-        return self.p3
-
-    # -- invariants ----------------------------------------------------------------
-
-    def is_complete(self) -> bool:
-        """P1 ⊎ P2 ⊎ P3 == Φ with pairwise-disjoint parts."""
-        union = set(self.p1) | set(self.p2) | set(self.p3)
-        disjoint = (
-            len(self.p1) + len(self.p2) + len(self.p3) == len(union)
-        )
-        return disjoint and union == set(self.space)
-
     def counts(self) -> Dict[str, int]:
+        """Set sizes; P1 splits into the independent iterations (P1 \\ dom Rd:
+        touched by no dependence, as P1 is outside ran Rd) and the initial
+        ones (P1 ∩ dom Rd)."""
+        p1 = self._rows["p1"]
+        src, _ = self.rd.as_arrays()
+        initial = 0
+        if len(p1) and len(src):
+            codec = PointCodec.for_arrays(p1, src)
+            initial = int(in_sorted(codec.encode(p1), np.unique(codec.encode(src))).sum())
+        sizes = {name: len(self._rows[name]) for name in self._SETS}
         return {
-            "space": self._size("space"),
-            "P1": self._size("p1"),
-            "P2": self._size("p2"),
-            "P3": self._size("p3"),
-            "W": self._size("w"),
-            "independent": len(self.independent),
-            "initial": len(self.initial),
+            "space": sizes["space"],
+            "P1": sizes["p1"],
+            "P2": sizes["p2"],
+            "P3": sizes["p3"],
+            "W": sizes["w"],
+            "independent": sizes["p1"] - initial,
+            "initial": initial,
         }
 
 
@@ -225,7 +167,7 @@ def three_set_partition(
     if len(space_arr) == 0:
         empty = space_arr[:0]
         return ThreeSetPartition(
-            empty, FiniteRelation(frozenset(), rd.dim_in, rd.dim_out),
+            empty, FiniteRelation.empty(rd.dim_in, rd.dim_out),
             empty, empty, empty, empty,
         )
     codec = PointCodec.for_arrays(space_arr, *rd.as_arrays())
@@ -236,7 +178,7 @@ def three_set_partition(
     dst_keys = codec.encode(dst)
     keep = in_sorted(src_keys, phi_sorted) & in_sorted(dst_keys, phi_sorted)
     if keep.all():
-        relation = rd  # nothing dropped: avoid rebuilding the pair set
+        relation = rd  # nothing dropped: avoid re-canonicalising
     else:
         src, dst = src[keep], dst[keep]
         src_keys, dst_keys = src_keys[keep], dst_keys[keep]
@@ -252,8 +194,7 @@ def three_set_partition(
     # are in ran by construction, so "dst ∈ P2" reduces to "dst ∈ dom".
     w_edges = in_sorted(src_keys, p1_keys) & in_sorted(dst_keys, dom_sorted)
     # Every set is emitted as sorted unique keys decoded back to rows: key
-    # order equals lexicographic row order, so the arrays are canonical and
-    # the frozenset views stay unbuilt until a validator asks.
+    # order equals lexicographic row order, so the arrays are canonical.
     return ThreeSetPartition(
         space=codec.decode(phi_sorted),
         rd=relation,

@@ -34,7 +34,7 @@ facade, which walks a fallback chain over every registered scheme and
 records why strategies were skipped.
 
 The returned schedule always satisfies (and the tests verify):
-``schedule.covers(all statement instances)`` and
+``schedule.covers(analysis.space)`` and
 ``schedule.respects(analysis.space)``.
 """
 

@@ -38,19 +38,24 @@ consumer — the executors, the validators, the cost simulator, codegen —
 reads one form.
 
 The runtime package consumes schedules to (a) validate them against the
-same space's dependence relation (:meth:`Schedule.respects`) and the
-sequential semantics and (b) estimate/measure speedups under a
-processor-count and overhead model.
+same space and its dependence relation (:meth:`Schedule.covers`,
+:meth:`Schedule.respects`) and the sequential semantics and (b)
+estimate/measure speedups under a processor-count and overhead model.  The
+checks lower each phase once, give every instance a ``(phase, unit, step)``
+position and locate rows and Rd endpoints by
+:class:`~repro.isl.relations.PointCodec` key with ``searchsorted``: no
+instance is boxed into a tuple except the violating ones
+:meth:`Schedule.violations` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..isl.relations import FiniteRelation, readonly_view
+from ..isl.relations import FiniteRelation, PointCodec, readonly_view
 
 __all__ = [
     "Instance",
@@ -308,54 +313,62 @@ class Schedule:
         """Work/span ratio — the speedup on unboundedly many unit-cost processors."""
         return self.total_work / self.span if self.span else float("nan")
 
-    def phase_instances(self, phase) -> List[Instance]:
-        """One phase's instances as ``(label, iteration)``, in unit order."""
-        lowered = phase.lower()
-        labels, depths = self.labels, self.depths
-        return [
-            (labels[sid], tuple(row[: depths[sid]]))
-            for sid, row in zip(lowered.stmt_ids.tolist(), lowered.iters.tolist())
-        ]
-
-    def instances(self) -> List[Instance]:
-        out: List[Instance] = []
-        for p in self.phases:
-            out.extend(self.phase_instances(p))
-        return out
-
     # -- safety checking ----------------------------------------------------------
 
-    def covers(self, instances: Iterable[Instance]) -> bool:
-        """True when the schedule executes exactly the given instances, once each."""
-        mine = self.instances()
-        return len(mine) == len(set(mine)) and set(mine) == set(instances)
-
-    def execution_index(self) -> Dict[Instance, Tuple[int, int, int]]:
-        """Map instance -> (phase number, unit number, position inside unit)."""
-        out: Dict[Instance, Tuple[int, int, int]] = {}
-        for pi, phase in enumerate(self.phases):
-            lens = phase.lower().unit_lengths()
+    def _placed(self, unify) -> Tuple[List[Phase], np.ndarray, np.ndarray]:
+        """The phases lowered once, and every scheduled instance in schedule
+        order: its point (``unify(label, iterations)``, one call per
+        statement of a phase) and its ``(phase, unit, step)`` position, as
+        ``(n, width)`` and ``(n, 3)`` arrays."""
+        lowered = [phase.lower() for phase in self.phases]
+        points: List[np.ndarray] = []
+        where: List[np.ndarray] = []
+        for number, phase in enumerate(lowered):
+            if not phase.work:
+                continue
+            ids, rows = phase.stmt_ids, None
+            for sid in np.unique(ids).tolist():
+                mine = ids == sid
+                block = unify(self.labels[sid], phase.iters[mine, : self.depths[sid]])
+                if rows is None:
+                    rows = np.empty((len(ids), block.shape[1]), dtype=np.int64)
+                rows[mine] = block
+            lens = phase.unit_lengths()
             unit = np.repeat(np.arange(len(lens)), lens)
-            starts = np.repeat(np.cumsum(lens) - lens, lens)
-            position = np.arange(len(unit)) - starts
-            for inst, u, k in zip(
-                self.phase_instances(phase), unit.tolist(), position.tolist()
-            ):
-                out[inst] = (pi, u, k)
-        return out
+            step = np.arange(len(unit)) - (np.cumsum(lens) - lens)[unit]
+            points.append(rows)
+            where.append(np.stack([np.full(len(unit), number), unit, step], axis=1))
+        if not points:
+            return lowered, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+        return lowered, np.concatenate(points), np.concatenate(where)
+
+    def covers(self, space) -> bool:
+        """True when the schedule executes every instance of ``space`` (a
+        :class:`~repro.core.statement.StatementLevelSpace`) exactly once.
+
+        The sorted rows the scheduled instances land on must be the space's
+        rows, each once: a missing, a duplicated or a foreign instance fails.
+        """
+        try:
+            rows = space.row_indices_of(self._placed(space.unify_array)[1])
+        except KeyError:
+            return False
+        return np.array_equal(np.sort(rows), np.arange(len(space)))
 
     def respects(self, dependences) -> bool:
-        """True when the schedule honours every dependence: the early-exit
-        form of :meth:`violations` (same argument)."""
-        return next(self._broken(dependences), None) is None
+        """True when the schedule honours every dependence: :meth:`violations`
+        is empty (same argument)."""
+        return not len(self._broken(dependences)[2])
 
     def violations(self, dependences) -> List[Tuple[Instance, Instance]]:
-        """All dependence pairs the schedule breaks (empty list == safe).
+        """All dependence pairs the schedule breaks (empty list == safe), in
+        the relation's row order.
 
         A dependence (i → j) is honoured when instance ``i`` executes in an
         earlier phase than ``j``, or in the same unit at an earlier position.
         Two dependent instances in *different units of the same phase* would
-        be a race and count as a violation.
+        be a race and count as a violation.  A pair with an unscheduled end
+        is left to :meth:`covers`.
 
         ``dependences`` is a program's statement-level space
         (:class:`~repro.core.statement.StatementLevelSpace`, e.g.
@@ -366,9 +379,21 @@ class Schedule:
         a schedule of several statements, whose instances it cannot tell
         apart.
         """
-        return list(self._broken(dependences))
+        lowered, where, src, dst = self._broken(dependences)
 
-    def _broken(self, dependences) -> Iterator[Tuple[Instance, Instance]]:
+        def instance(k: int) -> Instance:
+            number = int(where[k, 0])
+            phase = lowered[number]
+            row = k - int(np.searchsorted(where[:, 0], number))
+            sid = int(phase.stmt_ids[row])
+            return self.labels[sid], tuple(phase.iters[row, : self.depths[sid]].tolist())
+
+        return [(instance(a), instance(b)) for a, b in zip(src.tolist(), dst.tolist())]
+
+    def _broken(self, dependences) -> Tuple[List[Phase], np.ndarray, np.ndarray, np.ndarray]:
+        """The lowered phases, the instances' positions (see :meth:`_placed`)
+        and the schedule indices of the source and target instance of every
+        broken dependence."""
         if isinstance(dependences, FiniteRelation):
             if len(self.labels) > 1:
                 raise ValueError(
@@ -376,21 +401,33 @@ class Schedule:
                     "pass the program's statement space for a schedule of "
                     f"{len(self.labels)} statements"
                 )
-            rd, key = dependences, lambda label, it: it
+            rd, unify = dependences, lambda label, iters: iters
         else:
-            rd, key = dependences.rd, dependences.unify
-        index = self.execution_index()
-        by_point: Dict[Point, List[Instance]] = {}
-        for inst in index:
-            by_point.setdefault(key(*inst), []).append(inst)
-        for src, dst in rd.pairs:
-            for si in by_point.get(tuple(src), ()):
-                ps, us, ks = index[si]
-                for di in by_point.get(tuple(dst), ()):
-                    pd, ud, kd = index[di]
-                    if ps < pd or (ps == pd and us == ud and ks < kd):
-                        continue
-                    yield si, di
+            rd, unify = dependences.rd, dependences.unify_array
+        lowered, points, where = self._placed(unify)
+        src, dst = rd.as_arrays()
+        if not len(points) or not len(src):
+            none = np.zeros(0, dtype=np.int64)
+            return lowered, where, none, none
+        codec = PointCodec.for_arrays(points, src, dst)
+        keys = codec.encode(points)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+
+        def locate(ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            # A point scheduled twice is placed at its last copy.
+            wanted = codec.encode(ends)
+            at = (np.searchsorted(keys, wanted, side="right") - 1).clip(min=0)
+            return order[at], keys[at] == wanted
+
+        s, s_found = locate(src)
+        d, d_found = locate(dst)
+        ps, pd = where[s], where[d]
+        honoured = (ps[:, 0] < pd[:, 0]) | (
+            (ps[:, :2] == pd[:, :2]).all(axis=1) & (ps[:, 2] < pd[:, 2])
+        )
+        broken = s_found & d_found & ~honoured
+        return lowered, where, s[broken], d[broken]
 
     def summary(self) -> Dict[str, object]:
         return {

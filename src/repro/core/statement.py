@@ -34,9 +34,9 @@ a program at given bounds, held as arrays:
   rows;
 * :meth:`StatementLevelSpace.phase`, the one way rows of the space become a
   :class:`~repro.core.schedule.Phase` (statement ids plus iteration columns);
-* the tuple views :attr:`StatementLevelSpace.instances`,
-  :attr:`~StatementLevelSpace.unified` and
-  :attr:`~StatementLevelSpace.points`, derived lazily on first access.
+* :meth:`StatementLevelSpace.row_indices_of`, which locates unified rows
+  among the space's rows by codec key (``Schedule.covers`` checks coverage
+  with it).
 
 :func:`build_statement_space` runs one :meth:`UnifiedIndexMap.unify_array`
 gather/interleave per statement, lex-merges the per-statement blocks, and
@@ -54,16 +54,15 @@ exactly like the rest of the analysis layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.lexorder import lex_lt
 from ..isl.relations import FiniteRelation, PointCodec, lexsort_rows, readonly_view
 from .dataflow import dataflow_partition
-from .schedule import Instance, Phase, Schedule
+from .schedule import Phase, Schedule
 
 __all__ = [
     "UnifiedIndexMap",
@@ -188,10 +187,7 @@ class StatementLevelSpace:
     Array-backed: ``unified_array`` holds every instance's unified vector as
     an ``(n, width)`` int64 row (lexicographic == sequential order) with
     ``stmt_ids`` naming the statement of each row (given as the int ``0``
-    for a one-statement program, and read back as a zero-stride view); the
-    tuple views (:attr:`instances`, :attr:`unified`, :attr:`points`) are
-    derived lazily on first access and cached, so a purely array-path
-    consumer never boxes a single instance.
+    for a one-statement program, and read back as a zero-stride view).
     """
 
     __slots__ = (
@@ -202,9 +198,6 @@ class StatementLevelSpace:
         "_stmt_ids",
         "unified_array",
         "rd",
-        "_instances",
-        "_unified",
-        "_points",
         "_codec",
         "_space_keys",
     )
@@ -232,9 +225,6 @@ class StatementLevelSpace:
         if self.unified_array.ndim != 2:
             raise ValueError("unified_array must be an (n, width) array")
         self.rd = rd
-        self._instances: Optional[Tuple[Instance, ...]] = None
-        self._unified: Optional[Tuple[Point, ...]] = None
-        self._points: Optional[FrozenSet[Point]] = None
         self._codec: Optional[PointCodec] = None
         self._space_keys: Optional[np.ndarray] = None
 
@@ -248,12 +238,9 @@ class StatementLevelSpace:
     def width(self) -> int:
         return self.index_map.width
 
-    def unify(self, label: str, iteration: Sequence[int]) -> Point:
-        """The unified index vector of one statement instance."""
-        return self.index_map.unify(label, iteration)
-
     def unify_array(self, label: str, iterations: np.ndarray) -> np.ndarray:
-        """Batch form of :meth:`unify` (see :meth:`UnifiedIndexMap.unify_array`)."""
+        """Unified vectors of a batch of one statement's iterations (see
+        :meth:`UnifiedIndexMap.unify_array`)."""
         return self.index_map.unify_array(label, iterations)
 
     # -- array views -----------------------------------------------------------
@@ -313,35 +300,6 @@ class StatementLevelSpace:
         (``unit_offsets`` as there: ``None`` is one row per unit)."""
         return Phase(name, *self.split(rows), unit_offsets)
 
-    # -- tuple views (lazy) ----------------------------------------------------
-
-    @property
-    def instances(self) -> Tuple[Instance, ...]:
-        """Every statement instance as (label, iteration vector), in
-        sequential (== unified lexicographic) order — materialised on first
-        access for array-built spaces."""
-        if self._instances is None:
-            labels, depths = self.stmt_labels, self.stmt_depths
-            iters = self.index_map.iteration_columns(self.unified_array)
-            self._instances = tuple(
-                (labels[sid], tuple(row[: depths[sid]]))
-                for sid, row in zip(self.stmt_ids.tolist(), iters.tolist())
-            )
-        return self._instances
-
-    @property
-    def unified(self) -> Tuple[Point, ...]:
-        """Unified vector of every instance, parallel to :attr:`instances`."""
-        if self._unified is None:
-            self._unified = tuple(map(tuple, self.unified_array.tolist()))
-        return self._unified
-
-    @property
-    def points(self) -> FrozenSet[Point]:
-        if self._points is None:
-            self._points = frozenset(self.unified)
-        return self._points
-
     def __len__(self) -> int:
         return len(self.unified_array)
 
@@ -350,20 +308,6 @@ class StatementLevelSpace:
             f"StatementLevelSpace({self.program_name!r}, <{len(self)} instances, "
             f"width {self.width}, {len(self.rd)} dependences>)"
         )
-
-    # -- invariants ------------------------------------------------------------
-
-    def sequential_order_is_lexicographic(
-        self, sequential: Sequence[Instance]
-    ) -> bool:
-        """Property of the §3.3 mapping: program order == lexicographic order."""
-        previous: Optional[Point] = None
-        for label, iteration in sequential:
-            current = self.unify(label, iteration)
-            if previous is not None and not lex_lt(previous, current):
-                return False
-            previous = current
-        return True
 
 
 def build_statement_space(
@@ -384,8 +328,7 @@ def build_statement_space(
     blocks in sequential order (a single block is already in order), and
     the pair relations are concatenated and oriented on the
     :class:`~repro.isl.relations.PointCodec` path
-    (:meth:`~repro.isl.relations.FiniteRelation.oriented_forward`), yielding an
-    array-backed ``rd`` whose tuple pairs stay unbuilt until a validator asks.
+    (:meth:`~repro.isl.relations.FiniteRelation.oriented_forward`).
     Planning code reads the analysis' cached copy,
     :attr:`~repro.dependence.analysis.DependenceAnalysis.space`.
     """
@@ -427,7 +370,7 @@ def build_statement_space(
         )
         rd = combined.oriented_forward()
     else:
-        rd = FiniteRelation(frozenset(), index_map.width, index_map.width)
+        rd = FiniteRelation.empty(index_map.width, index_map.width)
     return StatementLevelSpace(
         program_name=program.name,
         index_map=index_map,

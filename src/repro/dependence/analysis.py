@@ -160,9 +160,6 @@ class DependenceAnalysis:
             )
         return cache[label]
 
-    def nonempty_pair_dependences(self) -> List[StatementPairDependence]:
-        return [d for d in self.pair_dependences if not d.is_empty()]
-
     @cached_property
     def space(self) -> "StatementLevelSpace":
         """The program's one iteration space: the §3.3 statement-level space.
@@ -236,20 +233,21 @@ class DependenceAnalysis:
     def classifications(self):
         return [classify_pair(p) for p in self.coupled_pairs]
 
+    @cached_property
+    def _dependent_coupled_pairs(self) -> List[ReferencePair]:
+        """The coupled reference pairs that generate dependences."""
+        return [
+            d.pair for d in self.pair_dependences if d.pair.is_coupled() and not d.is_empty()
+        ]
+
     def has_single_coupled_pair(self) -> bool:
         """True when exactly one coupled reference pair generates dependences."""
-        nonempty = [
-            d for d in self.pair_dependences if d.pair.is_coupled() and not d.is_empty()
-        ]
-        return len(nonempty) == 1
+        return len(self._dependent_coupled_pairs) == 1
 
     def single_coupled_pair(self) -> Optional[ReferencePair]:
-        nonempty = [
-            d for d in self.pair_dependences if d.pair.is_coupled() and not d.is_empty()
-        ]
-        if len(nonempty) == 1:
-            return nonempty[0].pair
-        return None
+        """That one pair (see :meth:`has_single_coupled_pair`), else ``None``."""
+        pairs = self._dependent_coupled_pairs
+        return pairs[0] if len(pairs) == 1 else None
 
     def is_uniform(self) -> bool:
         """Exhaustive uniformity check of Rd over the space's rows, on the

@@ -126,12 +126,6 @@ class PairClassification:
     square_full_rank: bool
     ranks: Tuple[int, int]
 
-    @property
-    def non_uniform_candidate(self) -> bool:
-        """Coupled references with differing coefficient matrices — the loops
-        the recurrence-chain partitioner targets."""
-        return self.coupled and not self.uniform_by_matrix
-
 
 def classify_pair(pair: ReferencePair) -> PairClassification:
     """Matrix-level classification (no enumeration, works with symbolic bounds)."""

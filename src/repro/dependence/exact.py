@@ -140,7 +140,6 @@ def exact_pair_dependences(
     *target* statement (the orientation of eq. 2; lexicographic orientation is
     applied later by the partitioners).  Pairs where both iterations are the
     same instance of the same statement are excluded unless ``include_self``.
-    The result is array-backed.
 
     ``domains`` optionally maps statement labels to pre-enumerated
     ``(n, depth)`` domain arrays (lexicographic row order, as
@@ -159,7 +158,7 @@ def exact_pair_dependences(
     src_points = domain_of(pair.source_ctx)
     dst_points = domain_of(pair.target_ctx)
     if len(src_points) == 0 or len(dst_points) == 0:
-        return FiniteRelation(frozenset(), src_points.shape[1], dst_points.shape[1])
+        return FiniteRelation.empty(src_points.shape[1], dst_points.shape[1])
     src_addr = reference_addresses(pair.source_ref, pair.source_indices, src_points)
     dst_addr = reference_addresses(pair.target_ref, pair.target_indices, dst_points)
     same_statement = pair.source_ctx.statement.label == pair.target_ctx.statement.label

@@ -54,13 +54,6 @@ class ReferencePair:
     def target_indices(self) -> Tuple[str, ...]:
         return self.target_ctx.index_names
 
-    def is_output_pair(self) -> bool:
-        """True for write/write pairs (output dependences)."""
-        return (
-            self.source_ref in self.source_ctx.statement.writes
-            and self.target_ref in self.target_ctx.statement.writes
-        )
-
     # -- matrix form ----------------------------------------------------------
 
     def matrices(self) -> Tuple[List[List[Fraction]], List[Fraction], List[List[Fraction]], List[Fraction]]:

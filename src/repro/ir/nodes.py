@@ -238,20 +238,6 @@ class Loop:
             stride,
         )
 
-    @property
-    def single_lower(self) -> AffineExpr:
-        """The lower bound when it is a single expression (raises otherwise)."""
-        if len(self.lower) != 1:
-            raise ValueError(f"loop {self.index} has a MAX lower bound")
-        return self.lower[0]
-
-    @property
-    def single_upper(self) -> AffineExpr:
-        """The upper bound when it is a single expression (raises otherwise)."""
-        if len(self.upper) != 1:
-            raise ValueError(f"loop {self.index} has a MIN upper bound")
-        return self.upper[0]
-
     def evaluate_bounds(self, env: Mapping[str, int]) -> Tuple[int, int]:
         """Concrete ``(lo, hi)`` bounds under an integer environment (MAX/MIN
         applied); ``ValueError`` when a bound value is not an integer."""

@@ -165,10 +165,6 @@ class LoopProgram:
                 cons.append(Constraint.le(AffineExpr.variable(loop.index), hi))
         return ConvexSet.from_constraints(names, cons, self.parameters)
 
-    def iteration_space_bound(self, params: Mapping[str, int]) -> ConvexSet:
-        """Iteration space with parameters substituted by concrete values."""
-        return self.iteration_space().bind_parameters(params)
-
     # -- reference pairs -----------------------------------------------------------
 
     def reference_pairs(self) -> List[Tuple[StatementContext, ArrayRef, StatementContext, ArrayRef]]:

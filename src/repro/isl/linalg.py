@@ -311,10 +311,6 @@ class RationalMatrix:
         """Return ``v @ self`` for a row vector ``v``."""
         return vec_mat(v, self.rows)
 
-    def is_full_rank(self) -> bool:
-        r, c = self.shape
-        return r == c and self.det() != 0
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.rows) + "]"
 
@@ -515,10 +511,6 @@ class DiophantineSolution:
 
     particular: Tuple[int, ...]
     basis: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def num_free(self) -> int:
-        return len(self.basis)
 
     def point(self, params: Sequence[int]) -> Tuple[int, ...]:
         """Instantiate the free parameters to produce a concrete solution."""

@@ -14,26 +14,21 @@ provided, mirroring the two ways the package reasons about dependences:
   executors, the validators and the chain builder.  All partition-safety
   invariants are ultimately checked against this exact object.
 
-The planner works on the **array form** of :class:`FiniteRelation`:
-:meth:`FiniteRelation.as_arrays` holds the pairs as canonical ``(n, dim)``
-int64 arrays, and :class:`PointCodec` maps each integer point to a scalar
-int64 key whose order is lexicographic point order, so that
-``dom``/``ran``/``restrict`` and membership become sorted-array operations
-(``np.unique``, ``np.searchsorted``).  The codec encodes rows of any
-magnitude (raw mixed-radix keys when the bounding box fits int64,
-rank-compressed keys otherwise).
-
-The frozenset of tuple pairs (:attr:`FiniteRelation.pairs`) is a lazy
-*view* for validators and tests: a relation built with
-:meth:`FiniteRelation.from_arrays` derives it only when first touched, and a
-relation built from pairs derives its arrays on the first array access.
-See ARCHITECTURE.md for the pipeline-wide picture.
+:class:`FiniteRelation` has one representation: the pairs as canonical
+``(n, dim)`` int64 arrays (:meth:`FiniteRelation.as_arrays`).
+:class:`PointCodec` maps each integer point to a scalar int64 key whose order
+is lexicographic point order, so that domain, range and membership queries
+become sorted-array operations (``np.unique``, ``np.searchsorted``).  The
+codec encodes rows of any magnitude (raw mixed-radix keys when the bounding
+box fits int64, rank-compressed keys otherwise).  Tuple pair sets exist only
+in the brute-force test oracle (``tests/oracle.py``).  See ARCHITECTURE.md
+for the pipeline-wide picture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -52,7 +47,6 @@ __all__ = [
 ]
 
 Point = Tuple[int, ...]
-Pair = Tuple[Point, Point]
 
 # ---------------------------------------------------------------------------
 # lexicographic row encoding
@@ -62,11 +56,11 @@ Pair = Tuple[Point, Point]
 def readonly_view(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr`` (the caller's own array keeps its flags).
 
-    The lazily-dual containers (:class:`FiniteRelation`, the partitions, the
-    array schedule phases) cache both an array and a derived tuple/frozenset
-    view of the same data; storing the array behind a read-only view makes an
-    accidental in-place edit — which would silently desync the cached views —
-    raise immediately instead.
+    The array containers (:class:`FiniteRelation`, the partitions, the
+    schedule phases) share slices of their arrays and derive cached keys and
+    sets from them; storing each array behind a read-only view makes an
+    accidental in-place edit through an alias raise instead of desyncing
+    them.
     """
     view = arr.view()
     view.setflags(write=False)
@@ -397,66 +391,37 @@ class UnionRelation:
 # ---------------------------------------------------------------------------
 
 class FiniteRelation:
-    """An explicit finite relation: a set of (source, target) integer tuples.
+    """An explicit finite relation: a set of (source, target) integer points.
 
-    The relation is immutable and has **two interchangeable representations**:
-
-    * a pair of canonical ``(n, dim)`` int64 arrays (:meth:`as_arrays`) —
-      lexicographically row-sorted and duplicate-free — which the planner
-      works on,
-    * a frozenset of ``(src_tuple, dst_tuple)`` pairs (:attr:`pairs`), the
-      view the validators and the small per-pair queries read.
-
-    Either representation is derived lazily from the other the first time it
-    is asked for and then cached: relations built with :meth:`from_arrays`
-    never box their points into Python tuples unless a consumer actually
-    touches :attr:`pairs`, and pair-built relations only materialise arrays
-    when :meth:`as_arrays` is called.  Equality, iteration order, hashing and
-    every query are representation-independent.
+    Held as one pair of canonical ``(n, dim_in)`` / ``(n, dim_out)`` int64
+    arrays (:meth:`as_arrays`), row-sorted by ``(src, dst)`` and
+    duplicate-free, so equality and hashing compare arrays directly.  Build
+    one with :meth:`from_arrays` (which canonicalises) or :meth:`empty`; the
+    constructor wraps arrays that are canonical already.  The relation is
+    immutable: the arrays are stored read-only.
     """
 
-    __slots__ = ("_pairs", "_arrays", "dim_in", "dim_out")
+    __slots__ = ("_src", "_dst", "dim_in", "dim_out")
 
-    def __init__(
-        self,
-        pairs: Iterable[Pair] = frozenset(),
-        dim_in: int = 0,
-        dim_out: int = 0,
-    ):
-        self._pairs: Optional[FrozenSet[Pair]] = (
-            pairs if isinstance(pairs, frozenset) else frozenset(pairs)
-        )
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.dim_in = dim_in
-        self.dim_out = dim_out
-
-    @property
-    def pairs(self) -> FrozenSet[Pair]:
-        """The pair set — materialised on first access for array-built relations."""
-        if self._pairs is None:
-            src, dst = self._arrays
-            self._pairs = frozenset(
-                zip(map(tuple, src.tolist()), map(tuple, dst.tolist()))
-            )
-        return self._pairs
+    def __init__(self, src: np.ndarray, dst: np.ndarray):
+        self._src = readonly_view(src)
+        self._dst = readonly_view(dst)
+        self.dim_in = src.shape[1]
+        self.dim_out = dst.shape[1]
 
     @staticmethod
-    def from_pairs(pairs: Iterable[Pair]) -> "FiniteRelation":
-        pair_set = frozenset((tuple(a), tuple(b)) for a, b in pairs)
-        dim_in = dim_out = 0
-        for a, b in pair_set:
-            dim_in, dim_out = len(a), len(b)
-            break
-        return FiniteRelation(pair_set, dim_in, dim_out)
+    def empty(dim_in: int, dim_out: int) -> "FiniteRelation":
+        """The relation with no pair between ``dim_in``- and ``dim_out``-points."""
+        return FiniteRelation(
+            np.zeros((0, dim_in), dtype=np.int64), np.zeros((0, dim_out), dtype=np.int64)
+        )
 
     @staticmethod
     def from_arrays(src: np.ndarray, dst: np.ndarray) -> "FiniteRelation":
         """Build a relation from parallel ``(n, dim_in)``/``(n, dim_out)`` arrays.
 
         The arrays are canonicalised (row-sorted by ``(src, dst)``,
-        duplicates merged) on :class:`PointCodec` keys of the combined rows;
-        the tuple-pair view stays unbuilt until a consumer asks for
-        :attr:`pairs`.
+        duplicates merged) on :class:`PointCodec` keys of the combined rows.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -464,10 +429,10 @@ class FiniteRelation:
             raise ValueError("src and dst must be 2-D arrays with equal length")
         dim_in, dim_out = src.shape[1], dst.shape[1]
         if len(src) == 0:
-            return FiniteRelation(frozenset(), dim_in, dim_out)
+            return FiniteRelation.empty(dim_in, dim_out)
         if dim_in + dim_out == 0:
             # Rank-0 on both sides: the only possible pair is () -> ().
-            return FiniteRelation(frozenset({((), ())}), 0, 0)
+            return FiniteRelation(src[:1], dst[:1])
         combined = np.concatenate([src, dst], axis=1)
         # Key order equals lexicographic row order, so one scalar-key
         # np.unique sorts the rows by (src, dst) and merges duplicates.
@@ -475,37 +440,24 @@ class FiniteRelation:
             PointCodec.for_arrays(combined).encode(combined), return_index=True
         )
         combined = combined[first]
-        return FiniteRelation._from_canonical_arrays(
+        return FiniteRelation(
             np.ascontiguousarray(combined[:, :dim_in]),
             np.ascontiguousarray(combined[:, dim_in:]),
         )
 
-    @staticmethod
-    def _from_canonical_arrays(src: np.ndarray, dst: np.ndarray) -> "FiniteRelation":
-        """Wrap arrays already in canonical form (row-sorted, duplicate-free)."""
-        rel = FiniteRelation.__new__(FiniteRelation)
-        rel._pairs = None
-        rel._arrays = (readonly_view(src), readonly_view(dst))
-        rel.dim_in = src.shape[1]
-        rel.dim_out = dst.shape[1]
-        return rel
-
-    # -- equality / hashing (representation-independent) ----------------------
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteRelation):
             return NotImplemented
-        if self.dim_in != other.dim_in or self.dim_out != other.dim_out:
-            return False
-        if self._pairs is None and other._pairs is None:
-            # Both array-backed: canonical form makes this a direct compare.
-            a, b = self._arrays
-            c, d = other._arrays
-            return np.array_equal(a, c) and np.array_equal(b, d)
-        return self.pairs == other.pairs
+        # Canonical arrays: equal arrays are equal relations.
+        return (
+            self.dim_in == other.dim_in
+            and self.dim_out == other.dim_out
+            and np.array_equal(self._src, other._src)
+            and np.array_equal(self._dst, other._dst)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.pairs, self.dim_in, self.dim_out))
+        return hash((self.dim_in, self.dim_out, self._src.tobytes(), self._dst.tobytes()))
 
     def __repr__(self) -> str:
         return (
@@ -513,118 +465,27 @@ class FiniteRelation:
             f"dim_out={self.dim_out})"
         )
 
-    # -- array form ----------------------------------------------------------
-
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The pairs as ``(src, dst)`` int64 arrays, sorted by (src, dst).
-
-        The arrays are computed once and cached on the instance (the relation
-        is immutable); they are what the planner's array engine reads.
-        """
-        if self._arrays is None:
-            pairs = sorted(self.pairs)
-            src = np.array([a for a, _ in pairs], dtype=np.int64).reshape(
-                len(pairs), self.dim_in
-            )
-            dst = np.array([b for _, b in pairs], dtype=np.int64).reshape(
-                len(pairs), self.dim_out
-            )
-            self._arrays = (readonly_view(src), readonly_view(dst))
-        return self._arrays
-
-    def codec(self, *extra: Optional[np.ndarray]) -> PointCodec:
-        """A :class:`PointCodec` covering dom ∪ ran plus any extra point arrays.
-
-        Requires ``dim_in == dim_out`` (dependence relations always satisfy
-        this); raises :class:`ValueError` when there is no point at all.
-        """
-        if self.dim_in != self.dim_out:
-            raise ValueError("codec requires a homogeneous relation (dim_in == dim_out)")
-        src, dst = self.as_arrays()
-        return PointCodec.for_arrays(src, dst, *extra)
-
-    # -- basic queries --------------------------------------------------------
+        """The pairs as read-only ``(src, dst)`` int64 arrays, sorted by (src, dst)."""
+        return self._src, self._dst
 
     def __len__(self) -> int:
-        if self._pairs is None:
-            return len(self._arrays[0])
-        return len(self._pairs)
-
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-    def __contains__(self, pair: Pair) -> bool:
-        return (tuple(pair[0]), tuple(pair[1])) in self.pairs
+        return len(self._src)
 
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    def domain(self) -> FrozenSet[Point]:
-        return frozenset(a for a, _ in self.pairs)
-
-    def range(self) -> FrozenSet[Point]:
-        return frozenset(b for _, b in self.pairs)
-
-    def points(self) -> FrozenSet[Point]:
-        """All points touched by the relation (domain ∪ range)."""
-        return self.domain() | self.range()
-
-    # -- structure ------------------------------------------------------------
-
-    def inverse(self) -> "FiniteRelation":
-        return FiniteRelation(
-            frozenset((b, a) for a, b in self.pairs), self.dim_out, self.dim_in
-        )
-
     def union(self, other: "FiniteRelation") -> "FiniteRelation":
-        """Concatenate both array forms and re-canonicalise (no tuple boxing)."""
-        if self.is_empty() and other.is_empty():
-            return FiniteRelation.from_pairs(frozenset())
-        if self.is_empty():
-            return other
+        """Concatenate both array forms and re-canonicalise."""
         if other.is_empty():
             return self
+        if self.is_empty():
+            return other
         if (self.dim_in, self.dim_out) != (other.dim_in, other.dim_out):
             raise ValueError("cannot union relations of different dimensions")
-        s1, d1 = self.as_arrays()
-        s2, d2 = other.as_arrays()
         return FiniteRelation.from_arrays(
-            np.concatenate([s1, s2]), np.concatenate([d1, d2])
+            np.concatenate([self._src, other._src]), np.concatenate([self._dst, other._dst])
         )
-
-    def restrict(self, domain: Optional[Set[Point]] = None, rng: Optional[Set[Point]] = None) -> "FiniteRelation":
-        """Keep only pairs whose source is in ``domain`` and target in ``rng``."""
-        kept = frozenset(
-            (a, b)
-            for a, b in self.pairs
-            if (domain is None or a in domain) and (rng is None or b in rng)
-        )
-        return FiniteRelation(kept, self.dim_in, self.dim_out)
-
-    def successors(self, point: Point) -> List[Point]:
-        p = tuple(point)
-        return sorted(b for a, b in self.pairs if a == p)
-
-    def predecessors(self, point: Point) -> List[Point]:
-        p = tuple(point)
-        return sorted(a for a, b in self.pairs if b == p)
-
-    def successor_map(self) -> Dict[Point, List[Point]]:
-        out: Dict[Point, List[Point]] = {}
-        for a, b in self.pairs:
-            out.setdefault(a, []).append(b)
-        for v in out.values():
-            v.sort()
-        return out
-
-    def compose(self, other: "FiniteRelation") -> "FiniteRelation":
-        """Relational composition: ``(a, c)`` when ``(a, b) ∈ self`` and ``(b, c) ∈ other``."""
-        succ = other.successor_map()
-        pairs = set()
-        for a, b in self.pairs:
-            for c in succ.get(b, ()):  # pragma: no branch
-                pairs.add((a, c))
-        return FiniteRelation(frozenset(pairs), self.dim_in, other.dim_out)
 
     # -- order-related views ----------------------------------------------------
 
@@ -634,14 +495,14 @@ class FiniteRelation:
         Self-pairs (``a == b``) are dropped: a dependence of an iteration on
         itself does not constrain the parallel schedule.  Key order equals
         lexicographic order, so the comparison and the swap are a handful of
-        vectorised operations (and the result stays array-backed).  Requires
-        a homogeneous relation (``dim_in == dim_out``).
+        vectorised operations.  Requires a homogeneous relation
+        (``dim_in == dim_out``).
         """
         if self.dim_in != self.dim_out:
             raise ValueError("oriented_forward requires dim_in == dim_out")
         if self.is_empty():
             return self
-        src, dst = self.as_arrays()
+        src, dst = self._src, self._dst
         codec = PointCodec.for_arrays(src, dst)
         src_keys = codec.encode(src)
         dst_keys = codec.encode(dst)
@@ -652,13 +513,13 @@ class FiniteRelation:
         return FiniteRelation.from_arrays(fwd_src, fwd_dst)
 
     def distances(self) -> Set[Point]:
-        """The set of distance vectors ``target - source``."""
-        if self._pairs is None and self.dim_in == self.dim_out and self.dim_in > 0:
-            src, dst = self._arrays
-            return set(map(tuple, np.unique(dst - src, axis=0).tolist()))
-        return {tuple(y - x for x, y in zip(a, b)) for a, b in self.pairs}
+        """The set of distance vectors ``target - source`` (``dim_in == dim_out``)."""
+        if self.dim_in != self.dim_out:
+            raise ValueError("distances requires dim_in == dim_out")
+        return set(map(tuple, np.unique(self._dst - self._src, axis=0).tolist()))
 
     def __str__(self) -> str:
-        items = ", ".join(f"{a}->{b}" for a, b in sorted(self.pairs))
+        items = ", ".join(
+            f"{tuple(a)}->{tuple(b)}" for a, b in zip(self._src.tolist(), self._dst.tolist())
+        )
         return f"{{ {items} }}"
-

@@ -125,9 +125,6 @@ class UnionSet:
                 )
         return UnionSet.from_members(self.variables, members, params)
 
-    def intersect_convex(self, cs: ConvexSet) -> "UnionSet":
-        return self.intersect(UnionSet.from_convex(cs))
-
     def subtract(self, other: "UnionSet") -> "UnionSet":
         """Set difference ``self \\ other``.
 

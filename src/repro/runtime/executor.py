@@ -22,7 +22,10 @@ vectorised twins and scatters.
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so
 "schedule result == sequential result" is an exact equality check, performed
-by :func:`validate_schedule`.
+by :func:`validate_schedule` together with the coverage and dependence
+checks, which run on the statement-level space's codec keys
+(:meth:`~repro.core.schedule.Schedule.covers` /
+:meth:`~repro.core.schedule.Schedule.respects`).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.schedule import Phase, Schedule
+from ..core.statement import StatementLevelSpace
+from ..dependence.analysis import DependenceAnalysis
 from ..ir.nodes import Statement
 from ..ir.program import LoopProgram
 from ..ir.semantics import DEFAULT_SEMANTICS
@@ -231,15 +236,18 @@ def validate_schedule(
 
     ``dependences`` (optional) is the program's statement-level space, or a
     relation over a one-statement program's iteration vectors, checked with
-    :meth:`~repro.core.schedule.Schedule.respects`.  The semantic check
-    runs the schedule with several intra-phase shuffle seeds and compares
-    every array against the sequential execution, exactly.
+    :meth:`~repro.core.schedule.Schedule.respects`.  Coverage is checked
+    against the statement-level space (``dependences`` itself when it is
+    one, else the program's, built here) with
+    :meth:`~repro.core.schedule.Schedule.covers`.  The semantic check runs
+    the schedule with several intra-phase shuffle seeds and compares every
+    array against the sequential execution, exactly.
     """
     params = dict(params or {})
-    expected_instances = [
-        (label, tuple(it)) for label, it in program.sequential_iterations(params)
-    ]
-    covers = schedule.covers(expected_instances)
+    space = dependences
+    if not isinstance(space, StatementLevelSpace):
+        space = DependenceAnalysis(program, params).space
+    covers = schedule.covers(space)
     respects = True
     if dependences is not None:
         respects = schedule.respects(dependences)

@@ -75,14 +75,6 @@ class SimulationResult:
     def speedup(self) -> float:
         return self.sequential_time / self.parallel_time if self.parallel_time else float("inf")
 
-    @property
-    def efficiency(self) -> float:
-        return self.speedup / self.processors
-
-    @property
-    def utilization(self) -> float:
-        return self.busy_time / (self.parallel_time * self.processors) if self.parallel_time else 0.0
-
 
 def _phase_makespan(
     unit_costs: Sequence[float], processors: int, unit_overhead: float

@@ -73,10 +73,6 @@ class CorpusComposition:
     coupled_fraction: float
     nonuniform_given_coupled: float
 
-    @property
-    def expected_nonuniform_fraction(self) -> float:
-        return self.coupled_fraction * self.nonuniform_given_coupled
-
 
 #: Composition calibrated to the paper's §1 numbers: roughly 45 % of reference
 #: pairs coupled, and enough of those non-uniform that ≈46 % of loops carry a

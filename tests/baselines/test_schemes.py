@@ -8,6 +8,7 @@ sequential array contents — the same bar the REC partitioner is held to.
 import numpy as np
 import pytest
 
+import oracle
 from repro.baselines import (
     doacross_schedule,
     inner_parallel_schedule,
@@ -58,7 +59,7 @@ class TestPDM:
     def test_partition_covers_distances(self):
         prog = figure1_loop(12, 12)
         analysis = DependenceAnalysis(prog, {})
-        partition = pdm_partition(analysis.space.unified, analysis.space.rd)
+        partition = pdm_partition(analysis.space.unified_array, analysis.space.rd)
         assert partition.covers(analysis.space.rd.distances())
         assert partition.num_parallel_sets >= 1
         assert partition.longest_chain >= 1
@@ -116,13 +117,13 @@ class TestUniqueSets:
         prog = example2_loop(16)
         analysis = DependenceAnalysis(prog, {})
         sets = unique_sets_partition(
-            analysis.space.unified, analysis.space.rd
+            analysis.space.unified_array, analysis.space.rd
         )
         counts = sets.counts()
-        space = set(analysis.space.unified)
+        space = oracle.points(analysis.space.unified_array)
         assert sum(counts.values()) == len(space)
         # every point lies in exactly one set, by the degree definitions
-        pairs = analysis.space.rd.pairs
+        pairs = oracle.pairs(analysis.space.rd)
         dom = {src for src, _ in pairs}
         ran = {dst for _, dst in pairs}
 

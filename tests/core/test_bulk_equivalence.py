@@ -16,7 +16,6 @@ from repro.core.dataflow import dataflow_partition
 from repro.core.partition import three_set_partition
 from repro.core.statement import build_statement_space
 from repro.dependence import DependenceAnalysis
-from repro.isl.relations import FiniteRelation
 from repro.workloads.examples import (
     cholesky_loop,
     example2_loop,
@@ -29,12 +28,12 @@ from repro.workloads.synthetic import scale_partition_case
 
 def _iteration_level(prog):
     analysis = DependenceAnalysis(prog, {})
-    return prog.name, analysis.space.unified, analysis.space.rd
+    return prog.name, sorted(oracle.points(analysis.space.unified_array)), analysis.space.rd
 
 
 def _statement_level(prog):
     space = build_statement_space(prog, {})
-    return prog.name, sorted(space.points), space.rd
+    return prog.name, sorted(oracle.points(space.unified_array)), space.rd
 
 
 def _cases():
@@ -51,13 +50,7 @@ CASE_IDS = [name for name, _, _ in CASES]
 
 
 def assert_matches_oracle(partition, space, rd):
-    expected = oracle.three_sets(space, rd)
-    assert partition.space == expected.space
-    assert partition.p1 == expected.p1
-    assert partition.p2 == expected.p2
-    assert partition.p3 == expected.p3
-    assert partition.w == expected.w
-    assert partition.rd == expected.rd
+    assert oracle.sets(partition) == oracle.three_sets(space, rd)
 
 
 class TestEngineEquivalence:
@@ -65,23 +58,20 @@ class TestEngineEquivalence:
     def test_three_set_partition_identical(self, name, space, rd):
         result = three_set_partition(space, rd)
         assert_matches_oracle(result, space, rd)
-        assert result.is_complete() and oracle.respects_phase_order(result)
+        assert oracle.is_complete(result) and oracle.respects_phase_order(result)
 
     @pytest.mark.parametrize("name,space,rd", CASES, ids=CASE_IDS)
     def test_dataflow_wavefronts_identical(self, name, space, rd):
         result = dataflow_partition(space, rd)
-        assert result.wavefronts == oracle.wavefronts(space, rd)
-        assert result.is_complete(space)
-        assert result.respects_dependences()
+        assert oracle.wavefront_sets(result) == oracle.wavefronts(space, rd)
+        assert oracle.wavefronts_complete(result, space)
+        assert oracle.wavefronts_respect(result)
 
     def test_array_space_input_equals_tuple_input(self):
         space, rd = scale_partition_case(15, 12)
         tuples = [tuple(p) for p in space.tolist()]
         assert three_set_partition(space, rd) == three_set_partition(tuples, rd)
-        assert (
-            dataflow_partition(space, rd).wavefronts
-            == dataflow_partition(tuples, rd).wavefronts
-        )
+        assert dataflow_partition(space, rd) == dataflow_partition(tuples, rd)
 
     def test_unknown_engine_rejected(self):
         # There is one engine: an ``engine`` argument fails loudly instead of
@@ -97,27 +87,27 @@ class TestEngineEquivalence:
         them and both partitioners still produce the exact sets, for every
         space input form."""
         space = [(0, 0), (2**40, 2**40), (1, 1)]
-        rd = FiniteRelation.from_pairs([((0, 0), (2**40, 2**40))])
+        rd = oracle.relation([((0, 0), (2**40, 2**40))])
         for space_input in (space, np.array(space, dtype=np.int64)):
             partition = three_set_partition(space_input, rd)
-            assert partition.p1 == {(0, 0), (1, 1)}
+            assert oracle.points(partition.p1_array()) == {(0, 0), (1, 1)}
             assert_matches_oracle(partition, space, rd)
             flow = dataflow_partition(space_input, rd)
             assert flow.num_steps == 2
-            assert flow.wavefronts == oracle.wavefronts(space, rd)
+            assert oracle.wavefront_sets(flow) == oracle.wavefronts(space, rd)
 
 
 class TestVectorStallPaths:
     def test_cyclic_relation_detected(self):
         space = [(1,), (2,)]
-        rd = FiniteRelation.from_pairs([((1,), (2,)), ((2,), (1,))])
+        rd = oracle.relation([((1,), (2,)), ((2,), (1,))])
         with pytest.raises(RuntimeError, match="stalled"):
             dataflow_partition(space, rd)
 
     def test_partial_cycle_detected_after_progress(self):
         # an acyclic prefix drains, then the cycle stalls the peeling
         space = [(1,), (2,), (3,)]
-        rd = FiniteRelation.from_pairs(
+        rd = oracle.relation(
             [((1,), (2,)), ((2,), (3,)), ((3,), (2,))]
         )
         with pytest.raises(RuntimeError, match="stalled"):
@@ -125,13 +115,13 @@ class TestVectorStallPaths:
 
     def test_max_steps_guard(self):
         space = [(i,) for i in range(1, 50)]
-        rd = FiniteRelation.from_pairs([((i,), (i + 1,)) for i in range(1, 49)])
+        rd = oracle.relation([((i,), (i + 1,)) for i in range(1, 49)])
         with pytest.raises(RuntimeError, match="did not terminate"):
             dataflow_partition(space, rd, max_steps=5)
 
     def test_self_loop_stalls(self):
         space = [(1,), (2,)]
-        rd = FiniteRelation.from_pairs([((2,), (2,))])
+        rd = oracle.relation([((2,), (2,))])
         with pytest.raises(RuntimeError, match="stalled"):
             dataflow_partition(space, rd)
 
@@ -141,7 +131,7 @@ class TestChainsBulkLookup:
         prog = figure1_loop(25, 25)
         analysis = DependenceAnalysis(prog, {})
         partition = three_set_partition(
-            analysis.space.unified, analysis.space.rd
+            analysis.space.unified_array, analysis.space.rd
         )
         chains = oracle.chain_units(chain_phase(partition))
         assert chains == oracle.chains_by_dict_walk(partition)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from repro.core.chains import CHAIN_PHASE, chain_phase, split_into_monotonic_pairs
+from repro.core.chains import CHAIN_PHASE, chain_phase
 from repro.core.partition import three_set_partition
 from repro.core.partitioner import PartitioningNotApplicable, recurrence_branch
 from repro.core.recurrence import AffineRecurrence
@@ -12,14 +12,13 @@ from repro.core.strategy import plan
 from repro.dependence import DependenceAnalysis
 from repro.ir.builder import aref, assign, loop, program
 from repro.isl.lexorder import lex_lt
-from repro.isl.relations import FiniteRelation
 from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
 
 
 def setup(prog):
     analysis = DependenceAnalysis(prog, {})
     partition = three_set_partition(
-        analysis.space.unified, analysis.space.rd
+        analysis.space.unified_array, analysis.space.rd
     )
     recurrence = AffineRecurrence.from_pair(analysis.single_coupled_pair())
     return analysis, partition, recurrence
@@ -27,7 +26,7 @@ def setup(prog):
 
 def hand_built(edges, n):
     """The partition of Φ = {1..n} under 1-D edges ``[(a, b), ...]``."""
-    rd = FiniteRelation.from_pairs([((a,), (b,)) for a, b in edges])
+    rd = oracle.relation([((a,), (b,)) for a, b in edges])
     return three_set_partition({(k,) for k in range(1, n + 1)}, rd)
 
 
@@ -44,20 +43,22 @@ class TestMonotonicChain:
         phase = chain_phase(partition)
         assert phase.name == CHAIN_PHASE
         chains = oracle.chain_units(phase)
-        assert len(phase) == len(chains) == len(partition.w)
-        assert [c[0] for c in chains] == sorted(partition.w)
-        p2 = partition.p2
+        sets = oracle.sets(partition)
+        assert len(phase) == len(chains) == len(sets.w)
+        assert [c[0] for c in chains] == sorted(sets.w)
+        pairs = oracle.pairs(partition.rd)
         for chain in chains:
-            assert not any(b in p2 for b in partition.rd.successors(chain[-1]))
+            assert not any(a == chain[-1] and b in sets.p2 for a, b in pairs)
         assert phase.span == max(len(c) for c in chains)
 
 
 class TestFigure2Splitting:
     def test_paper_chain_split(self):
         """The solution chain 6 -> 9 -> 3 -> 15 splits into the monotonic pairs
-        6 -> 9, 3 -> 9 and 3 -> 15 (figure 2)."""
+        6 -> 9, 3 -> 9 and 3 -> 15 (figure 2): the space's oriented Rd."""
         analysis = DependenceAnalysis(figure2_loop(20), {})
-        pairs = split_into_monotonic_pairs(analysis.space.rd)
+        pairs = oracle.pairs(analysis.space.rd)
+        assert oracle.orient_forward(pairs) == pairs
         as_scalars = {(a[0], b[0]) for a, b in pairs}
         assert {(6, 9), (3, 9), (3, 15)} <= as_scalars
         # every pair is lexicographically forward
@@ -69,7 +70,7 @@ class TestChainExtraction:
         _, partition, recurrence = setup(figure1_loop(30, 40))
         phase = chain_phase(partition)
         rows = [tuple(r) for r in phase.iters.tolist()]
-        assert len(rows) == len(set(rows)) and set(rows) == partition.p2
+        assert len(rows) == len(set(rows)) and set(rows) == oracle.sets(partition).p2
         assert oracle.chain_units(phase) == oracle.recurrence_chains(partition, recurrence)
 
     def test_figure1_graph_chains_agree_with_recurrence_chains(self):
@@ -83,18 +84,18 @@ class TestChainExtraction:
         chains = oracle.chain_units(chain_phase(partition))
         assert chains == oracle.recurrence_chains(partition, recurrence)
         # every chain starts at a W iteration
-        assert {c[0] for c in chains} == set(partition.w)
+        assert {c[0] for c in chains} == oracle.sets(partition).w
 
     def test_chain_steps_are_direct_dependences(self):
         analysis, partition, _ = setup(figure1_loop(40, 60))
-        rel = analysis.space.rd
+        rel = oracle.pairs(analysis.space.rd)
         for chain in oracle.chain_units(chain_phase(partition)):
             for a, b in zip(chain, chain[1:]):
                 assert (a, b) in rel
 
     def test_empty_intermediate_set_gives_no_chains(self):
         _, partition, recurrence = setup(figure2_loop(20))
-        assert partition.p2 == frozenset()
+        assert len(partition.p2_array()) == 0
         phase = chain_phase(partition)
         assert len(phase) == 0 and phase.work == 0
         assert oracle.recurrence_chains(partition, recurrence) == []
@@ -104,7 +105,7 @@ class TestChainExtraction:
         # P2 = {2, 3, 4} with the internal edges 2 -> 4 and 3 -> 4: the
         # chains from the heads 2 and 3 would both hold 4.
         partition = hand_built([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], 5)
-        assert partition.p2 == {(2,), (3,), (4,)}
+        assert oracle.sets(partition).p2 == {(2,), (3,), (4,)}
         with pytest.raises(ValueError, match=r"\(4,\) has 2 predecessors.*Lemma 1"):
             chain_phase(partition)
 
@@ -112,7 +113,7 @@ class TestChainExtraction:
         # 2 <-> 3 is a cycle inside P2: no head reaches it, so a walk from
         # the heads would miss both points.
         partition = hand_built([(1, 2), (2, 3), (3, 2), (3, 4)], 4)
-        assert partition.p2 == {(2,), (3,)}
+        assert oracle.sets(partition).p2 == {(2,), (3,)}
         with pytest.raises(ValueError, match="cycle.*Lemma 1"):
             chain_phase(partition)
 
@@ -131,7 +132,7 @@ class TestChainsRespectRelation:
         # 2 has two successors inside P2 (3 and 4): one chain cannot hold
         # both edges, and two chains would run one of them concurrently.
         partition = hand_built([(1, 2), (2, 3), (2, 4), (3, 5), (4, 6)], 6)
-        assert partition.p2 == {(2,), (3,), (4,)}
+        assert oracle.sets(partition).p2 == {(2,), (3,), (4,)}
         with pytest.raises(ValueError, match=r"\(2,\) has 2 successors.*Lemma 1"):
             chain_phase(partition)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracle
 from repro.core.dataflow import dataflow_partition, dataflow_schedule
 from repro.core.statement import build_statement_space, statement_dataflow_schedule
 from repro.dependence import DependenceAnalysis
@@ -10,7 +11,7 @@ from repro.workloads.examples import cholesky_loop, figure1_loop
 
 
 def chain_relation(n):
-    return FiniteRelation.from_pairs([((i,), (i + 1,)) for i in range(1, n)])
+    return oracle.relation([((i,), (i + 1,)) for i in range(1, n)])
 
 
 class TestDataflowPartition:
@@ -18,22 +19,22 @@ class TestDataflowPartition:
         space = [(i,) for i in range(1, 6)]
         partition = dataflow_partition(space, chain_relation(5))
         assert partition.num_steps == 5
-        assert [sorted(w) for w in partition.wavefronts] == [[(i,)] for i in range(1, 6)]
+        assert [sorted(w) for w in oracle.wavefront_sets(partition)] == [
+            [(i,)] for i in range(1, 6)
+        ]
 
     def test_independent_points_one_step(self):
         space = [(i,) for i in range(10)]
-        partition = dataflow_partition(space, FiniteRelation(frozenset(), 1, 1))
+        partition = dataflow_partition(space, FiniteRelation.empty(1, 1))
         assert partition.num_steps == 1
         assert partition.total_points == 10
 
     def test_invariants(self):
         space = [(i,) for i in range(1, 9)]
-        rd = FiniteRelation.from_pairs(
-            [((1,), (3,)), ((2,), (3,)), ((3,), (7,)), ((4,), (8,))]
-        )
+        rd = oracle.relation([((1,), (3,)), ((2,), (3,)), ((3,), (7,)), ((4,), (8,))])
         partition = dataflow_partition(space, rd)
-        assert partition.is_complete(space)
-        assert partition.respects_dependences()
+        assert oracle.wavefronts_complete(partition, space)
+        assert oracle.wavefronts_respect(partition)
         # number of steps == longest path length (3 -> 7 has depth 3: 1,3,7)
         assert partition.num_steps == 3
 
@@ -41,20 +42,20 @@ class TestDataflowPartition:
         prog = figure1_loop(30, 40)
         analysis = DependenceAnalysis(prog, {})
         partition = dataflow_partition(
-            analysis.space.unified, analysis.space.rd
+            analysis.space.unified_array, analysis.space.rd
         )
         # Longest path, in points: every pair points lexicographically
         # forward, so visiting the pairs by source settles each source first.
         depth = {}
-        for src, dst in sorted(analysis.space.rd.pairs):
+        for src, dst in sorted(oracle.pairs(analysis.space.rd)):
             depth[dst] = max(depth.get(dst, 0), depth.get(src, 0) + 1)
         assert partition.num_steps == 1 + max(depth.values(), default=0)
-        assert partition.respects_dependences()
-        assert partition.is_complete(analysis.space.unified)
+        assert oracle.wavefronts_respect(partition)
+        assert oracle.wavefronts_complete(partition, analysis.space.unified_array)
 
     def test_cyclic_relation_detected(self):
         space = [(1,), (2,)]
-        rd = FiniteRelation.from_pairs([((1,), (2,)), ((2,), (1,))])
+        rd = oracle.relation([((1,), (2,)), ((2,), (1,))])
         with pytest.raises(RuntimeError):
             dataflow_partition(space, rd)
 
@@ -63,11 +64,19 @@ class TestDataflowPartition:
         with pytest.raises(RuntimeError):
             dataflow_partition(space, chain_relation(49), max_steps=5)
 
-    def test_level_of(self):
-        space = [(i,) for i in range(1, 4)]
+    def test_level_arrays(self):
+        space = [(3,), (1,), (2,)]
         partition = dataflow_partition(space, chain_relation(3))
-        levels = partition.level_of()
-        assert levels[(1,)] == 0 and levels[(3,)] == 2
+        offsets, rows = partition.level_arrays()
+        assert offsets.tolist() == [0, 1, 2, 3]
+        assert rows.tolist() == [[1], [2], [3]]
+
+    def test_equality_and_hash_are_array_based(self):
+        space = [(i,) for i in range(1, 6)]
+        a = dataflow_partition(space, chain_relation(5))
+        b = dataflow_partition(space[::-1], chain_relation(5))
+        assert a == b and hash(a) == hash(b)
+        assert a != dataflow_partition(space, FiniteRelation.empty(1, 1))
 
 
 class TestDataflowSchedule:
@@ -85,12 +94,13 @@ class TestDataflowSchedule:
         space = build_statement_space(prog, {})
         schedule = statement_dataflow_schedule("test", space)
         assert schedule.total_work == len(space)
-        assert sorted(schedule.instances()) == sorted(prog.sequential_iterations({}))
+        assert sorted(oracle.instances(schedule)) == sorted(prog.sequential_iterations({}))
+        assert schedule.covers(space)
 
     def test_cholesky_statement_level_dataflow(self):
         prog = cholesky_loop(nmat=2, m=2, n=6, nrhs=1)
         space = build_statement_space(prog, {})
-        partition = dataflow_partition(sorted(space.points), space.rd)
-        assert partition.is_complete(space.points)
-        assert partition.respects_dependences()
+        partition = dataflow_partition(space.unified_array, space.rd)
+        assert oracle.wavefronts_complete(partition, space.unified_array)
+        assert oracle.wavefronts_respect(partition)
         assert partition.num_steps > 5  # genuinely sequential structure

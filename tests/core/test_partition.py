@@ -16,7 +16,7 @@ from repro.workloads.synthetic import random_coupled_loop
 def partition_of(prog, params=None):
     analysis = DependenceAnalysis(prog, params or {})
     return (
-        three_set_partition(analysis.space.unified, analysis.space.rd),
+        three_set_partition(analysis.space.unified_array, analysis.space.rd),
         analysis,
     )
 
@@ -26,16 +26,20 @@ class TestFigure2Partition:
 
     def test_paper_sets(self):
         partition, _ = partition_of(figure2_loop(20))
-        assert sorted(p[0] for p in partition.independent) == [7, 12, 14, 16, 18, 20]
-        assert sorted(p[0] for p in partition.initial) == [1, 2, 3, 4, 5, 6]
-        assert sorted(p[0] for p in partition.p1) == [1, 2, 3, 4, 5, 6, 7, 12, 14, 16, 18, 20]
-        assert partition.p2 == frozenset()
-        assert sorted(p[0] for p in partition.p3) == [8, 9, 10, 11, 13, 15, 17, 19]
-        assert partition.w == frozenset()
+        sets = oracle.sets(partition)
+        touched = {p for pair in oracle.pairs(partition.rd) for p in pair}
+        assert sorted(p[0] for p in sets.p1 - touched) == [7, 12, 14, 16, 18, 20]
+        assert sorted(p[0] for p in sets.p1 & touched) == [1, 2, 3, 4, 5, 6]
+        assert sorted(p[0] for p in sets.p1) == [1, 2, 3, 4, 5, 6, 7, 12, 14, 16, 18, 20]
+        assert sets.p2 == frozenset()
+        assert sorted(p[0] for p in sets.p3) == [8, 9, 10, 11, 13, 15, 17, 19]
+        assert sets.w == frozenset()
+        counts = partition.counts()
+        assert counts["independent"] == 6 and counts["initial"] == 6
 
     def test_invariants(self):
         partition, _ = partition_of(figure2_loop(20))
-        assert partition.is_complete()
+        assert oracle.is_complete(partition)
         assert oracle.respects_phase_order(partition)
         counts = partition.counts()
         assert counts["space"] == 20 and counts["P1"] == 12 and counts["P3"] == 8
@@ -49,20 +53,22 @@ class TestFigure1Partition:
         assert counts["P1"] + counts["P2"] + counts["P3"] == 100
         assert counts["P2"] == 2
         assert counts["W"] == 2
-        assert partition.is_complete()
+        assert oracle.is_complete(partition)
         assert oracle.respects_phase_order(partition)
 
     def test_w_subset_of_p2_and_has_p1_predecessor(self):
         partition, _ = partition_of(figure1_loop(30, 40))
-        assert partition.w <= partition.p2
-        for w in partition.w:
-            assert any(src in partition.p1 for src, dst in partition.rd.pairs if dst == w)
+        sets = oracle.sets(partition)
+        assert sets.w <= sets.p2
+        for w in sets.w:
+            assert any(src in sets.p1 for src, dst in oracle.pairs(partition.rd) if dst == w)
 
     def test_p1_p3_have_no_internal_dependences(self):
         partition, _ = partition_of(figure1_loop(20, 20))
-        for src, dst in partition.rd.pairs:
-            assert not (src in partition.p1 and dst in partition.p1)
-            assert not (src in partition.p3 and dst in partition.p3)
+        sets = oracle.sets(partition)
+        for src, dst in oracle.pairs(partition.rd):
+            assert not (src in sets.p1 and dst in sets.p1)
+            assert not (src in sets.p3 and dst in sets.p3)
 
 
 class TestExample2Partition:
@@ -70,13 +76,13 @@ class TestExample2Partition:
         """The paper: 'there is only a single iteration in the intermediate set,
         particularly iteration (2, 6)'."""
         partition, _ = partition_of(example2_loop(12))
-        assert partition.p2 == frozenset({(2, 6)})
-        assert partition.w == frozenset({(2, 6)})
+        assert partition.p2_array().tolist() == [[2, 6]]
+        assert partition.w_array().tolist() == [[2, 6]]
 
     def test_larger_n_has_nonempty_intermediate(self):
         partition, _ = partition_of(example2_loop(30))
-        assert len(partition.p2) >= 1
-        assert partition.is_complete()
+        assert len(partition.p2_array()) >= 1
+        assert oracle.is_complete(partition)
 
 
 class TestPartitionProperties:
@@ -87,26 +93,31 @@ class TestPartitionProperties:
         spec = random_coupled_loop(rng, n1=6, n2=6)
         analysis = DependenceAnalysis(spec.program, {})
         partition = three_set_partition(
-            analysis.space.unified, analysis.space.rd
+            analysis.space.unified_array, analysis.space.rd
         )
-        assert partition.is_complete()
+        assert oracle.is_complete(partition)
         assert oracle.respects_phase_order(partition)
-        assert partition.w <= partition.p2
+        sets = oracle.sets(partition)
+        assert sets.w <= sets.p2
 
     def test_empty_relation_puts_everything_in_p1(self):
         space = [(i,) for i in range(1, 6)]
-        partition = three_set_partition(space, FiniteRelation(frozenset(), 1, 1))
-        assert partition.p1 == frozenset(space)
-        assert not partition.p2 and not partition.p3
+        partition = three_set_partition(space, FiniteRelation.empty(1, 1))
+        sets = oracle.sets(partition)
+        assert sets.p1 == frozenset(space)
+        assert not sets.p2 and not sets.p3
+        assert partition.counts()["independent"] == 5
 
     def test_chain_relation(self):
         space = [(i,) for i in range(1, 6)]
-        rd = FiniteRelation.from_pairs([((i,), (i + 1,)) for i in range(1, 5)])
+        rd = oracle.relation([((i,), (i + 1,)) for i in range(1, 5)])
         partition = three_set_partition(space, rd)
-        assert partition.p1 == frozenset({(1,)})
-        assert partition.p2 == frozenset({(2,), (3,), (4,)})
-        assert partition.p3 == frozenset({(5,)})
-        assert partition.w == frozenset({(2,)})
+        sets = oracle.sets(partition)
+        assert sets.p1 == frozenset({(1,)})
+        assert sets.p2 == frozenset({(2,), (3,), (4,)})
+        assert sets.p3 == frozenset({(5,)})
+        assert sets.w == frozenset({(2,)})
+        assert partition.counts()["initial"] == 1
 
 
 class TestSymbolicPartition:
@@ -118,9 +129,10 @@ class TestSymbolicPartition:
         concrete = sym.concrete()
         exact, _ = partition_of(prog)
         # rational approximation: P1 under-approximates, P3 over-approximates
-        assert set(concrete["P1"]) <= set(exact.p1)
-        assert set(concrete["P3"]) >= set(exact.p3)
-        assert set(concrete["space"]) == set(exact.space)
+        exact = oracle.sets(exact)
+        assert set(concrete["P1"]) <= exact.p1
+        assert set(concrete["P3"]) >= exact.p3
+        assert set(concrete["space"]) == exact.space
 
     def test_figure1_containment(self):
         prog = figure1_loop(10, 10)
@@ -128,9 +140,9 @@ class TestSymbolicPartition:
             prog.iteration_space(), symbolic_dependence_relation(prog)
         )
         concrete = sym.concrete()
-        exact, _ = partition_of(prog)
-        assert set(concrete["P1"]) <= set(exact.p1)
-        assert set(concrete["P3"]) >= set(exact.p3)
+        exact = oracle.sets(partition_of(prog)[0])
+        assert set(concrete["P1"]) <= exact.p1
+        assert set(concrete["P3"]) >= exact.p3
 
     def test_parametric_partition_terminates_and_binds(self):
         prog = figure1_loop()  # symbolic N1, N2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.core.strategy import PlanConfig, plan
 from repro.ir.builder import aref, assign, loop, program
 from repro.runtime import execute_sequential, validate_schedule
@@ -44,7 +45,7 @@ class TestSchemeSelection:
         assert result.scheme == "dataflow"
         # dataflow and chain schedules execute the same instances
         chain_result = plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False)
-        assert set(result.schedule.instances()) == set(chain_result.schedule.instances())
+        assert set(oracle.instances(result.schedule)) == set(oracle.instances(chain_result.schedule))
 
 
 class TestScheduleSafety:

@@ -106,7 +106,7 @@ class TestTheorem1:
             bound = result.chain_length_bound()
             assert bound is not None
             assert result.longest_chain() <= bound
-            diameter = iteration_space_diameter(sorted(result.partition.space))
+            diameter = iteration_space_diameter(sorted(oracle.sets(result.partition).space))
             assert theorem1_bound(result.recurrence, diameter) == bound
             assert len(result.chain_lengths()) and (result.chain_lengths() <= bound).all()
 

@@ -1,12 +1,14 @@
 """Tests for repro.core.schedule: the schedule representation and safety checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import oracle
 from repro.core.schedule import Phase, Schedule
 from repro.core.statement import build_statement_space
 from repro.ir.builder import aref, assign, loop, program
-from repro.isl.relations import FiniteRelation
 
 
 def phase(name, *units, labels=("s",)):
@@ -23,6 +25,14 @@ def phase(name, *units, labels=("s",)):
 
 def schedule(name, *phases, labels=("s",)):
     return Schedule.from_phases(name, phases, labels, (1,) * len(labels))
+
+
+def line_space(n):
+    """The statement space of one statement ``s`` over ``I = 1..n``."""
+    prog = program(
+        "line", loop("I", 1, n, assign("s", aref("y", "I"), [])), array_shapes={"y": (n + 1,)}
+    )
+    return build_statement_space(prog, {})
 
 
 def two_phase_schedule():
@@ -51,7 +61,7 @@ class TestStructure:
         assert p.work == 4
         assert p.span == 3
         assert p.unit_lengths().tolist() == [3, 1]
-        assert len(schedule("t", p).phase_instances(p)) == 4
+        assert len(oracle.phase_instances(schedule("t", p), p)) == 4
 
     def test_single_instance_units_normalise_to_none(self):
         """Offsets that give every instance its own unit are stored as
@@ -79,54 +89,82 @@ class TestStructure:
     def test_instances_trim_padding_to_statement_depth(self):
         p = Phase("p", [0, 1], [[1, 0], [1, 2]])
         sched = Schedule.from_phases("t", [p], ("a", "b"), (1, 2))
-        assert sched.instances() == [("a", (1,)), ("b", (1, 2))]
+        assert oracle.instances(sched) == [("a", (1,)), ("b", (1, 2))]
 
 
 class TestCoverage:
     def test_covers(self):
         sched = two_phase_schedule()
-        assert sched.covers([("s", (i,)) for i in (1, 2, 3, 4)])
-        assert not sched.covers([("s", (i,)) for i in (1, 2, 3)])
-        assert not sched.covers([("s", (i,)) for i in (1, 2, 3, 4, 5)])
+        assert sched.covers(line_space(4))
+        assert not sched.covers(line_space(3))  # (4,) is not an instance
+        assert not sched.covers(line_space(5))  # (5,) is never run
 
     def test_duplicate_instance_fails_coverage(self):
         sched = schedule("dup", phase("p", [("s", (1,))], [("s", (1,))]))
-        assert not sched.covers([("s", (1,))])
+        assert not sched.covers(line_space(1))
+        twice = schedule("dup", phase("p", [("s", (1,))]), phase("q", [("s", (1,))]))
+        assert not twice.covers(line_space(1))
 
-    def test_execution_index(self):
-        sched = two_phase_schedule()
-        index = sched.execution_index()
-        assert index[("s", (1,))][0] == 0
-        assert index[("s", (4,))] == (1, 0, 1)
+    def test_foreign_statement_fails_coverage(self):
+        labels = ("s", "t")
+        sched = schedule(
+            "t", phase("p", [("s", (1,))], [("t", (2,))], labels=labels), labels=labels
+        )
+        assert not sched.covers(line_space(2))
+
+    def test_empty_schedule_covers_only_the_empty_space(self):
+        empty = Schedule.from_phases("t", [], ("s",), (1,))
+        assert empty.covers(line_space(0))
+        assert not empty.covers(line_space(1))
 
 
 class TestDependenceSafety:
     def test_respects_cross_phase(self):
         sched = two_phase_schedule()
-        deps = FiniteRelation.from_pairs([((1,), (3,)), ((2,), (4,))])
+        deps = oracle.relation([((1,), (3,)), ((2,), (4,))])
         assert sched.respects(deps)
         assert sched.violations(deps) == []
 
     def test_respects_within_unit_order(self):
         sched = two_phase_schedule()
-        deps = FiniteRelation.from_pairs([((3,), (4,))])
+        deps = oracle.relation([((3,), (4,))])
         assert sched.respects(deps)
 
     def test_violation_within_phase_across_units(self):
         sched = two_phase_schedule()
-        deps = FiniteRelation.from_pairs([((1,), (2,))])
+        deps = oracle.relation([((1,), (2,))])
         assert not sched.respects(deps)
-        assert len(sched.violations(deps)) == 1
+        assert sched.violations(deps) == [(("s", (1,)), ("s", (2,)))]
 
     def test_violation_backwards_phases(self):
         sched = two_phase_schedule()
-        deps = FiniteRelation.from_pairs([((3,), (1,))])
+        deps = oracle.relation([((3,), (1,))])
         assert not sched.respects(deps)
 
     def test_violation_wrong_order_inside_unit(self):
         sched = two_phase_schedule()
-        deps = FiniteRelation.from_pairs([((4,), (3,))])
+        deps = oracle.relation([((4,), (3,))])
         assert not sched.respects(deps)
+
+    def test_violations_match_the_oracle_walk(self):
+        """Every ordered pair of instances (self-pairs too), alone and all
+        together: the positions the codec-key check compares are the
+        oracle's."""
+        sched = two_phase_schedule()
+        every = [((a,), (b,)) for a, b in itertools.product((1, 2, 3, 4), repeat=2)]
+        for deps in [oracle.relation([pair]) for pair in every] + [oracle.relation(every)]:
+            assert sorted(sched.violations(deps)) == sorted(oracle.violations(sched, deps))
+            assert sched.respects(deps) == (not oracle.violations(sched, deps))
+
+    def test_unscheduled_ends_are_left_to_coverage(self):
+        sched = two_phase_schedule()
+        assert sched.respects(oracle.relation([((9,), (1,)), ((4,), (9,))]))
+
+    def test_bare_relation_refused_for_several_statements(self):
+        labels = ("a", "b")
+        sched = schedule("t", phase("p", [("a", (1,))], labels=labels), labels=labels)
+        with pytest.raises(ValueError):
+            sched.respects(oracle.relation([((1,), (2,))]))
 
     def test_key_maps_instances_into_the_relation_space(self):
         """Given the statement space, each instance is keyed by its unified

@@ -20,7 +20,7 @@ class TestUnifiedVectors:
     def test_unified_vectors_are_unique(self):
         prog = example3_loop(6)
         space = build_statement_space(prog, {})
-        assert len(set(space.unified)) == len(space.unified)
+        assert len(oracle.points(space.unified_array)) == len(space)
 
     def test_program_order_is_lexicographic_order(self):
         for prog, params in [
@@ -28,14 +28,14 @@ class TestUnifiedVectors:
             (cholesky_loop(nmat=1, m=2, n=4, nrhs=1), {}),
             (figure1_loop(4, 4), {}),
         ]:
-            space = build_statement_space(prog, params)
-            seq = prog.sequential_iterations(params)
-            assert space.sequential_order_is_lexicographic(seq), prog.name
+            assert oracle.sequential_order_is_lexicographic(prog, params), prog.name
+            view = oracle.space_view(build_statement_space(prog, params))
+            assert list(view.unified) == sorted(view.unified), prog.name
 
     def test_instances_match_sequential_execution(self):
         prog = example3_loop(8)
         space = build_statement_space(prog, {})
-        assert list(space.instances) == [
+        assert list(oracle.space_view(space).instances) == [
             (label, tuple(it)) for label, it in prog.sequential_iterations({})
         ]
 
@@ -49,7 +49,8 @@ class TestUnifiedIndexMap:
         space = build_statement_space(prog, {})
         assert index_map.width == space.width
         assert index_map.positions == dict(space.positions)
-        for (label, iteration), point in zip(space.instances, space.unified):
+        view = oracle.space_view(space)
+        for (label, iteration), point in zip(view.instances, view.unified):
             assert index_map.unify(label, iteration) == point
 
     def test_build_constructs_exactly_one_space(self, monkeypatch):
@@ -88,10 +89,7 @@ class TestArrayPath:
         for prog in (example3_loop(10), cholesky_loop(nmat=1, m=2, n=4, nrhs=1)):
             expected = oracle.statement_space(prog)
             space = build_statement_space(prog, {})
-            assert space.instances == expected.instances
-            assert space.unified == expected.unified
-            assert space.stmt_ids.tolist() == list(expected.stmt_ids)
-            assert space.rd == expected.rd
+            assert oracle.space_view(space) == expected
 
     def test_space_array_rows_are_lex_sorted(self):
         space = build_statement_space(example3_loop(8), {})
@@ -114,14 +112,14 @@ class TestStatementLevelDependences:
         prog = example3_loop(40)
         space = build_statement_space(prog, {})
         assert len(space.rd) > 0
-        for src, dst in space.rd.pairs:
+        for src, dst in oracle.pairs(space.rd):
             assert lex_lt(src, dst)
 
     def test_rd_points_are_instances(self):
         prog = example3_loop(40)
         space = build_statement_space(prog, {})
-        all_points = set(space.unified)
-        for src, dst in space.rd.pairs:
+        all_points = oracle.points(space.unified_array)
+        for src, dst in oracle.pairs(space.rd):
             assert src in all_points and dst in all_points
 
     def test_rd_consistent_with_pair_analysis(self):
@@ -129,8 +127,8 @@ class TestStatementLevelDependences:
         analysis = DependenceAnalysis(prog, {})
         space = build_statement_space(prog, {}, analysis)
         n_pairs = sum(
-            len({(a, b) for a, b in d.relation.pairs if a != b})
-            for d in analysis.nonempty_pair_dependences()
+            len({(a, b) for a, b in oracle.pairs(d.relation) if a != b})
+            for d in analysis.pair_dependences
         )
         # unified pairs may merge duplicates (same pair from both orientations)
         assert 0 < len(space.rd) <= n_pairs

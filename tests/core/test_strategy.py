@@ -75,7 +75,7 @@ def schedule_mismatches(a, b):
     for pa, pb in zip(a.phases, b.phases):
         if pa.name != pb.name:
             problems.append(f"phase name {pa.name!r} != {pb.name!r}")
-        if a.phase_instances(pa) != b.phase_instances(pb):
+        if oracle.phase_instances(a, pa) != oracle.phase_instances(b, pb):
             problems.append(f"instances differ in phase {pa.name!r}")
     return problems
 

@@ -32,7 +32,7 @@ class TestDriver:
         analysis = DependenceAnalysis(figure2_loop(20), {})
         assert analysis.has_single_coupled_pair()
         assert len(analysis.space.rd) == 9
-        assert len(analysis.space.unified) == 20
+        assert len(analysis.space) == 20
 
     def test_example2_single_pair(self):
         analysis = DependenceAnalysis(example2_loop(12), {})
@@ -57,7 +57,8 @@ class TestDriver:
         analysis = DependenceAnalysis(example3_loop(40), {})
         labels = {
             (d.source_label, d.target_label)
-            for d in analysis.nonempty_pair_dependences()
+            for d in analysis.pair_dependences
+            if not d.is_empty()
         }
         assert all({a, b} <= {"s1", "s2"} for a, b in labels)
 
@@ -65,6 +66,7 @@ class TestDriver:
         analysis = DependenceAnalysis(figure1_loop(6, 6), {})
         assert analysis.space.rd is analysis.space.rd
         assert analysis.reference_pairs is analysis.reference_pairs
+        assert analysis.single_coupled_pair() is analysis.single_coupled_pair()
 
 
 class TestSummaryErrorHandling:

@@ -89,10 +89,3 @@ class TestOtherPairs:
         pair = single_pair(prog)
         assert not pair.is_square_full_rank()
         assert pair.recurrence() is None
-
-    def test_output_pair_detection(self):
-        prog = figure1_loop(5, 5)
-        analysis = DependenceAnalysis(prog, {})
-        kinds = {p.is_output_pair() for p in analysis.reference_pairs}
-        # one write/read pair plus the write/write output-dependence pair
-        assert kinds == {False, True}

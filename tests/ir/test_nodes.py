@@ -58,15 +58,13 @@ class TestStatement:
 class TestLoop:
     def test_single_bounds(self):
         l = loop("I", 1, "N")
-        assert l.single_lower == E(1)
-        assert l.single_upper == E("N")
+        assert l.lower == (E(1),)
+        assert l.upper == (E("N"),)
         assert l.is_normalized()
 
     def test_multi_bounds_max_min(self):
         l = loop("I", ["-4", "-J"], [-1, "K"])
         assert len(l.lower) == 2 and len(l.upper) == 2
-        with pytest.raises(ValueError):
-            _ = l.single_lower
         assert l.evaluate_bounds({"J": 2, "K": 5}) == (-2, -1)
         assert l.evaluate_bounds({"J": 10, "K": -3}) == (-4, -3)
 

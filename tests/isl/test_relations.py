@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracle
 from repro.isl.affine import AffineExpr, var
 from repro.isl.convex import Constraint, ConvexSet
-from repro.isl.lexorder import lex_lt
 from repro.isl.relations import (
     ConvexRelation,
     FiniteRelation,
@@ -21,7 +20,7 @@ from repro.isl.sets import UnionSet
 
 
 def rel(pairs):
-    return FiniteRelation.from_pairs(pairs)
+    return oracle.relation(pairs)
 
 
 #: Coordinates near 0, near ±2**40 (boxes that overflow raw int64 keys) and
@@ -48,54 +47,39 @@ def row_sets(draw):
 
 
 class TestFiniteRelationBasics:
-    def test_domain_range(self):
-        r = rel([((1,), (2,)), ((1,), (3,)), ((4,), (5,))])
-        assert r.domain() == {(1,), (4,)}
-        assert r.range() == {(2,), (3,), (5,)}
-        assert r.points() == {(1,), (2,), (3,), (4,), (5,)}
+    def test_len_and_pairs(self):
+        r = rel([((1,), (2,)), ((1,), (3,)), ((4,), (5,)), ((1,), (2,))])
+        assert len(r) == 3
+        assert not r.is_empty()
+        assert oracle.pairs(r) == {((1,), (2,)), ((1,), (3,)), ((4,), (5,))}
 
-    def test_contains_len_iter(self):
-        r = rel([((1,), (2,))])
-        assert ((1,), (2,)) in r
-        assert len(r) == 1
-        assert list(r) == [((1,), (2,))]
-
-    def test_inverse(self):
-        r = rel([((1, 2), (3, 4))])
-        assert r.inverse().pairs == frozenset({((3, 4), (1, 2))})
+    def test_empty(self):
+        r = FiniteRelation.empty(2, 3)
+        assert r.is_empty() and len(r) == 0
+        assert (r.dim_in, r.dim_out) == (2, 3)
+        assert r == FiniteRelation.from_arrays(
+            np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+        )
 
     def test_union(self):
         a = rel([((1,), (2,))])
         b = rel([((2,), (3,))])
         assert len(a.union(b)) == 2
 
-    def test_restrict(self):
-        r = rel([((1,), (2,)), ((3,), (4,))])
-        assert len(r.restrict(domain={(1,)})) == 1
-        assert len(r.restrict(rng={(4,)})) == 1
-        assert len(r.restrict(domain={(1,)}, rng={(4,)})) == 0
-
-    def test_successors_predecessors(self):
-        r = rel([((1,), (2,)), ((1,), (3,)), ((2,), (3,))])
-        assert r.successors((1,)) == [(2,), (3,)]
-        assert r.predecessors((3,)) == [(1,), (2,)]
-        assert r.successor_map()[(1,)] == [(2,), (3,)]
-
-    def test_compose(self):
-        a = rel([((1,), (2,))])
-        b = rel([((2,), (5,)), ((2,), (6,))])
-        assert a.compose(b).pairs == frozenset({((1,), (5,)), ((1,), (6,))})
-
     def test_distances(self):
         r = rel([((1, 1), (3, 3)), ((2, 2), (6, 6))])
         assert r.distances() == {(2, 2), (4, 4)}
+
+    def test_str_lists_pairs_in_order(self):
+        r = rel([((4,), (5,)), ((1,), (2,))])
+        assert str(r) == "{ (1,)->(2,), (4,)->(5,) }"
 
 
 class TestOrientation:
     def test_oriented_forward_drops_self_and_flips(self):
         r = rel([((5,), (2,)), ((3,), (3,)), ((1,), (4,))])
         oriented = r.oriented_forward()
-        assert oriented.pairs == frozenset({((2,), (5,)), ((1,), (4,))})
+        assert oracle.pairs(oriented) == frozenset({((2,), (5,)), ((1,), (4,))})
 
     @given(
         st.lists(
@@ -105,7 +89,7 @@ class TestOrientation:
     @settings(max_examples=40)
     def test_oriented_forward_always_forward(self, raw):
         r = rel([((a,), (b,)) for a, b in raw])
-        for src, dst in r.oriented_forward().pairs:
+        for src, dst in oracle.pairs(r.oriented_forward()):
             assert src < dst
 
 
@@ -191,11 +175,16 @@ class TestArrayBackedRelation:
         src, dst = r.as_arrays()
         assert src.shape == (4, 2) and dst.shape == (4, 2)
         assert FiniteRelation.from_arrays(src, dst) == r
-        # cached: the same objects come back
+        # stored: the same objects come back
         assert r.as_arrays()[0] is src
 
+    def test_arrays_are_read_only(self):
+        src, _ = self.make().as_arrays()
+        with pytest.raises(ValueError):
+            src[0, 0] = 9
+
     def test_as_arrays_empty(self):
-        r = FiniteRelation(frozenset(), 2, 2)
+        r = FiniteRelation.empty(2, 2)
         src, dst = r.as_arrays()
         assert src.shape == (0, 2) and dst.shape == (0, 2)
 
@@ -205,71 +194,54 @@ class TestArrayBackedRelation:
             for k in range(4596)
         ]
         r = rel(raw)
-        expected = set()
-        for a, b in r.pairs:
-            if a == b:
-                continue
-            expected.add((a, b) if lex_lt(a, b) else (b, a))
-        assert r.oriented_forward().pairs == frozenset(expected)
+        assert oracle.pairs(r.oriented_forward()) == oracle.orient_forward(oracle.pairs(r))
 
 
-class TestLazyRelation:
-    """from_arrays defers the frozenset; both representations are equivalent."""
+class TestCanonicalRelation:
+    """from_arrays canonicalises: sorted by (src, dst), duplicates merged."""
 
     def arrays(self):
         src = np.array([[1, 1], [2, 3], [1, 2], [5, 0], [1, 1]], dtype=np.int64)
         dst = np.array([[2, 3], [4, 4], [2, 3], [6, 1], [2, 3]], dtype=np.int64)
         return src, dst  # contains one duplicate pair
 
-    def test_pairs_deferred_until_asked(self):
+    def test_duplicates_merged(self):
         r = FiniteRelation.from_arrays(*self.arrays())
-        assert r._pairs is None  # not materialised by construction
-        assert len(r) == 4  # length known without materialising (deduplicated)
-        assert not r.is_empty()
-        assert r._pairs is None
-        assert ((1, 1), (2, 3)) in r  # a pair query materialises the view
-        assert r._pairs is not None
+        assert len(r) == 4
+        assert ((1, 1), (2, 3)) in oracle.pairs(r)
 
-    def test_equal_to_set_built_relation(self):
+    def test_equal_whatever_the_input_order(self):
         src, dst = self.arrays()
-        lazy = FiniteRelation.from_arrays(src, dst)
-        eager = FiniteRelation.from_pairs(
-            list(zip(map(tuple, src.tolist()), map(tuple, dst.tolist())))
-        )
-        assert lazy == eager
-        assert eager == lazy
-        assert hash(lazy) == hash(eager)
-        assert list(lazy) == list(eager)
-
-    def test_array_built_relations_compare_without_tuples(self):
-        a = FiniteRelation.from_arrays(*self.arrays())
-        b = FiniteRelation.from_arrays(*self.arrays())
-        assert a == b
-        assert a._pairs is None and b._pairs is None  # compared on arrays
+        a = FiniteRelation.from_arrays(src, dst)
+        b = FiniteRelation.from_arrays(src[::-1], dst[::-1])
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert a == oracle.relation(zip(map(tuple, src.tolist()), map(tuple, dst.tolist())))
+        assert a != FiniteRelation.from_arrays(src[:2], dst[:2])
+        assert a != FiniteRelation.empty(2, 2)
+        assert len({a, b}) == 1
 
     def test_canonical_array_order_matches_sorted_pairs(self):
         r = FiniteRelation.from_arrays(*self.arrays())
         src, dst = r.as_arrays()
-        expected = sorted(r.pairs)
+        expected = sorted(oracle.pairs(r))
         assert [tuple(p) for p in src.tolist()] == [a for a, _ in expected]
         assert [tuple(p) for p in dst.tolist()] == [b for _, b in expected]
 
     def test_union_on_arrays_matches_set_union(self):
         r1 = FiniteRelation.from_arrays(*self.arrays())
-        r2 = FiniteRelation.from_pairs([((9, 9), (10, 10)), ((1, 1), (2, 3))])
+        r2 = rel([((9, 9), (10, 10)), ((1, 1), (2, 3))])
         merged = r1.union(r2)
-        assert merged.pairs == r1.pairs | r2.pairs
-        empty = FiniteRelation(frozenset(), 2, 2)
+        assert oracle.pairs(merged) == oracle.pairs(r1) | oracle.pairs(r2)
+        empty = FiniteRelation.empty(2, 2)
         assert r1.union(empty) == r1
         assert empty.union(r1) == r1
 
-    def test_oriented_forward_stays_on_arrays(self):
+    def test_oriented_forward(self):
         src = np.array([[3, 3], [1, 1], [2, 2]], dtype=np.int64)
         dst = np.array([[1, 1], [1, 1], [4, 4]], dtype=np.int64)
-        r = FiniteRelation.from_arrays(src, dst)
-        fwd = r.oriented_forward()
-        assert fwd._pairs is None  # array in, array out
-        assert fwd.pairs == frozenset({((1, 1), (3, 3)), ((2, 2), (4, 4))})
+        fwd = FiniteRelation.from_arrays(src, dst).oriented_forward()
+        assert oracle.pairs(fwd) == frozenset({((1, 1), (3, 3)), ((2, 2), (4, 4))})
 
     def test_distances_on_arrays(self):
         r = FiniteRelation.from_arrays(*self.arrays())
@@ -279,16 +251,14 @@ class TestLazyRelation:
         src = np.zeros((3, 0), dtype=np.int64)
         dst = np.zeros((3, 0), dtype=np.int64)
         r = FiniteRelation.from_arrays(src, dst)
-        assert r.pairs == frozenset({((), ())})
+        assert oracle.pairs(r) == frozenset({((), ())})
         assert (r.dim_in, r.dim_out) == (0, 0)
 
     def test_heterogeneous_dims(self):
         src = np.array([[1], [2]], dtype=np.int64)
         dst = np.array([[5, 6], [7, 8]], dtype=np.int64)
         r = FiniteRelation.from_arrays(src, dst)
-        assert r._pairs is None
-        assert r.pairs == frozenset({((1,), (5, 6)), ((2,), (7, 8))})
-        assert r.inverse().pairs == frozenset({((5, 6), (1,)), ((7, 8), (2,))})
+        assert oracle.pairs(r) == frozenset({((1,), (5, 6)), ((2,), (7, 8))})
 
 
 class TestConvexRelation:
@@ -370,4 +340,4 @@ class TestUnionRelation:
         u = self.make_union()
         restricted = u.intersect_domain(UnionSet.from_convex(ConvexSet.from_box(["i"], [(1, 1)])))
         fr = oracle.enumerate_union_pairs(restricted)
-        assert set(fr.domain()) == {(1,)}
+        assert {a for a, _ in oracle.pairs(fr)} == {(1,)}

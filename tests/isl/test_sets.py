@@ -86,11 +86,6 @@ class TestAlgebra:
         universe = UnionSet.universe(["i"])
         assert a.subtract(universe).count() == 0
 
-    def test_intersect_convex(self):
-        a = UnionSet.from_convex(box(["i"], [(1, 10)]))
-        out = a.intersect_convex(box(["i"], [(5, 20)]))
-        assert points_of(out) == {(i,) for i in range(5, 11)}
-
     @given(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
         st.tuples(st.integers(0, 5), st.integers(0, 5)),

@@ -12,6 +12,12 @@ integer rows of ``repro.isl`` replaced, as the reference for those, and the
 ``Fraction`` evaluator of subscripts and loop bounds that the IR's integer
 rows replaced.
 
+The oracle is also the one place that reads the planner's arrays as Python
+tuples: :func:`pairs`, :func:`points`, :func:`sets`, :func:`wavefront_sets`,
+:func:`instances` and :func:`space_view` box relations, partitions,
+schedules and spaces for set comparisons, and :func:`violations` is the
+per-instance walk that ``Schedule.violations`` does on codec keys.
+
 ``tests/conftest.py`` puts this directory on ``sys.path``; the benchmarks
 import it the same way (``benchmarks/conftest.py``).
 """
@@ -37,6 +43,35 @@ Point = Tuple[int, ...]
 Instance = Tuple[str, Point]
 
 
+# ---------------------------------------------------------------------------
+# tuple views of the planner's arrays
+# ---------------------------------------------------------------------------
+
+
+def points(rows) -> FrozenSet[Point]:
+    """The rows of an ``(n, dim)`` array as a set of point tuples."""
+    return frozenset(map(tuple, np.asarray(rows).tolist()))
+
+
+def pairs(relation: FiniteRelation) -> FrozenSet[Tuple[Point, Point]]:
+    """A relation's pairs as a set of ``(src, dst)`` point tuples."""
+    src, dst = relation.as_arrays()
+    return frozenset(zip(map(tuple, src.tolist()), map(tuple, dst.tolist())))
+
+
+def relation(
+    pair_set, dim_in: Optional[int] = None, dim_out: Optional[int] = None
+) -> FiniteRelation:
+    """A relation from ``(src, dst)`` point tuples; the dimensions default
+    to the first pair's (an empty relation needs them given)."""
+    pair_list = [(tuple(a), tuple(b)) for a, b in pair_set]
+    if pair_list:
+        dim_in, dim_out = len(pair_list[0][0]), len(pair_list[0][1])
+    src = np.array([a for a, _ in pair_list], dtype=np.int64).reshape(len(pair_list), dim_in)
+    dst = np.array([b for _, b in pair_list], dtype=np.int64).reshape(len(pair_list), dim_out)
+    return FiniteRelation.from_arrays(src, dst)
+
+
 def pair_dependences(pair, params, parameters=(), include_self=False) -> FiniteRelation:
     """Exact dependences of one reference pair: a dict join on address tuples."""
     src_points = enumerate_domain(pair.source_ctx, params, parameters)
@@ -47,19 +82,19 @@ def pair_dependences(pair, params, parameters=(), include_self=False) -> FiniteR
         for point, addr in zip(src_points.tolist(), src_addr.tolist()):
             table.setdefault(tuple(addr), []).append(tuple(point))
     same_statement = pair.source_ctx.statement.label == pair.target_ctx.statement.label
-    pairs = set()
+    found = set()
     if len(dst_points):
         dst_addr = reference_addresses(pair.target_ref, pair.target_indices, dst_points)
         for point, addr in zip(dst_points.tolist(), dst_addr.tolist()):
             for src in table.get(tuple(addr), ()):
                 if include_self or not same_statement or src != tuple(point):
-                    pairs.add((src, tuple(point)))
-    return FiniteRelation(frozenset(pairs), src_points.shape[1], dst_points.shape[1])
+                    found.add((src, tuple(point)))
+    return relation(found, src_points.shape[1], dst_points.shape[1])
 
 
-def orient_forward(pairs) -> FrozenSet[Tuple[Point, Point]]:
+def orient_forward(pair_set) -> FrozenSet[Tuple[Point, Point]]:
     """Each pair with the lexicographically earlier point first; self-pairs dropped."""
-    return frozenset((a, b) if lex_lt(a, b) else (b, a) for a, b in pairs if a != b)
+    return frozenset((a, b) if lex_lt(a, b) else (b, a) for a, b in pair_set if a != b)
 
 
 def space_points(program, params=None) -> List[Point]:
@@ -79,24 +114,48 @@ class ThreeSets(NamedTuple):
 def three_sets(space, rd: FiniteRelation) -> ThreeSets:
     """Eq. 5 by set algebra over point tuples."""
     phi = frozenset(tuple(p) for p in space)
-    relation = frozenset((a, b) for a, b in rd.pairs if a in phi and b in phi)
-    dom = {a for a, _ in relation}
-    ran = {b for _, b in relation}
+    kept = frozenset((a, b) for a, b in pairs(rd) if a in phi and b in phi)
+    dom = {a for a, _ in kept}
+    ran = {b for _, b in kept}
     p1 = frozenset(p for p in phi if p not in ran)
     p2 = frozenset(ran & dom)
     p3 = frozenset(ran - dom)
-    w = frozenset(b for a, b in relation if a in p1 and b in p2)
-    restricted = FiniteRelation(relation, rd.dim_in, rd.dim_out)
-    return ThreeSets(phi, restricted, p1, p2, p3, w)
+    w = frozenset(b for a, b in kept if a in p1 and b in p2)
+    return ThreeSets(phi, relation(kept, rd.dim_in, rd.dim_out), p1, p2, p3, w)
+
+
+def sets(partition) -> ThreeSets:
+    """A :class:`~repro.core.partition.ThreeSetPartition`'s rows as the
+    point sets :func:`three_sets` returns (a :class:`ThreeSets` passes
+    through)."""
+    if isinstance(partition, ThreeSets):
+        return partition
+    return ThreeSets(
+        points(partition.space_array()),
+        partition.rd,
+        points(partition.p1_array()),
+        points(partition.p2_array()),
+        points(partition.p3_array()),
+        points(partition.w_array()),
+    )
+
+
+def is_complete(partition) -> bool:
+    """P1 ⊎ P2 ⊎ P3 == Φ with pairwise-disjoint parts."""
+    parts = sets(partition)
+    union = parts.p1 | parts.p2 | parts.p3
+    disjoint = len(parts.p1) + len(parts.p2) + len(parts.p3) == len(union)
+    return disjoint and union == parts.space
 
 
 def respects_phase_order(partition) -> bool:
     """No dependence of a three-set partition goes against the P1 → P2 → P3
     order, and none is internal to P1 or to P3."""
+    partition = sets(partition)
     rank = {p: 0 for p in partition.p1}
     rank.update((p, 1) for p in partition.p2)
     rank.update((p, 2) for p in partition.p3)
-    for src, dst in partition.rd.pairs:
+    for src, dst in pairs(partition.rd):
         rs, rd_ = rank.get(src), rank.get(dst)
         if rs is None or rd_ is None or rs > rd_ or (rs == rd_ and rs != 1):
             return False
@@ -106,34 +165,59 @@ def respects_phase_order(partition) -> bool:
 def wavefronts(space, rd: FiniteRelation, max_steps: Optional[int] = None):
     """The literal while-loop: peel ``P1 = Φ \\ ran Rd`` until Φ is empty."""
     remaining = {tuple(p) for p in space}
-    relation = {(a, b) for a, b in rd.pairs if a in remaining and b in remaining}
+    live = {(a, b) for a, b in pairs(rd) if a in remaining and b in remaining}
     waves: List[FrozenSet[Point]] = []
     while remaining:
         if max_steps is not None and len(waves) >= max_steps:
             raise RuntimeError("dataflow partitioning did not terminate")
-        ran = {b for _, b in relation}
+        ran = {b for _, b in live}
         front = frozenset(p for p in remaining if p not in ran)
         if not front:
             raise RuntimeError("dataflow partitioning stalled")
         waves.append(front)
         remaining -= front
-        relation = {(a, b) for a, b in relation if a in remaining and b in remaining}
+        live = {(a, b) for a, b in live if a in remaining and b in remaining}
     return tuple(waves)
 
 
-def enumerate_union_pairs(relation, params=None) -> FiniteRelation:
+def wavefront_sets(partition) -> Tuple[FrozenSet[Point], ...]:
+    """A :class:`~repro.core.dataflow.DataflowPartition`'s levels as the
+    point sets :func:`wavefronts` returns."""
+    offsets, rows = partition.level_arrays()
+    bounds = offsets.tolist()
+    return tuple(points(rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def wavefronts_complete(partition, space) -> bool:
+    """Every point of ``space`` lies in exactly one wavefront of a dataflow
+    partition, and no other point does."""
+    waves = wavefront_sets(partition)
+    union = frozenset().union(*waves)
+    return sum(map(len, waves)) == len(union) and union == points(space)
+
+
+def wavefronts_respect(partition) -> bool:
+    """Every pair of a dataflow partition's Rd goes from an earlier
+    wavefront to a strictly later one."""
+    level = {p: k for k, wave in enumerate(wavefront_sets(partition)) for p in wave}
+    return all(
+        a in level and b in level and level[a] < level[b] for a, b in pairs(partition.rd)
+    )
+
+
+def enumerate_union_pairs(union, params=None) -> FiniteRelation:
     """A bounded symbolic :class:`~repro.isl.relations.UnionRelation` as
     explicit pairs: every integer point of every piece's graph."""
-    pairs = set()
-    for piece in relation.pieces:
+    found = set()
+    for piece in union.pieces:
         graph = piece.graph if params is None else piece.graph.bind_parameters(params)
         positions = {name: k for k, name in enumerate(graph.variables)}
         for point in enumerate_convex(graph):
-            pairs.add((
+            found.add((
                 tuple(point[positions[name]] for name in piece.in_vars),
                 tuple(point[positions[name]] for name in piece.out_vars),
             ))
-    return FiniteRelation(frozenset(pairs), len(relation.in_vars), len(relation.out_vars))
+    return relation(found, len(union.in_vars), len(union.out_vars))
 
 
 class StatementSpace(NamedTuple):
@@ -152,16 +236,27 @@ def statement_space(program, params=None) -> StatementSpace:
         (label, tuple(it)) for label, it in program.sequential_iterations(params)
     )
     unified = tuple(index_map.unify(label, it) for label, it in instances)
-    pairs = set()
+    found = set()
     for pair in DependenceAnalysis(program, params).reference_pairs:
         rel = pair_dependences(pair, params, program.parameters)
         src_label = pair.source_ctx.statement.label
         dst_label = pair.target_ctx.statement.label
-        for a, b in rel.pairs:
-            pairs.add((index_map.unify(src_label, a), index_map.unify(dst_label, b)))
-    rd = FiniteRelation(orient_forward(pairs), index_map.width, index_map.width)
+        for a, b in pairs(rel):
+            found.add((index_map.unify(src_label, a), index_map.unify(dst_label, b)))
+    rd = relation(orient_forward(found), index_map.width, index_map.width)
     stmt_ids = tuple(labels.index(label) for label, _ in instances)
     return StatementSpace(instances, unified, stmt_ids, rd)
+
+
+def sequential_order_is_lexicographic(program, params=None) -> bool:
+    """The §3.3 invariant: the unified vectors of the program's instances,
+    in sequential order, rise strictly lexicographically."""
+    index_map = UnifiedIndexMap.from_program(program)
+    seq = [
+        index_map.unify(label, it)
+        for label, it in program.sequential_iterations(dict(params or {}))
+    ]
+    return all(lex_lt(a, b) for a, b in zip(seq, seq[1:]))
 
 
 def dataflow_phases(program, params=None) -> List[Tuple[str, List[Instance]]]:
@@ -196,13 +291,90 @@ def unit_schedule(program, params=None) -> Schedule:
 
 def schedule_phases(schedule) -> List[Tuple[str, List[Instance]]]:
     """A planned schedule in the shape :func:`dataflow_phases` returns."""
-    return [(phase.name, schedule.phase_instances(phase)) for phase in schedule.phases]
+    return [(phase.name, phase_instances(schedule, phase)) for phase in schedule.phases]
+
+
+def phase_instances(schedule, phase) -> List[Instance]:
+    """One phase's instances as ``(label, iteration)``, in unit order."""
+    lowered = phase.lower()
+    labels, depths = schedule.labels, schedule.depths
+    return [
+        (labels[sid], tuple(row[: depths[sid]]))
+        for sid, row in zip(lowered.stmt_ids.tolist(), lowered.iters.tolist())
+    ]
+
+
+def instances(schedule) -> List[Instance]:
+    """Every scheduled instance, phase by phase."""
+    return [inst for phase in schedule.phases for inst in phase_instances(schedule, phase)]
+
+
+def covers(schedule, expected) -> bool:
+    """The schedule executes exactly the ``expected`` instances, once each."""
+    mine = instances(schedule)
+    return len(mine) == len(set(mine)) and set(mine) == set(expected)
+
+
+def execution_index(schedule) -> Dict[Instance, Tuple[int, int, int]]:
+    """Map instance -> (phase number, unit number, position inside unit)."""
+    out: Dict[Instance, Tuple[int, int, int]] = {}
+    for pi, phase in enumerate(schedule.phases):
+        lens = phase.lower().unit_lengths()
+        unit = np.repeat(np.arange(len(lens)), lens)
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        position = np.arange(len(unit)) - starts
+        for inst, u, k in zip(
+            phase_instances(schedule, phase), unit.tolist(), position.tolist()
+        ):
+            out[inst] = (pi, u, k)
+    return out
+
+
+def violations(schedule, dependences) -> List[Tuple[Instance, Instance]]:
+    """The dependence pairs a schedule breaks, instance by instance: a pair
+    is honoured when its source runs in an earlier phase, or earlier in the
+    same unit.  ``dependences`` is a statement-level space or, for a
+    one-statement schedule, a bare relation over iteration vectors."""
+    if isinstance(dependences, FiniteRelation):
+        if len(schedule.labels) > 1:
+            raise ValueError("a bare relation needs a one-statement schedule")
+        rd, key = dependences, lambda label, it: it
+    else:
+        rd, key = dependences.rd, dependences.index_map.unify
+    index = execution_index(schedule)
+    by_point: Dict[Point, List[Instance]] = {}
+    for inst in index:
+        by_point.setdefault(key(*inst), []).append(inst)
+    out = []
+    for src, dst in pairs(rd):
+        for si in by_point.get(tuple(src), ()):
+            ps, us, ks = index[si]
+            for di in by_point.get(tuple(dst), ()):
+                pd, ud, kd = index[di]
+                if ps < pd or (ps == pd and us == ud and ks < kd):
+                    continue
+                out.append((si, di))
+    return out
+
+
+def space_view(space) -> StatementSpace:
+    """An array :class:`~repro.core.statement.StatementLevelSpace` as the
+    tuples :func:`statement_space` returns."""
+    labels, depths = space.stmt_labels, space.stmt_depths
+    iters = space.index_map.iteration_columns(space.unified_array)
+    ids = tuple(space.stmt_ids.tolist())
+    return StatementSpace(
+        tuple((labels[sid], tuple(row[: depths[sid]])) for sid, row in zip(ids, iters.tolist())),
+        tuple(map(tuple, space.unified_array.tolist())),
+        ids,
+        space.rd,
+    )
 
 
 def is_uniform(relation: FiniteRelation, points) -> bool:
     """§2's definition, point by point: every placement of every distance is a pair."""
     points = {tuple(p) for p in points}
-    pair_set = set(relation.pairs)
+    pair_set = pairs(relation)
     for d in relation.distances():
         for p in points:
             q = tuple(x + y for x, y in zip(p, d))
@@ -264,6 +436,7 @@ def recurrence_chains(partition, recurrence) -> List[Tuple[Point, ...]]:
     forward direction may instantiate either reference).  Both qualifying
     would break Lemma 1's precondition, and raises :class:`ValueError`.
     """
+    partition = sets(partition)
     p2 = set(partition.p2)
     directions = (recurrence, recurrence.inverse())
 
@@ -298,10 +471,11 @@ def chain_units(phase) -> List[Tuple[Point, ...]]:
 def chains_by_dict_walk(partition) -> List[Tuple[Point, ...]]:
     """The greedy P2 chain walk over dict successor maps: from every head
     (no predecessor inside P2), then from every point no walk reached."""
+    partition = sets(partition)
     p2 = set(partition.p2)
     succ: Dict[Point, List[Point]] = {}
     has_pred = set()
-    for a, b in partition.rd.pairs:
+    for a, b in pairs(partition.rd):
         if a in p2 and b in p2:
             succ.setdefault(a, []).append(b)
             has_pred.add(b)

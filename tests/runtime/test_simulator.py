@@ -89,12 +89,6 @@ class TestSimulation:
         res = simulate_schedule(sched, 1, cm, sequential_work=80)
         assert res.speedup == pytest.approx(2.0)
 
-    def test_efficiency_and_utilization(self):
-        cm = CostModel(barrier_cost=0, unit_overhead=0, phase_start_overhead=0)
-        res = simulate_schedule(uniform_schedule(units=4, work_per_unit=10), 4, cm)
-        assert res.efficiency == pytest.approx(1.0)
-        assert res.utilization == pytest.approx(1.0)
-
     @given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_speedup_never_exceeds_processors_without_cost_factor(self, p, units, work):
