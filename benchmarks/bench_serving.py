@@ -20,10 +20,17 @@ profile a plan-serving daemon exists for.
 latency of an injected pool next to ``serial`` on the three programs the
 perfbench ``serve-tcp`` workload runs on process pools.
 
+``test_client_store_latency_tracks_the_footprint`` gates the wire's
+footprint stores: over the small corpus on ``compiled``, with a client
+store, the four programs whose 280×280 array holds 627 KB must be served
+within 1.5× the latency of the other fourteen (p50 against p50), since
+only the cells their 64 instances read and write travel.
+
 Rows are appended to ``BENCH_scale.json`` via the run_id-keyed trajectory
 recorder shared with ``bench_scale_partition.py``.
 """
 
+import json
 import threading
 import time
 
@@ -31,11 +38,11 @@ import numpy as np
 import pytest
 
 from repro.core.strategy import plan
-from repro.runtime import execute, execute_sequential
+from repro.runtime import execute, execute_sequential, make_store
 from repro.runtime.backends import ExecConfig
 from repro.runtime.process import process_unavailable_reason
-from repro.serving import PlanServer
-from repro.serving.transport import TransportClient, TransportServer
+from repro.serving import PlanRequest, PlanServer
+from repro.serving.transport import TransportClient, TransportServer, wire
 from repro.workloads.corpus import selection_corpus
 
 from bench_scale_partition import record_bench
@@ -177,6 +184,7 @@ def test_wire_path_throughput_and_overhead(report):
     ref = execute_sequential(prog, params)
 
     latencies = []
+    queue_waits = []
     windows = []
     failures = []
     lock = threading.Lock()
@@ -197,12 +205,13 @@ def test_wire_path_throughput_and_overhead(report):
             try:
                 with TransportClient(host, port, rng_seed=seed) as c:
                     c.request(prog, params=params, timeout=120)  # conn warm-up
-                    mine = []
+                    mine, waits = [], []
                     start = time.perf_counter()
                     for _ in range(REQUESTS_PER_CLIENT):
                         t0 = time.perf_counter()
                         resp = c.request(prog, params=params, timeout=120)
                         mine.append(time.perf_counter() - t0)
+                        waits.append(resp.timings["queue_s"])
                         if not all(
                             np.array_equal(ref[k], resp.result.store[k])
                             for k in ref
@@ -211,6 +220,7 @@ def test_wire_path_throughput_and_overhead(report):
                     end = time.perf_counter()
                 with lock:
                     latencies.extend(mine)
+                    queue_waits.extend(waits)
                     windows.append((start, end))
             except Exception as exc:  # noqa: BLE001 - surfaced via assert
                 failures.append(f"client {seed}: {exc!r}")
@@ -223,11 +233,16 @@ def test_wire_path_throughput_and_overhead(report):
             t.start()
         for t in threads:
             t.join(600)
+        with TransportClient(host, port) as c:
+            request_bytes, response_bytes = _frame_bytes(
+                c, PlanRequest(program=prog, params=params))
 
     assert not failures, failures
     assert len(latencies) == CLIENTS * REQUESTS_PER_CLIENT
     wall = max(e for _, e in windows) - min(s for s, _ in windows)
     p50, p99 = np.percentile(latencies, [50, 99])
+    # Admission wait is the other clients' work, not the wire's.
+    unqueued_p50 = np.percentile(np.subtract(latencies, queue_waits), 50)
     rows = [
         {
             "workload": entry.name if hasattr(entry, "name") else entry.family,
@@ -239,7 +254,10 @@ def test_wire_path_throughput_and_overhead(report):
             "p50_ms": round(p50 * 1e3, 2),
             "p99_ms": round(p99 * 1e3, 2),
             "t_warm_local_ms": round(t_local * 1e3, 2),
-            "wire_overhead_ms": round((p50 - t_local) * 1e3, 2),
+            "queue_p50_ms": round(float(np.percentile(queue_waits, 50)) * 1e3, 2),
+            "wire_overhead_ms": round((unqueued_p50 - t_local) * 1e3, 2),
+            "request_bytes": request_bytes,
+            "response_bytes": response_bytes,
         }
     ]
     report(
@@ -248,3 +266,107 @@ def test_wire_path_throughput_and_overhead(report):
         rows,
     )
     record_bench("serving_wire", rows)
+
+
+def _frame_bytes(client, request):
+    """``(request, response)`` frame bytes of one request, as sent and as
+    received (prelude + header + payloads), counted around the wire codec
+    while ``client`` serves it."""
+    sizes = {}
+
+    def size(header, bodies):
+        return wire._PRELUDE.size + len(json.dumps(header, separators=(",", ":"))) + sum(
+            len(b) for b in bodies)
+
+    encode, decode = wire.request_frame, wire.decode_response
+
+    def counted_encode(req):
+        header, bodies = encode(req)
+        sizes["request"] = size(header, bodies)
+        return header, bodies
+
+    def counted_decode(header, payloads):
+        sizes["response"] = size(header, payloads)
+        return decode(header, payloads)
+
+    wire.request_frame, wire.decode_response = counted_encode, counted_decode
+    try:
+        client.submit(request).result(120)
+    finally:
+        wire.request_frame, wire.decode_response = encode, decode
+    return sizes["request"], sizes["response"]
+
+
+#: Served requests per program in the client-store row, and the gate.
+CLIENT_STORE_REQUESTS = 40
+FOOTPRINT_LATENCY_RATIO = 1.5
+
+
+def test_client_store_latency_tracks_the_footprint(report):
+    """p50 latency of a request carrying its own store, on ``compiled``:
+    the four 627 KB-store programs against the other fourteen.  Every
+    served store is checked against ``execute_sequential`` (off the clock);
+    the bytes per warm operation are recorded next to the latencies."""
+    entries = selection_corpus(size="small")
+    compiled = ExecConfig(backend="compiled")
+    initial = {e.name: make_store(e.program, fill="random", seed=i)
+               for i, e in enumerate(entries)}
+    big = {e.name for e in entries
+           if sum(a.nbytes for a in initial[e.name].values()) > 100_000}
+    refs = {e.name: execute_sequential(
+        e.program, e.params, store={k: v.copy() for k, v in initial[e.name].items()})
+        for e in entries}
+    samples = {e.name: [] for e in entries}
+    frames = {}
+
+    def fresh(e):
+        return {k: v.copy() for k, v in initial[e.name].items()}
+
+    with TransportServer(default_exec=compiled) as ts:
+        with TransportClient(*ts.address) as client:
+            for e in entries:  # warm: plan, kernel, read set
+                client.request(e.program, e.params, store=fresh(e), timeout=120)
+                frames[e.name] = _frame_bytes(client, PlanRequest(
+                    program=e.program, params=e.params, store=fresh(e)))
+            for _ in range(CLIENT_STORE_REQUESTS):
+                for e in entries:  # interleaved, so both groups share the noise
+                    store = fresh(e)
+                    t0 = time.perf_counter()
+                    client.request(e.program, e.params, store=store, timeout=120)
+                    samples[e.name].append(time.perf_counter() - t0)
+                    ref = refs[e.name]
+                    assert all(np.array_equal(ref[k], store[k]) for k in ref), e.name
+
+    def group(names):
+        times = [t for n in names for t in samples[n]]
+        return (float(np.median(times)) * 1e3,
+                float(np.mean([frames[n][0] for n in names])),
+                float(np.mean([frames[n][1] for n in names])))
+
+    small = [e.name for e in entries if e.name not in big]
+    (big_ms, big_req, big_resp), (small_ms, small_req, small_resp) = (
+        group(sorted(big)), group(small))
+    ratio = big_ms / small_ms
+    rows = [
+        {
+            "backend": "compiled",
+            "store": "client",
+            "programs_627kb": len(big),
+            "programs_small": len(small),
+            "requests_per_program": CLIENT_STORE_REQUESTS,
+            "p50_627kb_ms": round(big_ms, 3),
+            "p50_small_ms": round(small_ms, 3),
+            "ratio": round(ratio, 2),
+            "request_bytes_627kb": round(big_req),
+            "response_bytes_627kb": round(big_resp),
+            "request_bytes_small": round(small_req),
+            "response_bytes_small": round(small_resp),
+        }
+    ]
+    report("Client-store requests over TCP: 627 KB stores vs the rest (p50)", rows)
+    record_bench("serving_client_store", rows)
+    assert len(big) == 4
+    assert ratio <= FOOTPRINT_LATENCY_RATIO, (
+        f"627 KB-store programs served at {big_ms:.2f} ms p50, {ratio:.2f}x the "
+        f"{small_ms:.2f} ms of the others (gate {FOOTPRINT_LATENCY_RATIO}x)"
+    )

@@ -14,6 +14,10 @@ every client thread its own :class:`~repro.serving.transport.TransportClient`
 socket; ``--tcp HOST:PORT`` connects to an already-running transport server
 elsewhere.
 
+Every other request carries the client's own seeded random store, which
+the server writes into in place (over TCP: only the cells the run wrote
+travel back, and later requests send only the cells it reads).
+
 The script doubles as the CI serving smoke check (both modes): it validates
 every served result against the sequential reference, snapshots
 ``/dev/shm`` before and after, and exits non-zero on any mismatch or leaked
@@ -28,7 +32,7 @@ import threading
 
 import numpy as np
 
-from repro.runtime import execute_sequential
+from repro.runtime import execute_sequential, make_store
 from repro.runtime.backends import ExecConfig
 from repro.runtime.process import process_unavailable_reason
 from repro.serving import PlanServer
@@ -102,10 +106,21 @@ def main() -> int:
             endpoint = submit[worker_id]
             for i in range(args.requests):
                 which = (worker_id + i) % len(programs)
-                response = endpoint.request(programs[which], timeout=120)
+                store = None
                 ref = references[which]
+                if i % 2:  # the client's own store, written in place
+                    store = make_store(programs[which], fill="random",
+                                       seed=1000 * worker_id + i)
+                    ref = execute_sequential(
+                        programs[which], {},
+                        store={k: v.copy() for k, v in store.items()},
+                    )
+                response = endpoint.request(programs[which], store=store, timeout=120)
                 for name in ref:
-                    if not np.array_equal(ref[name], response.result.store[name]):
+                    served = response.result.store[name]
+                    if not np.array_equal(ref[name], served) or (
+                        store is not None and served is not store[name]
+                    ):
                         failures.append(
                             f"client {worker_id} request {i}: {name!r} diverged"
                         )

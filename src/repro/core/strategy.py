@@ -523,6 +523,10 @@ class Plan:
     fingerprint: str = ""
     rec_result: Optional[RecurrencePartitionResult] = None
     selection: Optional[SelectionReport] = None
+    #: The wire transport's read and write sets of the schedule's arrays,
+    #: for the last array shapes it served
+    #: (:mod:`repro.serving.transport.footprint`), freed with the plan.
+    footprints: Dict[object, object] = field(default_factory=dict, repr=False)
 
     # -- structural views -------------------------------------------------------
 
@@ -692,7 +696,14 @@ def program_fingerprint(program: LoopProgram) -> str:
     because a cached entry keeps its program — and hence its semantics
     objects — alive, so equal ids imply the same live callable; it also
     makes fingerprints process-local, which is exactly the cache's scope.
+
+    The digest is cached on the (immutable) program object, so a plan
+    server re-planning one interned program hashes it once.  The cache
+    never leaves the process: :class:`LoopProgram` drops it when pickled.
     """
+    cached = program.__dict__.get("_fingerprint")
+    if cached is not None:
+        return cached
     digest = hashlib.sha256()
     digest.update(program.name.encode())
     digest.update(str(program).encode())
@@ -701,7 +712,9 @@ def program_fingerprint(program: LoopProgram) -> str:
     for stmt in program.statements():
         marker = "default" if stmt.semantics is None else f"sem@{id(stmt.semantics)}"
         digest.update(f"{stmt.label}:{marker};".encode())
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    object.__setattr__(program, "_fingerprint", fingerprint)
+    return fingerprint
 
 
 CacheKey = Tuple[str, Tuple[Tuple[str, int], ...], PlanConfig]
@@ -774,6 +787,11 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def plans(self) -> List[Plan]:
+        """A snapshot of the cached plans, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

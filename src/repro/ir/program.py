@@ -65,6 +65,13 @@ class LoopProgram:
     parameters: Tuple[str, ...] = ()
     array_shapes: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
 
+    def __getstate__(self):
+        # The fingerprint cached by core.strategy.program_fingerprint folds
+        # in the ids of semantics callables: valid in this process only.
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
+
     # -- traversal -------------------------------------------------------------
 
     def statements(self) -> List[Statement]:

@@ -42,6 +42,15 @@ class PlanRequest:
     ``exec_config`` picks the backend/worker count — both default to the
     library defaults, and for the ``process`` backend the server swaps in its
     persistent worker pool instead of forking a fresh one.
+
+    Two fields serve the wire transport's footprint stores
+    (:mod:`repro.serving.transport.footprint`) and stay unset in process.
+    ``footprint=True`` says the client keeps its own store: the response
+    names the cells the run wrote (:attr:`PlanResponse.writes`), so only
+    those travel back.  ``reads`` says ``store`` holds only these flat
+    indices per array (zero elsewhere), the read set the client cached from
+    an earlier response; the server refuses the request unless it is the
+    plan's own.
     """
 
     program: LoopProgram
@@ -50,6 +59,8 @@ class PlanRequest:
     exec_config: Optional[ExecConfig] = None
     store: Optional[Dict[str, np.ndarray]] = None
     request_id: str = field(default_factory=_new_request_id)
+    footprint: bool = False
+    reads: Optional[Dict[str, np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,17 @@ class PlanResponse:
     the warm paths fired; ``batch_size`` is how many requests the admission
     queue drained into the same serving batch (barrier amortisation is
     observable, not just claimed).  ``timings`` has ``plan_s`` /
-    ``execute_s`` / ``total_s`` wall-clock seconds.
+    ``execute_s`` / ``total_s`` wall-clock seconds, and ``queue_s``, the
+    admission wait from the end of ``submit`` to the start of planning.
+
+    ``writes`` and ``reads`` answer a ``footprint`` request whose plan
+    touches fewer cells than its arrays hold: the sorted flat indices each
+    array's cells were written at, and (when the request carried its whole
+    store) read at.  The wire then ships only the written cells, and a
+    response decoded from such a frame holds, in ``result.store``, each
+    array's written values in that order, until the
+    :class:`~repro.serving.transport.TransportClient` writes them into the
+    request's own arrays.
     """
 
     request_id: str
@@ -75,3 +96,5 @@ class PlanResponse:
     pool_reused: bool
     batch_size: int
     timings: Dict[str, float] = field(default_factory=dict)
+    writes: Optional[Dict[str, np.ndarray]] = None
+    reads: Optional[Dict[str, np.ndarray]] = None

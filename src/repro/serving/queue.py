@@ -28,6 +28,7 @@ waiting ticket gets a :class:`ServerClosed`.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
@@ -53,6 +54,8 @@ class Ticket:
 
     def __init__(self, request: PlanRequest):
         self.request = request
+        #: ``perf_counter()`` when the queue admitted the request.
+        self.admitted_at: Optional[float] = None
         self._done = threading.Event()
         self._response: Optional[PlanResponse] = None
         self._error: Optional[BaseException] = None
@@ -199,6 +202,7 @@ class AdmissionQueue:
                         capacity=self.max_pending,
                     )
                 self._space.wait()
+            ticket.admitted_at = time.perf_counter()
             self._pending.append(ticket)
             self._admitted += 1
             self._high_water = max(self._high_water, len(self._pending))

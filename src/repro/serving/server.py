@@ -219,8 +219,11 @@ class PlanServer:
                 self._serve_one(ticket, len(batch))
 
     def _serve_one(self, ticket: Ticket, batch_size: int) -> None:
+        started = time.perf_counter()
         try:
             response = self._handle(ticket.request, batch_size)
+            if ticket.admitted_at is not None:
+                response.timings["queue_s"] = started - ticket.admitted_at
         except BaseException as exc:  # noqa: BLE001 - must reach the client
             with self._stats_lock:
                 self._requests_failed += 1
@@ -235,6 +238,11 @@ class PlanServer:
         hits_before = self.plan_cache.stats()["hits"]
         p = plan(req.program, params=req.params, config=req.config, cache=self.plan_cache)
         cache_hit = self.plan_cache.stats()["hits"] > hits_before
+        footprint = None
+        if req.footprint:
+            from .transport.footprint import request_footprint
+
+            footprint = request_footprint(p, req.store, req.reads)
         t_plan = time.perf_counter()
 
         exec_cfg = req.exec_config or self.default_exec
@@ -272,6 +280,8 @@ class PlanServer:
                 "execute_s": t_exec - t_plan,
                 "total_s": t_exec - t0,
             },
+            writes=footprint.writes if footprint is not None else None,
+            reads=footprint.reads if footprint is not None and req.reads is None else None,
         )
 
     # -- pool management (serving thread only) ----------------------------------

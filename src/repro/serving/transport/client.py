@@ -17,6 +17,12 @@ a herd of rejected clients spreads out instead of re-stampeding in
 lock-step.  A rejected submission was never admitted server-side, so a
 retry can neither lose nor duplicate a response; after ``max_retries``
 rejections the ticket fails with the last :class:`ServerBusy`.
+
+A request's own store is written in place, as ``execute(store=...)`` does.
+When the server answers with a footprint (:mod:`~repro.serving.transport.wire`)
+only the written cells come back; the read set that comes with the first
+such answer is cached process-wide, so later requests for the same program,
+parameters and array shapes send only those cells, on any connection.
 """
 
 from __future__ import annotations
@@ -238,7 +244,12 @@ class TransportClient:
             ticket = self._take(request_id)
             if ticket is None:
                 return  # late duplicate/unknown id: drop, never mis-deliver
-            self._finish_ticket(ticket, self._with_client_store(ticket, response))
+            try:
+                response = self._with_client_store(ticket, response)
+            except WireError as exc:
+                ticket._fail(exc)
+                return
+            self._finish_ticket(ticket, response)
             return
         if kind == FrameKind.BUSY:
             with self._pending_lock:
@@ -256,8 +267,12 @@ class TransportClient:
                 )
             if request_id is None:
                 self._fail_all(error)
-            else:
-                self._finish(request_id, error=error)
+                return
+            with self._pending_lock:
+                ticket = self._pending.get(request_id)
+            if ticket is not None and error.error_type == "WireError":
+                wire.forget_reads(ticket.request)  # a refused read set
+            self._finish(request_id, error=error)
             return
         raise WireError(f"client received unexpected frame kind {kind}")
 
@@ -267,17 +282,26 @@ class TransportClient:
         """Write results back into the caller's own arrays, like in-process.
 
         ``execute(store=...)`` mutates the caller's store in place; the wire
-        path preserves that contract by copying the returned arrays into the
-        request's store objects and pointing the response at them.
+        path preserves that contract by writing the returned cells (a
+        footprint answer) or arrays into the request's store objects and
+        pointing the response at them.  A read set that comes back is
+        cached for the next request with this store's key.
         """
         client_store = ticket.request.store
         remote_store = response.result.store
         if client_store is None:
             return response
-        for name, arr in remote_store.items():
-            if name in client_store:
-                client_store[name][...] = arr
-                remote_store[name] = client_store[name]
+        if response.writes is not None:
+            wire.write_cells(client_store, response.writes, remote_store)
+            remote_store.clear()
+            remote_store.update(client_store)
+        else:
+            for name, arr in remote_store.items():
+                if name in client_store:
+                    client_store[name][...] = arr
+                    remote_store[name] = client_store[name]
+        if response.reads is not None:
+            wire.remember_reads(ticket.request, response.reads)
         return response
 
     # -- ticket bookkeeping -----------------------------------------------------

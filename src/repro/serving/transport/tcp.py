@@ -89,11 +89,13 @@ class _Connection:
                 except ProtocolVersionMismatch as exc:
                     self._enqueue_error(None, exc)
                     break
+                except (EOFError, OSError, ValueError):
+                    # Client hung up, mid-frame too (ValueError: makefile
+                    # closed under us).
+                    break
                 except WireError as exc:
                     self._enqueue_error(None, exc)
                     break
-                except (EOFError, OSError, ValueError):
-                    break  # client hung up (ValueError: makefile closed under us)
                 if kind != FrameKind.REQUEST:
                     self._enqueue_error(
                         header.get("request_id"),
@@ -368,12 +370,20 @@ class TransportServer:
         self._closed = True
 
     def stats(self) -> Dict[str, object]:
-        """Transport occupancy plus the underlying server's counters."""
+        """Transport occupancy, what the wire layer holds (the interned
+        programs, and the footprints cached on the server's plans) and the
+        underlying server's counters."""
+        from .footprint import footprint_stats
+
         with self._conn_lock:
             live = sum(1 for c in self._connections if c.reader.is_alive())
             total = self._conn_seq
         return {
             "connections_live": live,
             "connections_total": total,
+            "wire": {
+                "programs": wire.cache_stats()["interned_programs"],
+                "footprints": footprint_stats(self.plan_server.plan_cache.plans()),
+            },
             "server": self.plan_server.stats(),
         }

@@ -7,16 +7,41 @@ One frame on the wire::
     | 4 B    | u16 BE  | u8   | u32 BE      | header_len B   | raw bytes
     +--------+---------+------+-------------+----------------+---------...
 
-The JSON header carries everything structured — request/response fields, the
-loop-nest IR, plan/exec configs — plus an ``arrays`` list of payload specs
-(``name`` / ``dtype`` / ``shape`` / ``nbytes``).  The payloads are the raw
-``ndarray.tobytes()`` bodies, concatenated in spec order, so array data never
-passes through JSON and round-trips bit-identically (dtype and shape are
-pinned by the spec, C order enforced on send).  :func:`read_frame` checks the
-header's framing schema — a JSON object whose ``arrays`` specs declare
-non-negative integer ``nbytes`` summing to at most
-:data:`MAX_PAYLOAD_BYTES` — before it reads a single payload byte, so a
-malformed header is a :class:`WireError`, never an allocation.
+The JSON header carries everything structured — request/response fields,
+plan/exec configs, the loop-nest IR as one canonical JSON text — plus an
+``arrays`` list of payload specs, one per store array.  The payloads are raw
+bytes, concatenated in spec order, so array data never passes through JSON
+and round-trips bit-identically.  :func:`read_frame` checks the header's
+framing schema — a JSON object whose ``arrays`` specs declare non-negative
+integer ``nbytes`` summing to at most :data:`MAX_PAYLOAD_BYTES` — before it
+reads a single payload byte, so a malformed header is a :class:`WireError`,
+never an allocation.
+
+A spec always names the array's ``name``, ``dtype`` (a numeric NumPy dtype
+string) and ``shape``; a store travels in one of two forms:
+
+* **full** — the spec's payload is the whole array, ``ndarray.tobytes()``
+  in C order;
+* **cells** — the spec adds ``cells`` and ``reads`` counts and its payload
+  is ``cells`` little-endian int64 flat indices (sorted, unique, in range),
+  then the ``cells`` values at them, then ``reads`` more such indices.
+
+Neither end re-ships what the other already holds:
+
+* **program interning** — the client encodes each program object's text
+  once (:func:`program_text`, a bounded memo keyed by identity) and the
+  server decodes each distinct text once (:func:`intern_program`, a table
+  bounded by entries and bytes), so repeated requests reuse one
+  :class:`~repro.ir.program.LoopProgram` and everything cached on it: its
+  fingerprint and the ``compiled`` backend's lowered kernel;
+* **footprint stores** (:mod:`repro.serving.transport.footprint`) — a
+  client store is answered with the cells the run wrote, which the client
+  writes into its own arrays.  The first answer for a (program, params,
+  array shapes and dtypes) key also carries the plan's read set; the
+  client caches it (process-wide, bounded) and from then on sends only
+  those cells.  The server checks them against its own read set before it
+  runs anything.  A plan that touches no fewer cells than its arrays hold
+  keeps full stores both ways.
 
 Frame kinds: ``REQUEST`` and ``RESPONSE`` carry the serving payloads;
 ``BUSY`` is the structured back-pressure answer
@@ -26,6 +51,8 @@ serving- or protocol-side failure and re-raises client-side as
 frame (the version rides the fixed prelude) and raised as
 :class:`ProtocolVersionMismatch` — the server answers one ``ERROR`` frame
 before hanging up so old clients fail with a message, not a reset.
+:func:`decode_request` and :func:`decode_response` turn any malformed field
+into a :class:`WireError`.
 
 Deliberate marshalling refusals (clear errors, not silent drops): statement
 ``semantics`` callables cannot cross the wire, and an execution config naming
@@ -37,10 +64,13 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, IO, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +88,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolVersionMismatch",
     "RemoteServingError",
+    "TruncatedFrame",
     "WireError",
     "read_frame",
     "write_frame",
@@ -69,6 +100,9 @@ __all__ = [
     "decode_response",
     "program_to_dict",
     "program_from_dict",
+    "program_text",
+    "intern_program",
+    "cache_stats",
 ]
 
 #: First bytes of every frame — a cheap "is this even our protocol" check.
@@ -79,8 +113,9 @@ MAGIC = b"RPLN"
 #: config lost ``selector``, the selection report its ``selector`` and the
 #: features their wavefront estimate; 4: the exec config is ``{backend,
 #: workers, seed}``, the plan config ``{strategies}``, and a response's
-#: result always carries its store).
-PROTOCOL_VERSION = 4
+#: result always carries its store; 5: the program travels as one canonical
+#: JSON text, and a store as its full arrays or as footprint cells).
+PROTOCOL_VERSION = 5
 
 #: magic, version, kind, header length.
 _PRELUDE = struct.Struct(">4sHBI")
@@ -100,6 +135,11 @@ MAX_WIRE_WORKERS = 64
 
 class WireError(RuntimeError):
     """Malformed frame, unknown kind, or unmarshallable payload."""
+
+
+class TruncatedFrame(WireError, EOFError):
+    """The peer closed the stream mid-frame: a malformed frame that is also
+    an end of stream."""
 
 
 class ProtocolVersionMismatch(WireError):
@@ -163,7 +203,7 @@ def _read_exactly(stream: IO[bytes], n: int) -> bytes:
     while remaining:
         chunk = stream.read(min(remaining, _READ_CHUNK))
         if not chunk:
-            raise EOFError(f"peer closed mid-frame ({remaining} bytes short)")
+            raise TruncatedFrame(f"peer closed mid-frame ({remaining} bytes short)")
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
@@ -193,7 +233,7 @@ def read_frame(stream: IO[bytes]) -> Tuple[FrameKind, Dict[str, Any], List[bytes
         raise WireError(f"header length {header_len} exceeds sanity bound")
     try:
         header = json.loads(_read_exactly(stream, header_len).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise WireError(f"undecodable frame header: {exc}") from None
     sizes = _payload_sizes(header)
     return kind, header, [_read_exactly(stream, n) for n in sizes]
@@ -226,11 +266,57 @@ def _payload_sizes(header: Any) -> List[int]:
 # ndarray specs
 # ---------------------------------------------------------------------------
 
+#: Exceptions a decoder turns into :class:`WireError`: what indexing,
+#: converting and constructing from a malformed header raises.
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError,
+              ArithmeticError, RecursionError)
+
+#: Array kinds a store may hold: bool, signed and unsigned integer, float and
+#: complex.  Objects, strings, records and dates are refused.
+_NUMERIC_KINDS = frozenset("biufc")
+
+_INDEX = np.dtype("<i8")
+_EMPTY_INDEX = np.zeros(0, dtype=np.int64)
+
+
+def _array_spec(spec: Any) -> Tuple[str, np.dtype, Tuple[int, ...], int]:
+    """``(name, dtype, shape, cells)`` of a payload spec, checked: a numeric
+    dtype and non-negative integer extents, the cell count in Python ints
+    (an int64 product could wrap)."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+        raise WireError(f"payload spec {spec!r} needs a string 'name'")
+    name, raw, shape = spec["name"], spec.get("dtype"), spec.get("shape")
+    try:
+        dtype = np.dtype(raw) if isinstance(raw, str) else None
+    except (TypeError, ValueError, SyntaxError):  # what np.dtype raises for junk
+        dtype = None
+    if dtype is None or dtype.kind not in _NUMERIC_KINDS:
+        raise WireError(f"array {name!r}: dtype {raw!r} is not a numeric dtype")
+    if not isinstance(shape, list) or any(
+        type(extent) is not int or extent < 0 for extent in shape
+    ):
+        raise WireError(f"array {name!r}: shape {shape!r} needs non-negative integer extents")
+    return name, dtype, tuple(shape), math.prod(shape)
+
+
+def _count(spec: Dict[str, Any], field: str) -> int:
+    value = spec.get(field)
+    if type(value) is not int or value < 0:
+        raise WireError(f"array {spec['name']!r}: {field!r} must be a non-negative integer")
+    return value
+
+
+def _check_specs(specs: Any, payloads: List[bytes]) -> List[Dict[str, Any]]:
+    if not isinstance(specs, list) or len(specs) != len(payloads):
+        got = len(specs) if isinstance(specs, list) else type(specs).__name__
+        raise WireError(f"frame carries {len(payloads)} payloads for specs {got}")
+    return specs
+
 
 def array_specs(
     store: Optional[Dict[str, np.ndarray]],
 ) -> Tuple[List[Dict[str, Any]], Tuple[bytes, ...]]:
-    """Payload specs + raw bodies for a store (``None`` -> no payloads)."""
+    """Payload specs + raw bodies for a full store (``None`` -> no payloads)."""
     if store is None:
         return [], ()
     specs: List[Dict[str, Any]] = []
@@ -252,23 +338,223 @@ def array_specs(
 def arrays_from_payloads(
     specs: List[Dict[str, Any]], payloads: List[bytes]
 ) -> Dict[str, np.ndarray]:
-    """Rebuild the store, dtype and shape pinned by the specs."""
-    if len(specs) != len(payloads):
-        raise WireError(
-            f"frame carries {len(payloads)} payloads for {len(specs)} specs"
-        )
+    """Rebuild a full store, dtype and shape pinned by the specs."""
     store: Dict[str, np.ndarray] = {}
-    for spec, body in zip(specs, payloads):
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(int(s) for s in spec["shape"])
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-        if len(body) != int(spec["nbytes"]) or len(body) != expected:
+    for spec, body in zip(_check_specs(specs, payloads), payloads):
+        name, dtype, shape, size = _array_spec(spec)
+        expected = dtype.itemsize * size
+        if len(body) != spec["nbytes"] or len(body) != expected:
             raise WireError(
-                f"array {spec['name']!r}: payload is {len(body)} bytes, "
+                f"array {name!r}: payload is {len(body)} bytes, "
                 f"spec says {spec['nbytes']} for {dtype} {shape}"
             )
-        store[spec["name"]] = np.frombuffer(body, dtype=dtype).reshape(shape).copy()
+        store[name] = np.frombuffer(body, dtype=dtype).reshape(shape).copy()
     return store
+
+
+def _indices(name: str, body: bytes, count: int, offset: int, size: int) -> np.ndarray:
+    idx = np.frombuffer(body, dtype=_INDEX, count=count, offset=offset).astype(np.int64)
+    if count and (idx[0] < 0 or idx[-1] >= size or np.any(idx[1:] <= idx[:-1])):
+        raise WireError(
+            f"array {name!r}: footprint indices must be sorted, unique and in "
+            f"range(0, {size})"
+        )
+    return idx
+
+
+def cell_specs(
+    arrays: Dict[str, np.ndarray],
+    cells: Dict[str, np.ndarray],
+    reads: Optional[Dict[str, np.ndarray]] = None,
+) -> Tuple[List[Dict[str, Any]], Tuple[bytes, ...]]:
+    """Payload specs + bodies for a footprint store: each array's values at
+    its ``cells`` flat indices (none where it has no entry), followed by its
+    ``reads`` indices when given."""
+    specs: List[Dict[str, Any]] = []
+    bodies: List[bytes] = []
+    for name in sorted(arrays):
+        arr = arrays[name]
+        idx = cells.get(name, _EMPTY_INDEX)
+        read = _EMPTY_INDEX if reads is None else reads.get(name, _EMPTY_INDEX)
+        values = np.take(arr, idx)
+        body = b"".join((idx.astype(_INDEX).tobytes(), values.tobytes(),
+                         read.astype(_INDEX).tobytes()))
+        specs.append(
+            {
+                "name": name,
+                "dtype": arr.dtype.str,
+                "shape": list(arr.shape),
+                "cells": len(idx),
+                "reads": len(read),
+                "nbytes": len(body),
+            }
+        )
+        bodies.append(body)
+    return specs, tuple(bodies)
+
+
+#: One decoded footprint spec: ``(dtype, shape, indices, values, reads)``.
+Cells = Tuple[np.dtype, Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]
+
+
+def cells_from_payloads(
+    specs: List[Dict[str, Any]], payloads: List[bytes]
+) -> Dict[str, Cells]:
+    """Decode footprint specs: the checks of :func:`arrays_from_payloads`,
+    plus sorted, unique, in-range indices, as many as there are values, and
+    whole arrays no larger than :data:`MAX_PAYLOAD_BYTES` (the receiver
+    allocates them)."""
+    out: Dict[str, Cells] = {}
+    total = 0
+    for spec, body in zip(_check_specs(specs, payloads), payloads):
+        name, dtype, shape, size = _array_spec(spec)
+        if name in out:
+            raise WireError(f"array {name!r} appears twice")
+        total += dtype.itemsize * size
+        if total > MAX_PAYLOAD_BYTES:
+            raise WireError(
+                f"footprint arrays hold over {MAX_PAYLOAD_BYTES} bytes in total"
+            )
+        cells, reads = _count(spec, "cells"), _count(spec, "reads")
+        expected = cells * (_INDEX.itemsize + dtype.itemsize) + reads * _INDEX.itemsize
+        if len(body) != spec["nbytes"] or len(body) != expected:
+            raise WireError(
+                f"array {name!r}: payload is {len(body)} bytes, spec says "
+                f"{spec['nbytes']} for {cells} {dtype} cells and {reads} read indices"
+            )
+        values_at = cells * _INDEX.itemsize
+        out[name] = (
+            dtype,
+            shape,
+            _indices(name, body, cells, 0, size),
+            np.frombuffer(body, dtype=dtype, count=cells, offset=values_at).copy(),
+            _indices(name, body, reads, values_at + cells * dtype.itemsize, size),
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the caches that keep both ends from re-shipping what they hold
+# ---------------------------------------------------------------------------
+
+
+class _BoundedCache:
+    """A thread-safe LRU map bounded by entries and by bytes, with hit and
+    miss counters.  A value larger than the byte bound is not kept."""
+
+    def __init__(self, max_entries: int, max_bytes: int):
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Any) -> Any:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry[0]
+
+    def put(self, key: Any, value: Any, nbytes: int) -> None:
+        if nbytes > self.max_bytes:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            self._entries[key] = (value, nbytes)
+            self._bytes += nbytes
+            while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self._bytes -= dropped
+
+    def pop(self, key: Any) -> None:
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._entries), "bytes": self._bytes,
+                    "hits": self.hits, "misses": self.misses}
+
+
+#: Client side: each program object's wire text, keyed by identity (the
+#: entry holds the program, so its id is not reused while it lives).
+_PROGRAM_TEXTS = _BoundedCache(max_entries=256, max_bytes=16 * 1024 * 1024)
+
+#: Server side: each distinct program text's decoded program.
+_INTERNED = _BoundedCache(max_entries=256, max_bytes=16 * 1024 * 1024)
+
+#: Client side: the read sets servers returned, keyed by
+#: :func:`_store_key`.  Process-wide, so a reconnecting client keeps them.
+_READ_SETS = _BoundedCache(max_entries=1024, max_bytes=64 * 1024 * 1024)
+
+
+def program_text(program: LoopProgram) -> str:
+    """The canonical JSON text of ``program`` (its :func:`program_to_dict`),
+    encoded once per program object."""
+    hit = _PROGRAM_TEXTS.get(id(program))
+    if hit is not None and hit[0] is program:
+        return hit[1]
+    text = json.dumps(program_to_dict(program), separators=(",", ":"), sort_keys=True)
+    _PROGRAM_TEXTS.put(id(program), (program, text), len(text))
+    return text
+
+
+def intern_program(text: Any) -> LoopProgram:
+    """The program a wire text describes, decoded once per distinct text;
+    a malformed text is a :class:`WireError`."""
+    if not isinstance(text, str):
+        raise WireError(f"'program' must be a JSON text, got {type(text).__name__}")
+    program = _INTERNED.get(text)
+    if program is None:
+        try:
+            program = program_from_dict(json.loads(text))
+        except _MALFORMED as exc:
+            raise WireError(f"undecodable program: {type(exc).__name__}: {exc}") from None
+        _INTERNED.put(text, program, len(text))
+    return program
+
+
+def _store_key(program: LoopProgram, params: Mapping[str, int],
+               store: Dict[str, np.ndarray]) -> tuple:
+    """What a plan's read set depends on: the program, the parameters and
+    the shapes of the arrays (the dtypes pick the cell size)."""
+    return (
+        program_text(program),
+        tuple(sorted((str(k), int(v)) for k, v in params.items())),
+        tuple((name, store[name].shape, store[name].dtype.str) for name in sorted(store)),
+    )
+
+
+def remember_reads(req: PlanRequest, reads: Dict[str, np.ndarray]) -> None:
+    """Cache the read set a server returned for ``req``'s store."""
+    nbytes = sum(idx.nbytes for idx in reads.values())
+    _READ_SETS.put(_store_key(req.program, req.params, req.store), reads, nbytes)
+
+
+def forget_reads(req: PlanRequest) -> None:
+    """Drop the cached read set of ``req``'s store (a server refused it)."""
+    if req.store is not None:
+        _READ_SETS.pop(_store_key(req.program, req.params, req.store))
+
+
+def cache_stats() -> Dict[str, Dict[str, int]]:
+    """Entries, bytes, hits and misses of this process's wire caches: the
+    client's program texts and read sets, the server's interned programs."""
+    return {
+        "program_texts": _PROGRAM_TEXTS.stats(),
+        "interned_programs": _INTERNED.stats(),
+        "read_sets": _READ_SETS.stats(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -469,34 +755,85 @@ def _selection_from_dict(d: Optional[Dict[str, Any]]) -> Optional[SelectionRepor
 
 
 def request_frame(req: PlanRequest) -> Tuple[Dict[str, Any], Tuple[bytes, ...]]:
-    """Header + payloads for one :class:`PlanRequest`."""
-    specs, bodies = array_specs(req.store)
+    """Header + payloads for one :class:`PlanRequest`.
+
+    A store whose read set this process holds (:func:`remember_reads`)
+    travels as those cells only; any other store travels whole."""
+    store_kind: Optional[str] = None
+    specs: List[Dict[str, Any]] = []
+    bodies: Tuple[bytes, ...] = ()
+    if req.store is not None:
+        reads = _READ_SETS.get(_store_key(req.program, req.params, req.store))
+        if reads is None:
+            store_kind = "full"
+            specs, bodies = array_specs(req.store)
+        else:
+            store_kind = "cells"
+            specs, bodies = cell_specs(req.store, reads)
     header = {
         "request_id": req.request_id,
-        "program": program_to_dict(req.program),
+        "program": program_text(req.program),
         "params": {k: int(v) for k, v in dict(req.params).items()},
         "config": plan_config_to_dict(req.config),
         "exec_config": exec_config_to_dict(req.exec_config),
-        "has_store": req.store is not None,
+        "store": store_kind,
         "arrays": specs,
     }
     return header, bodies
 
 
+def _params_from_wire(params: Any) -> Dict[str, int]:
+    if not isinstance(params, dict) or any(
+        type(v) is not int for v in params.values()
+    ):
+        raise WireError(f"'params' must map names to integers, got {params!r}")
+    return dict(params)
+
+
+def _store_from_cells(cells: Dict[str, Cells]) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """Zero arrays holding the sent cells, and each array's sent indices."""
+    store: Dict[str, np.ndarray] = {}
+    reads: Dict[str, np.ndarray] = {}
+    for name, (dtype, shape, idx, values, extra) in cells.items():
+        if len(extra):
+            raise WireError(f"array {name!r}: a request carries no read indices")
+        arr = np.zeros(shape, dtype=dtype)
+        arr.reshape(-1)[idx] = values
+        store[name] = arr
+        reads[name] = idx
+    return store, reads
+
+
 def decode_request(header: Dict[str, Any], payloads: List[bytes]) -> PlanRequest:
-    store = (
-        arrays_from_payloads(header["arrays"], payloads)
-        if header["has_store"]
-        else None
-    )
-    return PlanRequest(
-        program=program_from_dict(header["program"]),
-        params=dict(header["params"]),
-        config=plan_config_from_dict(header["config"]),
-        exec_config=exec_config_from_dict(header["exec_config"]),
-        store=store,
-        request_id=header["request_id"],
-    )
+    """The :class:`PlanRequest` a frame describes; any malformed field is a
+    :class:`WireError`."""
+    try:
+        request_id = header["request_id"]
+        if not isinstance(request_id, str):
+            raise WireError(f"'request_id' must be a string, got {request_id!r}")
+        store_kind = header["store"]
+        store: Optional[Dict[str, np.ndarray]] = None
+        reads: Optional[Dict[str, np.ndarray]] = None
+        if store_kind == "full":
+            store = arrays_from_payloads(header["arrays"], payloads)
+        elif store_kind == "cells":
+            store, reads = _store_from_cells(cells_from_payloads(header["arrays"], payloads))
+        elif store_kind is not None:
+            raise WireError(f"unknown store kind {store_kind!r}")
+        elif payloads:
+            raise WireError("a request without a store carries payloads")
+        return PlanRequest(
+            program=intern_program(header["program"]),
+            params=_params_from_wire(header["params"]),
+            config=plan_config_from_dict(header["config"]),
+            exec_config=exec_config_from_dict(header["exec_config"]),
+            store=store,
+            request_id=request_id,
+            footprint=store is not None,
+            reads=reads,
+        )
+    except _MALFORMED as exc:
+        raise WireError(f"malformed request: {type(exc).__name__}: {exc}") from None
 
 
 def _json_safe_meta(meta: Dict[str, Any]) -> Dict[str, Any]:
@@ -512,9 +849,17 @@ def _json_safe_meta(meta: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def response_frame(resp: PlanResponse) -> Tuple[Dict[str, Any], Tuple[bytes, ...]]:
-    """Header + payloads for one :class:`PlanResponse`."""
+    """Header + payloads for one :class:`PlanResponse`: the written cells
+    (and the read set, when the response names it) for a footprint answer,
+    the whole store otherwise."""
     result = resp.result
-    specs, bodies = array_specs(result.store)
+    if resp.writes is None:
+        store_kind = "full"
+        specs, bodies = array_specs(result.store)
+    else:
+        store_kind = "cells"
+        written = {name: result.store[name] for name in resp.writes}
+        specs, bodies = cell_specs(written, resp.writes, resp.reads)
     header = {
         "request_id": resp.request_id,
         "strategy": resp.strategy,
@@ -533,34 +878,69 @@ def response_frame(resp: PlanResponse) -> Tuple[Dict[str, Any], Tuple[bytes, ...
             "meta": _json_safe_meta(dict(result.meta)),
             "phase_stats": [asdict(p) for p in result.phase_stats],
         },
+        "store": store_kind,
+        "reads": resp.reads is not None,
         "arrays": specs,
     }
     return header, bodies
 
 
 def decode_response(header: Dict[str, Any], payloads: List[bytes]) -> PlanResponse:
-    rd = header["result"]
-    result = RunResult(
-        store=arrays_from_payloads(header["arrays"], payloads),
-        backend=rd["backend"],
-        workers=int(rd["workers"]),
-        phase_stats=tuple(PhaseStats(**p) for p in rd["phase_stats"]),
-        elapsed_s=float(rd["elapsed_s"]),
-        meta=dict(rd["meta"]),
-    )
-    return PlanResponse(
-        request_id=header["request_id"],
-        strategy=header["strategy"],
-        scheme=header["scheme"],
-        backend=header["backend"],
-        result=result,
-        selection=_selection_from_dict(header["selection"]),
-        explain=header["explain"],
-        plan_cache_hit=bool(header["plan_cache_hit"]),
-        pool_reused=bool(header["pool_reused"]),
-        batch_size=int(header["batch_size"]),
-        timings={k: float(v) for k, v in header["timings"].items()},
-    )
+    """The :class:`PlanResponse` a frame describes.  A footprint answer's
+    ``result.store`` holds each array's written values, in the order of
+    its ``writes`` indices; any malformed field is a :class:`WireError`."""
+    try:
+        writes = reads = None
+        if header["store"] == "full":
+            store = arrays_from_payloads(header["arrays"], payloads)
+        elif header["store"] == "cells":
+            cells = cells_from_payloads(header["arrays"], payloads)
+            store = {name: c[3] for name, c in cells.items()}
+            writes = {name: c[2] for name, c in cells.items()}
+            if header["reads"]:
+                reads = {name: c[4] for name, c in cells.items()}
+        else:
+            raise WireError(f"unknown store kind {header['store']!r}")
+        rd = header["result"]
+        result = RunResult(
+            store=store,
+            backend=rd["backend"],
+            workers=int(rd["workers"]),
+            phase_stats=tuple(PhaseStats(**p) for p in rd["phase_stats"]),
+            elapsed_s=float(rd["elapsed_s"]),
+            meta=dict(rd["meta"]),
+        )
+        return PlanResponse(
+            request_id=header["request_id"],
+            strategy=header["strategy"],
+            scheme=header["scheme"],
+            backend=header["backend"],
+            result=result,
+            selection=_selection_from_dict(header["selection"]),
+            explain=header["explain"],
+            plan_cache_hit=bool(header["plan_cache_hit"]),
+            pool_reused=bool(header["pool_reused"]),
+            batch_size=int(header["batch_size"]),
+            timings={k: float(v) for k, v in header["timings"].items()},
+            writes=writes,
+            reads=reads,
+        )
+    except _MALFORMED as exc:
+        raise WireError(f"malformed response: {type(exc).__name__}: {exc}") from None
+
+
+def write_cells(
+    store: Dict[str, np.ndarray],
+    writes: Dict[str, np.ndarray],
+    values: Dict[str, np.ndarray],
+) -> None:
+    """Write a footprint answer's cells into the client's own arrays, in
+    place (any memory layout), as ``execute(store=...)`` does."""
+    for name, idx in writes.items():
+        arr = store.get(name)
+        if arr is None or (len(idx) and idx[-1] >= arr.size):
+            raise WireError(f"answer writes cells of array {name!r} the request did not send")
+        np.put(arr, idx, values[name])
 
 
 def busy_frame(request_id: str, busy: ServerBusy) -> Dict[str, Any]:

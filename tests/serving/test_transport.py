@@ -55,8 +55,12 @@ def _dev_shm():
     return set(glob.glob("/dev/shm/psm_*"))
 
 
-def _assert_tcp_matches_all_paths(tcp_client, srv, prog, backend, workers=2):
-    """TCP-served ≡ in-process-served ≡ direct execute ≡ execute_sequential."""
+def _assert_tcp_matches_all_paths(tcp_client, srv, prog, backend, workers=2,
+                                  address=None):
+    """TCP-served ≡ in-process-served ≡ direct execute ≡ execute_sequential,
+    with a server store and, when ``address`` is given, with a random-fill
+    client store: sent whole, then as its read set's cells, then through a
+    fresh connection (the read-set cache is process-wide)."""
     cfg = ExecConfig(backend=backend, workers=workers)
     ref = execute_sequential(prog, {})
     p = plan(prog, config=DATAFLOW, cache=False)
@@ -73,6 +77,34 @@ def _assert_tcp_matches_all_paths(tcp_client, srv, prog, backend, workers=2):
         assert np.array_equal(
             local.result.store[name], remote.result.store[name]
         ), f"TCP {backend} diverged from in-process serving on {name!r}"
+    if address is not None:
+        _assert_client_store_matches(tcp_client, address, prog, cfg)
+
+
+def _assert_client_store_matches(tcp_client, address, prog, cfg):
+    initial = make_store(prog, fill="random", seed=17)
+    ref = execute_sequential(prog, {}, store={k: v.copy() for k, v in initial.items()})
+    wire.forget_reads(PlanRequest(program=prog, store=initial))
+    answers = []
+    with TransportClient(*address, rng_seed=3) as fresh:
+        for client in (tcp_client, tcp_client, fresh):
+            store = {k: v.copy() for k, v in initial.items()}
+            resp = client.request(prog, config=DATAFLOW, exec_config=cfg,
+                                  store=store, timeout=120)
+            for name in ref:
+                assert resp.result.store[name] is store[name]
+                assert np.array_equal(ref[name], store[name]), (
+                    f"TCP {cfg.backend} client store diverged on {name!r} "
+                    f"(answer {len(answers)})"
+                )
+            answers.append(resp)
+    full, cells, reconnected = answers
+    if full.reads is None:  # the plan keeps full stores
+        assert all(a.writes is None and a.reads is None for a in answers)
+    else:
+        assert full.writes is not None
+        for resp in (cells, reconnected):
+            assert resp.writes is not None and resp.reads is None
 
 
 class TestWireDifferential:
@@ -84,29 +116,29 @@ class TestWireDifferential:
         with TransportServer(max_pending=64) as ts:
             host, port = ts.address
             with TransportClient(host, port, rng_seed=0) as client:
-                yield client, ts.plan_server
+                yield client, ts.plan_server, (host, port)
 
     @settings(max_examples=50,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(prog=loop_programs())
     def test_serial_tcp_differential(self, stack, prog):
-        client, srv = stack
-        _assert_tcp_matches_all_paths(client, srv, prog, "serial")
+        client, srv, address = stack
+        _assert_tcp_matches_all_paths(client, srv, prog, "serial", address=address)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(prog=loop_programs())
     def test_compiled_tcp_differential(self, stack, prog):
-        client, srv = stack
-        _assert_tcp_matches_all_paths(client, srv, prog, "compiled")
+        client, srv, address = stack
+        _assert_tcp_matches_all_paths(client, srv, prog, "compiled", address=address)
 
     @needs_process
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(prog=loop_programs())
     def test_process_tcp_differential(self, stack, prog):
-        client, srv = stack
-        _assert_tcp_matches_all_paths(client, srv, prog, "process")
+        client, srv, address = stack
+        _assert_tcp_matches_all_paths(client, srv, prog, "process", address=address)
 
     @pytest.mark.parametrize(
         "factory",
@@ -122,7 +154,7 @@ class TestWireDifferential:
         """With the *default* planning chain (whatever strategy wins), the
         TCP answer matches sequential execution and names the same strategy
         the in-process server picks."""
-        client, srv = stack
+        client, srv, _ = stack
         prog = factory()
         ref = execute_sequential(prog, {})
         local = srv.request(prog, timeout=120)
@@ -133,7 +165,7 @@ class TestWireDifferential:
             assert np.array_equal(ref[name], remote.result.store[name])
 
     def test_client_store_written_in_place(self, stack):
-        client, _ = stack
+        client, _, _ = stack
         prog = figure1_loop(8, 8)
         store = make_store(prog, fill="random", seed=11)
         ref = execute_sequential(
@@ -147,7 +179,7 @@ class TestWireDifferential:
     def test_remote_error_propagates_with_type(self, stack):
         """A serving-side failure (here: no strategy in a pinned chain
         applies to the imperfect nest) reaches the client with its type."""
-        client, _ = stack
+        client, _, _ = stack
         with pytest.raises(RemoteServingError, match="PartitioningNotApplicable") as info:
             client.request(
                 example3_loop(6),
@@ -443,3 +475,156 @@ class TestConnectionReaping:
                 f"open fds grew from {fds} to {_open_fds()}"
             )
             assert ts.stats()["connections_total"] == 201
+
+
+def _corpus_entry(name):
+    from repro.workloads.corpus import selection_corpus
+
+    return next(e for e in selection_corpus(size="small") if e.name == name)
+
+
+def _raw_request(host, port, header, payloads):
+    with socket.create_connection((host, port), timeout=30) as raw:
+        out, inp = raw.makefile("wb"), raw.makefile("rb")
+        wire.write_frame(out, FrameKind.REQUEST, header, tuple(payloads))
+        reply = wire.read_frame(inp)
+        out.close(), inp.close()
+    return reply
+
+
+class TestFootprintStores:
+    """A client store travels as the cells the run reads and writes."""
+
+    COMPILED = ExecConfig(backend="compiled")
+
+    @pytest.fixture
+    def served(self):
+        with TransportServer() as ts:
+            yield ts
+
+    def test_answers_carry_written_cells_then_requests_carry_read_cells(self, served):
+        e = _corpus_entry("nonuniform-coupled-0")  # 280x280 array, 64 instances
+        initial = make_store(e.program, fill="random", seed=4)
+        ref = execute_sequential(e.program, e.params,
+                                 store={k: v.copy() for k, v in initial.items()})
+        probe = PlanRequest(program=e.program, params=e.params, store=initial)
+        wire.forget_reads(probe)
+        assert wire.request_frame(probe)[0]["store"] == "full"
+        with TransportClient(*served.address) as client:
+            for k in range(2):
+                store = {name: v.copy() for name, v in initial.items()}
+                resp = client.request(e.program, e.params, exec_config=self.COMPILED,
+                                      store=store)
+                assert (resp.reads is not None) == (k == 0)
+                written = sum(len(idx) for idx in resp.writes.values())
+                assert 0 < written <= 64
+                for name in ref:
+                    assert np.array_equal(ref[name], store[name])
+                    assert resp.result.store[name] is store[name]
+        header, bodies = wire.request_frame(probe)
+        assert header["store"] == "cells"
+        assert sum(len(b) for b in bodies) < 64 * 16 * 4  # not the 627 KB store
+
+    def _cells_frame(self, e, cells, store):
+        header, _ = wire.request_frame(
+            PlanRequest(program=e.program, params=e.params, store=store,
+                        exec_config=self.COMPILED))
+        header["store"] = "cells"
+        header["arrays"], bodies = wire.cell_specs(store, cells)
+        return header, bodies
+
+    def test_hostile_read_sets_get_a_wire_error_frame(self, served):
+        e = _corpus_entry("coupled-uniform-rand")
+        store = make_store(e.program, fill="random", seed=5)
+        req = PlanRequest(program=e.program, params=e.params, store=dict(store))
+        wire.forget_reads(req)
+        host, port = served.address
+        with TransportClient(host, port) as client:
+            reads = client.submit(req).result(60).reads
+        name = next(n for n, idx in reads.items() if len(idx) > 1)
+        header, bodies = self._cells_frame(e, dict(reads, **{name: reads[name][1:]}), store)
+        kind, reply, _ = _raw_request(host, port, header, bodies)
+        assert kind == FrameKind.ERROR and reply["error_type"] == "WireError"
+        assert "read set" in reply["message"]
+        # the last index of one array pushed past its end
+        header, bodies = self._cells_frame(e, reads, store)
+        k = [spec["name"] for spec in header["arrays"]].index(name)
+        body = bytearray(bodies[k])
+        body[8 * (len(reads[name]) - 1):8 * len(reads[name])] = (
+            int(store[name].size).to_bytes(8, "little"))
+        bodies = bodies[:k] + (bytes(body),) + bodies[k + 1:]
+        kind, reply, _ = _raw_request(host, port, header, bodies)
+        assert kind == FrameKind.ERROR and reply["error_type"] == "WireError"
+        assert "range" in reply["message"]
+        header, bodies = self._cells_frame(e, reads, store)
+        header["arrays"][0]["cells"] += 1  # a count that does not match
+        kind, reply, _ = _raw_request(host, port, header, bodies)
+        assert kind == FrameKind.ERROR and reply["error_type"] == "WireError"
+        # the plan's own read set is served, bit-identical
+        header, bodies = self._cells_frame(e, reads, store)
+        kind, reply, payloads = _raw_request(host, port, header, bodies)
+        assert kind == FrameKind.RESPONSE
+        resp = wire.decode_response(reply, payloads)
+        got = {k: v.copy() for k, v in store.items()}
+        wire.write_cells(got, resp.writes, resp.result.store)
+        ref = execute_sequential(e.program, e.params,
+                                 store={k: v.copy() for k, v in store.items()})
+        assert all(np.array_equal(ref[k], got[k]) for k in ref)
+
+    def test_a_refused_cached_read_set_is_forgotten(self, served):
+        e = _corpus_entry("nonuniform-coupled-1")
+        store = make_store(e.program, fill="random", seed=6)
+        req = PlanRequest(program=e.program, params=e.params, store=store)
+        wire.remember_reads(req, {name: np.array([0]) for name in store})  # stale
+        with TransportClient(*served.address) as client:
+            with pytest.raises(RemoteServingError) as info:
+                client.request(e.program, e.params, store=dict(store), timeout=60)
+            assert info.value.error_type == "WireError"
+            assert wire.request_frame(req)[0]["store"] == "full"
+            ref = execute_sequential(e.program, e.params,
+                                     store={k: v.copy() for k, v in store.items()})
+            client.request(e.program, e.params, store=store, timeout=60)
+        assert all(np.array_equal(ref[k], store[k]) for k in ref)
+
+    def test_large_symbolic_nest_keeps_full_stores_without_enumerating(self, served):
+        from repro.workloads.synthetic import large_uniform_loop
+
+        prog = large_uniform_loop(300, 300)
+        store = make_store(prog, fill="random", seed=7)
+        ref = execute_sequential(prog, {}, store={k: v.copy() for k, v in store.items()})
+        with TransportClient(*served.address) as client:
+            resp = client.request(prog, exec_config=self.COMPILED, store=store, timeout=120)
+        assert resp.strategy == "symbolic"
+        assert resp.writes is None and resp.reads is None
+        assert np.array_equal(ref["x"], store["x"])
+        (p,) = served.plan_server.plan_cache.plans()
+        assert list(p.footprints.values()) == [None]
+        assert not p.analysis._domain_cache  # no domain was enumerated
+
+    def test_stats_report_interned_programs_and_footprints(self, served):
+        e = _corpus_entry("separable-0")
+        before = served.stats()["wire"]["programs"]
+        with TransportClient(*served.address) as client:
+            for seed in range(3):
+                client.request(e.program, e.params, exec_config=self.COMPILED,
+                               store=make_store(e.program, fill="random", seed=seed))
+        stats = served.stats()["wire"]
+        assert stats["programs"]["hits"] + stats["programs"]["misses"] == (
+            before["hits"] + before["misses"] + 3)
+        assert stats["programs"]["entries"] >= 1 and stats["programs"]["bytes"] > 0
+        assert stats["footprints"]["cached"] == 1 and stats["footprints"]["bytes"] > 0
+
+    def test_interned_program_rides_the_lowering_identity_path(self, served):
+        e = _corpus_entry("separable-1")
+        with TransportClient(*served.address) as client:
+            for _ in range(2):
+                resp = client.request(e.program, e.params, exec_config=self.COMPILED)
+        assert resp.plan_cache_hit
+        (p,) = served.plan_server.plan_cache.plans()
+        (lowered,) = p.schedule.lowered.values()
+        assert lowered.program() is wire.intern_program(wire.program_text(e.program))
+
+    def test_timings_carry_the_admission_wait(self, served):
+        with TransportClient(*served.address) as client:
+            resp = client.request(figure1_loop(4, 4), timeout=60)
+        assert 0.0 <= resp.timings["queue_s"] < 60.0

@@ -91,21 +91,27 @@ class TestFraming:
         struct.pack_into(">H", raw, 4, version)
         return io.BytesIO(bytes(raw))
 
-    def test_protocol_version_four_rejects_version_one_frames(self):
-        assert wire.PROTOCOL_VERSION == 4
+    def test_protocol_version_five_rejects_version_one_frames(self):
+        assert wire.PROTOCOL_VERSION == 5
         with pytest.raises(ProtocolVersionMismatch):
             wire.read_frame(self._frame_of_version(1))
 
-    def test_protocol_version_four_rejects_version_two_frames(self):
+    def test_protocol_version_five_rejects_version_two_frames(self):
         # v2 plan configs still carry a ``selector`` knob this peer lacks.
         with pytest.raises(ProtocolVersionMismatch):
             wire.read_frame(self._frame_of_version(2))
 
-    def test_protocol_version_four_rejects_version_three_frames(self):
+    def test_protocol_version_five_rejects_version_three_frames(self):
         # v3 plan configs still carry ``rng_seed`` / ``exec_config``, and v3
         # exec configs ``lock_free`` / ``mp_context``.
         with pytest.raises(ProtocolVersionMismatch):
             wire.read_frame(self._frame_of_version(3))
+
+    def test_protocol_version_five_rejects_version_four_frames(self):
+        # v4 requests carry the program as a JSON object and a ``has_store``
+        # flag, and every store whole.
+        with pytest.raises(ProtocolVersionMismatch):
+            wire.read_frame(self._frame_of_version(4))
 
 
 class _NoRead(io.BytesIO):
@@ -371,7 +377,7 @@ class TestRequestResponseFrames:
     def test_request_without_store_stays_storeless(self):
         req = PlanRequest(program=figure1_loop(4, 4))
         header, bodies = wire.request_frame(req)
-        assert bodies == () and header["has_store"] is False
+        assert bodies == () and header["store"] is None
         _, rheader, payloads = _roundtrip(FrameKind.REQUEST, header, bodies)
         assert wire.decode_request(rheader, payloads).store is None
 
@@ -434,3 +440,247 @@ class TestBusyAndErrorFrames:
             "error_type": "ValueError",
             "message": "boom",
         }
+
+
+def _spec(**fields):
+    base = {"name": "x", "dtype": "<f8", "shape": [2, 3], "nbytes": 48}
+    base.update(fields)
+    return base
+
+
+class TestStoreSpecErrors:
+    """A malformed store spec is a WireError, whatever the field."""
+
+    @pytest.mark.parametrize(
+        "spec, body",
+        [
+            (_spec(dtype="zz"), b"\x00" * 48),
+            (_spec(dtype="|O"), b"\x00" * 48),
+            (_spec(dtype="<U4"), b"\x00" * 48),
+            (_spec(dtype="V8"), b"\x00" * 48),
+            (_spec(dtype=["<f8"]), b"\x00" * 48),
+            (_spec(shape=[-2, -3]), b"\x00" * 48),
+            (_spec(shape=[2**62, 4], nbytes=0), b""),
+            (_spec(shape=[2.0, 3]), b"\x00" * 48),
+            (_spec(shape=[True, 3]), b"\x00" * 48),
+            (_spec(shape="2x3"), b"\x00" * 48),
+            (_spec(name=7), b"\x00" * 48),
+        ],
+        ids=[
+            "dtype-junk", "dtype-object", "dtype-unicode", "dtype-void",
+            "dtype-list", "shape-negative", "shape-wraps-int64", "shape-float",
+            "shape-bool", "shape-string", "name-int",
+        ],
+    )
+    def test_bad_full_spec_is_a_wire_error(self, spec, body):
+        with pytest.raises(WireError):
+            wire.arrays_from_payloads([spec], [body])
+
+    def test_spec_count_must_match_payloads(self):
+        with pytest.raises(WireError, match="payloads"):
+            wire.arrays_from_payloads([_spec()], [])
+
+
+def _cells_body(idx, values, reads=()):
+    return (np.asarray(idx, dtype="<i8").tobytes()
+            + np.asarray(values, dtype="<f8").tobytes()
+            + np.asarray(reads, dtype="<i8").tobytes())
+
+
+def _cells_spec(idx, values, read_idx=(), **fields):
+    body = _cells_body(idx, values, read_idx)
+    spec = _spec(cells=len(idx), reads=len(read_idx), nbytes=len(body))
+    spec.update(fields)
+    return spec, body
+
+
+class TestFootprintCells:
+    def test_cells_roundtrip(self):
+        arr = np.arange(12.0).reshape(3, 4)
+        idx = {"a": np.array([1, 5, 11])}
+        reads = {"a": np.array([0, 2])}
+        specs, bodies = wire.cell_specs({"a": arr}, idx, reads)
+        dtype, shape, got_idx, values, got_reads = wire.cells_from_payloads(
+            specs, list(bodies))["a"]
+        assert (dtype, shape) == (arr.dtype, arr.shape)
+        assert np.array_equal(got_idx, idx["a"])
+        assert np.array_equal(values, arr.reshape(-1)[idx["a"]])
+        assert np.array_equal(got_reads, reads["a"])
+
+    def test_cells_of_a_fortran_array_are_c_order(self):
+        arr = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        specs, bodies = wire.cell_specs({"a": arr}, {"a": np.array([1, 4])})
+        values = wire.cells_from_payloads(specs, list(bodies))["a"][3]
+        assert values.tolist() == [1.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "idx, values, reads, fields, match",
+        [
+            ([3, 1], [0.0, 0.0], (), {}, "sorted"),
+            ([1, 1], [0.0, 0.0], (), {}, "sorted"),
+            ([0, 6], [0.0, 0.0], (), {}, "range"),
+            ([-1], [0.0], (), {}, "range"),
+            ([0], [0.0], (7,), {}, "range"),
+            ([0], [0.0], (2, 1), {}, "sorted"),
+            ([0, 1], [0.0, 0.0], (), {"cells": 3}, "payload is"),
+            ([0, 1], [0.0, 0.0], (), {"cells": 1}, "payload is"),
+            ([0], [0.0], (), {"cells": -1}, "non-negative"),
+            ([0], [0.0], (), {"reads": "0"}, "non-negative"),
+            ([0], [0.0], (), {"shape": [2**40, 2**30]}, "bytes in total"),
+        ],
+        ids=[
+            "unsorted", "duplicate", "past-the-end", "negative", "read-past-end",
+            "reads-unsorted", "more-cells-than-values", "fewer-cells-than-values",
+            "negative-count", "string-count", "huge-array",
+        ],
+    )
+    def test_bad_cells_are_a_wire_error(self, idx, values, reads, fields, match):
+        spec, body = _cells_spec(idx, values, reads, **fields)
+        with pytest.raises(WireError, match=match):
+            wire.cells_from_payloads([spec], [body])
+
+    def test_duplicate_array_is_a_wire_error(self):
+        spec, body = _cells_spec([0], [1.0])
+        with pytest.raises(WireError, match="twice"):
+            wire.cells_from_payloads([spec, spec], [body, body])
+
+    def test_cells_request_decodes_to_zero_arrays_holding_the_cells(self):
+        prog = figure1_loop(4, 4)
+        store = make_store(prog, fill="random", seed=1)
+        name = sorted(store)[0]
+        reads = {name: np.array([0, 3, 7])}
+        req = PlanRequest(program=prog, store=store)
+        header, _ = wire.request_frame(req)
+        header["store"] = "cells"
+        header["arrays"], bodies = wire.cell_specs(store, reads)
+        back = wire.decode_request(header, list(bodies))
+        assert back.footprint and set(back.reads) == set(store)
+        assert np.array_equal(back.reads[name], reads[name])
+        flat = back.store[name].reshape(-1)
+        assert np.array_equal(flat[reads[name]], store[name].reshape(-1)[reads[name]])
+        assert np.count_nonzero(np.delete(flat, reads[name])) == 0
+
+    def test_cells_request_refuses_read_indices(self):
+        prog = figure1_loop(4, 4)
+        store = make_store(prog)
+        header, _ = wire.request_frame(PlanRequest(program=prog, store=store))
+        header["store"] = "cells"
+        header["arrays"], bodies = wire.cell_specs(
+            store, {}, {name: np.array([0]) for name in store})
+        with pytest.raises(WireError, match="read indices"):
+            wire.decode_request(header, list(bodies))
+
+    def test_unknown_store_kind_is_a_wire_error(self):
+        header, bodies = wire.request_frame(PlanRequest(program=figure1_loop(4, 4)))
+        header["store"] = "diff"
+        with pytest.raises(WireError, match="store kind"):
+            wire.decode_request(header, list(bodies))
+
+
+class TestProgramInterning:
+    def test_client_encodes_each_program_object_once(self):
+        prog = figure1_loop(5, 5)
+        text = wire.program_text(prog)
+        assert wire.program_text(prog) is text
+        assert wire.program_text(figure1_loop(5, 5)) == text  # equal content
+
+    def test_server_decodes_each_text_once(self):
+        text = wire.program_text(example3_loop(7))
+        first = wire.intern_program(text)
+        assert wire.intern_program(str(text)) is first
+        assert first == example3_loop(7)
+
+    def test_repeated_requests_reuse_one_program_and_its_fingerprint(self):
+        from repro.core.strategy import program_fingerprint
+
+        req = PlanRequest(program=figure1_loop(6, 6))
+        header, bodies = wire.request_frame(req)
+        a = wire.decode_request(header, list(bodies)).program
+        fingerprint = program_fingerprint(a)
+        b = wire.decode_request(header, list(bodies)).program
+        assert a is b
+        assert b.__dict__["_fingerprint"] == fingerprint
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"name": "x"}', "[1, 2]", "not json", '{"name": 1, "body": 2}', 7],
+        ids=["missing-fields", "list", "junk", "wrong-types", "not-a-string"],
+    )
+    def test_malformed_program_text_is_a_wire_error(self, text):
+        with pytest.raises(WireError):
+            wire.intern_program(text)
+
+    def test_bounded_cache_drops_least_recent_by_entries_and_bytes(self):
+        cache = wire._BoundedCache(max_entries=2, max_bytes=10)
+        for key in "abc":
+            cache.put(key, key.upper(), 3)
+        assert cache.get("a") is None and cache.get("c") == "C"
+        cache.put("d", "D", 8)  # 3 + 8 > 10: "b" then "c" go
+        assert cache.stats()["entries"] == 1 and cache.stats()["bytes"] == 8
+        cache.put("huge", "H", 11)  # larger than the bound: never kept
+        assert cache.get("huge") is None and cache.get("d") == "D"
+
+    def test_bounded_cache_stays_consistent_under_threads(self):
+        """More threads than cores hammer one cache with a short switch
+        interval; a lost update would leave the byte count off the entries."""
+        import sys
+        import threading
+
+        cache = wire._BoundedCache(max_entries=16, max_bytes=200)
+        errors = []
+
+        def hammer(seed):
+            try:
+                for k in range(3000):
+                    key = (seed * 7 + k) % 40
+                    cache.put(key, key, 1 + key % 13)
+                    cache.get((key * 3) % 40)
+                    if k % 11 == 0:
+                        cache.pop(key)
+            except Exception as exc:  # noqa: BLE001 - surfaced by the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        entries = cache._entries
+        assert len(entries) <= 16
+        assert cache.stats()["bytes"] == sum(n for _, n in entries.values()) <= 200
+
+    def test_process_wide_caches_are_bounded(self):
+        for cache in (wire._PROGRAM_TEXTS, wire._INTERNED, wire._READ_SETS):
+            assert cache.max_entries > 0 and cache.max_bytes > 0
+
+
+class TestFingerprintCache:
+    def test_fingerprint_is_cached_on_the_program(self):
+        from repro.core.strategy import program_fingerprint
+
+        prog = figure1_loop(7, 7)
+        digest = program_fingerprint(prog)
+        assert prog.__dict__["_fingerprint"] == digest
+        assert program_fingerprint(prog) is digest
+
+    def test_cached_fingerprint_never_crosses_a_pickle(self):
+        """The digest folds in semantics ids, which another process would
+        reuse for other callables: a pickled program carries no digest."""
+        import copy
+        import pickle
+
+        from repro.core.strategy import program_fingerprint
+
+        prog = figure1_loop(7, 7)
+        program_fingerprint(prog)
+        for back in (pickle.loads(pickle.dumps(prog)), copy.copy(prog),
+                     copy.deepcopy(prog)):
+            assert back == prog
+            assert "_fingerprint" not in back.__dict__
+            assert program_fingerprint(back) == program_fingerprint(prog)
