@@ -42,6 +42,12 @@ checks that the array engine's result is bit-identical to it.
   <1×: there is nothing to parallelise onto) without failing, and
   ``REPRO_REQUIRE_PROCESS_SPEEDUP=1`` forces the assertion anywhere.
 
+* ``test_plan_scale`` — one cold ``plan()`` of each large nest split into
+  its layers: the statement space (domains + Rd), the features beyond it,
+  the selection rest (ranking, applicability) and the builder.  The layers
+  add up to ``Plan.timings["total"]``.  Contract: the default cold plan of
+  ``large_triangular_loop(447)`` (10⁵ points) takes ≤ 150 ms.
+
 * ``test_statement_level_speedup`` — the §3.3 statement-level pipeline on the
   multi-statement triangular imperfect nest
   (:func:`repro.workloads.synthetic.large_cholesky_nest`): full
@@ -476,3 +482,98 @@ def test_triangular_end_to_end(report):
     report("Triangular end-to-end sweep (array path)", rows)
     record_bench("end_to_end_triangular", rows)
     assert rows[-1]["points"] >= 10**5
+
+
+def plan_layers(prog, config=None):
+    """One cold ``plan()`` split into ``(space, features, select, build)``
+    seconds, plus the plan.
+
+    The space build and the feature extraction are timed by wrapping the
+    two functions ``plan()`` reaches them through; the space is charged to
+    its own layer wherever it is first built (inside the features, or
+    inside the builder of a pinned plan), and ``select`` is the rest of
+    ``Plan.timings["total"]`` outside the builder.
+    """
+    import repro.analysis.features as features_mod
+    import repro.core.statement as statement_mod
+    from repro.analysis.features import clear_feature_cache
+
+    spent = {"space": 0.0, "features": 0.0, "space_in_features": 0.0}
+    build_space = statement_mod.build_statement_space
+    extract = features_mod.program_features
+
+    def timed_space(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return build_space(*args, **kwargs)
+        finally:
+            spent["space"] += time.perf_counter() - t0
+
+    def timed_features(*args, **kwargs):
+        before = spent["space"]
+        t0 = time.perf_counter()
+        try:
+            return extract(*args, **kwargs)
+        finally:
+            spent["features"] += time.perf_counter() - t0
+            spent["space_in_features"] += spent["space"] - before
+
+    clear_feature_cache()
+    statement_mod.build_statement_space = timed_space
+    features_mod.program_features = timed_features
+    try:
+        p = plan(prog, config=config, cache=False)
+    finally:
+        statement_mod.build_statement_space = build_space
+        features_mod.program_features = extract
+    total = p.timings["total"]
+    build = sum(v for k, v in p.timings.items() if k != "total")
+    space_in_build = spent["space"] - spent["space_in_features"]
+    features = spent["features"] - spent["space_in_features"]
+    layers = {
+        "space": spent["space"],
+        "features": features,
+        "select": total - build - features - spent["space_in_features"],
+        "build": build - space_in_build,
+    }
+    return layers, p
+
+
+def test_plan_scale(report):
+    """Large-nest planning contract: the default cold plan of
+    ``large_triangular_loop(447)`` takes ≤ 150 ms; every large nest's cold
+    plan is recorded split into its layers (best of 3 by total)."""
+    from repro.workloads.synthetic import (
+        large_cholesky_nest,
+        large_triangular_loop,
+        large_uniform_loop,
+    )
+
+    cases = [
+        ("large_triangular_loop(447)", lambda: large_triangular_loop(447), None),
+        ("large_uniform_loop(200, 200)", lambda: large_uniform_loop(200, 200), DATAFLOW),
+        ("large_cholesky_nest(447)", lambda: large_cholesky_nest(447), None),
+    ]
+    rows = []
+    for name, make, config in cases:
+        runs = [plan_layers(make(), config) for _ in range(3)]
+        layers, p = min(runs, key=lambda run: sum(run[0].values()))
+        rows.append(
+            {
+                "program": name,
+                "strategy": p.strategy,
+                "points": len(p.analysis.space),
+                "pairs": len(p.analysis.space.rd),
+                "total_ms": round(p.timings["total"] * 1e3, 2),
+                **{f"{layer}_ms": round(t * 1e3, 2) for layer, t in layers.items()},
+            }
+        )
+    report("Cold plan() of the large nests, by layer", rows)
+    record_bench("plan_scale", rows)
+
+    triangular = rows[0]
+    assert triangular["points"] >= 10**5
+    assert triangular["total_ms"] <= 150.0, (
+        f"default cold plan of large_triangular_loop(447) took "
+        f"{triangular['total_ms']} ms (bound 150 ms)"
+    )

@@ -12,10 +12,11 @@ to a small, hashable :class:`ProgramFeatures` record whose
 Design constraints:
 
 * **array-native** — every fact is read off the analysis' one cached space
-  (``DependenceAnalysis.space``: its rows, its array-backed Rd, and
-  :func:`~repro.dependence.distance.is_uniform_relation_arrays` through
-  :meth:`DependenceAnalysis.is_uniform`); no per-point Python set algebra is
-  introduced;
+  (``DependenceAnalysis.space``: its rows, Rd as row indices into them,
+  the reference pairs' non-empty flags, and
+  :func:`~repro.dependence.distance.is_uniform_distances` on those indices
+  through :meth:`DependenceAnalysis.is_uniform`); no per-point Python set
+  algebra is introduced;
 * **shared work** — extraction consumes the *same* ``DependenceAnalysis``
   object the winning strategy's builder will consume, so nothing selection
   touches is re-analysed by the build;

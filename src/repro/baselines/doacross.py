@@ -24,12 +24,12 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.dataflow import dataflow_partition
+from ..core.dataflow import dataflow_partition_indexed
 from ..core.partition import space_rows
 from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.relations import FiniteRelation, PointCodec, in_sorted
+from ..isl.relations import FiniteRelation, PointCodec, unique_index_pairs, unique_rows
 from .lattice import pseudo_distance_matrix
 
 __all__ = ["basic_dependence_vectors", "uniformized_relation", "doacross_schedule"]
@@ -54,29 +54,42 @@ def uniformized_relation(
 ) -> FiniteRelation:
     """The uniform relation ``{ i → i+v | v ∈ vectors, i and i+v in Φ }``.
 
-    One vectorised membership test per vector: the shifted space is encoded
-    with the space's :class:`~repro.isl.relations.PointCodec` and looked up
-    among the sorted space keys.
+    The space's distinct rows are shifted by every vector at once and the
+    hits located among them (:func:`_shift_pairs`).
     """
-    points = space_rows(space, len(vectors[0]) if vectors else 0)
-    dim = points.shape[1]
+    rows = unique_rows(space_rows(space, len(vectors[0]) if vectors else 0))
+    if not len(rows):
+        return FiniteRelation.empty(rows.shape[1], rows.shape[1])
+    codec = PointCodec.for_arrays(rows)
+    src, dst = _shift_pairs(rows, codec, codec.encode(rows), vectors)
+    src, dst = unique_index_pairs(src, dst, len(rows))
+    return FiniteRelation(rows[src], rows[dst])
+
+
+def _shift_pairs(
+    rows: np.ndarray, codec: PointCodec, keys: np.ndarray, vectors: Sequence[Point]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row indices ``(i, j)`` of every pair ``rows[j] == rows[i] + v``.
+
+    ``rows`` are sorted and unique with ascending ``codec`` keys ``keys``;
+    zero vectors are skipped.  One vectorised lookup per vector: the
+    shifted rows are encoded and searched among the space keys.
+    """
     src_blocks, dst_blocks = [], []
-    if len(points):
-        codec = PointCodec.for_arrays(points)
-        keys = np.sort(codec.encode(points))
-        for v in vectors:
-            if not any(v):
-                continue
-            shifted = points + np.asarray(v, dtype=np.int64)
-            hit = codec.contains(shifted)
-            hit[hit] = in_sorted(codec.encode(shifted[hit]), keys)
-            src_blocks.append(points[hit])
-            dst_blocks.append(shifted[hit])
-    if not sum(len(b) for b in src_blocks):
-        return FiniteRelation.empty(dim, dim)
-    return FiniteRelation.from_arrays(
-        np.concatenate(src_blocks), np.concatenate(dst_blocks)
-    )
+    for v in vectors:
+        if not any(v):
+            continue
+        shifted = rows + np.asarray(v, dtype=np.int64)
+        at = np.flatnonzero(codec.contains(shifted))
+        wanted = codec.encode(shifted[at])
+        pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        found = keys[pos] == wanted
+        src_blocks.append(at[found])
+        dst_blocks.append(pos[found])
+    if not src_blocks:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy()
+    return np.concatenate(src_blocks), np.concatenate(dst_blocks)
 
 
 def doacross_schedule(
@@ -89,9 +102,10 @@ def doacross_schedule(
     Works on the analysis' one space — iteration vectors for a one-statement
     nest, unified statement index vectors otherwise — so the imperfectly
     nested Example 3 is scheduled the way Chen & Yew's paper schedules it.
-    The wavefront levels come out of the dataflow peeling as CSR arrays
-    (lexicographic inside a level), and each level becomes one phase over
-    slices of them.
+    The wavefront levels come out of the dataflow peeling on row indices
+    (the BDV shifts located among the space's keys, joined with Rd's own
+    indices) as CSR arrays (lexicographic inside a level), and each level
+    becomes one phase over slices of them.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
@@ -102,8 +116,15 @@ def doacross_schedule(
     # scheme pays for, and keeping the exact edges guarantees correctness
     # even where an intermediate point i+v falls outside the space (single
     # BDV steps alone would then lose the ordering).
-    uniform = uniformized_relation(space.unified_array, vectors).union(space.rd)
-    offsets, rows = dataflow_partition(space.unified_array, uniform).level_arrays()
+    lo, hi = space.rd_lo, space.rd_hi
+    points = space.unified_array
+    if len(points):
+        src, dst = _shift_pairs(points, *space.keys(), vectors)
+        lo, hi = unique_index_pairs(
+            np.concatenate([src, lo]), np.concatenate([dst, hi]), len(points)
+        )
+    uniform = FiniteRelation(points[lo], points[hi])
+    offsets, rows = dataflow_partition_indexed(points, lo, hi, uniform).level_arrays()
     return Schedule.from_levels(
         f"{program.name}-DOACROSS",
         space.stmt_labels,

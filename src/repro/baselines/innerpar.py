@@ -62,16 +62,16 @@ def inner_parallel_schedule(
     # a later one (carried by the outer loops) — otherwise both groups run as
     # one sequential unit.
     conflicting = np.zeros(len(bounds) - 1, dtype=bool)
-    src, dst = space.rd.as_arrays()
-    if len(src):
-        g_src = group[space.row_indices_of(src)]
-        g_dst = group[space.row_indices_of(dst)]
+    if len(space.rd_lo):
+        g_src = group[space.rd_lo]
+        g_dst = group[space.rd_hi]
         bad = g_src >= g_dst
         conflicting[g_src[bad]] = True
         conflicting[g_dst[bad]] = True
 
     keys = prefix[bounds[:-1]]
-    if len(np.unique(space.index_map.position_columns(keys), axis=0)) <= 1:
+    digits = space.index_map.position_columns(keys)
+    if (digits == digits[:1]).all():
         keys = space.index_map.iteration_columns(keys)
     phases = [
         space.phase(f"outer{tuple(key)}", rows[lo:hi], [0, hi - lo] if conflict else None)

@@ -37,7 +37,7 @@ from ..core.partition import space_rows
 from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.relations import FiniteRelation, PointCodec, in_sorted
+from ..isl.relations import FiniteRelation, PointCodec, in_sorted, unique_rows
 
 __all__ = [
     "SETS",
@@ -100,7 +100,7 @@ def unique_sets_partition(
     space, and every set follows from per-point in/out degrees.
     """
     points = space_rows(space, rd.dim_in)
-    points = np.unique(points, axis=0) if len(points) else points
+    points = unique_rows(points)
     n = len(points)
     out_deg = np.zeros(n, dtype=np.int64)
     in_deg = np.zeros(n, dtype=np.int64)

@@ -11,7 +11,7 @@ continuation condition is "the current iteration still has a successor inside
 Φ" (``I ∈ Φ ∩ dom Rd``).
 
 :func:`chain_phase` builds the chains straight from the partition's arrays:
-it keeps the P2-internal edges of Rd, refuses a relation that branches (where
+it keeps the P2-internal edges of Rd (read as row indices), refuses a relation that branches (where
 Lemma 1 does not hold), and advances every chain one step at a time from its
 head.  Every P2 point lands on exactly one chain and every P2-internal edge
 joins consecutive points of one chain, by construction.  The generated
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..isl.relations import PointCodec, in_sorted
 from .partition import ThreeSetPartition
 from .schedule import Phase
 
@@ -37,7 +36,7 @@ def chain_phase(partition: ThreeSetPartition) -> Phase:
     """The P2 phase of Algorithm 1: one unit per monotonic chain.
 
     The non-self edges of ``partition.rd`` with both endpoints in P2 are
-    matched on :class:`~repro.isl.relations.PointCodec` keys.  Each chain
+    read off its row indices (:meth:`ThreeSetPartition.edge_indices`).  Each chain
     starts at a head (a P2 point with no predecessor inside P2, i.e. a W
     start) and all chains advance together, one array step per chain
     position.  Rows run chain by chain; units are ordered by their head,
@@ -51,17 +50,16 @@ def chain_phase(partition: ThreeSetPartition) -> Phase:
     n = len(p2)
     if not n:
         return Phase(CHAIN_PHASE, 0, p2, np.zeros(1, dtype=np.int64))
-    src, dst = partition.rd.as_arrays()
-    codec = PointCodec.for_arrays(src, dst, p2)
-    p2_keys = codec.encode(p2)  # ascending: the rows are sorted and unique
-    src_keys, dst_keys = codec.encode(src), codec.encode(dst)
-    keep = (
-        (src_keys != dst_keys)
-        & in_sorted(src_keys, p2_keys)
-        & in_sorted(dst_keys, p2_keys)
-    )
-    a = np.searchsorted(p2_keys, src_keys[keep])
-    b = np.searchsorted(p2_keys, dst_keys[keep])
+    lo, hi = partition.edge_indices()
+    size = len(partition.space_array())
+    in_dom = np.bincount(lo, minlength=size) > 0
+    in_ran = np.bincount(hi, minlength=size) > 0
+    # local[i]: the index among the P2 rows of space row i (-1 outside P2).
+    local = np.full(size, -1, dtype=np.int64)
+    local[in_dom & in_ran] = np.arange(n, dtype=np.int64)
+    a, b = local[lo], local[hi]
+    keep = (lo != hi) & (a >= 0) & (b >= 0)
+    a, b = a[keep], b[keep]
     for ends, role in ((a, "successors"), (b, "predecessors")):
         degree = np.bincount(ends, minlength=n)
         if (degree > 1).any():
@@ -73,7 +71,9 @@ def chain_phase(partition: ThreeSetPartition) -> Phase:
             )
     succ = np.full(n, -1, dtype=np.int64)
     succ[a] = b
-    heads = np.setdiff1d(np.arange(n), b)  # ascending index == lexicographic
+    has_pred = np.zeros(n, dtype=bool)
+    has_pred[b] = True
+    heads = np.flatnonzero(~has_pred)  # ascending index == lexicographic
     rows, units = [heads], [np.arange(len(heads))]
     current, unit = heads, units[0]
     while len(current):

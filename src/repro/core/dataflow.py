@@ -18,11 +18,14 @@ longest dependence chain — i.e. this is list scheduling by levels of the
 dependence DAG, which achieves the maximum (dataflow) parallelism attainable
 with barrier-only synchronization.
 
-The implementation recognises the loop as Kahn level scheduling: points
-become compact indices via lexicographic key encoding, the relation becomes a
-CSR adjacency with an in-degree array, and every wavefront is peeled with a
-handful of numpy operations — one pass over the edges in total, instead of
-the literal loop's O(steps · |Rd|) rebuilds of ``ran Rd``.  A cyclic
+The implementation recognises the loop as Kahn level scheduling on row
+indices (:func:`dataflow_partition_indexed`): the relation's ``(lo, hi)``
+index pairs become a CSR adjacency with an in-degree array, and every
+wavefront is peeled with a handful of numpy operations — one pass over the
+edges in total, instead of the literal loop's O(steps · |Rd|) rebuilds of
+``ran Rd``.  The planner hands it the statement-level space's own indices;
+:func:`dataflow_partition` is the ``(space, rd)`` adapter that locates the
+endpoints by codec key first.  A cyclic
 (stalling) relation raises :class:`RuntimeError`.  The partition is its CSR
 arrays alone; the wavefronts as point sets live only in the test oracle
 (``tests/oracle.py``).
@@ -34,11 +37,16 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..isl.relations import FiniteRelation, PointCodec, in_sorted
-from .partition import space_rows
+from ..isl.relations import FiniteRelation, sorted_unique
+from .partition import locate_edges, space_rows
 from .schedule import Schedule, validate_csr
 
-__all__ = ["DataflowPartition", "dataflow_partition", "dataflow_schedule"]
+__all__ = [
+    "DataflowPartition",
+    "dataflow_partition",
+    "dataflow_partition_indexed",
+    "dataflow_schedule",
+]
 
 Point = Tuple[int, ...]
 
@@ -104,41 +112,46 @@ def dataflow_partition(
     ends inside ``space`` constrain the partitioning.  ``max_steps`` guards
     against runaway loops in pathological inputs (a cycle in ``rd`` would
     otherwise never drain — cycles cannot arise from a legal sequential loop).
-    ``space`` is an ``(n, dim)`` int array or an iterable of point tuples; the
-    peel is Kahn level scheduling over compact indices, one pass over the
-    edges.
+    ``space`` is an ``(n, dim)`` int array or an iterable of point tuples.
+    An adapter: the endpoints are located among the space rows
+    (:func:`~repro.core.partition.locate_edges`) and
+    :func:`dataflow_partition_indexed` peels the wavefronts.
     """
     space_arr = space_rows(space, rd.dim_in)
     if len(space_arr) == 0:
         return DataflowPartition(np.zeros(1, dtype=np.int64), space_arr, rd)
-    codec = PointCodec.for_arrays(space_arr, *rd.as_arrays())
-    phi_keys = np.unique(codec.encode(space_arr))
-    n = len(phi_keys)
-    src, dst = rd.as_arrays()
-    if len(src):
-        src_keys = codec.encode(src)
-        dst_keys = codec.encode(dst)
-        keep = in_sorted(src_keys, phi_keys) & in_sorted(dst_keys, phi_keys)
-        src_keys, dst_keys = src_keys[keep], dst_keys[keep]
-    else:
-        src_keys = dst_keys = np.zeros(0, dtype=np.int64)
-    src_idx = np.searchsorted(phi_keys, src_keys)
-    dst_idx = np.searchsorted(phi_keys, dst_keys)
-    indegree = np.bincount(dst_idx, minlength=n)
-    # CSR adjacency: out-edges grouped by source index.
-    order = np.argsort(src_idx, kind="stable")
-    dst_by_src = dst_idx[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_idx, minlength=n), out=offsets[1:])
+    rows, lo, hi, _ = locate_edges(space_arr, rd)
+    return dataflow_partition_indexed(rows, lo, hi, rd, max_steps)
 
-    # Wavefronts accumulate as per-level key arrays (ascending keys == lex
-    # order); the points are decoded once at the end into the CSR row array.
-    level_keys: List[np.ndarray] = []
+
+def dataflow_partition_indexed(
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rd: FiniteRelation,
+    max_steps: Optional[int] = None,
+) -> DataflowPartition:
+    """The index core of :func:`dataflow_partition`: Kahn level scheduling.
+
+    ``rows`` is the space as sorted unique ``(n, dim)`` rows and
+    ``(lo, hi)`` the dependences as row indices into them (earlier →
+    later, duplicates allowed); ``rd`` is the relation the partition
+    reports.  One pass over the edges; each wavefront's indices ascend, so
+    its rows come out in lexicographic order.
+    """
+    n = len(rows)
+    indegree = np.bincount(hi, minlength=n)
+    # CSR adjacency: out-edges grouped by source index.
+    order = np.argsort(lo, kind="stable")
+    dst_by_src = hi[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n), out=offsets[1:])
+
+    levels: List[np.ndarray] = []
     frontier = np.flatnonzero(indegree == 0)
     released = 0
-    steps = 0
     while released < n:
-        if max_steps is not None and steps >= max_steps:
+        if max_steps is not None and len(levels) >= max_steps:
             raise RuntimeError(
                 f"dataflow partitioning did not terminate within {max_steps} steps; "
                 f"{n - released} iterations remain (is the dependence relation cyclic?)"
@@ -148,29 +161,27 @@ def dataflow_partition(
                 "dataflow partitioning stalled: every remaining iteration has a "
                 "pending predecessor (cyclic dependence relation)"
             )
-        level_keys.append(phi_keys[frontier])
+        levels.append(frontier)
         released += int(frontier.size)
         starts = offsets[frontier]
         counts = offsets[frontier + 1] - starts
         total = int(counts.sum())
-        if total:
-            # Gather all out-edges of the frontier in one shot.
-            gather = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-            ) + np.arange(total)
-            targets = dst_by_src[gather]
-            indegree -= np.bincount(targets, minlength=n)
-            frontier = np.unique(targets[indegree[targets] == 0])
-        else:
-            frontier = np.zeros(0, dtype=np.int64)
-        steps += 1
-    sizes = np.asarray([len(k) for k in level_keys], dtype=np.int64)
-    level_offsets = np.zeros(len(level_keys) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=level_offsets[1:])
-    all_keys = (
-        np.concatenate(level_keys) if level_keys else np.zeros(0, dtype=np.int64)
-    )
-    point_rows = codec.decode(all_keys)
+        if not total:
+            frontier = frontier[:0]
+            continue
+        # Gather all out-edges of the frontier in one shot, then release
+        # each distinct target by its number of edges: the work per level
+        # is proportional to the frontier's out-edges, not to n.
+        gather = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+        targets = np.sort(dst_by_src[gather])
+        fresh = np.ones(total, dtype=bool)
+        np.not_equal(targets[1:], targets[:-1], out=fresh[1:])
+        distinct = targets[fresh]
+        indegree[distinct] -= np.diff(np.append(np.flatnonzero(fresh), total))
+        frontier = distinct[indegree[distinct] == 0]
+    level_offsets = np.zeros(len(levels) + 1, dtype=np.int64)
+    np.cumsum([len(level) for level in levels], out=level_offsets[1:])
+    point_rows = rows[np.concatenate(levels)] if levels else rows[:0]
     return DataflowPartition(level_offsets, point_rows, rd)
 
 

@@ -24,11 +24,14 @@ variant are provided; the symbolic variant feeds the DOALL code generator and
 may be a rational approximation (see :class:`SymbolicThreeSetPartition`), the
 concrete variant is exact and feeds the executors and validators.
 
-The concrete partitioner encodes points as int64 lexicographic keys
-(:class:`~repro.isl.relations.PointCodec`) and computes every membership test
-with sorted-array numpy operations, which keeps 10⁵–10⁶-point spaces
-tractable and costs a few milliseconds on the paper's small examples.  Its
-result holds each set as sorted ``(n, dim)`` rows and nothing else; point
+The concrete partitioner runs on row indices: given the space as sorted
+unique rows and Rd as ``(lo, hi)`` index pairs into them
+(:func:`three_set_partition_indexed`, what the planner calls with the
+statement-level space's own indices), every set is a ``bincount`` mask, which
+keeps 10⁵–10⁶-point spaces tractable.  :func:`three_set_partition` is the
+``(space, rd)`` adapter: it locates Rd's endpoints among the space rows by
+:class:`~repro.isl.relations.PointCodec` key, drops the foreign ones and calls
+the same core.  The result holds each set as sorted ``(n, dim)`` rows; point
 sets of tuples exist only in the test oracle (``tests/oracle.py``).
 """
 
@@ -45,11 +48,19 @@ from ..isl.relations import (
     UnionRelation,
     in_sorted,
     readonly_view,
+    sorted_unique,
 )
 from ..isl.sets import UnionSet
 from ..isl.convex import ConvexSet
 
-__all__ = ["ThreeSetPartition", "three_set_partition", "SymbolicThreeSetPartition", "symbolic_three_set_partition"]
+__all__ = [
+    "ThreeSetPartition",
+    "three_set_partition",
+    "three_set_partition_indexed",
+    "locate_edges",
+    "SymbolicThreeSetPartition",
+    "symbolic_three_set_partition",
+]
 
 Point = Tuple[int, ...]
 
@@ -59,7 +70,8 @@ class ThreeSetPartition:
 
     Held as ``(n, dim)`` int64 row arrays, unique and lexicographically
     sorted per set (:meth:`space_array`, :meth:`p1_array`, ...): the order
-    the schedule builders emit DOALL sets in.
+    the schedule builders emit DOALL sets in.  ``rd``'s pairs are also kept
+    as row indices into :meth:`space_array` (:meth:`edge_indices`).
     """
 
     _SETS = ("space", "p1", "p2", "p3", "w")
@@ -72,14 +84,20 @@ class ThreeSetPartition:
         p2: np.ndarray,
         p3: np.ndarray,
         w: np.ndarray,
+        edges: Tuple[np.ndarray, np.ndarray],
     ):
         self.rd = rd
+        self._edges = tuple(readonly_view(np.asarray(e, dtype=np.int64)) for e in edges)
         # Read-only: the builders share slices of these arrays, so an
         # in-place edit through an alias must raise, not desync.
         self._rows: Dict[str, np.ndarray] = {
             name: readonly_view(np.asarray(rows, dtype=np.int64))
             for name, rows in zip(self._SETS, (space, p1, p2, p3, w))
         }
+
+    def edge_indices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``rd``'s pairs as ``(lo, hi)`` row indices into :meth:`space_array`."""
+        return self._edges
 
     def space_array(self) -> np.ndarray:
         """Φ as lexicographically sorted ``(n, dim)`` rows."""
@@ -121,12 +139,10 @@ class ThreeSetPartition:
         """Set sizes; P1 splits into the independent iterations (P1 \\ dom Rd:
         touched by no dependence, as P1 is outside ran Rd) and the initial
         ones (P1 ∩ dom Rd)."""
-        p1 = self._rows["p1"]
-        src, _ = self.rd.as_arrays()
-        initial = 0
-        if len(p1) and len(src):
-            codec = PointCodec.for_arrays(p1, src)
-            initial = int(in_sorted(codec.encode(p1), np.unique(codec.encode(src))).sum())
+        lo, hi = self._edges
+        n = len(self._rows["space"])
+        in_dom = np.bincount(lo, minlength=n) > 0
+        initial = int((in_dom & (np.bincount(hi, minlength=n) == 0)).sum())
         sizes = {name: len(self._rows[name]) for name in self._SETS}
         return {
             "space": sizes["space"],
@@ -151,6 +167,27 @@ def space_rows(space: Union[np.ndarray, Iterable[Point]], dim: int) -> np.ndarra
     return np.array(points, dtype=np.int64).reshape(len(points), width)
 
 
+def locate_edges(
+    space: np.ndarray, rd: FiniteRelation
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, lo, hi, keep)``: a non-empty ``(n, dim)`` space as sorted
+    unique rows, and the pairs of ``rd`` with both ends among them as row
+    indices ``(lo, hi)``; ``keep`` masks those pairs in ``rd``.
+
+    The shared front end of the ``(space, rd)`` adapters: endpoints are
+    located by :class:`~repro.isl.relations.PointCodec` key.
+    """
+    src, dst = rd.as_arrays()
+    codec = PointCodec.for_arrays(space, src, dst)
+    keys = sorted_unique(codec.encode(space))
+    src_keys = codec.encode(src)
+    dst_keys = codec.encode(dst)
+    keep = in_sorted(src_keys, keys) & in_sorted(dst_keys, keys)
+    lo = np.searchsorted(keys, src_keys[keep])
+    hi = np.searchsorted(keys, dst_keys[keep])
+    return codec.decode(keys), lo, hi, keep
+
+
 def three_set_partition(
     space: Union[np.ndarray, Iterable[Point]],
     rd: FiniteRelation,
@@ -160,48 +197,52 @@ def three_set_partition(
     ``rd`` must already be oriented forward (earlier ≺ later); iterations of
     ``rd`` that are outside ``space`` are ignored (they cannot occur when the
     relation was computed from the same bounds).  ``space`` is an ``(n, dim)``
-    int array or an iterable of point tuples.  Every set is a sorted-key
-    membership computation instead of per-point set algebra.
+    int array or an iterable of point tuples.  An adapter: the endpoints are
+    located among the space rows (:func:`locate_edges`) and
+    :func:`three_set_partition_indexed` computes the sets.
     """
     space_arr = space_rows(space, rd.dim_in)
     if len(space_arr) == 0:
         empty = space_arr[:0]
+        none = np.zeros(0, dtype=np.int64)
         return ThreeSetPartition(
             empty, FiniteRelation.empty(rd.dim_in, rd.dim_out),
-            empty, empty, empty, empty,
+            empty, empty, empty, empty, (none, none),
         )
-    codec = PointCodec.for_arrays(space_arr, *rd.as_arrays())
-    src, dst = rd.as_arrays()
-    phi_keys = codec.encode(space_arr)
-    phi_sorted = np.unique(phi_keys)
-    src_keys = codec.encode(src)
-    dst_keys = codec.encode(dst)
-    keep = in_sorted(src_keys, phi_sorted) & in_sorted(dst_keys, phi_sorted)
-    if keep.all():
-        relation = rd  # nothing dropped: avoid re-canonicalising
-    else:
-        src, dst = src[keep], dst[keep]
-        src_keys, dst_keys = src_keys[keep], dst_keys[keep]
-        relation = FiniteRelation.from_arrays(src, dst)
-    dom_sorted = np.unique(src_keys)
-    ran_sorted = np.unique(dst_keys)
-    in_ran = in_sorted(phi_keys, ran_sorted)
-    in_dom = in_sorted(phi_keys, dom_sorted)
-    p1_mask = ~in_ran
-    p1_keys = np.unique(phi_keys[p1_mask])
+    rows, lo, hi, keep = locate_edges(space_arr, rd)
+    if not keep.all():
+        src, dst = rd.as_arrays()
+        rd = FiniteRelation(src[keep], dst[keep])  # a subset of canonical pairs
+    return three_set_partition_indexed(rows, lo, hi, rd)
+
+
+def three_set_partition_indexed(
+    rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, rd: FiniteRelation
+) -> ThreeSetPartition:
+    """Eq. 5 on row indices: the index core of :func:`three_set_partition`.
+
+    ``rows`` is the space as sorted unique ``(n, dim)`` rows and
+    ``(lo, hi)`` indexes the pairs of the forward-oriented ``rd`` (earlier →
+    later) into them, every pair inside the space.  Membership in ``dom Rd``
+    and ``ran Rd`` is one ``bincount`` each; row order is lexicographic, so
+    every set comes out as sorted rows.
+    """
+    n = len(rows)
+    in_dom = np.bincount(lo, minlength=n) > 0
+    in_ran = np.bincount(hi, minlength=n) > 0
+    p1 = ~in_ran
     # W: the intermediate iterations that directly depend on an initial-set
     # iteration — the start points of the WHILE loops (§3.2).  Edge targets
     # are in ran by construction, so "dst ∈ P2" reduces to "dst ∈ dom".
-    w_edges = in_sorted(src_keys, p1_keys) & in_sorted(dst_keys, dom_sorted)
-    # Every set is emitted as sorted unique keys decoded back to rows: key
-    # order equals lexicographic row order, so the arrays are canonical.
+    w = sorted_unique(hi[p1[lo] & in_dom[hi]])
     return ThreeSetPartition(
-        space=codec.decode(phi_sorted),
-        rd=relation,
-        p1=codec.decode(p1_keys),
-        p2=codec.decode(np.unique(phi_keys[in_ran & in_dom])),
-        p3=codec.decode(np.unique(phi_keys[in_ran & ~in_dom])),
-        w=codec.decode(np.unique(dst_keys[w_edges])),
+        space=rows,
+        rd=rd,
+        p1=rows[p1],
+        p2=rows[in_ran & in_dom],
+        p3=rows[in_ran & ~in_dom],
+        w=rows[w],
+        edges=(lo, hi),
     )
 
 

@@ -48,7 +48,7 @@ import numpy as np
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from .chains import CHAIN_PHASE, chain_phase
-from .partition import ThreeSetPartition, three_set_partition
+from .partition import ThreeSetPartition, three_set_partition_indexed
 from .recurrence import AffineRecurrence, iteration_space_diameter, theorem1_bound
 from .schedule import Phase, Schedule
 from .statement import statement_dataflow_schedule
@@ -165,14 +165,9 @@ def recurrence_not_applicable_reason(analysis: DependenceAnalysis) -> Optional[s
         )
     single_pair = analysis.single_coupled_pair()
     if single_pair is None:
-        coupled = [
-            d
-            for d in analysis.pair_dependences
-            if d.pair.is_coupled() and not d.is_empty()
-        ]
         return (
             "needs exactly one coupled reference pair with dependences "
-            f"(found {len(coupled)})"
+            f"(found {len(analysis.dependent_coupled_pairs)})"
         )
     if not single_pair.is_square_full_rank():
         return (
@@ -204,7 +199,10 @@ def recurrence_branch(
     single_pair = analysis.single_coupled_pair()
     label = single_pair.source_ctx.statement.label
     # One statement: the space's rows are its iteration vectors.
-    partition = three_set_partition(analysis.space.unified_array, analysis.space.rd)
+    space = analysis.space
+    partition = three_set_partition_indexed(
+        space.unified_array, space.rd_lo, space.rd_hi, space.rd
+    )
     recurrence = AffineRecurrence.from_pair(single_pair)
     try:
         chains = chain_phase(partition)

@@ -29,9 +29,11 @@ column layout.  :class:`StatementLevelSpace` is the concrete unified space of
 a program at given bounds, held as arrays:
 
 * one ``(n, width)`` int64 row per instance in unified (== sequential)
-  order, with ``stmt_ids`` naming the statement of each row, and ``rd`` as
-  an array-backed :class:`~repro.isl.relations.FiniteRelation` over unified
-  rows;
+  order, with ``stmt_ids`` naming the statement of each row;
+* Rd as row-index pairs ``(rd_lo, rd_hi)`` into those rows — unique,
+  ascending, each pair earlier → later — and as the array-backed
+  :class:`~repro.isl.relations.FiniteRelation` ``rd`` of the rows they
+  index;
 * :meth:`StatementLevelSpace.phase`, the one way rows of the space become a
   :class:`~repro.core.schedule.Phase` (statement ids plus iteration columns);
 * :meth:`StatementLevelSpace.row_indices_of`, which locates unified rows
@@ -40,9 +42,10 @@ a program at given bounds, held as arrays:
 
 :func:`build_statement_space` runs one :meth:`UnifiedIndexMap.unify_array`
 gather/interleave per statement, lex-merges the per-statement blocks, and
-maps the exact analyser's pair relations into unified space with the
-:class:`~repro.isl.relations.PointCodec` sort/merge machinery of
-``FiniteRelation.oriented_forward`` — no per-instance Python tuples anywhere.
+builds Rd directly as row indices of the merged space with one sort/merge
+join per reference pair
+(:func:`~repro.dependence.exact.dependence_index_pairs`) — no per-pair
+relation and no per-instance Python tuples anywhere.
 :attr:`~repro.dependence.analysis.DependenceAnalysis.space` caches its result
 per analysis, and every builder, the features and ``Plan.validate()`` read
 that one object.  ``tests/core/test_statement_differential.py`` pins it
@@ -59,9 +62,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..dependence.analysis import DependenceAnalysis
+from ..dependence.exact import dependence_index_pairs
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation, PointCodec, lexsort_rows, readonly_view
-from .dataflow import dataflow_partition
+from .dataflow import dataflow_partition_indexed
 from .schedule import Phase, Schedule
 
 __all__ = [
@@ -188,6 +192,13 @@ class StatementLevelSpace:
     an ``(n, width)`` int64 row (lexicographic == sequential order) with
     ``stmt_ids`` naming the statement of each row (given as the int ``0``
     for a one-statement program, and read back as a zero-stride view).
+
+    Rd is held as row indices: ``rd_lo[k] < rd_hi[k]`` index the earlier and
+    the later instance of the ``k``-th dependence, the pairs unique and
+    ascending by ``(lo, hi)``.  The rows are unique and sorted, so
+    ``rd = FiniteRelation(rows[rd_lo], rows[rd_hi])`` is canonical as it
+    stands.  ``pair_flags`` tells, parallel to the analysis'
+    ``reference_pairs``, which reference pair has a dependence.
     """
 
     __slots__ = (
@@ -197,7 +208,10 @@ class StatementLevelSpace:
         "stmt_depths",
         "_stmt_ids",
         "unified_array",
+        "rd_lo",
+        "rd_hi",
         "rd",
+        "pair_flags",
         "_codec",
         "_space_keys",
     )
@@ -209,7 +223,9 @@ class StatementLevelSpace:
         stmt_labels: Tuple[str, ...],
         stmt_ids: Union[int, np.ndarray],
         unified_array: np.ndarray,
-        rd: FiniteRelation,
+        rd_lo: np.ndarray,
+        rd_hi: np.ndarray,
+        pair_flags: Tuple[bool, ...] = (),
     ):
         self.program_name = program_name
         self.index_map = index_map
@@ -224,7 +240,10 @@ class StatementLevelSpace:
                 raise ValueError("stmt_ids must be parallel to unified_array")
         if self.unified_array.ndim != 2:
             raise ValueError("unified_array must be an (n, width) array")
-        self.rd = rd
+        self.rd_lo = readonly_view(np.asarray(rd_lo, dtype=np.int64))
+        self.rd_hi = readonly_view(np.asarray(rd_hi, dtype=np.int64))
+        self.rd = FiniteRelation(self.unified_array[self.rd_lo], self.unified_array[self.rd_hi])
+        self.pair_flags = tuple(pair_flags)
         self._codec: Optional[PointCodec] = None
         self._space_keys: Optional[np.ndarray] = None
 
@@ -252,8 +271,9 @@ class StatementLevelSpace:
             return np.broadcast_to(np.int64(self._stmt_ids), (len(self.unified_array),))
         return self._stmt_ids
 
-    def _keys(self) -> Tuple[PointCodec, np.ndarray]:
-        """Codec over the unified box + the (ascending) keys of every row."""
+    def keys(self) -> Tuple[PointCodec, np.ndarray]:
+        """A codec over the unified rows and the (ascending) key of every
+        row, built once per space."""
         if self._codec is None:
             codec = PointCodec.for_arrays(self.unified_array)
             self._codec = codec
@@ -272,7 +292,7 @@ class StatementLevelSpace:
             return np.zeros(0, dtype=np.int64)
         if not len(self):
             raise KeyError("an empty statement space has no instances")
-        codec, space_keys = self._keys()
+        codec, space_keys = self.keys()
         keys = codec.encode(rows)
         idx = np.searchsorted(space_keys, keys).clip(max=len(space_keys) - 1)
         ok = codec.contains(rows) & (space_keys[idx] == keys)
@@ -317,19 +337,21 @@ def build_statement_space(
 ) -> StatementLevelSpace:
     """Build the unified statement-instance space and its dependence relation.
 
-    The dependences come from the exact per-reference-pair analysis; each pair
-    ``(i of S1) -> (j of S2)`` is mapped to unified vectors and then oriented
-    so the lexicographically earlier instance is the source, dropping
-    self-pairs — eq. 4 / eq. 7 on statement instances.
+    Every instance of every statement becomes one unified row; the
+    per-statement domains come from the analysis' cached enumeration, one
+    :meth:`UnifiedIndexMap.unify_array` interleave maps each statement's
+    block, and a lexicographic merge puts the blocks in sequential order (a
+    single block is already in order).
 
-    Everything is built on arrays: per-statement domains come from the
-    analysis' cached enumeration, one :meth:`UnifiedIndexMap.unify_array`
-    interleave maps each statement's block, a lexicographic merge puts the
-    blocks in sequential order (a single block is already in order), and
-    the pair relations are concatenated and oriented on the
-    :class:`~repro.isl.relations.PointCodec` path
-    (:meth:`~repro.isl.relations.FiniteRelation.oriented_forward`).
-    Planning code reads the analysis' cached copy,
+    Rd (eq. 4 / eq. 7 on statement instances) is built once, as row-index
+    pairs into the merged rows: each ``(statement, reference)``'s addresses
+    are encoded once per array, each reference pair is one sort/merge join
+    of those keys shifted to global rows through the merge permutation, and
+    the matches lose their self-pairs, are oriented ``(min, max)`` and
+    deduplicated by one scalar unique
+    (:func:`~repro.dependence.exact.dependence_index_pairs`).  The same join
+    yields each reference pair's non-empty flag, so no per-pair relation is
+    materialised.  Planning code reads the analysis' cached copy,
     :attr:`~repro.dependence.analysis.DependenceAnalysis.space`.
     """
     analysis = analysis or DependenceAnalysis(program, params)
@@ -337,13 +359,13 @@ def build_statement_space(
     contexts = program.statement_contexts()
     stmt_labels = tuple(ctx.statement.label for ctx in contexts)
 
-    blocks = [
-        index_map.unify_array(label, analysis.statement_domain_array(label))
-        for label in stmt_labels
-    ]
+    domains = {label: analysis.statement_domain_array(label) for label in stmt_labels}
+    blocks = [index_map.unify_array(label, domains[label]) for label in stmt_labels]
     ids_all: Union[int, np.ndarray]
+    # row_index[label][k]: the space row of the label's k-th domain row.
     if len(blocks) == 1:
         unified_all, ids_all = blocks[0], 0
+        row_index = {stmt_labels[0]: np.arange(len(unified_all), dtype=np.int64)}
     elif blocks:
         unified_all = np.concatenate(blocks)
         ids_all = np.repeat(
@@ -352,46 +374,46 @@ def build_statement_space(
         order = lexsort_rows(unified_all)
         unified_all = unified_all[order]
         ids_all = ids_all[order]
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order), dtype=np.int64)
+        bounds = np.cumsum([0] + [len(b) for b in blocks])
+        row_index = {
+            label: position[start:stop]
+            for label, start, stop in zip(stmt_labels, bounds, bounds[1:])
+        }
     else:
         unified_all = np.zeros((0, index_map.width), dtype=np.int64)
         ids_all = np.zeros(0, dtype=np.int64)
+        row_index = {}
 
-    src_blocks: List[np.ndarray] = []
-    dst_blocks: List[np.ndarray] = []
-    for dep in analysis.pair_dependences:
-        if dep.is_empty():
-            continue
-        src, dst = dep.relation.as_arrays()
-        src_blocks.append(index_map.unify_array(dep.source_label, src))
-        dst_blocks.append(index_map.unify_array(dep.target_label, dst))
-    if src_blocks:
-        combined = FiniteRelation.from_arrays(
-            np.concatenate(src_blocks), np.concatenate(dst_blocks)
-        )
-        rd = combined.oriented_forward()
-    else:
-        rd = FiniteRelation.empty(index_map.width, index_map.width)
+    rd_lo, rd_hi, pair_flags = dependence_index_pairs(
+        analysis.reference_pairs, domains, row_index, len(unified_all)
+    )
     return StatementLevelSpace(
         program_name=program.name,
         index_map=index_map,
         stmt_labels=stmt_labels,
         stmt_ids=ids_all,
         unified_array=unified_all,
-        rd=rd,
+        rd_lo=rd_lo,
+        rd_hi=rd_hi,
+        pair_flags=pair_flags,
     )
 
 
 def statement_dataflow_schedule(name: str, space: StatementLevelSpace) -> Schedule:
     """Dataflow-partition a statement-level space into a wavefront schedule.
 
-    The wavefronts stay in array form end to end: the partition's CSR rows
-    are unified vectors, :meth:`StatementLevelSpace.split` recovers their
+    The wavefronts stay in array form end to end: the peeling runs on the
+    space's Rd row indices, the partition's CSR rows are unified vectors, :meth:`StatementLevelSpace.split` recovers their
     statements and iteration columns in one pass, and each level becomes one
     DOALL :class:`~repro.core.schedule.Phase` (interpretation stops at each
     statement's depth, so the padding is never read).  Instances run in
     lexicographic order within each wavefront.
     """
-    partition = dataflow_partition(space.unified_array, space.rd)
+    partition = dataflow_partition_indexed(
+        space.unified_array, space.rd_lo, space.rd_hi, space.rd
+    )
     level_offsets, point_rows = partition.level_arrays()
     return Schedule.from_levels(
         name,

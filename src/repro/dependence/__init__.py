@@ -20,6 +20,7 @@ from .distance import (
     distance_vectors,
     is_uniform_relation,
     is_uniform_relation_arrays,
+    is_uniform_distances,
 )
 from .exact import enumerate_domain, exact_pair_dependences, reference_addresses
 from .pair import ReferencePair
@@ -43,6 +44,7 @@ __all__ = [
     "direction_vectors",
     "is_uniform_relation",
     "is_uniform_relation_arrays",
+    "is_uniform_distances",
     "classify_pair",
     "PairClassification",
 ]

@@ -5,12 +5,14 @@ enumerates the coupled reference pairs of a program, runs the exact analyser
 on each for concrete parameter values, and exposes the views the partitioners
 consume:
 
-* per statement-pair finite relations,
 * the program's one iteration space, :attr:`DependenceAnalysis.space`: the
   §3.3 statement-level space of every statement instance and the combined
-  relation ``Rd`` over it, oriented so every pair maps the lexicographically
-  earlier instance to the later one (eq. 4).  A one-statement program's
-  space is its plain iteration space;
+  relation ``Rd`` over it, held as row-index pairs into the space and
+  oriented so every pair maps the lexicographically earlier instance to the
+  later one (eq. 4).  A one-statement program's space is its plain
+  iteration space;
+* per reference-pair finite relations (:attr:`~DependenceAnalysis.pair_dependences`,
+  a view derived on demand that planning never reads),
 * the symbolic union relation of a perfect nest, for code generation,
 * summary facts: is there a single coupled pair?  is it square and full rank?
   are the dependences uniform?
@@ -18,31 +20,29 @@ consume:
 Results are cached; the analysis object is intended to be created once per
 (program, parameter binding) and passed around.
 
-The analysis is **array-native end to end** for concrete spaces: the exact
-analyser joins address tables on sorted int64 keys and returns array-backed
-relations (:mod:`repro.dependence.exact`), each statement's domain is
-enumerated once into an ``(n, depth)`` int64 array
-(:meth:`DependenceAnalysis.statement_domain_array`), the space's relation is
-built by array concatenation + ``np.unique`` instead of repeated frozenset
-unions, and the uniformity check runs on the array form.
+The analysis is **array-native end to end** for concrete spaces: each
+statement's domain is enumerated once into an ``(n, depth)`` int64 array
+(:meth:`DependenceAnalysis.statement_domain_array`), the exact analyser
+joins address keys on sorted int64 arrays (:mod:`repro.dependence.exact`),
+and Rd is built once, by one join per reference pair, straight into row
+indices of the space; the uniformity check reads those indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..ir.program import LoopProgram
-from ..isl.linalg import mat_inverse, vec_mat
+from ..isl.linalg import int_adjugate
 from ..isl.relations import FiniteRelation, UnionRelation, readonly_view
 from .exact import enumerate_domain, exact_pair_dependences
 from .pair import ReferencePair
 from .symbolic import symbolic_dependence_relation
-from .distance import classify_pair, is_uniform_relation_arrays
+from .distance import classify_pair, is_uniform_distances
 
 if TYPE_CHECKING:
     from ..core.statement import StatementLevelSpace
@@ -119,9 +119,12 @@ class DependenceAnalysis:
     def pair_dependences(self) -> List[StatementPairDependence]:
         """Exact direct dependences of every reference pair (source→target of eq. 2).
 
-        Every pair join reads its two statements' domains from the shared
-        per-statement cache (:meth:`statement_domain_array`), so each domain
-        is enumerated once per analysis instead of once per pair orientation.
+        A view derived on demand, one relation per reference pair, that only
+        tests and reports read: planning never materialises it.  The space's
+        Rd and each pair's non-empty flag come from one join per pair in the
+        space builder (:attr:`space`, ``space.pair_flags``).  Every pair join
+        here reads its two statements' domains from the shared per-statement
+        cache (:meth:`statement_domain_array`).
         """
         out = []
         for pair in self.reference_pairs:
@@ -166,8 +169,9 @@ class DependenceAnalysis:
 
         Every statement instance as one unified row (lexicographic ==
         sequential order), the statement of each row, and the combined
-        relation Rd over those rows, every pair oriented from the earlier
-        instance to the later one and self-pairs dropped (eq. 4).  A
+        relation Rd over those rows as row-index pairs, every pair oriented
+        from the earlier instance to the later one and self-pairs dropped
+        (eq. 4).  A
         one-statement program's rows are its iteration vectors, so its space
         and Rd are the plain iteration space and iteration-level relation.
         Built once per analysis (:func:`repro.core.statement.build_statement_space`)
@@ -191,26 +195,39 @@ class DependenceAnalysis:
         ``n_active_pairs`` pairs.  Solved once and read by the feature
         extractor, the ``symbolic`` gate and its builder.
 
-        Each pair's matrices are read once: ``A == B`` with ``B`` square and
-        invertible makes ``T = A·B⁻¹ = I``, so only the shift
+        Each pair's integer matrices are read once: ``A == B`` with ``B``
+        square and invertible makes ``T = A·B⁻¹ = I``, so only the shift
         ``u = (a − b)·B⁻¹`` is solved (``ReferencePair.recurrence`` forms
-        ``T`` as well, for the Lemma 1 callers that need it).
+        ``T`` as well, for the Lemma 1 callers that need it).  ``B⁻¹`` is
+        formed once per distinct ``B``, fraction-free as ``adj(B) / det(B)``,
+        and every pair's shift is an integer product with it.
+        A subscript with a parameter or a non-integer coefficient or offset
+        (which the IR validator rejects) gives ``None``.
         """
         if len(self.program.statement_contexts()) != 1:
             return None
+        adjugates: Dict[Tuple[Tuple[int, ...], ...], Tuple[List[List[int]], int]] = {}
         shifts = set()
         active = 0
         for pair in self.reference_pairs:
             try:
-                A, a, B, b = pair.matrices()
+                A, a = pair.source_ref.integer_coefficient_matrix(pair.source_indices)
+                B, b = pair.target_ref.integer_coefficient_matrix(pair.target_indices)
                 if not A or A != B:
                     return None  # not a uniform recurrence
-                u = vec_mat([x - y for x, y in zip(a, b)], mat_inverse(B))
+                key = tuple(map(tuple, B))
+                if key not in adjugates:
+                    adjugates[key] = int_adjugate(B)
             except ValueError:
-                return None  # B not square and invertible, or parameters in subscripts
-            if any(Fraction(c).denominator != 1 for c in u):
+                return None  # B not square, or a non-integer subscript
+            adj, det = adjugates[key]
+            if det == 0:
+                return None  # B singular: no recurrence
+            diff = [x - y for x, y in zip(a, b)]
+            numer = [sum(d * row[k] for d, row in zip(diff, adj)) for k in range(len(diff))]
+            if any(x % det for x in numer):
                 continue  # non-integral shift: the pair has no solutions
-            u_int = tuple(int(c) for c in u)
+            u_int = tuple(x // det for x in numer)
             if not any(u_int):
                 continue  # zero distance: no cross-iteration dependence
             if next(c for c in u_int if c) < 0:
@@ -234,28 +251,44 @@ class DependenceAnalysis:
         return [classify_pair(p) for p in self.coupled_pairs]
 
     @cached_property
-    def _dependent_coupled_pairs(self) -> List[ReferencePair]:
-        """The coupled reference pairs that generate dependences."""
+    def dependent_coupled_pairs(self) -> List[ReferencePair]:
+        """The coupled reference pairs that generate dependences (read off
+        the space builder's per-pair flags, ``space.pair_flags``)."""
         return [
-            d.pair for d in self.pair_dependences if d.pair.is_coupled() and not d.is_empty()
+            pair
+            for pair, dependent in zip(self.reference_pairs, self.space.pair_flags)
+            if dependent and pair.is_coupled()
         ]
 
     def has_single_coupled_pair(self) -> bool:
         """True when exactly one coupled reference pair generates dependences."""
-        return len(self._dependent_coupled_pairs) == 1
+        return len(self.dependent_coupled_pairs) == 1
 
     def single_coupled_pair(self) -> Optional[ReferencePair]:
         """That one pair (see :meth:`has_single_coupled_pair`), else ``None``."""
-        pairs = self._dependent_coupled_pairs
+        pairs = self.dependent_coupled_pairs
         return pairs[0] if len(pairs) == 1 else None
 
     def is_uniform(self) -> bool:
-        """Exhaustive uniformity check of Rd over the space's rows, on the
-        array form (:func:`~repro.dependence.distance.is_uniform_relation_arrays`)."""
-        return is_uniform_relation_arrays(self.space.rd, self.space.unified_array)
+        """Exhaustive uniformity check of Rd over the space's rows
+        (:func:`~repro.dependence.distance.is_uniform_distances`).
+
+        Read on the space's own indices: its rows are unique and sorted and
+        every pair of Rd lies inside it, so neither a row dedup nor an
+        in-space filter is needed, and the rows' keys come from the space's
+        one cached codec.
+        """
+        space = self.space
+        if not len(space.rd_lo):
+            return True
+        rows = space.unified_array
+        codec, keys = space.keys()
+        return is_uniform_distances(
+            rows, codec, keys, rows[space.rd_hi] - rows[space.rd_lo]
+        )
 
     def has_dependences(self) -> bool:
-        return any(not d.is_empty() for d in self.pair_dependences)
+        return len(self.space.rd_lo) > 0
 
     def summary(self) -> Dict[str, object]:
         """A small dict of headline facts, convenient for reports and tests.

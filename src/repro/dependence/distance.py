@@ -15,11 +15,11 @@ otherwise.  This module implements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Set, Tuple, Union
+from typing import Iterable, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..isl.relations import FiniteRelation, PointCodec, in_sorted
+from ..isl.relations import FiniteRelation, PointCodec, in_sorted, sorted_unique, unique_rows
 from .pair import ReferencePair
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "direction_vectors",
     "is_uniform_relation",
     "is_uniform_relation_arrays",
+    "is_uniform_distances",
     "classify_pair",
     "PairClassification",
 ]
@@ -74,14 +75,12 @@ def is_uniform_relation(
 def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> bool:
     """Uniformity check on the array form, no per-point Python objects.
 
-    Uses a counting argument equivalent to the definition: for a distance
-    ``d``, the relation's **in-space** pairs with that distance are always a
-    subset of the valid placements ``{(p, p+d) : p ∈ Φ, p+d ∈ Φ}``, so the
-    dependences are uniform iff for every distance appearing in the relation
-    the two cardinalities agree.  Pairs with an endpoint outside ``space``
-    contribute their distance but not their count — exactly matching the
-    per-point definition check.  Raises :class:`ValueError` for a
-    heterogeneous relation.
+    An adapter over :func:`is_uniform_distances`: the space's rows are
+    deduplicated (the definition treats Φ as a set) and the relation's
+    endpoints located among them by :class:`PointCodec` key.  Pairs with an
+    endpoint outside ``space`` contribute their distance but not their
+    count — exactly matching the per-point definition check.  Raises
+    :class:`ValueError` for a heterogeneous relation.
     """
     space = np.asarray(space, dtype=np.int64)
     if relation.is_empty():
@@ -91,28 +90,38 @@ def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> b
     if relation.dim_in == 0:
         # Rank-0 space: the only possible pair is () -> (), trivially uniform.
         return True
-    if len(space):
-        # The space is a *set* of points: duplicate rows must not inflate the
-        # valid-placement counts (the definition treats Φ as a set).
-        space = np.unique(space, axis=0)
     src, dst = relation.as_arrays()
     codec = PointCodec.for_arrays(space, src, dst)
-    space_keys = np.unique(codec.encode(space))
-    pair_in_space = in_sorted(codec.encode(src), space_keys) & in_sorted(
-        codec.encode(dst), space_keys
-    )
-    diffs = dst - src
-    have: dict = {}
-    if pair_in_space.any():
-        in_dists, in_counts = np.unique(
-            diffs[pair_in_space], axis=0, return_counts=True
-        )
-        have = dict(zip(map(tuple, in_dists.tolist()), in_counts.tolist()))
-    for d in np.unique(diffs, axis=0):
-        shifted = space + d
+    keys = sorted_unique(codec.encode(space))
+    in_space = in_sorted(codec.encode(src), keys) & in_sorted(codec.encode(dst), keys)
+    return is_uniform_distances(codec.decode(keys), codec, keys, dst - src, in_space)
+
+
+def is_uniform_distances(
+    rows: np.ndarray,
+    codec: PointCodec,
+    keys: np.ndarray,
+    distances: np.ndarray,
+    in_space: Optional[np.ndarray] = None,
+) -> bool:
+    """The uniformity count on a space given as sorted unique rows.
+
+    ``keys`` are the rows' ascending ``codec`` keys and ``distances`` the
+    ``target − source`` rows of every dependence; ``in_space`` masks the
+    pairs with both ends in the space (all of them when omitted).  For a
+    distance ``d`` the in-space pairs with that distance are always a subset
+    of the valid placements ``{(p, p+d) : p ∈ Φ, p+d ∈ Φ}``, so the
+    dependences are uniform iff for every distance the two cardinalities
+    agree.  The distinct distances come from one scalar-key unique.
+    """
+    distinct, inverse = unique_rows(distances, return_inverse=True)
+    if in_space is not None:
+        inverse = inverse[in_space]
+    have = np.bincount(inverse, minlength=len(distinct))
+    for d, count in zip(distinct, have.tolist()):
+        shifted = rows + d
         in_box = codec.contains(shifted)
-        valid = int(in_sorted(codec.encode(shifted[in_box]), space_keys).sum())
-        if valid != have.get(tuple(d.tolist()), 0):
+        if int(in_sorted(codec.encode(shifted[in_box]), keys).sum()) != count:
             return False
     return True
 

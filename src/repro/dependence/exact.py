@@ -29,16 +29,21 @@ without ever forming a Python tuple pair.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir.program import StatementContext
 from ..isl.enumerate_points import filter_box_numpy, iteration_points
-from ..isl.relations import FiniteRelation, PointCodec
+from ..isl.relations import FiniteRelation, PointCodec, unique_index_pairs
 from .pair import ReferencePair
 
-__all__ = ["enumerate_domain", "reference_addresses", "exact_pair_dependences"]
+__all__ = [
+    "enumerate_domain",
+    "reference_addresses",
+    "exact_pair_dependences",
+    "dependence_index_pairs",
+]
 
 
 def enumerate_domain(
@@ -78,38 +83,29 @@ def reference_addresses(
 ) -> np.ndarray:
     """Subscript vectors of ``ref`` for every iteration point (``(n, rank)``).
 
-    Raises :class:`ValueError` if some subscript evaluates to a non-integer
-    (cannot happen for integral coefficient matrices, which the IR validator
-    enforces).
+    One integer matrix multiply over the reference's integer coefficient
+    matrix (:meth:`~repro.ir.nodes.ArrayRef.integer_coefficient_matrix`,
+    which raises :class:`ValueError` for a non-integer subscript — the IR
+    validator rejects those).
     """
-    A, a = ref.coefficient_matrix(index_order)
-    if A and any(c.denominator != 1 for row in A for c in row):
-        raise ValueError(f"non-integer subscript coefficients in {ref}")
-    if any(c.denominator != 1 for c in a):
-        raise ValueError(f"non-integer subscript offsets in {ref}")
-    A_np = np.array([[int(c) for c in row] for row in A], dtype=np.int64).reshape(
-        len(index_order), len(a)
-    )
-    a_np = np.array([int(c) for c in a], dtype=np.int64)
     if points.shape[1] != len(index_order):
         raise ValueError("points dimensionality does not match the index order")
-    return points @ A_np + a_np
+    A, a = ref.integer_coefficient_matrix(index_order)
+    A_np = np.array(A, dtype=np.int64).reshape(len(index_order), len(a))
+    return points @ A_np + np.array(a, dtype=np.int64)
 
 
 def _sort_join(
-    src_addr: np.ndarray, dst_addr: np.ndarray
+    src_keys: np.ndarray, dst_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Row indices ``(src_idx, dst_idx)`` of all address matches, vectorised.
+    """Row indices ``(src_idx, dst_idx)`` of all key matches, vectorised.
 
-    Encodes both address tables into scalar int64 keys with a shared
-    :class:`PointCodec`, sorts the source keys once, and expands the
-    ``searchsorted`` hit ranges of every target key into explicit index pairs
-    — a sort/merge equi-join with no per-point Python objects.
+    The keys are two address tables encoded by one shared
+    :class:`PointCodec`.  Sorts the source keys once and expands the
+    ``searchsorted`` hit ranges of every target key into explicit index
+    pairs — a sort/merge equi-join with no per-point Python objects.
     """
-    codec = PointCodec.for_arrays(src_addr, dst_addr)
-    src_keys = codec.encode(src_addr)
-    dst_keys = codec.encode(dst_addr)
-    order = np.argsort(src_keys, kind="stable")
+    order = np.argsort(src_keys)
     sorted_keys = src_keys[order]
     left = np.searchsorted(sorted_keys, dst_keys, side="left")
     right = np.searchsorted(sorted_keys, dst_keys, side="right")
@@ -162,7 +158,8 @@ def exact_pair_dependences(
     src_addr = reference_addresses(pair.source_ref, pair.source_indices, src_points)
     dst_addr = reference_addresses(pair.target_ref, pair.target_indices, dst_points)
     same_statement = pair.source_ctx.statement.label == pair.target_ctx.statement.label
-    src_idx, dst_idx = _sort_join(src_addr, dst_addr)
+    codec = PointCodec.for_arrays(src_addr, dst_addr)
+    src_idx, dst_idx = _sort_join(codec.encode(src_addr), codec.encode(dst_addr))
     src_rows = src_points[src_idx]
     dst_rows = dst_points[dst_idx]
     if not include_self and same_statement:
@@ -173,3 +170,69 @@ def exact_pair_dependences(
         keep = (src_rows != dst_rows).any(axis=1)
         src_rows, dst_rows = src_rows[keep], dst_rows[keep]
     return FiniteRelation.from_arrays(src_rows, dst_rows)
+
+
+def dependence_index_pairs(
+    pairs: Sequence[ReferencePair],
+    domains: Mapping[str, np.ndarray],
+    row_index: Mapping[str, np.ndarray],
+    n_rows: int,
+) -> Tuple[np.ndarray, np.ndarray, Tuple[bool, ...]]:
+    """A whole program's Rd as row-index pairs ``(lo, hi)`` of one space.
+
+    ``domains`` maps each statement label to its ``(n_s, depth)`` domain
+    rows and ``row_index`` to the ``(n_s,)`` indices of those instances
+    among the ``n_rows`` rows of a space whose index order is the
+    sequential order (the §3.3 statement-level space).
+
+    Each ``(statement, reference)``'s addresses are computed and encoded
+    once, under one :class:`PointCodec` per array.  Each reference pair is
+    then one :func:`_sort_join` of those keys, shifted to space indices,
+    with the matches of an instance on itself dropped.  Every match is
+    oriented earlier → later as ``(min, max)`` (index order is sequential
+    order, eq. 4) and the union is deduplicated by one scalar unique
+    (:func:`~repro.isl.relations.unique_index_pairs`), so the pairs come
+    back unique and ascending by ``(lo, hi)``.  The flags, parallel to ``pairs``, tell which reference
+    pair has at least one dependence.
+    """
+    # A member is one reference of one statement, keyed by identity: the
+    # pairs share their statements' reference objects.
+    members: Dict[str, Dict[Tuple[str, int], np.ndarray]] = {}
+    for pair in pairs:
+        for ctx, ref in ((pair.source_ctx, pair.source_ref), (pair.target_ctx, pair.target_ref)):
+            label = ctx.statement.label
+            table = members.setdefault(ref.array, {})
+            if (label, id(ref)) not in table:
+                table[(label, id(ref))] = reference_addresses(
+                    ref, ctx.index_names, domains[label]
+                )
+    keys: Dict[Tuple[str, int], np.ndarray] = {}
+    for table in members.values():
+        if not any(len(addr) for addr in table.values()):
+            keys.update((member, np.zeros(0, dtype=np.int64)) for member in table)
+            continue
+        codec = PointCodec.for_arrays(*table.values())
+        keys.update((member, codec.encode(addr)) for member, addr in table.items())
+
+    lo_blocks: List[np.ndarray] = []
+    hi_blocks: List[np.ndarray] = []
+    flags: List[bool] = []
+    for pair in pairs:
+        src_label = pair.source_ctx.statement.label
+        dst_label = pair.target_ctx.statement.label
+        src_idx, dst_idx = _sort_join(
+            keys[(src_label, id(pair.source_ref))], keys[(dst_label, id(pair.target_ref))]
+        )
+        src_rows = row_index[src_label][src_idx]
+        dst_rows = row_index[dst_label][dst_idx]
+        keep = src_rows != dst_rows
+        if not keep.all():
+            src_rows, dst_rows = src_rows[keep], dst_rows[keep]
+        flags.append(bool(len(src_rows)))
+        lo_blocks.append(np.minimum(src_rows, dst_rows))
+        hi_blocks.append(np.maximum(src_rows, dst_rows))
+    if not any(flags):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), tuple(flags)
+    lo, hi = unique_index_pairs(np.concatenate(lo_blocks), np.concatenate(hi_blocks), n_rows)
+    return lo, hi, tuple(flags)

@@ -128,6 +128,35 @@ class ArrayRef:
                 A[index_pos[name]][col] = coeff
         return A, a
 
+    def integer_coefficient_matrix(
+        self, index_order: Sequence[str]
+    ) -> Tuple[List[List[int]], List[int]]:
+        """:meth:`coefficient_matrix` in plain ints, read off
+        :attr:`subscript_rows` with no rational arithmetic.
+
+        Raises ``ValueError`` as :meth:`coefficient_matrix` does for a
+        symbol outside ``index_order``, and for a non-integer coefficient or
+        offset (which the IR validator rejects).
+        """
+        index_pos = {name: k for k, name in enumerate(index_order)}
+        A = [[0] * len(self.subscripts) for _ in index_order]
+        a = [0] * len(self.subscripts)
+        for col, (sub, (terms, offset, den)) in enumerate(
+            zip(self.subscripts, self.subscript_rows)
+        ):
+            for name, coeff in terms:
+                if name not in index_pos:
+                    raise ValueError(
+                        f"subscript {sub} of {self.array} uses symbol {name!r} "
+                        f"outside the loop index order {tuple(index_order)}"
+                    )
+                A[index_pos[name]][col] = coeff
+            if den != 1:
+                part = "coefficients" if any(c.denominator != 1 for _, c in sub.coeffs) else "offsets"
+                raise ValueError(f"non-integer subscript {part} in {self}")
+            a[col] = offset
+        return A, a
+
     def evaluate(self, env: Mapping[str, int]) -> Tuple[int, ...]:
         """Concrete subscript values under an integer iteration-point
         environment; ``ValueError`` when one is not an integer.

@@ -42,6 +42,7 @@ __all__ = [
     "mat_sub",
     "mat_det",
     "mat_inverse",
+    "int_adjugate",
     "hermite_normal_form",
     "smith_normal_form",
     "DiophantineSolution",
@@ -229,6 +230,46 @@ def mat_inverse(a: Sequence[Sequence]) -> Matrix:
             m[r] = [m[r][c] - factor * m[col][c] for c in range(ra)]
             inv[r] = [inv[r][c] - factor * inv[col][c] for c in range(ra)]
     return inv
+
+
+def _int_det(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    m = [list(row) for row in a]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant requires a square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Exact: Sylvester's identity makes every entry a minor.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def int_adjugate(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """``(adj, det)`` of a square integer matrix: ``a · adj == det · I``.
+
+    ``a⁻¹ = adj / det`` in integers only — each cofactor is one
+    :func:`_int_det` of a minor, cheap for loop-nest-sized matrices.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("adjugate requires a square matrix")
+
+    def minor(r: int, c: int) -> List[List[int]]:
+        return [row[:c] + row[c + 1 :] for k, row in enumerate(map(list, a)) if k != r]
+
+    adj = [[(-1) ** (r + c) * _int_det(minor(r, c)) for r in range(n)] for c in range(n)]
+    det = sum(a[0][c] * adj[c][0] for c in range(n)) if n else 1
+    return adj, det
 
 
 def mat_rank(a: Sequence[Sequence]) -> int:

@@ -18,7 +18,7 @@ provided, mirroring the two ways the package reasons about dependences:
 ``(n, dim)`` int64 arrays (:meth:`FiniteRelation.as_arrays`).
 :class:`PointCodec` maps each integer point to a scalar int64 key whose order
 is lexicographic point order, so that domain, range and membership queries
-become sorted-array operations (``np.unique``, ``np.searchsorted``).  The
+become sorted-array operations (:func:`sorted_unique`, ``np.searchsorted``).  The
 codec encodes rows of any magnitude (raw mixed-radix keys when the bounding
 box fits int64, rank-compressed keys otherwise).  Tuple pair sets exist only
 in the brute-force test oracle (``tests/oracle.py``).  See ARCHITECTURE.md
@@ -44,6 +44,9 @@ __all__ = [
     "in_sorted",
     "lexsort_rows",
     "readonly_view",
+    "sorted_unique",
+    "unique_index_pairs",
+    "unique_rows",
 ]
 
 Point = Tuple[int, ...]
@@ -94,6 +97,79 @@ def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
         return np.zeros(keys.shape, dtype=bool)
     pos = np.searchsorted(sorted_keys, keys).clip(max=sorted_keys.size - 1)
     return sorted_keys[pos] == keys
+
+
+def sorted_unique(keys: np.ndarray, return_inverse: bool = False):
+    """The distinct values of a 1-D int64 array, ascending.
+
+    A sort and a neighbour mask: the same result as ``np.unique``, whose
+    hash-based path in numpy 2 costs many times a sort on large key
+    arrays.  With ``return_inverse`` the index into the result of every
+    input value comes back as well.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if not return_inverse:
+        ordered = np.sort(keys)
+        fresh = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        return ordered[fresh]
+    order = np.argsort(keys)
+    ordered = keys[order]
+    fresh = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ordered[fresh], inverse
+
+
+def unique_rows(rows: np.ndarray, return_inverse: bool = False):
+    """The distinct rows of an ``(n, dim)`` int64 array in lexicographic order.
+
+    Numpy's row-wise unique, computed as one :func:`sorted_unique` of
+    :class:`PointCodec` keys (key order is lexicographic row order).  With
+    ``return_inverse`` the index into the result of every input row comes
+    back as well.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
+        return (rows, np.zeros(0, dtype=np.int64)) if return_inverse else rows
+    codec = PointCodec.for_arrays(rows)
+    keys, inverse = sorted_unique(codec.encode(rows), return_inverse=True)
+    distinct = codec.decode(keys)
+    return (distinct, inverse) if return_inverse else distinct
+
+
+def unique_index_pairs(
+    src: np.ndarray, dst: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs of row indices ``(src, dst)`` into ``n`` rows,
+    ascending by ``(src, dst)``: one :func:`sorted_unique` of
+    ``src * n + dst`` (``n**2 < 2**63`` for any row set that fits in
+    memory)."""
+    if not len(src):
+        return src, dst
+    packed = sorted_unique(src * n + dst)
+    return packed // n, packed % n
+
+
+#: Row count from which :class:`PointCodec` works column by column: numpy's
+#: whole-array forms over narrow ``(n, dim)`` rows (axis-0 min/max, row-wise
+#: ``all``, the key matmul) step through the rows one at a time and cost
+#: 4–20× a pass per column at 10⁴–10⁵ rows, while below a few hundred rows
+#: the per-column Python loop costs more than it saves (numpy 2.4, 2–7
+#: columns).
+_COLUMNWISE_ROWS = 512
+
+
+def _column_bounds(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column minimum and maximum of non-empty ``(n, dim)`` rows."""
+    if len(rows) < _COLUMNWISE_ROWS:
+        return rows.min(axis=0), rows.max(axis=0)
+    columns = [rows[:, d] for d in range(rows.shape[1])]
+    return (
+        np.array([c.min() for c in columns], dtype=np.int64),
+        np.array([c.max() for c in columns], dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +228,9 @@ class PointCodec:
         if dim == 0:
             zero = np.zeros(0, dtype=np.int64)
             return PointCodec(zero, zero.copy(), zero.copy())
-        lo = np.min([a.min(axis=0) for a in stacked], axis=0)
-        hi = np.max([a.max(axis=0) for a in stacked], axis=0)
+        bounds = [_column_bounds(a) for a in stacked]
+        lo = np.min([low for low, _ in bounds], axis=0)
+        hi = np.max([high for _, high in bounds], axis=0)
         cells = 1
         for low, high in zip(lo.tolist(), hi.tolist()):  # python ints: no overflow
             cells *= high - low + 1
@@ -216,7 +293,13 @@ class PointCodec:
             return np.ones(len(pts), dtype=bool)
         if self.values is None:
             hi = self.lo + (self.extents - 1)  # no overflow: hi is a real row value
-            return ((pts >= self.lo) & (pts <= hi)).all(axis=1)
+            if len(pts) < _COLUMNWISE_ROWS:
+                return ((pts >= self.lo) & (pts <= hi)).all(axis=1)
+            inside = np.ones(len(pts), dtype=bool)
+            for d, (low, high) in enumerate(zip(self.lo.tolist(), hi.tolist())):
+                column = pts[:, d]
+                inside &= (column >= low) & (column <= high)
+            return inside
         return self._ranked(pts)[1]
 
     def encode(self, points: np.ndarray) -> np.ndarray:
@@ -227,7 +310,12 @@ class PointCodec:
         if self.dim == 0:
             return np.zeros(len(pts), dtype=np.int64)
         if self.values is None:
-            return (pts - self.lo) @ self.strides
+            if len(pts) < _COLUMNWISE_ROWS:
+                return (pts - self.lo) @ self.strides
+            key = np.zeros(len(pts), dtype=np.int64)
+            for d, (low, stride) in enumerate(zip(self.lo.tolist(), self.strides.tolist())):
+                key += (pts[:, d] - low) * stride
+            return key
         return self._ranked(pts)[0]
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
@@ -435,11 +523,8 @@ class FiniteRelation:
             return FiniteRelation(src[:1], dst[:1])
         combined = np.concatenate([src, dst], axis=1)
         # Key order equals lexicographic row order, so one scalar-key
-        # np.unique sorts the rows by (src, dst) and merges duplicates.
-        _, first = np.unique(
-            PointCodec.for_arrays(combined).encode(combined), return_index=True
-        )
-        combined = combined[first]
+        # unique sorts the rows by (src, dst) and merges duplicates.
+        combined = unique_rows(combined)
         return FiniteRelation(
             np.ascontiguousarray(combined[:, :dim_in]),
             np.ascontiguousarray(combined[:, dim_in:]),
@@ -475,48 +560,13 @@ class FiniteRelation:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    def union(self, other: "FiniteRelation") -> "FiniteRelation":
-        """Concatenate both array forms and re-canonicalise."""
-        if other.is_empty():
-            return self
-        if self.is_empty():
-            return other
-        if (self.dim_in, self.dim_out) != (other.dim_in, other.dim_out):
-            raise ValueError("cannot union relations of different dimensions")
-        return FiniteRelation.from_arrays(
-            np.concatenate([self._src, other._src]), np.concatenate([self._dst, other._dst])
-        )
-
     # -- order-related views ----------------------------------------------------
-
-    def oriented_forward(self) -> "FiniteRelation":
-        """Re-orient every pair so the source lexicographically precedes the target.
-
-        Self-pairs (``a == b``) are dropped: a dependence of an iteration on
-        itself does not constrain the parallel schedule.  Key order equals
-        lexicographic order, so the comparison and the swap are a handful of
-        vectorised operations.  Requires a homogeneous relation
-        (``dim_in == dim_out``).
-        """
-        if self.dim_in != self.dim_out:
-            raise ValueError("oriented_forward requires dim_in == dim_out")
-        if self.is_empty():
-            return self
-        src, dst = self._src, self._dst
-        codec = PointCodec.for_arrays(src, dst)
-        src_keys = codec.encode(src)
-        dst_keys = codec.encode(dst)
-        keep = src_keys != dst_keys
-        swap = src_keys > dst_keys
-        fwd_src = np.where(swap[:, None], dst, src)[keep]
-        fwd_dst = np.where(swap[:, None], src, dst)[keep]
-        return FiniteRelation.from_arrays(fwd_src, fwd_dst)
 
     def distances(self) -> Set[Point]:
         """The set of distance vectors ``target - source`` (``dim_in == dim_out``)."""
         if self.dim_in != self.dim_out:
             raise ValueError("distances requires dim_in == dim_out")
-        return set(map(tuple, np.unique(self._dst - self._src, axis=0).tolist()))
+        return set(map(tuple, unique_rows(self._dst - self._src).tolist()))
 
     def __str__(self) -> str:
         items = ", ".join(

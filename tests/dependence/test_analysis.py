@@ -83,12 +83,14 @@ class TestSummaryErrorHandling:
         assert s["n_reference_pairs"] > 0
 
     def test_genuine_error_propagates(self, monkeypatch):
-        import repro.dependence.analysis as analysis_module
+        # summary() builds Rd through the space builder's one join per
+        # reference pair; an error raised there must reach the caller.
+        import repro.core.statement as statement_module
 
         def boom(*args, **kwargs):
             raise ValueError("address table corrupted")
 
-        monkeypatch.setattr(analysis_module, "exact_pair_dependences", boom)
+        monkeypatch.setattr(statement_module, "dependence_index_pairs", boom)
         analysis = DependenceAnalysis(figure1_loop(6, 6), {})
         with pytest.raises(ValueError, match="address table corrupted"):
             analysis.summary()

@@ -13,6 +13,7 @@ from repro.isl.linalg import (
     gcd_list,
     hermite_normal_form,
     identity_matrix,
+    int_adjugate,
     integer_nullspace,
     lcm_list,
     mat_det,
@@ -265,3 +266,24 @@ class TestDiophantine:
         for v in integer_nullspace(a):
             for row in a:
                 assert sum(row[j] * v[j] for j in range(3)) == 0
+
+
+class TestIntegerAdjugate:
+    @given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+    @settings(max_examples=80, deadline=None)
+    def test_adjugate_and_determinant_are_exact(self, a):
+        """``a · adj == det · I`` in integers, and ``det`` is the rational
+        determinant (so ``adj / det`` is the inverse whenever it exists)."""
+        adj, det = int_adjugate(a)
+        n = len(a)
+        assert det == mat_det(a)
+        for i in range(n):
+            for j in range(n):
+                assert sum(a[i][k] * adj[k][j] for k in range(n)) == (det if i == j else 0)
+        if det:
+            assert mat_inverse(a) == [[Fraction(x, det) for x in row] for row in adj]
+
+    def test_singular_and_non_square(self):
+        assert int_adjugate([[1, 2], [2, 4]])[1] == 0
+        with pytest.raises(ValueError):
+            int_adjugate([[1, 2, 3], [4, 5, 6]])

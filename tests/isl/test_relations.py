@@ -61,11 +61,6 @@ class TestFiniteRelationBasics:
             np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
         )
 
-    def test_union(self):
-        a = rel([((1,), (2,))])
-        b = rel([((2,), (3,))])
-        assert len(a.union(b)) == 2
-
     def test_distances(self):
         r = rel([((1, 1), (3, 3)), ((2, 2), (6, 6))])
         assert r.distances() == {(2, 2), (4, 4)}
@@ -75,25 +70,23 @@ class TestFiniteRelationBasics:
         assert str(r) == "{ (1,)->(2,), (4,)->(5,) }"
 
 
-class TestOrientation:
-    def test_oriented_forward_drops_self_and_flips(self):
-        r = rel([((5,), (2,)), ((3,), (3,)), ((1,), (4,))])
-        oriented = r.oriented_forward()
-        assert oracle.pairs(oriented) == frozenset({((2,), (5,)), ((1,), (4,))})
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=15
-        )
-    )
-    @settings(max_examples=40)
-    def test_oriented_forward_always_forward(self, raw):
-        r = rel([((a,), (b,)) for a, b in raw])
-        for src, dst in oracle.pairs(r.oriented_forward()):
-            assert src < dst
-
-
 class TestPointCodec:
+    @pytest.mark.parametrize("n", [5, 511, 512, 3000])
+    def test_column_passes_match_the_whole_array_forms(self, n):
+        """From a few hundred rows the raw codec's bounds, box test and
+        keys run column by column; both forms give the same answers."""
+        rng = np.random.default_rng(n)
+        points = rng.integers(-50, 50, size=(n, 3))
+        codec = PointCodec.for_arrays(points[: n // 2], points[n // 2 :])
+        assert np.array_equal(codec.lo, points.min(axis=0))
+        assert np.array_equal(codec.lo + codec.extents - 1, points.max(axis=0))
+        probe = points + rng.integers(-3, 4, size=points.shape)
+        hi = codec.lo + codec.extents - 1
+        assert np.array_equal(
+            codec.contains(probe), ((probe >= codec.lo) & (probe <= hi)).all(axis=1)
+        )
+        assert np.array_equal(codec.encode(points), (points - codec.lo) @ codec.strides)
+
     def test_encode_decode_round_trip(self):
         points = np.array([[1, 5], [3, -2], [0, 0], [7, 4]], dtype=np.int64)
         codec = PointCodec.for_arrays(points)
@@ -188,14 +181,6 @@ class TestArrayBackedRelation:
         src, dst = r.as_arrays()
         assert src.shape == (0, 2) and dst.shape == (0, 2)
 
-    def test_oriented_forward_bulk_matches_scalar(self):
-        raw = [
-            ((k % 67, (k * 13) % 71), ((k * 7) % 67, (k * 3) % 71))
-            for k in range(4596)
-        ]
-        r = rel(raw)
-        assert oracle.pairs(r.oriented_forward()) == oracle.orient_forward(oracle.pairs(r))
-
 
 class TestCanonicalRelation:
     """from_arrays canonicalises: sorted by (src, dst), duplicates merged."""
@@ -227,21 +212,6 @@ class TestCanonicalRelation:
         expected = sorted(oracle.pairs(r))
         assert [tuple(p) for p in src.tolist()] == [a for a, _ in expected]
         assert [tuple(p) for p in dst.tolist()] == [b for _, b in expected]
-
-    def test_union_on_arrays_matches_set_union(self):
-        r1 = FiniteRelation.from_arrays(*self.arrays())
-        r2 = rel([((9, 9), (10, 10)), ((1, 1), (2, 3))])
-        merged = r1.union(r2)
-        assert oracle.pairs(merged) == oracle.pairs(r1) | oracle.pairs(r2)
-        empty = FiniteRelation.empty(2, 2)
-        assert r1.union(empty) == r1
-        assert empty.union(r1) == r1
-
-    def test_oriented_forward(self):
-        src = np.array([[3, 3], [1, 1], [2, 2]], dtype=np.int64)
-        dst = np.array([[1, 1], [1, 1], [4, 4]], dtype=np.int64)
-        fwd = FiniteRelation.from_arrays(src, dst).oriented_forward()
-        assert oracle.pairs(fwd) == frozenset({((1, 1), (3, 3)), ((2, 2), (4, 4))})
 
     def test_distances_on_arrays(self):
         r = FiniteRelation.from_arrays(*self.arrays())
