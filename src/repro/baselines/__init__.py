@@ -16,7 +16,7 @@ Every scheme produces a :class:`~repro.core.schedule.Schedule`, so the same
 validators, simulator and benchmarks apply to all of them.
 """
 
-from .doacross import basic_dependence_vectors, doacross_schedule, uniformized_relation
+from .doacross import basic_dependence_vectors, doacross_schedule
 from .innerpar import inner_parallel_schedule
 from .lattice import DistanceLattice, direction_basis, pseudo_distance_matrix
 from .pdm import PDMPartition, pdm_partition, pdm_schedule
@@ -36,7 +36,6 @@ __all__ = [
     "UniqueSets",
     "doacross_schedule",
     "basic_dependence_vectors",
-    "uniformized_relation",
     "tiling_schedule",
     "minimum_distances",
     "inner_parallel_schedule",

@@ -20,19 +20,18 @@ when simulating the schedule (see the figure-3 benchmarks).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.dataflow import dataflow_partition_indexed
-from ..core.partition import space_rows
 from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.relations import FiniteRelation, PointCodec, unique_index_pairs, unique_rows
+from ..isl.relations import FiniteRelation, PointCodec, unique_index_pairs
 from .lattice import pseudo_distance_matrix
 
-__all__ = ["basic_dependence_vectors", "uniformized_relation", "doacross_schedule"]
+__all__ = ["basic_dependence_vectors", "doacross_schedule"]
 
 Point = Tuple[int, ...]
 
@@ -47,23 +46,6 @@ def basic_dependence_vectors(rd: FiniteRelation, dim: int) -> List[Point]:
     dependence.
     """
     return pseudo_distance_matrix(sorted(rd.distances()), dim)
-
-
-def uniformized_relation(
-    space: Union[np.ndarray, Sequence[Point]], vectors: Sequence[Point]
-) -> FiniteRelation:
-    """The uniform relation ``{ i → i+v | v ∈ vectors, i and i+v in Φ }``.
-
-    The space's distinct rows are shifted by every vector at once and the
-    hits located among them (:func:`_shift_pairs`).
-    """
-    rows = unique_rows(space_rows(space, len(vectors[0]) if vectors else 0))
-    if not len(rows):
-        return FiniteRelation.empty(rows.shape[1], rows.shape[1])
-    codec = PointCodec.for_arrays(rows)
-    src, dst = _shift_pairs(rows, codec, codec.encode(rows), vectors)
-    src, dst = unique_index_pairs(src, dst, len(rows))
-    return FiniteRelation(rows[src], rows[dst])
 
 
 def _shift_pairs(

@@ -152,19 +152,14 @@ def unique_index_pairs(
     return packed // n, packed % n
 
 
-#: Row count from which :class:`PointCodec` works column by column: numpy's
-#: whole-array forms over narrow ``(n, dim)`` rows (axis-0 min/max, row-wise
-#: ``all``, the key matmul) step through the rows one at a time and cost
-#: 4–20× a pass per column at 10⁴–10⁵ rows, while below a few hundred rows
-#: the per-column Python loop costs more than it saves (numpy 2.4, 2–7
-#: columns).
-_COLUMNWISE_ROWS = 512
-
-
 def _column_bounds(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-column minimum and maximum of non-empty ``(n, dim)`` rows."""
-    if len(rows) < _COLUMNWISE_ROWS:
-        return rows.min(axis=0), rows.max(axis=0)
+    """Per-column minimum and maximum of non-empty ``(n, dim)`` rows.
+
+    :class:`PointCodec` works on narrow rows column by column: numpy's
+    whole-array forms (axis-0 min/max, row-wise ``all``, the key matmul)
+    step through ``(n, dim)`` rows one row at a time and cost up to 20× the
+    passes per column at 10⁴–10⁵ rows (numpy 2.4, 2–7 columns).
+    """
     columns = [rows[:, d] for d in range(rows.shape[1])]
     return (
         np.array([c.min() for c in columns], dtype=np.int64),
@@ -293,8 +288,6 @@ class PointCodec:
             return np.ones(len(pts), dtype=bool)
         if self.values is None:
             hi = self.lo + (self.extents - 1)  # no overflow: hi is a real row value
-            if len(pts) < _COLUMNWISE_ROWS:
-                return ((pts >= self.lo) & (pts <= hi)).all(axis=1)
             inside = np.ones(len(pts), dtype=bool)
             for d, (low, high) in enumerate(zip(self.lo.tolist(), hi.tolist())):
                 column = pts[:, d]
@@ -310,8 +303,6 @@ class PointCodec:
         if self.dim == 0:
             return np.zeros(len(pts), dtype=np.int64)
         if self.values is None:
-            if len(pts) < _COLUMNWISE_ROWS:
-                return (pts - self.lo) @ self.strides
             key = np.zeros(len(pts), dtype=np.int64)
             for d, (low, stride) in enumerate(zip(self.lo.tolist(), self.strides.tolist())):
                 key += (pts[:, d] - low) * stride

@@ -71,10 +71,10 @@ class TestFiniteRelationBasics:
 
 
 class TestPointCodec:
-    @pytest.mark.parametrize("n", [5, 511, 512, 3000])
+    @pytest.mark.parametrize("n", [1, 5, 3000])
     def test_column_passes_match_the_whole_array_forms(self, n):
-        """From a few hundred rows the raw codec's bounds, box test and
-        keys run column by column; both forms give the same answers."""
+        """The raw codec's bounds, box test and keys run column by column;
+        they give the answers of numpy's whole-array forms."""
         rng = np.random.default_rng(n)
         points = rng.integers(-50, 50, size=(n, 3))
         codec = PointCodec.for_arrays(points[: n // 2], points[n // 2 :])
