@@ -20,7 +20,7 @@ Sub-packages
 ``repro.core``    the paper's contribution: three-set partitioning, recurrence
                   chains, dataflow partitioning, Algorithm 1, Theorem 1 — and
                   the unified planning facade (``plan``/``PlanConfig``/``Plan``)
-``repro.codegen`` DOALL/WHILE code generation (Python and pseudo-Fortran)
+``repro.codegen`` the ``compiled`` backend's kernel lookup
 ``repro.runtime`` executors, SMP cost-model simulator, validation, metrics
 ``repro.baselines``  PDM, PL, unique sets, DOACROSS, tiling, inner-DOALL
 ``repro.workloads``  the paper's example loops and synthetic corpora
@@ -119,8 +119,6 @@ report the warm paths they rode:
 (False, True)
 >>> all((warm.result.store[a] == serial.store[a]).all() for a in warm.result.store)
 True
-
-Plans also generate source (``p.codegen(target="python")``).
 """
 
 from . import (

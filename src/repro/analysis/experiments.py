@@ -27,8 +27,7 @@ load balance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,14 +182,6 @@ def run_example4_dataflow(
 
 
 # -- E7–E10 / figure 3 -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Figure3Config:
-    """One of the four figure-3 panels: program, schemes, sizes."""
-
-    key: str
-    description: str
-
 
 def _pinned_schedule(prog, strategy: str):
     """The schedule of one baseline scheme, via a strategy-pinned plan."""

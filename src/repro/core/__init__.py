@@ -1,7 +1,7 @@
 """repro.core — the paper's contribution: recurrence-chain partitioning.
 
 * :mod:`repro.core.partition` — the three-set partitioning of §3.1 (eq. 5),
-  concrete and symbolic;
+  exact, on row indices;
 * :mod:`repro.core.recurrence` — the affine recurrence ``i ← i·T + u`` of
   §3.2 and the Theorem 1 chain-length bound;
 * :mod:`repro.core.chains` — monotonic dependence chains (Definition 1): the
@@ -25,9 +25,7 @@
 from .chains import chain_phase
 from .dataflow import DataflowPartition, dataflow_partition, dataflow_schedule
 from .partition import (
-    SymbolicThreeSetPartition,
     ThreeSetPartition,
-    symbolic_three_set_partition,
     three_set_partition,
 )
 from .partitioner import (
@@ -69,8 +67,6 @@ from .strategy import (
 __all__ = [
     "ThreeSetPartition",
     "three_set_partition",
-    "SymbolicThreeSetPartition",
-    "symbolic_three_set_partition",
     "AffineRecurrence",
     "theorem1_bound",
     "iteration_space_diameter",

@@ -14,9 +14,7 @@ continuation condition is "the current iteration still has a successor inside
 it keeps the P2-internal edges of Rd (read as row indices), refuses a relation that branches (where
 Lemma 1 does not hold), and advances every chain one step at a time from its
 head.  Every P2 point lands on exactly one chain and every P2-internal edge
-joins consecutive points of one chain, by construction.  The generated
-WHILE loop (:func:`repro.codegen.python_source.generate_chain_function`)
-walks the same chains by the affine recurrence.
+joins consecutive points of one chain, by construction.
 """
 
 from __future__ import annotations

@@ -19,16 +19,11 @@ Dependences only go P1→P2, P2→P2, P2→P3 (never backwards), so the phases c
 execute in that order with barriers between them; the intermediate set needs
 further treatment (recurrence chains, §3.2, or dataflow partitioning, §3.4).
 
-Both a concrete (enumerated points) and a symbolic (union-of-convex-sets)
-variant are provided; the symbolic variant feeds the DOALL code generator and
-may be a rational approximation (see :class:`SymbolicThreeSetPartition`), the
-concrete variant is exact and feeds the executors and validators.
-
-The concrete partitioner runs on row indices: given the space as sorted
-unique rows and Rd as ``(lo, hi)`` index pairs into them
-(:func:`three_set_partition_indexed`, what the planner calls with the
-statement-level space's own indices), every set is a ``bincount`` mask, which
-keeps 10⁵–10⁶-point spaces tractable.  :func:`three_set_partition` is the
+The partition is exact and feeds the executors and validators.  It runs on
+row indices: given the space as sorted unique rows and Rd as ``(lo, hi)``
+index pairs into them (:func:`three_set_partition_indexed`, what the planner
+calls with the statement-level space's own indices), every set is a
+``bincount`` mask, which keeps 10⁵–10⁶-point spaces tractable.  :func:`three_set_partition` is the
 ``(space, rd)`` adapter: it locates Rd's endpoints among the space rows by
 :class:`~repro.isl.relations.PointCodec` key, drops the foreign ones and calls
 the same core.  The result holds each set as sorted ``(n, dim)`` rows; point
@@ -37,29 +32,23 @@ sets of tuples exist only in the test oracle (``tests/oracle.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
 from ..isl.relations import (
     FiniteRelation,
     PointCodec,
-    UnionRelation,
     in_sorted,
     readonly_view,
     sorted_unique,
 )
-from ..isl.sets import UnionSet
-from ..isl.convex import ConvexSet
 
 __all__ = [
     "ThreeSetPartition",
     "three_set_partition",
     "three_set_partition_indexed",
     "locate_edges",
-    "SymbolicThreeSetPartition",
-    "symbolic_three_set_partition",
 ]
 
 Point = Tuple[int, ...]
@@ -244,96 +233,3 @@ def three_set_partition_indexed(
         w=rows[w],
         edges=(lo, hi),
     )
-
-
-# ---------------------------------------------------------------------------
-# symbolic variant
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolicThreeSetPartition:
-    """The three-set partition as unions of convex sets (possibly parametric).
-
-    The domain/range projections use rational Fourier–Motzkin elimination, so
-    when the dependence relation is not unimodular the projected ``ran``/``dom``
-    sets are supersets of the true integer shadows and the derived partition is
-    an *approximation*: ``p1`` here is a subset of the exact P1, ``p3`` a
-    superset of the exact P3, etc.  The approximation is used for generating
-    the paper-style DOALL listings (repro.codegen.fortran); every executable
-    schedule is built from the exact, enumeration-based
-    :class:`ThreeSetPartition` instead.  The tests check the containment
-    relations between the two on the paper's examples.
-    """
-
-    space: UnionSet
-    p1: UnionSet
-    p2: UnionSet
-    p3: UnionSet
-    w: UnionSet
-
-    def bind_parameters(self, params: Mapping[str, int]) -> "SymbolicThreeSetPartition":
-        return SymbolicThreeSetPartition(
-            self.space.bind_parameters(params),
-            self.p1.bind_parameters(params),
-            self.p2.bind_parameters(params),
-            self.p3.bind_parameters(params),
-            self.w.bind_parameters(params),
-        )
-
-    def concrete(self, params: Mapping[str, int] | None = None) -> Dict[str, List[Point]]:
-        """Enumerate every set (bounded spaces only) — used to cross-check the
-        symbolic derivation against the concrete one."""
-        return {
-            "space": self.space.enumerate(params),
-            "P1": self.p1.enumerate(params),
-            "P2": self.p2.enumerate(params),
-            "P3": self.p3.enumerate(params),
-            "W": self.w.enumerate(params),
-        }
-
-
-def symbolic_three_set_partition(
-    space: ConvexSet, rd: UnionRelation
-) -> SymbolicThreeSetPartition:
-    """Eq. 5 computed with set algebra on the symbolic relation.
-
-    ``space`` is the iteration space Φ (one convex set, eq. 1) and ``rd`` the
-    symbolic dependence relation of eq. 4 whose in/out spaces both correspond
-    to Φ's variables (the out variables are the primed copies).
-    """
-    variables = space.variables
-    phi = UnionSet.from_convex(space)
-    # dom / ran come back over the relation's own variable names; rename the
-    # range's primed variables back to the space's names before set algebra.
-    # Rational pruning after every operation keeps the member count of the
-    # iterated set algebra manageable (provably-empty members are dropped).
-    dom = rd.domain().rename_variables(dict(zip(rd.in_vars, variables))).prune_rational()
-    ran = rd.range().rename_variables(dict(zip(rd.out_vars, variables))).prune_rational()
-    p1 = phi.subtract(ran).prune_rational()
-    p2 = ran.intersect(dom).prune_rational()
-    p3 = ran.subtract(dom).prune_rational()
-
-    # W = { j | (i -> j) ∈ Rd, i ∈ P1, j ∈ P2 }: restrict the relation's domain
-    # to P1, take the range, then intersect with P2 (cheaper than restricting
-    # the range relation-side, which would multiply the piece counts).
-    restricted = rd.intersect_domain(
-        p1.rename_variables(dict(zip(variables, rd.in_vars)))
-    )
-    restricted_pieces = [
-        piece for piece in restricted.pieces
-        if not piece.graph.simplified().is_obviously_empty()
-    ]
-    if restricted_pieces:
-        from ..isl.relations import UnionRelation
-
-        ran_of_restricted = (
-            UnionRelation(rd.in_vars, rd.out_vars, tuple(restricted_pieces))
-            .range()
-            .rename_variables(dict(zip(rd.out_vars, variables)))
-            .prune_rational()
-        )
-        w = ran_of_restricted.intersect(p2).prune_rational()
-    else:
-        w = UnionSet.empty(variables)
-    return SymbolicThreeSetPartition(space=phi, p1=p1, p2=p2, p3=p3, w=w)

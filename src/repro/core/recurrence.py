@@ -59,13 +59,6 @@ class AffineRecurrence:
     def dim(self) -> int:
         return self.T.shape[0]
 
-    def inverse(self) -> "AffineRecurrence":
-        """The predecessor map ``prev(j) = (j − u)·T⁻¹``."""
-        T_inv = self.T.inverse()
-        neg_u = [-x for x in self.u]
-        u_inv = tuple(T_inv.row_apply(neg_u))
-        return AffineRecurrence(T_inv, u_inv)
-
     # -- Theorem 1 ----------------------------------------------------------------------
 
     def expansion_factor(self) -> Fraction:

@@ -34,8 +34,8 @@ statement-level space (:attr:`DependenceAnalysis.space
 which splits each row into its statement id and iteration columns.  The
 symbolic phases of :mod:`repro.core.symbolic` hold bounds only and turn
 into a :class:`Phase` through the same :meth:`Phase.lower` method, so every
-consumer — the executors, the validators, the cost simulator, codegen —
-reads one form.
+consumer — the executors, the validators, the cost simulator, the
+lockstep lowering — reads one form.
 
 The runtime package consumes schedules to (a) validate them against the
 same space and its dependence relation (:meth:`Schedule.covers`,

@@ -28,8 +28,8 @@ This module puts one compiler-style facade in front of all of them:
   order, validated on construction;
 * :class:`Plan` is the single result object — schedule, partition/chain
   diagnostics, the shared dependence analysis, chosen strategy, per-strategy timings — with
-  ``.execute(backend=…)``, ``.validate()`` and ``.codegen(target=…)``
-  delegating to :mod:`repro.runtime` / :mod:`repro.codegen`;
+  ``.execute(backend=…)`` and ``.validate()`` delegating to
+  :mod:`repro.runtime`;
 * an LRU :class:`PlanCache` keyed by ``(program fingerprint, params,
   config)`` makes repeated requests for the same loop nest (the serving
   scenario) return the identical :class:`Plan` without re-analysis.
@@ -42,8 +42,6 @@ Execution goes through the same pattern on the runtime side: the
 execution settings cannot split the plan cache.  The shared-memory process
 pool turns the planned phase/barrier schedules into wall-clock speedups on
 multi-core hosts.
-Future work — symbolic-partition codegen — plugs in as more
-strategies/targets behind the same facade.
 """
 
 from __future__ import annotations
@@ -595,7 +593,7 @@ class Plan:
         )
         return "\n".join(lines)
 
-    # -- delegation to runtime / codegen ---------------------------------------
+    # -- delegation to runtime ---------------------------------------------------
 
     _UNSET = object()
 
@@ -642,39 +640,6 @@ class Plan:
             self.program, self.schedule, self.params,
             dependences=self.analysis.space, seeds=seeds,
         )
-
-    def codegen(self, target: str = "python") -> str:
-        """Generate source for the plan.
-
-        ``target="python"`` emits the executable schedule runner
-        (:func:`repro.codegen.python_source.generate_schedule_runner`);
-        ``target="fortran"`` emits the paper-style DOALL/WHILE listing from
-        the symbolic three-set partition (recurrence-chain plans on perfect
-        nests only).
-        """
-        if target == "python":
-            from ..codegen.python_source import generate_schedule_runner
-
-            return generate_schedule_runner(self.program, self.schedule)
-        if target == "fortran":
-            if self.recurrence is None:
-                raise ValueError(
-                    "fortran codegen needs a recurrence-chain plan "
-                    f"(this plan used strategy {self.strategy!r})"
-                )
-            from ..codegen.fortran import rec_partition_listing
-            from .partition import symbolic_three_set_partition
-
-            sym = symbolic_three_set_partition(
-                self.program.iteration_space(), self.analysis.symbolic_relation()
-            )
-            if self.params:
-                sym = sym.bind_parameters(self.params)
-            contexts = self.program.statement_contexts()
-            order = list(contexts[0].index_names)
-            statement = f"{contexts[0].statement.label}({', '.join(order)})"
-            return rec_partition_listing(sym, self.recurrence, statement, order=order)
-        raise ValueError(f"unknown codegen target {target!r}; use 'python' or 'fortran'")
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,7 @@ any ``p ∈ P2`` by ``u`` stays inside P2 until it hits a ``w ∈ W``
 (``p − u ∈ dom`` always; ``p − u ∈ ran`` iff ``p − 2u ∈ Φ``), so the cosets
 ``{w + t·u}`` tile P2 exactly — :meth:`CosetChainPhase.chains`, which the
 lockstep executor lowers from, asserts the tiling (``Σ len == |P2|``) as a
-cheap belt-and-braces check.  The
-rational :func:`~repro.core.partition.symbolic_three_set_partition` is not
-used here; it stays for the paper-style Fortran listings.
+cheap belt-and-braces check.
 """
 
 from __future__ import annotations

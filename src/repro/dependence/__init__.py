@@ -4,8 +4,6 @@
   matrices (A, a, B, b) and recurrence form (T, u);
 * :mod:`repro.dependence.exact` — exact dependence pairs for concrete bounds
   (the Omega-equivalent used by the partitioners and validators);
-* :mod:`repro.dependence.symbolic` — the symbolic Rd as a union of convex
-  relations (eq. 4);
 * :mod:`repro.dependence.tests` — conservative GCD and Banerjee tests;
 * :mod:`repro.dependence.distance` — distance/direction vectors and the
   uniform/non-uniform classification of §2;
@@ -24,7 +22,6 @@ from .distance import (
 )
 from .exact import enumerate_domain, exact_pair_dependences, reference_addresses
 from .pair import ReferencePair
-from .symbolic import symbolic_dependence_relation, symbolic_pair_relation
 from .tests import DependenceTestResult, banerjee_test, combined_test, gcd_test
 
 __all__ = [
@@ -34,8 +31,6 @@ __all__ = [
     "exact_pair_dependences",
     "enumerate_domain",
     "reference_addresses",
-    "symbolic_dependence_relation",
-    "symbolic_pair_relation",
     "gcd_test",
     "banerjee_test",
     "combined_test",

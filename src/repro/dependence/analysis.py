@@ -13,7 +13,6 @@ consume:
   iteration space;
 * per reference-pair finite relations (:attr:`~DependenceAnalysis.pair_dependences`,
   a view derived on demand that planning never reads),
-* the symbolic union relation of a perfect nest, for code generation,
 * summary facts: is there a single coupled pair?  is it square and full rank?
   are the dependences uniform?
 
@@ -38,10 +37,9 @@ import numpy as np
 
 from ..ir.program import LoopProgram
 from ..isl.linalg import int_adjugate
-from ..isl.relations import FiniteRelation, UnionRelation, readonly_view
+from ..isl.relations import FiniteRelation, readonly_view
 from .exact import enumerate_domain, exact_pair_dependences
 from .pair import ReferencePair
-from .symbolic import symbolic_dependence_relation
 from .distance import classify_pair, is_uniform_distances
 
 if TYPE_CHECKING:
@@ -94,15 +92,13 @@ class DependenceAnalysis:
     def reference_pairs(self) -> List[ReferencePair]:
         """Candidate dependence equations: same array, at least one write.
 
-        Each unordered reference pair is analysed once (the exact analyser and
-        the symbolic relation handle both orientations internally).
+        Each unordered reference pair is analysed once (the exact analyser
+        handles both orientations internally).
         """
         pairs: List[ReferencePair] = []
         seen = set()
         for ctx1, r1, ctx2, r2 in self.program.reference_pairs():
-            key = frozenset(
-                [(ctx1.statement.label, str(r1)), (ctx2.statement.label, str(r2))]
-            )
+            key = frozenset([(ctx1.statement.label, r1), (ctx2.statement.label, r2)])
             if key in seen:
                 continue
             seen.add(key)
@@ -237,12 +233,6 @@ class DependenceAnalysis:
         if len(shifts) != 1:
             return None
         return shifts.pop(), active
-
-    # -- symbolic view ------------------------------------------------------------
-
-    def symbolic_relation(self) -> UnionRelation:
-        """The symbolic Rd (perfect nests), still carrying symbolic parameters."""
-        return symbolic_dependence_relation(self.program)
 
     # -- summary facts -------------------------------------------------------------
 

@@ -280,10 +280,6 @@ class Loop:
             raise ValueError(f"non-integer bound value for loop {self.index}")
         return value
 
-    def is_normalized(self) -> bool:
-        """Unit-stride loops are "normalized" in the sense of §2."""
-        return self.stride == 1
-
     def statements(self) -> List[Statement]:
         out: List[Statement] = []
         for node in self.body:

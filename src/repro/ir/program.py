@@ -6,7 +6,6 @@ statements) plus the symbolic parameters appearing in bounds (``N``, ``N1``,
 queries the partitioning algorithms need:
 
 * the enclosing-loop chain and iteration domain of every statement,
-* the iteration space Φ of a perfect nest (eq. 1),
 * reference pairs (the inputs of the dependence equation, eq. 2),
 * sequential execution order of statement instances (used as the ground truth
   by the runtime validators).
@@ -153,24 +152,6 @@ class LoopProgram:
     def index_names(self) -> Tuple[str, ...]:
         """Loop index names of a perfect nest, outermost first."""
         return tuple(l.index for l in self.perfect_nest_loops())
-
-    # -- iteration space ---------------------------------------------------------
-
-    def iteration_space(self) -> ConvexSet:
-        """The iteration space Φ of a perfect nest (eq. 1) as a convex set."""
-        loops = self.perfect_nest_loops()
-        cons: List[Constraint] = []
-        names = tuple(l.index for l in loops)
-        for loop in loops:
-            if not loop.is_normalized():
-                raise ValueError(
-                    f"loop {loop.index} has stride {loop.stride}; normalize first"
-                )
-            for lo in loop.lower:
-                cons.append(Constraint.ge(AffineExpr.variable(loop.index), lo))
-            for hi in loop.upper:
-                cons.append(Constraint.le(AffineExpr.variable(loop.index), hi))
-        return ConvexSet.from_constraints(names, cons, self.parameters)
 
     # -- reference pairs -----------------------------------------------------------
 

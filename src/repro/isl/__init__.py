@@ -9,37 +9,18 @@ manipulate exact dependence relations.  It provides:
 * convex integer sets over canonical integer constraint rows
   (:mod:`repro.isl.convex`);
 * Fourier–Motzkin projection (:mod:`repro.isl.fourier_motzkin`);
-* unions of convex sets with ∩/∪/\\ (:mod:`repro.isl.sets`);
-* symbolic and finite relations with dom/ran/inverse/compose
+* finite relations as int64 row arrays, and the lexicographic point codec
   (:mod:`repro.isl.relations`);
 * lexicographic-order utilities (:mod:`repro.isl.lexorder`);
-* integer point enumeration, scalar and numpy-vectorised
+* numpy-vectorised integer point enumeration
   (:mod:`repro.isl.enumerate_points`).
 """
 
 from .affine import AffineExpr, const, var
 from .convex import EQ, GE, Constraint, ConvexSet
-from .enumerate_points import (
-    EnumerationTruncated,
-    enumerate_convex,
-    filter_box_numpy,
-    iteration_points,
-)
-from .fourier_motzkin import (
-    eliminate_variable,
-    eliminate_variables,
-    project_onto,
-    project_out,
-)
-from .lexorder import (
-    is_lex_positive,
-    lex_compare,
-    lex_le,
-    lex_le_constraints,
-    lex_lt,
-    lex_lt_constraints,
-    lex_positive_constraints,
-)
+from .enumerate_points import filter_box_numpy, iteration_points
+from .fourier_motzkin import eliminate_variable, eliminate_variables, project_onto
+from .lexorder import is_lex_positive, lex_compare, lex_le, lex_lt
 from .linalg import (
     DiophantineSolution,
     RationalMatrix,
@@ -51,14 +32,7 @@ from .linalg import (
     smith_normal_form,
     solve_diophantine,
 )
-from .relations import (
-    ConvexRelation,
-    FiniteRelation,
-    PointCodec,
-    UnionRelation,
-    in_sorted,
-)
-from .sets import UnionSet
+from .relations import FiniteRelation, PointCodec, in_sorted
 
 __all__ = [
     "AffineExpr",
@@ -68,13 +42,9 @@ __all__ = [
     "ConvexSet",
     "EQ",
     "GE",
-    "UnionSet",
-    "ConvexRelation",
-    "UnionRelation",
     "FiniteRelation",
     "PointCodec",
     "in_sorted",
-    "EnumerationTruncated",
     "RationalMatrix",
     "DiophantineSolution",
     "extended_gcd",
@@ -87,15 +57,10 @@ __all__ = [
     "eliminate_variable",
     "eliminate_variables",
     "project_onto",
-    "project_out",
-    "enumerate_convex",
     "filter_box_numpy",
     "iteration_points",
     "lex_lt",
     "lex_le",
     "lex_compare",
     "is_lex_positive",
-    "lex_lt_constraints",
-    "lex_le_constraints",
-    "lex_positive_constraints",
 ]

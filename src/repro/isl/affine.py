@@ -3,8 +3,8 @@
 An :class:`AffineExpr` is ``sum_k c_k * v_k + c0`` with exact rational
 coefficients.  It is the common currency between the loop-nest IR
 (:mod:`repro.ir`), the constraint layer (:mod:`repro.isl.convex`), and the
-code generators: loop bounds, array subscripts and dependence constraints are
-all affine expressions.
+dependence analyser: loop bounds, array subscripts and dependence constraints
+are all affine expressions.
 
 Variables are plain strings; expressions are immutable and hashable so they
 can be used as dictionary keys and deduplicated in constraint systems.

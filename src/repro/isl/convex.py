@@ -4,11 +4,11 @@ A :class:`ConvexSet` is a conjunction of affine constraints (equalities and
 ``>= 0`` inequalities) over a fixed, ordered tuple of integer variables, plus
 an optional tuple of symbolic parameters (loop bounds such as ``N1`` that are
 unknown at compile time).  It is the Python analogue of a single conjunct in
-the Omega library's Presburger formulas — sufficient for the operations the
-recurrence-chain partitioning algorithm needs: intersection, constraint
-addition, emptiness testing, point membership, projection (Fourier–Motzkin,
-see :mod:`repro.isl.fourier_motzkin`), and integer point enumeration for
-bounded sets (see :mod:`repro.isl.enumerate_points`).
+the Omega library's Presburger formulas — sufficient for what the exact
+dependence analyser needs: parameter binding, point membership and
+per-variable bounds by projection (Fourier–Motzkin, see
+:mod:`repro.isl.fourier_motzkin`), between which it enumerates a statement's
+domain.
 
 Each :class:`Constraint` is a canonical integer row: its kind, a sorted
 tuple of ``(name, int)`` coefficients and an ``int`` constant, with the
@@ -16,10 +16,9 @@ coefficients divided by their gcd and ``>=`` constants floor-tightened.  The
 rational :class:`~repro.isl.affine.AffineExpr` of the IR is converted once,
 in the constructors; simplification, elimination, membership and bounds then
 run on Python ints, and :attr:`Constraint.expr` derives the rational form
-back for the code generators.
+back for display.
 
-Unions of convex sets live in :mod:`repro.isl.sets`; affine relations in
-:mod:`repro.isl.relations`.
+Finite relations live in :mod:`repro.isl.relations`.
 """
 
 from __future__ import annotations
@@ -114,25 +113,11 @@ class Constraint(_Row):
         """``lhs <= rhs``"""
         return Constraint.from_expr(AffineExpr.from_any(rhs) - AffineExpr.from_any(lhs), GE)
 
-    @staticmethod
-    def lt(lhs, rhs=0) -> "Constraint":
-        """``lhs < rhs`` over the integers, i.e. ``lhs <= rhs - 1``."""
-        return Constraint.from_expr(
-            AffineExpr.from_any(rhs) - AffineExpr.from_any(lhs) - 1, GE
-        )
-
-    @staticmethod
-    def gt(lhs, rhs=0) -> "Constraint":
-        """``lhs > rhs`` over the integers, i.e. ``lhs >= rhs + 1``."""
-        return Constraint.from_expr(
-            AffineExpr.from_any(lhs) - AffineExpr.from_any(rhs) - 1, GE
-        )
-
     # -- accessors ------------------------------------------------------------
 
     @property
     def expr(self) -> AffineExpr:
-        """The row as a rational :class:`AffineExpr` (for code generation)."""
+        """The row as a rational :class:`AffineExpr` (for display)."""
         return AffineExpr.build(dict(self.coeffs), self.constant)
 
     def coeff(self, name: str) -> int:
@@ -144,21 +129,6 @@ class Constraint(_Row):
 
     # -- operations -----------------------------------------------------------
 
-    def negated(self) -> List["Constraint"]:
-        """Integer negation.
-
-        ``not (e >= 0)`` is ``-e - 1 >= 0``; ``not (e == 0)`` is the *disjunction*
-        ``e >= 1 or -e >= 1`` and therefore returns two constraints that the
-        caller must treat as alternatives (used by set subtraction).
-        """
-        minus = {n: -c for n, c in self.coeffs}
-        if self.kind == GE:
-            return [_canonical(GE, minus, -self.constant - 1)]
-        return [
-            _canonical(GE, dict(self.coeffs), self.constant - 1),
-            _canonical(GE, minus, -self.constant - 1),
-        ]
-
     def substitute(self, values: Mapping[str, int]) -> "Constraint":
         """Bind variables to integer values."""
         constant = self.constant
@@ -169,11 +139,6 @@ class Constraint(_Row):
             else:
                 coeffs[n] = c
         return _canonical(self.kind, coeffs, constant)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        return _canonical(
-            self.kind, {mapping.get(n, n): c for n, c in self.coeffs}, self.constant
-        )
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         value = self.constant
@@ -220,10 +185,6 @@ class ConvexSet:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def universe(variables: Sequence[str], parameters: Sequence[str] = ()) -> "ConvexSet":
-        return ConvexSet(tuple(variables), (), tuple(parameters))
-
-    @staticmethod
     def from_constraints(
         variables: Sequence[str],
         constraints: Iterable[Constraint],
@@ -250,18 +211,6 @@ class ConvexSet:
     def dim(self) -> int:
         return len(self.variables)
 
-    def with_constraints(self, extra: Iterable[Constraint]) -> "ConvexSet":
-        return ConvexSet(
-            self.variables, self.constraints + tuple(extra), self.parameters
-        ).simplified()
-
-    def rename_variables(self, mapping: Mapping[str, str]) -> "ConvexSet":
-        return ConvexSet(
-            tuple(mapping.get(v, v) for v in self.variables),
-            tuple(c.rename(mapping) for c in self.constraints),
-            tuple(mapping.get(p, p) for p in self.parameters),
-        )
-
     def bind_parameters(self, values: Mapping[str, int]) -> "ConvexSet":
         """Substitute concrete values for (a subset of) the parameters."""
         remaining = tuple(p for p in self.parameters if p not in values)
@@ -285,9 +234,6 @@ class ConvexSet:
             seen.add(c)
             out.append(c)
         return ConvexSet(self.variables, tuple(out), self.parameters)
-
-    def is_obviously_empty(self) -> bool:
-        return any(c.is_contradiction() for c in self.constraints)
 
     # -- membership & evaluation ---------------------------------------------
 
@@ -336,37 +282,6 @@ class ConvexSet:
                 hi = bound if hi is None else min(hi, bound)
         return lo, hi
 
-    # -- emptiness ------------------------------------------------------------
-
-    def is_empty(self, params: Mapping[str, int] | None = None) -> bool:
-        """Exact integer emptiness for bounded sets.
-
-        Strategy: simplify; check for syntactic contradictions; check rational
-        feasibility by Fourier–Motzkin; if rationally feasible and the set is
-        bounded, search for an integer point by recursive descent on the
-        variable bounds.  Unbounded rationally-feasible sets are reported as
-        non-empty (they are, in every case arising from loop iteration spaces,
-        which always carry finite bounds once parameters are bound).
-        """
-        cs = (self if params is None else self.bind_parameters(params)).simplified()
-        if cs.is_obviously_empty():
-            return True
-        if cs.parameters:
-            # Parametric emptiness: fall back to the rational relaxation.
-            return _rationally_infeasible(cs)
-        if not cs.variables:
-            return any(not c.is_tautology() for c in cs.constraints)
-        if _rationally_infeasible(cs):
-            return True
-        return _find_integer_point(cs) is None
-
-    def sample_point(self, params: Mapping[str, int] | None = None) -> Optional[Tuple[int, ...]]:
-        """Return one integer point of the set, or ``None`` when empty."""
-        cs = (self if params is None else self.bind_parameters(params)).simplified()
-        if cs.is_obviously_empty() or _rationally_infeasible(cs):
-            return None
-        return _find_integer_point(cs)
-
     # -- display --------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -378,52 +293,3 @@ class ConvexSet:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConvexSet({self})"
-
-
-# ---------------------------------------------------------------------------
-# internal feasibility helpers
-# ---------------------------------------------------------------------------
-
-def _rationally_infeasible(cs: ConvexSet) -> bool:
-    """True when Fourier–Motzkin proves the rational relaxation empty."""
-    from .fourier_motzkin import eliminate_variable
-
-    constraints = list(cs.constraints)
-    names = list(cs.variables) + list(cs.parameters)
-    for name in names:
-        constraints = eliminate_variable(constraints, name)
-        for c in constraints:
-            if c.is_contradiction():
-                return True
-    return any(c.is_contradiction() for c in constraints)
-
-
-def _find_integer_point(cs: ConvexSet, _depth: int = 0) -> Optional[Tuple[int, ...]]:
-    """Depth-first search for an integer point using FME bounds per variable."""
-    if not cs.variables:
-        sat = all(c.is_tautology() or c.coeffs for c in cs.constraints)
-        return () if sat and not cs.is_obviously_empty() else None
-    name = cs.variables[0]
-    rest_vars = cs.variables[1:]
-    lo, hi = cs.variable_bounds(name)
-    if lo is None or hi is None:
-        # Unbounded variable: try a window around zero as a pragmatic fallback.
-        lo = -64 if lo is None else lo
-        hi = 64 if hi is None else hi
-    if lo > hi:
-        return None
-    for value in range(lo, hi + 1):
-        substituted = [c.substitute({name: value}) for c in cs.constraints]
-        child = ConvexSet(rest_vars, tuple(substituted), cs.parameters).simplified()
-        if child.is_obviously_empty():
-            continue
-        if not rest_vars:
-            if all(c.is_tautology() for c in child.constraints):
-                return (value,)
-            continue
-        if _rationally_infeasible(child):
-            continue
-        sub = _find_integer_point(child, _depth + 1)
-        if sub is not None:
-            return (value,) + sub
-    return None

@@ -3,11 +3,10 @@
 Exact dependence analysis on concrete problem sizes ultimately needs the
 actual integer points of iteration spaces and dependence relations (the
 runtime executors iterate over them, the validators compare them against
-brute force).  This module provides two complementary strategies:
+brute force).  This module provides:
 
-* :func:`enumerate_convex` — recursive descent over per-variable
-  Fourier–Motzkin bounds.  Works for any bounded convex set and any dimension;
-  cost proportional to the traversed sub-box.
+* :func:`iteration_points` — the dense integer grid of a box, in
+  lexicographic order;
 * :func:`filter_box_numpy` — vectorised evaluation of the constraints over an
   explicit candidate box using numpy, used by the dependence analyser when a
   whole iteration space (hundreds of thousands of points) must be classified
@@ -18,106 +17,16 @@ brute force).  This module provides two complementary strategies:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .convex import ConvexSet, EQ
 
 __all__ = [
-    "EnumerationTruncated",
-    "enumerate_convex",
     "filter_box_numpy",
     "iteration_points",
 ]
-
-
-class EnumerationTruncated(RuntimeError):
-    """``max_points`` cut off an incomplete enumeration.
-
-    Carries the truncated prefix in :attr:`points` so callers that can live
-    with a partial result still get it.  Raised instead of silently returning
-    a truncated list, so a capped enumeration can never be mistaken for a
-    complete one; pass ``allow_truncated=True`` to opt into the old behaviour.
-    """
-
-    def __init__(self, message: str, points: List[Tuple[int, ...]]):
-        super().__init__(message)
-        self.points = points
-
-
-def enumerate_convex(
-    cs: ConvexSet,
-    params: Mapping[str, int] | None = None,
-    max_points: Optional[int] = None,
-    allow_truncated: bool = False,
-) -> List[Tuple[int, ...]]:
-    """Enumerate all integer points of a bounded convex set.
-
-    Raises :class:`ValueError` when some variable is unbounded (after binding
-    the supplied parameter values) — iteration spaces must be finite to be
-    enumerated.  ``max_points`` optionally caps the result as a safety net;
-    when the cap actually cuts points off, :class:`EnumerationTruncated` is
-    raised (with the truncated prefix attached) unless ``allow_truncated=True``,
-    in which case the truncated list is returned.  An enumeration that finishes
-    exactly at the cap is complete and never raises.
-    """
-    work = cs if params is None else cs.bind_parameters(params)
-    work = work.simplified()
-    if work.parameters:
-        raise ValueError(
-            f"cannot enumerate a parametric set; unbound parameters: {work.parameters}"
-        )
-    if work.is_obviously_empty():
-        return []
-    points: List[Tuple[int, ...]] = []
-    # Probe one point past the cap so a complete enumeration that exactly fills
-    # the cap is distinguishable from a truncated one.
-    probe = None if max_points is None else max_points + 1
-    _enumerate_rec(work, (), points, probe)
-    if max_points is not None and len(points) > max_points:
-        del points[max_points:]
-        if not allow_truncated:
-            raise EnumerationTruncated(
-                f"enumeration stopped at max_points={max_points} but the set has "
-                f"more integer points; pass allow_truncated=True for the prefix",
-                points,
-            )
-    return points
-
-
-def _enumerate_rec(
-    cs: ConvexSet,
-    prefix: Tuple[int, ...],
-    out: List[Tuple[int, ...]],
-    max_points: Optional[int],
-) -> None:
-    if max_points is not None and len(out) >= max_points:
-        return
-    if not cs.variables:
-        if all(c.is_tautology() for c in cs.constraints):
-            out.append(prefix)
-        return
-    name = cs.variables[0]
-    rest = cs.variables[1:]
-    lo, hi = cs.variable_bounds(name)
-    if lo is None or hi is None:
-        # An infeasible set loses its bound constraints during projection
-        # (the contradiction swallows them); that is emptiness, not unboundedness.
-        from .convex import _rationally_infeasible
-
-        if _rationally_infeasible(cs):
-            return
-        raise ValueError(f"variable {name!r} is unbounded; cannot enumerate")
-    for value in range(lo, hi + 1):
-        child = ConvexSet(
-            rest, tuple(c.substitute({name: value}) for c in cs.constraints), ()
-        ).simplified()
-        if child.is_obviously_empty():
-            continue
-        _enumerate_rec(child, prefix + (value,), out, max_points)
-        if max_points is not None and len(out) >= max_points:
-            return
 
 
 def _constraint_matrix(

@@ -2,14 +2,9 @@
 
 Eliminating a variable from a conjunction of affine constraints produces the
 projection of the (rational) solution set onto the remaining variables.  The
-recurrence-chain partitioner uses it for:
-
-* computing conservative per-variable bounds of convex sets,
-* rational feasibility checks during emptiness tests,
-* deriving the loop bounds of generated DOALL nests (each loop level's bounds
-  come from projecting away the deeper levels), mirroring how the paper's
-  code-generation step produces the ``min``/``max``/ceil/floor bound
-  expressions of its listings.
+package uses it for the conservative per-variable bounds of convex sets
+(:meth:`~repro.isl.convex.ConvexSet.variable_bounds`), which the exact
+analyser enumerates statement domains between.
 
 The rows are canonical integer rows (:class:`~repro.isl.convex.Constraint`),
 and both steps stay integral: a lower and an upper bound combine by integer
@@ -29,7 +24,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .convex import _FALSE, Constraint, ConvexSet, EQ, GE, _canonical
 
-__all__ = ["eliminate_variable", "eliminate_variables", "project_onto", "project_out"]
+__all__ = ["eliminate_variable", "eliminate_variables", "project_onto"]
 
 
 def _substitute_equality(constraints: List[Constraint], name: str) -> List[Constraint] | None:
@@ -110,14 +105,6 @@ def eliminate_variables(constraints: Iterable[Constraint], names: Sequence[str])
 def _prune(constraints: List[Constraint]) -> List[Constraint]:
     """Drop tautologies and duplicates to limit FME blow-up."""
     return [c for c in dict.fromkeys(constraints) if not c.is_tautology()]
-
-
-def project_out(cs: ConvexSet, names: Sequence[str]) -> ConvexSet:
-    """Project away the given variables from a convex set."""
-    names = [n for n in names if n in cs.variables]
-    remaining = tuple(v for v in cs.variables if v not in names)
-    cons = eliminate_variables(list(cs.constraints), names)
-    return ConvexSet(remaining, tuple(cons), cs.parameters).simplified()
 
 
 def project_onto(cs: ConvexSet, names: Sequence[str]) -> ConvexSet:

@@ -1,82 +1,23 @@
-"""Lexicographic order constraints and helpers.
+"""Lexicographic order helpers for integer tuples.
 
 The paper orders iterations (and statement instances) lexicographically:
 ``i ≺ j`` holds when the first differing component of ``i`` is smaller than
 that of ``j``.  The dependence relation of (eq. 4) is split into a predecessor
 part (``j ≺ i``) and a successor part (``i ≺ j``) using exactly this order, and
 monotonic chains are defined as lexicographically increasing sequences.
-
-``i ≺ j`` is not convex: it is the union over ``k`` of
-
-    i_1 = j_1 ∧ … ∧ i_{k-1} = j_{k-1} ∧ i_k < j_k
-
-This module produces those disjuncts as constraint lists (for the symbolic
-relation layer) and provides plain-tuple comparison helpers (for the
-enumeration-based layer).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-from .affine import AffineExpr
-from .convex import Constraint
+from typing import Sequence
 
 __all__ = [
-    "lex_lt_constraints",
-    "lex_le_constraints",
-    "lex_positive_constraints",
     "lex_lt",
     "lex_le",
     "lex_compare",
     "is_lex_positive",
 ]
 
-
-def lex_lt_constraints(
-    left: Sequence[str], right: Sequence[str]
-) -> List[List[Constraint]]:
-    """Disjuncts (each a conjunction of constraints) encoding ``left ≺ right``."""
-    if len(left) != len(right):
-        raise ValueError("lexicographic comparison needs equal-length vectors")
-    disjuncts: List[List[Constraint]] = []
-    for k in range(len(left)):
-        conj: List[Constraint] = []
-        for p in range(k):
-            conj.append(Constraint.eq(AffineExpr.variable(left[p]), AffineExpr.variable(right[p])))
-        conj.append(Constraint.lt(AffineExpr.variable(left[k]), AffineExpr.variable(right[k])))
-        disjuncts.append(conj)
-    return disjuncts
-
-
-def lex_le_constraints(
-    left: Sequence[str], right: Sequence[str]
-) -> List[List[Constraint]]:
-    """Disjuncts encoding ``left ⪯ right`` (adds the all-equal disjunct)."""
-    disjuncts = lex_lt_constraints(left, right)
-    equal = [
-        Constraint.eq(AffineExpr.variable(a), AffineExpr.variable(b))
-        for a, b in zip(left, right)
-    ]
-    disjuncts.append(equal)
-    return disjuncts
-
-
-def lex_positive_constraints(names: Sequence[str]) -> List[List[Constraint]]:
-    """Disjuncts encoding ``0 ≺ (names)`` — lexicographically positive vectors."""
-    disjuncts: List[List[Constraint]] = []
-    for k in range(len(names)):
-        conj: List[Constraint] = []
-        for p in range(k):
-            conj.append(Constraint.eq(AffineExpr.variable(names[p]), 0))
-        conj.append(Constraint.gt(AffineExpr.variable(names[k]), 0))
-        disjuncts.append(conj)
-    return disjuncts
-
-
-# ---------------------------------------------------------------------------
-# concrete tuple helpers
-# ---------------------------------------------------------------------------
 
 def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
     """Three-way lexicographic comparison of integer tuples (-1, 0, +1)."""

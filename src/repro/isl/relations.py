@@ -1,18 +1,11 @@
-"""Affine and finite relations between iteration vectors.
+"""Finite relations between iteration vectors.
 
 The dependence relation ``Rd`` of the paper maps iterations (or statement
-instances) to the iterations that depend on them.  Two representations are
-provided, mirroring the two ways the package reasons about dependences:
-
-* :class:`ConvexRelation` / :class:`UnionRelation` — symbolic relations whose
-  graph is a (union of) convex set(s) over ``in ++ out`` variables, supporting
-  ``dom``, ``ran``, inverse, composition and domain/range restriction.  This is
-  the Omega-library-like layer used to *derive* partitions, possibly with
-  symbolic parameters.
-* :class:`FiniteRelation` — an explicit set of integer pairs, produced by the
-  exact dependence analyser for concrete loop bounds and used by the
-  executors, the validators and the chain builder.  All partition-safety
-  invariants are ultimately checked against this exact object.
+instances) to the iterations that depend on them.  :class:`FiniteRelation`
+holds it as an explicit set of integer pairs, produced by the exact
+dependence analyser for concrete loop bounds and used by the executors, the
+validators and the chain builder.  All partition-safety invariants are
+checked against this exact object.
 
 :class:`FiniteRelation` has one representation: the pairs as canonical
 ``(n, dim)`` int64 arrays (:meth:`FiniteRelation.as_arrays`).
@@ -28,17 +21,12 @@ for the pipeline-wide picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from .convex import Constraint, ConvexSet
-from .fourier_motzkin import project_onto
-from .sets import UnionSet
 
 __all__ = [
-    "ConvexRelation",
-    "UnionRelation",
     "FiniteRelation",
     "PointCodec",
     "in_sorted",
@@ -327,142 +315,6 @@ class PointCodec:
             if self.prefixes[d] is not None:
                 rem = self.prefixes[d][rem]
         return out
-
-
-# ---------------------------------------------------------------------------
-# symbolic relations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvexRelation:
-    """A relation whose graph is a single convex set over ``in_vars + out_vars``."""
-
-    in_vars: Tuple[str, ...]
-    out_vars: Tuple[str, ...]
-    graph: ConvexSet
-
-    @staticmethod
-    def from_constraints(
-        in_vars: Sequence[str],
-        out_vars: Sequence[str],
-        constraints: Iterable[Constraint],
-        parameters: Sequence[str] = (),
-    ) -> "ConvexRelation":
-        graph = ConvexSet.from_constraints(
-            tuple(in_vars) + tuple(out_vars), constraints, parameters
-        )
-        return ConvexRelation(tuple(in_vars), tuple(out_vars), graph)
-
-    def domain(self) -> ConvexSet:
-        """Projection of the graph onto the input variables."""
-        return project_onto(self.graph, self.in_vars)
-
-    def range(self) -> ConvexSet:
-        """Projection of the graph onto the output variables."""
-        return project_onto(self.graph, self.out_vars)
-
-    def inverse(self) -> "ConvexRelation":
-        return ConvexRelation(self.out_vars, self.in_vars, self.graph)
-
-    def intersect_domain(self, cs: ConvexSet) -> "ConvexRelation":
-        renamed = cs.rename_variables(dict(zip(cs.variables, self.in_vars)))
-        graph = self.graph.with_constraints(renamed.constraints)
-        return ConvexRelation(self.in_vars, self.out_vars, graph)
-
-    def intersect_range(self, cs: ConvexSet) -> "ConvexRelation":
-        renamed = cs.rename_variables(dict(zip(cs.variables, self.out_vars)))
-        graph = self.graph.with_constraints(renamed.constraints)
-        return ConvexRelation(self.in_vars, self.out_vars, graph)
-
-    def is_empty(self, params: Mapping[str, int] | None = None) -> bool:
-        return self.graph.is_empty(params)
-
-    def contains_pair(
-        self, src: Sequence[int], dst: Sequence[int], params: Mapping[str, int] | None = None
-    ) -> bool:
-        # The graph's variable order is fixed at construction; map the (src,
-        # dst) coordinates by variable *name* so inverse() keeps working.
-        assignment = dict(zip(self.in_vars, src))
-        assignment.update(dict(zip(self.out_vars, dst)))
-        point = tuple(assignment[v] for v in self.graph.variables)
-        return self.graph.contains(point, params)
-
-    def __str__(self) -> str:
-        return (
-            f"{{ [{', '.join(self.in_vars)}] -> [{', '.join(self.out_vars)}] : "
-            f"{' and '.join(str(c) for c in self.graph.constraints) or 'true'} }}"
-        )
-
-
-@dataclass(frozen=True)
-class UnionRelation:
-    """A finite union of :class:`ConvexRelation` pieces over the same spaces."""
-
-    in_vars: Tuple[str, ...]
-    out_vars: Tuple[str, ...]
-    pieces: Tuple[ConvexRelation, ...] = ()
-
-    @staticmethod
-    def empty(in_vars: Sequence[str], out_vars: Sequence[str]) -> "UnionRelation":
-        return UnionRelation(tuple(in_vars), tuple(out_vars), ())
-
-    @staticmethod
-    def from_pieces(pieces: Sequence[ConvexRelation]) -> "UnionRelation":
-        if not pieces:
-            raise ValueError("use UnionRelation.empty for an empty relation")
-        first = pieces[0]
-        for p in pieces:
-            if p.in_vars != first.in_vars or p.out_vars != first.out_vars:
-                raise ValueError("all pieces must share the same in/out spaces")
-        return UnionRelation(first.in_vars, first.out_vars, tuple(pieces))
-
-    def union(self, other: "UnionRelation") -> "UnionRelation":
-        if (self.in_vars, self.out_vars) != (other.in_vars, other.out_vars):
-            raise ValueError("cannot union relations over different spaces")
-        return UnionRelation(self.in_vars, self.out_vars, self.pieces + other.pieces)
-
-    def add(self, piece: ConvexRelation) -> "UnionRelation":
-        return UnionRelation(self.in_vars, self.out_vars, self.pieces + (piece,))
-
-    def domain(self) -> UnionSet:
-        members = [p.domain() for p in self.pieces]
-        return UnionSet.from_members(self.in_vars, members)
-
-    def range(self) -> UnionSet:
-        members = [p.range() for p in self.pieces]
-        return UnionSet.from_members(self.out_vars, members)
-
-    def inverse(self) -> "UnionRelation":
-        return UnionRelation(
-            self.out_vars, self.in_vars, tuple(p.inverse() for p in self.pieces)
-        )
-
-    def intersect_domain(self, sets: UnionSet) -> "UnionRelation":
-        pieces = []
-        for p in self.pieces:
-            for m in sets.members:
-                pieces.append(p.intersect_domain(m))
-        return UnionRelation(self.in_vars, self.out_vars, tuple(pieces))
-
-    def intersect_range(self, sets: UnionSet) -> "UnionRelation":
-        pieces = []
-        for p in self.pieces:
-            for m in sets.members:
-                pieces.append(p.intersect_range(m))
-        return UnionRelation(self.in_vars, self.out_vars, tuple(pieces))
-
-    def is_empty(self, params: Mapping[str, int] | None = None) -> bool:
-        return all(p.is_empty(params) for p in self.pieces)
-
-    def contains_pair(
-        self, src: Sequence[int], dst: Sequence[int], params: Mapping[str, int] | None = None
-    ) -> bool:
-        return any(p.contains_pair(src, dst, params) for p in self.pieces)
-
-    def __str__(self) -> str:
-        if not self.pieces:
-            return f"{{ [{', '.join(self.in_vars)}] -> [{', '.join(self.out_vars)}] : false }}"
-        return " ∪ ".join(str(p) for p in self.pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from repro.core.partition import symbolic_three_set_partition, three_set_partition
-from repro.dependence import DependenceAnalysis, symbolic_dependence_relation
+from repro.core.partition import three_set_partition
+from repro.dependence import DependenceAnalysis
 from repro.isl.relations import FiniteRelation
 from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
 from repro.workloads.synthetic import random_coupled_loop
@@ -118,37 +118,3 @@ class TestPartitionProperties:
         assert sets.p3 == frozenset({(5,)})
         assert sets.w == frozenset({(2,)})
         assert partition.counts()["initial"] == 1
-
-
-class TestSymbolicPartition:
-    def test_figure2_containment(self):
-        prog = figure2_loop(20)
-        sym = symbolic_three_set_partition(
-            prog.iteration_space(), symbolic_dependence_relation(prog)
-        )
-        concrete = sym.concrete()
-        exact, _ = partition_of(prog)
-        # rational approximation: P1 under-approximates, P3 over-approximates
-        exact = oracle.sets(exact)
-        assert set(concrete["P1"]) <= exact.p1
-        assert set(concrete["P3"]) >= exact.p3
-        assert set(concrete["space"]) == exact.space
-
-    def test_figure1_containment(self):
-        prog = figure1_loop(10, 10)
-        sym = symbolic_three_set_partition(
-            prog.iteration_space(), symbolic_dependence_relation(prog)
-        )
-        concrete = sym.concrete()
-        exact = oracle.sets(partition_of(prog)[0])
-        assert set(concrete["P1"]) <= exact.p1
-        assert set(concrete["P3"]) >= exact.p3
-
-    def test_parametric_partition_terminates_and_binds(self):
-        prog = figure1_loop()  # symbolic N1, N2
-        sym = symbolic_three_set_partition(
-            prog.iteration_space(), symbolic_dependence_relation(prog)
-        )
-        bound = sym.bind_parameters({"N1": 6, "N2": 6})
-        concrete = bound.concrete()
-        assert set(concrete["space"]) == {(i, j) for i in range(1, 7) for j in range(1, 7)}

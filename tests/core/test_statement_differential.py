@@ -9,8 +9,9 @@ invariant (program order == lexicographic unified order) as a property of
 every generated program.
 
 The generated programs (see ``tests/strategies.py``) span 1–3 statements,
-depth ≤ 3, imperfect placement, triangular/rectangular bounds and affine
-subscripts with negative coefficients.  Run with ``--hypothesis-profile=ci``
+depth ≤ 3, imperfect placement, triangular/rectangular bounds, symbolic
+upper bounds bound to drawn values, and affine subscripts with negative
+coefficients.  Run with ``--hypothesis-profile=ci``
 for the derandomized fixed-budget profile CI uses.
 """
 
@@ -25,7 +26,7 @@ from repro.core.statement import (
     statement_dataflow_schedule,
 )
 from repro.workloads.examples import cholesky_loop, example3_loop
-from strategies import loop_programs
+from strategies import loop_programs, parametric_programs
 
 
 def spaces_for(prog):
@@ -61,6 +62,18 @@ class TestSpaceDifferential:
         # The oracle's relation is canonicalised from its tuple pairs, so
         # this compares the array-built pairs against them exactly.
         assert set_space.rd == vec_space.rd
+
+    @given(drawn=parametric_programs())
+    def test_parametric_rd_bit_identical(self, drawn):
+        """A tree with symbolic upper bounds, bound to a drawn ``N``: the
+        same instances and Rd as the oracle's, and as the Rd read off the
+        cells each instance touches."""
+        prog, params = drawn
+        space = build_statement_space(prog, params)
+        expected = oracle.statement_space(prog, params)
+        assert oracle.space_view(space).instances == expected.instances
+        assert space.rd == expected.rd
+        assert space.rd == oracle.accessed_cell_rd(prog, params)
 
     @given(prog=loop_programs())
     def test_stmt_ids_of_recovers_stmt_ids(self, prog):

@@ -478,18 +478,6 @@ class TestPlanObject:
             assert new[key] == value
         assert new["strategy"] == "recurrence-chains"
 
-    def test_codegen_targets(self):
-        p = plan(figure1_loop(6, 6), cache=False)
-        assert "def run_schedule" in p.codegen()
-        assert "DOALL" in p.codegen(target="fortran")
-        with pytest.raises(ValueError):
-            p.codegen(target="cobol")
-        baseline = plan(
-            figure1_loop(6, 6), config=PlanConfig(strategies=("pdm",)), cache=False
-        )
-        with pytest.raises(ValueError):
-            baseline.codegen(target="fortran")
-
     def test_chain_diagnostics(self):
         p = plan(figure1_loop(20, 30), cache=False)
         assert p.longest_chain() > 0 and p.recurrence is not None

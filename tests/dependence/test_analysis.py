@@ -6,6 +6,9 @@ from hypothesis import given
 
 import oracle
 from repro.dependence.analysis import DependenceAnalysis
+from repro.ir.builder import assign, loop, program
+from repro.ir.nodes import ArrayRef
+from repro.isl.affine import var
 from repro.workloads.examples import (
     cholesky_loop,
     example2_loop,
@@ -62,11 +65,48 @@ class TestDriver:
         }
         assert all({a, b} <= {"s1", "s2"} for a, b in labels)
 
+    def test_equal_references_built_apart_dedup_to_one_pair(self):
+        # Two reads of a[I - 1], each its own ArrayRef.make: one pair with
+        # the write, not two (plus the write with itself).
+        first = ArrayRef.make("a", [var("I") - 1])
+        second = ArrayRef.make("a", [var("I") + (-1)])
+        assert first is not second and str(first) == str(second)
+        body = assign("s", ArrayRef.make("a", ["I"]), [first, second])
+        prog = program("twice", loop("I", 2, 8, body), array_shapes={"a": (10,)})
+        analysis = DependenceAnalysis(prog, {})
+        assert len(prog.reference_pairs()) == 3
+        assert [(p.source_ref, p.target_ref) for p in analysis.reference_pairs] == [
+            (body.writes[0], body.writes[0]),
+            (body.writes[0], first),
+        ]
+
     def test_caching_returns_same_object(self):
         analysis = DependenceAnalysis(figure1_loop(6, 6), {})
         assert analysis.space.rd is analysis.space.rd
         assert analysis.reference_pairs is analysis.reference_pairs
         assert analysis.single_coupled_pair() is analysis.single_coupled_pair()
+
+
+class TestRdAgainstAccessedCells:
+    """The exact Rd against one derived without reference pairs, domain
+    enumeration or address keys (:func:`oracle.accessed_cell_rd`)."""
+
+    @pytest.mark.parametrize(
+        "prog",
+        [figure1_loop(10, 10), figure2_loop(20), example2_loop(12)],
+        ids=lambda p: p.name,
+    )
+    def test_paper_examples(self, prog):
+        rd = DependenceAnalysis(prog, {}).space.rd
+        assert rd == oracle.accessed_cell_rd(prog)
+        assert all(src < dst for src, dst in oracle.pairs(rd))
+
+    def test_parametric_figure1_binds_to_the_concrete_program(self):
+        params = {"N1": 10, "N2": 10}
+        rd = DependenceAnalysis(figure1_loop(), params).space.rd
+        assert rd == oracle.accessed_cell_rd(figure1_loop(), params)
+        assert rd == oracle.accessed_cell_rd(figure1_loop(10, 10))
+        assert rd == DependenceAnalysis(figure1_loop(10, 10), {}).space.rd
 
 
 class TestSummaryErrorHandling:

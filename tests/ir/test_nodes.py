@@ -60,7 +60,7 @@ class TestLoop:
         l = loop("I", 1, "N")
         assert l.lower == (E(1),)
         assert l.upper == (E("N"),)
-        assert l.is_normalized()
+        assert l.stride == 1
 
     def test_multi_bounds_max_min(self):
         l = loop("I", ["-4", "-J"], [-1, "K"])

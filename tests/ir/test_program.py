@@ -1,4 +1,4 @@
-"""Tests for repro.ir.program: traversal, iteration spaces, sequential order."""
+"""Tests for repro.ir.program: traversal, statement domains, sequential order."""
 
 import pytest
 
@@ -66,18 +66,6 @@ class TestShapeQueries:
 
 
 class TestIterationSpace:
-    def test_box_space(self):
-        space = perfect_2d(4, 3).iteration_space()
-        assert space.contains((1, 1)) and space.contains((4, 3))
-        assert not space.contains((5, 1)) and not space.contains((0, 1))
-
-    def test_parametric_space(self):
-        prog = figure1_loop()
-        space = prog.iteration_space()
-        assert space.parameters == ("N1", "N2")
-        assert space.contains((3, 3), params={"N1": 5, "N2": 5})
-        assert not space.contains((3, 3), params={"N1": 2, "N2": 2})
-
     def test_statement_domain_triangular(self):
         prog = example3_loop(6)
         ctx = prog.context_of("s1")

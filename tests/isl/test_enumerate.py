@@ -1,126 +1,11 @@
-"""Tests for repro.isl.enumerate_points: point enumeration and numpy filtering."""
+"""Tests for repro.isl.enumerate_points: box grids and numpy filtering."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.isl.affine import var
 from repro.isl.convex import Constraint, ConvexSet
-from repro.isl.enumerate_points import (
-    EnumerationTruncated,
-    enumerate_convex,
-    filter_box_numpy,
-    iteration_points,
-)
-
-
-class TestEnumerateConvex:
-    def test_box(self):
-        cs = ConvexSet.from_box(["i", "j"], [(1, 3), (1, 2)])
-        points = enumerate_convex(cs)
-        assert points == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
-
-    def test_lexicographic_order(self):
-        cs = ConvexSet.from_box(["i", "j"], [(0, 2), (0, 2)])
-        points = enumerate_convex(cs)
-        assert points == sorted(points)
-
-    def test_triangular(self):
-        cs = ConvexSet.from_constraints(
-            ["i", "j"],
-            [
-                Constraint.ge("i", 1),
-                Constraint.le("i", 4),
-                Constraint.ge("j", "i"),
-                Constraint.le("j", 4),
-            ],
-        )
-        points = enumerate_convex(cs)
-        assert len(points) == 10
-        assert all(j >= i for i, j in points)
-
-    def test_equality_constraint(self):
-        cs = ConvexSet.from_constraints(
-            ["i", "j"],
-            [
-                Constraint.eq(var("j"), var("i") * 2),
-                Constraint.ge("i", 1),
-                Constraint.le("i", 4),
-                Constraint.ge("j", 1),
-                Constraint.le("j", 8),
-            ],
-        )
-        assert enumerate_convex(cs) == [(1, 2), (2, 4), (3, 6), (4, 8)]
-
-    def test_empty_set(self):
-        assert enumerate_convex(ConvexSet.from_box(["i"], [(3, 1)])) == []
-
-    def test_infeasible_after_projection(self):
-        # contradictory constraints that are not a syntactic contradiction
-        cs = ConvexSet.from_constraints(
-            ["i", "j"],
-            [
-                Constraint.ge("i", 1),
-                Constraint.le("i", 5),
-                Constraint.ge("j", 1),
-                Constraint.le("j", 5),
-                Constraint.ge("i", 10),
-            ],
-        )
-        assert enumerate_convex(cs) == []
-
-    def test_unbounded_raises(self):
-        with pytest.raises(ValueError):
-            enumerate_convex(ConvexSet.from_constraints(["i"], [Constraint.ge("i", 0)]))
-
-    def test_parametric_needs_binding(self):
-        cs = ConvexSet.from_constraints(
-            ["i"], [Constraint.ge("i", 1), Constraint.le("i", "N")], parameters=["N"]
-        )
-        with pytest.raises(ValueError):
-            enumerate_convex(cs)
-        assert enumerate_convex(cs, {"N": 3}) == [(1,), (2,), (3,)]
-
-    def test_max_points_cap_raises_on_truncation(self):
-        cs = ConvexSet.from_box(["i"], [(1, 100)])
-        with pytest.raises(EnumerationTruncated) as excinfo:
-            enumerate_convex(cs, max_points=5)
-        # the truncated prefix rides along on the exception
-        assert excinfo.value.points == [(1,), (2,), (3,), (4,), (5,)]
-
-    def test_max_points_cap_opt_in_truncated_result(self):
-        cs = ConvexSet.from_box(["i"], [(1, 100)])
-        points = enumerate_convex(cs, max_points=5, allow_truncated=True)
-        assert points == [(1,), (2,), (3,), (4,), (5,)]
-
-    def test_max_points_exact_fit_is_complete(self):
-        cs = ConvexSet.from_box(["i"], [(1, 5)])
-        # enumeration finishes exactly at the cap: complete, no exception
-        assert enumerate_convex(cs, max_points=5) == [(1,), (2,), (3,), (4,), (5,)]
-
-    def test_max_points_above_size_is_complete(self):
-        cs = ConvexSet.from_box(["i"], [(1, 3)])
-        assert enumerate_convex(cs, max_points=10) == [(1,), (2,), (3,)]
-
-    @given(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_brute_force(self, hi1, hi2, a, b):
-        cons = [
-            Constraint.ge("i", 0),
-            Constraint.le("i", hi1),
-            Constraint.ge("j", 0),
-            Constraint.le("j", hi2),
-            Constraint.ge(var("i") * a + var("j") * b, 0),
-        ]
-        cs = ConvexSet.from_constraints(["i", "j"], cons)
-        expected = sorted(
-            (i, j)
-            for i in range(0, hi1 + 1)
-            for j in range(0, hi2 + 1)
-            if a * i + b * j >= 0
-        )
-        assert enumerate_convex(cs) == expected
+from repro.isl.enumerate_points import filter_box_numpy, iteration_points
 
 
 class TestNumpyFiltering:

@@ -1,18 +1,10 @@
-"""Tests for repro.isl.lexorder: lexicographic comparisons and constraints."""
+"""Tests for repro.isl.lexorder: lexicographic comparisons."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isl.lexorder import (
-    is_lex_positive,
-    lex_compare,
-    lex_le,
-    lex_le_constraints,
-    lex_lt,
-    lex_lt_constraints,
-    lex_positive_constraints,
-)
+from repro.isl.lexorder import is_lex_positive, lex_compare, lex_le, lex_lt
 
 vectors = st.lists(st.integers(-5, 5), min_size=3, max_size=3).map(tuple)
 
@@ -46,44 +38,3 @@ class TestTupleComparisons:
     @settings(max_examples=60)
     def test_trichotomy(self, a, b):
         assert (lex_lt(a, b) + lex_lt(b, a) + (a == b)) == 1
-
-
-def satisfies_some_disjunct(disjuncts, assignment):
-    return any(all(c.satisfied_by(assignment) for c in conj) for conj in disjuncts)
-
-
-class TestConstraintEncodings:
-    @given(vectors, vectors)
-    @settings(max_examples=60, deadline=None)
-    def test_lt_constraints_match_tuple_order(self, a, b):
-        left = ["a0", "a1", "a2"]
-        right = ["b0", "b1", "b2"]
-        disjuncts = lex_lt_constraints(left, right)
-        env = {**{f"a{k}": a[k] for k in range(3)}, **{f"b{k}": b[k] for k in range(3)}}
-        assert satisfies_some_disjunct(disjuncts, env) == (a < b)
-
-    @given(vectors, vectors)
-    @settings(max_examples=60, deadline=None)
-    def test_le_constraints_match_tuple_order(self, a, b):
-        left = ["a0", "a1", "a2"]
-        right = ["b0", "b1", "b2"]
-        disjuncts = lex_le_constraints(left, right)
-        env = {**{f"a{k}": a[k] for k in range(3)}, **{f"b{k}": b[k] for k in range(3)}}
-        assert satisfies_some_disjunct(disjuncts, env) == (a <= b)
-
-    @given(vectors)
-    @settings(max_examples=60, deadline=None)
-    def test_positive_constraints_match_predicate(self, d):
-        names = ["d0", "d1", "d2"]
-        disjuncts = lex_positive_constraints(names)
-        env = {f"d{k}": d[k] for k in range(3)}
-        assert satisfies_some_disjunct(disjuncts, env) == is_lex_positive(d)
-
-    def test_number_of_disjuncts(self):
-        assert len(lex_lt_constraints(["a"], ["b"])) == 1
-        assert len(lex_lt_constraints(["a", "c"], ["b", "d"])) == 2
-        assert len(lex_le_constraints(["a", "c"], ["b", "d"])) == 3
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            lex_lt_constraints(["a"], ["b", "c"])

@@ -1,4 +1,4 @@
-"""Tests for repro.isl.relations: finite and symbolic relations."""
+"""Tests for repro.isl.relations: finite relations and the point codec."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from repro.isl.affine import AffineExpr, var
-from repro.isl.convex import Constraint, ConvexSet
-from repro.isl.relations import (
-    ConvexRelation,
-    FiniteRelation,
-    PointCodec,
-    UnionRelation,
-    in_sorted,
-    lexsort_rows,
-)
-from repro.isl.sets import UnionSet
+from repro.isl.relations import FiniteRelation, PointCodec, in_sorted, lexsort_rows
 
 
 def rel(pairs):
@@ -229,85 +219,3 @@ class TestCanonicalRelation:
         dst = np.array([[5, 6], [7, 8]], dtype=np.int64)
         r = FiniteRelation.from_arrays(src, dst)
         assert oracle.pairs(r) == frozenset({((1,), (5, 6)), ((2,), (7, 8))})
-
-
-class TestConvexRelation:
-    def make_fig2_relation(self):
-        # { i -> j : 2i = 21 - j, 1 <= i,j <= 20 }
-        cons = [
-            Constraint.eq(var("i") * 2 + var("j"), 21),
-            Constraint.ge("i", 1),
-            Constraint.le("i", 20),
-            Constraint.ge("j", 1),
-            Constraint.le("j", 20),
-        ]
-        return ConvexRelation.from_constraints(["i"], ["j"], cons)
-
-    def test_contains_pair(self):
-        r = self.make_fig2_relation()
-        assert r.contains_pair((6,), (9,))
-        assert not r.contains_pair((6,), (10,))
-
-    def test_domain_range_projection_cover(self):
-        r = self.make_fig2_relation()
-        dom = r.domain()
-        # every i with an integer partner 21-2i in 1..20 must be in dom
-        for i in range(1, 11):
-            assert dom.contains((i,))
-
-    def test_inverse(self):
-        r = self.make_fig2_relation()
-        assert r.inverse().contains_pair((9,), (6,))
-
-    def test_intersect_domain_range(self):
-        r = self.make_fig2_relation()
-        restricted = r.intersect_domain(ConvexSet.from_box(["i"], [(1, 3)]))
-        assert restricted.contains_pair((3,), (15,))
-        assert not restricted.contains_pair((6,), (9,))
-        restricted2 = r.intersect_range(ConvexSet.from_box(["j"], [(1, 10)]))
-        assert restricted2.contains_pair((6,), (9,))
-        assert not restricted2.contains_pair((3,), (15,))
-
-    def test_is_empty(self):
-        cons = [Constraint.eq(var("i"), var("j")), Constraint.ge("i", 5), Constraint.le("j", 3)]
-        r = ConvexRelation.from_constraints(["i"], ["j"], cons)
-        assert r.is_empty()
-
-
-class TestUnionRelation:
-    def make_union(self):
-        piece1 = ConvexRelation.from_constraints(
-            ["i"], ["j"], [Constraint.eq(var("j"), var("i") + 1), Constraint.ge("i", 1), Constraint.le("i", 4)]
-        )
-        piece2 = ConvexRelation.from_constraints(
-            ["i"], ["j"], [Constraint.eq(var("j"), var("i") + 10), Constraint.ge("i", 1), Constraint.le("i", 2)]
-        )
-        return UnionRelation.from_pieces([piece1, piece2])
-
-    def test_domain_range(self):
-        u = self.make_union()
-        dom = u.domain()
-        assert dom.contains((1,)) and dom.contains((4,))
-        ran = u.range()
-        assert ran.contains((2,)) and ran.contains((12,))
-
-    def test_inverse_and_contains(self):
-        u = self.make_union()
-        assert u.contains_pair((1,), (11,))
-        assert u.inverse().contains_pair((11,), (1,))
-
-    def test_empty_relation(self):
-        e = UnionRelation.empty(["i"], ["j"])
-        assert e.is_empty()
-
-    def test_mixed_spaces_rejected(self):
-        a = ConvexRelation.from_constraints(["i"], ["j"], [])
-        b = ConvexRelation.from_constraints(["x"], ["y"], [])
-        with pytest.raises(ValueError):
-            UnionRelation.from_pieces([a, b])
-
-    def test_intersect_domain(self):
-        u = self.make_union()
-        restricted = u.intersect_domain(UnionSet.from_convex(ConvexSet.from_box(["i"], [(1, 1)])))
-        fr = oracle.enumerate_union_pairs(restricted)
-        assert {a for a, _ in oracle.pairs(fr)} == {(1,)}

@@ -34,7 +34,6 @@ from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.exact import enumerate_domain, reference_addresses
 from repro.isl.affine import AffineExpr
 from repro.isl.convex import EQ, GE
-from repro.isl.enumerate_points import enumerate_convex
 from repro.isl.lexorder import is_lex_positive, lex_lt
 from repro.isl.linalg import hermite_normal_form
 from repro.isl.relations import FiniteRelation
@@ -205,21 +204,6 @@ def wavefronts_respect(partition) -> bool:
     )
 
 
-def enumerate_union_pairs(union, params=None) -> FiniteRelation:
-    """A bounded symbolic :class:`~repro.isl.relations.UnionRelation` as
-    explicit pairs: every integer point of every piece's graph."""
-    found = set()
-    for piece in union.pieces:
-        graph = piece.graph if params is None else piece.graph.bind_parameters(params)
-        positions = {name: k for k, name in enumerate(graph.variables)}
-        for point in enumerate_convex(graph):
-            found.add((
-                tuple(point[positions[name]] for name in piece.in_vars),
-                tuple(point[positions[name]] for name in piece.out_vars),
-            ))
-    return relation(found, len(union.in_vars), len(union.out_vars))
-
-
 class StatementSpace(NamedTuple):
     instances: Tuple[Instance, ...]
     unified: Tuple[Point, ...]
@@ -246,6 +230,34 @@ def statement_space(program, params=None) -> StatementSpace:
     rd = relation(orient_forward(found), index_map.width, index_map.width)
     stmt_ids = tuple(labels.index(label) for label, _ in instances)
     return StatementSpace(instances, unified, stmt_ids, rd)
+
+
+def accessed_cell_rd(program, params=None) -> FiniteRelation:
+    """Rd without reference pairs: every instance of the interpreter's walk
+    (``program.sequential_iterations``) records the cells its references
+    touch (subscripts by the ``Fraction`` evaluator), and every two accesses
+    of one cell by different instances, at least one a write, give a pair,
+    oriented forward over the unified vectors of §3.3."""
+    params = dict(params or {})
+    index_map = UnifiedIndexMap.from_program(program)
+    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
+    cells: Dict[Tuple[str, Point], List[Tuple[Point, bool]]] = {}
+    for label, it in program.sequential_iterations(params):
+        ctx = contexts[label]
+        env = {**params, **dict(zip(ctx.index_names, it))}
+        point = index_map.unify(label, tuple(it))
+        for refs, writes in ((ctx.statement.writes, True), (ctx.statement.reads, False)):
+            for ref in refs:
+                cell = (ref.array, rational_subscripts(ref, env))
+                cells.setdefault(cell, []).append((point, writes))
+    found = {
+        (a, b)
+        for accesses in cells.values()
+        for a, a_writes in accesses
+        for b, b_writes in accesses
+        if a != b and (a_writes or b_writes)
+    }
+    return relation(orient_forward(found), index_map.width, index_map.width)
 
 
 def sequential_order_is_lexicographic(program, params=None) -> bool:
@@ -415,6 +427,15 @@ def uniform_shift_pairs(analysis):
     return (shifts.pop(), active) if len(shifts) == 1 else None
 
 
+def inverse_recurrence(recurrence):
+    """The predecessor map ``prev(j) = (j − u)·T⁻¹`` of an
+    :class:`~repro.core.recurrence.AffineRecurrence`, as one."""
+    from repro.core.recurrence import AffineRecurrence
+
+    T_inv = recurrence.T.inverse()
+    return AffineRecurrence(T_inv, tuple(T_inv.row_apply([-x for x in recurrence.u])))
+
+
 def next_integer(recurrence, point) -> Optional[Point]:
     """``point·T + u`` of an :class:`~repro.core.recurrence.AffineRecurrence`
     when it is an integer point, else ``None`` (no successor through this
@@ -438,7 +459,7 @@ def recurrence_chains(partition, recurrence) -> List[Tuple[Point, ...]]:
     """
     partition = sets(partition)
     p2 = set(partition.p2)
-    directions = (recurrence, recurrence.inverse())
+    directions = (recurrence, inverse_recurrence(recurrence))
 
     def forward_step(point):
         candidates = {

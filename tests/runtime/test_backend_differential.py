@@ -16,7 +16,8 @@ the planner) and **every registered strategy's schedule on a draw it
 applies to** — so each builder (dataflow, recurrence chains, PDM, PL,
 unique sets, DOACROSS, tiling, inner-parallel, symbolic boxes and coset
 chains) is pinned bit-identical to the sequential run on every backend.
-Every accepting strategy's plan must also pass ``Plan.validate()``.
+Every accepting strategy's plan must also pass ``Plan.validate()``, also
+on loop trees with symbolic upper bounds (``parametric_programs()``).
 Draws come from ``loop_programs()`` (loop trees: sibling loops at any
 level, several top-level nests), ``symbolic_programs()`` (where
 ``symbolic`` and ``recurrence-chains`` apply) or ``lemma1_programs()`` (the
@@ -36,7 +37,7 @@ from repro.core.partitioner import PartitioningNotApplicable, dataflow_branch
 from repro.core.strategy import PlanConfig, plan, strategy_names
 from repro.runtime import execute, execute_sequential, make_store
 from repro.runtime.process import ProcessPool, process_unavailable_reason
-from strategies import lemma1_programs, loop_programs, symbolic_programs
+from strategies import lemma1_programs, loop_programs, parametric_programs, symbolic_programs
 
 #: Every schedule source: the oracle's units, then each registered strategy.
 KINDS = ("units",) + strategy_names()
@@ -92,6 +93,19 @@ class TestBackendDifferential:
         for name in strategy_names():
             try:
                 p = plan(prog, config=PlanConfig(strategies=(name,)), cache=False)
+            except PartitioningNotApplicable:
+                continue
+            report = p.validate(seeds=(0,))
+            assert report.ok, f"{name}: {report}"
+
+    @given(drawn=parametric_programs())
+    def test_every_accepting_strategy_validates_parametric(self, drawn):
+        """The same, for loop trees with symbolic upper bounds, planned and
+        validated at a drawn value of the parameter."""
+        prog, params = drawn
+        for name in strategy_names():
+            try:
+                p = plan(prog, params, config=PlanConfig(strategies=(name,)), cache=False)
             except PartitioningNotApplicable:
                 continue
             report = p.validate(seeds=(0,))

@@ -28,12 +28,16 @@ Use :func:`loop_programs` as a strategy::
     @given(prog=loop_programs())
     def test_something(prog): ...
 
+:func:`parametric_programs` draws the same trees with some upper bounds
+the parameter ``N``, and returns ``(program, params)``;
 :func:`symbolic_programs` draws the narrower family the ``symbolic``
 strategy plans (one statement, rectangular bounds, one uniform distance), and
 :func:`lemma1_programs` the family of Lemma 1 that ``recurrence-chains``
 plans (one statement, one coupled pair, square full-rank subscript matrices,
 non-uniform distances).
 """
+
+from typing import Optional
 
 import hypothesis.strategies as st
 
@@ -44,6 +48,7 @@ from repro.isl.affine import AffineExpr
 
 __all__ = [
     "loop_programs",
+    "parametric_programs",
     "symbolic_programs",
     "lemma1_programs",
     "MAX_BOUND",
@@ -94,6 +99,7 @@ def loop_programs(
     min_statements: int = 1,
     max_statements: int = 3,
     max_depth: int = 3,
+    parameter: Optional[str] = None,
 ) -> LoopProgram:
     """A random small loop tree (possibly imperfect, possibly triangular).
 
@@ -106,7 +112,8 @@ def loop_programs(
     enclosing index (triangular).  Statements are labelled ``s1, s2, ...``
     in program-text order.  One top-level nest whose bodies hold at most one
     sub-loop each is a loop chain, with statements before and after each
-    sub-loop.
+    sub-loop.  With a ``parameter`` name, the first top-level loop runs to
+    that symbol, and any other constant upper bound may too.
     """
     n_statements = draw(st.integers(min_statements, max_statements))
     labels = iter(f"s{k}" for k in range(1, n_statements + 1))
@@ -116,6 +123,8 @@ def loop_programs(
         level = len(enclosing)
         name = draw(st.sampled_from((_INDICES[level], _ALT_INDICES[level])))
         upper = draw(st.integers(2, MAX_BOUND))
+        if parameter is not None and ((not enclosing and not nests) or draw(st.booleans())):
+            upper = parameter
         if enclosing and draw(st.booleans()):
             upper = enclosing[-1]  # triangular: 1..enclosing index
         indices = enclosing + (name,)
@@ -145,11 +154,22 @@ def loop_programs(
     return program(
         "hypothesis-nest",
         *nests,
+        parameters=() if parameter is None else (parameter,),
         array_shapes={
             "x": (_SHAPE, _SHAPE),
             "y": (_SHAPE,),
         },
     )
+
+
+@st.composite
+def parametric_programs(draw):
+    """``(program, params)``: a :func:`loop_programs` tree whose first
+    top-level loop, and some other loops, run to the symbolic bound ``N``,
+    with ``N`` drawn in ``[2, MAX_BOUND]`` (so the declared shapes still
+    cover every access)."""
+    prog = draw(loop_programs(parameter="N"))
+    return prog, {"N": draw(st.integers(2, MAX_BOUND))}
 
 
 #: The three vectorizable statement semantics (None = the order-sensitive

@@ -7,8 +7,10 @@ every name it advertises in ``__all__`` actually resolves, so a refactor
 can never silently break an advertised import.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -55,22 +57,61 @@ def test_one_materialised_phase_form():
     assert "Phase" in core.__all__
 
 
-def test_names_the_steady_benchmark_wraps_exist():
-    """perfbench wraps these attributes by name to time its layers; a
-    rename must be a deliberate change to the benchmark, not a silent miss."""
-    from repro.analysis import features
-    from repro.codegen import python_source
-    from repro.core import strategy
-    from repro.runtime import backends
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-    for module, name in (
-        (backends, "_serial_runner"),
-        (backends, "execute"),
-        (strategy, "plan"),
-        (strategy, "program_fingerprint"),
-        (strategy, "DependenceAnalysis"),
-        (strategy, "get_strategy"),
-        (features, "program_features"),
-        (python_source, "ensure_symbolic_kernel"),
-    ):
-        assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+def _resolve(module_name, name):
+    """``from module_name import name``: an attribute, or a submodule."""
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return getattr(module, name)
+    return importlib.import_module(f"{module_name}.{name}")
+
+
+def _perfbench_uses():
+    """``(file, owner, name)`` for every ``from repro… import name``, every
+    ``tracer.wrap`` / ``tracer.patch(owner, "name", …)`` and every
+    ``owner.name`` read in ``perfbench/*.py``, where ``owner`` is a name such
+    an import bound."""
+    uses = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                for alias in node.names:
+                    uses.append((path.name, node.module, alias.name))
+                    bound[alias.asname or alias.name] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("wrap", "patch")
+                and len(node.args) >= 2
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id in bound
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                uses.append((path.name, bound[node.args[0].id], node.args[1].value))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+            ):
+                uses.append((path.name, bound[node.value.id], node.attr))
+    return uses
+
+
+def test_names_the_steady_benchmark_wraps_exist():
+    """perfbench imports these names and wraps or reads these attributes to
+    time its layers, so a rename must be a deliberate change to the
+    benchmark, not a miss that only a perfbench run would show.  The list is
+    read from perfbench's own source."""
+    uses = _perfbench_uses()
+    names = {name for _, _, name in uses}
+    assert {"ensure_symbolic_kernel", "kernel_cache_stats", "_serial_runner"} <= names
+    for path, owner, name in uses:
+        if isinstance(owner, str):
+            _resolve(owner, name)
+        else:
+            assert hasattr(_resolve(*owner), name), f"{path}: {'.'.join(owner)}.{name}"
