@@ -260,13 +260,18 @@ class ConvexSet:
 
         Uses Fourier–Motzkin elimination of every *other* variable and returns
         the tightest constant lower/upper bounds found (``None`` if unbounded
-        in that direction).  Exact for the rational relaxation; conservative
-        (never too tight) for the integer set.
+        in that direction, ``lo > hi`` if the rational relaxation is empty).
+        Exact for the rational relaxation; conservative (never too tight) for
+        the integer set.
         """
         from .fourier_motzkin import project_onto
 
         cs = self if params is None else self.bind_parameters(params)
         projected = project_onto(cs, [name])
+        if _FALSE in projected.constraints:
+            # Elimination met a constant contradiction: no row is left to
+            # bound ``name``, yet the set is empty, not unbounded.
+            return 1, 0
         lo: Optional[int] = None
         hi: Optional[int] = None
         for c in projected.constraints:

@@ -16,6 +16,7 @@ from repro.workloads.examples import (
     figure1_loop,
     figure2_loop,
 )
+from repro.workloads.corpus import selection_corpus
 from strategies import lemma1_programs, symbolic_programs
 
 
@@ -100,6 +101,33 @@ class TestRdAgainstAccessedCells:
         rd = DependenceAnalysis(prog, {}).space.rd
         assert rd == oracle.accessed_cell_rd(prog)
         assert all(src < dst for src, dst in oracle.pairs(rd))
+
+    @pytest.mark.parametrize(
+        "prog",
+        [example3_loop(40), cholesky_loop(nmat=2, m=2, n=6, nrhs=2)],
+        ids=lambda p: p.name,
+    )
+    def test_imperfect_paper_examples(self, prog):
+        """The multi-statement examples: Example 3's single cross-statement
+        pair first meets at N=40, and the Cholesky kernel's five statements
+        unify depths 3 and 4."""
+        rd = DependenceAnalysis(prog, {}).space.rd
+        assert len(rd) > 0
+        assert rd == oracle.accessed_cell_rd(prog)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param(entry, id=f"{size}-{entry.name}")
+            for size in ("small", "medium")
+            for entry in selection_corpus(size=size)
+        ],
+    )
+    def test_selection_corpus(self, entry):
+        """Every family of the corpus the strategy selector is calibrated
+        on, parametric entries bound to their concrete parameters."""
+        rd = DependenceAnalysis(entry.program, entry.params).space.rd
+        assert rd == oracle.accessed_cell_rd(entry.program, entry.params)
 
     def test_parametric_figure1_binds_to_the_concrete_program(self):
         params = {"N1": 10, "N2": 10}

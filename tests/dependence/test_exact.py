@@ -61,6 +61,49 @@ class TestEnumerateDomain:
         assert len(points) == 6
 
 
+    def test_rows_follow_sequential_order(self):
+        prog = example3_loop(5)
+        points = enumerate_domain(prog.context_of("s1"), {})
+        seq = [it for label, it in prog.sequential_iterations({}) if label == "s1"]
+        assert [tuple(p) for p in points.tolist()] == seq
+
+    def test_empty_range(self):
+        body = assign("s", aref("a", "I"), [])
+        prog = program("e", loop("I", 3, 1, body), array_shapes={"a": (5,)})
+        assert enumerate_domain(prog.statement_contexts()[0], {}).shape == (0, 1)
+
+    def test_inner_range_empty_for_every_outer_value(self):
+        # J >= I + 10 and J <= 5: only the projection onto J shows it.
+        body = assign("s", aref("a", "I", "J"), [])
+        prog = program(
+            "e", loop("I", 1, 5, loop("J", "I+10", 5, body)), array_shapes={"a": (6, 16)}
+        )
+        assert enumerate_domain(prog.statement_contexts()[0], {}).shape == (0, 2)
+
+    def test_unbound_parameter_rejected(self):
+        prog = figure1_loop()
+        with pytest.raises(ValueError, match="I2 is unbounded"):
+            enumerate_domain(prog.statement_contexts()[0], {"N1": 3}, prog.parameters)
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_affine_lower_bound_matches_brute_force(self, hi1, hi2, a, b):
+        body = assign("s", aref("a", "I", "J"), [])
+        prog = program(
+            "t",
+            loop("I", 0, hi1, loop("J", [0, f"{a}*I+{b}"], hi2, body)),
+            array_shapes={"a": (6, 6)},
+        )
+        expected = [
+            (i, j)
+            for i in range(hi1 + 1)
+            for j in range(hi2 + 1)
+            if j >= a * i + b
+        ]
+        points = enumerate_domain(prog.statement_contexts()[0], {})
+        assert [tuple(p) for p in points.tolist()] == expected
+
+
 class TestReferenceAddresses:
     def test_matches_pointwise_evaluation(self):
         prog = figure1_loop(4, 4)

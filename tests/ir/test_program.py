@@ -66,6 +66,21 @@ class TestShapeQueries:
 
 
 class TestIterationSpace:
+    def test_statement_domain_box(self):
+        domain = perfect_2d(4, 3).statement_contexts()[0].domain()
+        assert domain.contains((1, 1)) and domain.contains((4, 3))
+        assert not domain.contains((5, 1)) and not domain.contains((0, 1))
+
+    def test_statement_domain_parametric(self):
+        prog = figure1_loop()
+        domain = prog.statement_contexts()[0].domain(prog.parameters)
+        assert domain.parameters == ("N1", "N2")
+        assert domain.contains((3, 3), params={"N1": 5, "N2": 5})
+        assert not domain.contains((3, 3), params={"N1": 2, "N2": 2})
+        bound = domain.bind_parameters({"N1": 5, "N2": 5})
+        assert bound.parameters == ()
+        assert bound.contains((5, 5)) and not bound.contains((6, 5))
+
     def test_statement_domain_triangular(self):
         prog = example3_loop(6)
         ctx = prog.context_of("s1")

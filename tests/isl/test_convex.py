@@ -156,6 +156,21 @@ class TestVariableBounds:
         assert cs.variable_bounds("j") == (1, 6)
         assert cs.variable_bounds("i") == (1, 6)
 
+    def test_variable_bounds_of_an_empty_set_are_an_empty_range(self):
+        # i in [0, 0], j >= 1 and j <= 0: eliminating j leaves 1 <= 0, no row
+        # over i, and the bound of i must say empty, not unbounded.
+        cs = ConvexSet.from_constraints(
+            ["i", "j"],
+            [
+                Constraint.ge("i", 0),
+                Constraint.le("i", 0),
+                Constraint.ge("j", 1),
+                Constraint.le("j", 0),
+            ],
+        )
+        lo, hi = cs.variable_bounds("i")
+        assert lo is not None and hi is not None and lo > hi
+
 
 class TestConvexSetProperty:
     @given(

@@ -701,10 +701,13 @@ def eliminate_variables(rows: List[RationalRow], names) -> List[RationalRow]:
 
 def rational_variable_bounds(rows: List[RationalRow], variables, name: str):
     """Conservative integer bounds of ``name``: the rational projection onto
-    it, rounded inwards (``None`` where unbounded)."""
+    it, rounded inwards (``None`` where unbounded, ``(1, 0)`` where the
+    projection is a contradiction)."""
     projected = simplified(
         eliminate_variables(simplified(rows), [v for v in variables if v != name])
     )
+    if projected == [FALSE_ROW]:
+        return 1, 0
     lower = upper = None
     for c in projected:
         coeff = c.expr.coeff(name)

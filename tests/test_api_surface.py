@@ -102,16 +102,33 @@ def _perfbench_uses():
     return uses
 
 
+PERFBENCH_USES = list(dict.fromkeys(_perfbench_uses()))
+
+
+def _use_id(use):
+    """``file:module:name`` for an import, ``file:module.owner.name`` for
+    an attribute of an imported name."""
+    path, owner, name = use
+    if isinstance(owner, str):
+        return f"{path}:{owner}:{name}"
+    return f"{path}:{'.'.join(owner)}.{name}"
+
+
 def test_names_the_steady_benchmark_wraps_exist():
     """perfbench imports these names and wraps or reads these attributes to
     time its layers, so a rename must be a deliberate change to the
     benchmark, not a miss that only a perfbench run would show.  The list is
-    read from perfbench's own source."""
-    uses = _perfbench_uses()
-    names = {name for _, _, name in uses}
+    read from perfbench's own source; this checks the scan finds the layers
+    the traced runs wrap, and :func:`test_perfbench_use_resolves` resolves
+    every use it finds."""
+    names = {name for _, _, name in PERFBENCH_USES}
     assert {"ensure_symbolic_kernel", "kernel_cache_stats", "_serial_runner"} <= names
-    for path, owner, name in uses:
-        if isinstance(owner, str):
-            _resolve(owner, name)
-        else:
-            assert hasattr(_resolve(*owner), name), f"{path}: {'.'.join(owner)}.{name}"
+
+
+@pytest.mark.parametrize("use", PERFBENCH_USES, ids=_use_id)
+def test_perfbench_use_resolves(use):
+    path, owner, name = use
+    if isinstance(owner, str):
+        _resolve(owner, name)
+    else:
+        assert hasattr(_resolve(*owner), name), f"{path}: {'.'.join(owner)}.{name}"
