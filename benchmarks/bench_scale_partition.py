@@ -42,6 +42,11 @@ checks that the array engine's result is bit-identical to it.
   <1×: there is nothing to parallelise onto) without failing, and
   ``REPRO_REQUIRE_PROCESS_SPEEDUP=1`` forces the assertion anywhere.
 
+* ``test_warm_process_against_compiled`` — recorded, ungated: a warm
+  2-worker ``process`` pool against ``compiled`` on the default plan of
+  ``large_uniform_loop(1000, 1000)`` (10⁶ points), both on the lockstep
+  kernel, median of warm runs.
+
 * ``test_plan_scale`` — one cold ``plan()`` of each large nest split into
   its layers: the statement space (domains + Rd), the features beyond it,
   the selection rest (ranking, applicability) and the builder.  The layers
@@ -341,12 +346,15 @@ def test_process_backend_speedup(report):
     over the serial backend at 4 workers, 10⁵ points, compute-heavy kernel.
 
     The schedule is the vectorised dataflow wavefront plan of
-    ``large_uniform_loop`` — 200 DOALL phases whose :class:`~repro.core.schedule.Phase` rows
-    ship to the persistent workers as strided slices (attach-once shared
-    memory, barrier per phase).  Timings are end-to-end per run, *including*
-    pool start-up and the shared-memory copy-in/copy-out, so the recorded
-    speedup is what a caller of ``plan(...).execute(backend="process")``
-    actually observes.
+    ``large_uniform_loop`` — 200 DOALL phases, each dealt to the persistent
+    workers as one sub-phase per worker in a single message.  The
+    compute-heavy semantics has a vectorised twin, so the workers run their
+    sub-phases as lowered blocks on the lockstep kernel and meet at a pipe
+    barrier between phases, while ``serial`` interprets every instance: the
+    ratio is mostly the kernel's, not the parallelism's.  Timings are
+    end-to-end per run, *including* pool start-up, the workers' lowering and
+    the shared-memory copy-in/copy-out, so the recorded speedup is what a
+    caller of ``plan(...).execute(backend="process")`` actually observes.
     """
     import numpy as np
 
@@ -413,6 +421,73 @@ def test_process_backend_speedup(report):
             f"{big['points']} points with {workers} workers "
             f"({os.cpu_count()} CPUs visible)"
         )
+
+
+#: The 10⁶-point nest of the warm ``process`` against ``compiled`` row.
+POOL_VS_KERNEL_SIZE = (1000, 1000)
+POOL_VS_KERNEL_RUNS = 5
+
+
+def test_warm_process_against_compiled(report):
+    """Recorded, ungated: a warm 2-worker pool against ``compiled`` on the
+    default plan of a 10⁶-point nest, both on the lockstep kernel.
+
+    The pool's first run ships the sub-phases and the workers lower them;
+    the row records the median of the runs after it (fresh store each run,
+    the shared-memory copy-in/copy-out included), next to the median of
+    ``compiled`` runs of the same plan with its lowering cached.  The
+    ``process`` backend earns its place only where this ratio is well
+    above 1; the row is the trajectory of that decision.
+    """
+    import numpy as np
+
+    from repro.runtime import execute, execute_sequential, make_store
+    from repro.runtime.process import ProcessPool, process_unavailable_reason
+    from repro.workloads.synthetic import large_uniform_loop
+
+    reason = process_unavailable_reason()
+    if reason is not None:
+        import pytest
+
+        pytest.skip(f"process backend unavailable: {reason}")
+
+    workers = 2
+    n1, n2 = POOL_VS_KERNEL_SIZE
+    prog = large_uniform_loop(n1, n2)
+    p = plan(prog, cache=False)
+    ref = execute_sequential(prog, {})
+
+    def timed(**kwargs):
+        samples = []
+        for _ in range(POOL_VS_KERNEL_RUNS):
+            store = make_store(prog)
+            t0 = time.perf_counter()
+            execute(prog, p.schedule, {}, store=store, **kwargs)
+            samples.append(time.perf_counter() - t0)
+            assert all(np.array_equal(ref[k], store[k]) for k in ref)
+        return float(np.median(samples))
+
+    execute(prog, p.schedule, {}, backend="compiled")  # lowers once
+    t_compiled = timed(backend="compiled")
+    with ProcessPool(prog, workers=workers) as pool:
+        t0 = time.perf_counter()
+        execute(prog, p.schedule, {}, backend="process", pool=pool)
+        t_first = time.perf_counter() - t0
+        t_process = timed(backend="process", pool=pool)
+    rows = [{
+        "points": n1 * n2,
+        "strategy": p.strategy,
+        "phases": p.schedule.num_phases,
+        "workers": workers,
+        "cpu_count": os.cpu_count(),
+        "t_process_first_s": round(t_first, 4),
+        "t_process_warm_ms": round(t_process * 1e3, 2),
+        "t_compiled_ms": round(t_compiled * 1e3, 2),
+        "process_over_compiled": round(t_compiled / t_process, 2),
+        "gated": False,
+    }]
+    report("Warm 2-worker process pool vs compiled at 10^6 points (median)", rows)
+    record_bench("process_vs_compiled", rows)
 
 
 def test_statement_level_speedup(report):

@@ -18,8 +18,8 @@ most against execution there, which is exactly the request profile a
 plan-serving daemon exists for.
 
 ``test_process_pool_request_latency`` records (ungated) the warm per-request
-latency of an injected pool next to ``serial`` on the three programs the
-perfbench ``serve-tcp`` workload runs on process pools.
+latency of an injected pool next to ``serial`` and ``compiled`` on the three
+programs the perfbench ``serve-tcp`` workload runs on process pools.
 
 ``test_client_store_latency_tracks_the_footprint`` gates the wire's
 footprint stores: over the small corpus on ``compiled``, with a client
@@ -142,11 +142,13 @@ POOL_REQUESTS = 200
 
 def test_process_pool_request_latency(report):
     """Recorded, ungated: the median warm latency of one ``execute(pool=...)``
-    request (fresh store each time) next to ``serial`` on the same plan.
+    request (fresh store each time) next to ``serial`` and ``compiled`` on
+    the same plan.
 
-    A request is one round trip to every worker whatever the phase count, so
-    the row carries the phase count to show the cost no longer scales with
-    it.  Results are checked against ``execute_sequential``; the timings are
+    A request is one round trip to every worker whatever the phase count,
+    and the workers run the same lockstep kernel as ``compiled``, so the
+    gap between the two is what the round trip and the barriers cost.
+    Results are checked against ``execute_sequential``; the timings are
     recorded for the trajectory only.
     """
     from repro.runtime import make_store
@@ -159,7 +161,7 @@ def test_process_pool_request_latency(report):
         ref = execute_sequential(entry.program, entry.params)
         timings = {}
         with ProcessPool(entry.program, workers=WORKERS) as pool:
-            for backend in ("process", "serial"):
+            for backend in ("process", "serial", "compiled"):
                 samples = []
                 for _ in range(POOL_REQUESTS):
                     store = make_store(entry.program)
@@ -177,8 +179,9 @@ def test_process_pool_request_latency(report):
             "requests": POOL_REQUESTS,
             "t_process_ms": round(timings["process"] * 1e3, 3),
             "t_serial_ms": round(timings["serial"] * 1e3, 3),
+            "t_compiled_ms": round(timings["compiled"] * 1e3, 3),
         })
-    report("Warm injected-pool request latency vs serial (median)", rows)
+    report("Warm injected-pool request latency vs serial and compiled (median)", rows)
     record_bench("process_pool_request", rows)
     assert len(rows) == len(POOL_PROGRAMS)
 

@@ -156,6 +156,20 @@ class Phase:
         """The phase as arrays: itself (the symbolic phases build one)."""
         return self
 
+    def take(self, units: Sequence[int]) -> "Phase":
+        """The phase of the given units, in the given order, each keeping
+        its instances contiguous and in order."""
+        units = np.asarray(units, dtype=np.int64)
+        if self.unit_offsets is None:
+            rows, offsets = units, None
+        else:
+            starts = self.unit_offsets[units]
+            lengths = self.unit_offsets[units + 1] - starts
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        ids = self._stmt_ids if isinstance(self._stmt_ids, int) else self._stmt_ids[rows]
+        return Phase(self.name, ids, self.iters[rows], offsets)
+
     def __len__(self) -> int:
         if self.unit_offsets is None:
             return len(self.iters)

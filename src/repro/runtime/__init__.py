@@ -6,21 +6,20 @@
   :class:`~repro.runtime.backends.ExecConfig` ``(backend, workers, seed)``
   and all returning a unified :class:`~repro.runtime.backends.RunResult`;
 * :mod:`repro.runtime.executor` — sequential reference execution, exact
-  semantic validation, and the one phase lowering and interpreter loop that
-  ``serial`` (inline) and ``process`` (the shared-memory workers) share;
-* :mod:`repro.runtime.lockstep` — the ``compiled`` backend's executor for
-  materialised schedules: each phase's units stepped at once as NumPy
+  semantic validation, the one way a phase is dealt into per-worker
+  sub-phases (``serial`` and ``process`` share it) and the interpreter loop;
+* :mod:`repro.runtime.lockstep` — the kernel of ``compiled`` and of the
+  ``process`` workers: each phase's units stepped at once as NumPy
   gather / vectorised semantics / scatter blocks, lowered once per schedule;
 * :mod:`repro.runtime.process` / :mod:`repro.runtime.shm` — the
   shared-memory process pool: arrays in one ``multiprocessing.shared_memory``
-  segment, one message per worker per execution, worker-side phase barriers
-  — wall-clock speedups on multi-core hosts;
+  segment, one message per worker per execution, lowered blocks on the
+  workers and a pipe barrier among them between phases;
 * :mod:`repro.runtime.simulator` — the deterministic SMP cost model behind the
   figure-3 speedup reproductions and the selection table, called directly
   (it is not an execution backend);
-* :mod:`repro.runtime.metrics` — parallelism metrics, speedup tables and
-  scheme comparisons, plus :func:`~repro.runtime.metrics.run_metrics` /
-  :func:`~repro.runtime.metrics.measured_speedups` over RunResults.
+* :mod:`repro.runtime.metrics` — speedup tables and scheme comparisons over
+  the simulator's curves.
 """
 
 from .backends import (
@@ -46,9 +45,6 @@ from .metrics import (
     SpeedupTable,
     compare_schemes,
     crossover_points,
-    measured_speedups,
-    run_metrics,
-    schedule_parallelism,
 )
 from .simulator import CostModel, SimulationResult, simulate_schedule, speedup_curve
 
@@ -75,7 +71,4 @@ __all__ = [
     "SpeedupTable",
     "compare_schemes",
     "crossover_points",
-    "run_metrics",
-    "measured_speedups",
-    "schedule_parallelism",
 ]

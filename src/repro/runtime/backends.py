@@ -13,9 +13,9 @@ instance/worker/timing counters):
 ``process``
     the ``multiprocessing.shared_memory`` worker pool
     (:mod:`repro.runtime.process`): arrays live in one shared segment,
-    each worker receives its slices of every phase in one message and the
-    workers barrier among themselves between phases — the backend that
-    turns partition schedules into wall-clock speedups on multi-core hosts;
+    each worker receives its sub-phase of every phase in one message, runs
+    them on the lockstep kernel and meets the others at a pipe barrier
+    between phases — the backend that runs the paper's barriers for real;
 ``compiled``
     one vectorised NumPy kernel, no per-instance Python: every schedule
     runs through the lockstep executor (:mod:`repro.runtime.lockstep`),
@@ -26,14 +26,15 @@ instance/worker/timing counters):
     indices — falls back to ``serial``, with the reason recorded in
     ``RunResult.meta``.
 
-``serial`` and ``process`` differ only in transport: each phase is lowered
-once into its arrays (``phase.lower()``), its units shuffled and
-dealt round-robin (:func:`~repro.runtime.executor.split_phase`), and every
-slice runs through the one interpreter loop
-(:func:`~repro.runtime.executor.run_instances`) — inline, phase by phase, or
-in the shared-memory workers, which get all their slices up front.  The
-lockstep executor reads the same lowered phases, but lowers symbolic ones
-in closed form.
+``serial`` and ``process`` deal work the same way: each phase is lowered
+once into its arrays (``phase.lower()``), its units shuffled and dealt
+round-robin (:func:`~repro.runtime.executor.split_phase`), one sub-phase per
+worker.  ``serial`` runs its one sub-phase inline through the interpreter
+loop (:func:`~repro.runtime.executor.run_instances`), phase by phase; the
+shared-memory workers get all their sub-phases up front and run them as
+lowered blocks on the lockstep executor, interpreting only what
+``compiled`` would interpret too.  ``compiled`` lowers the whole schedule,
+symbolic phases in closed form.
 :meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
 the same registry through the planning facade.  Third-party executors (a GPU runner, a no-GIL thread pool)
 plug in via :func:`register_backend` without touching any call site.  The
@@ -134,8 +135,7 @@ class RunResult:
 
     The final store plus per-phase instance/worker/timing counters, the
     same shape whether the run was serial, multi-process or a compiled
-    kernel.  Feed it to :func:`repro.runtime.metrics.run_metrics` /
-    :func:`repro.runtime.metrics.measured_speedups` for reporting.
+    kernel.
     """
 
     store: ArrayStore
@@ -306,10 +306,10 @@ def _serial_runner(
     t_run = time.perf_counter()
     for phase in schedule.phases:
         t0 = time.perf_counter()
-        tasks = split_phase(phase.lower(), 1, rng)
-        executed = sum(run_instances(contexts, ids, iters, store) for ids, iters in tasks)
+        subs = split_phase(phase.lower(), 1, rng)
+        executed = sum(run_instances(contexts, sub, store) for sub in subs)
         stats.append(
-            PhaseStats(phase.name, executed, len(phase), len(tasks), time.perf_counter() - t0)
+            PhaseStats(phase.name, executed, len(phase), len(subs), time.perf_counter() - t0)
         )
     return RunResult(
         store=store,

@@ -2,22 +2,25 @@
 
 * :func:`execute_sequential` — runs the program in original sequential order;
   this is the semantic ground truth.
-* :func:`split_phase` / :func:`run_instances` — the interpreter's way a
-  schedule phase is executed, shared by the ``serial`` and ``process``
-  backends of :mod:`repro.runtime.backends` (and by ``compiled``'s serial
-  fallback for custom semantics).  Every phase is (or lowers through
-  ``phase.lower()`` into) one :class:`~repro.core.schedule.Phase` of flat
-  ``(stmt_ids, iters, unit_offsets)`` arrays; its units are shuffled (to
-  emulate an arbitrary interleaving: a schedule that is only correct under
-  some lucky intra-phase order is exposed) and dealt round-robin to the
-  workers; each worker's slice runs through one interpreter loop.
-  Instances inside a unit keep their order (a WHILE chain is sequential by
-  construction).
+* :func:`split_phase` — the one way a schedule phase is dealt to workers,
+  shared by the ``serial`` and ``process`` backends of
+  :mod:`repro.runtime.backends` (and by ``compiled``'s serial fallback for
+  custom semantics).  Every phase is (or lowers through ``phase.lower()``
+  into) one :class:`~repro.core.schedule.Phase` of flat ``(stmt_ids,
+  iters, unit_offsets)`` arrays; its units are shuffled (to emulate an
+  arbitrary interleaving: a schedule that is only correct under some lucky
+  intra-phase order is exposed) and dealt round-robin, each worker's units
+  a sub-phase of their own.  Instances inside a unit keep their order (a
+  WHILE chain is sequential by construction).
+* :func:`run_instances` — the interpreter loop that runs a (sub-)phase
+  instance by instance: ``serial`` runs every phase through it, the
+  ``process`` workers and :mod:`repro.runtime.lockstep` only a program or a
+  phase the lockstep kernel does not take.
 
-The ``compiled`` backend runs the same lowered phases without the
-interpreter: :mod:`repro.runtime.lockstep` executes step ``t`` of every
-unit of a phase at once, as NumPy gathers, the statement semantics'
-vectorised twins and scatters.
+The lockstep executor runs the same phases without the interpreter: it
+executes step ``t`` of every unit of a phase at once, as NumPy gathers, the
+statement semantics' vectorised twins and scatters — the ``compiled``
+backend on whole phases, the ``process`` workers on their sub-phases.
 
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so
@@ -96,7 +99,7 @@ BoundStatement = Tuple[tuple, tuple, object]
 
 def _bind(stmt: Statement, store: ArrayStore) -> BoundStatement:
     """Resolve a statement's target arrays, subscript evaluators and
-    semantics against ``store``, once per task rather than once per instance."""
+    semantics against ``store``, once per phase rather than once per instance."""
     return (
         tuple((store[ref.array], ref.evaluate) for ref in stmt.reads),
         tuple((store[ref.array], ref.evaluate) for ref in stmt.writes),
@@ -111,10 +114,10 @@ def _execute_instance_env(
     reads, compute, store through writes.
 
     The single definition of statement dispatch: :func:`execute_sequential`
-    and :func:`run_instances` (hence every executing backend) run this body
-    (the differential harness pins them bit-identical, which only holds
-    while they share it).  Subscripts evaluate on integer rows, so no
-    ``Fraction`` is built per instance.
+    and :func:`run_instances` (hence every interpreted run, on any backend)
+    run this body (the differential harness pins them bit-identical, which
+    only holds while they share it).  Subscripts evaluate on integer rows,
+    so no ``Fraction`` is built per instance.
     """
     reads, writes, semantics = bound
     read_values = [int(array[subscript(env)]) for array, subscript in reads]
@@ -140,44 +143,26 @@ def execute_sequential(
     return store
 
 
-#: A worker's share of one phase: ``(stmt_ids, iters)`` in execution order.
-Task = Tuple[np.ndarray, np.ndarray]
-
-
 def split_phase(
     phase: Phase, workers: int, rng: Optional[random.Random]
-) -> List[Task]:
+) -> List[Phase]:
     """Shuffle a phase's units and deal them round-robin.
 
     ``rng.shuffle`` permutes a list of unit indices — the same permutation it
     would apply to a list of the units themselves, so a seed fixes the visit
     order — and worker ``k`` takes units ``k::workers`` (``serial`` is
-    ``workers=1``).  Each task keeps its units' instances contiguous and in
-    order; workers without a unit get no task.
+    ``workers=1``).  Returns each worker's units as a sub-phase
+    (:meth:`Phase.take <repro.core.schedule.Phase.take>`: every unit's
+    instances contiguous and in order); workers without a unit get none.
     """
-    stmt_ids, iters, offsets = phase.stmt_ids, phase.iters, phase.unit_offsets
-    n_units = len(phase)
-    order = list(range(n_units))
+    order = list(range(len(phase)))
     if rng is not None:
         rng.shuffle(order)
-    bounds = None if offsets is None else offsets.tolist()
-    tasks = []
-    for k in range(min(workers, n_units)):
-        rows = order[k::workers]
-        if bounds is not None:
-            rows = [r for u in rows for r in range(bounds[u], bounds[u + 1])]
-        rows = np.asarray(rows, dtype=np.int64)
-        tasks.append((stmt_ids[rows], iters[rows]))
-    return tasks
+    return [phase.take(order[k::workers]) for k in range(min(workers, len(order)))]
 
 
-def run_instances(
-    contexts: Sequence,
-    stmt_ids: np.ndarray,
-    iters: np.ndarray,
-    store: ArrayStore,
-) -> int:
-    """The interpreter loop: execute one task's instances in order.
+def run_instances(contexts: Sequence, phase: Phase, store: ArrayStore) -> int:
+    """The interpreter loop: execute a phase's instances in order.
 
     ``contexts`` is ``program.statement_contexts()``.  No locking: the
     instances of one phase are independent by construction, which
@@ -185,10 +170,10 @@ def run_instances(
     against the dependence relation.  Returns the instance count.
     """
     table = [(ctx.index_names, _bind(ctx.statement, store)) for ctx in contexts]
-    for sid, row in zip(stmt_ids.tolist(), iters.tolist()):
+    for sid, row in zip(phase.stmt_ids.tolist(), phase.iters.tolist()):
         names, bound = table[sid]
         _execute_instance_env(bound, dict(zip(names, row)), store)
-    return len(stmt_ids)
+    return phase.work
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,10 @@ averaging fewer than :data:`MIN_BLOCK` instances) runs through the
 interpreter instead.
 
 The ``compiled`` backend (:mod:`repro.runtime.backends`) runs every
-schedule this way.  Its kernel lookup,
+schedule this way, and each ``process`` worker (:mod:`repro.runtime.process`)
+runs its sub-phases this way, one phase at a time
+(:meth:`LoweredSchedule.run`) with its barrier in between.  The kernel
+lookup of ``compiled``,
 :func:`~repro.codegen.python_source.ensure_symbolic_kernel`, caches the
 lowered form on the schedule (:attr:`Schedule.lowered
 <repro.core.schedule.Schedule.lowered>`), keyed on :func:`lowering_key`, so
@@ -46,7 +49,7 @@ from __future__ import annotations
 import time
 from functools import partial
 from itertools import groupby, product
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,7 +91,9 @@ class LoweredSchedule:
     ``contexts``.  Calling it on a store runs the schedule, filling the
     store's arrays in place, and returns ``[(phase name, instances,
     seconds), ...]``, the rows the ``compiled`` backend turns into
-    :class:`~repro.runtime.backends.PhaseStats`.
+    :class:`~repro.runtime.backends.PhaseStats`; :meth:`run` yields the
+    same rows one phase at a time, which is how a ``process`` worker puts
+    its barrier between phases.
     """
 
     __slots__ = ("arrays", "phases", "contexts", "program", "__weakref__")
@@ -113,6 +118,13 @@ class LoweredSchedule:
         )
 
     def __call__(self, store: Mapping[str, np.ndarray]) -> List[Tuple[str, int, float]]:
+        return list(self.run(store))
+
+    def run(self, store: Mapping[str, np.ndarray]) -> Iterator[Tuple[str, int, float]]:
+        """Run the schedule one phase at a time: yields ``(phase name,
+        instances, seconds)`` as each phase ends, so a caller can wait at a
+        barrier before asking for the next; the store is complete once the
+        iterator is exhausted."""
         if not self.fits(store):
             raise ValueError(f"store does not hold the lowered arrays {self.arrays}")
         # A flat view of each C-contiguous array; any other layout (Fortran
@@ -127,12 +139,11 @@ class LoweredSchedule:
                 flat = np.ascontiguousarray(array).reshape(-1)
                 copies.append((array, flat))
                 flats.append(flat)
-        stats = []
         for name, work, blocks in self.phases:
             t0 = time.perf_counter()
             if isinstance(blocks, Phase):
                 views = {a: flat.reshape(shape) for (a, shape), flat in zip(self.arrays, flats)}
-                run_instances(self.contexts, blocks.stmt_ids, blocks.iters, views)
+                run_instances(self.contexts, blocks, views)
                 blocks = ()
             for semantics, reads, writes, term in blocks:
                 if len(reads) == 1:
@@ -145,10 +156,9 @@ class LoweredSchedule:
                 value = semantics(gathered, term)
                 for slot, idx in writes:
                     flats[slot][idx] = value
-            stats.append((name, work, time.perf_counter() - t0))
+            yield name, work, time.perf_counter() - t0
         for array, flat in copies:
             array[...] = flat.reshape(array.shape)
-        return stats
 
 
 def _steps(phase: Phase) -> np.ndarray:

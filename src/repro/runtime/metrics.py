@@ -1,9 +1,8 @@
-"""Parallelism metrics and speedup-report helpers.
+"""Speedup-report helpers.
 
 Small, pure functions that the benchmarks and the analysis reports share:
-critical path / average parallelism of a schedule, speedup tables over thread
-counts, and comparisons between schemes (who wins at each processor count,
-where curves cross).
+speedup tables over thread counts, and comparisons between schemes (who
+wins at each processor count, where curves cross).
 """
 
 from __future__ import annotations
@@ -15,30 +14,10 @@ from ..core.schedule import Schedule
 from .simulator import CostModel, speedup_curve
 
 __all__ = [
-    "schedule_parallelism",
     "SpeedupTable",
     "compare_schemes",
     "crossover_points",
-    "run_metrics",
-    "measured_speedups",
 ]
-
-
-def schedule_parallelism(schedule: Schedule) -> Dict[str, float]:
-    """Work, span, average parallelism and phase count of a schedule.
-
-    An empty schedule (no phases, zero span) reports an average parallelism
-    of 0.0 — not NaN, which would poison downstream aggregation.
-    """
-    work = schedule.total_work
-    span = schedule.span
-    return {
-        "work": float(work),
-        "span": float(span),
-        "average_parallelism": (work / span) if span else 0.0,
-        "phases": float(schedule.num_phases),
-        "max_width": float(schedule.max_parallelism),
-    }
 
 
 @dataclass(frozen=True)
@@ -90,46 +69,6 @@ def compare_schemes(
         cm = (cost_models or {}).get(name)
         series[name] = speedup_curve(schedule, processors, cm, sequential_work)
     return SpeedupTable(tuple(processors), series)
-
-
-def run_metrics(result) -> Dict[str, object]:
-    """Headline counters of one :class:`~repro.runtime.backends.RunResult`.
-
-    Works for every backend; every run reports real wall-clock.
-    ``phase_time_s`` is the sum of per-phase times; the gap to ``elapsed_s``
-    is the run's setup/teardown overhead (pool start-up, shared-memory copy
-    in/out), which the process backend amortises over the schedule.
-    """
-    phase_time = sum(result.phase_elapsed())
-    return {
-        "backend": result.backend,
-        "workers": result.workers,
-        "phases": result.phases_executed,
-        "instances": result.instances_executed,
-        "elapsed_s": result.elapsed_s,
-        "phase_time_s": phase_time,
-        "overhead_s": max(result.elapsed_s - phase_time, 0.0),
-        "instances_per_s": (
-            result.instances_executed / result.elapsed_s if result.elapsed_s else 0.0
-        ),
-    }
-
-
-def measured_speedups(
-    runs: Mapping[str, "object"], baseline: str = "serial"
-) -> Dict[str, float]:
-    """Wall-clock speedup of each run over the named baseline run.
-
-    ``runs`` maps display names to :class:`~repro.runtime.backends.RunResult`
-    objects of the *same* schedule (e.g. ``{"serial": ..., "process@4":
-    ...}``); the measured analogue of the simulator's
-    :func:`speedup_curve`.
-    """
-    base = runs[baseline].elapsed_s
-    return {
-        name: (base / r.elapsed_s) if r.elapsed_s else float("inf")
-        for name, r in runs.items()
-    }
 
 
 def crossover_points(

@@ -11,24 +11,33 @@ runs have.
 Protocol (one message, a worker-side barrier, one ack per execution):
 
 1. the parent starts ``workers`` persistent processes, handing each only the
-   program (statement contexts are rebuilt worker-side) and its own
-   :func:`~multiprocessing.Pipe` — workers outlive any particular store,
-   which is what lets a serving daemon keep one pool warm across many
-   requests (:mod:`repro.serving`);
+   program (statement contexts are rebuilt worker-side), its own
+   :func:`~multiprocessing.Pipe` and the ends of the barrier's pipes it
+   uses — workers outlive any particular store, which is what lets a
+   serving daemon keep one pool warm across many requests
+   (:mod:`repro.serving`);
 2. per execution, the parent lowers and splits **every** phase up front
-   (``phase.lower()`` /
-   :func:`~repro.runtime.executor.split_phase`, shared with every other
-   backend, one shuffle generator drawn in phase order), packs the arrays
-   into a fresh :class:`~repro.runtime.shm.SharedArrayStore` and sends each
-   worker **one** message: the segment name, the ``(name, shape, dtype,
-   offset)`` descriptor table and that worker's ``(stmt_ids, iters)`` slice
-   of every phase (``None`` where it has no unit);
-3. each worker maps the segment, runs its slices through the one
-   interpreter loop (:func:`~repro.runtime.executor.run_instances`) and
-   waits on a pool-wide :class:`multiprocessing.Barrier` between phases —
-   exactly the barrier of the generated code, without the parent in it —
-   then unmaps the segment and sends **one** acknowledgement carrying its
-   per-phase instance counts and times;
+   (``phase.lower()`` / :func:`~repro.runtime.executor.split_phase`, shared
+   with every other backend, one shuffle generator drawn in phase order),
+   packs the arrays into a fresh :class:`~repro.runtime.shm.SharedArrayStore`
+   and sends each worker **one** message: the segment name, the ``(name,
+   shape, dtype, offset)`` descriptor table and that worker's sub-phase of
+   every phase — its units, each unit's instances contiguous — or ``None``
+   where it has no unit;
+3. each worker maps the segment and runs its sub-phases as lowered blocks
+   on the lockstep kernel (:meth:`LoweredSchedule.run
+   <repro.runtime.lockstep.LoweredSchedule.run>`, one phase at a time, with
+   the ``compiled`` backend's long-chain fallback to the interpreter): it
+   lowers them once per token (:func:`~repro.runtime.lockstep.lower_schedule`
+   against the descriptors' shapes) and again only when the shapes change.
+   A program the kernel refuses
+   (:func:`~repro.codegen.python_source.kernel_reason`) is interpreted
+   (:func:`~repro.runtime.executor.run_instances`), as ``compiled`` falls
+   back to ``serial``.  Between phases the workers meet at a pipe barrier —
+   each writes one byte into every peer's pipe and reads ``workers - 1``
+   from its own, exactly the barrier of the generated code, without the
+   parent in it; then each unmaps the segment and sends **one**
+   acknowledgement carrying its per-phase instance counts and times;
 4. the parent waits on the pipes and the workers' sentinels
    (:func:`multiprocessing.connection.wait`), copies the shared arrays back
    into the caller's store and unlinks the segment in a ``finally``, so a
@@ -36,16 +45,18 @@ Protocol (one message, a worker-side barrier, one ack per execution):
 
 A split is a pure function of ``(schedule, workers, seed)``, so the pool
 keeps one entry — the last schedule (a strong reference), its seed, a token
-and the per-phase task counts — and each worker keeps its slices under that
-token: a repeat request ships only the token, the segment name and the
-descriptors.  A partition-derived schedule is race-free inside a phase, so
-the worker a unit lands on never changes the result, bit for bit.
+and the per-phase task counts — and each worker keeps its slices and their
+lowered form under that token: a repeat request ships only the token, the
+segment name and the descriptors, and runs blocks lowered before.  A
+partition-derived schedule is race-free inside a phase, so the worker a unit
+lands on never changes the result, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
+import os
 import random
 import time
 import traceback
@@ -54,8 +65,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..codegen.python_source import kernel_reason
+from ..core.schedule import Phase, Schedule
 from ..ir.program import LoopProgram
 from .executor import run_instances, split_phase
+from .lockstep import LoweredSchedule, lower_schedule
 from .shm import SharedArrayStore
 
 __all__ = ["ProcessPool", "default_mp_context", "process_unavailable_reason"]
@@ -89,18 +103,61 @@ def process_unavailable_reason() -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(program: LoopProgram, conn, barrier) -> None:
+class _PipeBarrier:
+    """The workers' barrier between phases, one pipe per worker.
+
+    :meth:`wait` writes one byte into every peer's pipe, then reads
+    ``workers - 1`` bytes from the worker's own.  A worker writes its byte
+    of round ``r + 1`` only after it has left round ``r``, so the first
+    worker to leave round ``r`` can only have read round-``r`` bytes: it
+    leaves once every peer has arrived, whatever the worker count.
+    """
+
+    def __init__(self, inbox, peers):
+        # The Connection objects own the descriptors: keep them alive.
+        self._ends = (inbox, *peers)
+        self._inbox = inbox.fileno()
+        self._peers = [peer.fileno() for peer in peers]
+
+    def wait(self) -> None:
+        for fd in self._peers:
+            os.write(fd, b"\0")
+        missing = len(self._peers)
+        while missing:
+            got = os.read(self._inbox, missing)
+            if not got:
+                raise EOFError("barrier pipe closed")
+            missing -= len(got)
+
+
+def _lower_slices(program: LoopProgram, slices, descriptors) -> LoweredSchedule:
+    """A worker's sub-phases lowered as a schedule of their own, against the
+    shipped descriptors' shapes; a phase where it has no unit (``None``)
+    lowers to an empty one."""
+    width = max(ctx.depth for ctx in program.statement_contexts())
+    empty = Phase("", 0, np.zeros((0, width), dtype=np.int64))
+    phases = tuple(empty if sub is None else sub for sub in slices)
+    shapes = {d.name: d.shape for d in descriptors}
+    return lower_schedule(program, Schedule("slices", phases, (), ()), shapes)
+
+
+def _worker_main(program: LoopProgram, conn, inbox, peers) -> None:
     """Worker loop: one ``(token, slices, shm_name, descriptors)`` message per
     execution, one ack back; exits on the ``None`` sentinel or a closed pipe.
 
     ``slices`` is ``None`` when the parent knows this worker already holds
-    the slices of ``token``.  The ack is ``("ok", [(instances, seconds), ...])``
-    per phase, or ``("error", traceback)``.  The parent kills every worker
-    on the first failure it reads, so no sibling is left waiting in the
-    barrier for a failed worker.
+    the slices of ``token``.  They run on the lockstep kernel, lowered on
+    the first run under their token and again when the store's shapes
+    change; a program :func:`~repro.codegen.python_source.kernel_reason`
+    refuses is interpreted instead.  The ack is ``("ok", [(instances,
+    seconds), ...])`` per phase, or ``("error", traceback)``.  The parent
+    kills every worker on the first failure it reads, so no sibling is left
+    waiting in the barrier for a failed worker.
     """
     contexts = program.statement_contexts()
-    token, slices = None, None
+    interpret = kernel_reason(program) is not None
+    barrier = _PipeBarrier(inbox, peers)
+    token, slices, lowered = None, None, None
     while True:
         try:
             msg = conn.recv()
@@ -110,16 +167,24 @@ def _worker_main(program: LoopProgram, conn, barrier) -> None:
             return
         msg_token, msg_slices, shm_name, descriptors = msg
         if msg_slices is not None:
-            token, slices = msg_token, msg_slices
+            token, slices, lowered = msg_token, msg_slices, None
         store = None
         try:
             if msg_token != token:
                 raise RuntimeError(f"no slices held for token {msg_token}")
             store = SharedArrayStore.attach(shm_name, descriptors)
+            if interpret:
+                counts = (
+                    0 if sub is None else run_instances(contexts, sub, store.arrays)
+                    for sub in slices
+                )
+            else:
+                if lowered is None or not lowered.fits(store.arrays):
+                    lowered = _lower_slices(program, slices, descriptors)
+                counts = (work for _, work, _ in lowered.run(store.arrays))
             rows = []
             t0 = time.perf_counter()
-            for i, task in enumerate(slices):
-                executed = 0 if task is None else run_instances(contexts, *task, store.arrays)
+            for i, executed in enumerate(counts):
                 if i + 1 < len(slices):
                     barrier.wait()
                 t1 = time.perf_counter()
@@ -160,19 +225,23 @@ class ProcessPool:
         self.program = program
         self._ctx = default_mp_context()
         self._broken = False
-        self._barrier = self._ctx.Barrier(workers)
         self._procs = []
         self._conns = []
         # The payload cache: (schedule, seed, token, per-phase task counts).
         self._last: Optional[tuple] = None
         self._tokens = itertools.count()
+        # The barrier's pipes, (read end, write end) per worker; each worker
+        # holds its own read end and its peers' write ends, so the parent
+        # closes its copies once every worker has started.
+        pipes = [self._ctx.Pipe(duplex=False) for _ in range(workers)]
         try:
-            for _ in range(workers):
+            for k in range(workers):
                 parent_end, child_end = self._ctx.Pipe()
                 self._conns.append(parent_end)
+                peers = [write for j, (_, write) in enumerate(pipes) if j != k]
                 p = self._ctx.Process(
                     target=_worker_main,
-                    args=(program, child_end, self._barrier),
+                    args=(program, child_end, pipes[k][0], peers),
                     daemon=True,
                 )
                 p.start()
@@ -181,6 +250,10 @@ class ProcessPool:
         except Exception:
             self.shutdown()
             raise
+        finally:
+            for read, write in pipes:
+                read.close()
+                write.close()
 
     @property
     def start_method(self) -> str:
@@ -223,10 +296,9 @@ class ProcessPool:
                 acks = self._gather()
             except BaseException:
                 # Acks may be lost and the workers' slice caches are no longer
-                # in step, so the pool is done.  Kill its workers rather than
-                # abort their barrier: a dead worker may be counted as a
-                # sleeper in it (or hold its lock), which would block the
-                # abort for good.  Killed, no sibling is left waiting there.
+                # in step, so the pool is done.  Kill its workers: a sibling
+                # of a failed or dead worker waits in the barrier for a byte
+                # that never comes.  Killed, no sibling is left waiting there.
                 self._broken = True
                 for p in self._procs:
                     p.kill()

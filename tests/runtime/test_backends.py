@@ -23,9 +23,7 @@ from repro.runtime import (
     execute_sequential,
     get_backend,
     make_store,
-    measured_speedups,
     register_backend,
-    run_metrics,
 )
 from repro.workloads.examples import (
     example2_loop,
@@ -288,30 +286,6 @@ class TestPlanExecuteWiring:
         p = plan(figure1_loop(6, 6), cache=False)
         with pytest.raises(TypeError):
             p.execute(**retired)
-
-
-class TestRunMetrics:
-    def test_run_metrics_counters(self):
-        prog = figure1_loop(10, 12)
-        p = plan(prog, cache=False)
-        result = execute(prog, p.schedule, {}, backend="serial")
-        m = run_metrics(result)
-        assert m["backend"] == "serial"
-        assert m["instances"] == p.schedule.total_work
-        assert m["phases"] == p.schedule.num_phases
-        assert m["elapsed_s"] >= m["phase_time_s"] - 1e-9
-        assert m["instances_per_s"] > 0
-
-    def test_measured_speedups_baseline(self):
-        prog = figure1_loop(10, 12)
-        p = plan(prog, cache=False)
-        serial = execute(prog, p.schedule, {}, backend="serial")
-        process = execute(prog, p.schedule, {}, backend="process", workers=2)
-        table = measured_speedups({"serial": serial, "process@2": process})
-        assert table["serial"] == pytest.approx(1.0)
-        assert table["process@2"] == pytest.approx(
-            serial.elapsed_s / process.elapsed_s
-        )
 
 
 def test_top_level_exports():

@@ -220,3 +220,47 @@ class TestShuffleRng:
             out = execute(prog, result.schedule, {}, seed=seed).store
             for name in reference:
                 assert np.array_equal(reference[name], out[name])
+
+
+class TestSplitPhase:
+    """``split_phase`` deals a phase's shuffled units round-robin, each
+    worker's units a sub-phase of their own."""
+
+    @staticmethod
+    def _units(phase):
+        lengths = phase.unit_lengths().tolist()
+        bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        rows = list(zip(phase.stmt_ids.tolist(), map(tuple, phase.iters.tolist())))
+        return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_sub_phases_hold_the_dealt_units_in_order(self, seed, workers):
+        import random
+
+        from repro.runtime.executor import split_phase
+
+        lengths = [3, 1, 4, 1, 5, 2]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        iters = np.arange(2 * offsets[-1]).reshape(-1, 2)
+        phase = Phase("ragged", np.arange(offsets[-1]) % 2, iters, offsets)
+        order = list(range(len(lengths)))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+
+        subs = split_phase(phase, workers, None if seed is None else random.Random(seed))
+        assert len(subs) == min(workers, len(lengths))
+        units = self._units(phase)
+        for k, sub in enumerate(subs):
+            assert sub.name == phase.name
+            assert self._units(sub) == [units[u] for u in order[k::workers]]
+        assert sum(sub.work for sub in subs) == phase.work
+
+    def test_one_statement_phase_keeps_its_statement(self):
+        from repro.runtime.executor import split_phase
+
+        phase = Phase("doall", 2, np.arange(10).reshape(5, 2))
+        subs = split_phase(phase, 2, None)
+        assert [sub.iters[:, 0].tolist() for sub in subs] == [[0, 4, 8], [2, 6]]
+        assert all(sub.unit_offsets is None for sub in subs)
+        assert all((sub.stmt_ids == 2).all() for sub in subs)

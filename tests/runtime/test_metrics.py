@@ -1,6 +1,5 @@
 """Tests for repro.runtime.metrics: speedup tables and scheme comparison."""
 
-import pytest
 
 from repro.baselines import pdm_schedule, pl_schedule
 from repro.core import PlanConfig, plan
@@ -9,7 +8,6 @@ from repro.runtime.metrics import (
     SpeedupTable,
     compare_schemes,
     crossover_points,
-    schedule_parallelism,
 )
 from repro.runtime.simulator import CostModel
 from repro.workloads.examples import figure1_loop
@@ -17,23 +15,6 @@ from repro.workloads.examples import figure1_loop
 
 #: Algorithm 1: the recurrence-chain branch where Lemma 1 applies, else dataflow.
 ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
-
-
-class TestScheduleParallelism:
-    def test_figure1(self):
-        result = plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False)
-        metrics = schedule_parallelism(result.schedule)
-        assert metrics["work"] == 100.0
-        assert metrics["phases"] == 3.0
-        assert metrics["average_parallelism"] > 10
-
-    def test_empty_schedule_reports_zero_not_nan(self):
-        from repro.core.schedule import Schedule
-
-        metrics = schedule_parallelism(Schedule.from_phases("empty", [], (), ()))
-        assert metrics["work"] == 0.0
-        assert metrics["span"] == 0.0
-        assert metrics["average_parallelism"] == 0.0  # not NaN
 
 
 class TestCompareSchemes:

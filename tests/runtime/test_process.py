@@ -324,11 +324,11 @@ class TestPoolLifecycle:
         for stmt in prog.statements():
             object.__setattr__(stmt, "semantics", _slow_semantics)
         p = plan(prog, cache=False)
-        tasks = split_phase(p.schedule.phases[0].lower(), WORKERS, None)
-        assert len(tasks) == WORKERS
+        subs = split_phase(p.schedule.phases[0].lower(), WORKERS, None)
+        assert len(subs) == WORKERS
         slow = next(
-            k for k, (_, iters) in enumerate(tasks)
-            if any(tuple(row) == (1, 1) for row in iters.tolist())
+            k for k, sub in enumerate(subs)
+            if any(tuple(row) == (1, 1) for row in sub.iters.tolist())
         )
         before = _segments()
         pool = ProcessPool(prog, workers=WORKERS)
@@ -509,6 +509,6 @@ class TestOneRoundTrip:
                                      seed=seed, pool=pool)
                     rng = None if seed is None else random.Random(seed)
                     for stat, phase in zip(result.phase_stats, p.schedule.phases):
-                        tasks = split_phase(phase.lower(), WORKERS, rng)
-                        assert stat.instances == sum(len(ids) for ids, _ in tasks)
-                        assert stat.workers == len(tasks)
+                        subs = split_phase(phase.lower(), WORKERS, rng)
+                        assert stat.instances == sum(sub.work for sub in subs)
+                        assert stat.workers == len(subs)
