@@ -23,8 +23,8 @@ checks that the array engine's result is bit-identical to it.
   wavefronts.
 
 * ``test_triangular_end_to_end`` — the same pipeline over the non-rectangular
-  :func:`large_triangular_loop` (bounding-box + filter enumeration feeding
-  the sort join): equivalence with the oracle at 10⁴ points, array-path
+  :func:`large_triangular_loop` (the domain scan, an inner range per outer
+  point, feeding the sort join): equivalence with the oracle at 10⁴ points, array-path
   wall-clock recorded at 10⁵.
 
 * ``test_plan_facade_overhead`` — the planning facade's contract on the

@@ -13,10 +13,11 @@ Sub-packages
 ============
 
 ================  ============================================================
-``repro.isl``     exact integer sets, relations, Fourier–Motzkin, diophantine
-                  solving (the Omega-library substitute)
+``repro.isl``     affine expressions, finite relations and their point codec,
+                  exact linear algebra and diophantine solving (the
+                  Omega-library substitute)
 ``repro.ir``      the loop-nest IR (affine bounds, affine references)
-``repro.dependence``  exact and conservative dependence analysis
+``repro.dependence``  exact dependence analysis
 ``repro.core``    the paper's contribution: three-set partitioning, recurrence
                   chains, dataflow partitioning, Algorithm 1, Theorem 1 — and
                   the unified planning facade (``plan``/``PlanConfig``/``Plan``)

@@ -24,11 +24,11 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.dataflow import dataflow_partition_indexed
+from ..core.dataflow import kahn_levels
 from ..core.schedule import Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
-from ..isl.relations import FiniteRelation, PointCodec, unique_index_pairs
+from ..isl.relations import FiniteRelation, PointCodec
 from .lattice import pseudo_distance_matrix
 
 __all__ = ["basic_dependence_vectors", "doacross_schedule"]
@@ -85,9 +85,10 @@ def doacross_schedule(
     nest, unified statement index vectors otherwise — so the imperfectly
     nested Example 3 is scheduled the way Chen & Yew's paper schedules it.
     The wavefront levels come out of the dataflow peeling on row indices
-    (the BDV shifts located among the space's keys, joined with Rd's own
-    indices) as CSR arrays (lexicographic inside a level), and each level
-    becomes one phase over slices of them.
+    (:func:`~repro.core.dataflow.kahn_levels` over the BDV shifts, located
+    among the space's keys, and Rd's own indices) as a level-major row
+    order, lexicographic inside a level; each row's statement and
+    iteration are read through it and each level becomes one phase.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
@@ -99,20 +100,16 @@ def doacross_schedule(
     # even where an intermediate point i+v falls outside the space (single
     # BDV steps alone would then lose the ordering).
     lo, hi = space.rd_lo, space.rd_hi
-    points = space.unified_array
-    if len(points):
-        src, dst = _shift_pairs(points, *space.keys(), vectors)
-        lo, hi = unique_index_pairs(
-            np.concatenate([src, lo]), np.concatenate([dst, hi]), len(points)
-        )
-    uniform = FiniteRelation(points[lo], points[hi])
-    offsets, rows = dataflow_partition_indexed(points, lo, hi, uniform).level_arrays()
+    if len(space):
+        src, dst = _shift_pairs(space.unified_array, *space.keys(), vectors)
+        lo, hi = np.concatenate([src, lo]), np.concatenate([dst, hi])
+    offsets, order = kahn_levels(len(space), lo, hi)
     return Schedule.from_levels(
         f"{program.name}-DOACROSS",
         space.stmt_labels,
         space.stmt_depths,
         offsets,
-        *space.split(rows),
+        *space.take(order),
         phase_names="doacross-wave",
         scheme="doacross",
         basic_dependence_vectors=[list(v) for v in vectors],

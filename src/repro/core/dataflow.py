@@ -19,11 +19,14 @@ dependence DAG, which achieves the maximum (dataflow) parallelism attainable
 with barrier-only synchronization.
 
 The implementation recognises the loop as Kahn level scheduling on row
-indices (:func:`dataflow_partition_indexed`): the relation's ``(lo, hi)``
-index pairs become a CSR adjacency with an in-degree array, and every
-wavefront is peeled with a handful of numpy operations — one pass over the
-edges in total, instead of the literal loop's O(steps · |Rd|) rebuilds of
-``ran Rd``.  The planner hands it the statement-level space's own indices;
+indices (:func:`kahn_levels`): the relation's ``(lo, hi)`` index pairs
+become a CSR adjacency with an in-degree array, and every wavefront is
+peeled with a handful of numpy operations — one pass over the edges in
+total, instead of the literal loop's O(steps · |Rd|) rebuilds of ``ran Rd``.
+It returns the wavefronts as a row-index order: the planner's builders
+(:func:`repro.core.statement.statement_dataflow_schedule` and the
+``doacross`` baseline) run it on the statement-level space's own indices and
+read each row's statement and iteration through that order, and
 :func:`dataflow_partition` is the ``(space, rd)`` adapter that locates the
 endpoints by codec key first.  A cyclic
 (stalling) relation raises :class:`RuntimeError`.  The partition is its CSR
@@ -37,15 +40,15 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..isl.relations import FiniteRelation, sorted_unique
+from ..isl.relations import FiniteRelation
 from .partition import locate_edges, space_rows
 from .schedule import Schedule, validate_csr
 
 __all__ = [
     "DataflowPartition",
     "dataflow_partition",
-    "dataflow_partition_indexed",
     "dataflow_schedule",
+    "kahn_levels",
 ]
 
 Point = Tuple[int, ...]
@@ -101,51 +104,31 @@ class DataflowPartition:
         )
 
 
-def dataflow_partition(
-    space: Union[np.ndarray, Iterable[Point]],
-    rd: FiniteRelation,
-    max_steps: Optional[int] = None,
-) -> DataflowPartition:
-    """Run the while-loop of Algorithm 1's dataflow branch on concrete sets.
+def kahn_levels(
+    n: int, lo: np.ndarray, hi: np.ndarray, max_steps: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Kahn level scheduling of ``n`` nodes: ``(level_offsets, order)``.
 
-    ``rd`` must be oriented forward (earlier ≺ later); only pairs with both
-    ends inside ``space`` constrain the partitioning.  ``max_steps`` guards
-    against runaway loops in pathological inputs (a cycle in ``rd`` would
-    otherwise never drain — cycles cannot arise from a legal sequential loop).
-    ``space`` is an ``(n, dim)`` int array or an iterable of point tuples.
-    An adapter: the endpoints are located among the space rows
-    (:func:`~repro.core.partition.locate_edges`) and
-    :func:`dataflow_partition_indexed` peels the wavefronts.
+    ``(lo, hi)`` are the edges as node indices (duplicates allowed).
+    ``order`` lists every node, level-major, ascending inside a level, and
+    level ``k`` owns ``order[level_offsets[k]:level_offsets[k+1]]``: level
+    0 holds the nodes with no in-edge, level ``k + 1`` the nodes whose last
+    pending in-edge leaves level ``k``.
+
+    The out-edges sit in one CSR array by source, so a level's out-edges
+    are one gather, its targets one sort, and their release one
+    ``subtract.at`` of the in-degrees; a target whose in-degree reaches zero
+    is kept once, at its last occurrence.  One pass over the edges in all.
+    More than ``max_steps`` levels, or a level with nothing left to release
+    (a cycle), raises :class:`RuntimeError`.
     """
-    space_arr = space_rows(space, rd.dim_in)
-    if len(space_arr) == 0:
-        return DataflowPartition(np.zeros(1, dtype=np.int64), space_arr, rd)
-    rows, lo, hi, _ = locate_edges(space_arr, rd)
-    return dataflow_partition_indexed(rows, lo, hi, rd, max_steps)
-
-
-def dataflow_partition_indexed(
-    rows: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    rd: FiniteRelation,
-    max_steps: Optional[int] = None,
-) -> DataflowPartition:
-    """The index core of :func:`dataflow_partition`: Kahn level scheduling.
-
-    ``rows`` is the space as sorted unique ``(n, dim)`` rows and
-    ``(lo, hi)`` the dependences as row indices into them (earlier →
-    later, duplicates allowed); ``rd`` is the relation the partition
-    reports.  One pass over the edges; each wavefront's indices ascend, so
-    its rows come out in lexicographic order.
-    """
-    n = len(rows)
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
     indegree = np.bincount(hi, minlength=n)
-    # CSR adjacency: out-edges grouped by source index.
-    order = np.argsort(lo, kind="stable")
-    dst_by_src = hi[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo, minlength=n), out=offsets[1:])
+    out_degree = np.bincount(lo, minlength=n)
+    stops = np.cumsum(out_degree)
+    dst_by_src = hi[np.argsort(lo, kind="stable")]
+    ramp = np.arange(len(lo), dtype=np.int64)
 
     levels: List[np.ndarray] = []
     frontier = np.flatnonzero(indegree == 0)
@@ -162,27 +145,50 @@ def dataflow_partition_indexed(
                 "pending predecessor (cyclic dependence relation)"
             )
         levels.append(frontier)
-        released += int(frontier.size)
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if not total:
-            frontier = frontier[:0]
-            continue
-        # Gather all out-edges of the frontier in one shot, then release
-        # each distinct target by its number of edges: the work per level
-        # is proportional to the frontier's out-edges, not to n.
-        gather = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
-        targets = np.sort(dst_by_src[gather])
-        fresh = np.ones(total, dtype=bool)
-        np.not_equal(targets[1:], targets[:-1], out=fresh[1:])
-        distinct = targets[fresh]
-        indegree[distinct] -= np.diff(np.append(np.flatnonzero(fresh), total))
-        frontier = distinct[indegree[distinct] == 0]
+        released += frontier.size
+        counts = out_degree[frontier]
+        ends = counts.cumsum()
+        total = int(ends[-1])
+        # The frontier's out-edges, node by node: node k's block ends at
+        # stops[k] in the CSR array and at ends[k] in the gather.
+        targets = np.sort(
+            dst_by_src[np.repeat(stops[frontier] - ends, counts) + ramp[:total]]
+        )
+        np.subtract.at(indegree, targets, 1)
+        last = np.empty(total, dtype=bool)
+        last[-1:] = True
+        np.not_equal(targets[1:], targets[:-1], out=last[:-1])
+        last &= indegree[targets] == 0
+        frontier = targets[last]
     level_offsets = np.zeros(len(levels) + 1, dtype=np.int64)
     np.cumsum([len(level) for level in levels], out=level_offsets[1:])
-    point_rows = rows[np.concatenate(levels)] if levels else rows[:0]
-    return DataflowPartition(level_offsets, point_rows, rd)
+    order = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
+    return level_offsets, order
+
+
+def dataflow_partition(
+    space: Union[np.ndarray, Iterable[Point]],
+    rd: FiniteRelation,
+    max_steps: Optional[int] = None,
+) -> DataflowPartition:
+    """Run the while-loop of Algorithm 1's dataflow branch on concrete sets.
+
+    ``rd`` must be oriented forward (earlier ≺ later); only pairs with both
+    ends inside ``space`` constrain the partitioning.  ``max_steps`` guards
+    against runaway loops in pathological inputs (a cycle in ``rd`` would
+    otherwise never drain — cycles cannot arise from a legal sequential loop).
+    ``space`` is an ``(n, dim)`` int array or an iterable of point tuples.
+    An adapter: the endpoints are located among the space's sorted unique
+    rows (:func:`~repro.core.partition.locate_edges`), :func:`kahn_levels`
+    peels the wavefronts, and each wavefront's rows come out in
+    lexicographic order.
+    """
+    space_arr = space_rows(space, rd.dim_in)
+    if len(space_arr) == 0:
+        return DataflowPartition(np.zeros(1, dtype=np.int64), space_arr, rd)
+    rows, lo, hi, _ = locate_edges(space_arr, rd)
+    level_offsets, order = kahn_levels(len(rows), lo, hi, max_steps)
+    return DataflowPartition(level_offsets, rows[order], rd)
 
 
 def dataflow_schedule(

@@ -51,7 +51,7 @@ per analysis, and every builder, the features and ``Plan.validate()`` read
 that one object.  ``tests/core/test_statement_differential.py`` pins it
 bit-identical to a brute-force per-instance oracle on Hypothesis-generated
 loop trees; the array path assumes a unit-stride (normalized) program,
-exactly like the rest of the analysis layer.
+which :class:`~repro.dependence.analysis.DependenceAnalysis` enforces.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from ..dependence.analysis import DependenceAnalysis
 from ..dependence.exact import dependence_index_pairs
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation, PointCodec, lexsort_rows, readonly_view
-from .dataflow import dataflow_partition_indexed
+from .dataflow import kahn_levels
 from .schedule import Phase, Schedule
 
 __all__ = [
@@ -313,6 +313,14 @@ class StatementLevelSpace:
             return 0, rows
         return self.stmt_ids_of(rows), self.index_map.iteration_columns(rows)
 
+    def take(self, index: np.ndarray) -> Tuple[Union[int, np.ndarray], np.ndarray]:
+        """:meth:`split` of the rows at the given row indices, read straight
+        off the space's arrays: no codec lookup."""
+        rows = self.unified_array[index]
+        if not self.index_map.interleaved:
+            return 0, rows
+        return self.stmt_ids[index], self.index_map.iteration_columns(rows)
+
     def phase(
         self, name: str, rows: np.ndarray, unit_offsets: Optional[np.ndarray] = None
     ) -> Phase:
@@ -404,23 +412,21 @@ def build_statement_space(
 def statement_dataflow_schedule(name: str, space: StatementLevelSpace) -> Schedule:
     """Dataflow-partition a statement-level space into a wavefront schedule.
 
-    The wavefronts stay in array form end to end: the peeling runs on the
-    space's Rd row indices, the partition's CSR rows are unified vectors, :meth:`StatementLevelSpace.split` recovers their
-    statements and iteration columns in one pass, and each level becomes one
-    DOALL :class:`~repro.core.schedule.Phase` (interpretation stops at each
+    The wavefronts stay in array form end to end: :func:`kahn_levels` peels
+    the space's Rd row indices into a level-major row order, each row's
+    statement and iteration columns are read through that order
+    (:meth:`StatementLevelSpace.take`), and each level becomes one DOALL
+    :class:`~repro.core.schedule.Phase` (interpretation stops at each
     statement's depth, so the padding is never read).  Instances run in
     lexicographic order within each wavefront.
     """
-    partition = dataflow_partition_indexed(
-        space.unified_array, space.rd_lo, space.rd_hi, space.rd
-    )
-    level_offsets, point_rows = partition.level_arrays()
+    level_offsets, order = kahn_levels(len(space), space.rd_lo, space.rd_hi)
     return Schedule.from_levels(
         name,
         space.stmt_labels,
         space.stmt_depths,
         level_offsets,
-        *space.split(point_rows),
+        *space.take(order),
         scheme="dataflow",
-        num_steps=partition.num_steps,
+        num_steps=len(level_offsets) - 1,
     )

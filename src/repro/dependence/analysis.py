@@ -72,7 +72,10 @@ class DependenceAnalysis:
     """Exact dependence analysis of a loop program at concrete parameter values.
 
     The address joins run on sorted int64 keys and every relation is combined
-    on its array form.
+    on its array form.  The program must bind every parameter in ``params``
+    and have unit-stride loops (:func:`repro.ir.normalize.normalize_program`
+    rewrites any other); both are checked on construction, before any
+    feature or strategy reads the analysis.
     """
 
     program: LoopProgram
@@ -85,6 +88,13 @@ class DependenceAnalysis:
                 f"program {self.program.name!r} has unbound parameters {missing}; "
                 f"pass concrete values in params"
             )
+        for loop in self.program.loops():
+            if loop.stride != 1:
+                raise ValueError(
+                    f"program {self.program.name!r}: loop {loop.index} has stride "
+                    f"{loop.stride}; the analysis needs unit-stride loops, so rewrite "
+                    f"the program with repro.ir.normalize.normalize_program first"
+                )
 
     # -- reference pairs --------------------------------------------------------
 
@@ -93,12 +103,17 @@ class DependenceAnalysis:
         """Candidate dependence equations: same array, at least one write.
 
         Each unordered reference pair is analysed once (the exact analyser
-        handles both orientations internally).
+        handles both orientations internally).  A reference is keyed by its
+        statement, array and integer subscript rows, which identify it as
+        its rational subscripts do, at the cost of hashing ints.
         """
         pairs: List[ReferencePair] = []
         seen = set()
         for ctx1, r1, ctx2, r2 in self.program.reference_pairs():
-            key = frozenset([(ctx1.statement.label, r1), (ctx2.statement.label, r2)])
+            key = frozenset([
+                (ctx1.statement.label, r1.array, r1.subscript_rows),
+                (ctx2.statement.label, r2.array, r2.subscript_rows),
+            ])
             if key in seen:
                 continue
             seen.add(key)

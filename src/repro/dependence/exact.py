@@ -8,8 +8,11 @@ approximation, no direction-vector abstraction.
 The implementation is address-matching rather than equation-solving: for a
 reference pair ``(write W in S1, read/write R in S2)`` it
 
-1. enumerates the iteration domains of S1 and S2 (numpy grids filtered by the
-   domain constraints — vectorised, exact integer arithmetic),
+1. enumerates the iteration domains of S1 and S2 by scanning their loops,
+   outermost first, on the loops' integer bound rows: each loop's range per
+   outer point is one vectorised max/min of ceil'd/floor'd bound rows,
+   expanded with ``repeat``/``arange`` (:func:`enumerate_domain`; exact
+   integer arithmetic, lexicographic rows, no box to filter),
 2. evaluates both references' subscript vectors for every iteration
    (one integer matrix multiply each),
 3. joins the two address tables: every pair of iterations that touches
@@ -33,8 +36,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..ir.nodes import IntegerRow
 from ..ir.program import StatementContext
-from ..isl.enumerate_points import filter_box_numpy, iteration_points
 from ..isl.relations import FiniteRelation, PointCodec, unique_index_pairs
 from .pair import ReferencePair
 
@@ -46,34 +49,73 @@ __all__ = [
 ]
 
 
+def _bound(rows: Sequence[IntegerRow], env: Mapping[str, object], upper: bool):
+    """The max of the ceil'd lower-bound rows (``upper`` false) or the min of
+    the floor'd upper-bound rows, each row evaluated over ``env`` (names to
+    ints or to ``(m,)`` int64 columns); ``None`` when a row reads a name
+    ``env`` does not bind."""
+    out = None
+    for terms, value, den in rows:
+        for name, c in terms:
+            if name not in env:
+                return None
+            value = value + c * env[name]
+        if den != 1:
+            value = value // den if upper else -(-value // den)
+        if out is None:
+            out = value
+        else:
+            out = np.minimum(out, value) if upper else np.maximum(out, value)
+    return out
+
+
 def enumerate_domain(
     ctx: StatementContext,
     params: Mapping[str, int],
     parameters: Sequence[str] = (),
 ) -> np.ndarray:
-    """All iteration points of a statement's domain as an ``(n, depth)`` array.
+    """All iteration points of a statement's domain as an ``(n, depth)`` array,
+    in lexicographic (sequential) row order.
 
-    The domain may be non-rectangular (triangular bounds); a bounding box is
-    built from the per-variable Fourier–Motzkin bounds and then filtered by the
-    exact constraints, all vectorised.
+    A scan of the enclosing loops, outermost first, on their integer bound
+    rows (:attr:`~repro.ir.nodes.Loop.lower_rows` / ``upper_rows``).  Each
+    bound row is evaluated once as a vector over the ``m`` points of the
+    outer prefix; a loop runs from the max of its ceil'd lower bounds to the
+    min of its floor'd upper bounds (``MAX``/``MIN`` bounds, rational
+    coefficients), and every prefix point is repeated once per value of its
+    range.  The arithmetic is exact integer floor division, so the points
+    are exactly the integer points of the domain's constraints, with no box
+    to filter; an inner range that is empty for some outer values drops
+    those prefixes.  Loops are taken as unit-stride (the analysis refuses
+    any other).
+
+    ``params`` binds the symbols of the bounds; a loop with a bound over a
+    symbol it does not bind is unbounded, a :class:`ValueError`.
+    ``parameters`` (the program's parameter names) is accepted for the
+    callers that pass it; the scan reads each bound's own symbols.
     """
-    domain = ctx.domain(parameters).bind_parameters(params)
-    if not domain.variables:
-        return np.zeros((1, 0), dtype=np.int64)
-    box = []
-    for v in domain.variables:
-        lo, hi = domain.variable_bounds(v)
+    env: Dict[str, object] = dict(params)
+    columns: List[np.ndarray] = []
+    m = 1  # points of the outer prefix
+    for loop in ctx.loops:
+        lo = _bound(loop.lower_rows, env, upper=False)
+        hi = _bound(loop.upper_rows, env, upper=True)
         if lo is None or hi is None:
             raise ValueError(
-                f"statement {ctx.statement.label}: variable {v} is unbounded "
+                f"statement {ctx.statement.label}: variable {loop.index} is unbounded "
                 f"with params {dict(params)}"
             )
-        if lo > hi:
-            return np.zeros((0, len(domain.variables)), dtype=np.int64)
-        box.append((lo, hi))
-    candidates = iteration_points(box)
-    mask = filter_box_numpy(domain, candidates)
-    return candidates[mask]
+        counts = np.broadcast_to(np.maximum(np.asarray(hi - lo + 1, dtype=np.int64), 0), (m,))
+        ends = np.cumsum(counts)
+        m = int(ends[-1]) if len(ends) else 0
+        columns = [np.repeat(column, counts) for column in columns]
+        # The k-th prefix point's values lo_k .. lo_k + counts_k - 1 sit at
+        # rows ends_k - counts_k .. ends_k - 1.
+        columns.append(np.repeat(lo + counts - ends, counts) + np.arange(m, dtype=np.int64))
+        env.update(zip(ctx.index_names, columns))
+    if not columns:
+        return np.zeros((1, 0), dtype=np.int64)
+    return np.stack(columns, axis=1)
 
 
 def reference_addresses(

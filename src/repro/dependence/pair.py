@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.nodes import ArrayRef
 from ..ir.program import StatementContext
@@ -68,9 +68,10 @@ class ReferencePair:
         This is the precondition for the dependence equation to relate the two
         iteration vectors at all; the stricter terminology of the paper's
         statistics ("coupled subscripts") is provided by
-        :meth:`has_coupled_subscript_dimensions`.
+        :meth:`has_coupled_subscript_dimensions`.  Read off the references'
+        integer subscript rows.
         """
-        return bool(self.source_ref.variables()) and bool(self.target_ref.variables())
+        return _has_terms(self.source_ref) and _has_terms(self.target_ref)
 
     def has_coupled_subscript_dimensions(self) -> bool:
         """True when subscripts are *coupled* in the paper's §1 sense.
@@ -80,21 +81,12 @@ class ReferencePair:
         i.e. at least one of the coefficient matrices is not a (generalized)
         one-index-per-dimension matrix.  Separable references such as
         ``a(I+1, J)`` / ``a(I, J-2)`` are not coupled and can only produce
-        uniform distances.
+        uniform distances.  Read off the references' integer subscript rows
+        (whose terms are the nonzero coefficients); a subscript symbol
+        outside the statement's loop indices raises :class:`ValueError`, as
+        :meth:`~repro.ir.nodes.ArrayRef.coefficient_matrix` does.
         """
-
-        def coupled(ref: ArrayRef, indices) -> bool:
-            M, _offset = ref.coefficient_matrix(indices)
-            if not M:
-                return False
-            rows_mixed = any(sum(1 for x in row if x != 0) >= 2 for row in M)
-            cols = len(M[0])
-            cols_mixed = any(
-                sum(1 for row in M if row[c] != 0) >= 2 for c in range(cols)
-            )
-            return rows_mixed or cols_mixed
-
-        return coupled(self.source_ref, self.source_indices) or coupled(
+        return _coupled(self.source_ref, self.source_indices) or _coupled(
             self.target_ref, self.target_indices
         )
 
@@ -153,3 +145,25 @@ class ReferencePair:
             f"{self.source_ctx.statement.label}:{self.source_ref} <-> "
             f"{self.target_ctx.statement.label}:{self.target_ref}"
         )
+
+
+def _has_terms(ref: ArrayRef) -> bool:
+    """Some subscript of ``ref`` has a nonzero coefficient."""
+    return any(terms for terms, _, _ in ref.subscript_rows)
+
+
+def _coupled(ref: ArrayRef, indices: Tuple[str, ...]) -> bool:
+    """A subscript of ``ref`` mixes several indices, or an index occurs in
+    several subscripts."""
+    mixed = False
+    dims_per_index: Dict[str, int] = {}
+    for sub, (terms, _, _) in zip(ref.subscripts, ref.subscript_rows):
+        for name, _c in terms:
+            if name not in indices:
+                raise ValueError(
+                    f"subscript {sub} of {ref.array} uses symbol {name!r} "
+                    f"outside the loop index order {tuple(indices)}"
+                )
+            dims_per_index[name] = dims_per_index.get(name, 0) + 1
+        mixed = mixed or len(terms) >= 2
+    return mixed or any(count >= 2 for count in dims_per_index.values())

@@ -93,15 +93,6 @@ class ArrayRef:
         """Number of array dimensions referenced."""
         return len(self.subscripts)
 
-    def variables(self) -> Tuple[str, ...]:
-        """Loop index variables occurring in the subscripts (in first-seen order)."""
-        seen: List[str] = []
-        for s in self.subscripts:
-            for v in s.variables:
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
-
     def coefficient_matrix(
         self, index_order: Sequence[str]
     ) -> Tuple[List[List[Fraction]], List[Fraction]]:

@@ -5,7 +5,7 @@ statements) plus the symbolic parameters appearing in bounds (``N``, ``N1``,
 ``M``, ...) and the shapes of the arrays it touches.  It provides the
 queries the partitioning algorithms need:
 
-* the enclosing-loop chain and iteration domain of every statement,
+* the enclosing-loop chain of every statement,
 * reference pairs (the inputs of the dependence equation, eq. 2),
 * sequential execution order of statement instances (used as the ground truth
   by the runtime validators).
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..isl.affine import AffineExpr
-from ..isl.convex import Constraint, ConvexSet
 from .nodes import ArrayRef, Loop, Node, Statement
 
 __all__ = ["LoopProgram", "StatementContext"]
@@ -43,16 +41,6 @@ class StatementContext:
     @property
     def index_names(self) -> Tuple[str, ...]:
         return tuple(l.index for l in self.loops)
-
-    def domain(self, parameters: Sequence[str] = ()) -> ConvexSet:
-        """The iteration domain of this statement as a convex set."""
-        cons: List[Constraint] = []
-        for loop in self.loops:
-            for lo in loop.lower:
-                cons.append(Constraint.ge(AffineExpr.variable(loop.index), lo))
-            for hi in loop.upper:
-                cons.append(Constraint.le(AffineExpr.variable(loop.index), hi))
-        return ConvexSet.from_constraints(self.index_names, cons, parameters)
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,14 @@ manipulate exact dependence relations.  It provides:
 * exact integer/rational linear algebra (:mod:`repro.isl.linalg`):
   Hermite/Smith normal forms, diophantine system solving, rational inverses;
 * affine expressions over named variables (:mod:`repro.isl.affine`);
-* convex integer sets over canonical integer constraint rows
-  (:mod:`repro.isl.convex`);
-* Fourier–Motzkin projection (:mod:`repro.isl.fourier_motzkin`);
 * finite relations as int64 row arrays, and the lexicographic point codec
   (:mod:`repro.isl.relations`);
 * lexicographic-order utilities (:mod:`repro.isl.lexorder`);
-* numpy-vectorised integer point enumeration
-  (:mod:`repro.isl.enumerate_points`).
+* the dense integer grid of a box (:mod:`repro.isl.enumerate_points`).
 """
 
 from .affine import AffineExpr, const, var
-from .convex import EQ, GE, Constraint, ConvexSet
-from .enumerate_points import filter_box_numpy, iteration_points
-from .fourier_motzkin import eliminate_variable, eliminate_variables, project_onto
+from .enumerate_points import iteration_points
 from .lexorder import is_lex_positive, lex_compare, lex_le, lex_lt
 from .linalg import (
     DiophantineSolution,
@@ -38,10 +32,6 @@ __all__ = [
     "AffineExpr",
     "const",
     "var",
-    "Constraint",
-    "ConvexSet",
-    "EQ",
-    "GE",
     "FiniteRelation",
     "PointCodec",
     "in_sorted",
@@ -54,10 +44,6 @@ __all__ = [
     "smith_normal_form",
     "solve_diophantine",
     "integer_nullspace",
-    "eliminate_variable",
-    "eliminate_variables",
-    "project_onto",
-    "filter_box_numpy",
     "iteration_points",
     "lex_lt",
     "lex_le",

@@ -2,12 +2,12 @@
 
 An :class:`AffineExpr` is ``sum_k c_k * v_k + c0`` with exact rational
 coefficients.  It is the common currency between the loop-nest IR
-(:mod:`repro.ir`), the constraint layer (:mod:`repro.isl.convex`), and the
-dependence analyser: loop bounds, array subscripts and dependence constraints
-are all affine expressions.
+(:mod:`repro.ir`) and the dependence analyser: loop bounds and array
+subscripts are affine expressions, and each node also keeps them as integer
+rows (:func:`repro.ir.nodes.integer_row`) for the analyser's array code.
 
 Variables are plain strings; expressions are immutable and hashable so they
-can be used as dictionary keys and deduplicated in constraint systems.
+can be used as dictionary keys.
 """
 
 from __future__ import annotations

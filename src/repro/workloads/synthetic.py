@@ -195,7 +195,7 @@ def large_triangular_loop(n: int, name: str = "large-triangular") -> LoopProgram
     The iteration space has ``n·(n+1)/2`` points (``n = 447`` is the smallest
     bound reaching 10⁵), and
     the inner bound depends on the outer index, so the exact analyser's
-    **non-rectangular path** — bounding-box enumeration + constraint filtering
+    **non-rectangular path** — the domain scan with a bound per outer point,
     followed by the address join — is exercised at scale, unlike
     :func:`large_uniform_loop` whose domains are dense boxes.  The single flow
     dependence ``(i1, i2) -> (i1+1, i2+1)`` never leaves the triangle
@@ -237,8 +237,8 @@ def large_cholesky_nest(n: int, name: str = "large-cholesky-nest") -> LoopProgra
     construction and the Rd mapping, exactly the path the array-native
     statement level vectorises (``n = 447`` is the smallest bound whose
     ``n·(n+1)/2 + n`` instances reach 10⁵).  The nest is imperfect *and*
-    non-rectangular, so both the statement mapping and the bounding-box
-    domain enumeration are exercised at scale.
+    non-rectangular, so both the statement mapping and the triangular
+    domain scan are exercised at scale.
     """
     s1 = assign("s1", aref("tmp", "I", "J"), [aref("a", "J", "J")])
     s2 = assign("s2", aref("a", "I", "I"), [aref("tmp", "I", "I")])

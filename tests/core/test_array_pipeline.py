@@ -230,15 +230,6 @@ class TestScheduleFromArrays:
 
 
 class TestArrayBackedIsConstructionFact:
-    def test_uniformity_ignores_duplicate_space_rows(self):
-        from repro.dependence.distance import is_uniform_relation
-
-        rel = oracle.relation([((0, 0), (1, 1))])
-        points = [(0, 0), (0, 0), (1, 1)]
-        expected = oracle.is_uniform(rel, points)
-        assert is_uniform_relation(rel, points) == expected
-        assert is_uniform_relation(rel, np.array(points, dtype=np.int64)) == expected
-
     def test_stored_arrays_are_read_only(self):
         # Schedules, partitions and relations share and cache these arrays; an
         # in-place edit through any alias must raise, never silently desync.

@@ -9,8 +9,9 @@ Hypothesis-generated loop trees and Lemma 1 nests:
 * the index-built Rd equal to the brute-force oracle's, and the index pairs
   to the relation's rows;
 * every reference pair's non-empty flag equal to the oracle's per-pair join;
-* the index cores of ``three_set_partition`` / ``dataflow_partition`` equal
-  to their public ``(space, rd)`` adapters on relations that also carry
+* the index cores of ``three_set_partition`` / ``dataflow_partition``
+  (``three_set_partition_indexed`` / ``kahn_levels``) equal to their public
+  ``(space, rd)`` adapters on relations that also carry
   pairs with endpoints outside the space;
 * the uniformity check on indices equal to the definition-level oracle;
 
@@ -26,7 +27,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from repro.core.dataflow import dataflow_partition, dataflow_partition_indexed
+from repro.core.dataflow import dataflow_partition, kahn_levels
 from repro.core.partition import three_set_partition, three_set_partition_indexed
 from repro.core.strategy import plan
 from repro.dependence.analysis import DependenceAnalysis
@@ -110,10 +111,12 @@ class TestIndexCoresMatchAdapters:
         space = DependenceAnalysis(prog, {}).space
         rows = space.unified_array
         rd = with_foreign_pairs(space, space.rd)
-        core = dataflow_partition_indexed(rows, space.rd_lo, space.rd_hi, rd)
+        offsets, order = kahn_levels(len(rows), space.rd_lo, space.rd_hi)
         shuffled = np.random.default_rng(seed).permutation(np.concatenate([rows, rows]))
-        assert dataflow_partition(shuffled, rd) == core
-        assert oracle.wavefront_sets(core) == tuple(oracle.wavefronts(rows.tolist(), rd))
+        adapted = dataflow_partition(shuffled, rd)
+        assert np.array_equal(adapted.level_arrays()[0], offsets)
+        assert np.array_equal(adapted.level_arrays()[1], rows[order])
+        assert oracle.wavefront_sets(adapted) == tuple(oracle.wavefronts(rows.tolist(), rd))
 
 
 def scaled(k):

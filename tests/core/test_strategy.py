@@ -171,6 +171,35 @@ class TestFallbackChain:
         assert all(row["description"] for row in table)
 
 
+class TestNonUnitStride:
+    def test_strided_loop_is_refused_before_any_feature_or_strategy(self, monkeypatch):
+        """``DO I = 1, 8, 2`` over ``a(I+1) = a(I)`` runs 4 instances; the
+        analysis assumes unit strides, so planning it as written would
+        schedule 8.  The analysis refuses it on construction, naming the
+        loop and the normalizer, before the features or any strategy run;
+        the normalized program plans and validates."""
+        import repro.core.strategy as strategy_module
+        from repro.ir.builder import aref, assign, loop, program
+        from repro.ir.normalize import normalize_program
+
+        strided = program(
+            "strided",
+            loop("I", 1, 8, assign("s", aref("a", "I+1"), [aref("a", "I")]), stride=2),
+            array_shapes={"a": (10,)},
+        )
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("features or a strategy ran on a strided loop")
+
+        monkeypatch.setattr(strategy_module, "_rank", must_not_run)
+        with pytest.raises(ValueError, match=r"loop I has stride 2.*normalize_program"):
+            plan(strided, config=ALGORITHM1, cache=False)
+        monkeypatch.undo()
+        normalized = plan(normalize_program(strided), config=ALGORITHM1, cache=False)
+        assert normalized.schedule.total_work == 4
+        assert normalized.validate(seeds=(0,)).ok
+
+
 class TestBaselineStrategies:
     @pytest.mark.parametrize("name,schedule_fn", BASELINES, ids=[n for n, _ in BASELINES])
     def test_pinned_strategy_matches_old_entry_point(self, name, schedule_fn):

@@ -1,5 +1,8 @@
 """Tests for repro.dependence.exact: exact dependences vs brute force."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,51 @@ import oracle
 from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.exact import enumerate_domain, exact_pair_dependences, reference_addresses
 from repro.ir.builder import aref, assign, loop, program
+from repro.isl.affine import AffineExpr
 from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
 from repro.workloads.synthetic import large_triangular_loop, random_coupled_loop
-import random
+from strategies import MAX_BOUND, loop_programs, parametric_programs
+
+#: Half-width of the box the bound draws below stay inside.
+_REACH = 5
+
+
+@st.composite
+def bound_nests(draw):
+    """``(program, base)``: a 1–3 deep nest around ``base`` (0 or ±2**40)
+    whose every bound is a MAX/MIN of 1–2 drawn rows plus a clamp to
+    ``base ± _REACH``.  A drawn row is ``base + c + Σ q_k·(outer_k − base)``
+    with ``q_k`` in ``[-2, 2]`` over a denominator in ``{1, 2, 3}``, so the
+    bounds have rational coefficients and offsets, and inner ranges are
+    empty for some outer values and not for others."""
+    base = draw(st.sampled_from((0, 2**40, -(2**40))))
+    names = ("I", "J", "K")[: draw(st.integers(1, 3))]
+
+    def row(outer, side):
+        den = draw(st.sampled_from((1, 1, 2, 3)))
+        q = {n: Fraction(draw(st.integers(-2, 2)), den) for n in outer}
+        # Lower rows lean below base, upper rows above it.
+        c = side * draw(st.integers(-2, 2 * _REACH)) * den // 2
+        constant = base + Fraction(c, den)
+        return AffineExpr.build(q, constant - base * sum(q.values(), Fraction(0)))
+
+    def bounds(outer, side, clamp):
+        return [row(outer, side) for _ in range(draw(st.integers(1, 2)))] + [clamp]
+
+    body = assign("s", aref("a", *names), [])
+    for depth in reversed(range(len(names))):
+        outer = names[:depth]
+        body = loop(
+            names[depth],
+            bounds(outer, -1, AffineExpr.constant_expr(base - _REACH)),
+            bounds(outer, 1, AffineExpr.constant_expr(base + _REACH)),
+            body,
+        )
+    return program("bound-nest", body, array_shapes={"a": (1,) * len(names)}), base
+
+
+def integer_bounds(prog) -> bool:
+    return all(b.is_integral() for l in prog.loops() for b in l.lower + l.upper)
 
 
 def brute_force_dependences(prog, params):
@@ -104,6 +149,56 @@ class TestEnumerateDomain:
         assert [tuple(p) for p in points.tolist()] == expected
 
 
+class TestDomainScanProperties:
+    """The scan against a brute-force filter of a box by every bound
+    (``Fraction`` arithmetic) and, for integer-valued bounds, against each
+    statement's rows of ``sequential_iterations``."""
+
+    @staticmethod
+    def assert_scan_matches(prog, params, box_of):
+        order = prog.sequential_iterations(params) if integer_bounds(prog) else None
+        for ctx in prog.statement_contexts():
+            points = enumerate_domain(ctx, params, prog.parameters)
+            assert points.dtype == np.int64 and points.shape[1] == ctx.depth
+            got = [tuple(p) for p in points.tolist()]
+            assert got == oracle.domain_filter(ctx, params, [box_of(n) for n in ctx.index_names])
+            if order is not None:
+                label = ctx.statement.label
+                assert got == [it for name, it in order if name == label]
+
+    @given(prog=loop_programs())
+    def test_loop_programs(self, prog):
+        self.assert_scan_matches(prog, {}, lambda _: (0, MAX_BOUND + 1))
+
+    @given(drawn=parametric_programs())
+    def test_parametric_programs(self, drawn):
+        prog, params = drawn
+        self.assert_scan_matches(prog, params, lambda _: (0, MAX_BOUND + 1))
+
+    @given(drawn=bound_nests())
+    def test_max_min_rational_and_far_offset_bounds(self, drawn):
+        prog, base = drawn
+        self.assert_scan_matches(prog, {}, lambda _: (base - _REACH - 1, base + _REACH + 1))
+
+    def test_rational_bounds_round_inward(self):
+        # I from ceil(1/2) = 1 to floor(7/2) = 3; J from ceil(I/3) to floor(I/2 + 1).
+        body = assign("s", aref("a", "I", "J"), [])
+        nest = loop(
+            "I",
+            AffineExpr.constant_expr(Fraction(1, 2)),
+            AffineExpr.constant_expr(Fraction(7, 2)),
+            loop(
+                "J",
+                AffineExpr.build({"I": Fraction(1, 3)}),
+                AffineExpr.build({"I": Fraction(1, 2)}, 1),
+                body,
+            ),
+        )
+        prog = program("halves", nest, array_shapes={"a": (4, 4)})
+        points = enumerate_domain(prog.statement_contexts()[0], {})
+        assert points.tolist() == [[1, 1], [2, 1], [2, 2], [3, 1], [3, 2]]
+
+
 class TestReferenceAddresses:
     def test_matches_pointwise_evaluation(self):
         prog = figure1_loop(4, 4)
@@ -191,7 +286,7 @@ class TestSortJoinEngine:
         self.assert_engines_agree(figure2_loop(20))
 
     def test_triangular_domains(self):
-        # Non-rectangular (bounding box + filter) enumeration into the join.
+        # Non-rectangular domains (an inner bound per outer point) into the join.
         self.assert_engines_agree(large_triangular_loop(15))
         self.assert_engines_agree(example3_loop(40))
 

@@ -30,10 +30,9 @@ class TestArrayRef:
         ref = aref("a", "3*I1+1", "2*I1+I2-1")
         assert ref.evaluate({"I1": 2, "I2": 5}) == (7, 8)
 
-    def test_rank_and_variables(self):
+    def test_rank(self):
         ref = aref("a", "I+J", "K")
         assert ref.rank == 2
-        assert ref.variables() == ("I", "J", "K")
 
     def test_make_coerces(self):
         ref = ArrayRef.make("a", ["I", 3])

@@ -7,8 +7,8 @@ the literal while-loop of Algorithm 1's dataflow branch, the per-instance
 §3.3 mapping, the Lemma 1 chains by the affine recurrence and by a greedy
 graph walk — are what its results are compared against.  They are meant
 to be obviously correct, not fast: keep inputs small (≲10⁴ points).  The
-last section keeps the rational ``Fraction`` constraint code that the
-integer rows of ``repro.isl`` replaced, as the reference for those, and the
+last sections hold the statement domains by literal loop nest and by a
+rational filter of a box, the references of the bound scan, and the
 ``Fraction`` evaluator of subscripts and loop bounds that the IR's integer
 rows replaced.
 
@@ -23,7 +23,7 @@ import it the same way (``benchmarks/conftest.py``).
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from itertools import product
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -31,9 +31,7 @@ import numpy as np
 from repro.core.schedule import Phase, Schedule, statement_table
 from repro.core.statement import UnifiedIndexMap
 from repro.dependence.analysis import DependenceAnalysis
-from repro.dependence.exact import enumerate_domain, reference_addresses
-from repro.isl.affine import AffineExpr
-from repro.isl.convex import EQ, GE
+from repro.dependence.exact import reference_addresses
 from repro.isl.lexorder import is_lex_positive, lex_lt
 from repro.isl.linalg import hermite_normal_form
 from repro.isl.relations import FiniteRelation
@@ -72,9 +70,10 @@ def relation(
 
 
 def pair_dependences(pair, params, parameters=(), include_self=False) -> FiniteRelation:
-    """Exact dependences of one reference pair: a dict join on address tuples."""
-    src_points = enumerate_domain(pair.source_ctx, params, parameters)
-    dst_points = enumerate_domain(pair.target_ctx, params, parameters)
+    """Exact dependences of one reference pair: a dict join on address tuples
+    over the literal loop nests' points (:func:`domain`)."""
+    src_points = domain(pair.source_ctx, params)
+    dst_points = domain(pair.target_ctx, params)
     table: Dict[Point, List[Point]] = {}
     if len(src_points):
         src_addr = reference_addresses(pair.source_ref, pair.source_indices, src_points)
@@ -531,195 +530,42 @@ def chains_by_dict_walk(partition) -> List[Tuple[Point, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# the rational constraint reference
+# statement domains
 # ---------------------------------------------------------------------------
 #
-# ``repro.isl`` holds every constraint as a canonical integer row.  What
-# follows is the rational code it replaced, over ``(AffineExpr, kind)`` rows:
-# ``normalized`` rebuilds a row through ``Fraction``s, and elimination
-# substitutes equalities over the rationals.  The differential in
-# ``tests/isl/test_fourier_motzkin.py`` compares the two.
+# ``enumerate_domain`` scans a statement's loops on integer bound rows.  The
+# references here are the literal nested loops and a filter of a box by
+# every bound, evaluated over the rationals.
 
 
-class RationalRow(NamedTuple):
-    """``expr == 0`` or ``expr >= 0`` with rational coefficients."""
-
-    expr: AffineExpr
-    kind: str
-
-
-def scaled_to_integer(expr: AffineExpr) -> AffineExpr:
-    """Multiply by the LCM of the denominators so all coefficients are ints."""
-    denominators = [expr.constant.denominator] + [c.denominator for _, c in expr.coeffs]
-    lcm = 1
-    for d in denominators:
-        lcm = lcm // gcd(lcm, d) * d
-    return expr * lcm
+def domain(ctx, params) -> np.ndarray:
+    """A statement's iteration points by its literal loop nest (integer-valued
+    bounds), as ``(n, depth)`` rows in sequential order."""
+    found: List[Point] = [()]
+    for loop in ctx.loops:
+        found = [
+            p + (v,)
+            for p in found
+            for lo, hi in [loop.evaluate_bounds({**params, **dict(zip(ctx.index_names, p))})]
+            for v in range(lo, hi + 1)
+        ]
+    return np.array(found, dtype=np.int64).reshape(len(found), ctx.depth)
 
 
-def normalized(row: RationalRow) -> RationalRow:
-    """An equivalent row with coprime integer coefficients.
-
-    For ``>=`` rows the constant term is additionally tightened to
-    ``floor(c / g)`` (valid over the integers).
-    """
-    expr = scaled_to_integer(row.expr)
-    coeff_ints = [int(c) for _, c in expr.coeffs]
-    g = 0
-    for c in coeff_ints:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return RationalRow(expr, row.kind)
-    const = expr.constant
-    new_coeffs = {n: Fraction(int(c), g) for n, c in expr.coeffs}
-    if row.kind == GE:
-        new_const = Fraction(floor(Fraction(const, g)))
-    else:
-        if const % g != 0:
-            # Equality with non-divisible constant: unsatisfiable; keep as-is.
-            return RationalRow(expr, row.kind)
-        new_const = Fraction(const, g)
-    return RationalRow(AffineExpr.build(new_coeffs, new_const), row.kind)
-
-
-def is_tautology(row: RationalRow) -> bool:
-    if row.expr.is_constant():
-        v = row.expr.constant
-        return v == 0 if row.kind == EQ else v >= 0
-    return False
-
-
-def is_contradiction(row: RationalRow) -> bool:
-    if row.expr.is_constant():
-        v = row.expr.constant
-        return v != 0 if row.kind == EQ else v < 0
-    if row.kind == EQ:
-        expr = scaled_to_integer(row.expr)
-        g = 0
-        for _, c in expr.coeffs:
-            g = gcd(g, abs(int(c)))
-        if g > 1 and int(expr.constant) % g != 0:
-            return True
-    return False
-
-
-def substitute_equality(rows: List[RationalRow], name: str) -> Optional[List[RationalRow]]:
-    """If an equality pins ``name``, substitute it and return the other rows.
-
-    Returns ``None`` when no usable equality exists.
-    """
-    for idx, c in enumerate(rows):
-        if c.kind != EQ:
-            continue
-        coeff = c.expr.coeff(name)
-        if coeff == 0:
-            continue
-        # name = -(rest)/coeff
-        rest = c.expr.drop([name])
-        replacement = rest * (-1 / coeff)
-        out = []
-        for j, other in enumerate(rows):
-            if j == idx:
-                continue
-            out.append(RationalRow(other.expr.substitute({name: replacement}), other.kind))
-        return out
-    return None
-
-
-def eliminate_variable(rows: List[RationalRow], name: str) -> List[RationalRow]:
-    """Eliminate one variable from a conjunction of rational rows."""
-    cons = list(rows)
-    substituted = substitute_equality(cons, name)
-    if substituted is not None:
-        return substituted
-
-    lowers: List[RationalRow] = []   # coeff > 0  : name >= -rest/coeff
-    uppers: List[RationalRow] = []   # coeff < 0  : name <= -rest/coeff
-    others: List[RationalRow] = []
-    for c in cons:
-        coeff = c.expr.coeff(name)
-        if coeff == 0:
-            others.append(c)
-        elif c.kind == EQ:
-            for ge in (RationalRow(c.expr, GE), RationalRow(-c.expr, GE)):
-                if ge.expr.coeff(name) > 0:
-                    lowers.append(ge)
-                else:
-                    uppers.append(ge)
-        elif coeff > 0:
-            lowers.append(c)
-        else:
-            uppers.append(c)
-
-    result = list(others)
-    for lo in lowers:
-        a = lo.expr.coeff(name)
-        lo_rest = lo.expr.drop([name])
-        for up in uppers:
-            b = -up.expr.coeff(name)
-            up_rest = up.expr.drop([name])
-            # combined: b*lo_rest + a*up_rest >= 0
-            result.append(RationalRow(lo_rest * b + up_rest * a, GE))
-    return [normalized(c) for c in result]
-
-
-#: What a contradiction collapses to.
-FALSE_ROW = RationalRow(AffineExpr.constant_expr(-1), GE)
-
-
-def prune(rows: List[RationalRow]) -> List[RationalRow]:
-    """Normalize, then drop tautologies and duplicates."""
-    seen = set()
+def domain_filter(ctx, params, box) -> List[Point]:
+    """The points of ``box`` (one ``(lo, hi)`` per loop) that satisfy every
+    lower and upper bound of the statement's loops, evaluated in
+    ``Fraction``s, in lexicographic order."""
     out = []
-    for c in rows:
-        n = normalized(c)
-        if is_tautology(n):
-            continue
-        key = (n.kind, n.expr.coeffs, n.expr.constant)
-        if key not in seen:
-            seen.add(key)
-            out.append(n)
+    for point in product(*(range(lo, hi + 1) for lo, hi in box)):
+        env = {**params, **dict(zip(ctx.index_names, point))}
+        if all(
+            all(b.evaluate(env) <= v for b in loop.lower)
+            and all(v <= b.evaluate(env) for b in loop.upper)
+            for loop, v in zip(ctx.loops, point)
+        ):
+            out.append(point)
     return out
-
-
-def simplified(rows: List[RationalRow]) -> List[RationalRow]:
-    """``ConvexSet.simplified``: a contradiction collapses the set to ``-1 >= 0``."""
-    out = prune(rows)
-    return [FALSE_ROW] if any(is_contradiction(c) for c in out) else out
-
-
-def eliminate_variables(rows: List[RationalRow], names) -> List[RationalRow]:
-    """Eliminate several variables in order, pruning after each step."""
-    cons = list(rows)
-    for name in names:
-        cons = eliminate_variable(cons, name)
-        if any(is_contradiction(c) for c in cons):
-            return [FALSE_ROW]
-        cons = prune(cons)
-    return cons
-
-
-def rational_variable_bounds(rows: List[RationalRow], variables, name: str):
-    """Conservative integer bounds of ``name``: the rational projection onto
-    it, rounded inwards (``None`` where unbounded, ``(1, 0)`` where the
-    projection is a contradiction)."""
-    projected = simplified(
-        eliminate_variables(simplified(rows), [v for v in variables if v != name])
-    )
-    if projected == [FALSE_ROW]:
-        return 1, 0
-    lower = upper = None
-    for c in projected:
-        coeff = c.expr.coeff(name)
-        rest = c.expr.drop([name])
-        if coeff == 0 or not rest.is_constant():
-            continue
-        val = -rest.constant / coeff
-        if c.kind == EQ or coeff > 0:
-            lower = val if lower is None else max(lower, val)
-        if c.kind == EQ or coeff < 0:
-            upper = val if upper is None else min(upper, val)
-    return (None if lower is None else ceil(lower), None if upper is None else floor(upper))
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,30 @@ class TestHostileInput:
                     assert np.array_equal(ref[name], served.result.store[name])
 
 
+    def test_strided_loop_gets_error_frame_and_others_are_served(self):
+        """The wire carries a loop's stride; a non-unit one is refused by
+        the analysis with a typed ERROR frame, and another client is still
+        served."""
+        from repro.ir.builder import aref, assign, loop, program
+
+        strided = program(
+            "strided",
+            loop("I", 1, 8, assign("s", aref("a", "I+1"), [aref("a", "I")]), stride=2),
+            array_shapes={"a": (10,)},
+        )
+        prog = figure1_loop(6, 6)
+        ref = execute_sequential(prog, {})
+        with TransportServer() as ts:
+            host, port = ts.address
+            with TransportClient(host, port) as client, \
+                    TransportClient(host, port) as bystander:
+                with pytest.raises(RemoteServingError, match="normalize_program") as info:
+                    client.request(strided, timeout=60)
+                assert info.value.error_type == "ValueError"
+                served = bystander.request(prog, config=DATAFLOW, timeout=60)
+                for name in ref:
+                    assert np.array_equal(ref[name], served.result.store[name])
+
     @pytest.mark.parametrize("backend", ["threaded", "simulated"])
     def test_unregistered_backend_gets_error_frame_before_planning(self, backend):
         """A stale client naming a deleted backend is refused at decode time
