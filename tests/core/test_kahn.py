@@ -84,3 +84,49 @@ def test_a_cycle_stalls_like_the_oracle(dag, data):
         kahn_levels(n, lo, hi)
     with pytest.raises(RuntimeError, match="stalled"):
         oracle_levels(n, lo, hi)
+
+
+def edges(*pairs):
+    lo = np.array([a for a, _ in pairs], dtype=np.int64)
+    hi = np.array([b for _, b in pairs], dtype=np.int64)
+    return lo, hi
+
+
+class TestKahnExamples:
+    """Small graphs whose levels can be read off by hand."""
+
+    def test_no_nodes_is_no_level(self):
+        offsets, order = kahn_levels(0, *edges())
+        assert offsets.tolist() == [0]
+        assert order.dtype == np.int64 and order.size == 0
+
+    def test_no_edges_is_one_level_in_index_order(self):
+        offsets, order = kahn_levels(5, *edges())
+        assert offsets.tolist() == [0, 5]
+        assert order.tolist() == [0, 1, 2, 3, 4]
+
+    def test_chain_against_the_index_order_is_one_node_per_level(self):
+        offsets, order = kahn_levels(4, *edges((3, 2), (2, 1), (1, 0)))
+        assert offsets.tolist() == [0, 1, 2, 3, 4]
+        assert order.tolist() == [3, 2, 1, 0]
+
+    def test_diamond_waits_for_its_last_predecessor(self):
+        # 0 -> {1, 2} -> 3, and a long way round 0 -> 4 -> 2.
+        offsets, order = kahn_levels(5, *edges((0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (4, 2)))
+        assert offsets.tolist() == [0, 1, 3, 4, 5]
+        assert order.tolist() == [0, 1, 4, 2, 3]
+
+    def test_duplicate_edges_release_a_node_once(self):
+        offsets, order = kahn_levels(3, *edges((0, 2), (0, 2), (1, 2), (0, 2)))
+        assert offsets.tolist() == [0, 2, 3]
+        assert order.tolist() == [0, 1, 2]
+
+    def test_self_edge_stalls(self):
+        with pytest.raises(RuntimeError, match="stalled"):
+            kahn_levels(3, *edges((0, 1), (2, 2)))
+
+    def test_zero_max_steps_refuses_any_node(self):
+        with pytest.raises(RuntimeError, match="within 0 steps; 2 iterations remain"):
+            kahn_levels(2, *edges(), max_steps=0)
+        offsets, _ = kahn_levels(0, *edges(), max_steps=0)
+        assert offsets.tolist() == [0]

@@ -199,6 +199,19 @@ class TestNonUnitStride:
         assert normalized.schedule.total_work == 4
         assert normalized.validate(seeds=(0,)).ok
 
+    def test_inner_strided_loop_is_named(self):
+        from repro.dependence.analysis import DependenceAnalysis
+        from repro.ir.builder import aref, assign, loop, program
+
+        body = assign("s", aref("a", "I", "J"), [aref("a", "I-1", "J")])
+        nest = program(
+            "inner-strided",
+            loop("I", 2, 4, loop("J", 6, 1, body, stride=-1)),
+            array_shapes={"a": (5, 7)},
+        )
+        with pytest.raises(ValueError, match=r"loop J has stride -1"):
+            DependenceAnalysis(nest, {})
+
 
 class TestBaselineStrategies:
     @pytest.mark.parametrize("name,schedule_fn", BASELINES, ids=[n for n, _ in BASELINES])

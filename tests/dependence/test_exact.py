@@ -13,7 +13,13 @@ from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.exact import enumerate_domain, exact_pair_dependences, reference_addresses
 from repro.ir.builder import aref, assign, loop, program
 from repro.isl.affine import AffineExpr
-from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
+from repro.workloads.examples import (
+    cholesky_loop,
+    example2_loop,
+    example3_loop,
+    figure1_loop,
+    figure2_loop,
+)
 from repro.workloads.synthetic import large_triangular_loop, random_coupled_loop
 from strategies import MAX_BOUND, loop_programs, parametric_programs
 
@@ -147,6 +153,66 @@ class TestEnumerateDomain:
         ]
         points = enumerate_domain(prog.statement_contexts()[0], {})
         assert [tuple(p) for p in points.tolist()] == expected
+
+
+def nest_points(outer, inner, params=None, parameters=()):
+    """``enumerate_domain`` of ``DO I = outer; DO J = inner`` as tuples."""
+    body = assign("s", aref("a", "I", "J"), [])
+    prog = program(
+        "nest",
+        loop("I", *outer, loop("J", *inner, body)),
+        parameters=parameters,
+        array_shapes={"a": (1, 1)},
+    )
+    points = enumerate_domain(prog.statement_contexts()[0], params or {}, prog.parameters)
+    return [tuple(p) for p in points.tolist()]
+
+
+class TestDomainScanExamples:
+    def test_equal_bounds_give_the_diagonal(self):
+        assert nest_points((1, 4), ("I", "I")) == [(1, 1), (2, 2), (3, 3), (4, 4)]
+
+    def test_max_lower_and_min_upper_bounds(self):
+        got = nest_points((1, 5), (["1", "I-1"], ["3", "I+1"]))
+        assert got == [
+            (1, 1), (1, 2),
+            (2, 1), (2, 2), (2, 3),
+            (3, 2), (3, 3),
+            (4, 3),
+        ]
+
+    def test_inner_range_empty_for_some_outer_values(self):
+        # J from 3 to I: I = 1 and I = 2 have no inner iteration.
+        assert nest_points((1, 4), (3, "I")) == [(3, 3), (4, 3), (4, 4)]
+
+    def test_negative_bounds(self):
+        # J from I to -I-4: three values at I = -3, one at -2, none at -1.
+        got = nest_points((-3, -1), ("I", "-I-4"))
+        assert got == [(-3, -3), (-3, -2), (-3, -1), (-2, -2)]
+
+    def test_parameter_in_an_inner_bound(self):
+        got = nest_points((1, "N"), (1, "N-I"), {"N": 3}, ("N",))
+        assert got == [(1, 1), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [
+        figure1_loop(6, 5),
+        figure2_loop(20),
+        example2_loop(12),
+        example3_loop(6),
+        cholesky_loop(nmat=3, m=2, n=5, nrhs=2),
+    ],
+    ids=["figure1", "figure2", "example2", "example3", "cholesky"],
+)
+def test_paper_example_domains_are_their_literal_loops(prog):
+    order = prog.sequential_iterations({})
+    for ctx in prog.statement_contexts():
+        points = enumerate_domain(ctx, {}, prog.parameters)
+        assert np.array_equal(points, oracle.domain(ctx, {}))
+        label = ctx.statement.label
+        assert [tuple(p) for p in points.tolist()] == [it for name, it in order if name == label]
 
 
 class TestDomainScanProperties:

@@ -89,3 +89,60 @@ class TestOtherPairs:
         pair = single_pair(prog)
         assert not pair.is_square_full_rank()
         assert pair.recurrence() is None
+
+
+def matrix_coupled(matrix):
+    """The paper's coupled subscripts on a ``Fraction`` matrix: a column
+    (subscript) mixing indices or a row (index) in several subscripts."""
+    rows = [[x != 0 for x in row] for row in matrix]
+    return any(sum(col) >= 2 for col in zip(*rows)) or any(sum(row) >= 2 for row in rows)
+
+
+ROW_CASES = {
+    "constant-write": (("3", "4"), ("I", "J"), False, False),
+    "mixed-indices": (("I+J", "J"), ("I", "J"), True, True),
+    "index-in-two-subscripts": (("I", "I"), ("I", "J"), True, True),
+    "separable-scaled": (("2*I", "J"), ("I", "J-1"), True, False),
+    "cancelled-term": (("I+J-J", "J"), ("I", "J+1"), True, False),
+}
+
+
+class TestClassificationOnIntegerRows:
+    """``is_coupled`` and ``has_coupled_subscript_dimensions`` read the
+    integer subscript rows; they must agree with the ``Fraction`` matrices."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_rows_agree_with_the_matrices(self, name):
+        write, read, coupled, coupled_dims = ROW_CASES[name]
+        body = assign("s", aref("a", *write), [aref("a", *read)])
+        prog = program(
+            "rows", loop("I", 1, 4, loop("J", 1, 4, body)), array_shapes={"a": (12, 12)}
+        )
+        pairs = [
+            p for p in DependenceAnalysis(prog, {}).reference_pairs
+            if p.source_ref != p.target_ref
+        ]
+        assert len(pairs) == 1
+        pair = pairs[0]
+        A, _a, B, _b = pair.matrices()
+        has_terms = lambda m: any(x != 0 for row in m for x in row)
+        assert pair.is_coupled() is coupled is (has_terms(A) and has_terms(B))
+        assert pair.has_coupled_subscript_dimensions() is coupled_dims
+        assert coupled_dims == (matrix_coupled(A) or matrix_coupled(B))
+
+    def test_symbol_outside_the_loop_indices_raises(self):
+        body = assign("s", aref("a", "I+N"), [aref("a", "I")])
+        prog = program("p", loop("I", 1, 4, body), array_shapes={"a": (12,)})
+        pair = ReferencePair(*prog.reference_pairs()[0])
+        with pytest.raises(ValueError, match="symbol 'N' outside the loop index order"):
+            pair.has_coupled_subscript_dimensions()
+
+    def test_a_repeated_read_is_one_reference_pair(self):
+        def pairs_of(*reads):
+            body = assign("s", aref("a", "I"), [aref("a", r) for r in reads])
+            prog = program("p", loop("I", 2, 6, body), array_shapes={"a": (8,)})
+            return DependenceAnalysis(prog, {}).reference_pairs
+
+        once, twice = pairs_of("I-1"), pairs_of("I-1", "I-1")
+        assert len(twice) == len(once) == 2
+        assert [str(p.target_ref) for p in twice] == [str(p.target_ref) for p in once]

@@ -117,3 +117,33 @@ class TestRationalReferenceDifferential:
     def test_loop_bounds_match_rational_reference(self, lower, upper, env):
         l = Loop("L", tuple(lower), tuple(upper))
         assert _outcome(l.evaluate_bounds, env) == _outcome(oracle.rational_bounds, l, env)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.baselines.doacross",
+        "repro.core.dataflow",
+        "repro.core.statement",
+        "repro.dependence.analysis",
+        "repro.dependence.distance",
+        "repro.dependence.exact",
+        "repro.isl.enumerate_points",
+        "repro.isl.relations",
+    ],
+)
+def test_cold_plan_front_end_does_not_import_fractions(module):
+    """The domain scan, the reference-pair dedup, the Kahn peel and the
+    builders that read its order run on integer rows and indices; none of
+    their modules may fall back on ``Fraction`` arithmetic."""
+    import ast
+    import importlib
+
+    tree = ast.parse(open(importlib.import_module(module).__file__).read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert "fractions" not in imported
